@@ -13,7 +13,8 @@ Sweep config file (JSON, all keys optional):
       "periods": [0, 96],             Half-open period range.
       "pv_control": false,            Co-optimize PV reactive power.
       "out_dir": "sweep_out",
-      "parallelism": 8,               Concurrent period workers.
+      "parallelism": 8,               Most worker processes; capped at the
+                                      CPU count and the number of cells.
       "seed": 7
     }
 """
@@ -24,6 +25,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,13 +33,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .formulations import (
-    EvaluationResult,
-    evaluate_exact,
-    evaluate_fixv,
-    evaluate_lbfm,
-    evaluate_linv,
-)
+from .formulations import EvaluationResult, evaluate_exact
+
+# Bound here only so that the benchmark tracer (bench/run.py) finds them.
+from .formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv  # noqa: F401
 from .netmodel import (
     DEFAULT_SCENARIO,
     DemandSeries,
@@ -53,12 +52,14 @@ from .optimizer import (
     Algorithm1Options,
     OptimizationOutcome,
     SearchOptions,
-    branch_and_bound,
-    exhaustive,
+    _model_evaluator,
+    _search_once,
     fixv_algorithm1,
-    local_search,
     optimize_pv_q,
 )
+
+# Bound here only so that the benchmark tracer (bench/run.py) finds them.
+from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
@@ -178,25 +179,13 @@ def _cell_seed(base: int, period: int) -> int:
 
 
 def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
-    search = SearchOptions(seed=_cell_seed(spec.seed, spec.period))
+    search = SearchOptions(strategy=spec.search, seed=_cell_seed(spec.seed, spec.period))
     if spec.method in ("fixv-mc", "fixv-mw"):
         warm = spec.method == "fixv-mw"
         outer = spec.outer if spec.outer is not None else (1 if warm else 3)
         algorithm = Algorithm1Options(max_outer=outer, eps_v=spec.eps_v, warm_start=warm)
-        if spec.search != "auto":
-            search = replace(search, strategy=spec.search)
         return fixv_algorithm1(snapshot, algorithm, search)
-
-    formulation = spec.method
-    strategy = spec.search
-    if strategy == "auto":
-        small = 3**snapshot.n_adjustable <= search.enumeration_budget
-        strategy = "exhaustive" if (formulation == "lbfm" and small) else "local"
-    if strategy == "exhaustive":
-        return exhaustive(snapshot, formulation, options=search)
-    if strategy == "branch-and-bound":
-        return branch_and_bound(snapshot, formulation, options=search)
-    return local_search(snapshot, formulation, options=search)
+    return _search_once(snapshot, spec.method, search)
 
 
 def _eval_view(result: EvaluationResult) -> dict[str, object]:
@@ -224,30 +213,22 @@ def _eval_view(result: EvaluationResult) -> dict[str, object]:
     }
 
 
-def _verified_view(snapshot, assignment: PhaseAssignment, q_adjust) -> dict[str, object]:
-    solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
-    result = evaluate_exact(snapshot, assignment, q_adjust=q_adjust, solution=solution)
+def _verified_view(result: EvaluationResult) -> dict[str, object]:
+    """An exact state's view plus its solve diagnostics."""
+
     view = _eval_view(result)
-    view["iterations"] = int(solution.iterations)
-    view["mismatch"] = float(solution.mismatch)
-    view["balance_residual"] = float(power_balance_residual(solution, snapshot))
+    view["iterations"] = int(result.meta["iterations"])
+    view["mismatch"] = float(result.meta["mismatch"])
+    view["balance_residual"] = float(result.meta["balance_residual"])
     return view
 
 
 def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, dict[str, object], dict[str, object]]:
     """Tune PV reactive power after the phase decision, under the same model."""
 
-    profile = None
-    if outcome.method == "fixv":
-        profile = np.asarray(outcome.verified.v)
-    if outcome.method == "fixv":
-        before = evaluate_fixv(snapshot, outcome.assignment, profile=profile)
-    elif outcome.method == "linv":
-        before = evaluate_linv(snapshot, outcome.assignment)
-    elif outcome.method == "lbfm":
-        before = evaluate_lbfm(snapshot, outcome.assignment)
-    else:
-        before = evaluate_exact(snapshot, outcome.assignment)
+    # The fixed-voltage model freezes currents at the verified voltages.
+    profile = np.asarray(outcome.verified.v) if outcome.method == "fixv" else None
+    before = _model_evaluator(outcome.method, profile)(snapshot, outcome.assignment, None)
     q, final, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, profile=profile)
     block = {
         "f_before": float(before.objective),
@@ -279,7 +260,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         initial = PhaseAssignment.initial(snapshot.network)
 
         if spec.method == "initial":
-            verified = _verified_view(snapshot, initial, None)
+            verified = _verified_view(evaluate_exact(snapshot, initial))
             doc.update(
                 strategy="none",
                 candidates=1,
@@ -300,8 +281,10 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
             q_adjust = None
             pv_block = None
             model_view = _eval_view(outcome.model)
+            verified = outcome.verified
             if spec.pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu):
                 q_adjust, model_view, pv_block = _pv_refine(snapshot, outcome)
+                verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
             doc.update(
                 strategy=outcome.strategy,
                 candidates=int(outcome.candidates),
@@ -313,8 +296,8 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
                 q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
                 model=model_view,
                 initial_model=_eval_view(outcome.initial_model),
-                verified=_verified_view(snapshot, outcome.assignment, q_adjust),
-                initial_verified=_verified_view(snapshot, initial, None),
+                verified=_verified_view(verified),
+                initial_verified=_verified_view(outcome.initial_verified),
                 trace=[
                     {
                         "outer": int(step.outer),
@@ -572,9 +555,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for m in sorted(config.methods)
     ]
 
-    if config.parallelism > 1:
+    # Seeds are per cell, so outcomes do not depend on the worker count.
+    workers = min(config.parallelism, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.parallelism,
+            max_workers=workers,
             initializer=_worker_init,
             initargs=(config.scenario, config.pv_control),
         ) as pool:
@@ -675,14 +660,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     network, demands = load_scenario(args.scenario)
     snapshot = build_snapshot(network, demands, args.period, DEFAULT_SCENARIO)
-    assignment = PhaseAssignment.initial(network)
-    evaluators = {
-        "utpf": lambda: evaluate_exact(snapshot, assignment),
-        "fixv": lambda: evaluate_fixv(snapshot, assignment),
-        "linv": lambda: evaluate_linv(snapshot, assignment),
-        "lbfm": lambda: evaluate_lbfm(snapshot, assignment),
-    }
-    result = evaluators[args.method]()
+    result = _model_evaluator(args.method)(snapshot, PhaseAssignment.initial(network), None)
     view = _eval_view(result)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

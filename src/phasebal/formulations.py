@@ -14,15 +14,20 @@ transformer-current limits. What differs is the voltage model:
 
 All evaluators return the same result shape, so search code can score
 assignments under any model and verify winners against the exact power
-flow. The private *Batch kernels score many assignments at once and are
-the workhorses behind enumeration and local search.
+flow. The private batch kernels score many assignments at once and are the
+workhorses behind enumeration and local search; `_make_kernel` is the one
+lookup from a model name to its kernel class, whose `separable` attribute
+tells search code whether the model's customer effects add up. For any
+batch of model states, a single state included, `_slack_terms` computes
+the limit slacks and `_score` the objective, so the scalar evaluators and
+the kernels price an assignment identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -30,8 +35,10 @@ from .netmodel import CaseSnapshot, Limits, Network, Phasor3
 from .powerflow import (
     PFSolution,
     PhaseAssignment,
+    _effective_loads,
     check_assignment,
     feeder_geometry,
+    power_balance_residual,
     solve_utpf,
 )
 
@@ -113,6 +120,71 @@ class Slacks:
         )
 
 
+def _voltage_measures(
+    v: np.ndarray, nominal: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower-bound measure, |V| and negative-sequence phasor of a voltage field.
+
+    v is (..., buses, 3). The lower bound tests |V|, or, with nominal phasors
+    given, the projection X cos(d) + Y sin(d) onto their directions, which is
+    how the linearized model treats the lower magnitude bound.
+    """
+
+    vm = np.abs(v)
+    lo = vm
+    if nominal is not None:
+        ang = np.angle(nominal)
+        lo = v.real * np.cos(ang) + v.imag * np.sin(ang)
+    return lo, vm, v @ (_NEG_ROW / 3.0)
+
+
+def _slack_terms(
+    limits: Limits,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    neg: np.ndarray,
+    i_dt_mag: np.ndarray,
+    squared: bool = False,
+) -> Iterator[np.ndarray]:
+    """Yield the limit slacks v_lo, v_hi, neg_seq and i_dt, over any leading batch axes.
+
+    lo and hi are (..., buses, 3) voltage measures held against v_min and
+    v_max, neg the (..., buses) unbalance magnitude against neg_seq_max and
+    i_dt_mag the (..., 3) transformer current magnitudes against i_dt_max.
+    With squared set, lo and hi are squared magnitudes (branch-flow units),
+    and the voltage limits and the unbalance magnitude are squared to match.
+    One term at a time, so that a large batch never holds all four.
+    """
+
+    v_min, v_max, neg_max = limits.v_min, limits.v_max, limits.neg_seq_max
+    if squared:
+        v_min, v_max, neg_max = v_min**2, v_max**2, neg_max**2
+    yield np.maximum(0.0, v_min - lo.min(axis=-1))
+    yield np.maximum(0.0, hi.max(axis=-1) - v_max)
+    yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
+    yield np.maximum(0.0, i_dt_mag - limits.i_dt_max)
+
+
+@dataclass(frozen=True, eq=False)
+class _BatchScore:
+    objective: np.ndarray
+    pi: np.ndarray
+    slack_total: np.ndarray
+
+
+def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
+    """Objective pi + mb * total slack for a batch of model states.
+
+    s_dt is the (..., 3) complex transformer power and terms the slacks
+    `_slack_terms` yields. They sum in the order of `Slacks.total`, so a
+    batch of one prices exactly like the scalar path.
+    """
+
+    pi = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
+    total = sum(term.sum(axis=-1) for term in terms)
+    return _BatchScore(objective=pi + limits.mb * total, pi=pi, slack_total=total)
+
+
 def compute_slacks(
     v: np.ndarray,
     i_dt_mag: np.ndarray,
@@ -129,28 +201,16 @@ def compute_slacks(
     treats the lower magnitude bound linearly. One shared slack per bus.
     """
 
-    varr = np.asarray(v, dtype=complex)
-    vm = np.abs(varr)
-    if mode == "exact":
-        lo = limits.v_min - vm.min(axis=1)
-    elif mode == "linearized":
-        if nominal is None:
-            raise ValueError("linearized mode needs the nominal phase directions")
-        ang = np.angle(np.asarray(getattr(nominal, "values", nominal), dtype=complex))
-        proj = varr.real * np.cos(ang) + varr.imag * np.sin(ang)
-        lo = limits.v_min - proj.min(axis=1)
-    else:
+    if mode not in ("exact", "linearized"):
         raise ValueError(f"unknown slack mode {mode!r}")
-    hi = vm.max(axis=1) - limits.v_max
-    neg = np.abs(varr @ (_NEG_ROW / 3.0)) - limits.neg_seq_max
-    rho = np.asarray(i_dt_mag, dtype=float) - limits.i_dt_max
-    zero = 0.0
-    return Slacks(
-        v_lo=np.maximum(zero, lo),
-        v_hi=np.maximum(zero, hi),
-        neg_seq=np.maximum(zero, neg),
-        i_dt=np.maximum(zero, rho),
-    )
+    if mode == "exact":
+        nominal = None
+    elif nominal is None:
+        raise ValueError("linearized mode needs the nominal phase directions")
+    else:
+        nominal = np.asarray(getattr(nominal, "values", nominal), dtype=complex)
+    lo, vm, vneg = _voltage_measures(np.asarray(v, dtype=complex), nominal)
+    return Slacks(*_slack_terms(limits, lo, vm, np.abs(vneg), np.asarray(i_dt_mag, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,25 +246,49 @@ class EvaluationResult:
         return self.objective - self.pi
 
 
-def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.ndarray:
-    s = snapshot.s_pu.copy()
-    if q_adjust is not None:
-        dq = np.asarray(q_adjust, dtype=float)
-        if dq.shape != s.shape:
-            raise ValueError("q_adjust must have one entry per customer")
-        if np.any(dq < snapshot.q_lo_pu - 1e-12) or np.any(dq > snapshot.q_hi_pu + 1e-12):
-            raise ValueError("q_adjust outside the snapshot's reactive bounds")
-        s = s + 1j * dq
-    return s
+def _result(
+    method: str,
+    phases: np.ndarray,
+    limits: Limits,
+    s_dt: np.ndarray,
+    i_dt_mag: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    vneg: np.ndarray,
+    vm: np.ndarray,
+    v: np.ndarray | None,
+    meta: Mapping[str, object],
+    squared: bool = False,
+) -> EvaluationResult:
+    """One model's view of one state, priced by `_slack_terms` and `_score`."""
+
+    terms = tuple(_slack_terms(limits, lo, hi, np.abs(vneg), i_dt_mag, squared))
+    score = _score(limits, s_dt, terms)
+    return EvaluationResult(
+        method=method,
+        phases=tuple(int(p) for p in phases),
+        pi=float(score.pi),
+        slacks=Slacks(*terms, squared_voltage_units=squared),
+        objective=float(score.objective),
+        s_dt=s_dt,
+        vm=vm,
+        vneg=vneg,
+        v=v,
+        meta=meta,
+    )
+
+
+def _customer_meet(network: Network) -> np.ndarray:
+    """meet_t[j, p, m, phi] = shared-path impedance Meet[m, bus_j][phi, p]."""
+
+    geometry = feeder_geometry(network)
+    return np.transpose(geometry.meet[:, geometry.cust_bus], (1, 3, 0, 2))
 
 
 def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
     """sel[j, m, phi] = shared-path impedance row Meet[m, bus_j][phi, p_j]."""
 
-    geometry = feeder_geometry(network)
-    picked = geometry.meet[:, geometry.cust_bus]  # (buses, customers, 3, 3)
-    m = len(phases)
-    return picked[:, np.arange(m), :, phases]  # advanced indexing -> (m, buses, 3)
+    return _customer_meet(network)[np.arange(len(phases)), phases]  # (m, buses, 3)
 
 
 def _dt_current(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
@@ -219,27 +303,39 @@ def evaluate_exact(
     q_adjust: np.ndarray | None = None,
     solution: PFSolution | None = None,
 ) -> EvaluationResult:
-    """Objective under the exact power flow; the verification reference."""
+    """Objective under the exact power flow; the verification reference.
+
+    meta carries the solve's iterations, final mismatch and power-balance
+    residual, so a verified state needs no second solve to be reported.
+    """
 
     if solution is None:
         solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
     geometry = feeder_geometry(snapshot.network)
     i_root = sum(solution.i_lines[li] for li in geometry.root_lines)
-    slacks = compute_slacks(solution.v, np.abs(i_root), snapshot.network.limits)
-    pi = dt_unbalance(solution.s_dt)
-    objective = pi + snapshot.network.limits.mb * slacks.total()
-    return EvaluationResult(
-        method="utpf",
-        phases=tuple(int(p) for p in solution.cust_phase),
-        pi=pi,
-        slacks=slacks,
-        objective=objective,
-        s_dt=solution.s_dt,
-        vm=np.abs(solution.v),
-        vneg=np.asarray(solution.v @ (_NEG_ROW / 3.0)),
-        v=solution.v,
-        meta={"iterations": solution.iterations, "mismatch": solution.mismatch},
+    lo, vm, vneg = _voltage_measures(solution.v)
+    meta = {
+        "iterations": solution.iterations,
+        "mismatch": solution.mismatch,
+        "balance_residual": power_balance_residual(solution, snapshot),
+    }
+    return _result(
+        "utpf", solution.cust_phase, snapshot.network.limits, solution.s_dt,
+        np.abs(i_root), lo, vm, vneg, vm, solution.v, meta,
     )
+
+
+def _fixv_profile(network: Network, profile: np.ndarray | None) -> tuple[np.ndarray, str]:
+    """The frozen voltage field and its kind: given (buses, 3), or flat at the root."""
+
+    if profile is None:
+        return np.tile(network.v0.values, (network.n_buses, 1)), "flat"
+    profile = np.asarray(profile, dtype=complex)
+    if profile.shape != (network.n_buses, 3):
+        raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
+    if np.any(np.abs(profile[feeder_geometry(network).cust_bus]) < 1e-6):
+        raise FormulationError("voltage profile vanishes at a customer bus")
+    return profile, "given"
 
 
 def evaluate_fixv(
@@ -259,42 +355,19 @@ def evaluate_fixv(
     network = snapshot.network
     geometry = feeder_geometry(network)
     v0 = network.v0.values
-    n = network.n_buses
-
-    if profile is None:
-        profile = np.tile(v0, (n, 1))
-        profile_kind = "flat"
-    else:
-        profile = np.asarray(profile, dtype=complex)
-        if profile.shape != (n, 3):
-            raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
-        profile_kind = "given"
+    profile, profile_kind = _fixv_profile(network, profile)
 
     s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
-    vfix = profile[geometry.cust_bus, phases]
-    if np.any(np.abs(vfix) < 1e-6):
-        raise FormulationError("voltage profile vanishes at a customer connection")
-    i_cust = np.conj(s) / np.conj(vfix)
+    i_cust = np.conj(s) / np.conj(profile[geometry.cust_bus, phases])
 
     sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
     v = v0[None, :] - np.einsum("jmf,j->mf", sel, i_cust)
     i_dt = _dt_current(phases, i_cust)
-    s_dt = v0 * np.conj(i_dt)
-    slacks = compute_slacks(v, np.abs(i_dt), network.limits)
-    pi = dt_unbalance(s_dt)
-    objective = pi + network.limits.mb * slacks.total()
-    return EvaluationResult(
-        method="fixv",
-        phases=tuple(assignment.phases),
-        pi=pi,
-        slacks=slacks,
-        objective=objective,
-        s_dt=s_dt,
-        vm=np.abs(v),
-        vneg=np.asarray(v @ (_NEG_ROW / 3.0)),
-        v=v,
-        meta={"profile": profile_kind},
+    lo, vm, vneg = _voltage_measures(v)
+    return _result(
+        "fixv", phases, network.limits, v0 * np.conj(i_dt), np.abs(i_dt),
+        lo, vm, vneg, vm, v, {"profile": profile_kind},
     )
 
 
@@ -460,21 +533,10 @@ def evaluate_linv(
     vc = v[geometry.cust_bus, phases]
     i_cust = np.conj(s) * fit.g(vc, phases)
     i_dt = _dt_current(phases, i_cust)
-    s_dt = v0 * np.conj(i_dt)
-    slacks = compute_slacks(v, np.abs(i_dt), network.limits, mode="linearized", nominal=v0)
-    pi = dt_unbalance(s_dt)
-    objective = pi + network.limits.mb * slacks.total()
-    return EvaluationResult(
-        method="linv",
-        phases=tuple(assignment.phases),
-        pi=pi,
-        slacks=slacks,
-        objective=objective,
-        s_dt=s_dt,
-        vm=np.abs(v),
-        vneg=np.asarray(v @ (_NEG_ROW / 3.0)),
-        v=v,
-        meta={"fit_residual": fit.max_residual, "system_residual": residual},
+    lo, vm, vneg = _voltage_measures(v, v0)
+    return _result(
+        "linv", phases, network.limits, v0 * np.conj(i_dt), np.abs(i_dt),
+        lo, vm, vneg, vm, v, {"fit_residual": fit.max_residual, "system_residual": residual},
     )
 
 
@@ -494,10 +556,7 @@ def evaluate_lbfm(
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    geometry = feeder_geometry(network)
     v0 = network.v0.values
-    limits = network.limits
-    n = network.n_buses
 
     s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
@@ -513,26 +572,10 @@ def evaluate_lbfm(
 
     s_dt = np.zeros(3, dtype=complex)
     np.add.at(s_dt, phases, s)
-
-    v_lo = np.maximum(0.0, limits.v_min**2 - diag.min(axis=1))
-    v_hi = np.maximum(0.0, diag.max(axis=1) - limits.v_max**2)
-    neg = np.maximum(0.0, np.abs(vneg) ** 2 - limits.neg_seq_max**2)
-    rho = np.maximum(0.0, np.abs(s_dt) / np.abs(v0) - limits.i_dt_max)
-    slacks = Slacks(v_lo=v_lo, v_hi=v_hi, neg_seq=neg, i_dt=rho, squared_voltage_units=True)
-
-    pi = dt_unbalance(s_dt)
-    objective = pi + limits.mb * slacks.total()
-    return EvaluationResult(
-        method="lbfm",
-        phases=tuple(assignment.phases),
-        pi=pi,
-        slacks=slacks,
-        objective=objective,
-        s_dt=s_dt,
-        vm=np.sqrt(np.clip(diag, 0.0, None)),
-        vneg=vneg,
-        v=None,
-        meta={"voltage_units": "squared"},
+    return _result(
+        "lbfm", phases, network.limits, s_dt, np.abs(s_dt) / np.abs(v0),
+        diag, diag, vneg, np.sqrt(np.clip(diag, 0.0, None)), None,
+        {"voltage_units": "squared"}, squared=True,
     )
 
 
@@ -547,23 +590,13 @@ def evaluate_lbfm(
 # that could possibly violate a limit under some assignment (triangle bound
 # on the movable customers' total effect); all other buses contribute zero
 # slack for every candidate. The linearized-inverse model is not separable
-# and uses a batched fixed-point solve instead.
+# and uses a batched fixed-point solve instead. Every kernel prices its
+# states through `_score`, as the scalar evaluators do.
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, eq=False)
-class _BatchScore:
-    objective: np.ndarray
-    pi: np.ndarray
-    slack_total: np.ndarray
-
-
-def _batch_ptp(s: np.ndarray) -> np.ndarray:
-    return np.maximum(np.ptp(s.real, axis=1), np.ptp(s.imag, axis=1))
-
-
-def _movable_positions(snapshot: CaseSnapshot) -> np.ndarray:
-    return np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
+_LINV_CHUNK = 128  # assignments per batched fixed-point solve
+_LINV_TOL = 1e-12  # fixed-point step at which the voltages count as converged
+_LINV_MAX_ITER = 80
 
 
 def _combo_table(k: int) -> np.ndarray:
@@ -579,17 +612,18 @@ def _radix(k: int) -> np.ndarray:
     return 3 ** np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, np.int64)
 
 
-class _SeparableKernel:
-    """Shared half-table machinery for separable assignment effects."""
+class _Kernel:
+    """What every kernel shares: loads, movable positions, the initial phases."""
 
-    def __init__(self, snapshot: CaseSnapshot) -> None:
-        self.snapshot = snapshot
+    separable = False
+
+    def __init__(self, snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> None:
         self.network = snapshot.network
         self.limits = snapshot.network.limits
-        self.movable = _movable_positions(snapshot)
-        self.initial = np.array(
-            [c.initial_phase for c in self.network.customers], dtype=int
-        )
+        self.v0 = self.network.v0.values
+        self.s = _effective_loads(snapshot, q_adjust)
+        self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
+        self.initial = np.array([c.initial_phase for c in self.network.customers], dtype=int)
 
     @property
     def n_movable(self) -> int:
@@ -601,14 +635,83 @@ class _SeparableKernel:
         full[:, self.movable] = choices
         return full
 
-    def _split(self) -> tuple[np.ndarray, np.ndarray]:
-        k1 = (self.n_movable + 1) // 2
-        return self.movable[:k1], self.movable[k1:]
+    def assignment(self, choices: np.ndarray) -> PhaseAssignment:
+        return PhaseAssignment(tuple(int(p) for p in self.full_phases(choices[None, :])[0]))
 
-    def _indices(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+class _SeparableKernel(_Kernel):
+    """Half-table scoring for models whose customer effects simply add up.
+
+    A subclass hands `_tabulate` each customer's power landing on each phase
+    and its effect on every state field, and names in `_measures` the voltage
+    measures and unbalance magnitude that `_slack_terms` tests on the fields.
+    """
+
+    separable = True
+    squared = False
+
+    def _tabulate(
+        self,
+        s_on: np.ndarray,
+        effects: list[np.ndarray],
+        no_load: list[np.ndarray],
+    ) -> None:
+        """s_on (customers, 3); effects[f] (customers, 3, buses, ...) with no_load[f]
+        the field's (buses, ...) value when no customer draws power."""
+
+        fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
+        pf = self.initial[fixed]
+        self.s_base = np.zeros(3, dtype=complex)
+        np.add.at(self.s_base, pf, s_on[fixed, pf])
+        self.ds_choice = s_on[self.movable]  # (mm, 3): value landing on the chosen phase
+        base = [z + e[fixed, pf].sum(axis=0) for z, e in zip(no_load, effects)]
+        moving = [e[self.movable] for e in effects]
+
+        # Buses that could violate a limit under some choice of the movables:
+        # no measure moves further than the movables' largest effects summed.
+        lo, hi, neg = self._measures(*base)
+        lo_r, hi_r, neg_r = (np.abs(x).max(axis=1).sum(axis=0) for x in self._measures(*moving))
+        k = 2 if self.squared else 1
+        limits = self.limits
+        cap = (
+            ((lo - lo_r).min(axis=1) < limits.v_min**k)
+            | ((hi + hi_r).max(axis=1) > limits.v_max**k)
+            | (neg + neg_r > limits.neg_seq_max)
+        )
+        self.cap_idx = np.flatnonzero(cap)
+        self.base_cap = [b[self.cap_idx] for b in base]
+
         k1 = (self.n_movable + 1) // 2
-        return choices[:, :k1] @ _radix(k1), choices[:, k1:] @ _radix(
-            self.n_movable - k1
+        self.halves = [
+            self._half(s_on[self.movable[part]], [e[part][:, :, self.cap_idx] for e in moving])
+            for part in (slice(0, k1), slice(k1, None))
+        ]
+
+    @staticmethod
+    def _half(s_on: np.ndarray, effects: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        combos = _combo_table(len(s_on))
+        rows = np.arange(combos.shape[0])
+        sv = np.zeros((combos.shape[0], 3), dtype=complex)
+        tables = [np.zeros((combos.shape[0],) + e.shape[2:], dtype=e.dtype) for e in effects]
+        for local in range(len(s_on)):
+            pj = combos[:, local]
+            np.add.at(sv, (rows, pj), s_on[local, pj])
+            for table, e in zip(tables, effects):
+                table += e[local][pj]
+        return sv, tables
+
+    def score(self, choices: np.ndarray) -> _BatchScore:
+        choices = np.asarray(choices, dtype=np.int64)
+        k1 = (self.n_movable + 1) // 2
+        idx1 = choices[:, :k1] @ _radix(k1)
+        idx2 = choices[:, k1:] @ _radix(self.n_movable - k1)
+        (sv1, t1), (sv2, t2) = self.halves
+        s_dt = self.s_base + sv1[idx1] + sv2[idx2]
+        # The field states, a chunk's largest arrays, are freed once measured.
+        measures = self._measures(*(b + a[idx1] + c[idx2] for b, a, c in zip(self.base_cap, t1, t2)))
+        i_dt_mag = np.abs(s_dt) / np.abs(self.v0)
+        return _score(
+            self.limits, s_dt, _slack_terms(self.limits, *measures, i_dt_mag, self.squared)
         )
 
 
@@ -616,253 +719,98 @@ class _FixvKernel(_SeparableKernel):
     """Batch scorer for the fixed-voltage model at one voltage profile."""
 
     method = "fixv"
-    separable = True
 
     def __init__(
         self,
         snapshot: CaseSnapshot,
         profile: np.ndarray | None = None,
+        fit: AffineFit | None = None,
         q_adjust: np.ndarray | None = None,
     ) -> None:
-        super().__init__(snapshot)
-        network = self.network
-        geometry = feeder_geometry(network)
-        v0 = network.v0.values
-        n = network.n_buses
-        limits = self.limits
-
-        if profile is None:
-            profile = np.tile(v0, (n, 1))
-        else:
-            profile = np.asarray(profile, dtype=complex)
-            if profile.shape != (n, 3):
-                raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
-        s = _effective_loads(snapshot, q_adjust)
-
-        vfix_all = profile[geometry.cust_bus]  # (customers, 3)
-        if np.any(np.abs(vfix_all) < 1e-6):
-            raise FormulationError("voltage profile vanishes at a customer bus")
-        i_all = np.conj(s)[:, None] / np.conj(vfix_all)  # (customers, 3 options)
-        ds_all = v0[None, :] * np.conj(i_all)  # value landing on the chosen phase
-        picked = geometry.meet[:, geometry.cust_bus]  # (buses, customers, 3, 3)
-        dv_all = -np.transpose(picked, (1, 3, 0, 2)) * i_all[:, :, None, None]
-        # dv_all[j, p, bus, phi]: voltage effect of customer j connected at p.
-
-        fixed = np.setdiff1d(np.arange(len(s)), self.movable)
-        v_base = np.tile(v0, (n, 1))
-        s_base = np.zeros(3, dtype=complex)
-        if len(fixed):
-            pf = self.initial[fixed]
-            v_base = v_base + dv_all[fixed, pf].sum(axis=0)
-            np.add.at(s_base, pf, ds_all[fixed, pf])
-        self.s_base = s_base
-        self.ds_choice = ds_all[self.movable]  # (mm, 3) complex
-        dv_mov = dv_all[self.movable]  # (mm, 3, buses, 3)
-
-        # Buses that could violate a limit under some choice of the movables.
-        bound = np.abs(dv_mov).max(axis=1).sum(axis=0) if self.n_movable else np.zeros((n, 3))
-        vm_base = np.abs(v_base)
-        vneg_base = v_base @ (_NEG_ROW / 3.0)
-        if self.n_movable:
-            bneg = np.abs(dv_mov @ (_NEG_ROW / 3.0)).max(axis=1).sum(axis=0)
-        else:
-            bneg = np.zeros(n)
-        cap = (
-            ((vm_base - bound).min(axis=1) < limits.v_min)
-            | ((vm_base + bound).max(axis=1) > limits.v_max)
-            | (np.abs(vneg_base) + bneg > limits.neg_seq_max)
-        )
-        self.cap_idx = np.flatnonzero(cap)
-        self.v_base_cap = v_base[self.cap_idx]
-
-        h1, h2 = self._split()
-        self.sv1, self.sv2, self.vv1, self.vv2 = self._half_tables(
-            dv_all, ds_all, h1, h2
+        super().__init__(snapshot, q_adjust)
+        profile, _ = _fixv_profile(self.network, profile)
+        cust_bus = feeder_geometry(self.network).cust_bus
+        i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
+        # Voltage effect at (bus, phi) of customer j connected at p.
+        dv_all = -_customer_meet(self.network) * i_all[:, :, None, None]
+        self._tabulate(
+            self.v0[None, :] * np.conj(i_all),
+            [dv_all],
+            [np.tile(self.v0, (self.network.n_buses, 1))],
         )
 
-    def _half_tables(self, dv_all, ds_all, h1, h2):
-        def build(h):
-            combos = _combo_table(len(h))
-            sv = np.zeros((combos.shape[0], 3), dtype=complex)
-            vv = np.zeros((combos.shape[0], len(self.cap_idx), 3), dtype=complex)
-            rows = np.arange(combos.shape[0])
-            for local, j in enumerate(h):
-                pj = combos[:, local]
-                np.add.at(sv, (rows, pj), ds_all[j, pj])
-                vv += dv_all[j][pj][:, self.cap_idx, :]
-            return sv, vv
-
-        sv1, vv1 = build(h1)
-        sv2, vv2 = build(h2)
-        return sv1, sv2, vv1, vv2
-
-    def score(self, choices: np.ndarray) -> _BatchScore:
-        choices = np.asarray(choices, dtype=np.int64)
-        idx1, idx2 = self._indices(choices)
-        s_dt = self.s_base + self.sv1[idx1] + self.sv2[idx2]
-        pi = _batch_ptp(s_dt)
-        limits = self.limits
-        rho = np.maximum(0.0, np.abs(s_dt) / np.abs(self.network.v0.values) - limits.i_dt_max)
-        slack = rho.sum(axis=1)
-        if len(self.cap_idx):
-            v = self.v_base_cap + self.vv1[idx1] + self.vv2[idx2]
-            vm = np.abs(v)
-            slack = slack + np.maximum(0.0, limits.v_min - vm.min(axis=2)).sum(axis=1)
-            slack = slack + np.maximum(0.0, vm.max(axis=2) - limits.v_max).sum(axis=1)
-            vneg = np.abs(v @ (_NEG_ROW / 3.0))
-            slack = slack + np.maximum(0.0, vneg - limits.neg_seq_max).sum(axis=1)
-        return _BatchScore(objective=pi + limits.mb * slack, pi=pi, slack_total=slack)
+    @staticmethod
+    def _measures(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo, vm, vneg = _voltage_measures(v)
+        return lo, vm, np.abs(vneg)
 
 
 class _LbfmKernel(_SeparableKernel):
     """Batch scorer for the lossless branch-flow model."""
 
     method = "lbfm"
-    separable = True
-
-    def __init__(self, snapshot: CaseSnapshot, q_adjust: np.ndarray | None = None) -> None:
-        super().__init__(snapshot)
-        network = self.network
-        geometry = feeder_geometry(network)
-        v0 = network.v0.values
-        n = network.n_buses
-        limits = self.limits
-
-        s = _effective_loads(snapshot, q_adjust)
-        picked = geometry.meet[:, geometry.cust_bus]  # (buses, customers, 3, 3)
-        meet_t = np.transpose(picked, (1, 3, 0, 2))  # (customers, p, buses, phi)
-        # ddiag_all[j, p, bus, phi]: squared-magnitude drop at (bus, phi) when
-        # customer j sits on phase p; dneg_all[j, p, bus]: unbalance surrogate.
-        ddiag_all = 2.0 * np.real(
-            BETA.T[None, :, None, :] * s[:, None, None, None] * np.conj(meet_t)
-        )
-        dneg_all = (
-            (1.0 / np.conj(v0))[None, :, None] / 3.0
-        ) * np.conj(s)[:, None, None] * (meet_t @ _NEG_ROW)
-
-        fixed = np.setdiff1d(np.arange(len(s)), self.movable)
-        diag_base = np.tile(np.abs(v0) ** 2, (n, 1))
-        vneg_base = np.full(n, complex(_NEG_ROW @ v0) / 3.0)
-        s_base = np.zeros(3, dtype=complex)
-        if len(fixed):
-            pf = self.initial[fixed]
-            diag_base = diag_base - ddiag_all[fixed, pf].sum(axis=0)
-            vneg_base = vneg_base - dneg_all[fixed, pf].sum(axis=0)
-            np.add.at(s_base, pf, s[fixed])
-        self.s_base = s_base
-        self.ds_choice = np.tile(s[self.movable][:, None], (1, 3))
-        ddiag_mov = ddiag_all[self.movable]
-        dneg_mov = dneg_all[self.movable]
-
-        vmin2, vmax2 = limits.v_min**2, limits.v_max**2
-        if self.n_movable:
-            bound = np.abs(ddiag_mov).max(axis=1).sum(axis=0)
-            bneg = np.abs(dneg_mov).max(axis=1).sum(axis=0)
-        else:
-            bound = np.zeros((n, 3))
-            bneg = np.zeros(n)
-        cap = (
-            ((diag_base - bound).min(axis=1) < vmin2)
-            | ((diag_base + bound).max(axis=1) > vmax2)
-            | (np.abs(vneg_base) + bneg > limits.neg_seq_max)
-        )
-        self.cap_idx = np.flatnonzero(cap)
-        self.diag_base_cap = diag_base[self.cap_idx]
-        self.vneg_base_cap = vneg_base[self.cap_idx]
-
-        h1, h2 = self._split()
-
-        def build(h):
-            combos = _combo_table(len(h))
-            sv = np.zeros((combos.shape[0], 3), dtype=complex)
-            dd = np.zeros((combos.shape[0], len(self.cap_idx), 3))
-            dn = np.zeros((combos.shape[0], len(self.cap_idx)), dtype=complex)
-            rows = np.arange(combos.shape[0])
-            for local, j in enumerate(h):
-                pj = combos[:, local]
-                np.add.at(sv, (rows, pj), s[j])
-                dd += ddiag_all[j][pj][:, self.cap_idx, :]
-                dn += dneg_all[j][pj][:, self.cap_idx]
-            return sv, dd, dn
-
-        self.sv1, self.dd1, self.dn1 = build(h1)
-        self.sv2, self.dd2, self.dn2 = build(h2)
-
-    def score(self, choices: np.ndarray) -> _BatchScore:
-        choices = np.asarray(choices, dtype=np.int64)
-        idx1, idx2 = self._indices(choices)
-        s_dt = self.s_base + self.sv1[idx1] + self.sv2[idx2]
-        pi = _batch_ptp(s_dt)
-        limits = self.limits
-        v0m = np.abs(self.network.v0.values)
-        slack = np.maximum(0.0, np.abs(s_dt) / v0m - limits.i_dt_max).sum(axis=1)
-        if len(self.cap_idx):
-            diag = self.diag_base_cap - self.dd1[idx1] - self.dd2[idx2]
-            slack = slack + np.maximum(0.0, limits.v_min**2 - diag.min(axis=2)).sum(axis=1)
-            slack = slack + np.maximum(0.0, diag.max(axis=2) - limits.v_max**2).sum(axis=1)
-            vneg = np.abs(self.vneg_base_cap - self.dn1[idx1] - self.dn2[idx2])
-            slack = slack + np.maximum(0.0, vneg**2 - limits.neg_seq_max**2).sum(axis=1)
-        return _BatchScore(objective=pi + limits.mb * slack, pi=pi, slack_total=slack)
-
-
-class _LinvKernel:
-    """Batch scorer for the linearized-inverse model (fixed-point solve)."""
-
-    method = "linv"
-    separable = False
+    squared = True
 
     def __init__(
         self,
         snapshot: CaseSnapshot,
+        profile: np.ndarray | None = None,
         fit: AffineFit | None = None,
         q_adjust: np.ndarray | None = None,
-        tol: float = 1e-12,
-        max_iter: int = 80,
     ) -> None:
-        self.snapshot = snapshot
-        self.network = snapshot.network
-        self.limits = snapshot.network.limits
-        self.movable = _movable_positions(snapshot)
-        self.initial = np.array(
-            [c.initial_phase for c in self.network.customers], dtype=int
+        super().__init__(snapshot, q_adjust)
+        s, v0, meet_t = self.s, self.v0, _customer_meet(self.network)
+        # Changes of the squared magnitude at (bus, phi) and of the unbalance
+        # surrogate at each bus when customer j sits on phase p.
+        ddiag_all = -2.0 * np.real(
+            BETA.T[None, :, None, :] * s[:, None, None, None] * np.conj(meet_t)
         )
-        self.fit = fit if fit is not None else _default_fit(self.network)
-        self.s = _effective_loads(snapshot, q_adjust)
-        self.tol = tol
-        self.max_iter = max_iter
+        dneg_all = -(
+            ((1.0 / np.conj(v0))[None, :, None] / 3.0) * np.conj(s)[:, None, None] * (meet_t @ _NEG_ROW)
+        )
+        n = self.network.n_buses
+        self._tabulate(
+            np.repeat(s[:, None], 3, axis=1),
+            [ddiag_all, dneg_all],
+            [np.tile(np.abs(v0) ** 2, (n, 1)), np.full(n, complex(_NEG_ROW @ v0) / 3.0)],
+        )
 
+    @staticmethod
+    def _measures(diag: np.ndarray, vneg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return diag, diag, np.abs(vneg)
+
+
+class _LinvKernel(_Kernel):
+    """Batch scorer for the linearized-inverse model (fixed-point solve)."""
+
+    method = "linv"
+
+    def __init__(
+        self,
+        snapshot: CaseSnapshot,
+        profile: np.ndarray | None = None,
+        fit: AffineFit | None = None,
+        q_adjust: np.ndarray | None = None,
+    ) -> None:
+        super().__init__(snapshot, q_adjust)
+        self.fit = fit if fit is not None else _default_fit(self.network)
         geometry = feeder_geometry(self.network)
         cb = geometry.cust_bus
         self.cmeet = geometry.meet[np.ix_(cb, cb)]  # (cust, cust, 3, 3)
-        picked = geometry.meet[:, cb]  # (buses, cust, 3, 3)
-        self.gbus = np.transpose(picked, (1, 3, 0, 2))  # (cust, p, buses, phi)
-        self.v0 = self.network.v0.values
-        self.nominal_angles = np.angle(self.v0)
+        self.meet_t = _customer_meet(self.network)
 
-    @property
-    def n_movable(self) -> int:
-        return len(self.movable)
-
-    def full_phases(self, choices: np.ndarray) -> np.ndarray:
-        choices = np.asarray(choices, dtype=int)
-        full = np.tile(self.initial, (choices.shape[0], 1))
-        full[:, self.movable] = choices
-        return full
-
-    def score(self, choices: np.ndarray, chunk: int = 128) -> _BatchScore:
+    def score(self, choices: np.ndarray) -> _BatchScore:
         choices = np.asarray(choices, dtype=np.int64)
         b = choices.shape[0]
-        obj = np.empty(b)
-        pi = np.empty(b)
-        slack = np.empty(b)
-        for lo in range(0, b, chunk):
-            hi = min(lo + chunk, b)
-            o, p, sl = self._score_chunk(self.full_phases(choices[lo:hi]))
-            obj[lo:hi], pi[lo:hi], slack[lo:hi] = o, p, sl
+        obj, pi, slack = np.empty(b), np.empty(b), np.empty(b)
+        for lo in range(0, b, _LINV_CHUNK):
+            part = self._score_chunk(self.full_phases(choices[lo:lo + _LINV_CHUNK]))
+            hi = lo + len(part.objective)
+            obj[lo:hi], pi[lo:hi], slack[lo:hi] = part.objective, part.pi, part.slack_total
         return _BatchScore(objective=obj, pi=pi, slack_total=slack)
 
-    def _score_chunk(self, phases: np.ndarray):
-        fit, s, limits = self.fit, self.s, self.limits
+    def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
+        fit, s = self.fit, self.s
         b, m = phases.shape
         jj = np.arange(m)
         mmat = self.cmeet[jj[None, :, None], jj[None, None, :], phases[:, :, None], phases[:, None, :]]
@@ -872,34 +820,30 @@ class _LinvKernel:
 
         v = v0c.copy()
         i_cust = sconj * (cb + ck * v.real + ch * v.imag)
-        for _ in range(self.max_iter):
+        for _ in range(_LINV_MAX_ITER):
             v_new = v0c - np.einsum("bjk,bk->bj", mmat, i_cust)
             delta = float(np.max(np.abs(v_new - v))) if v.size else 0.0
             v = v_new
             i_cust = sconj * (cb + ck * v.real + ch * v.imag)
-            if delta <= self.tol:
+            if delta <= _LINV_TOL:
                 break
         else:
             raise FormulationError(
-                f"voltage fixed point did not contract below {self.tol:.1e}"
+                f"voltage fixed point did not contract below {_LINV_TOL:.1e}"
             )
 
-        gsel = self.gbus[jj[None, :], phases]  # (b, cust, buses, 3)
+        gsel = self.meet_t[jj[None, :], phases]  # (b, cust, buses, 3)
         vbus = self.v0[None, None, :] - np.einsum("bjnf,bj->bnf", gsel, i_cust)
-
-        ang = self.nominal_angles
-        proj = vbus.real * np.cos(ang) + vbus.imag * np.sin(ang)
-        slack = np.maximum(0.0, limits.v_min - proj.min(axis=2)).sum(axis=1)
-        vm = np.abs(vbus)
-        slack += np.maximum(0.0, vm.max(axis=2) - limits.v_max).sum(axis=1)
-        vneg = np.abs(vbus @ (_NEG_ROW / 3.0))
-        slack += np.maximum(0.0, vneg - limits.neg_seq_max).sum(axis=1)
-
         i_dt = np.stack([(i_cust * (phases == p)).sum(axis=1) for p in range(3)], axis=1)
-        slack += np.maximum(0.0, np.abs(i_dt) - limits.i_dt_max).sum(axis=1)
         s_dt = self.v0[None, :] * np.conj(i_dt)
-        pi = _batch_ptp(s_dt)
-        return pi + limits.mb * slack, pi, slack
+        lo, vm, vneg = _voltage_measures(vbus, self.v0)
+        return _score(
+            self.limits, s_dt, _slack_terms(self.limits, lo, vm, np.abs(vneg), np.abs(i_dt))
+        )
+
+
+# The one lookup from a model name to its batch kernel.
+_KERNELS = {kernel.method: kernel for kernel in (_FixvKernel, _LbfmKernel, _LinvKernel)}
 
 
 def _make_kernel(
@@ -908,11 +852,9 @@ def _make_kernel(
     profile: np.ndarray | None = None,
     fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
-):
-    if method == "fixv":
-        return _FixvKernel(snapshot, profile=profile, q_adjust=q_adjust)
-    if method == "lbfm":
-        return _LbfmKernel(snapshot, q_adjust=q_adjust)
-    if method == "linv":
-        return _LinvKernel(snapshot, fit=fit, q_adjust=q_adjust)
-    raise ValueError(f"unknown formulation {method!r}")
+) -> _Kernel:
+    """Build method's kernel; each model uses the keywords it needs."""
+
+    if method not in _KERNELS:
+        raise ValueError(f"unknown formulation {method!r}")
+    return _KERNELS[method](snapshot, profile=profile, fit=fit, q_adjust=q_adjust)

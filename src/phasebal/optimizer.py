@@ -6,9 +6,17 @@ transformer-spread objective (separable models only), and seeded
 best-improvement local search. On top of those, an iterated fixed-voltage
 refinement re-solves the discrete problem while updating the frozen
 voltage profile, and a cyclic coordinate descent tunes continuous
-reactive adjustments after the discrete search. Every outcome carries
-both the model view and an exact power-flow verification of the chosen
-and initial assignments.
+reactive adjustments after the discrete search.
+
+`_model_evaluator` is the one lookup from a model name to its scalar
+evaluator, and `_strategy` holds the one "auto" rule: exhaustive for
+separable models within the enumeration budget, local search otherwise.
+Every search keeps a choice only if the scalar model ranks it no worse
+than the initial assignment, then verifies the outcome once: one exact
+power flow for the chosen and one for the initial assignment (shared when
+they coincide), carried in the outcome for reporting. The inner passes of
+the iterated refinement decide on the model alone; only its final choice
+is verified.
 """
 
 from __future__ import annotations
@@ -20,8 +28,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .formulations import (
+    _KERNELS,
     AffineFit,
     EvaluationResult,
+    _Kernel,
     _make_kernel,
     evaluate_exact,
     evaluate_fixv,
@@ -44,6 +54,8 @@ __all__ = [
 ]
 
 _BOUND_MARGIN = 1e-10
+_CHUNK = 6561  # candidates scored per exhaustive batch
+_MAX_SWEEPS = 60  # best-improvement passes per local-search start
 
 
 @dataclass(frozen=True)
@@ -52,15 +64,13 @@ class SearchOptions:
 
     strategy: str = "auto"  # auto | exhaustive | branch-and-bound | local
     enumeration_budget: int = 3**12  # candidate cap for exhaustive/auto
-    chunk: int = 6561  # candidates scored per batch
     restarts: int = 3  # random local-search starts beyond the initial point
-    max_sweeps: int = 60  # best-improvement passes per start
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.strategy not in ("auto", "exhaustive", "branch-and-bound", "local"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if min(self.enumeration_budget, self.chunk, self.max_sweeps) < 1:
+        if self.enumeration_budget < 1:
             raise ValueError("budgets must be positive")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
@@ -73,7 +83,6 @@ class Algorithm1Options:
     max_outer: int = 3  # discrete solves allowed (K)
     eps_v: float = 1e-4  # stop once the profile moves less than this
     warm_start: bool = False  # start from the exact initial-assignment profile
-    seed_next_search: bool = True  # reuse the previous best as a local-search start
 
     def __post_init__(self) -> None:
         if self.max_outer < 1:
@@ -115,9 +124,11 @@ class OptimizationOutcome:
 
 def _model_evaluator(
     method: str,
-    profile: np.ndarray | None,
-    fit: AffineFit | None,
+    profile: np.ndarray | None = None,
+    fit: AffineFit | None = None,
 ) -> Callable[[CaseSnapshot, PhaseAssignment, np.ndarray | None], EvaluationResult]:
+    """The one lookup from a model name to its scalar evaluator."""
+
     if method == "fixv":
         return lambda snap, asg, q: evaluate_fixv(snap, asg, profile=profile, q_adjust=q)
     if method == "linv":
@@ -136,12 +147,34 @@ def _decode(indices: np.ndarray, width: int) -> np.ndarray:
     return np.stack(digits, axis=1).astype(np.int64)
 
 
+def _no_worse(
+    snapshot: CaseSnapshot,
+    method: str,
+    chosen: PhaseAssignment,
+    profile: np.ndarray | None,
+    fit: AffineFit | None,
+    q_adjust: np.ndarray | None,
+) -> tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool]:
+    """Never keep anything the scalar model ranks below the status quo.
+
+    Returns the kept assignment, its model view, the initial assignment's
+    model view and whether the choice fell back to the initial assignment.
+    """
+
+    evaluator = _model_evaluator(method, profile, fit)
+    initial = PhaseAssignment.initial(snapshot.network)
+    model = evaluator(snapshot, chosen, q_adjust)
+    initial_model = evaluator(snapshot, initial, q_adjust)
+    if model.objective > initial_model.objective:
+        return initial, initial_model, initial_model, True
+    return chosen, model, initial_model, False
+
+
 def _finish(
     snapshot: CaseSnapshot,
     method: str,
     strategy: str,
-    best_choices: np.ndarray,
-    movable: np.ndarray,
+    chosen: PhaseAssignment,
     candidates: int,
     stats: Mapping[str, float],
     profile: np.ndarray | None,
@@ -149,19 +182,13 @@ def _finish(
     q_adjust: np.ndarray | None,
     trace: tuple[Algorithm1Step, ...] = (),
 ) -> OptimizationOutcome:
-    network = snapshot.network
-    initial = PhaseAssignment.initial(network)
-    phases = list(initial.phases)
-    for pos, ph in zip(movable, best_choices):
-        phases[pos] = int(ph)
-    chosen = PhaseAssignment(tuple(phases))
+    """Apply the no-worse check, then verify the kept and initial assignments."""
 
-    evaluator = _model_evaluator(method, profile, fit)
-    model = evaluator(snapshot, chosen, q_adjust)
-    initial_model = evaluator(snapshot, initial, q_adjust)
-    if model.objective > initial_model.objective:
-        # Never return anything the scoring model ranks below the status quo.
-        chosen, model = initial, initial_model
+    initial = PhaseAssignment.initial(snapshot.network)
+    chosen, model, initial_model, fell_back = _no_worse(
+        snapshot, method, chosen, profile, fit, q_adjust
+    )
+    if fell_back:
         stats = dict(stats, fell_back_to_initial=1.0)
 
     verified = evaluate_exact(snapshot, chosen, q_adjust=q_adjust)
@@ -185,7 +212,9 @@ def _finish(
     )
 
 
-def _exhaustive_choices(kernel, options: SearchOptions) -> tuple[np.ndarray, int]:
+def _exhaustive_choices(
+    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
     total = 3**mm
     if total > options.enumeration_budget:
@@ -195,34 +224,14 @@ def _exhaustive_choices(kernel, options: SearchOptions) -> tuple[np.ndarray, int
         )
     best_f = math.inf
     best_idx = 0
-    for lo in range(0, total, options.chunk):
-        idx = np.arange(lo, min(lo + options.chunk, total))
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total))
         score = kernel.score(_decode(idx, mm))
         i = int(np.argmin(score.objective))
         if score.objective[i] < best_f:
             best_f = float(score.objective[i])
             best_idx = lo + i
-    return _decode(np.array([best_idx]), mm)[0], total
-
-
-def exhaustive(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
-    q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
-) -> OptimizationOutcome:
-    """Score every assignment of the adjustable customers; ties break toward
-    the lexicographically smallest phase tuple."""
-
-    options = options or SearchOptions()
-    kernel = _make_kernel(snapshot, method, profile=profile, fit=fit, q_adjust=q_adjust)
-    best, total = _exhaustive_choices(kernel, options)
-    return _finish(
-        snapshot, method, "exhaustive", best, kernel.movable, total,
-        {}, profile, fit, q_adjust,
-    )
+    return _decode(np.array([best_idx]), mm)[0], total, {}
 
 
 def _largest_anchor(lo: np.ndarray, t_hi: float) -> float:
@@ -285,28 +294,13 @@ def _min_window(lo: np.ndarray, up: np.ndarray, t_lo: float, t_hi: float) -> flo
     return wa  # infeasible side: a certified lower bound on the true spread
 
 
-def branch_and_bound(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
-    q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
-) -> OptimizationOutcome:
-    """Depth-first search with an admissible transformer-spread bound.
-
-    Produces exactly the exhaustive result, including the lexicographic
-    tie-break: nodes expand in phase order, the incumbent only improves
-    strictly, and subtrees are pruned only when their bound proves every
-    leaf strictly worse than the incumbent. Requires a separable model
-    (fixed-voltage or branch-flow)."""
-
-    options = options or SearchOptions()
-    kernel = _make_kernel(snapshot, method, profile=profile, fit=fit, q_adjust=q_adjust)
-    if not getattr(kernel, "separable", False):
+def _bnb_choices(
+    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, int, dict[str, float]]:
+    if not kernel.separable:
         raise ValueError(
             "branch-and-bound needs separable per-customer effects; "
-            f"{method!r} must use exhaustive or local search"
+            f"{kernel.method!r} must use exhaustive or local search"
         )
     mm = kernel.n_movable
     ds = kernel.ds_choice  # (mm, 3) complex: value landing on the chosen phase
@@ -366,34 +360,15 @@ def branch_and_bound(
             dfs(depth + 1, s_part + contrib)
 
     dfs(0, s_base.astype(complex))
-    return _finish(
-        snapshot, method, "branch-and-bound", best, kernel.movable, leaves,
-        {"nodes": float(nodes), "pruned": float(pruned)}, profile, fit, q_adjust,
-    )
+    return best, leaves, {"nodes": float(nodes), "pruned": float(pruned)}
 
 
-def local_search(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
-    q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
-    extra_starts: Sequence[Sequence[int]] = (),
-) -> OptimizationOutcome:
-    """Best-improvement descent over single-customer moves.
-
-    Starts from the initial assignment, any extra starts, then seeded
-    random restarts; each pass scores the whole one-move neighborhood and
-    takes the best strict improvement."""
-
-    options = options or SearchOptions()
-    kernel = _make_kernel(snapshot, method, profile=profile, fit=fit, q_adjust=q_adjust)
+def _local_choices(
+    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
     rng = np.random.default_rng(options.seed)
-
-    initial = PhaseAssignment.initial(snapshot.network)
-    starts = [np.array([initial.phases[j] for j in kernel.movable], dtype=np.int64)]
+    starts = [kernel.initial[kernel.movable].astype(np.int64)]
     starts.extend(np.asarray(s, dtype=np.int64) for s in extra_starts)
     starts.extend(rng.integers(0, 3, size=mm) for _ in range(options.restarts))
 
@@ -404,7 +379,7 @@ def local_search(
         x = start.copy()
         f = float(kernel.score(x[None, :]).objective[0])
         evaluations += 1
-        for _ in range(options.max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             if mm == 0:
                 break
             neighbors = np.repeat(x[None, :], 2 * mm, axis=0)
@@ -425,33 +400,110 @@ def local_search(
         if f < best_f:
             best_f = f
             best = x
-    return _finish(
-        snapshot, method, "local", best, kernel.movable, evaluations,
-        {"starts": float(len(starts))}, profile, fit, q_adjust,
-    )
+    return best, evaluations, {"starts": float(len(starts))}
 
 
-def _search_once(
+# Strategy name -> search over a kernel's movable customers, returning the
+# best choices, the candidates scored and strategy statistics.
+_SEARCHES = {
+    "exhaustive": _exhaustive_choices,
+    "branch-and-bound": _bnb_choices,
+    "local": _local_choices,
+}
+
+
+def _verified_search(
+    strategy: str,
     snapshot: CaseSnapshot,
     method: str,
     profile: np.ndarray | None,
     fit: AffineFit | None,
     q_adjust: np.ndarray | None,
-    options: SearchOptions,
+    options: SearchOptions | None,
     extra_starts: Sequence[Sequence[int]] = (),
 ) -> OptimizationOutcome:
-    strategy = options.strategy
-    if strategy == "auto":
-        separable = method in ("fixv", "lbfm")
-        small = 3 ** len(snapshot.adjustable_idx) <= options.enumeration_budget
-        strategy = "exhaustive" if (separable and small) else "local"
-    if strategy == "exhaustive":
-        return exhaustive(snapshot, method, profile, fit, q_adjust, options)
-    if strategy == "branch-and-bound":
-        return branch_and_bound(snapshot, method, profile, fit, q_adjust, options)
-    return local_search(
-        snapshot, method, profile, fit, q_adjust, options, extra_starts=extra_starts
+    kernel = _make_kernel(snapshot, method, profile=profile, fit=fit, q_adjust=q_adjust)
+    best, candidates, stats = _SEARCHES[strategy](kernel, options or SearchOptions(), extra_starts)
+    return _finish(
+        snapshot, method, strategy, kernel.assignment(best), candidates,
+        stats, profile, fit, q_adjust,
     )
+
+
+def exhaustive(
+    snapshot: CaseSnapshot,
+    method: str = "fixv",
+    profile: np.ndarray | None = None,
+    fit: AffineFit | None = None,
+    q_adjust: np.ndarray | None = None,
+    options: SearchOptions | None = None,
+) -> OptimizationOutcome:
+    """Score every assignment of the adjustable customers; ties break toward
+    the lexicographically smallest phase tuple."""
+
+    return _verified_search("exhaustive", snapshot, method, profile, fit, q_adjust, options)
+
+
+def branch_and_bound(
+    snapshot: CaseSnapshot,
+    method: str = "fixv",
+    profile: np.ndarray | None = None,
+    fit: AffineFit | None = None,
+    q_adjust: np.ndarray | None = None,
+    options: SearchOptions | None = None,
+) -> OptimizationOutcome:
+    """Depth-first search with an admissible transformer-spread bound.
+
+    Produces exactly the exhaustive result, including the lexicographic
+    tie-break: nodes expand in phase order, the incumbent only improves
+    strictly, and subtrees are pruned only when their bound proves every
+    leaf strictly worse than the incumbent. Requires a separable model
+    (fixed-voltage or branch-flow)."""
+
+    return _verified_search("branch-and-bound", snapshot, method, profile, fit, q_adjust, options)
+
+
+def local_search(
+    snapshot: CaseSnapshot,
+    method: str = "fixv",
+    profile: np.ndarray | None = None,
+    fit: AffineFit | None = None,
+    q_adjust: np.ndarray | None = None,
+    options: SearchOptions | None = None,
+    extra_starts: Sequence[Sequence[int]] = (),
+) -> OptimizationOutcome:
+    """Best-improvement descent over single-customer moves.
+
+    Starts from the initial assignment, any extra starts, then seeded
+    random restarts; each pass scores the whole one-move neighborhood and
+    takes the best strict improvement."""
+
+    return _verified_search(
+        "local", snapshot, method, profile, fit, q_adjust, options, extra_starts
+    )
+
+
+def _strategy(snapshot: CaseSnapshot, method: str, options: SearchOptions) -> str:
+    """The one "auto" rule: exhaustive for a separable model whose candidates
+    fit the enumeration budget, local search otherwise."""
+
+    if options.strategy != "auto":
+        return options.strategy
+    small = 3**snapshot.n_adjustable <= options.enumeration_budget
+    return "exhaustive" if _KERNELS[method].separable and small else "local"
+
+
+def _search_once(
+    snapshot: CaseSnapshot, method: str, options: SearchOptions
+) -> OptimizationOutcome:
+    """One verified search under method's model with the strategy `_strategy` picks.
+
+    The public search functions are looked up by name when this runs, so
+    the benchmark's traced run (bench/run.py) still sees every search.
+    """
+
+    search = {"exhaustive": exhaustive, "branch-and-bound": branch_and_bound, "local": local_search}
+    return search[_strategy(snapshot, method, options)](snapshot, method, options=options)
 
 
 # Search passes beyond this hold the incumbent assignment and only refresh
@@ -475,7 +527,10 @@ def fixv_algorithm1(
     profile from the chosen assignment's model voltages; it stops when the
     profile moves less than eps_v or the outer budget is spent. Cold runs
     start from the flat root-voltage profile, warm runs from the exact
-    power flow of the initial assignment.
+    power flow of the initial assignment. A pass keeps its choice only if
+    the model at that pass's profile ranks it no worse than the initial
+    assignment, and seeds the next pass's local search with it; only the
+    final choice is verified against the exact power flow.
 
     Near-tied assignments can re-rank under the profile updates and trap
     the loop in a limit cycle (convergence of the iteration has no
@@ -513,13 +568,15 @@ def fixv_algorithm1(
         outer += 1
         if outer <= _SEARCH_PASSES or current is None:
             decide_profile = profile
-            step = _search_once(
-                snapshot, "fixv", profile, None, q_adjust, opt,
-                extra_starts=extra_starts,
+            kernel = _make_kernel(snapshot, "fixv", profile=profile, q_adjust=q_adjust)
+            search_fn = _SEARCHES[_strategy(snapshot, "fixv", opt)]
+            best, count, _ = search_fn(kernel, opt, extra_starts)
+            candidates += count
+            current, model, _, _ = _no_worse(
+                snapshot, "fixv", kernel.assignment(best), profile, None, q_adjust
             )
-            candidates += step.candidates
-            current = step.assignment
-            model = step.model
+            if outer < _SEARCH_PASSES:
+                extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
         else:
             if not pinned_outer:
                 pinned_outer = outer
@@ -536,24 +593,13 @@ def fixv_algorithm1(
         )
         prev_profile = new_profile
         profile = new_profile
-        if alg.seed_next_search and outer < _SEARCH_PASSES:
-            extra_starts = [
-                np.array(
-                    [current.phases[j] for j in _movable(snapshot)],
-                    dtype=np.int64,
-                )
-            ]
 
     assert current is not None
-    choices = np.array(
-        [current.phases[j] for j in _movable(snapshot)], dtype=np.int64
-    )
     return _finish(
         snapshot,
         "fixv",
         "algorithm1-warm" if alg.warm_start else "algorithm1-cold",
-        choices,
-        _movable(snapshot),
+        current,
         candidates,
         {
             "outer": float(outer),
@@ -565,10 +611,6 @@ def fixv_algorithm1(
         q_adjust,
         trace=tuple(trace),
     )
-
-
-def _movable(snapshot: CaseSnapshot) -> np.ndarray:
-    return np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
 
 
 def _minimize_1d(

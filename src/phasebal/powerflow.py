@@ -101,6 +101,20 @@ def check_assignment(snapshot: CaseSnapshot, assignment: PhaseAssignment) -> Non
             )
 
 
+def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.ndarray:
+    """Snapshot loads plus reactive adjustments, checked against their bounds."""
+
+    s = snapshot.s_pu.copy()
+    if q_adjust is not None:
+        dq = np.asarray(q_adjust, dtype=float)
+        if dq.shape != s.shape:
+            raise ValueError("q_adjust must have one entry per customer")
+        if np.any(dq < snapshot.q_lo_pu - 1e-12) or np.any(dq > snapshot.q_hi_pu + 1e-12):
+            raise ValueError("q_adjust outside the snapshot's reactive bounds")
+        s = s + 1j * dq
+    return s
+
+
 @dataclass(frozen=True, eq=False)
 class FeederGeometry:
     """Factorized radial topology in array form.
@@ -293,14 +307,7 @@ def solve_utpf(
     geometry = feeder_geometry(network)
     v0 = network.v0.values
 
-    s = snapshot.s_pu.copy()
-    if q_adjust is not None:
-        dq = np.asarray(q_adjust, dtype=float)
-        if dq.shape != s.shape:
-            raise ValueError("q_adjust must have one entry per customer")
-        if np.any(dq < snapshot.q_lo_pu - 1e-12) or np.any(dq > snapshot.q_hi_pu + 1e-12):
-            raise ValueError("q_adjust outside the snapshot's reactive bounds")
-        s = s + 1j * dq
+    s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
 
     n = network.n_buses

@@ -1,12 +1,10 @@
-"""Shared fixtures: the bundled feeder, small hand-built feeders, and the
-session-scoped full-day sweeps the acceptance suite measures against."""
+"""Shared fixtures: the bundled feeder and small hand-built feeders."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from phasebal.cli import SweepConfig, run_sweep
 from phasebal.netmodel import (
     Customer,
     Limits,
@@ -63,29 +61,3 @@ def network(feeder):
 def demands(feeder):
     return feeder.demands
 
-
-@pytest.fixture(scope="session")
-def day_sweep(tmp_path_factory):
-    """Full-day sweep, all methods, PV reactive control off."""
-
-    out = tmp_path_factory.mktemp("day_sweep")
-    report = run_sweep(SweepConfig(out_dir=str(out), parallelism=8, seed=7))
-    assert report.failures == 0
-    return out, report
-
-
-@pytest.fixture(scope="session")
-def pv_sweep(tmp_path_factory):
-    """Full-day sweep of the iterated fixed-voltage variants with PV control."""
-
-    out = tmp_path_factory.mktemp("pv_sweep")
-    config = SweepConfig(
-        methods=("fixv-mc", "fixv-mw"),
-        pv_control=True,
-        out_dir=str(out),
-        parallelism=8,
-        seed=7,
-    )
-    report = run_sweep(config)
-    assert report.failures == 0
-    return out, report
