@@ -8,7 +8,8 @@ transformer-current limits. What differs is the voltage model:
 * fixed-voltage: customer currents frozen at a given voltage profile and
   replayed through the path impedances, exact at the profile's fixed point;
 * linearized-inverse: currents affine in the local bus voltage through a
-  fitted approximation of 1/conj(V), closed by one direct linear solve;
+  fitted approximation of 1/conj(V), closed by a fixed point over the
+  customers' own voltages;
 * lossless branch-flow: squared-magnitude voltage propagation with
   nominally rotated per-phase flows and no voltage feedback at all.
 
@@ -285,6 +286,16 @@ def _customer_meet(network: Network) -> np.ndarray:
     return np.transpose(geometry.meet[:, geometry.cust_bus], (1, 3, 0, 2))
 
 
+@lru_cache(maxsize=8)
+def _customer_columns(network: Network) -> np.ndarray:
+    """`_customer_meet` as a read-only (3 * customers, 3 * buses) matrix: the
+    bus voltage drops per unit current injected at (customer, phase)."""
+
+    table = _customer_meet(network).reshape(3 * network.n_customers, 3 * network.n_buses)
+    table.setflags(write=False)
+    return table
+
+
 def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
     """sel[j, m, phi] = shared-path impedance row Meet[m, bus_j][phi, p_j]."""
 
@@ -470,73 +481,79 @@ def _default_fit(network: Network) -> AffineFit:
     return fit_inverse_voltage(network.v0, network.limits)
 
 
+_LINV_TOL = 1e-12  # fixed-point step at which the voltages count as converged
+_LINV_MAX_ITER = 80
+
+
+def _linv_solve(
+    network: Network, s: np.ndarray, phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The linearized-inverse state of a (b, customers) batch of phase choices.
+
+    Customer j draws conj(s_j) * g(V_j), affine in its own voltage V_j through
+    the fitted surrogate, and V_j depends on the other customers' currents
+    only through their shared-path impedances. So the fixed point runs over
+    the customers' voltages alone (the fixed-point linearization of Bernstein
+    & Dall'Anese, 2017), and the converged currents, injected at their
+    (customer, phase) rows, give every bus voltage in one product with the
+    customer-column table. Returns the (b, buses, 3) voltages, the (b, 3)
+    transformer currents and the final fixed-point step; a batch whose step
+    does not contract below _LINV_TOL within _LINV_MAX_ITER iterations raises
+    FormulationError.
+    """
+
+    fit = _default_fit(network)
+    b, m = phases.shape
+    v0 = network.v0.values
+    table = _customer_columns(network)
+    rows = 3 * np.arange(m) + phases  # (b, customers): each customer's injection row
+    cols = 3 * feeder_geometry(network).cust_bus + phases  # and its own (bus, phase) column
+    coupling = table[rows[:, None, :], cols[:, :, None]]  # [b, j, k] = Meet[bus_j, bus_k][p_j, p_k]
+    cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
+    sconj = np.conj(s)[None, :]
+    v0c = v0[phases]
+
+    v = v0c
+    i_cust = sconj * (cb + ck * v.real + ch * v.imag)
+    for _ in range(_LINV_MAX_ITER):
+        v_new = v0c - np.einsum("bjk,bk->bj", coupling, i_cust)
+        step = float(np.max(np.abs(v_new - v))) if v.size else 0.0
+        v = v_new
+        i_cust = sconj * (cb + ck * v.real + ch * v.imag)
+        if step <= _LINV_TOL:
+            break
+    else:
+        raise FormulationError(f"voltage fixed point did not contract below {_LINV_TOL:.1e}")
+
+    injected = np.zeros((b, m, 3), dtype=complex)
+    injected[np.arange(b)[:, None], np.arange(m), phases] = i_cust
+    v_bus = v0 - (injected.reshape(b, 3 * m) @ table).reshape(b, network.n_buses, 3)
+    return v_bus, injected.sum(axis=1), step
+
+
 def evaluate_linv(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
-    fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
-    """Linearized-inverse model closed by a direct real linear solve.
+    """Linearized-inverse model: `_linv_solve` for a batch of one.
 
-    Customer currents are affine in their bus voltage via the fitted
-    surrogate, so all bus voltages satisfy one linear system; it is
-    assembled over the rectangular components (6 real unknowns per bus)
-    and solved directly. A singular or ill-conditioned system raises
-    FormulationError. Slack uses the linearized lower voltage bound.
+    Customer currents are affine in their bus voltage via the surrogate
+    fitted over the network's voltage limits; meta records its residual and
+    the fixed point's final step. A state the fixed point cannot reach
+    raises FormulationError. Slack uses the linearized lower voltage bound.
     """
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    geometry = feeder_geometry(network)
-    if fit is None:
-        fit = _default_fit(network)
     v0 = network.v0.values
-    n = network.n_buses
-
-    s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
-    sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
-
-    # Unknowns x = [X(bus, phase); Y(bus, phase)], row-major over (bus, phase).
-    nv = 3 * n
-    a = np.eye(2 * nv)
-    rhs = np.concatenate([np.tile(v0.real, n), np.tile(v0.imag, n)])
-
-    kmat = sel * np.conj(s)[:, None, None]  # (customers, buses, 3)
-    cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
-    rows = np.arange(nv)
-    for j in range(len(s)):
-        col = 3 * geometry.cust_bus[j] + phases[j]
-        kflat = kmat[j].ravel()  # complex coupling of every (bus, phase) row
-        a[rows, col] += (kflat * ck[j]).real
-        a[rows, nv + col] += (kflat * ch[j]).real
-        a[nv + rows, col] += (kflat * ck[j]).imag
-        a[nv + rows, nv + col] += (kflat * ch[j]).imag
-        rhs[:nv] -= (kflat * cb[j]).real
-        rhs[nv:] -= (kflat * cb[j]).imag
-
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise FormulationError(
-            f"voltage system is singular (cond ~ {np.linalg.cond(a):.3e})"
-        ) from None
-    residual = float(np.max(np.abs(a @ x - rhs)))
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    if not np.isfinite(residual) or residual > 1e-10 * scale:
-        raise FormulationError(
-            f"voltage system solve residual {residual:.3e} exceeds tolerance "
-            f"(cond ~ {np.linalg.cond(a):.3e})"
-        )
-
-    v = (x[:nv] + 1j * x[nv:]).reshape(n, 3)
-    vc = v[geometry.cust_bus, phases]
-    i_cust = np.conj(s) * fit.g(vc, phases)
-    i_dt = _dt_current(phases, i_cust)
-    lo, vm, vneg = _voltage_measures(v, v0)
+    v, i_dt, step = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
+    lo, vm, vneg = _voltage_measures(v[0], v0)
+    meta = {"fit_residual": _default_fit(network).max_residual, "fixed_point_step": step}
     return _result(
-        "linv", phases, network.limits, v0 * np.conj(i_dt), np.abs(i_dt),
-        lo, vm, vneg, vm, v, {"fit_residual": fit.max_residual, "system_residual": residual},
+        "linv", phases, network.limits, v0 * np.conj(i_dt[0]), np.abs(i_dt[0]),
+        lo, vm, vneg, vm, v[0], meta,
     )
 
 
@@ -589,14 +606,13 @@ def evaluate_lbfm(
 # half-assignment lookup tables. Slack terms are only evaluated on the buses
 # that could possibly violate a limit under some assignment (triangle bound
 # on the movable customers' total effect); all other buses contribute zero
-# slack for every candidate. The linearized-inverse model is not separable
-# and uses a batched fixed-point solve instead. Every kernel prices its
-# states through `_score`, as the scalar evaluators do.
+# slack for every candidate. The linearized-inverse model is not separable;
+# its kernel hands chunks of candidates to `_linv_solve`, the same fixed
+# point `evaluate_linv` runs for one. Every kernel prices its states through
+# `_score`, as the scalar evaluators do.
 # ---------------------------------------------------------------------------
 
 _LINV_CHUNK = 128  # assignments per batched fixed-point solve
-_LINV_TOL = 1e-12  # fixed-point step at which the voltages count as converged
-_LINV_MAX_ITER = 80
 
 
 def _combo_table(k: int) -> np.ndarray:
@@ -613,11 +629,19 @@ def _radix(k: int) -> np.ndarray:
 
 
 class _Kernel:
-    """What every kernel shares: loads, movable positions, the initial phases."""
+    """What every kernel shares: loads, movable positions, the initial phases.
+
+    Only the fixed-voltage kernel reads profile, its frozen voltage field.
+    """
 
     separable = False
 
-    def __init__(self, snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> None:
+    def __init__(
+        self,
+        snapshot: CaseSnapshot,
+        profile: np.ndarray | None = None,
+        q_adjust: np.ndarray | None = None,
+    ) -> None:
         self.network = snapshot.network
         self.limits = snapshot.network.limits
         self.v0 = self.network.v0.values
@@ -724,10 +748,9 @@ class _FixvKernel(_SeparableKernel):
         self,
         snapshot: CaseSnapshot,
         profile: np.ndarray | None = None,
-        fit: AffineFit | None = None,
         q_adjust: np.ndarray | None = None,
     ) -> None:
-        super().__init__(snapshot, q_adjust)
+        super().__init__(snapshot, q_adjust=q_adjust)
         profile, _ = _fixv_profile(self.network, profile)
         cust_bus = feeder_geometry(self.network).cust_bus
         i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
@@ -755,10 +778,9 @@ class _LbfmKernel(_SeparableKernel):
         self,
         snapshot: CaseSnapshot,
         profile: np.ndarray | None = None,
-        fit: AffineFit | None = None,
         q_adjust: np.ndarray | None = None,
     ) -> None:
-        super().__init__(snapshot, q_adjust)
+        super().__init__(snapshot, q_adjust=q_adjust)
         s, v0, meet_t = self.s, self.v0, _customer_meet(self.network)
         # Changes of the squared magnitude at (bus, phi) and of the unbalance
         # surrogate at each bus when customer j sits on phase p.
@@ -781,23 +803,9 @@ class _LbfmKernel(_SeparableKernel):
 
 
 class _LinvKernel(_Kernel):
-    """Batch scorer for the linearized-inverse model (fixed-point solve)."""
+    """Batch scorer for the linearized-inverse model, in chunks of `_linv_solve`."""
 
     method = "linv"
-
-    def __init__(
-        self,
-        snapshot: CaseSnapshot,
-        profile: np.ndarray | None = None,
-        fit: AffineFit | None = None,
-        q_adjust: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(snapshot, q_adjust)
-        self.fit = fit if fit is not None else _default_fit(self.network)
-        geometry = feeder_geometry(self.network)
-        cb = geometry.cust_bus
-        self.cmeet = geometry.meet[np.ix_(cb, cb)]  # (cust, cust, 3, 3)
-        self.meet_t = _customer_meet(self.network)
 
     def score(self, choices: np.ndarray) -> _BatchScore:
         choices = np.asarray(choices, dtype=np.int64)
@@ -810,35 +818,12 @@ class _LinvKernel(_Kernel):
         return _BatchScore(objective=obj, pi=pi, slack_total=slack)
 
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
-        fit, s = self.fit, self.s
-        b, m = phases.shape
-        jj = np.arange(m)
-        mmat = self.cmeet[jj[None, :, None], jj[None, None, :], phases[:, :, None], phases[:, None, :]]
-        cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
-        sconj = np.conj(s)[None, :]
-        v0c = self.v0[phases]
-
-        v = v0c.copy()
-        i_cust = sconj * (cb + ck * v.real + ch * v.imag)
-        for _ in range(_LINV_MAX_ITER):
-            v_new = v0c - np.einsum("bjk,bk->bj", mmat, i_cust)
-            delta = float(np.max(np.abs(v_new - v))) if v.size else 0.0
-            v = v_new
-            i_cust = sconj * (cb + ck * v.real + ch * v.imag)
-            if delta <= _LINV_TOL:
-                break
-        else:
-            raise FormulationError(
-                f"voltage fixed point did not contract below {_LINV_TOL:.1e}"
-            )
-
-        gsel = self.meet_t[jj[None, :], phases]  # (b, cust, buses, 3)
-        vbus = self.v0[None, None, :] - np.einsum("bjnf,bj->bnf", gsel, i_cust)
-        i_dt = np.stack([(i_cust * (phases == p)).sum(axis=1) for p in range(3)], axis=1)
-        s_dt = self.v0[None, :] * np.conj(i_dt)
-        lo, vm, vneg = _voltage_measures(vbus, self.v0)
+        v, i_dt, _ = _linv_solve(self.network, self.s, phases)
+        lo, vm, vneg = _voltage_measures(v, self.v0)
         return _score(
-            self.limits, s_dt, _slack_terms(self.limits, lo, vm, np.abs(vneg), np.abs(i_dt))
+            self.limits,
+            self.v0[None, :] * np.conj(i_dt),
+            _slack_terms(self.limits, lo, vm, np.abs(vneg), np.abs(i_dt)),
         )
 
 
@@ -850,11 +835,10 @@ def _make_kernel(
     snapshot: CaseSnapshot,
     method: str,
     profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
 ) -> _Kernel:
-    """Build method's kernel; each model uses the keywords it needs."""
+    """Build method's kernel; only fixv reads profile."""
 
     if method not in _KERNELS:
         raise ValueError(f"unknown formulation {method!r}")
-    return _KERNELS[method](snapshot, profile=profile, fit=fit, q_adjust=q_adjust)
+    return _KERNELS[method](snapshot, profile=profile, q_adjust=q_adjust)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .formulations import (
     _KERNELS,
-    AffineFit,
     EvaluationResult,
     _Kernel,
     _make_kernel,
@@ -39,7 +38,7 @@ from .formulations import (
     evaluate_linv,
 )
 from .netmodel import CaseSnapshot
-from .powerflow import PhaseAssignment, solve_utpf
+from .powerflow import PFSolution, PhaseAssignment, solve_utpf
 
 __all__ = [
     "Algorithm1Options",
@@ -123,16 +122,14 @@ class OptimizationOutcome:
 
 
 def _model_evaluator(
-    method: str,
-    profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
+    method: str, profile: np.ndarray | None = None
 ) -> Callable[[CaseSnapshot, PhaseAssignment, np.ndarray | None], EvaluationResult]:
     """The one lookup from a model name to its scalar evaluator."""
 
     if method == "fixv":
         return lambda snap, asg, q: evaluate_fixv(snap, asg, profile=profile, q_adjust=q)
     if method == "linv":
-        return lambda snap, asg, q: evaluate_linv(snap, asg, fit=fit, q_adjust=q)
+        return lambda snap, asg, q: evaluate_linv(snap, asg, q_adjust=q)
     if method == "lbfm":
         return lambda snap, asg, q: evaluate_lbfm(snap, asg, q_adjust=q)
     if method == "utpf":
@@ -152,7 +149,6 @@ def _no_worse(
     method: str,
     chosen: PhaseAssignment,
     profile: np.ndarray | None,
-    fit: AffineFit | None,
     q_adjust: np.ndarray | None,
 ) -> tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool]:
     """Never keep anything the scalar model ranks below the status quo.
@@ -161,7 +157,7 @@ def _no_worse(
     model view and whether the choice fell back to the initial assignment.
     """
 
-    evaluator = _model_evaluator(method, profile, fit)
+    evaluator = _model_evaluator(method, profile)
     initial = PhaseAssignment.initial(snapshot.network)
     model = evaluator(snapshot, chosen, q_adjust)
     initial_model = evaluator(snapshot, initial, q_adjust)
@@ -178,24 +174,30 @@ def _finish(
     candidates: int,
     stats: Mapping[str, float],
     profile: np.ndarray | None,
-    fit: AffineFit | None,
     q_adjust: np.ndarray | None,
     trace: tuple[Algorithm1Step, ...] = (),
+    initial_solution: PFSolution | None = None,
 ) -> OptimizationOutcome:
-    """Apply the no-worse check, then verify the kept and initial assignments."""
+    """Apply the no-worse check, then verify the kept and initial assignments.
+
+    initial_solution, when the caller already solved the initial assignment
+    exactly, stands in for that state's solve.
+    """
 
     initial = PhaseAssignment.initial(snapshot.network)
     chosen, model, initial_model, fell_back = _no_worse(
-        snapshot, method, chosen, profile, fit, q_adjust
+        snapshot, method, chosen, profile, q_adjust
     )
     if fell_back:
         stats = dict(stats, fell_back_to_initial=1.0)
 
-    verified = evaluate_exact(snapshot, chosen, q_adjust=q_adjust)
-    initial_verified = (
-        verified
+    initial_verified = evaluate_exact(
+        snapshot, initial, q_adjust=q_adjust, solution=initial_solution
+    )
+    verified = (
+        initial_verified
         if chosen.phases == initial.phases
-        else evaluate_exact(snapshot, initial, q_adjust=q_adjust)
+        else evaluate_exact(snapshot, chosen, q_adjust=q_adjust)
     )
     return OptimizationOutcome(
         method=method,
@@ -417,16 +419,15 @@ def _verified_search(
     snapshot: CaseSnapshot,
     method: str,
     profile: np.ndarray | None,
-    fit: AffineFit | None,
     q_adjust: np.ndarray | None,
     options: SearchOptions | None,
     extra_starts: Sequence[Sequence[int]] = (),
 ) -> OptimizationOutcome:
-    kernel = _make_kernel(snapshot, method, profile=profile, fit=fit, q_adjust=q_adjust)
+    kernel = _make_kernel(snapshot, method, profile=profile, q_adjust=q_adjust)
     best, candidates, stats = _SEARCHES[strategy](kernel, options or SearchOptions(), extra_starts)
     return _finish(
         snapshot, method, strategy, kernel.assignment(best), candidates,
-        stats, profile, fit, q_adjust,
+        stats, profile, q_adjust,
     )
 
 
@@ -434,21 +435,19 @@ def exhaustive(
     snapshot: CaseSnapshot,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
     options: SearchOptions | None = None,
 ) -> OptimizationOutcome:
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
-    return _verified_search("exhaustive", snapshot, method, profile, fit, q_adjust, options)
+    return _verified_search("exhaustive", snapshot, method, profile, q_adjust, options)
 
 
 def branch_and_bound(
     snapshot: CaseSnapshot,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
     options: SearchOptions | None = None,
 ) -> OptimizationOutcome:
@@ -460,14 +459,13 @@ def branch_and_bound(
     leaf strictly worse than the incumbent. Requires a separable model
     (fixed-voltage or branch-flow)."""
 
-    return _verified_search("branch-and-bound", snapshot, method, profile, fit, q_adjust, options)
+    return _verified_search("branch-and-bound", snapshot, method, profile, q_adjust, options)
 
 
 def local_search(
     snapshot: CaseSnapshot,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
     q_adjust: np.ndarray | None = None,
     options: SearchOptions | None = None,
     extra_starts: Sequence[Sequence[int]] = (),
@@ -479,7 +477,7 @@ def local_search(
     takes the best strict improvement."""
 
     return _verified_search(
-        "local", snapshot, method, profile, fit, q_adjust, options, extra_starts
+        "local", snapshot, method, profile, q_adjust, options, extra_starts
     )
 
 
@@ -527,7 +525,8 @@ def fixv_algorithm1(
     profile from the chosen assignment's model voltages; it stops when the
     profile moves less than eps_v or the outer budget is spent. Cold runs
     start from the flat root-voltage profile, warm runs from the exact
-    power flow of the initial assignment. A pass keeps its choice only if
+    power flow of the initial assignment, which then also verifies the
+    initial assignment. A pass keeps its choice only if
     the model at that pass's profile ranks it no worse than the initial
     assignment, and seeds the next pass's local search with it; only the
     final choice is verified against the exact power flow.
@@ -548,6 +547,7 @@ def fixv_algorithm1(
     network = snapshot.network
     initial = PhaseAssignment.initial(network)
 
+    base = None
     if alg.warm_start:
         base = solve_utpf(snapshot, initial, q_adjust=q_adjust)
         profile = np.asarray(base.v)
@@ -573,7 +573,7 @@ def fixv_algorithm1(
             best, count, _ = search_fn(kernel, opt, extra_starts)
             candidates += count
             current, model, _, _ = _no_worse(
-                snapshot, "fixv", kernel.assignment(best), profile, None, q_adjust
+                snapshot, "fixv", kernel.assignment(best), profile, q_adjust
             )
             if outer < _SEARCH_PASSES:
                 extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
@@ -607,9 +607,9 @@ def fixv_algorithm1(
             "pinned_outer": float(pinned_outer),
         },
         decide_profile,
-        None,
         q_adjust,
         trace=tuple(trace),
+        initial_solution=base,
     )
 
 
@@ -665,7 +665,6 @@ def optimize_pv_q(
     assignment: PhaseAssignment,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    fit: AffineFit | None = None,
     q_start: np.ndarray | None = None,
     max_rounds: int = 8,
     sweep_tol: float = 1e-6,
@@ -678,7 +677,7 @@ def optimize_pv_q(
     never increases; rounds stop once a full sweep improves by less than
     sweep_tol."""
 
-    evaluator = _model_evaluator(method, profile, fit)
+    evaluator = _model_evaluator(method, profile)
     q = np.zeros(snapshot.network.n_customers) if q_start is None else np.array(q_start, dtype=float)
     free = [
         int(c)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the bundled feeder and small hand-built feeders."""
+"""Shared fixtures: the bundled feeder, small hand-built and random feeders."""
 
 from __future__ import annotations
 
@@ -42,6 +42,49 @@ def two_bus_network(
             Customer(cid=i + 1, name=f"c{i + 1}", bus=1, initial_phase=ph, adjustable=adj)
             for i, (ph, adj) in enumerate(customers)
         ),
+        v0=make_v0(),
+        limits=Limits(),
+        bases=PerUnitBases(),
+    )
+
+
+def random_radial_network(
+    seed: int, n_buses: int = 30, n_customers: int = 24, n_switches: int = 6
+) -> Network:
+    """Seeded random radial tree: bus k hangs off a random earlier bus.
+
+    Customers sit on random non-root buses and phases; the first n_switches
+    of them are adjustable.
+    """
+
+    rng = np.random.default_rng(seed)
+    lines = tuple(
+        Line(
+            name=f"l{k}",
+            from_bus=int(rng.integers(0, k)),
+            to_bus=k,
+            z_pu=symmetric_z(
+                complex(*rng.uniform(0.01, 0.04, 2)), complex(*rng.uniform(0.002, 0.01, 2))
+            ),
+        )
+        for k in range(1, n_buses)
+    )
+    customers = tuple(
+        Customer(
+            cid=j + 1,
+            name=f"c{j + 1}",
+            bus=int(rng.integers(1, n_buses)),
+            initial_phase=int(rng.integers(0, 3)),
+            adjustable=j < n_switches,
+        )
+        for j in range(n_customers)
+    )
+    return Network(
+        name=f"random-{seed}",
+        buses=tuple(range(n_buses)),
+        root=0,
+        lines=lines,
+        customers=customers,
         v0=make_v0(),
         limits=Limits(),
         bases=PerUnitBases(),

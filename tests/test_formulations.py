@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,10 @@ from phasebal.formulations import (
     fit_inverse_voltage,
     negative_sequence,
 )
-from phasebal.netmodel import Limits, build_snapshot
-from phasebal.powerflow import PhaseAssignment, solve_utpf
+from phasebal.netmodel import DEFAULT_SCENARIO, Limits, build_snapshot
+from phasebal.powerflow import PhaseAssignment, feeder_geometry, solve_utpf
 
-from conftest import make_v0, two_bus_network
+from conftest import make_v0, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 
 CHI = np.exp(-2j * np.pi / 3.0)
@@ -183,16 +185,68 @@ class TestLinearizedInverseModel:
         lin = evaluate_linv(snap, asg)
         exact = evaluate_exact(snap, asg)
         assert lin.method == "linv"
-        assert lin.meta["system_residual"] <= 1e-10 * (1 + abs(lin.objective))
+        assert lin.meta["fixed_point_step"] <= 1e-12
         assert abs(lin.pi - exact.pi) <= 1e-2
         assert np.max(np.abs(lin.vm - exact.vm)) <= 2e-3
 
-    def test_accepts_explicit_fit(self, network, demands):
+    def test_reports_the_default_fit(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        out = evaluate_linv(snap, PhaseAssignment.initial(network))
         fit = fit_inverse_voltage(network.v0, network.limits)
-        out = evaluate_linv(snap, asg, fit=fit)
         assert out.meta["fit_residual"] == fit.max_residual
+
+    @staticmethod
+    def _equation_residual(snap, asg, out, q_adjust=None):
+        """Largest gap in v = v0 - sum_j meet[:, bus_j][:, :, p_j] conj(s_j) g_j(v[bus_j, p_j]),
+        the model's defining equation, at the voltages evaluate_linv returns."""
+
+        network = snap.network
+        geometry = feeder_geometry(network)
+        fit = fit_inverse_voltage(network.v0, network.limits)
+        s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
+        v = out.v
+        replay = np.tile(network.v0.values, (network.n_buses, 1))
+        for j, (bus, p) in enumerate(zip(geometry.cust_bus, asg.phases)):
+            replay -= geometry.meet[:, bus][:, :, p] * np.conj(s[j]) * fit.g(v[bus, p], p)
+        return float(np.max(np.abs(replay - v)))
+
+    @pytest.mark.parametrize("period", [4, 40, 48, 73])
+    def test_solves_the_model_equation(self, network, demands, period):
+        snap = build_snapshot(network, demands, period)
+        rng = np.random.default_rng(period)
+        phases = np.array([c.initial_phase for c in network.customers])
+        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=snap.n_adjustable)
+        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        out = evaluate_linv(snap, asg)
+        assert self._equation_residual(snap, asg, out) <= 1e-12
+
+    def test_solves_the_model_equation_with_reactive_adjustment(self, network, demands):
+        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        asg = PhaseAssignment.initial(network)
+        dq = np.where(snap.q_hi_pu > 0, snap.q_hi_pu, 0.0)
+        assert np.any(dq != 0.0)
+        out = evaluate_linv(snap, asg, q_adjust=dq)
+        assert self._equation_residual(snap, asg, out, dq) <= 1e-12
+        assert out.objective != evaluate_linv(snap, asg).objective
+
+    def test_solves_the_model_equation_on_a_random_feeder(self):
+        network = random_radial_network(seed=3)
+        rng = np.random.default_rng(3)
+        n = network.n_customers
+        snap = snapshot_for(
+            network, rng.uniform(0.005, 0.03, n), rng.uniform(0.0, 0.01, n), adjustable=range(6)
+        )
+        phases = [c.initial_phase for c in network.customers]
+        phases[:6] = rng.integers(0, 3, size=6).tolist()
+        asg = PhaseAssignment(tuple(phases))
+        out = evaluate_linv(snap, asg)
+        assert self._equation_residual(snap, asg, out) <= 1e-12
+
+    def test_overload_that_does_not_contract_is_rejected(self):
+        network = two_bus_network(z_self=0.5 + 1.5j, z_mutual=0.0)
+        snap = snapshot_for(network, [2.0])
+        with pytest.raises(FormulationError, match="did not contract"):
+            evaluate_linv(snap, PhaseAssignment((0,)))
 
 
 class TestBranchFlowModel:
@@ -248,7 +302,7 @@ class TestBatchKernels:
         scalar = {"fixv": evaluate_fixv, "lbfm": evaluate_lbfm, "linv": evaluate_linv}[
             method
         ]
-        tol = 1e-8 if method == "linv" else 1e-9
+        tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch.objective, kernel.full_phases(choices)):
             one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)))
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
