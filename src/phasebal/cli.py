@@ -44,7 +44,6 @@ from .netmodel import (
     build_snapshot,
     import_european_feeder,
     load_bundled_feeder,
-    validate_radial,
     write_network_json,
     write_profiles_csv,
 )
@@ -113,13 +112,6 @@ class SweepConfig:
             raise ValueError(f"periods must satisfy 0 <= start < stop, got {self.periods}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepConfig":
-        raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        return cls.from_mapping(raw, source=str(path))
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, object], source: str = "config") -> "SweepConfig":
@@ -543,7 +535,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         )
 
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [
         CellSpec(
             period=p,
@@ -554,6 +545,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for p in range(start, stop)
         for m in sorted(config.methods)
     ]
+    # The reports read every outcome file in the directory, so another
+    # sweep's cells would be counted as this one's.
+    ours = {outcome_path(out, t.period, t.method) for t in tasks}
+    foreign = sorted(p.name for p in out.glob("outcome_*.json") if p not in ours)
+    if foreign:
+        raise ValueError(
+            f"{out} holds outcome files this sweep would not overwrite: "
+            f"{', '.join(foreign)}; choose another output directory or remove them"
+        )
+    out.mkdir(parents=True, exist_ok=True)
 
     # Seeds are per cell, so outcomes do not depend on the worker count.
     workers = min(config.parallelism, os.cpu_count() or 1, len(tasks))
@@ -586,7 +587,7 @@ def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_import(args: argparse.Namespace) -> int:
     feeder = import_european_feeder(args.source)
-    report = validate_radial(feeder.network)
+    report = feeder.network.topology
     depth = {feeder.network.root: 0}
     for bus in report.depth_order[1:]:
         depth[bus] = depth[report.parent[bus]] + 1
@@ -724,7 +725,10 @@ def _print_summary(report: SweepReport) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     raw: dict[str, object] = {}
     if args.config:
-        raw.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        raw.update(loaded)
     if args.scenario is not None:
         raw["scenario"] = args.scenario
     if args.methods is not None:

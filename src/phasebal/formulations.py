@@ -242,10 +242,6 @@ class EvaluationResult:
             arr.setflags(write=False)
             object.__setattr__(self, "v", arr)
 
-    @property
-    def penalty(self) -> float:
-        return self.objective - self.pi
-
 
 def _result(
     method: str,
@@ -280,10 +276,11 @@ def _result(
 
 
 def _customer_meet(network: Network) -> np.ndarray:
-    """meet_t[j, p, m, phi] = shared-path impedance Meet[m, bus_j][phi, p]."""
+    """meet_t[j, p, m, phi] = cust_meet[j, m][phi, p], the shared-path
+    impedance of customer j on phase p seen at bus m on phase phi: a
+    transposed view of the geometry's table."""
 
-    geometry = feeder_geometry(network)
-    return np.transpose(geometry.meet[:, geometry.cust_bus], (1, 3, 0, 2))
+    return np.transpose(feeder_geometry(network).cust_meet, (0, 3, 1, 2))
 
 
 @lru_cache(maxsize=8)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,8 +34,7 @@ class RadialityError(ValueError):
 class Phasor3:
     """One complex value per phase a, b, c.
 
-    Carries voltages (real part X, imaginary part Y) and currents
-    (real part J, imaginary part W).
+    Carries voltages and currents; X and Y are the real and imaginary parts.
     """
 
     values: np.ndarray
@@ -73,10 +73,6 @@ class Phasor3:
     @property
     def Y(self) -> np.ndarray:
         return self.values.imag
-
-    # Current components share the same storage under the names J and W.
-    J = X
-    W = Y
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
@@ -157,7 +153,10 @@ class Customer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Radial feeder in per-unit: buses, lines, customers, limits and bases."""
+    """Radial feeder in per-unit: buses, lines, customers, limits and bases.
+
+    `topology` is the radiality check's report, made once on construction.
+    """
 
     name: str
     buses: tuple[int, ...]
@@ -168,6 +167,7 @@ class Network:
     limits: Limits
     bases: PerUnitBases
     coords: Mapping[int, tuple[float, float]] = field(default_factory=dict)
+    topology: TopologyReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         bus_set = set(self.buses)
@@ -180,7 +180,7 @@ class Network:
         for cust in self.customers:
             if cust.bus not in bus_set:
                 raise FeederFormatError(f"customer {cust.name} references unknown bus {cust.bus}")
-        validate_radial(self)
+        object.__setattr__(self, "topology", validate_radial(self))
 
     @property
     def n_buses(self) -> int:
@@ -190,20 +190,15 @@ class Network:
     def n_customers(self) -> int:
         return len(self.customers)
 
-    def customer_by_id(self, cid: int) -> Customer:
-        for cust in self.customers:
-            if cust.cid == cid:
-                return cust
-        raise KeyError(f"no customer with id {cid}")
-
 
 @dataclass(frozen=True)
 class TopologyReport:
-    """Depth-ordered buses and the customers served below each line."""
+    """Buses in breadth-first order from the root, each non-root bus's parent
+    bus, and the position in `Network.lines` of the line to that parent."""
 
     depth_order: tuple[int, ...]
     parent: Mapping[int, int]
-    downstream_customers: Mapping[str, frozenset[int]]
+    parent_line: Mapping[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +228,6 @@ class DemandSeries:
     @property
     def n_periods(self) -> int:
         return self.p_w.shape[0]
-
-    def timestamps_min(self) -> np.ndarray:
-        return self.start_minute + np.arange(self.n_periods) * self.minutes_per_period
 
     def period_mid_hour(self, period: int) -> float:
         return (self.start_minute + (period + 0.5) * self.minutes_per_period) / 60.0
@@ -459,27 +451,28 @@ def validate_radial(network: "Network") -> TopologyReport:
     parallel paths or disconnected buses.
     """
 
-    adjacency: dict[int, list[tuple[int, Line]]] = {b: [] for b in network.buses}
-    for line in network.lines:
-        adjacency[line.from_bus].append((line.to_bus, line))
-        adjacency[line.to_bus].append((line.from_bus, line))
+    adjacency: dict[int, list[tuple[int, int]]] = {b: [] for b in network.buses}
+    for li, line in enumerate(network.lines):
+        adjacency[line.from_bus].append((line.to_bus, li))
+        adjacency[line.to_bus].append((line.from_bus, li))
 
     parent: dict[int, int] = {network.root: network.root}
-    via_line: dict[int, Line] = {}
+    parent_line: dict[int, int] = {}
     order: list[int] = [network.root]
-    queue = [network.root]
+    queue = deque(order)
     while queue:
-        bus = queue.pop(0)
-        for nxt, line in adjacency[bus]:
-            if nxt == parent[bus] and via_line.get(bus) is line:
+        bus = queue.popleft()
+        for nxt, li in adjacency[bus]:
+            if nxt == parent[bus] and parent_line.get(bus) == li:
                 continue
             if nxt in parent:
+                seen = network.lines[parent_line[nxt]].name if nxt in parent_line else "root"
                 raise RadialityError(
                     f"cycle or parallel path detected at bus {nxt} via lines "
-                    f"{via_line[nxt].name if nxt in via_line else 'root'} and {line.name}"
+                    f"{seen} and {network.lines[li].name}"
                 )
             parent[nxt] = bus
-            via_line[nxt] = line
+            parent_line[nxt] = li
             order.append(nxt)
             queue.append(nxt)
 
@@ -487,26 +480,7 @@ def validate_radial(network: "Network") -> TopologyReport:
     if unreachable:
         raise RadialityError(f"buses not connected to the root: {unreachable}")
 
-    cust_by_bus: dict[int, set[int]] = {}
-    for cust in network.customers:
-        cust_by_bus.setdefault(cust.bus, set()).add(cust.cid)
-    downstream: dict[str, set[int]] = {l.name: set() for l in network.lines}
-    # Reversed BFS visits every descendant before its ancestor, so one upward
-    # pass completes each line's served-customer set.
-    for bus in reversed(order):
-        if bus == network.root:
-            continue
-        line = via_line[bus]
-        downstream[line.name] |= cust_by_bus.get(bus, set())
-        up = parent[bus]
-        if up != network.root:
-            downstream[via_line[up].name] |= downstream[line.name]
-
-    return TopologyReport(
-        depth_order=tuple(order),
-        parent=dict(parent),
-        downstream_customers={k: frozenset(v) for k, v in downstream.items()},
-    )
+    return TopologyReport(depth_order=tuple(order), parent=parent, parent_line=parent_line)
 
 
 def resample_profiles(series: DemandSeries, target_minutes: int) -> DemandSeries:

@@ -3,7 +3,8 @@
 Backward current aggregation and forward voltage sweeps with constant-PQ
 customers, used as the verification oracle for every formulation and
 optimization result. Also hosts the factorized tree geometry (depth order,
-path impedances, shared-path impedance tensor) reused by the evaluators.
+path impedances, and each customer's shared-path impedances to every bus)
+reused by the evaluators.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import CaseSnapshot, Network, Phasor3, validate_radial
+from .netmodel import CaseSnapshot, Network, Phasor3
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 100
@@ -28,7 +29,6 @@ __all__ = [
     "PowerFlowError",
     "VoltageCollapseError",
     "NonConvergenceError",
-    "customer_current",
     "solve_utpf",
     "power_balance_residual",
     "feeder_geometry",
@@ -120,9 +120,9 @@ class FeederGeometry:
     """Factorized radial topology in array form.
 
     zcum[m] is the summed 3x3 path impedance from the root to bus m and
-    meet[m, b] = zcum[lca(m, b)], the impedance shared by the two paths;
-    the voltage effect at bus m of a current i injected at bus b on phase p
-    is -meet[m, b][:, p] * i.
+    cust_meet[j, m] = zcum[lca(m, bus_j)], the impedance that the paths to
+    bus m and to customer j's bus share; the voltage effect at bus m of a
+    current i that customer j draws on phase p is -cust_meet[j, m][:, p] * i.
     """
 
     bus_ids: tuple[int, ...]
@@ -135,55 +135,44 @@ class FeederGeometry:
     line_to: np.ndarray
     z_lines: np.ndarray  # (L, 3, 3) complex
     zcum: np.ndarray  # (n, 3, 3) complex
-    meet: np.ndarray  # (n, n, 3, 3) complex
+    cust_meet: np.ndarray  # (customers, n, 3, 3) complex
     cust_bus: np.ndarray  # (customers,) bus index
     root_lines: tuple[int, ...]  # lines leaving the root (the DT branch)
 
 
 @lru_cache(maxsize=8)
 def _geometry_for(network: Network) -> FeederGeometry:
-    report = validate_radial(network)
+    report = network.topology
     bus_index = {b: i for i, b in enumerate(network.buses)}
     n = network.n_buses
-    line_index = {l.name: i for i, l in enumerate(network.lines)}
 
     parent = np.full(n, -1, dtype=int)
     parent_line = np.full(n, -1, dtype=int)
     depth_order = np.array([bus_index[b] for b in report.depth_order], dtype=int)
-
-    adjacency: dict[int, list[tuple[int, int]]] = {b: [] for b in network.buses}
-    for li, line in enumerate(network.lines):
-        adjacency[line.from_bus].append((line.to_bus, li))
-        adjacency[line.to_bus].append((line.from_bus, li))
-    for bus, up in report.parent.items():
-        if bus == network.root:
-            continue
-        parent[bus_index[bus]] = bus_index[up]
-        for nxt, li in adjacency[up]:
-            if nxt == bus:
-                parent_line[bus_index[bus]] = li
-                break
+    for bus, li in report.parent_line.items():
+        parent[bus_index[bus]] = bus_index[report.parent[bus]]
+        parent_line[bus_index[bus]] = li
 
     z_lines = np.stack([l.z_pu for l in network.lines])
     zcum = np.zeros((n, 3, 3), dtype=complex)
     for bi in depth_order[1:]:
         zcum[bi] = zcum[parent[bi]] + z_lines[parent_line[bi]]
 
-    # Ancestor chains for pairwise lowest common ancestors.
-    chains: list[list[int]] = [[] for _ in range(n)]
-    for bi in depth_order:
-        if parent[bi] < 0:
-            chains[bi] = [bi]
-        else:
-            chains[bi] = chains[parent[bi]] + [bi]
-    chain_sets = [set(c) for c in chains]
-    meet = np.zeros((n, n, 3, 3), dtype=complex)
-    for m in range(n):
-        for b in range(n):
-            lca = next(x for x in reversed(chains[m]) if x in chain_sets[b])
-            meet[m, b] = zcum[lca]
-
+    # lca[j, m] is the deepest bus on both bus m's and customer j's root
+    # paths: bus m itself when it lies on customer j's path, else its
+    # parent's entry, which one pass down the depth order has already set.
+    cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
+    on_path = np.zeros((len(cust_bus), n), dtype=bool)
+    for j, bi in enumerate(cust_bus):
+        while bi >= 0:
+            on_path[j, bi] = True
+            bi = parent[bi]
+    lca = np.empty((len(cust_bus), n), dtype=int)
     root_idx = bus_index[network.root]
+    lca[:, root_idx] = root_idx
+    for bi in depth_order[1:]:
+        lca[:, bi] = np.where(on_path[:, bi], bi, lca[:, parent[bi]])
+
     return FeederGeometry(
         bus_ids=tuple(network.buses),
         bus_index=bus_index,
@@ -195,10 +184,10 @@ def _geometry_for(network: Network) -> FeederGeometry:
         line_to=np.array([bus_index[l.to_bus] for l in network.lines], dtype=int),
         z_lines=z_lines,
         zcum=zcum,
-        meet=meet,
-        cust_bus=np.array([bus_index[c.bus] for c in network.customers], dtype=int),
+        cust_meet=zcum[lca],
+        cust_bus=cust_bus,
         root_lines=tuple(
-            line_index[l.name] for l in network.lines if network.root in (l.from_bus, l.to_bus)
+            li for li, l in enumerate(network.lines) if network.root in (l.from_bus, l.to_bus)
         ),
     )
 
@@ -240,20 +229,6 @@ class PFSolution:
     @property
     def vm(self) -> np.ndarray:
         return np.abs(self.v)
-
-
-def customer_current(s: complex, v: complex, one_hot: Sequence[float]) -> Phasor3:
-    """Constant-PQ injection conj(s)/conj(v) on the connected phase."""
-
-    eps = np.asarray(one_hot, dtype=float)
-    if eps.shape != (3,) or not np.isclose(eps.sum(), 1.0) or not np.all((eps == 0) | (eps == 1)):
-        raise ValueError("one-hot phase indicator must have exactly one entry set")
-    out = np.zeros(3, dtype=complex)
-    if s != 0:
-        if abs(v) == 0.0:
-            raise PowerFlowError("zero voltage magnitude on the connected phase")
-        out[int(np.argmax(eps))] = np.conj(s) / np.conj(v)
-    return Phasor3(out)
 
 
 def _sweep_state(

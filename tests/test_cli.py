@@ -13,7 +13,7 @@ import pytest
 from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
-from phasebal.netmodel import DEFAULT_SCENARIO, build_snapshot
+from phasebal.netmodel import DEFAULT_SCENARIO, build_snapshot, bundled_feeder_dir, read_network_json
 from phasebal.powerflow import PhaseAssignment
 
 # Evening peak: every optimizing method moves customers, and lbfm's choice
@@ -106,6 +106,45 @@ def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):
         methods=("initial",), periods=(0, 1), out_dir=str(tmp_path), parallelism=8
     )
     assert run_sweep(config).failures == 0
+
+
+def test_sweep_refuses_a_directory_holding_other_cells(tmp_path):
+    first = SweepConfig(methods=("initial",), periods=(0, 2), out_dir=str(tmp_path), parallelism=1)
+    run_sweep(first)
+    before = sorted(p.name for p in tmp_path.glob("outcome_*.json"))
+    assert before == ["outcome_0_initial.json", "outcome_1_initial.json"]
+    with pytest.raises(ValueError, match="outcome_0_initial.json, outcome_1_initial.json"):
+        run_sweep(replace(first, periods=(5, 6)))
+    assert sorted(p.name for p in tmp_path.glob("outcome_*.json")) == before
+
+
+def test_sweep_reruns_into_its_own_directory(tmp_path):
+    config = SweepConfig(methods=("initial",), periods=(0, 2), out_dir=str(tmp_path), parallelism=1)
+    first = run_sweep(config)
+    again = run_sweep(config)
+    assert len(again.rows) == 2 and again.summary["period_count"] == 2
+    assert [r["pi_after"] for r in again.rows] == [r["pi_after"] for r in first.rows]
+
+
+def test_sweep_config_must_be_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ValueError, match=f"{path}: config must be a JSON object"):
+        main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+
+
+def test_import_writes_the_normalized_network(tmp_path, capsys, network):
+    assert main(["import", str(bundled_feeder_dir()), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "imported 54 buses, 53 lines, 55 customers, 96 periods (max depth 18)"
+    )
+    written = read_network_json(tmp_path / "network.json")
+    assert written.buses == network.buses
+    assert [(l.name, l.from_bus, l.to_bus) for l in written.lines] == [
+        (l.name, l.from_bus, l.to_bus) for l in network.lines
+    ]
+    assert all(np.array_equal(a.z_pu, b.z_pu) for a, b in zip(written.lines, network.lines))
+    assert written.customers == network.customers
 
 
 @pytest.mark.parametrize(

@@ -54,8 +54,6 @@ class TestPhasor3:
         ph = Phasor3(np.array([1 + 2j, 3 + 4j, 5 + 6j]))
         assert np.array_equal(ph.X, [1.0, 3.0, 5.0])
         assert np.array_equal(ph.Y, [2.0, 4.0, 6.0])
-        assert np.array_equal(ph.J, ph.X)
-        assert np.array_equal(ph.W, ph.Y)
         assert ph[1] == 3 + 4j
         assert list(ph) == [1 + 2j, 3 + 4j, 5 + 6j]
         assert (ph.a, ph.b, ph.c) == (1 + 2j, 3 + 4j, 5 + 6j)
@@ -150,8 +148,8 @@ class TestNetworkValidation:
                 bases=PerUnitBases(),
             )
 
-    def test_downstream_customers_per_line(self):
-        # 0 - 1 - 2 and 1 - 3; customers at 2 (#1), 3 (#2), 1 (#3).
+    def test_parent_line_per_bus(self):
+        # 0 - 1 - 2 and 1 - 3; "left" is stored pointing toward the root.
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         network = Network(
             name="fork",
@@ -159,7 +157,7 @@ class TestNetworkValidation:
             root=0,
             lines=(
                 Line(name="trunk", from_bus=0, to_bus=1, z_pu=z),
-                Line(name="left", from_bus=1, to_bus=2, z_pu=z),
+                Line(name="left", from_bus=2, to_bus=1, z_pu=z),
                 Line(name="right", from_bus=1, to_bus=3, z_pu=z),
             ),
             customers=(
@@ -171,17 +169,12 @@ class TestNetworkValidation:
             limits=Limits(),
             bases=PerUnitBases(),
         )
-        report = validate_radial(network)
-        assert report.depth_order[0] == 0
-        assert report.downstream_customers["trunk"] == {1, 2, 3}
-        assert report.downstream_customers["left"] == {1}
-        assert report.downstream_customers["right"] == {2}
-
-    def test_customer_by_id(self):
-        net = two_bus_network(customers=((0, False), (1, True)))
-        assert net.customer_by_id(2).adjustable
-        with pytest.raises(KeyError):
-            net.customer_by_id(99)
+        report = network.topology
+        assert report.depth_order == (0, 1, 2, 3)
+        assert report.parent == {0: 0, 1: 0, 2: 1, 3: 1}
+        names = {bus: network.lines[li].name for bus, li in report.parent_line.items()}
+        assert names == {1: "trunk", 2: "left", 3: "right"}
+        assert validate_radial(network) == report
 
 
 def replace_line(line: Line, **kwargs) -> Line:
@@ -314,7 +307,6 @@ class TestDemandSeries:
             q_var=np.zeros((4, 1)),
             minutes_per_period=15,
         )
-        assert np.array_equal(series.timestamps_min(), [0, 15, 30, 45])
         assert series.period_mid_hour(0) == pytest.approx(0.125)
         assert series.period_mid_hour(3) == pytest.approx(0.875)
 

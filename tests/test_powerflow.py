@@ -14,12 +14,12 @@ from phasebal.powerflow import (
     PhaseAssignment,
     VoltageCollapseError,
     check_assignment,
-    customer_current,
+    feeder_geometry,
     power_balance_residual,
     solve_utpf,
 )
 
-from conftest import two_bus_network
+from conftest import random_radial_network, two_bus_network
 
 
 def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
@@ -75,23 +75,6 @@ class TestPhaseAssignment:
         snap = build_snapshot(network, demands, 0)
         with pytest.raises(ValueError, match="covers"):
             check_assignment(snap, PhaseAssignment((0, 1)))
-
-
-class TestCustomerCurrent:
-    def test_constant_pq_injection(self):
-        out = customer_current(0.01 + 0.005j, 1.05 + 0j, [1.0, 0.0, 0.0])
-        assert out.values[1] == 0 and out.values[2] == 0
-        assert out.values[0] == pytest.approx((0.01 - 0.005j) / 1.05)
-
-    def test_zero_power_needs_no_voltage(self):
-        out = customer_current(0.0, 0.0, [0.0, 1.0, 0.0])
-        assert np.array_equal(out.values, np.zeros(3))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            customer_current(0.01, 1.0, [1.0, 1.0, 0.0])
-        with pytest.raises(Exception, match="zero voltage"):
-            customer_current(0.01, 0.0, [1.0, 0.0, 0.0])
 
 
 class TestScalarOracle:
@@ -209,3 +192,44 @@ class TestFailureReporting:
             solve_utpf(snap, PhaseAssignment.initial(network), max_iterations=1)
         assert info.value.iterations == 1
         assert info.value.mismatch > 1e-8
+
+
+def chain_lca_cust_meet(network):
+    """Reference cust_meet by a pairwise ancestor-chain search: for each
+    customer bus b and each bus m, the deepest bus on m's root chain that
+    also lies on b's."""
+
+    geometry = feeder_geometry(network)
+    chains: list[list[int]] = [[] for _ in range(network.n_buses)]
+    for bi in geometry.depth_order:
+        up = geometry.parent[bi]
+        chains[bi] = [bi] if up < 0 else chains[up] + [bi]
+    chain_sets = [set(c) for c in chains]
+    out = np.zeros((network.n_customers, network.n_buses, 3, 3), dtype=complex)
+    for j, b in enumerate(geometry.cust_bus):
+        for m in range(network.n_buses):
+            lca = next(x for x in reversed(chains[m]) if x in chain_sets[b])
+            out[j, m] = geometry.zcum[lca]
+    return out
+
+
+class TestFeederGeometry:
+    def test_customer_table_matches_the_chain_search_on_the_bundled_feeder(self, network):
+        assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
+
+    @pytest.mark.parametrize("n_buses", [2, 7, 40, 150, 400])
+    def test_customer_table_matches_the_chain_search_on_random_feeders(self, n_buses):
+        network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20, n_switches=3)
+        assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
+
+    def test_customer_table_is_stored_customer_major(self, network):
+        # The kernels read it through a transposed view and inherit its order.
+        table = feeder_geometry(network).cust_meet
+        assert table.shape == (network.n_customers, network.n_buses, 3, 3)
+        assert table.flags["C_CONTIGUOUS"]
+
+    def test_memory_grows_with_buses_times_customers(self):
+        network = random_radial_network(seed=900, n_buses=900, n_customers=55)
+        geometry = feeder_geometry(network)
+        arrays = [v for v in vars(geometry).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) < 10 * 2**20  # an (n, n, 3, 3) table would hold 112 MiB
