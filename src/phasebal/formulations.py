@@ -55,7 +55,6 @@ __all__ = [
     "FormulationError",
     "Limits",
     "Slacks",
-    "compute_slacks",
     "dt_unbalance",
     "evaluate_exact",
     "evaluate_fixv",
@@ -139,6 +138,19 @@ def _voltage_measures(
     return lo, vm, v @ (_NEG_ROW / 3.0)
 
 
+def _phase_min(x: np.ndarray) -> np.ndarray:
+    """x.min(axis=-1) over a final phase axis of 3, as two elementwise minima,
+    which numpy runs far faster than a reduction along so short an axis."""
+
+    return np.minimum(np.minimum(x[..., 0], x[..., 1]), x[..., 2])
+
+
+def _phase_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1) over a final phase axis of 3, as `_phase_min` does."""
+
+    return np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
+
+
 def _slack_terms(
     limits: Limits,
     lo: np.ndarray,
@@ -154,14 +166,15 @@ def _slack_terms(
     i_dt_mag the (..., 3) transformer current magnitudes against i_dt_max.
     With squared set, lo and hi are squared magnitudes (branch-flow units),
     and the voltage limits and the unbalance magnitude are squared to match.
-    One term at a time, so that a large batch never holds all four.
+    One term at a time, so that a large batch never holds all four. The
+    phase axis is reduced elementwise, which gives min and max bit for bit.
     """
 
     v_min, v_max, neg_max = limits.v_min, limits.v_max, limits.neg_seq_max
     if squared:
         v_min, v_max, neg_max = v_min**2, v_max**2, neg_max**2
-    yield np.maximum(0.0, v_min - lo.min(axis=-1))
-    yield np.maximum(0.0, hi.max(axis=-1) - v_max)
+    yield np.maximum(0.0, v_min - _phase_min(lo))
+    yield np.maximum(0.0, _phase_max(hi) - v_max)
     yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
     yield np.maximum(0.0, i_dt_mag - limits.i_dt_max)
 
@@ -181,37 +194,10 @@ def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _Ba
     batch of one prices exactly like the scalar path.
     """
 
-    pi = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
+    p, q = s_dt.real, s_dt.imag
+    pi = np.maximum(_phase_max(p) - _phase_min(p), _phase_max(q) - _phase_min(q))
     total = sum(term.sum(axis=-1) for term in terms)
     return _BatchScore(objective=pi + limits.mb * total, pi=pi, slack_total=total)
-
-
-def compute_slacks(
-    v: np.ndarray,
-    i_dt_mag: np.ndarray,
-    limits: Limits,
-    mode: str = "exact",
-    nominal: Phasor3 | np.ndarray | None = None,
-) -> Slacks:
-    """Slack against voltage, unbalance and transformer-current limits.
-
-    v is the (buses, 3) complex voltage field, i_dt_mag the three transformer
-    current magnitudes. mode "exact" tests |V| on both sides; "linearized"
-    tests the lower bound through the projection X cos(d) + Y sin(d) onto the
-    nominal phase directions (nominal required), matching the model that
-    treats the lower magnitude bound linearly. One shared slack per bus.
-    """
-
-    if mode not in ("exact", "linearized"):
-        raise ValueError(f"unknown slack mode {mode!r}")
-    if mode == "exact":
-        nominal = None
-    elif nominal is None:
-        raise ValueError("linearized mode needs the nominal phase directions")
-    else:
-        nominal = np.asarray(getattr(nominal, "values", nominal), dtype=complex)
-    lo, vm, vneg = _voltage_measures(np.asarray(v, dtype=complex), nominal)
-    return Slacks(*_slack_terms(limits, lo, vm, np.abs(vneg), np.asarray(i_dt_mag, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,13 +586,17 @@ def evaluate_lbfm(
 # under the fixed-voltage and branch-flow models are separable, so each
 # kernel precomputes per-(customer, phase) effect tables, folds the
 # non-adjustable customers into a base state, and scores a batch through two
-# half-assignment lookup tables. Slack terms are only evaluated on the buses
-# that could possibly violate a limit under some assignment (triangle bound
-# on the movable customers' total effect); all other buses contribute zero
-# slack for every candidate. The linearized-inverse model is not separable;
-# its kernel hands chunks of candidates to `_linv_solve`, the same fixed
-# point `evaluate_linv` runs for one. Every kernel prices its states through
-# `_score`, as the scalar evaluators do.
+# half-assignment lookup tables, the first of which carries the base. Slack
+# terms are only evaluated on the buses that could possibly violate a limit
+# under some assignment (triangle bound on the movable customers' total
+# effect); all other buses contribute zero slack for every candidate. Of
+# those cap buses, only one per distinct customer column (the geometry's
+# col_rep) gets a state: buses with no customer below them repeat their
+# parent's column bit for bit, so their slacks are copied, not recomputed.
+# The linearized-inverse model is not separable; its kernel hands chunks of
+# candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
+# one. Every kernel prices its states through `_score`, as the scalar
+# evaluators do.
 # ---------------------------------------------------------------------------
 
 _LINV_CHUNK = 128  # assignments per batched fixed-point solve
@@ -700,13 +690,19 @@ class _SeparableKernel(_Kernel):
             | (neg + neg_r > limits.neg_seq_max)
         )
         self.cap_idx = np.flatnonzero(cap)
-        self.base_cap = [b[self.cap_idx] for b in base]
+        # States are kept at cols, one cap bus per distinct column (a cap
+        # bus's representative is a cap bus too); cap_inverse puts each cap
+        # bus's slack back in cap_idx order.
+        cols, self.cap_inverse = np.unique(
+            feeder_geometry(self.network).col_rep[self.cap_idx], return_inverse=True
+        )
 
         k1 = (self.n_movable + 1) // 2
-        self.halves = [
-            self._half(s_on[self.movable[part]], [e[part][:, :, self.cap_idx] for e in moving])
+        (sv1, t1), (sv2, t2) = (
+            self._half(s_on[self.movable[part]], [e[part][:, :, cols] for e in moving])
             for part in (slice(0, k1), slice(k1, None))
-        ]
+        )
+        self.halves = [(sv1, [b[cols] + t for b, t in zip(base, t1)]), (sv2, t2)]
 
     @staticmethod
     def _half(s_on: np.ndarray, effects: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -729,10 +725,16 @@ class _SeparableKernel(_Kernel):
         (sv1, t1), (sv2, t2) = self.halves
         s_dt = self.s_base + sv1[idx1] + sv2[idx2]
         # The field states, a chunk's largest arrays, are freed once measured.
-        measures = self._measures(*(b + a[idx1] + c[idx2] for b, a, c in zip(self.base_cap, t1, t2)))
+        measures = self._measures(*(a[idx1] + c[idx2] for a, c in zip(t1, t2)))
         i_dt_mag = np.abs(s_dt) / np.abs(self.v0)
+        terms = _slack_terms(self.limits, *measures, i_dt_mag, self.squared)
+        # The three per-bus terms go back to cap_idx order (i_dt is per
+        # phase). take keeps them C-ordered, so they sum as unmerged terms
+        # would; fancy indexing returns an F-ordered copy that sums otherwise.
         return _score(
-            self.limits, s_dt, _slack_terms(self.limits, *measures, i_dt_mag, self.squared)
+            self.limits,
+            s_dt,
+            (t.take(self.cap_inverse, axis=-1) if k < 3 else t for k, t in enumerate(terms)),
         )
 
 

@@ -123,6 +123,10 @@ class FeederGeometry:
     cust_meet[j, m] = zcum[lca(m, bus_j)], the impedance that the paths to
     bus m and to customer j's bus share; the voltage effect at bus m of a
     current i that customer j draws on phase p is -cust_meet[j, m][:, p] * i.
+    col_rep[m] is m itself when a customer sits in m's subtree and otherwise
+    its parent's col_rep. Such a bus meets every customer's path where its
+    parent does, so cust_meet[:, m] is cust_meet[:, col_rep[m]] bit for bit,
+    and so is any state built column by column from the table.
     """
 
     bus_ids: tuple[int, ...]
@@ -137,6 +141,7 @@ class FeederGeometry:
     zcum: np.ndarray  # (n, 3, 3) complex
     cust_meet: np.ndarray  # (customers, n, 3, 3) complex
     cust_bus: np.ndarray  # (customers,) bus index
+    col_rep: np.ndarray  # (n,) bus whose customer column bus m repeats
     root_lines: tuple[int, ...]  # lines leaving the root (the DT branch)
 
 
@@ -161,6 +166,7 @@ def _geometry_for(network: Network) -> FeederGeometry:
     # lca[j, m] is the deepest bus on both bus m's and customer j's root
     # paths: bus m itself when it lies on customer j's path, else its
     # parent's entry, which one pass down the depth order has already set.
+    # A bus on no customer's path copies its parent's whole column.
     cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
     on_path = np.zeros((len(cust_bus), n), dtype=bool)
     for j, bi in enumerate(cust_bus):
@@ -170,8 +176,12 @@ def _geometry_for(network: Network) -> FeederGeometry:
     lca = np.empty((len(cust_bus), n), dtype=int)
     root_idx = bus_index[network.root]
     lca[:, root_idx] = root_idx
+    customer_below = on_path.any(axis=0)
+    col_rep = np.arange(n)
     for bi in depth_order[1:]:
         lca[:, bi] = np.where(on_path[:, bi], bi, lca[:, parent[bi]])
+        if not customer_below[bi]:
+            col_rep[bi] = col_rep[parent[bi]]
 
     return FeederGeometry(
         bus_ids=tuple(network.buses),
@@ -186,6 +196,7 @@ def _geometry_for(network: Network) -> FeederGeometry:
         zcum=zcum,
         cust_meet=zcum[lca],
         cust_bus=cust_bus,
+        col_rep=col_rep,
         root_lines=tuple(
             li for li, l in enumerate(network.lines) if network.root in (l.from_bus, l.to_bus)
         ),

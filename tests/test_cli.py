@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,18 @@ def test_verify_regenerates_reports_byte_identically(counted_sweep):
         (out / name).unlink()
     assert main(["verify", "--out-dir", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in REPORTS} == before
+
+
+def test_package_runs_as_a_module_without_warnings():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "phasebal", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: phasebal")
 
 
 def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):

@@ -11,9 +11,12 @@ from phasebal.formulations import (
     AffineFit,
     FormulationError,
     Slacks,
+    _SeparableKernel,
     _combo_table,
     _make_kernel,
-    compute_slacks,
+    _score,
+    _slack_terms,
+    _voltage_measures,
     dt_unbalance,
     evaluate_exact,
     evaluate_fixv,
@@ -57,6 +60,13 @@ class TestUnbalanceMeasures:
             negative_sequence(np.zeros((2, 4)))
 
 
+def slacks_of(v, i_dt_mag, limits, nominal=None):
+    """The scalar evaluators' slacks for a (buses, 3) voltage field."""
+
+    lo, vm, vneg = _voltage_measures(np.asarray(v, dtype=complex), nominal)
+    return Slacks(*_slack_terms(limits, lo, vm, np.abs(vneg), np.asarray(i_dt_mag, dtype=float)))
+
+
 class TestSlacks:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -84,7 +94,7 @@ class TestSlacks:
                 0.90 * np.exp(1j * np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])),
             ]
         )
-        out = compute_slacks(v, np.array([0.5, 0.5, 2.5]), limits)
+        out = slacks_of(v, np.array([0.5, 0.5, 2.5]), limits)
         assert out.v_lo == pytest.approx([0.0, limits.v_min - 0.90])
         assert np.all(out.v_hi == 0.0)
         assert np.all(out.neg_seq == 0.0)  # balanced scaling keeps sequence clean
@@ -92,16 +102,51 @@ class TestSlacks:
 
     def test_linearized_mode_projects_onto_nominal(self):
         limits = Limits()
-        nominal = make_v0()
+        nominal = make_v0().values
         # On-angle voltage: projection equals the magnitude.
-        v = (0.92 * np.exp(1j * np.angle(nominal.values)))[None, :]
-        exact = compute_slacks(v, np.zeros(3), limits)
-        lin = compute_slacks(v, np.zeros(3), limits, mode="linearized", nominal=nominal)
+        v = (0.92 * np.exp(1j * np.angle(nominal)))[None, :]
+        exact = slacks_of(v, np.zeros(3), limits)
+        lin = slacks_of(v, np.zeros(3), limits, nominal=nominal)
         assert lin.v_lo == pytest.approx(exact.v_lo)
-        with pytest.raises(ValueError, match="nominal"):
-            compute_slacks(v, np.zeros(3), limits, mode="linearized")
-        with pytest.raises(ValueError, match="unknown slack mode"):
-            compute_slacks(v, np.zeros(3), limits, mode="quadratic")
+
+
+def with_nonfinite_rows(x):
+    """x with a few (..., 3) rows of NaN and +-inf mixed into finite values."""
+
+    x = x.copy()
+    x[0, :5] = [
+        [np.nan, 0.5, -0.5],
+        [np.inf, -np.inf, 0.0],
+        [1.0, np.nan, np.inf],
+        [-np.inf, -np.inf, -np.inf],
+        [np.inf, np.nan, -np.inf],
+    ]
+    return x
+
+
+class TestPhaseReduction:
+    """The elementwise reduction over the phase axis gives numpy's reductions bit for bit."""
+
+    def test_voltage_slacks_match_min_and_max(self):
+        limits = Limits()
+        rng = np.random.default_rng(3)
+        lo = with_nonfinite_rows(rng.uniform(0.85, 1.15, size=(6, 40, 3)))
+        hi = with_nonfinite_rows(rng.uniform(0.85, 1.15, size=(6, 40, 3)))[::-1]
+        v_lo, v_hi, *_ = _slack_terms(limits, lo, hi, np.zeros((6, 40)), np.zeros((6, 3)))
+        expect_lo = np.maximum(0.0, limits.v_min - lo.min(axis=-1))
+        expect_hi = np.maximum(0.0, hi.max(axis=-1) - limits.v_max)
+        assert v_lo.tobytes() == expect_lo.tobytes()
+        assert v_hi.tobytes() == expect_hi.tobytes()
+
+    def test_pi_matches_ptp(self):
+        rng = np.random.default_rng(4)
+        s_dt = np.empty((6, 40, 3), dtype=complex)
+        s_dt.real = with_nonfinite_rows(rng.normal(size=s_dt.shape))
+        s_dt.imag = with_nonfinite_rows(rng.normal(size=s_dt.shape))[:, ::-1]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            pi = _score(Limits(), s_dt, ()).pi
+            expect = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
+        assert pi.tobytes() == expect.tobytes()
 
 
 class TestInverseVoltageFit:
@@ -285,6 +330,55 @@ class TestBranchFlowModel:
         assert np.max(np.abs(out.vneg)) <= 1e-14
 
 
+def unmerged_score(kernel, s_on, effects, no_load, choices):
+    """A separable kernel's objective, pi and slack, with no column merging.
+
+    Every cap bus gets its own state, summed as base + first half + second
+    half, each half adding its customers' effects in turn, and the slacks
+    use numpy's reductions over the phase axis.
+    """
+
+    movable, initial, limits = kernel.movable, kernel.initial, kernel.limits
+    fixed = np.setdiff1d(np.arange(len(s_on)), movable)
+    pf = initial[fixed]
+    cap = kernel.cap_idx
+    k1 = (kernel.n_movable + 1) // 2
+    rows = np.arange(len(choices))
+
+    s_base = np.zeros(3, dtype=complex)
+    np.add.at(s_base, pf, s_on[fixed, pf])
+    s_dt = s_base
+    for part in (range(k1), range(k1, kernel.n_movable)):
+        sv = np.zeros((len(choices), 3), dtype=complex)
+        for local in part:
+            p = choices[:, local]
+            np.add.at(sv, (rows, p), s_on[movable[local], p])
+        s_dt = s_dt + sv
+
+    fields = []
+    for z, e in zip(no_load, effects):
+        base = (z + e[fixed, pf].sum(axis=0))[cap]
+        state = base
+        for part in (range(k1), range(k1, kernel.n_movable)):
+            half = np.zeros((len(choices),) + base.shape, dtype=e.dtype)
+            for local in part:
+                half += e[movable[local]][:, cap][choices[:, local]]
+            state = state + half
+        fields.append(state)
+
+    lo, hi, neg = kernel._measures(*fields)
+    k = 2 if kernel.squared else 1
+    terms = (
+        np.maximum(0.0, limits.v_min**k - lo.min(axis=-1)),
+        np.maximum(0.0, hi.max(axis=-1) - limits.v_max**k),
+        np.maximum(0.0, neg**k - limits.neg_seq_max**k),
+        np.maximum(0.0, np.abs(s_dt) / np.abs(kernel.v0) - limits.i_dt_max),
+    )
+    total = sum(term.sum(axis=-1) for term in terms)
+    pi = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
+    return pi + limits.mb * total, pi, total
+
+
 class TestBatchKernels:
     @staticmethod
     def _random_choices(rng, kernel, count):
@@ -335,6 +429,35 @@ class TestBatchKernels:
             table[:4], [[0, 0], [0, 1], [0, 2], [1, 0]]
         )
         assert _combo_table(0).shape == (1, 0)
+
+    @pytest.mark.parametrize("method", ["fixv", "lbfm"])
+    def test_merged_columns_score_as_unmerged(self, method, monkeypatch):
+        # Customer-free branches and loads heavy enough that many buses near
+        # the limits stay in the cap, some of them merged with their parent.
+        network = random_radial_network(seed=0, n_buses=60, n_customers=20)
+        rng = np.random.default_rng(60)
+        snap = snapshot_for(
+            network, rng.uniform(0.0, 0.1, 20), rng.uniform(0.0, 0.03, 20), adjustable=range(6)
+        )
+        tables = {}
+        tabulate = _SeparableKernel._tabulate
+
+        def recording_tabulate(self, s_on, effects, no_load):
+            tables.update(s_on=s_on, effects=effects, no_load=no_load)
+            tabulate(self, s_on, effects, no_load)
+
+        monkeypatch.setattr(_SeparableKernel, "_tabulate", recording_tabulate)
+        kernel = _make_kernel(snap, method)
+        col_rep = feeder_geometry(network).col_rep
+        assert len(np.unique(col_rep[kernel.cap_idx])) < len(kernel.cap_idx)
+
+        choices = _combo_table(kernel.n_movable)
+        batch = kernel.score(choices)
+        objective, pi, slack = unmerged_score(kernel, choices=choices, **tables)
+        assert 0.0 < np.mean(slack > 0) < 1.0
+        assert batch.objective.tobytes() == objective.tobytes()
+        assert batch.pi.tobytes() == pi.tobytes()
+        assert batch.slack_total.tobytes() == slack.tobytes()
 
     def test_unknown_method_rejected(self, network, demands):
         snap = build_snapshot(network, demands, 40)

@@ -222,6 +222,22 @@ class TestFeederGeometry:
         network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20, n_switches=3)
         assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
 
+    @pytest.mark.parametrize("n_buses", [None, 2, 7, 40, 150, 400])
+    def test_bus_columns_repeat_their_representative(self, network, n_buses):
+        if n_buses is not None:  # else the bundled feeder
+            network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
+        geometry = feeder_geometry(network)
+        table = geometry.cust_meet
+        assert table[:, geometry.col_rep].tobytes() == table.tobytes()
+        # A bus represents itself exactly when it is the root or lies on a
+        # customer's root path, that is, has a customer in its subtree.
+        on_paths = {geometry.root_idx}
+        for bi in geometry.cust_bus:
+            while bi >= 0:
+                on_paths.add(int(bi))
+                bi = geometry.parent[bi]
+        assert set(np.flatnonzero(geometry.col_rep == np.arange(network.n_buses)).tolist()) == on_paths
+
     def test_customer_table_is_stored_customer_major(self, network):
         # The kernels read it through a transposed view and inherit its order.
         table = feeder_geometry(network).cust_meet
