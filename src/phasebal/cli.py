@@ -48,6 +48,7 @@ from .netmodel import (
     write_profiles_csv,
 )
 from .optimizer import (
+    _SEARCHES,
     Algorithm1Options,
     OptimizationOutcome,
     SearchOptions,
@@ -62,7 +63,7 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-SEARCHES = ("auto", "exhaustive", "branch-and-bound", "local")
+SEARCHES = ("auto", *_SEARCHES)
 OUTCOME_SCHEMA = "phasebal.outcome.v1"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256

@@ -586,7 +586,9 @@ def evaluate_lbfm(
 # under the fixed-voltage and branch-flow models are separable, so each
 # kernel precomputes per-(customer, phase) effect tables, folds the
 # non-adjustable customers into a base state, and scores a batch through two
-# half-assignment lookup tables, the first of which carries the base. Slack
+# half-assignment lookup tables, the first of which carries the base. The
+# outer sum of the transformer-power halves (sv1, sv2) prices every
+# candidate's spread pi, which the bound-ordered search ranks by. Slack
 # terms are only evaluated on the buses that could possibly violate a limit
 # under some assignment (triangle bound on the movable customers' total
 # effect); all other buses contribute zero slack for every candidate. Of
@@ -674,7 +676,6 @@ class _SeparableKernel(_Kernel):
         pf = self.initial[fixed]
         self.s_base = np.zeros(3, dtype=complex)
         np.add.at(self.s_base, pf, s_on[fixed, pf])
-        self.ds_choice = s_on[self.movable]  # (mm, 3): value landing on the chosen phase
         base = [z + e[fixed, pf].sum(axis=0) for z, e in zip(no_load, effects)]
         moving = [e[self.movable] for e in effects]
 

@@ -1,15 +1,15 @@
 """Assignment search over the formulation kernels.
 
-Strategies: chunked exhaustive enumeration (lexicographic tie-break),
-depth-first branch-and-bound with an admissible box relaxation of the
-transformer-spread objective (separable models only), and seeded
-best-improvement local search. On top of those, an iterated fixed-voltage
-refinement re-solves the discrete problem while updating the frozen
-voltage profile, and a cyclic coordinate descent tunes continuous
+Strategies: chunked exhaustive enumeration (lexicographic tie-break), the
+same exact answer by a scan in ascending transformer spread pi, which
+bounds each objective from below (branch-and-bound, separable models only),
+and seeded best-improvement local search. On top of those, an iterated
+fixed-voltage refinement re-solves the discrete problem while updating the
+frozen voltage profile, and a cyclic coordinate descent tunes continuous
 reactive adjustments after the discrete search.
 
 `_model_evaluator` is the one lookup from a model name to its scalar
-evaluator, and `_strategy` holds the one "auto" rule: exhaustive for
+evaluator, and `_strategy` holds the one "auto" rule: branch-and-bound for
 separable models within the enumeration budget, local search otherwise.
 Every search keeps a choice only if the scalar model ranks it no worse
 than the initial assignment, then verifies the outcome once: one exact
@@ -32,6 +32,7 @@ from .formulations import (
     EvaluationResult,
     _Kernel,
     _make_kernel,
+    _score,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
@@ -52,8 +53,8 @@ __all__ = [
     "optimize_pv_q",
 ]
 
-_BOUND_MARGIN = 1e-10
 _CHUNK = 6561  # candidates scored per exhaustive batch
+_BLOCK = 512  # candidates field-scored per bound-ordered batch
 _MAX_SWEEPS = 60  # best-improvement passes per local-search start
 
 
@@ -61,13 +62,13 @@ _MAX_SWEEPS = 60  # best-improvement passes per local-search start
 class SearchOptions:
     """Knobs shared by the discrete search strategies."""
 
-    strategy: str = "auto"  # auto | exhaustive | branch-and-bound | local
-    enumeration_budget: int = 3**12  # candidate cap for exhaustive/auto
+    strategy: str = "auto"  # "auto" or a key of _SEARCHES
+    enumeration_budget: int = 3**12  # candidate cap for the exact searches
     restarts: int = 3  # random local-search starts beyond the initial point
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("auto", "exhaustive", "branch-and-bound", "local"):
+        if self.strategy not in ("auto", *_SEARCHES):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.enumeration_budget < 1:
             raise ValueError("budgets must be positive")
@@ -214,16 +215,23 @@ def _finish(
     )
 
 
-def _exhaustive_choices(
-    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
-) -> tuple[np.ndarray, int, dict[str, float]]:
-    mm = kernel.n_movable
+def _enumerated(mm: int, options: SearchOptions) -> int:
+    """The 3**mm candidates an exact search enumerates, checked against the budget."""
+
     total = 3**mm
     if total > options.enumeration_budget:
         raise ValueError(
             f"3^{mm} = {total} candidates exceed the enumeration budget "
             f"{options.enumeration_budget}; use local search or raise the budget"
         )
+    return total
+
+
+def _exhaustive_choices(
+    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+) -> tuple[np.ndarray, int, dict[str, float]]:
+    mm = kernel.n_movable
+    total = _enumerated(mm, options)
     best_f = math.inf
     best_idx = 0
     for lo in range(0, total, _CHUNK):
@@ -236,64 +244,14 @@ def _exhaustive_choices(
     return _decode(np.array([best_idx]), mm)[0], total, {}
 
 
-def _largest_anchor(lo: np.ndarray, t_hi: float) -> float:
-    """Largest a with sum(max(lo, a)) <= t_hi (piecewise-linear ramp)."""
+def _pi_order(kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate's spread pi by flat index, and the indices stably sorted
+    by it. The half-tables' outer sum adds up s_dt bit for bit as `score` does."""
 
-    l1, l2, l3 = np.sort(lo)
-    if t_hi < l1 + l2 + l3:
-        return -math.inf
-    a = t_hi / 3.0
-    if a >= l3:
-        return a
-    a = (t_hi - l3) / 2.0
-    if a >= l2:
-        return a
-    return t_hi - l2 - l3
-
-
-def _smallest_reach(up: np.ndarray, t_lo: float) -> float:
-    """Smallest x with sum(min(up, x)) >= t_lo (piecewise-linear ramp)."""
-
-    u1, u2, u3 = np.sort(up)
-    x = t_lo / 3.0
-    if x <= u1:
-        return x
-    x = (t_lo - u1) / 2.0
-    if x <= u2:
-        return x
-    x = t_lo - u1 - u2
-    if x <= u3:
-        return x
-    return math.inf
-
-
-def _min_window(lo: np.ndarray, up: np.ndarray, t_lo: float, t_hi: float) -> float:
-    """Smallest spread max(x) - min(x) over x in the box [lo, up] with
-    sum(x) in [t_lo, t_hi]; a lower bound for any discrete completion."""
-
-    lmax, umin = float(lo.max()), float(up.min())
-    a_cap = min(umin, _largest_anchor(lo, t_hi))
-    a_floor = _smallest_reach(up, t_lo)
-
-    def feasible(w: float) -> bool:
-        # The window [a, a+w] must overlap every [lo_i, up_i] (a in
-        # [lmax - w, umin]) while the clipped box's sum range, monotone in a,
-        # still meets [t_lo, t_hi]: a <= a_cap and a + w >= a_floor.
-        return max(lmax - w, a_floor - w) <= a_cap + 1e-15
-
-    hi_w = float(up.max() - lo.min())
-    if feasible(0.0):
-        return 0.0
-    if not feasible(hi_w):
-        return 0.0  # inconsistent inputs; fall back to a trivial bound
-    wa, wb = 0.0, hi_w
-    for _ in range(60):
-        mid = 0.5 * (wa + wb)
-        if feasible(mid):
-            wb = mid
-        else:
-            wa = mid
-    return wa  # infeasible side: a certified lower bound on the true spread
+    (sv1, _), (sv2, _) = kernel.halves
+    s_dt = ((kernel.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
+    pi = _score(kernel.limits, s_dt, ()).pi
+    return pi, np.argsort(pi, kind="stable")
 
 
 def _bnb_choices(
@@ -305,64 +263,22 @@ def _bnb_choices(
             f"{kernel.method!r} must use exhaustive or local search"
         )
     mm = kernel.n_movable
-    ds = kernel.ds_choice  # (mm, 3) complex: value landing on the chosen phase
-    s_base = kernel.s_base
-
-    # Suffix envelopes over the still-free customers, per transformer phase.
-    def suffix(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        lo_phase = np.zeros((mm + 1, 3))
-        hi_phase = np.zeros((mm + 1, 3))
-        lo_sum = np.zeros(mm + 1)
-        hi_sum = np.zeros(mm + 1)
-        for d in range(mm - 1, -1, -1):
-            lo_phase[d] = lo_phase[d + 1] + np.minimum(0.0, parts[d])
-            hi_phase[d] = hi_phase[d + 1] + np.maximum(0.0, parts[d])
-            lo_sum[d] = lo_sum[d + 1] + parts[d].min()
-            hi_sum[d] = hi_sum[d + 1] + parts[d].max()
-        return lo_phase, hi_phase, lo_sum, hi_sum
-
-    p_lo, p_hi, p_slo, p_shi = suffix(ds.real)
-    q_lo, q_hi, q_slo, q_shi = suffix(ds.imag)
-
-    best_f = math.inf
-    best = np.zeros(mm, dtype=np.int64)
-    nodes = leaves = pruned = 0
-    path = np.zeros(mm, dtype=np.int64)
-
-    def bound(depth: int, s_part: np.ndarray) -> float:
-        wp = _min_window(
-            s_part.real + p_lo[depth], s_part.real + p_hi[depth],
-            float(s_part.real.sum() + p_slo[depth]),
-            float(s_part.real.sum() + p_shi[depth]),
-        )
-        wq = _min_window(
-            s_part.imag + q_lo[depth], s_part.imag + q_hi[depth],
-            float(s_part.imag.sum() + q_slo[depth]),
-            float(s_part.imag.sum() + q_shi[depth]),
-        )
-        return max(wp, wq)  # slack is bounded below by zero
-
-    def dfs(depth: int, s_part: np.ndarray) -> None:
-        nonlocal best_f, nodes, leaves, pruned
-        nodes += 1
-        if depth == mm:
-            leaves += 1
-            f = float(kernel.score(path[None, :]).objective[0])
-            if f < best_f:
-                best_f = f
-                best[:] = path
-            return
-        if bound(depth, s_part) > best_f + _BOUND_MARGIN * (1.0 + abs(best_f)):
-            pruned += 1
-            return
-        for p in range(3):
-            path[depth] = p
-            contrib = np.zeros(3, dtype=complex)
-            contrib[p] = ds[depth, p]
-            dfs(depth + 1, s_part + contrib)
-
-    dfs(0, s_base.astype(complex))
-    return best, leaves, {"nodes": float(nodes), "pruned": float(pruned)}
+    total = _enumerated(mm, options)
+    pi, order = _pi_order(kernel)
+    best_f, best_idx, scored = math.inf, 0, 0
+    for lo in range(0, total, _BLOCK):
+        block = order[lo:lo + _BLOCK]
+        # The objective is pi plus a non-negative slack term, so once the
+        # block's smallest pi exceeds the incumbent nothing left can tie it.
+        if pi[block[0]] > best_f:
+            break
+        objective = kernel.score(_decode(block, mm)).objective
+        scored += len(block)
+        f = float(objective.min())
+        i = int(block[objective == f].min())
+        if f < best_f or (f == best_f and i < best_idx):
+            best_f, best_idx = f, i
+    return _decode(np.array([best_idx]), mm)[0], total, {"scored": float(scored)}
 
 
 def _local_choices(
@@ -451,13 +367,15 @@ def branch_and_bound(
     q_adjust: np.ndarray | None = None,
     options: SearchOptions | None = None,
 ) -> OptimizationOutcome:
-    """Depth-first search with an admissible transformer-spread bound.
+    """Exact search that scores the fields only where the spread bound can win.
 
-    Produces exactly the exhaustive result, including the lexicographic
-    tie-break: nodes expand in phase order, the incumbent only improves
-    strictly, and subtrees are pruned only when their bound proves every
-    leaf strictly worse than the incumbent. Requires a separable model
-    (fixed-voltage or branch-flow)."""
+    Every candidate's transformer spread pi, a lower bound on its
+    objective, is priced from the kernel's half-tables; the fields are then
+    scored in ascending-pi blocks until a block's smallest pi exceeds the
+    incumbent objective. Among equal objectives the smallest flat index
+    wins, so the choice is exactly the exhaustive one. Requires a separable
+    model (fixed-voltage or branch-flow) within the enumeration budget;
+    stats["scored"] counts the field-scored candidates."""
 
     return _verified_search("branch-and-bound", snapshot, method, profile, q_adjust, options)
 
@@ -482,13 +400,13 @@ def local_search(
 
 
 def _strategy(snapshot: CaseSnapshot, method: str, options: SearchOptions) -> str:
-    """The one "auto" rule: exhaustive for a separable model whose candidates
-    fit the enumeration budget, local search otherwise."""
+    """The one "auto" rule: the bound-ordered exact scan for a separable model
+    whose candidates fit the enumeration budget, local search otherwise."""
 
     if options.strategy != "auto":
         return options.strategy
     small = 3**snapshot.n_adjustable <= options.enumeration_budget
-    return "exhaustive" if _KERNELS[method].separable and small else "local"
+    return "branch-and-bound" if _KERNELS[method].separable and small else "local"
 
 
 def _search_once(

@@ -201,10 +201,11 @@ class TestImport:
         assert network.limits.i_dt_max == pytest.approx(2.0)
 
     def test_reactive_follows_power_factor(self, feeder):
-        loads = {
-            row["Name"]: (float(row["kW"]), float(row["PF"]))
-            for row in csv.DictReader((bundled_feeder_dir() / "Loads.csv").open())
-        }
+        with (bundled_feeder_dir() / "Loads.csv").open() as fh:
+            loads = {
+                row["Name"]: (float(row["kW"]), float(row["PF"]))
+                for row in csv.DictReader(fh)
+            }
         demands = feeder.demands
         for k, cust in enumerate(feeder.network.customers):
             kw, pf = loads[cust.name]
@@ -218,7 +219,8 @@ class TestImport:
         return target
 
     def _rewrite(self, path: Path, transform) -> None:
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         path.write_text("\n".join(",".join(r) for r in transform(rows)) + "\n")
 
     def test_missing_table_named(self, broken_dir):
@@ -268,7 +270,8 @@ class TestImport:
             return [[c for c, h in zip(row, rows[0]) if h != name] for row in rows]
 
         # Drop the first load's shape column wholesale.
-        rows = list(csv.reader((broken_dir / "LoadShapes.csv").open()))
+        with (broken_dir / "LoadShapes.csv").open() as fh:
+            rows = list(csv.reader(fh))
         victim = None
         for name in rows[0]:
             if name.startswith("LOAD"):
@@ -456,7 +459,8 @@ class TestNetworkSerialization:
     def test_profiles_csv_shape(self, demands, tmp_path):
         path = tmp_path / "profiles.csv"
         write_profiles_csv(demands, path)
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == demands.n_periods * len(demands.customer_ids)
         first = rows[0]
         assert set(first) == {"period", "customer_id", "p_kw", "q_kvar"}

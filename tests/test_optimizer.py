@@ -4,21 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phasebal.formulations import _combo_table, evaluate_fixv
-from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
+from phasebal.formulations import _combo_table, _make_kernel, evaluate_fixv
+from phasebal.netmodel import DEFAULT_SCENARIO, CaseSnapshot, ScenarioOptions, build_snapshot
 from phasebal.optimizer import (
+    _BLOCK,
+    _CHUNK,
     Algorithm1Options,
     SearchOptions,
+    _decode,
+    _pi_order,
     branch_and_bound,
     exhaustive,
     fixv_algorithm1,
     local_search,
     optimize_pv_q,
 )
-from phasebal.powerflow import PhaseAssignment
+from phasebal.powerflow import PhaseAssignment, solve_utpf
 
-from conftest import two_bus_network
+from conftest import random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 from dataclasses import replace
 
@@ -68,10 +73,33 @@ class TestExhaustive:
         out = exhaustive(snap, method="lbfm")
         assert out.model.objective <= out.initial_model.objective
 
-    def test_budget_guard(self):
+    @pytest.mark.parametrize("search", [exhaustive, branch_and_bound])
+    def test_budget_guard(self, search):
         snap = tiny_snapshot()
         with pytest.raises(ValueError, match="exceed the enumeration budget"):
-            exhaustive(snap, options=SearchOptions(enumeration_budget=8))
+            search(snap, options=SearchOptions(enumeration_budget=8))
+
+
+def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
+    """Loads heavy enough (up to 0.1 pu P, 0.03 pu Q) to put buses into the
+    kernels' cap set; the first switches customers are adjustable, the first
+    idle of them draw nothing (so candidates tie), and each customer may
+    move its reactive power by up to q_band."""
+
+    rng = np.random.default_rng(seed)
+    n = network.n_customers
+    band = rng.uniform(0.0, q_band, n)
+    p, q = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 0.03, n)
+    p[:idle] = q[:idle] = 0.0
+    return CaseSnapshot(
+        network=network,
+        period=0,
+        p_pu=p,
+        q_pu=q,
+        q_lo_pu=-band,
+        q_hi_pu=band,
+        adjustable_idx=tuple(range(switches)),
+    )
 
 
 class TestBranchAndBound:
@@ -79,11 +107,11 @@ class TestBranchAndBound:
     def test_equals_exhaustive_on_randomized_instances(self, network, demands, method):
         rng = np.random.default_rng(20240817)
         cids = [c.cid for c in network.customers]
-        pruned_total = 0
+        scored = candidates = 0
         for trial in range(4):
             period = int(rng.integers(0, demands.p_w.shape[0]))
             switches = tuple(
-                int(c) for c in rng.choice(cids, size=int(rng.integers(4, 6)), replace=False)
+                int(c) for c in rng.choice(cids, size=int(rng.integers(6, 8)), replace=False)
             )
             scenario = ScenarioOptions(
                 pv_customers=DEFAULT_SCENARIO.pv_customers,
@@ -96,9 +124,63 @@ class TestBranchAndBound:
             assert pruned.strategy == "branch-and-bound"
             assert abs(pruned.model.objective - full.model.objective) <= 1e-12
             assert pruned.assignment.phases == full.assignment.phases
-            assert {"nodes", "pruned"} <= set(pruned.stats)
-            pruned_total += pruned.stats["pruned"]
-        assert pruned_total > 0  # the bound actually cuts subtrees
+            assert pruned.candidates == full.candidates
+            scored += pruned.stats["scored"]
+            candidates += pruned.candidates
+        assert scored < candidates  # the bound actually skips field scoring
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        switches=st.integers(1, 8),
+        method=st.sampled_from(["fixv", "lbfm"]),
+        q_band=st.sampled_from([0.0, 0.02]),
+        idle=st.integers(0, 1),
+    )
+    def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, q_band, idle):
+        network = random_radial_network(seed, n_switches=switches)
+        snap = loaded_snapshot(network, seed, switches, q_band, idle)
+        q_adjust = None
+        if q_band:
+            q_adjust = np.random.default_rng(seed + 1).uniform(snap.q_lo_pu, snap.q_hi_pu)
+        full = exhaustive(snap, method=method, q_adjust=q_adjust)
+        pruned = branch_and_bound(snap, method=method, q_adjust=q_adjust)
+        assert pruned.assignment.phases == full.assignment.phases
+        assert pruned.model.objective == full.model.objective
+
+    @pytest.mark.parametrize("method", ["fixv", "lbfm"])
+    def test_equals_exhaustive_with_twelve_switches(self, method):
+        network = random_radial_network(seed=5, n_buses=30, n_switches=12)
+        snap = loaded_snapshot(network, seed=5, switches=12)
+        full = exhaustive(snap, method=method)
+        pruned = branch_and_bound(snap, method=method)
+        assert pruned.assignment.phases == full.assignment.phases
+        assert pruned.model.objective == full.model.objective
+        assert pruned.stats["scored"] < pruned.candidates == 3**12
+
+    @pytest.mark.parametrize("period", [48, 73])
+    @pytest.mark.parametrize("model", ["fixv-flat", "fixv-exact", "lbfm"])
+    def test_pi_ordered_blocks_score_as_index_chunks(self, network, demands, model, period):
+        # The scan's bound and tie-break rely on a candidate pricing the same
+        # in any batch: ascending-pi blocks against the exhaustive chunks.
+        snap = build_snapshot(network, demands, period)
+        profile = None
+        if model == "fixv-exact":
+            profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
+        kernel = _make_kernel(snap, model[:4], profile=profile)
+        mm = kernel.n_movable
+        total = 3**mm
+        chunks = [
+            kernel.score(_decode(np.arange(lo, min(lo + _CHUNK, total)), mm))
+            for lo in range(0, total, _CHUNK)
+        ]
+        pi, order = _pi_order(kernel)
+        blocked = np.empty(total)
+        for lo in range(0, total, _BLOCK):
+            block = order[lo:lo + _BLOCK]
+            blocked[block] = kernel.score(_decode(block, mm)).objective
+        assert blocked.tobytes() == np.concatenate([c.objective for c in chunks]).tobytes()
+        assert pi.tobytes() == np.concatenate([c.pi for c in chunks]).tobytes()
 
     def test_rejects_non_separable_model(self, network, demands):
         snap = build_snapshot(network, demands, 40)
