@@ -221,10 +221,9 @@ def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, dict
 
     # The fixed-voltage model freezes currents at the verified voltages.
     profile = np.asarray(outcome.verified.v) if outcome.method == "fixv" else None
-    before = _model_evaluator(outcome.method, profile)(snapshot, outcome.assignment, None)
     q, final, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, profile=profile)
     block = {
-        "f_before": float(before.objective),
+        "f_before": float(stats["f_start"]),
         "f_after": float(final.objective),
         "rounds": float(stats["rounds"]),
         "evaluations": float(stats["evaluations"]),

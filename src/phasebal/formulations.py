@@ -18,17 +18,21 @@ assignments under any model and verify winners against the exact power
 flow. The private batch kernels score many assignments at once and are the
 workhorses behind enumeration and local search; `_make_kernel` is the one
 lookup from a model name to its kernel class, whose `separable` attribute
-tells search code whether the model's customer effects add up. For any
-batch of model states, a single state included, `_slack_terms` computes
-the limit slacks and `_score` the objective, so the scalar evaluators and
-the kernels price an assignment identically.
+tells search code whether the model's customer effects add up. For PV
+reactive-power tuning, `_line_scorer` prices a batch of values of one
+customer's reactive adjustment, objectives only, through the same field
+equations the scalar evaluator runs (`_fixv_fields`, `_linv_solve`,
+`_lbfm_fields`). For any batch of model states, a single state included,
+`_slack_terms` computes the limit slacks and `_score` the objective, so
+the scalar evaluators, the kernels and the line scorers price a state the
+same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .netmodel import CaseSnapshot, Limits, Network, Phasor3
 from .powerflow import (
     PFSolution,
     PhaseAssignment,
+    _check_band,
     _effective_loads,
     check_assignment,
     feeder_geometry,
@@ -200,6 +205,20 @@ def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _Ba
     return _BatchScore(objective=pi + limits.mb * total, pi=pi, slack_total=total)
 
 
+def _price(
+    limits: Limits,
+    s_dt: np.ndarray,
+    i_dt_mag: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    vneg: np.ndarray,
+    squared: bool = False,
+) -> _BatchScore:
+    """`_score` of a batch of states given by a model's measures (see `_result`)."""
+
+    return _score(limits, s_dt, _slack_terms(limits, lo, hi, np.abs(vneg), i_dt_mag, squared))
+
+
 @dataclass(frozen=True, eq=False)
 class EvaluationResult:
     """One formulation's view of one assignment on one period."""
@@ -238,12 +257,15 @@ def _result(
     lo: np.ndarray,
     hi: np.ndarray,
     vneg: np.ndarray,
-    vm: np.ndarray,
     v: np.ndarray | None,
     meta: Mapping[str, object],
     squared: bool = False,
 ) -> EvaluationResult:
-    """One model's view of one state, priced by `_slack_terms` and `_score`."""
+    """One model's view of one state, priced by `_slack_terms` and `_score`.
+
+    lo and hi are the voltage measures held against the lower and upper
+    limits, and hi is |V| itself, or its square when squared is set.
+    """
 
     terms = tuple(_slack_terms(limits, lo, hi, np.abs(vneg), i_dt_mag, squared))
     score = _score(limits, s_dt, terms)
@@ -254,7 +276,7 @@ def _result(
         slacks=Slacks(*terms, squared_voltage_units=squared),
         objective=float(score.objective),
         s_dt=s_dt,
-        vm=vm,
+        vm=np.sqrt(np.clip(hi, 0.0, None)) if squared else hi,
         vneg=vneg,
         v=v,
         meta=meta,
@@ -286,8 +308,10 @@ def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
 
 
 def _dt_current(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
-    i_dt = np.zeros(3, dtype=complex)
-    np.add.at(i_dt, phases, i_cust)
+    """Per-phase sums (..., 3) of customer values (..., customers), in customer order."""
+
+    i_dt = np.zeros(i_cust.shape[:-1] + (3,), dtype=complex)
+    np.add.at(i_dt.T, phases, i_cust.T)
     return i_dt
 
 
@@ -315,7 +339,7 @@ def evaluate_exact(
     }
     return _result(
         "utpf", solution.cust_phase, snapshot.network.limits, solution.s_dt,
-        np.abs(i_root), lo, vm, vneg, vm, solution.v, meta,
+        np.abs(i_root), lo, vm, vneg, solution.v, meta,
     )
 
 
@@ -347,22 +371,38 @@ def evaluate_fixv(
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    geometry = feeder_geometry(network)
-    v0 = network.v0.values
     profile, profile_kind = _fixv_profile(network, profile)
-
-    s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
-    i_cust = np.conj(s) / np.conj(profile[geometry.cust_bus, phases])
-
-    sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
-    v = v0[None, :] - np.einsum("jmf,j->mf", sel, i_cust)
-    i_dt = _dt_current(phases, i_cust)
-    lo, vm, vneg = _voltage_measures(v)
+    v, i_dt = _fixv_fields(network, phases, _effective_loads(snapshot, q_adjust), profile)
     return _result(
-        "fixv", phases, network.limits, v0 * np.conj(i_dt), np.abs(i_dt),
-        lo, vm, vneg, vm, v, {"profile": profile_kind},
+        "fixv", phases, network.limits, *_phasor_measures(network, v, i_dt), v,
+        {"profile": profile_kind},
     )
+
+
+def _fixv_fields(
+    network: Network, phases: np.ndarray, s: np.ndarray, profile: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-voltage model's equations for loads s (..., customers): the
+    (..., buses, 3) voltages and (..., 3) transformer currents, both affine
+    in every customer's load."""
+
+    i_cust = np.conj(s) / np.conj(profile[feeder_geometry(network).cust_bus, phases])
+    sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
+    v = network.v0.values - np.einsum("jmf,...j->...mf", sel, i_cust)
+    return v, _dt_current(phases, i_cust)
+
+
+def _phasor_measures(
+    network: Network, v: np.ndarray, i_dt: np.ndarray, linearized: bool = False
+) -> tuple[np.ndarray, ...]:
+    """s_dt, |i_dt| and the voltage measures lo, hi and vneg that `_price`
+    reads off a phasor model's voltages and transformer currents; linearized
+    tests the lower bound on the projection onto the nominal phasors (linv)."""
+
+    v0 = network.v0.values
+    lo, vm, vneg = _voltage_measures(v, v0 if linearized else None)
+    return v0 * np.conj(i_dt), np.abs(i_dt), lo, vm, vneg
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,9 +509,9 @@ _LINV_MAX_ITER = 80
 
 
 def _linv_solve(
-    network: Network, s: np.ndarray, phases: np.ndarray
+    network: Network, s: np.ndarray, phases: np.ndarray, v_start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The linearized-inverse state of a (b, customers) batch of phase choices.
+    """The linearized-inverse state of a batch of b (loads, phase choices) rows.
 
     Customer j draws conj(s_j) * g(V_j), affine in its own voltage V_j through
     the fitted surrogate, and V_j depends on the other customers' currents
@@ -483,23 +523,31 @@ def _linv_solve(
     transformer currents and the final fixed-point step; a batch whose step
     does not contract below _LINV_TOL within _LINV_MAX_ITER iterations raises
     FormulationError.
+
+    s is one (customers,) load vector or a (b, customers) batch, phases a
+    (b, customers) batch or one (customers,) row that every load row shares,
+    whose coupling is then gathered once. v_start, the customers' own
+    voltages of a nearby state, starts the fixed point in place of the root
+    voltages. The map is affine, so the start changes only how many
+    iterations the step takes to contract, not whether it does.
     """
 
     fit = _default_fit(network)
-    b, m = phases.shape
+    b, m = np.broadcast_shapes(np.shape(s), np.shape(phases))
     v0 = network.v0.values
     table = _customer_columns(network)
-    rows = 3 * np.arange(m) + phases  # (b, customers): each customer's injection row
+    rows = 3 * np.arange(m) + phases  # each customer's injection row
     cols = 3 * feeder_geometry(network).cust_bus + phases  # and its own (bus, phase) column
-    coupling = table[rows[:, None, :], cols[:, :, None]]  # [b, j, k] = Meet[bus_j, bus_k][p_j, p_k]
+    # coupling[..., j, k] = Meet[bus_j, bus_k][p_j, p_k]
+    coupling = table[rows[..., None, :], cols[..., :, None]]
     cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
-    sconj = np.conj(s)[None, :]
+    sconj = np.conj(s)
     v0c = v0[phases]
 
-    v = v0c
+    v = v0c if v_start is None else v_start
     i_cust = sconj * (cb + ck * v.real + ch * v.imag)
     for _ in range(_LINV_MAX_ITER):
-        v_new = v0c - np.einsum("bjk,bk->bj", coupling, i_cust)
+        v_new = v0c - np.einsum("...jk,...k->...j", coupling, i_cust)
         step = float(np.max(np.abs(v_new - v))) if v.size else 0.0
         v = v_new
         i_cust = sconj * (cb + ck * v.real + ch * v.imag)
@@ -529,15 +577,43 @@ def evaluate_linv(
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    v0 = network.v0.values
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt, step = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
-    lo, vm, vneg = _voltage_measures(v[0], v0)
     meta = {"fit_residual": _default_fit(network).max_residual, "fixed_point_step": step}
-    return _result(
-        "linv", phases, network.limits, v0 * np.conj(i_dt[0]), np.abs(i_dt[0]),
-        lo, vm, vneg, vm, v[0], meta,
-    )
+    measures = _phasor_measures(network, v[0], i_dt[0], linearized=True)
+    return _result("linv", phases, network.limits, *measures, v[0], meta)
+
+
+# A line scorer: line(q, c) gives g, which maps a batch of values t of
+# customer c's reactive adjustment, every other customer held at q, to the
+# model's objectives there.
+_Line = Callable[[np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
+
+
+def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray) -> _Line:
+    """`_line_scorer` for linv: each batch of points is one `_linv_solve` over
+    per-point loads that share the assignment's phase row, started from the
+    customer voltages the previous batch solved."""
+
+    network = snapshot.network
+    cust_bus = feeder_geometry(network).cust_bus
+    warm = None
+
+    def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
+        s0 = _effective_loads(snapshot, q)
+
+        def g(t: np.ndarray) -> np.ndarray:
+            nonlocal warm
+            _check_band(snapshot, t, c)
+            s = np.repeat(s0[None, :], len(t), axis=0)
+            s[:, c] = snapshot.s_pu[c] + 1j * t  # as `_effective_loads` adds it
+            v, i_dt, _ = _linv_solve(network, s, phases, warm)
+            warm = v[-1, cust_bus, phases]
+            return _price(network.limits, *_phasor_measures(network, v, i_dt, True)).objective
+
+        return g
+
+    return line
 
 
 def evaluate_lbfm(
@@ -556,27 +632,101 @@ def evaluate_lbfm(
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    v0 = network.v0.values
-
-    s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
+    fields = _lbfm_fields(network, phases, _effective_loads(snapshot, q_adjust))
+    return _result(
+        "lbfm", phases, network.limits, *_lbfm_measures(network, *fields), None,
+        {"voltage_units": "squared"}, squared=True,
+    )
+
+
+def _lbfm_fields(
+    network: Network, phases: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The branch-flow model's equations for loads s (..., customers): the
+    (..., buses, 3) squared magnitudes, the (..., buses) unbalance surrogate
+    and the (..., 3) transformer power, all affine in every customer's load."""
+
+    v0 = network.v0.values
     sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
 
     beta_sel = BETA[:, phases].T  # (customers, 3): ratio toward each observed phase
-    ddiag = 2.0 * np.real(beta_sel[:, None, :] * s[:, None, None] * np.conj(sel))
-    diag = np.abs(v0) ** 2 - ddiag.sum(axis=0)  # (buses, 3)
+    ddiag = 2.0 * np.real(beta_sel[:, None, :] * s[..., :, None, None] * np.conj(sel))
+    diag = np.abs(v0) ** 2 - ddiag.sum(axis=-3)
 
     vneg0 = complex(_NEG_ROW @ v0) / 3.0
     i_nom = np.conj(s) / np.conj(v0[phases])
-    vneg = vneg0 - np.einsum("j,jm->m", i_nom / 3.0, sel @ _NEG_ROW)
+    vneg = vneg0 - np.einsum("...j,jm->...m", i_nom / 3.0, sel @ _NEG_ROW)
+    return diag, vneg, _dt_current(phases, s)
 
-    s_dt = np.zeros(3, dtype=complex)
-    np.add.at(s_dt, phases, s)
-    return _result(
-        "lbfm", phases, network.limits, s_dt, np.abs(s_dt) / np.abs(v0),
-        diag, diag, vneg, np.sqrt(np.clip(diag, 0.0, None)), None,
-        {"voltage_units": "squared"}, squared=True,
-    )
+
+def _lbfm_measures(
+    network: Network, diag: np.ndarray, vneg: np.ndarray, s_dt: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """s_dt, the |S|/|V0| current surrogate, and diag as both voltage measures."""
+
+    return s_dt, np.abs(s_dt) / np.abs(network.v0.values), diag, diag, vneg
+
+
+def _affine_line(
+    snapshot: CaseSnapshot,
+    fields: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    measures: Callable[..., tuple[np.ndarray, ...]],
+    squared: bool = False,
+) -> _Line:
+    """`_line_scorer` for a model whose fields are affine in each customer's load.
+
+    fields maps (..., customers) loads to the model's field arrays, and
+    measures maps those to what `_price` reads. Per coordinate, the fields
+    are built at q and one unit of reactive load further on customer c; each
+    point then moves the base fields along that direction.
+    """
+
+    network = snapshot.network
+
+    def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
+        q_c = float(q[c])
+        rows = np.repeat(_effective_loads(snapshot, q)[None, :], 2, axis=0)
+        rows[1, c] += 1j
+        base, unit = zip(*((f[0], f[1] - f[0]) for f in fields(rows)))
+
+        def g(t: np.ndarray) -> np.ndarray:
+            _check_band(snapshot, t, c)
+            step = t - q_c
+            moved = (b + step.reshape((-1,) + (1,) * b.ndim) * u for b, u in zip(base, unit))
+            return _price(network.limits, *measures(network, *moved), squared).objective
+
+        return g
+
+    return line
+
+
+def _line_scorer(
+    snapshot: CaseSnapshot,
+    assignment: PhaseAssignment,
+    method: str,
+    profile: np.ndarray | None = None,
+) -> _Line:
+    """The line scorer of method's model for one assignment (see `_Line`).
+
+    Its objectives are the scalar evaluator's, through the same field
+    equations and `_price`, to rounding; a t outside customer c's band
+    raises ValueError, as the scalar evaluators do. Only fixv reads profile.
+    """
+
+    check_assignment(snapshot, assignment)
+    network = snapshot.network
+    phases = np.asarray(assignment.phases, dtype=int)
+    if method == "fixv":
+        profile, _ = _fixv_profile(network, profile)
+        fields = partial(_fixv_fields, network, phases, profile=profile)
+        return _affine_line(snapshot, fields, _phasor_measures)
+    if method == "lbfm":
+        fields = partial(_lbfm_fields, network, phases)
+        return _affine_line(snapshot, fields, _lbfm_measures, squared=True)
+    if method == "linv":
+        return _linv_line(snapshot, phases)
+    raise ValueError(f"unknown formulation {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -819,12 +969,7 @@ class _LinvKernel(_Kernel):
 
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
         v, i_dt, _ = _linv_solve(self.network, self.s, phases)
-        lo, vm, vneg = _voltage_measures(v, self.v0)
-        return _score(
-            self.limits,
-            self.v0[None, :] * np.conj(i_dt),
-            _slack_terms(self.limits, lo, vm, np.abs(vneg), np.abs(i_dt)),
-        )
+        return _price(self.limits, *_phasor_measures(self.network, v, i_dt, linearized=True))
 
 
 # The one lookup from a model name to its batch kernel.

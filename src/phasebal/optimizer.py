@@ -6,7 +6,11 @@ bounds each objective from below (branch-and-bound, separable models only),
 and seeded best-improvement local search. On top of those, an iterated
 fixed-voltage refinement re-solves the discrete problem while updating the
 frozen voltage profile, and a cyclic coordinate descent tunes continuous
-reactive adjustments after the discrete search.
+reactive adjustments after the discrete search. The descent prices each
+coordinate's points in batches through the model's line scorer
+(`formulations._line_scorer`), objectives only, and the scalar evaluator
+only at its start and end; an end the scalar model ranks above the start
+is dropped for the start.
 
 `_model_evaluator` is the one lookup from a model name to its scalar
 evaluator, and `_strategy` holds the one "auto" rule: branch-and-bound for
@@ -31,6 +35,7 @@ from .formulations import (
     _KERNELS,
     EvaluationResult,
     _Kernel,
+    _line_scorer,
     _make_kernel,
     _score,
     evaluate_exact,
@@ -447,7 +452,9 @@ def fixv_algorithm1(
     initial assignment. A pass keeps its choice only if
     the model at that pass's profile ranks it no worse than the initial
     assignment, and seeds the next pass's local search with it; only the
-    final choice is verified against the exact power flow.
+    final choice is verified against the exact power flow. The search
+    passes' own statistics (the bound-ordered scan's "scored", local
+    search's "starts") are summed into stats.
 
     Near-tied assignments can re-rank under the profile updates and trap
     the loop in a limit cycle (convergence of the iteration has no
@@ -481,6 +488,7 @@ def fixv_algorithm1(
     current: PhaseAssignment | None = None
     pinned_outer = 0
     decide_profile = profile
+    search_stats: dict[str, float] = {}
 
     while delta > alg.eps_v and outer < alg.max_outer:
         outer += 1
@@ -488,8 +496,10 @@ def fixv_algorithm1(
             decide_profile = profile
             kernel = _make_kernel(snapshot, "fixv", profile=profile, q_adjust=q_adjust)
             search_fn = _SEARCHES[_strategy(snapshot, "fixv", opt)]
-            best, count, _ = search_fn(kernel, opt, extra_starts)
+            best, count, pass_stats = search_fn(kernel, opt, extra_starts)
             candidates += count
+            for key, value in pass_stats.items():
+                search_stats[key] = search_stats.get(key, 0.0) + value
             current, model, _, _ = _no_worse(
                 snapshot, "fixv", kernel.assignment(best), profile, q_adjust
             )
@@ -523,6 +533,7 @@ def fixv_algorithm1(
             "outer": float(outer),
             "delta_v": float(delta),
             "pinned_outer": float(pinned_outer),
+            **search_stats,
         },
         decide_profile,
         q_adjust,
@@ -532,7 +543,7 @@ def fixv_algorithm1(
 
 
 def _minimize_1d(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     t0: float,
@@ -540,16 +551,19 @@ def _minimize_1d(
     coarse: int = 13,
     max_evals: int = 64,
 ) -> tuple[float, float, int]:
-    """Coarse scan plus golden-section refinement; never worse than (t0, f0)."""
+    """Coarse scan plus golden-section refinement; never worse than (t0, f0).
+
+    g maps an array of points to their objectives. The coarse scan is one
+    call and the first golden pair another; each golden step after them
+    depends on the last and scores one point.
+    """
 
     points = np.unique(np.concatenate([np.linspace(lo, hi, coarse), [0.0, t0]]))
     points = points[(points >= lo) & (points <= hi)]
-    values = []
-    evals = 0
-    for t in points:
-        values.append(f0 if t == t0 else g(float(t)))
-        evals += 1 if t != t0 else 0
-    values = np.asarray(values)
+    new = points != t0
+    values = np.full(len(points), f0)
+    values[new] = g(points[new])
+    evals = int(new.sum())
     k = int(np.argmin(values))
     best_t, best_f = float(points[k]), float(values[k])
 
@@ -558,17 +572,17 @@ def _minimize_1d(
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = g(c), g(d)
+    fc, fd = (float(f) for f in g(np.array([c, d])))
     evals += 2
     while evals < max_evals and (b - a) > 1e-10 * max(1.0, hi - lo):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = g(c)
+            fc = float(g(np.array([c]))[0])
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = g(d)
+            fd = float(g(np.array([d]))[0])
         evals += 1
     for t, f in ((c, fc), (d, fd)):
         if f < best_f:
@@ -591,31 +605,35 @@ def optimize_pv_q(
 
     Customers with a non-degenerate reactive band are visited in ascending
     position; each coordinate is minimized over its band by a coarse scan
-    plus golden-section refinement under the chosen model. The objective
-    never increases; rounds stop once a full sweep improves by less than
-    sweep_tol."""
+    plus golden-section refinement under the chosen model. The points of a
+    coordinate are priced by the model's line scorer (`_line_scorer`),
+    which returns objectives only and scores the coarse scan as one batch;
+    the scalar evaluator prices only the start and the final state. Rounds
+    stop once a full sweep improves by less than sweep_tol. Line objectives
+    match the scalar ones to rounding only, so a final state the scalar
+    model ranks above the start is dropped for the start: the objective
+    never increases. stats["f_start"] is the start's scalar objective and
+    stats["evaluations"] counts the start and every point scored."""
 
     evaluator = _model_evaluator(method, profile)
+    line = _line_scorer(snapshot, assignment, method, profile)
     q = np.zeros(snapshot.network.n_customers) if q_start is None else np.array(q_start, dtype=float)
     free = [
         int(c)
         for c in range(snapshot.network.n_customers)
         if snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c] > 0.0
     ]
-    f_cur = evaluator(snapshot, assignment, q).objective
+    start_q = q.copy()
+    start = evaluator(snapshot, assignment, q)
+    f_cur = start.objective
     total_evals = 1
     rounds = 0
     for _ in range(max_rounds):
         rounds += 1
         f_round = f_cur
         for c in free:
-            def g(t: float) -> float:
-                trial = q.copy()
-                trial[c] = t
-                return evaluator(snapshot, assignment, trial).objective
-
             t_best, f_best, used = _minimize_1d(
-                g, float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c]),
+                line(q, c), float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c]),
                 float(q[c]), f_cur,
             )
             total_evals += used
@@ -625,4 +643,7 @@ def optimize_pv_q(
         if f_round - f_cur < sweep_tol:
             break
     final = evaluator(snapshot, assignment, q)
-    return q, final, {"evaluations": float(total_evals), "rounds": float(rounds)}
+    if final.objective > start.objective:
+        q, final = start_q, start
+    stats = {"evaluations": float(total_evals), "rounds": float(rounds), "f_start": start.objective}
+    return q, final, stats

@@ -109,10 +109,19 @@ def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.
         dq = np.asarray(q_adjust, dtype=float)
         if dq.shape != s.shape:
             raise ValueError("q_adjust must have one entry per customer")
-        if np.any(dq < snapshot.q_lo_pu - 1e-12) or np.any(dq > snapshot.q_hi_pu + 1e-12):
-            raise ValueError("q_adjust outside the snapshot's reactive bounds")
+        _check_band(snapshot, dq)
         s = s + 1j * dq
     return s
+
+
+def _check_band(
+    snapshot: CaseSnapshot, dq: np.ndarray, customers: int | slice = slice(None)
+) -> None:
+    """Raise unless the reactive adjustments dq of customers lie in their bands."""
+
+    lo, hi = snapshot.q_lo_pu[customers], snapshot.q_hi_pu[customers]
+    if np.any(dq < lo - 1e-12) or np.any(dq > hi + 1e-12):
+        raise ValueError("q_adjust outside the snapshot's reactive bounds")
 
 
 @dataclass(frozen=True, eq=False)

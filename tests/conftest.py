@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phasebal.netmodel import (
+    CaseSnapshot,
     Customer,
     Limits,
     Line,
@@ -88,6 +89,28 @@ def random_radial_network(
         v0=make_v0(),
         limits=Limits(),
         bases=PerUnitBases(),
+    )
+
+
+def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
+    """Loads heavy enough (up to 0.1 pu P, 0.03 pu Q) to put buses into the
+    kernels' cap set; the first switches customers are adjustable, the first
+    idle of them draw nothing (so candidates tie), and each customer may
+    move its reactive power by up to q_band."""
+
+    rng = np.random.default_rng(seed)
+    n = network.n_customers
+    band = rng.uniform(0.0, q_band, n)
+    p, q = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 0.03, n)
+    p[:idle] = q[:idle] = 0.0
+    return CaseSnapshot(
+        network=network,
+        period=0,
+        p_pu=p,
+        q_pu=q,
+        q_lo_pu=-band,
+        q_hi_pu=band,
+        adjustable_idx=tuple(range(switches)),
     )
 
 

@@ -92,6 +92,14 @@ def test_reported_states_match_a_fresh_solve(counted_sweep, network, demands):
             assert view["balance_residual"] == exact.meta["balance_residual"]
 
 
+@pytest.mark.parametrize("method", ["fixv-mc", "fixv-mw"])
+def test_iterated_outcomes_count_the_field_scored_candidates(counted_sweep, method):
+    out, _ = counted_sweep
+    doc = json.loads(cli.outcome_path(out, PERIOD, method).read_text())
+    assert doc["strategy"].startswith("algorithm1")
+    assert 0 < doc["stats"]["scored"] <= doc["candidates"]
+
+
 def test_verify_regenerates_reports_byte_identically(counted_sweep):
     out, _ = counted_sweep
     before = {name: (out / name).read_bytes() for name in REPORTS}

@@ -13,6 +13,7 @@ from phasebal.formulations import (
     Slacks,
     _SeparableKernel,
     _combo_table,
+    _line_scorer,
     _make_kernel,
     _score,
     _slack_terms,
@@ -28,7 +29,7 @@ from phasebal.formulations import (
 from phasebal.netmodel import DEFAULT_SCENARIO, Limits, build_snapshot
 from phasebal.powerflow import PhaseAssignment, feeder_geometry, solve_utpf
 
-from conftest import make_v0, random_radial_network, two_bus_network
+from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 
 CHI = np.exp(-2j * np.pi / 3.0)
@@ -328,6 +329,81 @@ class TestBranchFlowModel:
         assert out.slacks.total() == 0.0
         assert np.allclose(out.vm, np.abs(network.v0.values)[None, :])
         assert np.max(np.abs(out.vneg)) <= 1e-14
+
+
+class TestLineScorer:
+    """Objectives along one customer's reactive adjustment equal the scalar
+    evaluator's at every point, band edges included."""
+
+    @staticmethod
+    def _assert_matches_scalar(snap, asg, method, profile=None, seed=0):
+        evaluate = {
+            "fixv": lambda q: evaluate_fixv(snap, asg, profile=profile, q_adjust=q),
+            "linv": lambda q: evaluate_linv(snap, asg, q_adjust=q),
+            "lbfm": lambda q: evaluate_lbfm(snap, asg, q_adjust=q),
+        }[method]
+        # linv's line starts each fixed point from the last solved voltages
+        # and the scalar evaluator from the root's; both stop once a step is
+        # below 1e-12, so they agree to about 1e-13 in voltage, which the
+        # big-M slack weight magnifies (up to 3.3e-12 relative seen).
+        tol = 1e-11 if method == "linv" else 1e-12
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
+        line = _line_scorer(snap, asg, method, profile)
+        free = np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)
+        assert len(free) > 0
+        for c in free:
+            lo, hi = snap.q_lo_pu[c], snap.q_hi_pu[c]
+            t = np.concatenate([[lo, hi], rng.uniform(lo, hi, 4)])
+            g = line(q, c)
+            # One batch, then one point per call as the golden steps score them.
+            for got in (g(t), np.concatenate([g(t[k:k + 1]) for k in range(len(t))])):
+                for tk, fk in zip(t, got):
+                    trial = q.copy()
+                    trial[c] = tk
+                    want = evaluate(trial).objective
+                    assert abs(fk - want) <= tol * abs(want)
+
+    @pytest.mark.parametrize("period", [48, 73])
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_matches_scalar_on_bundled_periods(self, network, demands, method, period):
+        scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
+        snap = build_snapshot(network, demands, period, scenario)
+        rng = np.random.default_rng(period)
+        phases = np.array([c.initial_phase for c in network.customers])
+        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=snap.n_adjustable)
+        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        self._assert_matches_scalar(snap, asg, method, seed=period)
+        if method == "fixv":
+            profile = solve_utpf(snap, asg).v
+            self._assert_matches_scalar(snap, asg, method, profile=profile, seed=period)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_matches_scalar_on_random_feeders(self, method, seed):
+        network = random_radial_network(seed, n_switches=4)
+        snap = loaded_snapshot(network, seed, switches=4, q_band=0.02)
+        asg = PhaseAssignment.initial(network)
+        self._assert_matches_scalar(snap, asg, method, seed=seed)
+        if method == "fixv":
+            profile = solve_utpf(snap, asg).v
+            self._assert_matches_scalar(snap, asg, method, profile=profile, seed=seed)
+
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_point_outside_the_band_rejected(self, network, demands, method):
+        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
+        g = _line_scorer(snap, PhaseAssignment.initial(network), method)(
+            np.zeros(network.n_customers), c
+        )
+        for t in (snap.q_lo_pu[c] - 1e-9, snap.q_hi_pu[c] + 1e-9):
+            with pytest.raises(ValueError, match="reactive bounds"):
+                g(np.array([0.0, t]))
+
+    def test_unknown_method_rejected(self, network, demands):
+        snap = build_snapshot(network, demands, 73)
+        with pytest.raises(ValueError, match="unknown formulation"):
+            _line_scorer(snap, PhaseAssignment.initial(network), "utpf")
 
 
 def unmerged_score(kernel, s_on, effects, no_load, choices):

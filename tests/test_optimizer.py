@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasebal import optimizer
 from phasebal.formulations import _combo_table, _make_kernel, evaluate_fixv
-from phasebal.netmodel import DEFAULT_SCENARIO, CaseSnapshot, ScenarioOptions, build_snapshot
+from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
     Algorithm1Options,
     SearchOptions,
     _decode,
+    _model_evaluator,
     _pi_order,
     branch_and_bound,
     exhaustive,
@@ -23,7 +25,7 @@ from phasebal.optimizer import (
 )
 from phasebal.powerflow import PhaseAssignment, solve_utpf
 
-from conftest import random_radial_network, two_bus_network
+from conftest import loaded_snapshot, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 from dataclasses import replace
 
@@ -78,28 +80,6 @@ class TestExhaustive:
         snap = tiny_snapshot()
         with pytest.raises(ValueError, match="exceed the enumeration budget"):
             search(snap, options=SearchOptions(enumeration_budget=8))
-
-
-def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
-    """Loads heavy enough (up to 0.1 pu P, 0.03 pu Q) to put buses into the
-    kernels' cap set; the first switches customers are adjustable, the first
-    idle of them draw nothing (so candidates tie), and each customer may
-    move its reactive power by up to q_band."""
-
-    rng = np.random.default_rng(seed)
-    n = network.n_customers
-    band = rng.uniform(0.0, q_band, n)
-    p, q = rng.uniform(0.0, 0.1, n), rng.uniform(0.0, 0.03, n)
-    p[:idle] = q[:idle] = 0.0
-    return CaseSnapshot(
-        network=network,
-        period=0,
-        p_pu=p,
-        q_pu=q,
-        q_lo_pu=-band,
-        q_hi_pu=band,
-        adjustable_idx=tuple(range(switches)),
-    )
 
 
 class TestBranchAndBound:
@@ -276,7 +256,7 @@ class TestReactiveDispatch:
         q, final, stats = optimize_pv_q(snap, asg)
         assert np.array_equal(q, np.zeros(network.n_customers))
         assert final.objective == start.objective
-        assert stats == {"evaluations": 1.0, "rounds": 1.0}
+        assert stats == {"evaluations": 1.0, "rounds": 1.0, "f_start": start.objective}
 
     def test_descends_within_bounds(self, network, demands):
         scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
@@ -289,6 +269,37 @@ class TestReactiveDispatch:
         assert np.all(q <= snap.q_hi_pu + 1e-12)
         assert np.any(q != 0.0)  # PV noon period leaves room to act
         assert stats["rounds"] <= 4
+
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_end_state_above_the_start_is_dropped(self, network, demands, method, monkeypatch):
+        # Line scores turned upside down walk the descent uphill; the scalar
+        # model then ranks the end state above the start, which is kept.
+        line_scorer = optimizer._line_scorer
+
+        def uphill(*args):
+            line = line_scorer(*args)
+            return lambda q, c: (lambda t: -line(q, c)(t))
+
+        monkeypatch.setattr(optimizer, "_line_scorer", uphill)
+        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        asg = PhaseAssignment.initial(network)
+        start = _model_evaluator(method)(snap, asg, None)
+        q, final, stats = optimize_pv_q(snap, asg, method, max_rounds=1)
+        assert np.array_equal(q, np.zeros(network.n_customers))
+        assert final.objective == start.objective == stats["f_start"]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), method=st.sampled_from(["fixv", "linv", "lbfm"]))
+    def test_never_raises_the_objective_on_random_feeders(self, seed, method):
+        network = random_radial_network(seed, n_buses=16, n_customers=8, n_switches=3)
+        snap = loaded_snapshot(network, seed, switches=3, q_band=0.02)
+        moved = np.random.default_rng(seed).integers(0, 3, size=3)
+        asg = PhaseAssignment.initial(network).with_phases([0, 1, 2], moved)
+        start = _model_evaluator(method)(snap, asg, None)
+        q, final, stats = optimize_pv_q(snap, asg, method, max_rounds=3)
+        assert stats["f_start"] == start.objective
+        assert final.objective <= start.objective
+        assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
 
     def test_monotone_across_round_budgets(self, network, demands):
         scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
