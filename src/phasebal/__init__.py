@@ -22,7 +22,6 @@ from .netmodel import (
     build_snapshot,
     import_european_feeder,
     load_bundled_feeder,
-    resample_profiles,
     validate_radial,
 )
 from .powerflow import PFSolution, PhaseAssignment, power_balance_residual, solve_utpf
@@ -30,19 +29,16 @@ from .formulations import (
     AffineFit,
     EvaluationResult,
     Slacks,
-    dt_unbalance,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
     evaluate_linv,
     fit_inverse_voltage,
-    negative_sequence,
 )
 from .cli import SweepConfig, SweepReport, run_sweep, verify_accuracy, write_report_files
 from .optimizer import (
     Algorithm1Options,
     OptimizationOutcome,
-    SearchOptions,
     branch_and_bound,
     exhaustive,
     fixv_algorithm1,
@@ -65,12 +61,10 @@ __all__ = [
     "Phasor3",
     "ScenarioOptions",
     "Slacks",
-    "SearchOptions",
     "SweepConfig",
     "SweepReport",
     "branch_and_bound",
     "build_snapshot",
-    "dt_unbalance",
     "evaluate_exact",
     "evaluate_fixv",
     "evaluate_lbfm",
@@ -81,10 +75,8 @@ __all__ = [
     "import_european_feeder",
     "load_bundled_feeder",
     "local_search",
-    "negative_sequence",
     "optimize_pv_q",
     "power_balance_residual",
-    "resample_profiles",
     "run_sweep",
     "solve_utpf",
     "validate_radial",

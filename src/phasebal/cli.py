@@ -48,10 +48,8 @@ from .netmodel import (
     write_profiles_csv,
 )
 from .optimizer import (
-    _SEARCHES,
     Algorithm1Options,
     OptimizationOutcome,
-    SearchOptions,
     _model_evaluator,
     _search_once,
     fixv_algorithm1,
@@ -63,7 +61,6 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-SEARCHES = ("auto", *_SEARCHES)
 OUTCOME_SCHEMA = "phasebal.outcome.v1"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256
@@ -144,7 +141,6 @@ class CellSpec:
 
     period: int
     method: str
-    search: str = "auto"
     outer: int | None = None  # discrete-solve budget for the iterated methods
     eps_v: float = 1e-4
     pv_control: bool = False
@@ -172,13 +168,13 @@ def _cell_seed(base: int, period: int) -> int:
 
 
 def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
-    search = SearchOptions(strategy=spec.search, seed=_cell_seed(spec.seed, spec.period))
+    seed = _cell_seed(spec.seed, spec.period)
     if spec.method in ("fixv-mc", "fixv-mw"):
         warm = spec.method == "fixv-mw"
         outer = spec.outer if spec.outer is not None else (1 if warm else 3)
         algorithm = Algorithm1Options(max_outer=outer, eps_v=spec.eps_v, warm_start=warm)
-        return fixv_algorithm1(snapshot, algorithm, search)
-    return _search_once(snapshot, spec.method, search)
+        return fixv_algorithm1(snapshot, algorithm, seed=seed)
+    return _search_once(snapshot, spec.method, seed)
 
 
 def _eval_view(result: EvaluationResult) -> dict[str, object]:
@@ -680,7 +676,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     spec = CellSpec(
         period=args.period,
         method=args.method,
-        search=args.search,
         outer=args.K,
         eps_v=args.eps_v,
         pv_control=args.pv_q == "on",
@@ -734,8 +729,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.methods is not None:
         raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.periods is not None:
-        start, _, stop = args.periods.partition(":")
-        raw["periods"] = (int(start), int(stop))
+        raw["periods"] = args.periods
     if args.pv_control is not None:
         raw["pv_control"] = args.pv_control == "on"
     if args.out_dir is not None:
@@ -766,6 +760,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{report.failures} rows FAILED")
         return 1
     return 0
+
+
+def _period_range(text: str) -> tuple[int, int]:
+    """The half-open range of a --periods value written start:stop."""
+
+    try:
+        start, stop = (int(bound) for bound in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop with integer bounds, got {text!r}"
+        ) from None
+    return start, stop
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -799,7 +805,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--method", choices=("linv", "lbfm", "fixv-mc", "fixv-mw"), required=True
     )
-    p_opt.add_argument("--search", choices=SEARCHES, default="auto")
     p_opt.add_argument("--K", type=int, default=None, help="outer discrete-solve budget")
     p_opt.add_argument("--eps-v", type=float, default=1e-4)
     p_opt.add_argument("--pv-q", choices=("on", "off"), default="off")
@@ -811,7 +816,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", default=None, help="JSON config file")
     p_sweep.add_argument("--scenario", default=None)
     p_sweep.add_argument("--methods", default=None, help="comma-separated method list")
-    p_sweep.add_argument("--periods", default=None, help="half-open range start:stop")
+    p_sweep.add_argument(
+        "--periods", type=_period_range, default=None, help="half-open range start:stop"
+    )
     p_sweep.add_argument("--pv-control", choices=("on", "off"), default=None)
     p_sweep.add_argument("--out-dir", default=None)
     p_sweep.add_argument("--parallelism", type=int, default=None)

@@ -60,40 +60,16 @@ __all__ = [
     "FormulationError",
     "Limits",
     "Slacks",
-    "dt_unbalance",
     "evaluate_exact",
     "evaluate_fixv",
     "evaluate_lbfm",
     "evaluate_linv",
     "fit_inverse_voltage",
-    "negative_sequence",
 ]
 
 
 class FormulationError(RuntimeError):
     """A formulation could not be evaluated on the given case."""
-
-
-def negative_sequence(v: np.ndarray) -> np.ndarray | complex:
-    """Negative-sequence component (V_a + chi*V_b + chi^2*V_c) / 3.
-
-    Accepts any (..., 3) complex array; returns a scalar for a single phasor.
-    """
-
-    arr = np.asarray(getattr(v, "values", v), dtype=complex)
-    if arr.shape[-1] != 3:
-        raise ValueError("phase values must lie along a final axis of size 3")
-    out = arr @ (_NEG_ROW / 3.0)
-    return complex(out) if out.ndim == 0 else out
-
-
-def dt_unbalance(s_dt: np.ndarray) -> float:
-    """Largest pairwise gap among per-phase P and among per-phase Q."""
-
-    s = np.asarray(s_dt, dtype=complex)
-    if s.shape != (3,):
-        raise ValueError("expected the three per-phase transformer powers")
-    return float(max(np.ptp(s.real), np.ptp(s.imag)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,18 +427,16 @@ class AffineFit:
         return self.cb[phase] + self.ck[phase] * varr.real + self.ch[phase] * varr.imag
 
 
-def fit_inverse_voltage(
-    v0: Phasor3 | np.ndarray,
-    limits: Limits,
-    n_mag: int = 20,
-    n_ang: int = 20,
-    n_validation: int = 50,
-) -> AffineFit:
+_FIT_GRID = 20  # magnitudes and angles of the least-squares grid
+_FIT_CHECK = 50  # magnitudes and angles of the validation grid
+
+
+def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
     """Least-squares affine fit of 1/conj(V) per phase.
 
     The window spans the voltage-magnitude limits and the angle halfwidth
     around each phase's nominal direction; the fit minimizes the squared
-    complex error on an n_mag x n_ang grid.
+    complex error on a _FIT_GRID x _FIT_GRID grid.
     """
 
     v0arr = np.asarray(getattr(v0, "values", v0), dtype=complex)
@@ -477,7 +451,7 @@ def fit_inverse_voltage(
             angs = np.linspace(center - delta, center + delta, na)
             return (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
 
-        v = window(n_mag, n_ang)
+        v = window(_FIT_GRID, _FIT_GRID)
         target = 1.0 / np.conj(v)
         design = np.column_stack([np.ones(v.size), v.real, v.imag])
         re_c, *_ = np.linalg.lstsq(design, target.real, rcond=None)
@@ -485,7 +459,7 @@ def fit_inverse_voltage(
         coef["bx"][phi], coef["kx"][phi], coef["ky"][phi] = re_c
         coef["by"][phi], coef["hx"][phi], coef["hy"][phi] = im_c
 
-        check = window(n_validation, n_validation)
+        check = window(_FIT_CHECK, _FIT_CHECK)
         approx = (re_c[0] + re_c[1] * check.real + re_c[2] * check.imag) + 1j * (
             im_c[0] + im_c[1] * check.real + im_c[2] * check.imag
         )
@@ -738,13 +712,14 @@ def _line_scorer(
 # non-adjustable customers into a base state, and scores a batch through two
 # half-assignment lookup tables, the first of which carries the base. The
 # outer sum of the transformer-power halves (sv1, sv2) prices every
-# candidate's spread pi, which the bound-ordered search ranks by. Slack
-# terms are only evaluated on the buses that could possibly violate a limit
-# under some assignment (triangle bound on the movable customers' total
-# effect); all other buses contribute zero slack for every candidate. Of
-# those cap buses, only one per distinct customer column (the geometry's
-# col_rep) gets a state: buses with no customer below them repeat their
-# parent's column bit for bit, so their slacks are copied, not recomputed.
+# candidate's spread pi (`spreads`), which the bound-ordered search ranks
+# by. Slack terms are only evaluated on the buses that could possibly
+# violate a limit under some assignment (triangle bound on the movable
+# customers' total effect); all other buses contribute zero slack for every
+# candidate. Of those cap buses, only one per distinct customer column (the
+# geometry's col_rep) gets a state: buses with no customer below them
+# repeat their parent's column bit for bit, so their slacks are copied, not
+# recomputed.
 # The linearized-inverse model is not separable; its kernel hands chunks of
 # candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
 # one. Every kernel prices its states through `_score`, as the scalar
@@ -867,6 +842,14 @@ class _SeparableKernel(_Kernel):
             for table, e in zip(tables, effects):
                 table += e[local][pj]
         return sv, tables
+
+    def spreads(self) -> np.ndarray:
+        """Every candidate's spread pi by flat index. The half-tables' outer
+        sum adds up s_dt bit for bit as `score` does."""
+
+        (sv1, _), (sv2, _) = self.halves
+        s_dt = ((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
+        return _score(self.limits, s_dt, ()).pi
 
     def score(self, choices: np.ndarray) -> _BatchScore:
         choices = np.asarray(choices, dtype=np.int64)

@@ -32,10 +32,7 @@ class RadialityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Phasor3:
-    """One complex value per phase a, b, c.
-
-    Carries voltages and currents; X and Y are the real and imaginary parts.
-    """
+    """One complex value per phase a, b, c."""
 
     values: np.ndarray
 
@@ -54,35 +51,6 @@ class Phasor3:
         angs = np.asarray(angles_rad, dtype=float)
         return cls(mags * np.exp(1j * angs))
 
-    @property
-    def a(self) -> complex:
-        return complex(self.values[0])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.values[1])
-
-    @property
-    def c(self) -> complex:
-        return complex(self.values[2])
-
-    @property
-    def X(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.values.imag
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def angles(self) -> np.ndarray:
-        return np.angle(self.values)
-
-    def __getitem__(self, phase: int) -> complex:
-        return complex(self.values[phase])
-
     def __iter__(self):
         return iter(complex(v) for v in self.values)
 
@@ -97,10 +65,6 @@ class PerUnitBases:
     @property
     def phase_power_va(self) -> float:
         return self.power_va / 3.0
-
-    @property
-    def current_a(self) -> float:
-        return self.phase_power_va / self.voltage_v
 
     @property
     def impedance_ohm(self) -> float:
@@ -148,7 +112,6 @@ class Customer:
     name: str
     bus: int
     initial_phase: int  # 0, 1, 2 for a, b, c
-    adjustable: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,7 +255,6 @@ class ImportReport:
     n_lines: int
     n_customers: int
     n_periods: int
-    source_dir: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +388,6 @@ def import_european_feeder(
         n_lines=len(lines),
         n_customers=len(customers),
         n_periods=demands.n_periods,
-        source_dir=str(directory),
     )
     return FeederImport(network=network, demands=demands, report=report)
 
@@ -481,31 +442,6 @@ def validate_radial(network: "Network") -> TopologyReport:
         raise RadialityError(f"buses not connected to the root: {unreachable}")
 
     return TopologyReport(depth_order=tuple(order), parent=parent, parent_line=parent_line)
-
-
-def resample_profiles(series: DemandSeries, target_minutes: int) -> DemandSeries:
-    """Mean-pool demand samples onto a coarser grid, preserving energy."""
-
-    if target_minutes % series.minutes_per_period != 0:
-        raise ValueError(
-            f"target resolution {target_minutes} min is not a multiple of "
-            f"{series.minutes_per_period} min"
-        )
-    ratio = target_minutes // series.minutes_per_period
-    if ratio == 1:
-        return series
-    n_out = series.n_periods // ratio
-    if n_out * ratio != series.n_periods:
-        raise ValueError("series length is not divisible by the pooling ratio")
-    p = series.p_w[: n_out * ratio].reshape(n_out, ratio, -1).mean(axis=1)
-    q = series.q_var[: n_out * ratio].reshape(n_out, ratio, -1).mean(axis=1)
-    return DemandSeries(
-        customer_ids=series.customer_ids,
-        p_w=p,
-        q_var=q,
-        minutes_per_period=target_minutes,
-        start_minute=series.start_minute,
-    )
 
 
 def pv_generation_w(capacity_kw: float, hour: float) -> float:
@@ -603,7 +539,6 @@ def write_network_json(network: Network, path: str | Path) -> None:
                 "name": c.name,
                 "bus": c.bus,
                 "phase": PHASES[c.initial_phase],
-                "adjustable": c.adjustable,
             }
             for c in network.customers
         ],
@@ -631,7 +566,6 @@ def read_network_json(path: str | Path) -> Network:
             name=c["name"],
             bus=c["bus"],
             initial_phase=PHASE_INDEX[c["phase"]],
-            adjustable=bool(c["adjustable"]),
         )
         for c in doc["customers"]
     )

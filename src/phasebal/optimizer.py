@@ -3,24 +3,25 @@
 Strategies: chunked exhaustive enumeration (lexicographic tie-break), the
 same exact answer by a scan in ascending transformer spread pi, which
 bounds each objective from below (branch-and-bound, separable models only),
-and seeded best-improvement local search. On top of those, an iterated
-fixed-voltage refinement re-solves the discrete problem while updating the
-frozen voltage profile, and a cyclic coordinate descent tunes continuous
-reactive adjustments after the discrete search. The descent prices each
-coordinate's points in batches through the model's line scorer
-(`formulations._line_scorer`), objectives only, and the scalar evaluator
-only at its start and end; an end the scalar model ranks above the start
-is dropped for the start.
+and seeded best-improvement local search. Exhaustive enumeration is the
+reference the scan is tested against; no sweep runs it. On top of those,
+an iterated fixed-voltage refinement re-solves the discrete problem while
+updating the frozen voltage profile, and a cyclic coordinate descent tunes
+continuous reactive adjustments after the discrete search. The descent
+prices each coordinate's points in batches through the model's line
+scorer (`formulations._line_scorer`), objectives only, and the scalar
+evaluator only at its start and end; an end the scalar model ranks above
+the start is dropped for the start.
 
 `_model_evaluator` is the one lookup from a model name to its scalar
-evaluator, and `_strategy` holds the one "auto" rule: branch-and-bound for
-separable models within the enumeration budget, local search otherwise.
-Every search keeps a choice only if the scalar model ranks it no worse
-than the initial assignment, then verifies the outcome once: one exact
-power flow for the chosen and one for the initial assignment (shared when
-they coincide), carried in the outcome for reporting. The inner passes of
-the iterated refinement decide on the model alone; only its final choice
-is verified.
+evaluator, and `_strategy` holds the one search policy, which no caller
+overrides: branch-and-bound for separable models within the enumeration
+budget of 3**12 candidates, local search otherwise. Every search keeps a
+choice only if the scalar model ranks it no worse than the initial
+assignment, then verifies the outcome once: one exact power flow for the
+chosen and one for the initial assignment (shared when they coincide),
+carried in the outcome for reporting. The inner passes of the iterated
+refinement decide on the model alone; only its final choice is verified.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .formulations import (
     _Kernel,
     _line_scorer,
     _make_kernel,
-    _score,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
@@ -50,7 +50,6 @@ __all__ = [
     "Algorithm1Options",
     "Algorithm1Step",
     "OptimizationOutcome",
-    "SearchOptions",
     "branch_and_bound",
     "exhaustive",
     "fixv_algorithm1",
@@ -61,24 +60,9 @@ __all__ = [
 _CHUNK = 6561  # candidates scored per exhaustive batch
 _BLOCK = 512  # candidates field-scored per bound-ordered batch
 _MAX_SWEEPS = 60  # best-improvement passes per local-search start
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Knobs shared by the discrete search strategies."""
-
-    strategy: str = "auto"  # "auto" or a key of _SEARCHES
-    enumeration_budget: int = 3**12  # candidate cap for the exact searches
-    restarts: int = 3  # random local-search starts beyond the initial point
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("auto", *_SEARCHES):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.enumeration_budget < 1:
-            raise ValueError("budgets must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
+_ENUMERATION_BUDGET = 3**12  # candidate cap for the exact searches
+_RESTARTS = 3  # random local-search starts beyond the initial point
+_SEED = 7  # seed of those starts when the caller gives none
 
 
 @dataclass(frozen=True)
@@ -220,23 +204,23 @@ def _finish(
     )
 
 
-def _enumerated(mm: int, options: SearchOptions) -> int:
+def _enumerated(mm: int) -> int:
     """The 3**mm candidates an exact search enumerates, checked against the budget."""
 
     total = 3**mm
-    if total > options.enumeration_budget:
+    if total > _ENUMERATION_BUDGET:
         raise ValueError(
             f"3^{mm} = {total} candidates exceed the enumeration budget "
-            f"{options.enumeration_budget}; use local search or raise the budget"
+            f"{_ENUMERATION_BUDGET}; use local search"
         )
     return total
 
 
 def _exhaustive_choices(
-    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
 ) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
-    total = _enumerated(mm, options)
+    total = _enumerated(mm)
     best_f = math.inf
     best_idx = 0
     for lo in range(0, total, _CHUNK):
@@ -250,17 +234,14 @@ def _exhaustive_choices(
 
 
 def _pi_order(kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Every candidate's spread pi by flat index, and the indices stably sorted
-    by it. The half-tables' outer sum adds up s_dt bit for bit as `score` does."""
+    """Every candidate's spread pi by flat index, and the indices stably sorted by it."""
 
-    (sv1, _), (sv2, _) = kernel.halves
-    s_dt = ((kernel.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
-    pi = _score(kernel.limits, s_dt, ()).pi
+    pi = kernel.spreads()
     return pi, np.argsort(pi, kind="stable")
 
 
 def _bnb_choices(
-    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
 ) -> tuple[np.ndarray, int, dict[str, float]]:
     if not kernel.separable:
         raise ValueError(
@@ -268,7 +249,7 @@ def _bnb_choices(
             f"{kernel.method!r} must use exhaustive or local search"
         )
     mm = kernel.n_movable
-    total = _enumerated(mm, options)
+    total = _enumerated(mm)
     pi, order = _pi_order(kernel)
     best_f, best_idx, scored = math.inf, 0, 0
     for lo in range(0, total, _BLOCK):
@@ -287,13 +268,13 @@ def _bnb_choices(
 
 
 def _local_choices(
-    kernel: _Kernel, options: SearchOptions, extra_starts: Sequence[Sequence[int]] = ()
+    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
 ) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(seed)
     starts = [kernel.initial[kernel.movable].astype(np.int64)]
     starts.extend(np.asarray(s, dtype=np.int64) for s in extra_starts)
-    starts.extend(rng.integers(0, 3, size=mm) for _ in range(options.restarts))
+    starts.extend(rng.integers(0, 3, size=mm) for _ in range(_RESTARTS))
 
     best_f = math.inf
     best = starts[0].copy()
@@ -326,8 +307,9 @@ def _local_choices(
     return best, evaluations, {"starts": float(len(starts))}
 
 
-# Strategy name -> search over a kernel's movable customers, returning the
-# best choices, the candidates scored and strategy statistics.
+# Strategy name -> search over a kernel's movable customers, given extra
+# starts and a seed that only local search reads, returning the best
+# choices, the candidates scored and strategy statistics.
 _SEARCHES = {
     "exhaustive": _exhaustive_choices,
     "branch-and-bound": _bnb_choices,
@@ -341,11 +323,11 @@ def _verified_search(
     method: str,
     profile: np.ndarray | None,
     q_adjust: np.ndarray | None,
-    options: SearchOptions | None,
     extra_starts: Sequence[Sequence[int]] = (),
+    seed: int = _SEED,
 ) -> OptimizationOutcome:
     kernel = _make_kernel(snapshot, method, profile=profile, q_adjust=q_adjust)
-    best, candidates, stats = _SEARCHES[strategy](kernel, options or SearchOptions(), extra_starts)
+    best, candidates, stats = _SEARCHES[strategy](kernel, extra_starts, seed)
     return _finish(
         snapshot, method, strategy, kernel.assignment(best), candidates,
         stats, profile, q_adjust,
@@ -357,12 +339,11 @@ def exhaustive(
     method: str = "fixv",
     profile: np.ndarray | None = None,
     q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
 ) -> OptimizationOutcome:
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
-    return _verified_search("exhaustive", snapshot, method, profile, q_adjust, options)
+    return _verified_search("exhaustive", snapshot, method, profile, q_adjust)
 
 
 def branch_and_bound(
@@ -370,7 +351,6 @@ def branch_and_bound(
     method: str = "fixv",
     profile: np.ndarray | None = None,
     q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
 ) -> OptimizationOutcome:
     """Exact search that scores the fields only where the spread bound can win.
 
@@ -382,7 +362,7 @@ def branch_and_bound(
     model (fixed-voltage or branch-flow) within the enumeration budget;
     stats["scored"] counts the field-scored candidates."""
 
-    return _verified_search("branch-and-bound", snapshot, method, profile, q_adjust, options)
+    return _verified_search("branch-and-bound", snapshot, method, profile, q_adjust)
 
 
 def local_search(
@@ -390,41 +370,38 @@ def local_search(
     method: str = "fixv",
     profile: np.ndarray | None = None,
     q_adjust: np.ndarray | None = None,
-    options: SearchOptions | None = None,
     extra_starts: Sequence[Sequence[int]] = (),
+    seed: int = _SEED,
 ) -> OptimizationOutcome:
     """Best-improvement descent over single-customer moves.
 
-    Starts from the initial assignment, any extra starts, then seeded
-    random restarts; each pass scores the whole one-move neighborhood and
-    takes the best strict improvement."""
+    Starts from the initial assignment, any extra starts, then _RESTARTS
+    random restarts drawn from seed; each pass scores the whole one-move
+    neighborhood and takes the best strict improvement."""
 
     return _verified_search(
-        "local", snapshot, method, profile, q_adjust, options, extra_starts
+        "local", snapshot, method, profile, q_adjust, extra_starts, seed
     )
 
 
-def _strategy(snapshot: CaseSnapshot, method: str, options: SearchOptions) -> str:
-    """The one "auto" rule: the bound-ordered exact scan for a separable model
-    whose candidates fit the enumeration budget, local search otherwise."""
+def _strategy(snapshot: CaseSnapshot, method: str) -> str:
+    """The one search policy: the bound-ordered exact scan for a separable
+    model whose candidates fit the enumeration budget, local search otherwise."""
 
-    if options.strategy != "auto":
-        return options.strategy
-    small = 3**snapshot.n_adjustable <= options.enumeration_budget
+    small = 3**snapshot.n_adjustable <= _ENUMERATION_BUDGET
     return "branch-and-bound" if _KERNELS[method].separable and small else "local"
 
 
-def _search_once(
-    snapshot: CaseSnapshot, method: str, options: SearchOptions
-) -> OptimizationOutcome:
+def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> OptimizationOutcome:
     """One verified search under method's model with the strategy `_strategy` picks.
 
     The public search functions are looked up by name when this runs, so
     the benchmark's traced run (bench/run.py) still sees every search.
     """
 
-    search = {"exhaustive": exhaustive, "branch-and-bound": branch_and_bound, "local": local_search}
-    return search[_strategy(snapshot, method, options)](snapshot, method, options=options)
+    if _strategy(snapshot, method) == "local":
+        return local_search(snapshot, method, seed=seed)
+    return branch_and_bound(snapshot, method)
 
 
 # Search passes beyond this hold the incumbent assignment and only refresh
@@ -438,8 +415,8 @@ _SEARCH_PASSES = 2
 def fixv_algorithm1(
     snapshot: CaseSnapshot,
     algorithm: Algorithm1Options | None = None,
-    search: SearchOptions | None = None,
     q_adjust: np.ndarray | None = None,
+    seed: int = _SEED,
 ) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
 
@@ -465,10 +442,10 @@ def fixv_algorithm1(
 
     The outcome's model view is evaluated at the profile the deciding
     search pass ran on, i.e. the estimate that actually selected the
-    assignment; the trace records the loop's own profile convergence."""
+    assignment; the trace records the loop's own profile convergence.
+    seed draws local search's random restarts."""
 
     alg = algorithm or Algorithm1Options()
-    opt = search or SearchOptions()
     network = snapshot.network
     initial = PhaseAssignment.initial(network)
 
@@ -478,7 +455,6 @@ def fixv_algorithm1(
         profile = np.asarray(base.v)
     else:
         profile = np.tile(network.v0.values, (network.n_buses, 1))
-    prev_profile = profile
 
     delta = math.inf
     outer = 0
@@ -495,8 +471,8 @@ def fixv_algorithm1(
         if outer <= _SEARCH_PASSES or current is None:
             decide_profile = profile
             kernel = _make_kernel(snapshot, "fixv", profile=profile, q_adjust=q_adjust)
-            search_fn = _SEARCHES[_strategy(snapshot, "fixv", opt)]
-            best, count, pass_stats = search_fn(kernel, opt, extra_starts)
+            search_fn = _SEARCHES[_strategy(snapshot, "fixv")]
+            best, count, pass_stats = search_fn(kernel, extra_starts, seed)
             candidates += count
             for key, value in pass_stats.items():
                 search_stats[key] = search_stats.get(key, 0.0) + value
@@ -510,7 +486,7 @@ def fixv_algorithm1(
                 pinned_outer = outer
             model = evaluate_fixv(snapshot, current, profile, q_adjust=q_adjust)
         new_profile = np.asarray(model.v)
-        delta = float(np.max(np.abs(new_profile - prev_profile)))
+        delta = float(np.max(np.abs(new_profile - profile)))
         trace.append(
             Algorithm1Step(
                 outer=outer,
@@ -519,7 +495,6 @@ def fixv_algorithm1(
                 model_objective=model.objective,
             )
         )
-        prev_profile = new_profile
         profile = new_profile
 
     assert current is not None
@@ -542,14 +517,13 @@ def fixv_algorithm1(
     )
 
 
+_COARSE = 13  # evenly spaced points of a coordinate's coarse scan
+_MAX_EVALS = 64  # points scored per coordinate, coarse scan included
+_SWEEP_TOL = 1e-6  # a round improving the objective by less ends the descent
+
+
 def _minimize_1d(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    t0: float,
-    f0: float,
-    coarse: int = 13,
-    max_evals: int = 64,
+    g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, t0: float, f0: float
 ) -> tuple[float, float, int]:
     """Coarse scan plus golden-section refinement; never worse than (t0, f0).
 
@@ -558,7 +532,7 @@ def _minimize_1d(
     depends on the last and scores one point.
     """
 
-    points = np.unique(np.concatenate([np.linspace(lo, hi, coarse), [0.0, t0]]))
+    points = np.unique(np.concatenate([np.linspace(lo, hi, _COARSE), [0.0, t0]]))
     points = points[(points >= lo) & (points <= hi)]
     new = points != t0
     values = np.full(len(points), f0)
@@ -574,7 +548,7 @@ def _minimize_1d(
     d = a + inv_phi * (b - a)
     fc, fd = (float(f) for f in g(np.array([c, d])))
     evals += 2
-    while evals < max_evals and (b - a) > 1e-10 * max(1.0, hi - lo):
+    while evals < _MAX_EVALS and (b - a) > 1e-10 * max(1.0, hi - lo):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -597,19 +571,18 @@ def optimize_pv_q(
     assignment: PhaseAssignment,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    q_start: np.ndarray | None = None,
     max_rounds: int = 8,
-    sweep_tol: float = 1e-6,
 ) -> tuple[np.ndarray, EvaluationResult, Mapping[str, float]]:
     """Cyclic coordinate descent on the per-customer reactive adjustments.
 
-    Customers with a non-degenerate reactive band are visited in ascending
-    position; each coordinate is minimized over its band by a coarse scan
-    plus golden-section refinement under the chosen model. The points of a
+    The descent starts from zero adjustments. Customers with a
+    non-degenerate reactive band are visited in ascending position; each
+    coordinate is minimized over its band by a coarse scan plus
+    golden-section refinement under the chosen model. The points of a
     coordinate are priced by the model's line scorer (`_line_scorer`),
     which returns objectives only and scores the coarse scan as one batch;
     the scalar evaluator prices only the start and the final state. Rounds
-    stop once a full sweep improves by less than sweep_tol. Line objectives
+    stop once a full sweep improves by less than _SWEEP_TOL. Line objectives
     match the scalar ones to rounding only, so a final state the scalar
     model ranks above the start is dropped for the start: the objective
     never increases. stats["f_start"] is the start's scalar objective and
@@ -617,7 +590,7 @@ def optimize_pv_q(
 
     evaluator = _model_evaluator(method, profile)
     line = _line_scorer(snapshot, assignment, method, profile)
-    q = np.zeros(snapshot.network.n_customers) if q_start is None else np.array(q_start, dtype=float)
+    q = np.zeros(snapshot.network.n_customers)
     free = [
         int(c)
         for c in range(snapshot.network.n_customers)
@@ -640,7 +613,7 @@ def optimize_pv_q(
             if f_best < f_cur:
                 q[c] = t_best
                 f_cur = f_best
-        if f_round - f_cur < sweep_tol:
+        if f_round - f_cur < _SWEEP_TOL:
             break
     final = evaluator(snapshot, assignment, q)
     if final.objective > start.objective:

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .netmodel import CaseSnapshot, Network, Phasor3
+from .netmodel import CaseSnapshot, Network
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 100
 COLLAPSE_GUARD = 0.5
 
-# Re-exported carrier type; voltages and currents share it.
 __all__ = [
     "PFSolution",
     "PhaseAssignment",
-    "Phasor3",
     "PowerFlowError",
     "VoltageCollapseError",
     "NonConvergenceError",
@@ -68,17 +66,6 @@ class PhaseAssignment:
     @classmethod
     def initial(cls, network: Network) -> "PhaseAssignment":
         return cls(tuple(c.initial_phase for c in network.customers))
-
-    def one_hot(self) -> np.ndarray:
-        eps = np.zeros((len(self.phases), 3), dtype=float)
-        eps[np.arange(len(self.phases)), list(self.phases)] = 1.0
-        return eps
-
-    def with_phases(self, positions: Sequence[int], new_phases: Sequence[int]) -> "PhaseAssignment":
-        out = list(self.phases)
-        for pos, ph in zip(positions, new_phases):
-            out[pos] = int(ph)
-        return PhaseAssignment(tuple(out))
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -232,7 +219,6 @@ class PFSolution:
     cust_phase: np.ndarray  # (customers,) connected phase index
     iterations: int
     mismatch: float
-    mismatch_history: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for nameattr in ("v", "i_lines", "s_dt", "s_cust"):
@@ -242,13 +228,6 @@ class PFSolution:
         ph = np.asarray(self.cust_phase, dtype=int)
         ph.setflags(write=False)
         object.__setattr__(self, "cust_phase", ph)
-
-    def voltage(self, bus_id: int) -> Phasor3:
-        return Phasor3(self.v[self.bus_ids.index(bus_id)])
-
-    @property
-    def vm(self) -> np.ndarray:
-        return np.abs(self.v)
 
 
 def _sweep_state(
@@ -307,7 +286,6 @@ def solve_utpf(
 
     n = network.n_buses
     v = np.tile(v0, (n, 1))
-    history: list[float] = []
     i_lines = np.zeros((geometry.z_lines.shape[0], 3), dtype=complex)
     polished = False
 
@@ -322,7 +300,6 @@ def solve_utpf(
 
         vc_new = v[geometry.cust_bus, phases]
         mismatch = float(np.max(np.abs(vc_new * np.conj(i_cust) - s))) if len(s) else 0.0
-        history.append(mismatch)
         if mismatch <= tol:
             # Per-customer mismatches share the sign of the last voltage
             # correction, so their sum can reach n times the max; one extra
@@ -342,10 +319,9 @@ def solve_utpf(
                 cust_phase=phases,
                 iterations=iteration,
                 mismatch=mismatch,
-                mismatch_history=tuple(history),
             )
 
-    raise NonConvergenceError(mismatch=history[-1], iterations=max_iterations)
+    raise NonConvergenceError(mismatch=mismatch, iterations=max_iterations)
 
 
 def power_balance_residual(solution: PFSolution, snapshot: CaseSnapshot) -> float:

@@ -30,9 +30,9 @@ def symmetric_z(z_self: complex, z_mutual: complex) -> np.ndarray:
 def two_bus_network(
     z_self: complex = 0.01 + 0.03j,
     z_mutual: complex = 0.003 + 0.01j,
-    customers: tuple[tuple[int, bool], ...] = ((0, False),),
+    customers: tuple[int, ...] = (0,),
 ) -> Network:
-    """Root 0 -- line -- bus 1, with (initial_phase, adjustable) customers."""
+    """Root 0 -- line -- bus 1, with customers on the given initial phases."""
 
     return Network(
         name="two-bus",
@@ -40,8 +40,8 @@ def two_bus_network(
         root=0,
         lines=(Line(name="l1", from_bus=0, to_bus=1, z_pu=symmetric_z(z_self, z_mutual)),),
         customers=tuple(
-            Customer(cid=i + 1, name=f"c{i + 1}", bus=1, initial_phase=ph, adjustable=adj)
-            for i, (ph, adj) in enumerate(customers)
+            Customer(cid=i + 1, name=f"c{i + 1}", bus=1, initial_phase=ph)
+            for i, ph in enumerate(customers)
         ),
         v0=make_v0(),
         limits=Limits(),
@@ -49,13 +49,10 @@ def two_bus_network(
     )
 
 
-def random_radial_network(
-    seed: int, n_buses: int = 30, n_customers: int = 24, n_switches: int = 6
-) -> Network:
+def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -> Network:
     """Seeded random radial tree: bus k hangs off a random earlier bus.
 
-    Customers sit on random non-root buses and phases; the first n_switches
-    of them are adjustable.
+    Customers sit on random non-root buses and phases.
     """
 
     rng = np.random.default_rng(seed)
@@ -76,7 +73,6 @@ def random_radial_network(
             name=f"c{j + 1}",
             bus=int(rng.integers(1, n_buses)),
             initial_phase=int(rng.integers(0, 3)),
-            adjustable=j < n_switches,
         )
         for j in range(n_customers)
     )

@@ -157,6 +157,17 @@ def test_sweep_config_must_be_an_object(tmp_path):
         main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("periods", ["5", "5:x", "1:2:3"])
+def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--periods", periods, "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"argument --periods: expected start:stop with integer bounds, got {periods!r}" in (
+        capsys.readouterr().err
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def test_import_writes_the_normalized_network(tmp_path, capsys, network):
     assert main(["import", str(bundled_feeder_dir()), "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
@@ -169,6 +180,8 @@ def test_import_writes_the_normalized_network(tmp_path, capsys, network):
     ]
     assert all(np.array_equal(a.z_pu, b.z_pu) for a, b in zip(written.lines, network.lines))
     assert written.customers == network.customers
+    customers = json.loads((tmp_path / "network.json").read_text())["customers"]
+    assert {frozenset(c) for c in customers} == {frozenset({"id", "name", "bus", "phase"})}
 
 
 @pytest.mark.parametrize(

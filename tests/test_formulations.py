@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasebal.formulations import (
     AffineFit,
@@ -18,15 +19,14 @@ from phasebal.formulations import (
     _score,
     _slack_terms,
     _voltage_measures,
-    dt_unbalance,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
     evaluate_linv,
     fit_inverse_voltage,
-    negative_sequence,
 )
 from phasebal.netmodel import DEFAULT_SCENARIO, Limits, build_snapshot
+from phasebal.optimizer import _model_evaluator
 from phasebal.powerflow import PhaseAssignment, feeder_geometry, solve_utpf
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
@@ -36,29 +36,25 @@ CHI = np.exp(-2j * np.pi / 3.0)
 
 
 class TestUnbalanceMeasures:
-    def test_dt_unbalance_picks_worst_axis(self):
+    def test_spread_picks_worst_axis(self):
         s = np.array([1.0 + 0.5j, 0.8 + 0.1j, 0.9 + 0.2j])
-        assert dt_unbalance(s) == pytest.approx(0.4)  # Q spread beats P spread
-        assert dt_unbalance(np.full(3, 0.7 + 0.3j)) == 0.0
-
-    def test_dt_unbalance_shape(self):
-        with pytest.raises(ValueError, match="three"):
-            dt_unbalance(np.zeros(4, dtype=complex))
+        assert _score(Limits(), s, ()).pi == pytest.approx(0.4)  # Q spread beats P spread
+        assert _score(Limits(), np.full(3, 0.7 + 0.3j), ()).pi == 0.0
 
     def test_negative_sequence_on_sequence_sets(self):
         positive = np.array([1.0, CHI, CHI**2])
         negative = np.array([1.0, CHI**2, CHI])
-        assert abs(negative_sequence(positive)) <= 1e-14
-        assert negative_sequence(negative) == pytest.approx(1.0)
-        assert abs(negative_sequence(make_v0().values)) <= 1e-14
+        vneg = _voltage_measures(np.stack([positive, negative, make_v0().values]))[2]
+        assert abs(vneg[0]) <= 1e-14
+        assert vneg[1] == pytest.approx(1.0)
+        assert abs(vneg[2]) <= 1e-14
 
     def test_negative_sequence_broadcasts(self):
-        stack = np.stack([np.array([1.0, CHI, CHI**2]), np.array([1.0, CHI**2, CHI])])
-        out = negative_sequence(stack)
-        assert out.shape == (2,)
-        assert abs(out[0]) <= 1e-14 and out[1] == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="axis of size 3"):
-            negative_sequence(np.zeros((2, 4)))
+        buses = np.stack([np.array([1.0, CHI, CHI**2]), np.array([1.0, CHI**2, CHI])])
+        vneg = _voltage_measures(np.stack([buses, buses[::-1]]))[2]
+        assert vneg.shape == (2, 2)
+        assert abs(vneg[0, 0]) <= 1e-14 and vneg[0, 1] == pytest.approx(1.0)
+        assert vneg[1, 0] == pytest.approx(1.0) and abs(vneg[1, 1]) <= 1e-14
 
 
 def slacks_of(v, i_dt_mag, limits, nominal=None):
@@ -205,6 +201,22 @@ class TestFixedVoltageModel:
         assert model.pi == pytest.approx(exact.pi, abs=1e-7)
         assert model.objective == pytest.approx(exact.objective, abs=1e-6)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), q_band=st.sampled_from([0.0, 0.02]))
+    def test_exact_profile_is_a_fixed_point_on_random_feeders(self, seed, q_band):
+        network = random_radial_network(seed, n_buses=25, n_customers=12)
+        snap = loaded_snapshot(network, seed, switches=4, q_band=q_band)
+        rng = np.random.default_rng(seed)
+        asg = PhaseAssignment(
+            tuple(rng.integers(0, 3, 4).tolist()) + PhaseAssignment.initial(network).phases[4:]
+        )
+        q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
+        sol = solve_utpf(snap, asg, q_adjust=q)
+        exact = evaluate_exact(snap, asg, q_adjust=q, solution=sol)
+        model = evaluate_fixv(snap, asg, profile=sol.v, q_adjust=q)
+        assert np.max(np.abs(model.v - exact.v)) <= 1e-7
+        assert model.objective == pytest.approx(exact.objective, abs=1e-6)
+
     def test_vanishing_profile_rejected(self, network, demands):
         snap = build_snapshot(network, demands, 40)
         with pytest.raises(FormulationError, match="vanishes"):
@@ -313,7 +325,7 @@ class TestBranchFlowModel:
 
     def test_matches_exact_when_impedance_vanishes(self):
         network = two_bus_network(
-            z_self=1e-7 + 3e-7j, z_mutual=0.0, customers=((0, False), (1, False))
+            z_self=1e-7 + 3e-7j, z_mutual=0.0, customers=(0, 1)
         )
         snap = snapshot_for(network, [0.3, 0.1], [0.1, 0.05])
         asg = PhaseAssignment.initial(network)
@@ -381,7 +393,7 @@ class TestLineScorer:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
     def test_matches_scalar_on_random_feeders(self, method, seed):
-        network = random_radial_network(seed, n_switches=4)
+        network = random_radial_network(seed)
         snap = loaded_snapshot(network, seed, switches=4, q_band=0.02)
         asg = PhaseAssignment.initial(network)
         self._assert_matches_scalar(snap, asg, method, seed=seed)
@@ -474,6 +486,30 @@ class TestBatchKernels:
         tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch.objective, kernel.full_phases(choices)):
             one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)))
+            assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        method=st.sampled_from(["fixv", "lbfm", "linv"]),
+        q_band=st.sampled_from([0.0, 0.02]),
+        exact_profile=st.booleans(),
+    )
+    def test_batch_matches_scalar_on_random_feeders(self, seed, method, q_band, exact_profile):
+        network = random_radial_network(seed, n_buses=25, n_customers=12)
+        snap = loaded_snapshot(network, seed, switches=5, q_band=q_band)
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
+        profile = None
+        if method == "fixv" and exact_profile:
+            profile = solve_utpf(snap, PhaseAssignment.initial(network), q_adjust=q).v
+        kernel = _make_kernel(snap, method, profile=profile, q_adjust=q)
+        choices = self._random_choices(rng, kernel, 12)
+        batch = kernel.score(choices)
+        scalar = _model_evaluator(method, profile)
+        tol = 1e-10 if method == "linv" else 1e-9
+        for row, full in zip(batch.objective, kernel.full_phases(choices)):
+            one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)), q)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
     def test_fixv_kernel_accepts_profile(self, network, demands):

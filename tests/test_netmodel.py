@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from phasebal.netmodel import (
     import_european_feeder,
     pv_generation_w,
     read_network_json,
-    resample_profiles,
     validate_radial,
     write_network_json,
     write_profiles_csv,
@@ -47,16 +48,12 @@ class TestPhasor3:
 
     def test_polar_round_trip(self):
         ph = Phasor3.from_polar([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
-        assert np.allclose(ph.magnitudes(), [1.0, 2.0, 3.0])
-        assert np.allclose(ph.angles(), [0.1, -0.2, 0.3])
+        assert np.allclose(np.abs(ph.values), [1.0, 2.0, 3.0])
+        assert np.allclose(np.angle(ph.values), [0.1, -0.2, 0.3])
 
-    def test_component_views_share_storage(self):
+    def test_iterates_phase_values(self):
         ph = Phasor3(np.array([1 + 2j, 3 + 4j, 5 + 6j]))
-        assert np.array_equal(ph.X, [1.0, 3.0, 5.0])
-        assert np.array_equal(ph.Y, [2.0, 4.0, 6.0])
-        assert ph[1] == 3 + 4j
         assert list(ph) == [1 + 2j, 3 + 4j, 5 + 6j]
-        assert (ph.a, ph.b, ph.c) == (1 + 2j, 3 + 4j, 5 + 6j)
 
     def test_values_are_read_only(self):
         ph = make_v0()
@@ -68,7 +65,6 @@ class TestPerUnitBases:
     def test_derived_bases(self):
         bases = PerUnitBases(voltage_v=240.0, power_va=100_000.0)
         assert bases.phase_power_va == pytest.approx(100_000.0 / 3.0)
-        assert bases.current_a == pytest.approx(100_000.0 / 3.0 / 240.0)
         assert bases.impedance_ohm == pytest.approx(240.0**2 * 3.0 / 100_000.0)
 
 
@@ -212,6 +208,16 @@ class TestImport:
             expect = demands.p_w[:, k] * math.tan(math.acos(pf))
             assert np.allclose(demands.q_var[:, k], expect)
 
+    def test_generator_reproduces_the_bundled_tables(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "tools" / "gen_feeder.py"
+        subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path)], check=True, capture_output=True
+        )
+        bundled = sorted(p.name for p in bundled_feeder_dir().iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+        for name in bundled:
+            assert (tmp_path / name).read_bytes() == (bundled_feeder_dir() / name).read_bytes(), name
+
     @pytest.fixture()
     def broken_dir(self, tmp_path):
         target = tmp_path / "feeder"
@@ -312,29 +318,6 @@ class TestDemandSeries:
         )
         assert series.period_mid_hour(0) == pytest.approx(0.125)
         assert series.period_mid_hour(3) == pytest.approx(0.875)
-
-    def test_resample_preserves_energy(self):
-        rng = np.random.default_rng(20240817)
-        p = rng.uniform(100.0, 900.0, size=(96, 3))
-        q = rng.uniform(10.0, 90.0, size=(96, 3))
-        series = DemandSeries(customer_ids=(1, 2, 3), p_w=p, q_var=q, minutes_per_period=15)
-        hourly = resample_profiles(series, 60)
-        assert hourly.n_periods == 24
-        assert np.allclose(hourly.p_w.sum(axis=0) * 60, p.sum(axis=0) * 15)
-        assert np.allclose(hourly.q_var.sum(axis=0) * 60, q.sum(axis=0) * 15)
-        assert resample_profiles(series, 15) is series
-
-    def test_resample_rejects_bad_targets(self):
-        series = DemandSeries(
-            customer_ids=(1,),
-            p_w=np.zeros((10, 1)),
-            q_var=np.zeros((10, 1)),
-            minutes_per_period=15,
-        )
-        with pytest.raises(ValueError, match="multiple"):
-            resample_profiles(series, 40)
-        with pytest.raises(ValueError, match="divisible"):
-            resample_profiles(series, 45)
 
 
 class TestPvShape:

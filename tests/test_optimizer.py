@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal import optimizer
-from phasebal.formulations import _combo_table, _make_kernel, evaluate_fixv
+from phasebal.formulations import _SeparableKernel, _combo_table, _make_kernel, evaluate_fixv
 from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
     Algorithm1Options,
-    SearchOptions,
     _decode,
     _model_evaluator,
     _pi_order,
@@ -31,14 +30,6 @@ from dataclasses import replace
 
 
 class TestOptions:
-    def test_search_options_validation(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            SearchOptions(strategy="genetic")
-        with pytest.raises(ValueError, match="positive"):
-            SearchOptions(enumeration_budget=0)
-        with pytest.raises(ValueError, match="non-negative"):
-            SearchOptions(restarts=-1)
-
     def test_algorithm1_options_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             Algorithm1Options(max_outer=0)
@@ -47,9 +38,7 @@ class TestOptions:
 
 
 def tiny_snapshot():
-    network = two_bus_network(
-        customers=((0, True), (0, True), (1, False), (2, False))
-    )
+    network = two_bus_network(customers=(0, 0, 1, 2))
     return snapshot_for(
         network, [0.30, 0.20, 0.15, 0.05], [0.10, 0.08, 0.05, 0.02], adjustable=(0, 1)
     )
@@ -61,7 +50,7 @@ class TestExhaustive:
         combos = _combo_table(2)
         scores = []
         for row in combos:
-            asg = PhaseAssignment.initial(snap.network).with_phases([0, 1], row)
+            asg = PhaseAssignment(tuple(int(p) for p in row) + (1, 2))
             scores.append(evaluate_fixv(snap, asg).objective)
         k = int(np.argmin(scores))
         out = exhaustive(snap, method="fixv")
@@ -76,10 +65,15 @@ class TestExhaustive:
         assert out.model.objective <= out.initial_model.objective
 
     @pytest.mark.parametrize("search", [exhaustive, branch_and_bound])
-    def test_budget_guard(self, search):
-        snap = tiny_snapshot()
-        with pytest.raises(ValueError, match="exceed the enumeration budget"):
-            search(snap, options=SearchOptions(enumeration_budget=8))
+    def test_budget_guard(self, search, monkeypatch):
+        # 3^13 candidates exceed the budget of 3^12: the guard raises before
+        # any candidate is scored.
+        network = random_radial_network(seed=13)
+        snap = loaded_snapshot(network, seed=13, switches=13)
+        monkeypatch.setattr(_SeparableKernel, "score", None)
+        message = "3\\^13 = 1594323 candidates exceed the enumeration budget"
+        with pytest.raises(ValueError, match=message):
+            search(snap)
 
 
 class TestBranchAndBound:
@@ -118,7 +112,7 @@ class TestBranchAndBound:
         idle=st.integers(0, 1),
     )
     def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, q_band, idle):
-        network = random_radial_network(seed, n_switches=switches)
+        network = random_radial_network(seed)
         snap = loaded_snapshot(network, seed, switches, q_band, idle)
         q_adjust = None
         if q_band:
@@ -130,7 +124,7 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_equals_exhaustive_with_twelve_switches(self, method):
-        network = random_radial_network(seed=5, n_buses=30, n_switches=12)
+        network = random_radial_network(seed=5, n_buses=30)
         snap = loaded_snapshot(network, seed=5, switches=12)
         full = exhaustive(snap, method=method)
         pruned = branch_and_bound(snap, method=method)
@@ -180,22 +174,16 @@ class TestLocalSearch:
         snap = build_snapshot(network, demands, 40)
         best = exhaustive(snap, method="fixv")
         seed_choices = [best.assignment.phases[j] for j in sorted(snap.adjustable_idx)]
-        out = local_search(
-            snap,
-            method="fixv",
-            options=SearchOptions(restarts=0),
-            extra_starts=[seed_choices],
-        )
+        out = local_search(snap, method="fixv", extra_starts=[seed_choices])
         assert abs(out.model.objective - best.model.objective) <= 1e-12
 
     def test_seeded_restarts_are_reproducible(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        opts = SearchOptions(restarts=5, seed=123)
-        a = local_search(snap, method="lbfm", options=opts)
-        b = local_search(snap, method="lbfm", options=opts)
+        a = local_search(snap, method="lbfm", seed=123)
+        b = local_search(snap, method="lbfm", seed=123)
         assert a.assignment.phases == b.assignment.phases
         assert a.model.objective == b.model.objective
-        assert a.stats["starts"] == 6.0
+        assert a.stats["starts"] == 4.0  # the initial assignment and three restarts
 
 
 class TestIteratedRefinement:
@@ -291,10 +279,10 @@ class TestReactiveDispatch:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), method=st.sampled_from(["fixv", "linv", "lbfm"]))
     def test_never_raises_the_objective_on_random_feeders(self, seed, method):
-        network = random_radial_network(seed, n_buses=16, n_customers=8, n_switches=3)
+        network = random_radial_network(seed, n_buses=16, n_customers=8)
         snap = loaded_snapshot(network, seed, switches=3, q_band=0.02)
         moved = np.random.default_rng(seed).integers(0, 3, size=3)
-        asg = PhaseAssignment.initial(network).with_phases([0, 1, 2], moved)
+        asg = PhaseAssignment(tuple(moved.tolist()) + PhaseAssignment.initial(network).phases[3:])
         start = _model_evaluator(method)(snap, asg, None)
         q, final, stats = optimize_pv_q(snap, asg, method, max_rounds=3)
         assert stats["f_start"] == start.objective

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasebal.netmodel import build_snapshot
 from phasebal.powerflow import (
@@ -19,7 +20,7 @@ from phasebal.powerflow import (
     solve_utpf,
 )
 
-from conftest import random_radial_network, two_bus_network
+from conftest import loaded_snapshot, random_radial_network, two_bus_network
 
 
 def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
@@ -43,15 +44,6 @@ class TestPhaseAssignment:
         with pytest.raises(ValueError, match="0, 1 or 2"):
             PhaseAssignment((0, 3))
 
-    def test_one_hot(self):
-        eps = PhaseAssignment((0, 2, 1)).one_hot()
-        assert eps.shape == (3, 3)
-        assert np.array_equal(eps, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-    def test_with_phases_replaces_positions(self):
-        asg = PhaseAssignment((0, 1, 2)).with_phases([2, 0], [0, 1])
-        assert asg.phases == (1, 1, 0)
-
     def test_initial_reads_customer_phases(self, network):
         asg = PhaseAssignment.initial(network)
         assert len(asg) == network.n_customers
@@ -59,17 +51,17 @@ class TestPhaseAssignment:
 
     def test_check_assignment_guards_switchless_moves(self, network, demands):
         snap = build_snapshot(network, demands, 0)
-        initial = PhaseAssignment.initial(network)
+        initial = PhaseAssignment.initial(network).phases
+
+        def moved(k):
+            return PhaseAssignment(initial[:k] + ((initial[k] + 1) % 3,) + initial[k + 1:])
+
         fixed = next(
             k for k in range(network.n_customers) if k not in snap.adjustable_idx
         )
-        moved = initial.with_phases([fixed], [(initial.phases[fixed] + 1) % 3])
         with pytest.raises(ValueError, match="no switch"):
-            check_assignment(snap, moved)
-        movable = snap.adjustable_idx[0]
-        check_assignment(
-            snap, initial.with_phases([movable], [(initial.phases[movable] + 1) % 3])
-        )
+            check_assignment(snap, moved(fixed))
+        check_assignment(snap, moved(snap.adjustable_idx[0]))
 
     def test_check_assignment_length(self, network, demands):
         snap = build_snapshot(network, demands, 0)
@@ -126,36 +118,49 @@ class TestBundledConvergence:
         sol = solve_utpf(snap, PhaseAssignment.initial(network))
         assert sol.mismatch <= 1e-8
         assert sol.iterations < 60
-        assert len(sol.mismatch_history) == sol.iterations
-        assert sol.mismatch_history[-1] <= sol.mismatch_history[0]
         assert power_balance_residual(sol, snap) <= 1e-8
-        assert np.all(sol.vm > 0.9) and np.all(sol.vm < 1.1)
+        assert np.all(np.abs(sol.v) > 0.9) and np.all(np.abs(sol.v) < 1.1)
 
     def test_kirchhoff_from_raw_line_list(self, network, demands):
-        # Independent KCL check: per bus and phase, line flows out of the bus
-        # plus local customer injections equal flows into it. Uses only the
-        # Line records, not the solver's cached geometry.
         snap = build_snapshot(network, demands, 40)
         asg = PhaseAssignment.initial(network)
         sol = solve_utpf(snap, asg)
-        bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
-        balance = np.zeros((network.n_buses, 3), dtype=complex)
-        for li, line in enumerate(network.lines):
-            balance[bus_index[line.from_bus]] -= sol.i_lines[li]
-            balance[bus_index[line.to_bus]] += sol.i_lines[li]
-        for k, cust in enumerate(network.customers):
-            vc = sol.v[bus_index[cust.bus], asg.phases[k]]
-            balance[bus_index[cust.bus], asg.phases[k]] -= np.conj(snap.s_pu[k] / vc)
-        balance[bus_index[network.root]] = 0.0  # root slack supplies the feeder
-        assert np.max(np.abs(balance)) <= 1e-9
+        assert np.max(np.abs(current_imbalance(network, asg, sol, snap.s_pu))) <= 1e-9
 
-    def test_voltage_accessor(self, network, demands):
-        snap = build_snapshot(network, demands, 40)
-        sol = solve_utpf(snap, PhaseAssignment.initial(network))
-        far = sol.bus_ids[-1]
-        assert np.array_equal(
-            sol.voltage(far).values, sol.v[sol.bus_ids.index(far)]
-        )
+
+def current_imbalance(network, asg, sol, s):
+    """Independent KCL check for customer loads s: per bus and phase, line
+    flows out of the bus plus local customer injections minus flows into it,
+    zero at the root slack. Uses only the Line records, not the solver's
+    cached geometry."""
+
+    bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
+    balance = np.zeros((network.n_buses, 3), dtype=complex)
+    for li, line in enumerate(network.lines):
+        balance[bus_index[line.from_bus]] -= sol.i_lines[li]
+        balance[bus_index[line.to_bus]] += sol.i_lines[li]
+    for k, cust in enumerate(network.customers):
+        vc = sol.v[bus_index[cust.bus], asg.phases[k]]
+        balance[bus_index[cust.bus], asg.phases[k]] -= np.conj(s[k] / vc)
+    balance[bus_index[network.root]] = 0.0  # root slack supplies the feeder
+    return balance
+
+
+class TestRandomFeederConservation:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n_buses=st.integers(2, 60), q_band=st.sampled_from([0.0, 0.02]))
+    def test_kirchhoff_and_power_balance(self, seed, n_buses, q_band):
+        # Every customer switchable, on random phases, with random reactive
+        # adjustments inside its band.
+        network = random_radial_network(seed, n_buses=n_buses, n_customers=16)
+        snap = loaded_snapshot(network, seed, switches=16, q_band=q_band)
+        rng = np.random.default_rng(seed)
+        asg = PhaseAssignment(tuple(int(p) for p in rng.integers(0, 3, 16)))
+        q_adjust = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
+        sol = solve_utpf(snap, asg, q_adjust=q_adjust)
+        imbalance = current_imbalance(network, asg, sol, snap.s_pu + 1j * q_adjust)
+        assert np.max(np.abs(imbalance)) <= 1e-9
+        assert power_balance_residual(sol, snap) <= 1e-8
 
 
 class TestReactiveAdjustment:
@@ -219,7 +224,7 @@ class TestFeederGeometry:
 
     @pytest.mark.parametrize("n_buses", [2, 7, 40, 150, 400])
     def test_customer_table_matches_the_chain_search_on_random_feeders(self, n_buses):
-        network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20, n_switches=3)
+        network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
         assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
 
     @pytest.mark.parametrize("n_buses", [None, 2, 7, 40, 150, 400])
