@@ -767,10 +767,13 @@ def _period_range(text: str) -> tuple[int, int]:
 
     try:
         start, stop = (int(bound) for bound in text.split(":"))
+        valid = 0 <= start < stop
     except ValueError:
+        valid = False
+    if not valid:
         raise argparse.ArgumentTypeError(
-            f"expected start:stop with integer bounds, got {text!r}"
-        ) from None
+            f"expected start:stop with integer bounds 0 <= start < stop, got {text!r}"
+        )
     return start, stop
 
 

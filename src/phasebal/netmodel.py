@@ -2,7 +2,7 @@
 
 Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
 load shapes, source, bus coordinates), converts everything to per-unit on
-configurable bases and produces immutable per-period snapshots with net
+the default bases and produces immutable per-period snapshots with net
 demands and optional PV reactive-power bounds.
 """
 
@@ -281,19 +281,18 @@ def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     return np.full((3, 3), zm, dtype=complex) + np.eye(3) * (zs - zm)
 
 
-def import_european_feeder(
-    directory: str | Path,
-    bases: PerUnitBases = PerUnitBases(),
-    limits: Limits | None = None,
-) -> FeederImport:
+def import_european_feeder(directory: str | Path) -> FeederImport:
     """Parse a feeder directory of CSV tables into a per-unit Network.
 
     Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv, LoadShapes.csv
-    and optionally Buscoords.csv. Raises FeederFormatError naming the
-    offending record on any dangling reference or malformed table.
+    and optionally Buscoords.csv. Uses the default PerUnitBases and Limits,
+    with the transformer current limit taken from Source.csv's dt_kva.
+    Raises FeederFormatError naming the offending record on any dangling
+    reference or malformed table.
     """
 
     directory = Path(directory)
+    bases = PerUnitBases()
 
     source = {row["quantity"].strip(): row["value"].strip() for row in _read_csv(directory / "Source.csv")}
     try:
@@ -364,7 +363,7 @@ def import_european_feeder(
         for row in _read_csv(coords_path):
             coords[int(row["Bus"])] = (float(row["x"]), float(row["y"]))
 
-    lim = limits if limits is not None else Limits(i_dt_max=dt_kva / (bases.power_va / 1e3))
+    lim = Limits(i_dt_max=dt_kva / (bases.power_va / 1e3))
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(
         name=directory.name,
@@ -396,13 +395,10 @@ def bundled_feeder_dir() -> Path:
     return Path(__file__).parent / "data" / "european_lv"
 
 
-def load_bundled_feeder(
-    bases: PerUnitBases = PerUnitBases(),
-    limits: Limits | None = None,
-) -> FeederImport:
+def load_bundled_feeder() -> FeederImport:
     """Import the feeder dataset shipped with the package."""
 
-    return import_european_feeder(bundled_feeder_dir(), bases=bases, limits=limits)
+    return import_european_feeder(bundled_feeder_dir())
 
 
 def validate_radial(network: "Network") -> TopologyReport:

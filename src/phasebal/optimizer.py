@@ -104,7 +104,6 @@ class OptimizationOutcome:
     candidates: int
     trace: tuple[Algorithm1Step, ...] = ()
     stats: Mapping[str, float] = field(default_factory=dict)
-    q_adjust: np.ndarray | None = None
 
     @property
     def objective(self) -> float:
@@ -139,7 +138,6 @@ def _no_worse(
     method: str,
     chosen: PhaseAssignment,
     profile: np.ndarray | None,
-    q_adjust: np.ndarray | None,
 ) -> tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool]:
     """Never keep anything the scalar model ranks below the status quo.
 
@@ -149,8 +147,8 @@ def _no_worse(
 
     evaluator = _model_evaluator(method, profile)
     initial = PhaseAssignment.initial(snapshot.network)
-    model = evaluator(snapshot, chosen, q_adjust)
-    initial_model = evaluator(snapshot, initial, q_adjust)
+    model = evaluator(snapshot, chosen, None)
+    initial_model = evaluator(snapshot, initial, None)
     if model.objective > initial_model.objective:
         return initial, initial_model, initial_model, True
     return chosen, model, initial_model, False
@@ -164,7 +162,6 @@ def _finish(
     candidates: int,
     stats: Mapping[str, float],
     profile: np.ndarray | None,
-    q_adjust: np.ndarray | None,
     trace: tuple[Algorithm1Step, ...] = (),
     initial_solution: PFSolution | None = None,
 ) -> OptimizationOutcome:
@@ -175,19 +172,15 @@ def _finish(
     """
 
     initial = PhaseAssignment.initial(snapshot.network)
-    chosen, model, initial_model, fell_back = _no_worse(
-        snapshot, method, chosen, profile, q_adjust
-    )
+    chosen, model, initial_model, fell_back = _no_worse(snapshot, method, chosen, profile)
     if fell_back:
         stats = dict(stats, fell_back_to_initial=1.0)
 
-    initial_verified = evaluate_exact(
-        snapshot, initial, q_adjust=q_adjust, solution=initial_solution
-    )
+    initial_verified = evaluate_exact(snapshot, initial, solution=initial_solution)
     verified = (
         initial_verified
         if chosen.phases == initial.phases
-        else evaluate_exact(snapshot, chosen, q_adjust=q_adjust)
+        else evaluate_exact(snapshot, chosen)
     )
     return OptimizationOutcome(
         method=method,
@@ -200,7 +193,6 @@ def _finish(
         candidates=candidates,
         trace=trace,
         stats=dict(stats),
-        q_adjust=None if q_adjust is None else np.asarray(q_adjust, dtype=float),
     )
 
 
@@ -321,37 +313,23 @@ def _verified_search(
     strategy: str,
     snapshot: CaseSnapshot,
     method: str,
-    profile: np.ndarray | None,
-    q_adjust: np.ndarray | None,
-    extra_starts: Sequence[Sequence[int]] = (),
     seed: int = _SEED,
 ) -> OptimizationOutcome:
-    kernel = _make_kernel(snapshot, method, profile=profile, q_adjust=q_adjust)
-    best, candidates, stats = _SEARCHES[strategy](kernel, extra_starts, seed)
+    kernel = _make_kernel(snapshot, method)
+    best, candidates, stats = _SEARCHES[strategy](kernel, (), seed)
     return _finish(
-        snapshot, method, strategy, kernel.assignment(best), candidates,
-        stats, profile, q_adjust,
+        snapshot, method, strategy, kernel.assignment(best), candidates, stats, None
     )
 
 
-def exhaustive(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    q_adjust: np.ndarray | None = None,
-) -> OptimizationOutcome:
+def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
-    return _verified_search("exhaustive", snapshot, method, profile, q_adjust)
+    return _verified_search("exhaustive", snapshot, method)
 
 
-def branch_and_bound(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    q_adjust: np.ndarray | None = None,
-) -> OptimizationOutcome:
+def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
     """Exact search that scores the fields only where the spread bound can win.
 
     Every candidate's transformer spread pi, a lower bound on its
@@ -362,26 +340,21 @@ def branch_and_bound(
     model (fixed-voltage or branch-flow) within the enumeration budget;
     stats["scored"] counts the field-scored candidates."""
 
-    return _verified_search("branch-and-bound", snapshot, method, profile, q_adjust)
+    return _verified_search("branch-and-bound", snapshot, method)
 
 
 def local_search(
-    snapshot: CaseSnapshot,
-    method: str = "fixv",
-    profile: np.ndarray | None = None,
-    q_adjust: np.ndarray | None = None,
-    extra_starts: Sequence[Sequence[int]] = (),
-    seed: int = _SEED,
+    snapshot: CaseSnapshot, method: str = "fixv", seed: int = _SEED
 ) -> OptimizationOutcome:
     """Best-improvement descent over single-customer moves.
 
-    Starts from the initial assignment, any extra starts, then _RESTARTS
-    random restarts drawn from seed; each pass scores the whole one-move
-    neighborhood and takes the best strict improvement."""
+    Starts from the initial assignment, then _RESTARTS random restarts
+    drawn from seed; each pass scores the whole one-move neighborhood and
+    takes the best strict improvement. Iterated refinement runs the same
+    descent (`_local_choices`) with the previous pass's choice as an extra
+    start."""
 
-    return _verified_search(
-        "local", snapshot, method, profile, q_adjust, extra_starts, seed
-    )
+    return _verified_search("local", snapshot, method, seed)
 
 
 def _strategy(snapshot: CaseSnapshot, method: str) -> str:
@@ -415,7 +388,6 @@ _SEARCH_PASSES = 2
 def fixv_algorithm1(
     snapshot: CaseSnapshot,
     algorithm: Algorithm1Options | None = None,
-    q_adjust: np.ndarray | None = None,
     seed: int = _SEED,
 ) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
@@ -451,7 +423,7 @@ def fixv_algorithm1(
 
     base = None
     if alg.warm_start:
-        base = solve_utpf(snapshot, initial, q_adjust=q_adjust)
+        base = solve_utpf(snapshot, initial)
         profile = np.asarray(base.v)
     else:
         profile = np.tile(network.v0.values, (network.n_buses, 1))
@@ -470,21 +442,21 @@ def fixv_algorithm1(
         outer += 1
         if outer <= _SEARCH_PASSES or current is None:
             decide_profile = profile
-            kernel = _make_kernel(snapshot, "fixv", profile=profile, q_adjust=q_adjust)
+            kernel = _make_kernel(snapshot, "fixv", profile=profile)
             search_fn = _SEARCHES[_strategy(snapshot, "fixv")]
             best, count, pass_stats = search_fn(kernel, extra_starts, seed)
             candidates += count
             for key, value in pass_stats.items():
                 search_stats[key] = search_stats.get(key, 0.0) + value
             current, model, _, _ = _no_worse(
-                snapshot, "fixv", kernel.assignment(best), profile, q_adjust
+                snapshot, "fixv", kernel.assignment(best), profile
             )
             if outer < _SEARCH_PASSES:
                 extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
         else:
             if not pinned_outer:
                 pinned_outer = outer
-            model = evaluate_fixv(snapshot, current, profile, q_adjust=q_adjust)
+            model = evaluate_fixv(snapshot, current, profile)
         new_profile = np.asarray(model.v)
         delta = float(np.max(np.abs(new_profile - profile)))
         trace.append(
@@ -511,7 +483,6 @@ def fixv_algorithm1(
             **search_stats,
         },
         decide_profile,
-        q_adjust,
         trace=tuple(trace),
         initial_solution=base,
     )

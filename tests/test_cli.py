@@ -157,14 +157,15 @@ def test_sweep_config_must_be_an_object(tmp_path):
         main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("periods", ["5", "5:x", "1:2:3"])
+@pytest.mark.parametrize("periods", ["5", "5:x", "1:2:3", "5:3", "4:4"])
 def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--periods", periods, "--out-dir", str(tmp_path)])
     assert info.value.code == 2
-    assert f"argument --periods: expected start:stop with integer bounds, got {periods!r}" in (
-        capsys.readouterr().err
-    )
+    assert (
+        "argument --periods: expected start:stop with integer bounds "
+        f"0 <= start < stop, got {periods!r}"
+    ) in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -13,7 +13,10 @@ from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
     Algorithm1Options,
+    _bnb_choices,
     _decode,
+    _exhaustive_choices,
+    _local_choices,
     _model_evaluator,
     _pi_order,
     branch_and_bound,
@@ -117,10 +120,12 @@ class TestBranchAndBound:
         q_adjust = None
         if q_band:
             q_adjust = np.random.default_rng(seed + 1).uniform(snap.q_lo_pu, snap.q_hi_pu)
-        full = exhaustive(snap, method=method, q_adjust=q_adjust)
-        pruned = branch_and_bound(snap, method=method, q_adjust=q_adjust)
-        assert pruned.assignment.phases == full.assignment.phases
-        assert pruned.model.objective == full.model.objective
+        kernel = _make_kernel(snap, method, q_adjust=q_adjust)
+        full, full_count, _ = _exhaustive_choices(kernel, (), 0)
+        pruned, pruned_count, stats = _bnb_choices(kernel, (), 0)
+        assert np.array_equal(pruned, full)
+        assert pruned_count == full_count
+        assert stats["scored"] <= pruned_count
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_equals_exhaustive_with_twelve_switches(self, method):
@@ -170,12 +175,19 @@ class TestLocalSearch:
             assert out.strategy == "local"
             assert out.model.objective <= out.initial_model.objective + 1e-12
 
-    def test_optimum_is_a_fixed_point(self, network, demands):
-        snap = build_snapshot(network, demands, 40)
-        best = exhaustive(snap, method="fixv")
-        seed_choices = [best.assignment.phases[j] for j in sorted(snap.adjustable_idx)]
-        out = local_search(snap, method="fixv", extra_starts=[seed_choices])
-        assert abs(out.model.objective - best.model.objective) <= 1e-12
+    def test_optimum_is_a_fixed_point(self, monkeypatch):
+        # Without random restarts only the extra start can reach the optimum:
+        # descent from the initial assignment alone stops at a worse one.
+        monkeypatch.setattr(optimizer, "_RESTARTS", 0)
+        snap = loaded_snapshot(random_radial_network(seed=0), seed=0, switches=8)
+        kernel = _make_kernel(snap, "fixv")
+        best, _, _ = _exhaustive_choices(kernel, (), 0)
+        stuck, _, _ = _local_choices(kernel, (), 0)
+        out, _, stats = _local_choices(kernel, [best], 0)
+        objective = kernel.score(np.stack([stuck, best])).objective
+        assert objective[0] > objective[1] + 1e-3
+        assert np.array_equal(out, best)
+        assert stats["starts"] == 2.0  # the initial assignment and the extra start
 
     def test_seeded_restarts_are_reproducible(self, network, demands):
         snap = build_snapshot(network, demands, 40)
