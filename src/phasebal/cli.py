@@ -1,22 +1,11 @@
 """Scenario runner: day sweeps, method comparison, accuracy verification.
 
 The sweep writes one self-contained `outcome_<period>_<method>.json` per
-cell; every report file (sweep.csv, summary.json, accuracy and plot-data
-CSVs) is a pure function of those outcome files, so `verify` can
-regenerate them byte-identically from a finished output directory.
-
-Sweep config file (JSON, all keys optional):
-
-    {
-      "scenario": "bundled",          A feeder CSV directory, or "bundled".
-      "methods": ["initial", "fixv-mc", "fixv-mw", "linv", "lbfm"],
-      "periods": [0, 96],             Half-open period range.
-      "pv_control": false,            Co-optimize PV reactive power.
-      "out_dir": "sweep_out",
-      "parallelism": 8,               Most worker processes; capped at the
-                                      CPU count and the number of cells.
-      "seed": 7
-    }
+cell. The three report files are pure functions of those outcome files:
+`sweep.csv` (one row per cell), `summary.json` (per-method means and the
+model-vs-exact |V| error percentiles) and `accuracy_cdf.csv` (the thinned
+CDF of that error), so `verify` can regenerate them byte-identically from a
+finished output directory.
 """
 
 from __future__ import annotations
@@ -105,24 +94,13 @@ class SweepConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
         start, stop = self.periods
         if start < 0 or stop <= start:
             raise ValueError(f"periods must satisfy 0 <= start < stop, got {self.periods}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-
-    @classmethod
-    def from_mapping(cls, raw: Mapping[str, object], source: str = "config") -> "SweepConfig":
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        extra = set(raw) - set(known)
-        if extra:
-            raise ValueError(f"{source}: unknown config keys {sorted(extra)}")
-        if "methods" in known:
-            known["methods"] = tuple(str(m) for m in known["methods"])  # type: ignore[arg-type]
-        if "periods" in known:
-            start, stop = known["periods"]  # type: ignore[misc]
-            known["periods"] = (int(start), int(stop))
-        return cls(**known)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -141,10 +119,8 @@ class CellSpec:
 
     period: int
     method: str
-    outer: int | None = None  # discrete-solve budget for the iterated methods
-    eps_v: float = 1e-4
-    pv_control: bool = False
-    seed: int = 7
+    pv_control: bool
+    seed: int
 
 
 def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
@@ -171,8 +147,7 @@ def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
     seed = _cell_seed(spec.seed, spec.period)
     if spec.method in ("fixv-mc", "fixv-mw"):
         warm = spec.method == "fixv-mw"
-        outer = spec.outer if spec.outer is not None else (1 if warm else 3)
-        algorithm = Algorithm1Options(max_outer=outer, eps_v=spec.eps_v, warm_start=warm)
+        algorithm = Algorithm1Options(max_outer=1 if warm else 3, warm_start=warm)
         return fixv_algorithm1(snapshot, algorithm, seed=seed)
     return _search_once(snapshot, spec.method, seed)
 
@@ -466,43 +441,6 @@ def write_report_files(out_dir: str | Path) -> SweepReport:
     )
     _write_json(out / "summary.json", summary)
 
-    ok_rows = [r for r in rows if r["status"] == "ok"]
-    _write_csv(
-        out / "plot_pi.csv",
-        ("period", "method", "pi_initial", "pi_optimized"),
-        [
-            [_fmt(r["period"]), _fmt(r["method"]), _fmt(r["pi_before"]), _fmt(r["pi_after"])]
-            for r in ok_rows
-        ],
-    )
-    _write_csv(
-        out / "plot_vm.csv",
-        ("period", "method", "vm_min", "vm_max"),
-        [
-            [_fmt(r["period"]), _fmt(r["method"]), _fmt(r["vm_min"]), _fmt(r["vm_max"])]
-            for r in ok_rows
-        ],
-    )
-    _write_csv(
-        out / "plot_vub.csv",
-        ("period", "method", "vneg_max"),
-        [[_fmt(r["period"]), _fmt(r["method"]), _fmt(r["vneg_max"])] for r in ok_rows],
-    )
-    _write_csv(
-        out / "accuracy.csv",
-        ("method", "count", "p50", "p90", "p99", "max"),
-        [
-            [
-                method,
-                _fmt(int(stats["count"])),
-                _fmt(stats["p50"]),
-                _fmt(stats["p90"]),
-                _fmt(stats["p99"]),
-                _fmt(stats["max"]),
-            ]
-            for method, stats in accuracy["methods"].items()
-        ],
-    )
     _write_csv(
         out / "accuracy_cdf.csv",
         ("method", "delta_v", "cum_fraction"),
@@ -576,7 +514,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
-        default="bundled",
+        default=SweepConfig.scenario,
         help="feeder CSV directory, or 'bundled' for the shipped dataset",
     )
 
@@ -592,8 +530,8 @@ def _cmd_import(args: argparse.Namespace) -> int:
     write_network_json(feeder.network, out / "network.json")
     write_profiles_csv(feeder.demands, out / "profiles.csv")
     print(
-        f"imported {feeder.report.n_buses} buses, {feeder.report.n_lines} lines, "
-        f"{feeder.report.n_customers} customers, {feeder.report.n_periods} periods "
+        f"imported {feeder.network.n_buses} buses, {len(feeder.network.lines)} lines, "
+        f"{feeder.network.n_customers} customers, {feeder.demands.n_periods} periods "
         f"(max depth {max(depth.values())})"
     )
     print(f"wrote {out / 'network.json'} and {out / 'profiles.csv'}")
@@ -671,37 +609,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    _worker_init(args.scenario, args.pv_q == "on")
-    spec = CellSpec(
-        period=args.period,
-        method=args.method,
-        outer=args.K,
-        eps_v=args.eps_v,
-        pv_control=args.pv_q == "on",
-        seed=args.seed,
-    )
-    doc = _run_cell(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = outcome_path(out, args.period, args.method)
-    _write_json(path, doc)
-    if doc["status"] != "ok":
-        print(f"period {args.period} {args.method}: FAILED {doc['error']}")
-        print(f"wrote {path}")
-        return 1
-    verified = doc["verified"]
-    baseline = doc["initial_verified"]
-    print(
-        f"period {args.period} {args.method} [{doc['strategy']}]: "
-        f"pi {baseline['pi']:.6f} -> {verified['pi']:.6f}, "
-        f"F_model {doc['model']['objective']:.6f}, moves {doc['moves']}, "
-        f"{doc['runtime_s']:.2f}s"
-    )
-    print(f"wrote {path}")
-    return 0
-
-
 def _print_summary(report: SweepReport) -> None:
     for name, stats in report.summary["methods"].items():  # type: ignore[union-attr]
         reduction = stats["reduction_pct"]
@@ -718,29 +625,21 @@ def _print_summary(report: SweepReport) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    raw: dict[str, object] = {}
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        raw.update(loaded)
-    if args.scenario is not None:
-        raw["scenario"] = args.scenario
-    if args.methods is not None:
-        raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.periods is not None:
-        raw["periods"] = args.periods
-    if args.pv_control is not None:
-        raw["pv_control"] = args.pv_control == "on"
-    if args.out_dir is not None:
-        raw["out_dir"] = args.out_dir
-    if args.parallelism is not None:
-        raw["parallelism"] = args.parallelism
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = SweepConfig.from_mapping(raw, source=args.config or "command line")
-
-    report = run_sweep(config)
+    try:
+        config = SweepConfig(
+            scenario=args.scenario,
+            methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+            periods=args.periods,
+            pv_control=args.pv_control == "on",
+            out_dir=args.out_dir,
+            parallelism=args.parallelism,
+            seed=args.seed,
+        )
+        report = run_sweep(config)
+    except ReportError:
+        raise
+    except ValueError as exc:  # a setting or feeder the sweep refuses before any cell runs
+        args.usage_error(str(exc))
     print(
         f"sweep: {len(report.rows)} rows over {report.summary['period_count']} periods "
         f"-> {config.out_dir}"
@@ -802,31 +701,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=_cmd_evaluate)
 
-    p_opt = sub.add_parser("optimize", help="optimize one period with one method")
-    _add_scenario_arg(p_opt)
-    p_opt.add_argument("--period", type=int, required=True)
-    p_opt.add_argument(
-        "--method", choices=("linv", "lbfm", "fixv-mc", "fixv-mw"), required=True
-    )
-    p_opt.add_argument("--K", type=int, default=None, help="outer discrete-solve budget")
-    p_opt.add_argument("--eps-v", type=float, default=1e-4)
-    p_opt.add_argument("--pv-q", choices=("on", "off"), default="off")
-    p_opt.add_argument("--seed", type=int, default=7)
-    p_opt.add_argument("--out-dir", default=".")
-    p_opt.set_defaults(func=_cmd_optimize)
-
     p_sweep = sub.add_parser("sweep", help="full-day optimization sweep")
-    p_sweep.add_argument("--config", default=None, help="JSON config file")
-    p_sweep.add_argument("--scenario", default=None)
-    p_sweep.add_argument("--methods", default=None, help="comma-separated method list")
+    _add_scenario_arg(p_sweep)
     p_sweep.add_argument(
-        "--periods", type=_period_range, default=None, help="half-open range start:stop"
+        "--methods",
+        default=",".join(SweepConfig.methods),
+        help="comma-separated method list, each method once",
     )
-    p_sweep.add_argument("--pv-control", choices=("on", "off"), default=None)
-    p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.add_argument("--parallelism", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.add_argument(
+        "--periods",
+        type=_period_range,
+        default=SweepConfig.periods,
+        help="half-open period range start:stop; period stop is not run",
+    )
+    p_sweep.add_argument(
+        "--pv-control",
+        choices=("on", "off"),
+        default="on" if SweepConfig.pv_control else "off",
+        help="co-optimize PV reactive power after the phase decision",
+    )
+    p_sweep.add_argument("--out-dir", default=SweepConfig.out_dir)
+    p_sweep.add_argument(
+        "--parallelism",
+        type=int,
+        default=SweepConfig.parallelism,
+        help="most worker processes; capped at the CPU count and the number of cells",
+    )
+    p_sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
+    p_sweep.set_defaults(func=_cmd_sweep, usage_error=p_sweep.error)
 
     p_verify = sub.add_parser("verify", help="regenerate reports from stored outcomes")
     p_verify.add_argument("--out-dir", default=".")

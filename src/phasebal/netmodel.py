@@ -249,19 +249,10 @@ class CaseSnapshot:
         return len(self.adjustable_idx)
 
 
-@dataclass(frozen=True)
-class ImportReport:
-    n_buses: int
-    n_lines: int
-    n_customers: int
-    n_periods: int
-
-
 @dataclass(frozen=True, eq=False)
 class FeederImport:
     network: Network
     demands: DemandSeries
-    report: ImportReport
 
 
 def _read_csv(path: Path) -> list[dict[str, str]]:
@@ -382,13 +373,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
         q_var=q_var,
         minutes_per_period=minutes,
     )
-    report = ImportReport(
-        n_buses=len(buses),
-        n_lines=len(lines),
-        n_customers=len(customers),
-        n_periods=demands.n_periods,
-    )
-    return FeederImport(network=network, demands=demands, report=report)
+    return FeederImport(network=network, demands=demands)
 
 
 def bundled_feeder_dir() -> Path:

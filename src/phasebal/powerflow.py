@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -126,7 +125,6 @@ class FeederGeometry:
     """
 
     bus_ids: tuple[int, ...]
-    bus_index: Mapping[int, int]
     root_idx: int
     depth_order: np.ndarray  # bus indices, root first
     parent: np.ndarray  # parent bus index, -1 at root
@@ -181,7 +179,6 @@ def _geometry_for(network: Network) -> FeederGeometry:
 
     return FeederGeometry(
         bus_ids=tuple(network.buses),
-        bus_index=bus_index,
         root_idx=root_idx,
         depth_order=depth_order,
         parent=parent,

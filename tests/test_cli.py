@@ -1,4 +1,4 @@
-"""The command line end to end: sweep, verify, evaluate and optimize."""
+"""The command line end to end: sweep, verify, evaluate and import."""
 
 from __future__ import annotations
 
@@ -23,15 +23,7 @@ from phasebal.powerflow import PhaseAssignment
 # Evening peak: every optimizing method moves customers, and lbfm's choice
 # verifies worse than the initial assignment.
 PERIOD = 73
-REPORTS = (
-    "sweep.csv",
-    "summary.json",
-    "accuracy.csv",
-    "accuracy_cdf.csv",
-    "plot_pi.csv",
-    "plot_vm.csv",
-    "plot_vub.csv",
-)
+REPORTS = ("sweep.csv", "summary.json", "accuracy_cdf.csv")
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +142,6 @@ def test_sweep_reruns_into_its_own_directory(tmp_path):
     assert [r["pi_after"] for r in again.rows] == [r["pi_after"] for r in first.rows]
 
 
-def test_sweep_config_must_be_an_object(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text("[1, 2]\n")
-    with pytest.raises(ValueError, match=f"{path}: config must be a JSON object"):
-        main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")])
-
-
 @pytest.mark.parametrize("periods", ["5", "5:x", "1:2:3", "5:3", "4:4"])
 def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
@@ -166,6 +151,27 @@ def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
         "argument --periods: expected start:stop with integer bounds "
         f"0 <= start < stop, got {periods!r}"
     ) in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--periods", "90:100"], "periods (90, 100) exceed the 96-period profile"),
+        (["--methods", "foo"], "unknown methods ['foo']"),
+        (["--methods", "initial,initial"], "methods must not repeat, got ['initial', 'initial']"),
+        (["--parallelism", "0"], "parallelism must be at least 1"),
+        (["--scenario", "no-feeder"], "missing feeder table: Source.csv"),
+    ],
+    ids=["past-profile", "unknown-method", "repeated-method", "no-workers", "no-feeder"],
+)
+def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, capsys):
+    # Refused before any cell runs: a usage error, and nothing written.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--periods", "0:1", "--out-dir", "out", *flags])
+    assert info.value.code == 2
+    assert f"phasebal sweep: error: {message}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -210,11 +216,11 @@ def test_evaluate_writes_the_model_view(method, evaluate, tmp_path, network, dem
 def test_optimize_with_pv_q_reports_the_tuned_state(method, tmp_path, network, demands):
     assert main(
         [
-            "optimize", "--period", str(PERIOD), "--method", method,
-            "--pv-q", "on", "--out-dir", str(tmp_path),
+            "sweep", "--periods", f"{PERIOD}:{PERIOD + 1}", "--methods", method,
+            "--pv-control", "on", "--parallelism", "1", "--out-dir", str(tmp_path),
         ]
     ) == 0
-    doc = json.loads((tmp_path / f"outcome_{PERIOD}_{method}.json").read_text())
+    doc = json.loads(cli.outcome_path(tmp_path, PERIOD, method).read_text())
     pv = doc["pv"]
     assert pv is not None
     assert pv["f_after"] <= pv["f_before"]

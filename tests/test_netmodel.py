@@ -181,10 +181,10 @@ def replace_line(line: Line, **kwargs) -> Line:
 
 class TestImport:
     def test_bundled_counts(self, feeder):
-        assert feeder.report.n_buses == 54
-        assert feeder.report.n_lines == 53
-        assert feeder.report.n_customers == 55
-        assert feeder.report.n_periods == 96
+        assert feeder.network.n_buses == 54
+        assert len(feeder.network.lines) == 53
+        assert feeder.network.n_customers == 55
+        assert feeder.demands.n_periods == 96
         assert feeder.demands.minutes_per_period == 15
 
     def test_source_anchors_root_voltage(self, network):
