@@ -28,6 +28,7 @@ from .formulations import EvaluationResult, evaluate_exact
 from .formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv  # noqa: F401
 from .netmodel import (
     DEFAULT_SCENARIO,
+    CaseSnapshot,
     DemandSeries,
     Network,
     build_snapshot,
@@ -128,15 +129,19 @@ def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
     return feeder.network, feeder.demands
 
 
-# Worker-process state, populated once per process by _worker_init.
+# The cells' feeder and scenario: set once per worker process by
+# _worker_init, or by run_sweep for the cells it runs in its own process.
 _CTX: dict[str, object] = {}
 
 
-def _worker_init(scenario: str, pv_control: bool) -> None:
-    network, demands = load_scenario(scenario)
+def _set_context(network: Network, demands: DemandSeries, pv_control: bool) -> None:
     _CTX["network"] = network
     _CTX["demands"] = demands
     _CTX["options"] = replace(DEFAULT_SCENARIO, pv_q_control=pv_control)
+
+
+def _worker_init(scenario: str, pv_control: bool) -> None:
+    _set_context(*load_scenario(scenario), pv_control)
 
 
 def _cell_seed(base: int, period: int) -> int:
@@ -500,8 +505,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         ) as pool:
             docs = list(pool.map(_run_cell, tasks))
     else:
-        _worker_init(config.scenario, config.pv_control)
-        docs = [_run_cell(t) for t in tasks]
+        _set_context(network, demands, config.pv_control)
+        try:
+            docs = [_run_cell(t) for t in tasks]
+        finally:
+            _CTX.clear()  # the feeder is this sweep's; keep it no longer
 
     for doc in docs:
         _write_json(outcome_path(out, int(doc["period"]), str(doc["method"])), doc)
@@ -538,9 +546,20 @@ def _cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_period(args: argparse.Namespace) -> CaseSnapshot:
+    """The --period snapshot of the --scenario feeder; a feeder that cannot be
+    loaded or a period outside its profile is a usage error."""
+
+    try:
+        network, demands = load_scenario(args.scenario)
+        return build_snapshot(network, demands, args.period, DEFAULT_SCENARIO)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
 def _cmd_pf(args: argparse.Namespace) -> int:
-    network, demands = load_scenario(args.scenario)
-    snapshot = build_snapshot(network, demands, args.period, DEFAULT_SCENARIO)
+    snapshot = _load_period(args)
+    network = snapshot.network
     solution = solve_utpf(snapshot, PhaseAssignment.initial(network))
     residual = power_balance_residual(solution, snapshot)
 
@@ -593,9 +612,9 @@ def _cmd_pf(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    network, demands = load_scenario(args.scenario)
-    snapshot = build_snapshot(network, demands, args.period, DEFAULT_SCENARIO)
-    result = _model_evaluator(args.method)(snapshot, PhaseAssignment.initial(network), None)
+    snapshot = _load_period(args)
+    initial = PhaseAssignment.initial(snapshot.network)
+    result = _model_evaluator(args.method)(snapshot, initial, None)
     view = _eval_view(result)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -652,7 +671,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = write_report_files(args.out_dir)
+    try:
+        report = write_report_files(args.out_dir)
+    except ReportError as exc:  # outcome files missing or unreadable as a report
+        args.usage_error(str(exc))
     print(f"verify: regenerated reports for {len(report.rows)} rows in {args.out_dir}")
     _print_summary(report)
     if report.failures:
@@ -692,14 +714,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scenario_arg(p_pf)
     p_pf.add_argument("--period", type=int, required=True)
     p_pf.add_argument("--out-dir", default=".")
-    p_pf.set_defaults(func=_cmd_pf)
+    p_pf.set_defaults(func=_cmd_pf, usage_error=p_pf.error)
 
     p_eval = sub.add_parser("evaluate", help="one formulation's view of one period")
     _add_scenario_arg(p_eval)
     p_eval.add_argument("--period", type=int, required=True)
     p_eval.add_argument("--method", choices=("utpf", "fixv", "linv", "lbfm"), required=True)
     p_eval.add_argument("--out-dir", default=".")
-    p_eval.set_defaults(func=_cmd_evaluate)
+    p_eval.set_defaults(func=_cmd_evaluate, usage_error=p_eval.error)
 
     p_sweep = sub.add_parser("sweep", help="full-day optimization sweep")
     _add_scenario_arg(p_sweep)
@@ -732,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="regenerate reports from stored outcomes")
     p_verify.add_argument("--out-dir", default=".")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, usage_error=p_verify.error)
 
     return parser
 

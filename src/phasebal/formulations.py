@@ -22,10 +22,12 @@ tells search code whether the model's customer effects add up. For PV
 reactive-power tuning, `_line_scorer` prices a batch of values of one
 customer's reactive adjustment, objectives only, through the same field
 equations the scalar evaluator runs (`_fixv_fields`, `_linv_solve`,
-`_lbfm_fields`). For any batch of model states, a single state included,
-`_slack_terms` computes the limit slacks and `_score` the objective, so
-the scalar evaluators, the kernels and the line scorers price a state the
-same way.
+`_lbfm_fields`), called once per coordinate: every model's fields are
+affine along it, in the customer's load for fixv and lbfm and in the
+customer's own current for linv. For any batch of model states, a single
+state included, `_slack_terms` computes the limit slacks and `_score` the
+objective, so the scalar evaluators, the kernels and the line scorers
+price a state the same way.
 """
 
 from __future__ import annotations
@@ -483,7 +485,7 @@ _LINV_MAX_ITER = 80
 
 
 def _linv_solve(
-    network: Network, s: np.ndarray, phases: np.ndarray, v_start: np.ndarray | None = None
+    network: Network, s: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The linearized-inverse state of a batch of b (loads, phase choices) rows.
 
@@ -500,10 +502,8 @@ def _linv_solve(
 
     s is one (customers,) load vector or a (b, customers) batch, phases a
     (b, customers) batch or one (customers,) row that every load row shares,
-    whose coupling is then gathered once. v_start, the customers' own
-    voltages of a nearby state, starts the fixed point in place of the root
-    voltages. The map is affine, so the start changes only how many
-    iterations the step takes to contract, not whether it does.
+    whose coupling is then gathered once. The fixed point starts from the
+    root voltages.
     """
 
     fit = _default_fit(network)
@@ -518,7 +518,7 @@ def _linv_solve(
     sconj = np.conj(s)
     v0c = v0[phases]
 
-    v = v0c if v_start is None else v_start
+    v = v0c
     i_cust = sconj * (cb + ck * v.real + ch * v.imag)
     for _ in range(_LINV_MAX_ITER):
         v_new = v0c - np.einsum("...jk,...k->...j", coupling, i_cust)
@@ -565,25 +565,54 @@ _Line = Callable[[np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
 
 
 def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray) -> _Line:
-    """`_line_scorer` for linv: each batch of points is one `_linv_solve` over
-    per-point loads that share the assignment's phase row, started from the
-    customer voltages the previous batch solved."""
+    """`_line_scorer` for linv, closed in customer c's own current i_c.
+
+    With every other customer's load held, the fixed-point map is affine in
+    i_c, and so are its fixed point's bus voltages and transformer currents:
+    base + Re(i_c) * U_re + Im(i_c) * U_im. Per coordinate, one `_linv_solve`
+    of three rows, c's load at 0, delta and j * delta, gives the base and the
+    two directions. Each point t then solves i_c = conj(s_c + jt) g(V_c(i_c))
+    as one real 2x2 system, since V_c is affine in i_c too.
+    """
 
     network = snapshot.network
+    fit = _default_fit(network)
     cust_bus = feeder_geometry(network).cust_bus
-    warm = None
 
     def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
-        s0 = _effective_loads(snapshot, q)
+        rows = np.repeat(_effective_loads(snapshot, q)[None, :], 3, axis=0)
+        delta = max(abs(rows[0, c]), float(snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c]))
+        rows[:, c] = (0.0, delta, 1j * delta)
+        v, i_dt, _ = _linv_solve(network, rows, phases)
+        p, bus = phases[c], cust_bus[c]
+        i_c = np.conj(rows[1:, c]) * fit.g(v[1:, bus, p], p)
+        # Field difference k (row k + 1 less row 0) is m[0, k] U_re + m[1, k] U_im,
+        # with column k of m the (Re, Im) of row k + 1's i_c; inv(m) weighs
+        # the differences into U_re and U_im.
+        m_inv = np.linalg.inv(np.array([i_c.real, i_c.imag]))
+        base = (v[0], i_dt[0])
+        units = [
+            tuple(np.tensordot(weights, f[1:] - f[0], axes=1) for f in (v, i_dt))
+            for weights in m_inv.T
+        ]
+        # g(V_c) at the base and along each unit direction of i_c.
+        g0 = fit.g(v[0, bus, p], p)
+        g_re, g_im = (fit.ck[p] * u[0][bus, p].real + fit.ch[p] * u[0][bus, p].imag for u in units)
 
         def g(t: np.ndarray) -> np.ndarray:
-            nonlocal warm
             _check_band(snapshot, t, c)
-            s = np.repeat(s0[None, :], len(t), axis=0)
-            s[:, c] = snapshot.s_pu[c] + 1j * t  # as `_effective_loads` adds it
-            v, i_dt, _ = _linv_solve(network, s, phases, warm)
-            warm = v[-1, cust_bus, phases]
-            return _price(network.limits, *_phasor_measures(network, v, i_dt, True)).objective
+            w = np.conj(snapshot.s_pu[c] + 1j * t)  # as `_effective_loads` adds it
+            a, b, e = w * g0, w * g_re, w * g_im
+            # x + jy = a + x b + y e, as (1 - Re b) x - Re e y = Re a and
+            # -Im b x + (1 - Im e) y = Im a, by Cramer's rule.
+            det = (1.0 - b.real) * (1.0 - e.imag) - e.real * b.imag
+            x = (a.real * (1.0 - e.imag) + e.real * a.imag) / det
+            y = ((1.0 - b.real) * a.imag + b.imag * a.real) / det
+            fields = (
+                f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui)
+                for f0, ur, ui in zip(base, *units)
+            )
+            return _price(network.limits, *_phasor_measures(network, *fields, True)).objective
 
         return g
 

@@ -9,9 +9,11 @@ an iterated fixed-voltage refinement re-solves the discrete problem while
 updating the frozen voltage profile, and a cyclic coordinate descent tunes
 continuous reactive adjustments after the discrete search. The descent
 prices each coordinate's points in batches through the model's line
-scorer (`formulations._line_scorer`), objectives only, and the scalar
-evaluator only at its start and end; an end the scalar model ranks above
-the start is dropped for the start.
+scorer (`formulations._line_scorer`), objectives only: the coarse scan in
+one call, the first golden pair in another, and the golden steps _AHEAD at
+a time, each call pricing every point those steps can reach. The scalar
+evaluator runs only at the start and the end; an end the scalar model
+ranks above the start is dropped for the start.
 
 `_model_evaluator` is the one lookup from a model name to its scalar
 evaluator, and `_strategy` holds the one search policy, which no caller
@@ -491,6 +493,34 @@ def fixv_algorithm1(
 _COARSE = 13  # evenly spaced points of a coordinate's coarse scan
 _MAX_EVALS = 64  # points scored per coordinate, coarse scan included
 _SWEEP_TOL = 1e-6  # a round improving the objective by less ends the descent
+_AHEAD = 4  # golden steps whose reachable points are priced in one call
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+
+
+def _golden_step(
+    a: float, b: float, c: float, d: float, left: bool
+) -> tuple[tuple[float, float, float, float], float]:
+    """One golden step on the bracket a < c < d < b: keep [a, d] when left,
+    else [c, b]. Returns the new (a, b, c, d) and the point it adds."""
+
+    if left:
+        b, d = d, c
+        c = b - _INV_PHI * (b - a)
+        return (a, b, c, d), c
+    a, c = c, d
+    d = a + _INV_PHI * (b - a)
+    return (a, b, c, d), d
+
+
+def _reachable(a: float, b: float, c: float, d: float, steps: int) -> list[float]:
+    """The points the next `steps` golden steps from a bracket can add, on either branch."""
+
+    points = []
+    for left in (True, False) if steps else ():
+        bracket, t = _golden_step(a, b, c, d, left)
+        points.append(t)
+        points.extend(_reachable(*bracket, steps - 1))
+    return points
 
 
 def _minimize_1d(
@@ -498,9 +528,13 @@ def _minimize_1d(
 ) -> tuple[float, float, int]:
     """Coarse scan plus golden-section refinement; never worse than (t0, f0).
 
-    g maps an array of points to their objectives. The coarse scan is one
-    call and the first golden pair another; each golden step after them
-    depends on the last and scores one point.
+    g maps an array of points to their objectives, each row on its own, so
+    a point's value does not depend on the batch it is priced in. The
+    coarse scan is one call and the first golden pair another. Each golden
+    step depends on the last, so when a step's point is not yet priced, one
+    call prices every point the next _AHEAD steps can reach (1 + 2 + 4 + 8);
+    the steps then read their values from it. The steps taken, their points
+    and the count returned are those of pricing one point per step.
     """
 
     points = np.unique(np.concatenate([np.linspace(lo, hi, _COARSE), [0.0, t0]]))
@@ -514,20 +548,21 @@ def _minimize_1d(
 
     a = float(points[max(0, k - 1)])
     b = float(points[min(len(points) - 1, k + 1)])
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
     fc, fd = (float(f) for f in g(np.array([c, d])))
     evals += 2
+    priced: dict[float, float] = {}
     while evals < _MAX_EVALS and (b - a) > 1e-10 * max(1.0, hi - lo):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = float(g(np.array([c]))[0])
+        left = fc < fd
+        (a, b, c, d), t = _golden_step(a, b, c, d, left)
+        if t not in priced:
+            ahead = [t, *_reachable(a, b, c, d, _AHEAD - 1)]
+            priced.update(zip(ahead, (float(f) for f in g(np.array(ahead)))))
+        if left:
+            fc, fd = priced[t], fc
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = float(g(np.array([d]))[0])
+            fc, fd = fd, priced[t]
         evals += 1
     for t, f in ((c, fc), (d, fd)):
         if f < best_f:
@@ -551,13 +586,15 @@ def optimize_pv_q(
     coordinate is minimized over its band by a coarse scan plus
     golden-section refinement under the chosen model. The points of a
     coordinate are priced by the model's line scorer (`_line_scorer`),
-    which returns objectives only and scores the coarse scan as one batch;
-    the scalar evaluator prices only the start and the final state. Rounds
-    stop once a full sweep improves by less than _SWEEP_TOL. Line objectives
-    match the scalar ones to rounding only, so a final state the scalar
-    model ranks above the start is dropped for the start: the objective
-    never increases. stats["f_start"] is the start's scalar objective and
-    stats["evaluations"] counts the start and every point scored."""
+    which returns objectives only, in a few batched calls per coordinate
+    (see `_minimize_1d`); the scalar evaluator prices only the start and
+    the final state. Rounds stop once a full sweep improves by less than
+    _SWEEP_TOL. Line objectives match the scalar ones to rounding only, so
+    a final state the scalar model ranks above the start is dropped for the
+    start: the objective never increases. stats["f_start"] is the start's
+    scalar objective and stats["evaluations"] counts the start and every
+    point the descent steps through, not the points priced ahead of the
+    golden steps and never reached."""
 
     evaluator = _model_evaluator(method, profile)
     line = _line_scorer(snapshot, assignment, method, profile)

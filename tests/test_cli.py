@@ -175,6 +175,57 @@ def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, c
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["evaluate", "--period", "200", "--method", "fixv"],
+            "phasebal evaluate: error: period 200 outside series of 96",
+        ),
+        (
+            ["evaluate", "--period", "-1", "--method", "utpf"],
+            "phasebal evaluate: error: period -1 outside series of 96",
+        ),
+        (
+            ["evaluate", "--period", "3", "--method", "linv", "--scenario", "no-feeder"],
+            "phasebal evaluate: error: missing feeder table: Source.csv",
+        ),
+        (["pf", "--period", "96"], "phasebal pf: error: period 96 outside series of 96"),
+        (
+            ["pf", "--period", "3", "--scenario", "no-feeder"],
+            "phasebal pf: error: missing feeder table: Source.csv",
+        ),
+        (["verify"], "phasebal verify: error: no outcome files under out"),
+    ],
+    ids=["evaluate-period", "evaluate-negative", "evaluate-no-feeder", "pf-period", "pf-no-feeder",
+         "verify-empty"],
+)
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out-dir", "out"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == message
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_in_process_sweep_imports_the_feeder_once(tmp_path, monkeypatch):
+    imports = []
+    load_scenario = cli.load_scenario
+
+    def counting_load(spec):
+        imports.append(spec)
+        return load_scenario(spec)
+
+    monkeypatch.setattr(cli, "load_scenario", counting_load)
+    config = SweepConfig(methods=("initial",), periods=(0, 2), out_dir=str(tmp_path), parallelism=1)
+    assert run_sweep(config).failures == 0
+    assert imports == ["bundled"]
+    assert not cli._CTX  # and holds it no longer than the sweep
+
+
 def test_import_writes_the_normalized_network(tmp_path, capsys, network):
     assert main(["import", str(bundled_feeder_dir()), "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (

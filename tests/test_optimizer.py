@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +310,104 @@ class TestReactiveDispatch:
         _, one, _ = optimize_pv_q(snap, asg, max_rounds=1)
         _, two, _ = optimize_pv_q(snap, asg, max_rounds=2)
         assert two.objective <= one.objective + 1e-12
+
+
+def sequential_minimize_1d(g, lo, hi, t0, f0):
+    """`_minimize_1d` pricing one point per golden step, the reference the
+    priced-ahead search must reproduce; also returns the golden steps taken."""
+
+    points = np.unique(np.concatenate([np.linspace(lo, hi, optimizer._COARSE), [0.0, t0]]))
+    points = points[(points >= lo) & (points <= hi)]
+    new = points != t0
+    values = np.full(len(points), f0)
+    values[new] = g(points[new])
+    evals = int(new.sum())
+    k = int(np.argmin(values))
+    best_t, best_f = float(points[k]), float(values[k])
+
+    a = float(points[max(0, k - 1)])
+    b = float(points[min(len(points) - 1, k + 1)])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = (float(f) for f in g(np.array([c, d])))
+    evals += 2
+    steps = 0
+    while evals < optimizer._MAX_EVALS and (b - a) > 1e-10 * max(1.0, hi - lo):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = float(g(np.array([c]))[0])
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = float(g(np.array([d]))[0])
+        evals += 1
+        steps += 1
+    for t, f in ((c, fc), (d, fd)):
+        if f < best_f:
+            best_t, best_f = float(t), float(f)
+    if f0 < best_f:
+        best_t, best_f = t0, f0
+    return (best_t, best_f, evals), steps
+
+
+@st.composite
+def line_searches(draw):
+    """A band, a start in it (often an edge) and an objective along it with
+    plateaus and exactly tied values, computed point by point."""
+
+    lo = draw(st.floats(-1.0, 0.5))
+    hi = lo + draw(st.floats(1e-7, 1.5))
+    t0 = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+    centre = draw(st.floats(lo - 0.2, hi + 0.2))
+    flat = draw(st.floats(0.0, hi - lo))  # half-width of the plateau at the bottom
+    levels = draw(st.sampled_from([None, 1.0, 7.0, 1e3, 1e6]))  # rounding makes ties
+    kind = draw(st.sampled_from(["bowl", "wave", "constant"]))
+
+    def g(t):
+        if kind == "constant":
+            return np.full(len(t), 0.25)
+        if kind == "wave":
+            f = np.sin(9.0 * (t - centre)) + np.maximum(np.abs(t - centre) - flat, 0.0)
+        else:
+            f = np.maximum(np.abs(t - centre) - flat, 0.0) ** 2
+        return f if levels is None else np.floor(f * levels) / levels
+
+    f0 = float(g(np.array([t0]))[0]) + draw(st.sampled_from([0.0, -1e-3, 1e-3]))
+    return g, lo, hi, t0, f0
+
+
+class TestMinimize1d:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=line_searches())
+    def test_pricing_ahead_steps_as_one_point_per_call(self, case):
+        g, lo, hi, t0, f0 = case
+        want, steps = sequential_minimize_1d(g, lo, hi, t0, f0)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return g(t)
+
+        got = optimizer._minimize_1d(counted, lo, hi, t0, f0)
+        assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+        assert got[2] == want[2]
+        assert len(calls) <= 2 + math.ceil(steps / optimizer._AHEAD)
+        assert all(np.all((t >= lo) & (t <= hi)) for t in calls)
+
+    def test_prices_the_golden_steps_in_batches(self):
+        # A smooth bowl runs the golden steps until the evaluation budget.
+        def g(t):
+            return (t - 0.3) ** 2
+
+        want, steps = sequential_minimize_1d(g, -1.0, 1.0, 0.0, 0.09)
+        calls = []
+        got = optimizer._minimize_1d(lambda t: calls.append(len(t)) or g(t), -1.0, 1.0, 0.0, 0.09)
+        assert got == want
+        assert steps > 30
+        # Coarse scan, golden pair, then 15 points per _AHEAD steps (fewer
+        # calls when a later step lands on a point priced from another branch).
+        assert calls[:2] == [12, 2]
+        assert calls[2:] == [15] * (len(calls) - 2)
+        assert len(calls) <= 2 + math.ceil(steps / optimizer._AHEAD)
