@@ -51,7 +51,7 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-OUTCOME_SCHEMA = "phasebal.outcome.v1"
+OUTCOME_SCHEMA = "phasebal.outcome.v2"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256
 
@@ -158,9 +158,10 @@ def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
 
 
 def _eval_view(result: EvaluationResult) -> dict[str, object]:
+    """A state's objective, slacks and extreme voltages, without per-bus arrays."""
+
     slacks = result.slacks
     vm = np.asarray(result.vm, dtype=float)
-    vneg_mag = np.abs(np.asarray(result.vneg))
     return {
         "method": result.method,
         "pi": float(result.pi),
@@ -174,12 +175,16 @@ def _eval_view(result: EvaluationResult) -> dict[str, object]:
             "squared_voltage_units": bool(slacks.squared_voltage_units),
         },
         "s_dt": [[float(z.real), float(z.imag)] for z in result.s_dt],
-        "vm": [[float(x) for x in row] for row in vm],
         "vm_min": float(vm.min()),
         "vm_max": float(vm.max()),
-        "vneg_mag": [float(x) for x in vneg_mag],
-        "vneg_max": float(vneg_mag.max()),
+        "vneg_max": float(np.abs(np.asarray(result.vneg)).max()),
     }
+
+
+def _with_vm(view: dict[str, object], result: EvaluationResult) -> dict[str, object]:
+    """view plus the state's per-bus |V|, which `verify_accuracy` compares."""
+
+    return {**view, "vm": np.asarray(result.vm, dtype=float).tolist()}
 
 
 def _verified_view(result: EvaluationResult) -> dict[str, object]:
@@ -192,7 +197,7 @@ def _verified_view(result: EvaluationResult) -> dict[str, object]:
     return view
 
 
-def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, dict[str, object], dict[str, object]]:
+def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, EvaluationResult, dict[str, object]]:
     """Tune PV reactive power after the phase decision, under the same model."""
 
     # The fixed-voltage model freezes currents at the verified voltages.
@@ -204,7 +209,7 @@ def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, dict
         "rounds": float(stats["rounds"]),
         "evaluations": float(stats["evaluations"]),
     }
-    return q, _eval_view(final), block
+    return q, final, block
 
 
 def _run_cell(spec: CellSpec) -> dict[str, object]:
@@ -228,7 +233,9 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         initial = PhaseAssignment.initial(snapshot.network)
 
         if spec.method == "initial":
-            verified = _verified_view(evaluate_exact(snapshot, initial))
+            exact = evaluate_exact(snapshot, initial)
+            verified = _verified_view(exact)
+            full = _with_vm(verified, exact)
             doc.update(
                 strategy="none",
                 candidates=1,
@@ -236,9 +243,9 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
                 initial_assignment=[int(p) for p in initial.phases],
                 moves=0,
                 q_adjust=None,
-                model=verified,
+                model=full,
                 initial_model=verified,
-                verified=verified,
+                verified=full,
                 initial_verified=verified,
                 trace=[],
                 stats={},
@@ -248,10 +255,10 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
             outcome = _optimize_cell(snapshot, spec)
             q_adjust = None
             pv_block = None
-            model_view = _eval_view(outcome.model)
+            model = outcome.model
             verified = outcome.verified
             if spec.pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu):
-                q_adjust, model_view, pv_block = _pv_refine(snapshot, outcome)
+                q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
                 verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
             doc.update(
                 strategy=outcome.strategy,
@@ -262,9 +269,9 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
                     sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
                 ),
                 q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
-                model=model_view,
+                model=_with_vm(_eval_view(model), model),
                 initial_model=_eval_view(outcome.initial_model),
-                verified=_verified_view(verified),
+                verified=_with_vm(_verified_view(verified), verified),
                 initial_verified=_verified_view(outcome.initial_verified),
                 trace=[
                     {
@@ -615,7 +622,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = _load_period(args)
     initial = PhaseAssignment.initial(snapshot.network)
     result = _model_evaluator(args.method)(snapshot, initial, None)
-    view = _eval_view(result)
+    view = _with_vm(_eval_view(result), result)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evaluation_{args.period}_{args.method}.json"

@@ -42,7 +42,10 @@ from .netmodel import CaseSnapshot, Limits, Network, Phasor3
 from .powerflow import (
     PFSolution,
     PhaseAssignment,
+    _bus_voltages,
     _check_band,
+    _coupling,
+    _customer_meet,
     _effective_loads,
     check_assignment,
     feeder_geometry,
@@ -261,24 +264,6 @@ def _result(
     )
 
 
-def _customer_meet(network: Network) -> np.ndarray:
-    """meet_t[j, p, m, phi] = cust_meet[j, m][phi, p], the shared-path
-    impedance of customer j on phase p seen at bus m on phase phi: a
-    transposed view of the geometry's table."""
-
-    return np.transpose(feeder_geometry(network).cust_meet, (0, 3, 1, 2))
-
-
-@lru_cache(maxsize=8)
-def _customer_columns(network: Network) -> np.ndarray:
-    """`_customer_meet` as a read-only (3 * customers, 3 * buses) matrix: the
-    bus voltage drops per unit current injected at (customer, phase)."""
-
-    table = _customer_meet(network).reshape(3 * network.n_customers, 3 * network.n_buses)
-    table.setflags(write=False)
-    return table
-
-
 def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
     """sel[j, m, phi] = shared-path impedance row Meet[m, bus_j][phi, p_j]."""
 
@@ -307,8 +292,7 @@ def evaluate_exact(
 
     if solution is None:
         solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
-    geometry = feeder_geometry(snapshot.network)
-    i_root = sum(solution.i_lines[li] for li in geometry.root_lines)
+    network = snapshot.network
     lo, vm, vneg = _voltage_measures(solution.v)
     meta = {
         "iterations": solution.iterations,
@@ -316,8 +300,8 @@ def evaluate_exact(
         "balance_residual": power_balance_residual(solution, snapshot),
     }
     return _result(
-        "utpf", solution.cust_phase, snapshot.network.limits, solution.s_dt,
-        np.abs(i_root), lo, vm, vneg, solution.v, meta,
+        "utpf", solution.cust_phase, network.limits, solution.s_dt,
+        np.abs(solution.s_dt) / np.abs(network.v0.values), lo, vm, vneg, solution.v, meta,
     )
 
 
@@ -493,12 +477,11 @@ def _linv_solve(
     the fitted surrogate, and V_j depends on the other customers' currents
     only through their shared-path impedances. So the fixed point runs over
     the customers' voltages alone (the fixed-point linearization of Bernstein
-    & Dall'Anese, 2017), and the converged currents, injected at their
-    (customer, phase) rows, give every bus voltage in one product with the
-    customer-column table. Returns the (b, buses, 3) voltages, the (b, 3)
-    transformer currents and the final fixed-point step; a batch whose step
-    does not contract below _LINV_TOL within _LINV_MAX_ITER iterations raises
-    FormulationError.
+    & Dall'Anese, 2017), on the same customer-space coupling and bus-voltage
+    product as the exact `solve_utpf`, with g in place of 1 / conj(V).
+    Returns the (b, buses, 3) voltages, the (b, 3) transformer currents and
+    the final fixed-point step; a batch whose step does not contract below
+    _LINV_TOL within _LINV_MAX_ITER iterations raises FormulationError.
 
     s is one (customers,) load vector or a (b, customers) batch, phases a
     (b, customers) batch or one (customers,) row that every load row shares,
@@ -507,16 +490,10 @@ def _linv_solve(
     """
 
     fit = _default_fit(network)
-    b, m = np.broadcast_shapes(np.shape(s), np.shape(phases))
-    v0 = network.v0.values
-    table = _customer_columns(network)
-    rows = 3 * np.arange(m) + phases  # each customer's injection row
-    cols = 3 * feeder_geometry(network).cust_bus + phases  # and its own (bus, phase) column
-    # coupling[..., j, k] = Meet[bus_j, bus_k][p_j, p_k]
-    coupling = table[rows[..., None, :], cols[..., :, None]]
+    coupling = _coupling(network, phases)
     cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
     sconj = np.conj(s)
-    v0c = v0[phases]
+    v0c = network.v0.values[phases]
 
     v = v0c
     i_cust = sconj * (cb + ck * v.real + ch * v.imag)
@@ -530,9 +507,7 @@ def _linv_solve(
     else:
         raise FormulationError(f"voltage fixed point did not contract below {_LINV_TOL:.1e}")
 
-    injected = np.zeros((b, m, 3), dtype=complex)
-    injected[np.arange(b)[:, None], np.arange(m), phases] = i_cust
-    v_bus = v0 - (injected.reshape(b, 3 * m) @ table).reshape(b, network.n_buses, 3)
+    v_bus, injected = _bus_voltages(network, phases, i_cust)
     return v_bus, injected.sum(axis=1), step
 
 

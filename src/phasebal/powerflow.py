@@ -1,10 +1,13 @@
 """Exact unbalanced three-phase power flow on a radial feeder.
 
-Backward current aggregation and forward voltage sweeps with constant-PQ
-customers, used as the verification oracle for every formulation and
-optimization result. Also hosts the factorized tree geometry (depth order,
-path impedances, and each customer's shared-path impedances to every bus)
-reused by the evaluators.
+A fixed point over the constant-PQ customers' own voltages (Teng's direct
+load flow, restricted to the buses that carry load), used as the
+verification oracle for every formulation and optimization result. Also
+hosts the factorized tree geometry (depth order, path impedances, and each
+customer's shared-path impedances to every bus) and the customer-space
+helpers built on it, which the linearized-inverse model's solver shares:
+the customer-column table, the coupling between customers' own voltages
+and the product that turns customer currents into every bus voltage.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def _check_band(
 
 @dataclass(frozen=True, eq=False)
 class FeederGeometry:
-    """Factorized radial topology in array form.
+    """Factorized radial topology in array form: the tables behind the
+    customer-space state that `solve_utpf` and the models compute.
 
     zcum[m] is the summed 3x3 path impedance from the root to bus m and
     cust_meet[j, m] = zcum[lca(m, bus_j)], the impedance that the paths to
@@ -122,21 +126,22 @@ class FeederGeometry:
     its parent's col_rep. Such a bus meets every customer's path where its
     parent does, so cust_meet[:, m] is cust_meet[:, col_rep[m]] bit for bit,
     and so is any state built column by column from the table.
+    line_child[l] is the bus at line l's end away from the root, whichever
+    way the line is stored, and below[l, j] is 1 when customer j's current
+    flows through line l, so below @ (customer injections) gives the line
+    currents oriented root-outward.
     """
 
     bus_ids: tuple[int, ...]
     root_idx: int
     depth_order: np.ndarray  # bus indices, root first
     parent: np.ndarray  # parent bus index, -1 at root
-    parent_line: np.ndarray  # line index of the edge to the parent, -1 at root
-    line_from: np.ndarray
-    line_to: np.ndarray
-    z_lines: np.ndarray  # (L, 3, 3) complex
     zcum: np.ndarray  # (n, 3, 3) complex
     cust_meet: np.ndarray  # (customers, n, 3, 3) complex
     cust_bus: np.ndarray  # (customers,) bus index
     col_rep: np.ndarray  # (n,) bus whose customer column bus m repeats
-    root_lines: tuple[int, ...]  # lines leaving the root (the DT branch)
+    line_child: np.ndarray  # (L,) bus index
+    below: np.ndarray  # (L, customers) 0.0 or 1.0
 
 
 @lru_cache(maxsize=8)
@@ -146,16 +151,17 @@ def _geometry_for(network: Network) -> FeederGeometry:
     n = network.n_buses
 
     parent = np.full(n, -1, dtype=int)
-    parent_line = np.full(n, -1, dtype=int)
+    line_child = np.empty(len(network.lines), dtype=int)
     depth_order = np.array([bus_index[b] for b in report.depth_order], dtype=int)
     for bus, li in report.parent_line.items():
         parent[bus_index[bus]] = bus_index[report.parent[bus]]
-        parent_line[bus_index[bus]] = li
+        line_child[li] = bus_index[bus]
 
-    z_lines = np.stack([l.z_pu for l in network.lines])
+    z_child = np.zeros((n, 3, 3), dtype=complex)  # each bus's line to its parent
+    z_child[line_child] = np.stack([l.z_pu for l in network.lines])
     zcum = np.zeros((n, 3, 3), dtype=complex)
     for bi in depth_order[1:]:
-        zcum[bi] = zcum[parent[bi]] + z_lines[parent_line[bi]]
+        zcum[bi] = zcum[parent[bi]] + z_child[bi]
 
     # lca[j, m] is the deepest bus on both bus m's and customer j's root
     # paths: bus m itself when it lies on customer j's path, else its
@@ -182,22 +188,61 @@ def _geometry_for(network: Network) -> FeederGeometry:
         root_idx=root_idx,
         depth_order=depth_order,
         parent=parent,
-        parent_line=parent_line,
-        line_from=np.array([bus_index[l.from_bus] for l in network.lines], dtype=int),
-        line_to=np.array([bus_index[l.to_bus] for l in network.lines], dtype=int),
-        z_lines=z_lines,
         zcum=zcum,
         cust_meet=zcum[lca],
         cust_bus=cust_bus,
         col_rep=col_rep,
-        root_lines=tuple(
-            li for li, l in enumerate(network.lines) if network.root in (l.from_bus, l.to_bus)
-        ),
+        line_child=line_child,
+        below=on_path[:, line_child].T.astype(float),
     )
 
 
 def feeder_geometry(network: Network) -> FeederGeometry:
     return _geometry_for(network)
+
+
+def _customer_meet(network: Network) -> np.ndarray:
+    """meet_t[j, p, m, phi] = cust_meet[j, m][phi, p], the shared-path
+    impedance of customer j on phase p seen at bus m on phase phi: a
+    transposed view of the geometry's table."""
+
+    return np.transpose(feeder_geometry(network).cust_meet, (0, 3, 1, 2))
+
+
+@lru_cache(maxsize=8)
+def _customer_columns(network: Network) -> np.ndarray:
+    """`_customer_meet` as a read-only (3 * customers, 3 * buses) matrix: the
+    bus voltage drops per unit current injected at (customer, phase)."""
+
+    table = _customer_meet(network).reshape(3 * network.n_customers, 3 * network.n_buses)
+    table.setflags(write=False)
+    return table
+
+
+def _coupling(network: Network, phases: np.ndarray) -> np.ndarray:
+    """coupling[..., j, k] = Meet[bus_j, bus_k][p_j, p_k] for phase rows
+    (..., customers): the drop in customer j's own voltage per unit current
+    that customer k draws."""
+
+    rows = 3 * np.arange(phases.shape[-1]) + phases  # each customer's injection row
+    cols = 3 * feeder_geometry(network).cust_bus + phases  # and its own (bus, phase) column
+    return _customer_columns(network)[rows[..., None, :], cols[..., :, None]]
+
+
+def _bus_voltages(
+    network: Network, phases: np.ndarray, i_cust: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every bus voltage for customer currents i_cust (..., customers) drawn
+    on phases, in one product with the customer-column table. Returns the
+    (..., buses, 3) voltages and the (..., customers, 3) injections."""
+
+    lead = i_cust.shape[:-1]
+    injected = np.zeros(i_cust.shape + (3,), dtype=complex)
+    np.put_along_axis(
+        injected, np.broadcast_to(phases, i_cust.shape)[..., None], i_cust[..., None], axis=-1
+    )
+    drops = injected.reshape(lead + (-1,)) @ _customer_columns(network)
+    return network.v0.values - drops.reshape(lead + (network.n_buses, 3)), injected
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,38 +272,6 @@ class PFSolution:
         object.__setattr__(self, "cust_phase", ph)
 
 
-def _sweep_state(
-    geometry: FeederGeometry,
-    v0: np.ndarray,
-    i_cust: np.ndarray,
-    cust_phase: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One backward current aggregation plus forward voltage sweep.
-
-    Returns (bus voltages, line currents) for the given customer injections.
-    """
-
-    n = geometry.zcum.shape[0]
-    inj = np.zeros((n, 3), dtype=complex)
-    np.add.at(inj, (geometry.cust_bus, cust_phase), i_cust)
-
-    acc = inj.copy()
-    i_lines = np.zeros((geometry.z_lines.shape[0], 3), dtype=complex)
-    for bi in geometry.depth_order[::-1]:
-        li = geometry.parent_line[bi]
-        if li < 0:
-            continue
-        i_lines[li] = acc[bi]
-        acc[geometry.parent[bi]] += acc[bi]
-
-    v = np.empty((n, 3), dtype=complex)
-    v[geometry.root_idx] = v0
-    for bi in geometry.depth_order[1:]:
-        li = geometry.parent_line[bi]
-        v[bi] = v[geometry.parent[bi]] - geometry.z_lines[li] @ i_lines[li]
-    return v, i_lines
-
-
 def solve_utpf(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
@@ -268,9 +281,11 @@ def solve_utpf(
 ) -> PFSolution:
     """Exact fixed-point power flow for one period under a phase assignment.
 
-    Flat start at the root voltage; customer currents are re-evaluated from
-    the latest voltages each pass until the worst complex power mismatch is
-    at or below tol. Raises VoltageCollapseError or NonConvergenceError.
+    Flat start at the root voltage. Each pass draws conj(s) / conj(V) at
+    every customer's own voltage V and moves those voltages by the coupling
+    of the customers' shared paths, until the worst complex power mismatch
+    is at or below tol. The converged currents then give every bus voltage
+    and line current. Raises VoltageCollapseError or NonConvergenceError.
     """
 
     check_assignment(snapshot, assignment)
@@ -280,23 +295,19 @@ def solve_utpf(
 
     s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)
-
-    n = network.n_buses
-    v = np.tile(v0, (n, 1))
-    i_lines = np.zeros((geometry.z_lines.shape[0], 3), dtype=complex)
+    coupling = _coupling(network, phases)
+    v0c = v0[phases]
+    vc = v0c
     polished = False
 
     for iteration in range(1, max_iterations + 1):
-        vc = v[geometry.cust_bus, phases]
         if np.any(np.abs(vc) < COLLAPSE_GUARD):
             raise VoltageCollapseError(
                 f"voltage magnitude below {COLLAPSE_GUARD} p.u. at iteration {iteration}"
             )
         i_cust = np.conj(s) / np.conj(vc)
-        v, i_lines = _sweep_state(geometry, v0, i_cust, phases)
-
-        vc_new = v[geometry.cust_bus, phases]
-        mismatch = float(np.max(np.abs(vc_new * np.conj(i_cust) - s))) if len(s) else 0.0
+        vc = v0c - coupling @ i_cust
+        mismatch = float(np.max(np.abs(vc * np.conj(i_cust) - s))) if len(s) else 0.0
         if mismatch <= tol:
             # Per-customer mismatches share the sign of the last voltage
             # correction, so their sum can reach n times the max; one extra
@@ -304,14 +315,14 @@ def solve_utpf(
             if not polished:
                 polished = True
                 continue
+            v, injected = _bus_voltages(network, phases, i_cust)
             if np.any(np.abs(v) < COLLAPSE_GUARD):
                 raise VoltageCollapseError("converged state below the collapse guard")
-            s_dt = sum(v0 * np.conj(i_lines[li]) for li in geometry.root_lines)
             return PFSolution(
                 bus_ids=geometry.bus_ids,
                 v=v,
-                i_lines=i_lines,
-                s_dt=np.asarray(s_dt, dtype=complex),
+                i_lines=geometry.below @ injected,
+                s_dt=v0 * np.conj(injected.sum(axis=0)),
                 s_cust=s,
                 cust_phase=phases,
                 iterations=iteration,
@@ -329,8 +340,8 @@ def power_balance_residual(solution: PFSolution, snapshot: CaseSnapshot) -> floa
     """
 
     geometry = feeder_geometry(snapshot.network)
-    v = solution.v
-    drops = v[geometry.line_from] - v[geometry.line_to]
+    v, child = solution.v, geometry.line_child
+    drops = v[geometry.parent[child]] - v[child]  # parent to child, as i_lines flow
     losses = np.einsum("lp,lp->", drops, np.conj(solution.i_lines))
     total_load = solution.s_cust.sum()
     injected = solution.s_dt.sum()

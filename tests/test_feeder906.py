@@ -18,7 +18,9 @@ from phasebal.cli import SweepConfig, load_scenario, run_sweep
 from phasebal.formulations import _make_kernel, evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import build_snapshot, bundled_feeder_dir
 from phasebal.optimizer import _bnb_choices, _exhaustive_choices
-from phasebal.powerflow import PhaseAssignment
+from phasebal.powerflow import PhaseAssignment, power_balance_residual, solve_utpf
+
+from test_powerflow import current_imbalance, ohm_gap
 
 PERIOD = 73
 
@@ -37,6 +39,16 @@ def snapshot(scenario):
     network, demands = load_scenario(scenario)
     assert network.n_buses == 906
     return build_snapshot(network, demands, PERIOD)
+
+
+def test_exact_state(snapshot):
+    network = snapshot.network
+    asg = PhaseAssignment.initial(network)
+    sol = solve_utpf(snapshot, asg)
+    assert np.max(np.abs(current_imbalance(network, asg, sol, snapshot.s_pu))) <= 1e-9
+    assert ohm_gap(network, sol) <= 1e-12
+    assert power_balance_residual(sol, snapshot) <= 1e-8
+    assert solve_utpf(snapshot, asg).iterations == sol.iterations
 
 
 @pytest.mark.parametrize(

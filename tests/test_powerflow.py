@@ -131,19 +131,37 @@ class TestBundledConvergence:
 def current_imbalance(network, asg, sol, s):
     """Independent KCL check for customer loads s: per bus and phase, line
     flows out of the bus plus local customer injections minus flows into it,
-    zero at the root slack. Uses only the Line records, not the solver's
-    cached geometry."""
+    zero at the root slack. Uses only the topology report, whose line to
+    each bus's parent carries i_lines from the parent to the bus, not the
+    solver's cached geometry."""
 
     bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
+    report = network.topology
     balance = np.zeros((network.n_buses, 3), dtype=complex)
-    for li, line in enumerate(network.lines):
-        balance[bus_index[line.from_bus]] -= sol.i_lines[li]
-        balance[bus_index[line.to_bus]] += sol.i_lines[li]
+    for bus, li in report.parent_line.items():
+        balance[bus_index[report.parent[bus]]] -= sol.i_lines[li]
+        balance[bus_index[bus]] += sol.i_lines[li]
     for k, cust in enumerate(network.customers):
         vc = sol.v[bus_index[cust.bus], asg.phases[k]]
         balance[bus_index[cust.bus], asg.phases[k]] -= np.conj(s[k] / vc)
     balance[bus_index[network.root]] = 0.0  # root slack supplies the feeder
     return balance
+
+
+def ohm_gap(network, sol):
+    """Largest |v[child] - (v[parent] - z_pu @ i_line)| over the Line records,
+    each oriented from parent to child by the topology report."""
+
+    bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
+    report = network.topology
+    return max(
+        np.max(np.abs(
+            sol.v[bus_index[bus]]
+            - sol.v[bus_index[report.parent[bus]]]
+            + network.lines[li].z_pu @ sol.i_lines[li]
+        ))
+        for bus, li in report.parent_line.items()
+    )
 
 
 class TestRandomFeederConservation:
@@ -160,7 +178,25 @@ class TestRandomFeederConservation:
         sol = solve_utpf(snap, asg, q_adjust=q_adjust)
         imbalance = current_imbalance(network, asg, sol, snap.s_pu + 1j * q_adjust)
         assert np.max(np.abs(imbalance)) <= 1e-9
+        assert ohm_gap(network, sol) <= 1e-12
         assert power_balance_residual(sol, snap) <= 1e-8
+
+    def test_lines_stored_child_to_parent(self):
+        # The radiality check accepts a line in either direction; the state
+        # and its balance must not depend on it.
+        network = random_radial_network(seed=12, n_buses=12, n_customers=8)
+        flipped = replace(network, lines=tuple(
+            replace(line, from_bus=line.to_bus, to_bus=line.from_bus) if k % 2 else line
+            for k, line in enumerate(network.lines)
+        ))
+        asg = PhaseAssignment.initial(network)
+        sol = solve_utpf(loaded_snapshot(network, 12, switches=0), asg)
+        snap = loaded_snapshot(flipped, 12, switches=0)
+        sol_flipped = solve_utpf(snap, asg)
+        assert np.array_equal(sol_flipped.v, sol.v)
+        assert np.max(np.abs(current_imbalance(flipped, asg, sol_flipped, snap.s_pu))) <= 1e-9
+        assert ohm_gap(flipped, sol_flipped) <= 1e-12
+        assert power_balance_residual(sol_flipped, snap) <= 1e-8
 
 
 class TestReactiveAdjustment:
