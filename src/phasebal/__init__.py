@@ -37,7 +37,6 @@ from .formulations import (
 )
 from .cli import SweepConfig, SweepReport, run_sweep, verify_accuracy, write_report_files
 from .optimizer import (
-    Algorithm1Options,
     OptimizationOutcome,
     branch_and_bound,
     exhaustive,
@@ -48,7 +47,6 @@ from .optimizer import (
 
 __all__ = [
     "AffineFit",
-    "Algorithm1Options",
     "CaseSnapshot",
     "DemandSeries",
     "EvaluationResult",

@@ -38,7 +38,6 @@ from .netmodel import (
     write_profiles_csv,
 )
 from .optimizer import (
-    Algorithm1Options,
     OptimizationOutcome,
     _model_evaluator,
     _search_once,
@@ -51,7 +50,7 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-OUTCOME_SCHEMA = "phasebal.outcome.v2"
+OUTCOME_SCHEMA = "phasebal.outcome.v3"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256
 
@@ -149,11 +148,16 @@ def _cell_seed(base: int, period: int) -> int:
 
 
 def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
+    """The cell's decision; the initial cell keeps the initial assignment, whose
+    one exact solve stands for all four of its views."""
+
     seed = _cell_seed(spec.seed, spec.period)
+    if spec.method == "initial":
+        initial = PhaseAssignment.initial(snapshot.network)
+        exact = evaluate_exact(snapshot, initial)
+        return OptimizationOutcome("utpf", "none", initial, exact, exact, exact, exact, 1)
     if spec.method in ("fixv-mc", "fixv-mw"):
-        warm = spec.method == "fixv-mw"
-        algorithm = Algorithm1Options(max_outer=1 if warm else 3, warm_start=warm)
-        return fixv_algorithm1(snapshot, algorithm, seed=seed)
+        return fixv_algorithm1(snapshot, warm=spec.method == "fixv-mw", seed=seed)
     return _search_once(snapshot, spec.method, seed)
 
 
@@ -232,59 +236,40 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         snapshot = build_snapshot(network, demands, spec.period, options)  # type: ignore[arg-type]
         initial = PhaseAssignment.initial(snapshot.network)
 
-        if spec.method == "initial":
-            exact = evaluate_exact(snapshot, initial)
-            verified = _verified_view(exact)
-            full = _with_vm(verified, exact)
-            doc.update(
-                strategy="none",
-                candidates=1,
-                assignment=[int(p) for p in initial.phases],
-                initial_assignment=[int(p) for p in initial.phases],
-                moves=0,
-                q_adjust=None,
-                model=full,
-                initial_model=verified,
-                verified=full,
-                initial_verified=verified,
-                trace=[],
-                stats={},
-                pv=None,
-            )
-        else:
-            outcome = _optimize_cell(snapshot, spec)
-            q_adjust = None
-            pv_block = None
-            model = outcome.model
-            verified = outcome.verified
-            if spec.pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu):
-                q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
-                verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
-            doc.update(
-                strategy=outcome.strategy,
-                candidates=int(outcome.candidates),
-                assignment=[int(p) for p in outcome.assignment.phases],
-                initial_assignment=[int(p) for p in initial.phases],
-                moves=int(
-                    sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
-                ),
-                q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
-                model=_with_vm(_eval_view(model), model),
-                initial_model=_eval_view(outcome.initial_model),
-                verified=_with_vm(_verified_view(verified), verified),
-                initial_verified=_verified_view(outcome.initial_verified),
-                trace=[
-                    {
-                        "outer": int(step.outer),
-                        "phases": [int(p) for p in step.phases],
-                        "delta_v": float(step.delta_v),
-                        "model_objective": float(step.model_objective),
-                    }
-                    for step in outcome.trace
-                ],
-                stats={k: float(v) for k, v in outcome.stats.items()},
-                pv=pv_block,
-            )
+        outcome = _optimize_cell(snapshot, spec)
+        q_adjust = None
+        pv_block = None
+        model = outcome.model
+        verified = outcome.verified
+        tunable = spec.pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
+        if tunable and spec.method != "initial":
+            q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
+            verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
+        doc.update(
+            strategy=outcome.strategy,
+            candidates=int(outcome.candidates),
+            assignment=[int(p) for p in outcome.assignment.phases],
+            initial_assignment=[int(p) for p in initial.phases],
+            moves=int(
+                sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
+            ),
+            q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
+            model=_with_vm(_eval_view(model), model),
+            initial_model=_eval_view(outcome.initial_model),
+            verified=_with_vm(_verified_view(verified), verified),
+            initial_verified=_verified_view(outcome.initial_verified),
+            trace=[
+                {
+                    "outer": int(step.outer),
+                    "phases": [int(p) for p in step.phases],
+                    "delta_v": float(step.delta_v),
+                    "model_objective": float(step.model_objective),
+                }
+                for step in outcome.trace
+            ],
+            stats={k: float(v) for k, v in outcome.stats.items()},
+            pv=pv_block,
+        )
     except Exception as exc:  # per-row containment: the sweep must not abort
         doc["status"] = "error"
         doc["error"] = f"{type(exc).__name__}: {exc}"

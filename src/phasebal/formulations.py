@@ -371,42 +371,26 @@ def _phasor_measures(
 class AffineFit:
     """Per-phase affine surrogate for 1/conj(V) over a voltage window.
 
-    Re g = bx + kx*X + ky*Y and Im g = by + hx*X + hy*Y, with X, Y the
-    rectangular voltage parts; one coefficient row per phase, fitted around
-    each phase's nominal direction. max_residual is the worst |g - 1/conj(V)|
+    g = cb + ck*X + ch*Y, with X, Y the rectangular voltage parts and
+    complex coefficients; one coefficient row per phase, fitted around each
+    phase's nominal direction. max_residual is the worst |g - 1/conj(V)|
     on a denser validation grid over the same window.
     """
 
-    bx: np.ndarray
-    kx: np.ndarray
-    ky: np.ndarray
-    by: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
+    cb: np.ndarray
+    ck: np.ndarray
+    ch: np.ndarray
     vm_range: tuple[float, float]
     angle_halfwidth_rad: float
     max_residual: float
 
     def __post_init__(self) -> None:
-        for nameattr in ("bx", "kx", "ky", "by", "hx", "hy"):
-            arr = np.asarray(getattr(self, nameattr), dtype=float)
+        for nameattr in ("cb", "ck", "ch"):
+            arr = np.asarray(getattr(self, nameattr), dtype=complex)
             if arr.shape != (3,):
                 raise ValueError(f"{nameattr} must hold one coefficient per phase")
             arr.setflags(write=False)
             object.__setattr__(self, nameattr, arr)
-
-    # Complex-coefficient view: g = cb + ck * Re(V) + ch * Im(V).
-    @property
-    def cb(self) -> np.ndarray:
-        return self.bx + 1j * self.by
-
-    @property
-    def ck(self) -> np.ndarray:
-        return self.kx + 1j * self.hx
-
-    @property
-    def ch(self) -> np.ndarray:
-        return self.ky + 1j * self.hy
 
     def g(self, v: np.ndarray, phase: np.ndarray | int) -> np.ndarray:
         varr = np.asarray(v, dtype=complex)
@@ -427,7 +411,7 @@ def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
 
     v0arr = np.asarray(getattr(v0, "values", v0), dtype=complex)
     delta = limits.angle_halfwidth_rad
-    coef = {k: np.zeros(3) for k in ("bx", "kx", "ky", "by", "hx", "hy")}
+    coef = np.zeros((3, 3), dtype=complex)  # phase x (constant, X, Y)
     worst = 0.0
     for phi in range(3):
         center = float(np.angle(v0arr[phi]))
@@ -442,20 +426,20 @@ def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
         design = np.column_stack([np.ones(v.size), v.real, v.imag])
         re_c, *_ = np.linalg.lstsq(design, target.real, rcond=None)
         im_c, *_ = np.linalg.lstsq(design, target.imag, rcond=None)
-        coef["bx"][phi], coef["kx"][phi], coef["ky"][phi] = re_c
-        coef["by"][phi], coef["hx"][phi], coef["hy"][phi] = im_c
+        coef[phi] = re_c + 1j * im_c
 
         check = window(_FIT_CHECK, _FIT_CHECK)
-        approx = (re_c[0] + re_c[1] * check.real + re_c[2] * check.imag) + 1j * (
-            im_c[0] + im_c[1] * check.real + im_c[2] * check.imag
-        )
+        approx = coef[phi, 0] + coef[phi, 1] * check.real + coef[phi, 2] * check.imag
         worst = max(worst, float(np.max(np.abs(approx - 1.0 / np.conj(check)))))
 
+    cb, ck, ch = coef.T.copy()
     return AffineFit(
+        cb=cb,
+        ck=ck,
+        ch=ch,
         vm_range=(limits.v_min, limits.v_max),
         angle_halfwidth_rad=delta,
         max_residual=worst,
-        **coef,
     )
 
 
@@ -754,16 +738,11 @@ class _Kernel:
 
     separable = False
 
-    def __init__(
-        self,
-        snapshot: CaseSnapshot,
-        profile: np.ndarray | None = None,
-        q_adjust: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         self.network = snapshot.network
         self.limits = snapshot.network.limits
         self.v0 = self.network.v0.values
-        self.s = _effective_loads(snapshot, q_adjust)
+        self.s = _effective_loads(snapshot, None)
         self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
         self.initial = np.array([c.initial_phase for c in self.network.customers], dtype=int)
 
@@ -881,13 +860,8 @@ class _FixvKernel(_SeparableKernel):
 
     method = "fixv"
 
-    def __init__(
-        self,
-        snapshot: CaseSnapshot,
-        profile: np.ndarray | None = None,
-        q_adjust: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(snapshot, q_adjust=q_adjust)
+    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
+        super().__init__(snapshot)
         profile, _ = _fixv_profile(self.network, profile)
         cust_bus = feeder_geometry(self.network).cust_bus
         i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
@@ -911,13 +885,8 @@ class _LbfmKernel(_SeparableKernel):
     method = "lbfm"
     squared = True
 
-    def __init__(
-        self,
-        snapshot: CaseSnapshot,
-        profile: np.ndarray | None = None,
-        q_adjust: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(snapshot, q_adjust=q_adjust)
+    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
+        super().__init__(snapshot)
         s, v0, meet_t = self.s, self.v0, _customer_meet(self.network)
         # Changes of the squared magnitude at (bus, phi) and of the unbalance
         # surrogate at each bus when customer j sits on phase p.
@@ -964,13 +933,10 @@ _KERNELS = {kernel.method: kernel for kernel in (_FixvKernel, _LbfmKernel, _Linv
 
 
 def _make_kernel(
-    snapshot: CaseSnapshot,
-    method: str,
-    profile: np.ndarray | None = None,
-    q_adjust: np.ndarray | None = None,
+    snapshot: CaseSnapshot, method: str, profile: np.ndarray | None = None
 ) -> _Kernel:
     """Build method's kernel; only fixv reads profile."""
 
     if method not in _KERNELS:
         raise ValueError(f"unknown formulation {method!r}")
-    return _KERNELS[method](snapshot, profile=profile, q_adjust=q_adjust)
+    return _KERNELS[method](snapshot, profile=profile)

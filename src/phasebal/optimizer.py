@@ -5,9 +5,11 @@ same exact answer by a scan in ascending transformer spread pi, which
 bounds each objective from below (branch-and-bound, separable models only),
 and seeded best-improvement local search. Exhaustive enumeration is the
 reference the scan is tested against; no sweep runs it. On top of those,
-an iterated fixed-voltage refinement re-solves the discrete problem while
-updating the frozen voltage profile, and a cyclic coordinate descent tunes
-continuous reactive adjustments after the discrete search. The descent
+the iterated fixed-voltage refinement (the paper's Algorithm 1) solves the
+discrete problem at a frozen voltage profile and refreshes the profile from
+its choice: two search passes from the flat profile (cold), or one at the
+exact profile of the initial assignment (warm). A cyclic coordinate descent
+tunes continuous reactive adjustments after the discrete search. The descent
 prices each coordinate's points in batches through the model's line
 scorer (`formulations._line_scorer`), objectives only: the coarse scan in
 one call, the first golden pair in another, and the golden steps _AHEAD at
@@ -22,7 +24,7 @@ budget of 3**12 candidates, local search otherwise. Every search keeps a
 choice only if the scalar model ranks it no worse than the initial
 assignment, then verifies the outcome once: one exact power flow for the
 chosen and one for the initial assignment (shared when they coincide),
-carried in the outcome for reporting. The inner passes of the iterated
+carried in the outcome for reporting. The passes of the iterated
 refinement decide on the model alone; only its final choice is verified.
 """
 
@@ -49,7 +51,6 @@ from .netmodel import CaseSnapshot
 from .powerflow import PFSolution, PhaseAssignment, solve_utpf
 
 __all__ = [
-    "Algorithm1Options",
     "Algorithm1Step",
     "OptimizationOutcome",
     "branch_and_bound",
@@ -68,23 +69,8 @@ _SEED = 7  # seed of those starts when the caller gives none
 
 
 @dataclass(frozen=True)
-class Algorithm1Options:
-    """Iterated fixed-voltage refinement controls."""
-
-    max_outer: int = 3  # discrete solves allowed (K)
-    eps_v: float = 1e-4  # stop once the profile moves less than this
-    warm_start: bool = False  # start from the exact initial-assignment profile
-
-    def __post_init__(self) -> None:
-        if self.max_outer < 1:
-            raise ValueError("need at least one outer solve")
-        if self.eps_v <= 0:
-            raise ValueError("eps_v must be positive")
-
-
-@dataclass(frozen=True)
 class Algorithm1Step:
-    """One outer iteration: assignment chosen and profile movement."""
+    """One search pass: assignment chosen and profile movement."""
 
     outer: int
     phases: tuple[int, ...]
@@ -379,88 +365,53 @@ def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> Optimization
     return branch_and_bound(snapshot, method)
 
 
-# Search passes beyond this hold the incumbent assignment and only refresh
-# the profile.  Near-tied argmins re-rank under profile updates of the same
-# order as their fixed-point spread, so an exact solver can cycle through
-# them indefinitely; holding after two passes keeps the remaining profile
-# updates purely contractive.
-_SEARCH_PASSES = 2
-
-
 def fixv_algorithm1(
-    snapshot: CaseSnapshot,
-    algorithm: Algorithm1Options | None = None,
-    seed: int = _SEED,
+    snapshot: CaseSnapshot, warm: bool = False, seed: int = _SEED
 ) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
 
-    Each outer pass solves the discrete assignment problem with customer
-    currents frozen at the working voltage profile, then refreshes the
-    profile from the chosen assignment's model voltages; it stops when the
-    profile moves less than eps_v or the outer budget is spent. Cold runs
-    start from the flat root-voltage profile, warm runs from the exact
-    power flow of the initial assignment, which then also verifies the
-    initial assignment. A pass keeps its choice only if
-    the model at that pass's profile ranks it no worse than the initial
-    assignment, and seeds the next pass's local search with it; only the
-    final choice is verified against the exact power flow. The search
-    passes' own statistics (the bound-ordered scan's "scored", local
-    search's "starts") are summed into stats.
+    A search pass solves the discrete assignment problem with customer
+    currents frozen at the working voltage profile, keeps its choice only
+    if the model at that profile ranks it no worse than the initial
+    assignment, and refreshes the profile from the kept assignment's model
+    voltages. The cold run makes two passes: the first from the flat
+    root-voltage profile, the second at the first pass's refreshed profile,
+    its local search seeded with the first pass's choice. The warm run
+    makes one pass at the exact power flow of the initial assignment, whose
+    solve then also verifies the initial assignment. Only the final choice
+    is verified against the exact power flow. The search passes' own
+    statistics (the bound-ordered scan's "scored", local search's "starts")
+    are summed into stats.
 
-    Near-tied assignments can re-rank under the profile updates and trap
-    the loop in a limit cycle (convergence of the iteration has no
-    theoretical guarantee). Passes after the second therefore keep the
-    incumbent assignment and only refresh the profile, which contracts
-    geometrically to that assignment's fixed point; stats["pinned_outer"]
-    records the first profile-only pass (0 when none was needed).
+    The outcome's model view is evaluated at the profile the last pass
+    searched, i.e. the estimate that actually selected the assignment; the
+    trace records each pass's choice and how far it moved the profile, and
+    stats["delta_v"] is the last pass's movement. seed draws local search's
+    random restarts."""
 
-    The outcome's model view is evaluated at the profile the deciding
-    search pass ran on, i.e. the estimate that actually selected the
-    assignment; the trace records the loop's own profile convergence.
-    seed draws local search's random restarts."""
-
-    alg = algorithm or Algorithm1Options()
     network = snapshot.network
-    initial = PhaseAssignment.initial(network)
-
     base = None
-    if alg.warm_start:
-        base = solve_utpf(snapshot, initial)
+    if warm:
+        base = solve_utpf(snapshot, PhaseAssignment.initial(network))
         profile = np.asarray(base.v)
     else:
         profile = np.tile(network.v0.values, (network.n_buses, 1))
 
-    delta = math.inf
-    outer = 0
+    search = _SEARCHES[_strategy(snapshot, "fixv")]
     candidates = 0
     trace: list[Algorithm1Step] = []
     extra_starts: list[np.ndarray] = []
-    current: PhaseAssignment | None = None
-    pinned_outer = 0
-    decide_profile = profile
     search_stats: dict[str, float] = {}
-
-    while delta > alg.eps_v and outer < alg.max_outer:
-        outer += 1
-        if outer <= _SEARCH_PASSES or current is None:
-            decide_profile = profile
-            kernel = _make_kernel(snapshot, "fixv", profile=profile)
-            search_fn = _SEARCHES[_strategy(snapshot, "fixv")]
-            best, count, pass_stats = search_fn(kernel, extra_starts, seed)
-            candidates += count
-            for key, value in pass_stats.items():
-                search_stats[key] = search_stats.get(key, 0.0) + value
-            current, model, _, _ = _no_worse(
-                snapshot, "fixv", kernel.assignment(best), profile
-            )
-            if outer < _SEARCH_PASSES:
-                extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
-        else:
-            if not pinned_outer:
-                pinned_outer = outer
-            model = evaluate_fixv(snapshot, current, profile)
-        new_profile = np.asarray(model.v)
-        delta = float(np.max(np.abs(new_profile - profile)))
+    for outer in range(1, 2 if warm else 3):
+        kernel = _make_kernel(snapshot, "fixv", profile=profile)
+        best, count, pass_stats = search(kernel, extra_starts, seed)
+        candidates += count
+        for key, value in pass_stats.items():
+            search_stats[key] = search_stats.get(key, 0.0) + value
+        current, model, _, _ = _no_worse(snapshot, "fixv", kernel.assignment(best), profile)
+        extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
+        decide_profile, profile = profile, np.asarray(model.v)
+        delta = float(np.max(np.abs(profile - decide_profile)))
         trace.append(
             Algorithm1Step(
                 outer=outer,
@@ -469,21 +420,14 @@ def fixv_algorithm1(
                 model_objective=model.objective,
             )
         )
-        profile = new_profile
 
-    assert current is not None
     return _finish(
         snapshot,
         "fixv",
-        "algorithm1-warm" if alg.warm_start else "algorithm1-cold",
+        "algorithm1-warm" if warm else "algorithm1-cold",
         current,
         candidates,
-        {
-            "outer": float(outer),
-            "delta_v": float(delta),
-            "pinned_outer": float(pinned_outer),
-            **search_stats,
-        },
+        {"outer": float(len(trace)), "delta_v": delta, **search_stats},
         decide_profile,
         trace=tuple(trace),
         initial_solution=base,
@@ -493,6 +437,7 @@ def fixv_algorithm1(
 _COARSE = 13  # evenly spaced points of a coordinate's coarse scan
 _MAX_EVALS = 64  # points scored per coordinate, coarse scan included
 _SWEEP_TOL = 1e-6  # a round improving the objective by less ends the descent
+_MAX_ROUNDS = 8  # full sweeps over the free coordinates at most
 _AHEAD = 4  # golden steps whose reachable points are priced in one call
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
@@ -577,7 +522,6 @@ def optimize_pv_q(
     assignment: PhaseAssignment,
     method: str = "fixv",
     profile: np.ndarray | None = None,
-    max_rounds: int = 8,
 ) -> tuple[np.ndarray, EvaluationResult, Mapping[str, float]]:
     """Cyclic coordinate descent on the per-customer reactive adjustments.
 
@@ -589,12 +533,13 @@ def optimize_pv_q(
     which returns objectives only, in a few batched calls per coordinate
     (see `_minimize_1d`); the scalar evaluator prices only the start and
     the final state. Rounds stop once a full sweep improves by less than
-    _SWEEP_TOL. Line objectives match the scalar ones to rounding only, so
-    a final state the scalar model ranks above the start is dropped for the
-    start: the objective never increases. stats["f_start"] is the start's
-    scalar objective and stats["evaluations"] counts the start and every
-    point the descent steps through, not the points priced ahead of the
-    golden steps and never reached."""
+    _SWEEP_TOL, or after _MAX_ROUNDS. Line objectives match the scalar
+    ones to rounding only, so a final state the scalar model ranks above
+    the start is dropped for the start: the objective never increases.
+    stats["f_start"] is the start's scalar objective and
+    stats["evaluations"] counts the start and every point the descent steps
+    through, not the points priced ahead of the golden steps and never
+    reached."""
 
     evaluator = _model_evaluator(method, profile)
     line = _line_scorer(snapshot, assignment, method, profile)
@@ -609,7 +554,7 @@ def optimize_pv_q(
     f_cur = start.objective
     total_evals = 1
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         rounds += 1
         f_round = f_cur
         for c in free:

@@ -276,16 +276,15 @@ def solve_utpf(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
     q_adjust: np.ndarray | None = None,
-    tol: float = MISMATCH_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> PFSolution:
     """Exact fixed-point power flow for one period under a phase assignment.
 
     Flat start at the root voltage. Each pass draws conj(s) / conj(V) at
     every customer's own voltage V and moves those voltages by the coupling
     of the customers' shared paths, until the worst complex power mismatch
-    is at or below tol. The converged currents then give every bus voltage
-    and line current. Raises VoltageCollapseError or NonConvergenceError.
+    is at or below MISMATCH_TOL. The converged currents then give every bus
+    voltage and line current. Raises VoltageCollapseError, or
+    NonConvergenceError after MAX_ITERATIONS passes.
     """
 
     check_assignment(snapshot, assignment)
@@ -300,7 +299,7 @@ def solve_utpf(
     vc = v0c
     polished = False
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if np.any(np.abs(vc) < COLLAPSE_GUARD):
             raise VoltageCollapseError(
                 f"voltage magnitude below {COLLAPSE_GUARD} p.u. at iteration {iteration}"
@@ -308,10 +307,11 @@ def solve_utpf(
         i_cust = np.conj(s) / np.conj(vc)
         vc = v0c - coupling @ i_cust
         mismatch = float(np.max(np.abs(vc * np.conj(i_cust) - s))) if len(s) else 0.0
-        if mismatch <= tol:
+        if mismatch <= MISMATCH_TOL:
             # Per-customer mismatches share the sign of the last voltage
             # correction, so their sum can reach n times the max; one extra
-            # consistency pass shrinks the pooled balance error well below tol.
+            # consistency pass shrinks the pooled balance error well below
+            # MISMATCH_TOL.
             if not polished:
                 polished = True
                 continue
@@ -329,7 +329,7 @@ def solve_utpf(
                 mismatch=mismatch,
             )
 
-    raise NonConvergenceError(mismatch=mismatch, iterations=max_iterations)
+    raise NonConvergenceError(mismatch=mismatch, iterations=MAX_ITERATIONS)
 
 
 def power_balance_residual(solution: PFSolution, snapshot: CaseSnapshot) -> float:

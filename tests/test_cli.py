@@ -101,6 +101,42 @@ def test_verify_regenerates_reports_byte_identically(counted_sweep):
     assert {name: (out / name).read_bytes() for name in REPORTS} == before
 
 
+def test_verify_refuses_an_older_outcome_schema(counted_sweep, tmp_path, capsys):
+    out, _ = counted_sweep
+    doc = json.loads(cli.outcome_path(out, PERIOD, "initial").read_text())
+    doc["schema"] = "phasebal.outcome.v2"
+    cli._write_json(cli.outcome_path(tmp_path, PERIOD, "initial"), doc)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"phasebal verify: error: outcome_{PERIOD}_initial.json: "
+        "unexpected schema 'phasebal.outcome.v2'"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == [f"outcome_{PERIOD}_initial.json"]
+
+
+def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
+    # PV-Q is on, and the initial cell still keeps the untuned state.
+    assert main(
+        [
+            "sweep", "--periods", f"{PERIOD}:{PERIOD + 1}", "--methods", "initial",
+            "--pv-control", "on", "--parallelism", "1", "--out-dir", str(tmp_path),
+        ]
+    ) == 0
+    doc = json.loads(cli.outcome_path(tmp_path, PERIOD, "initial").read_text())
+    assert (doc["strategy"], doc["candidates"], doc["moves"]) == ("none", 1, 0)
+    assert doc["pv"] is None and doc["q_adjust"] is None
+    assert doc["trace"] == [] and doc["stats"] == {}
+    snap = build_snapshot(network, demands, PERIOD, replace(DEFAULT_SCENARIO, pv_q_control=True))
+    exact = evaluate_exact(snap, PhaseAssignment.initial(network))
+    for key in ("model", "initial_model", "verified", "initial_verified"):
+        assert doc[key]["objective"] == exact.objective
+        # Only the verified views carry the solve's diagnostics.
+        assert ("iterations" in doc[key]) == key.endswith("verified")
+    assert doc["model"]["vm"] == doc["verified"]["vm"]
+
+
 def test_package_runs_as_a_module_without_warnings():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -159,20 +159,29 @@ class TestInverseVoltageFit:
             assert err <= fit.max_residual
 
     def test_complex_views_match_parts(self, network):
+        # Each complex coefficient row joins the least-squares fits of the
+        # real and the imaginary part of 1/conj(V) on the same design.
         fit = fit_inverse_voltage(network.v0, network.limits)
-        assert np.array_equal(fit.cb, fit.bx + 1j * fit.by)
-        assert np.array_equal(fit.ck, fit.kx + 1j * fit.hx)
-        assert np.array_equal(fit.ch, fit.ky + 1j * fit.hy)
+        limits = network.limits
+        half = limits.angle_halfwidth_rad
+        for phi, v0 in enumerate(network.v0.values):
+            centre = float(np.angle(v0))
+            mags = np.linspace(limits.v_min, limits.v_max, 20)
+            angs = np.linspace(centre - half, centre + half, 20)
+            v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
+            design = np.column_stack([np.ones(v.size), v.real, v.imag])
+            target = 1.0 / np.conj(v)
+            re_c = np.linalg.lstsq(design, target.real, rcond=None)[0]
+            im_c = np.linalg.lstsq(design, target.imag, rcond=None)[0]
+            row = np.array([fit.cb[phi], fit.ck[phi], fit.ch[phi]])
+            assert row.tobytes() == (re_c + 1j * im_c).tobytes()
 
     def test_coefficient_shape_enforced(self):
         with pytest.raises(ValueError, match="one coefficient per phase"):
             AffineFit(
-                bx=np.zeros(2),
-                kx=np.zeros(3),
-                ky=np.zeros(3),
-                by=np.zeros(3),
-                hx=np.zeros(3),
-                hy=np.zeros(3),
+                cb=np.zeros(2),
+                ck=np.zeros(3),
+                ch=np.zeros(3),
                 vm_range=(0.94, 1.10),
                 angle_halfwidth_rad=0.17,
                 max_residual=0.0,
@@ -491,24 +500,22 @@ class TestBatchKernels:
     @given(
         seed=st.integers(0, 2**16),
         method=st.sampled_from(["fixv", "lbfm", "linv"]),
-        q_band=st.sampled_from([0.0, 0.02]),
         exact_profile=st.booleans(),
     )
-    def test_batch_matches_scalar_on_random_feeders(self, seed, method, q_band, exact_profile):
+    def test_batch_matches_scalar_on_random_feeders(self, seed, method, exact_profile):
         network = random_radial_network(seed, n_buses=25, n_customers=12)
-        snap = loaded_snapshot(network, seed, switches=5, q_band=q_band)
+        snap = loaded_snapshot(network, seed, switches=5)
         rng = np.random.default_rng(seed)
-        q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         profile = None
         if method == "fixv" and exact_profile:
-            profile = solve_utpf(snap, PhaseAssignment.initial(network), q_adjust=q).v
-        kernel = _make_kernel(snap, method, profile=profile, q_adjust=q)
+            profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
+        kernel = _make_kernel(snap, method, profile=profile)
         choices = self._random_choices(rng, kernel, 12)
         batch = kernel.score(choices)
         scalar = _model_evaluator(method, profile)
         tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch.objective, kernel.full_phases(choices)):
-            one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)), q)
+            one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)), None)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
     def test_fixv_kernel_accepts_profile(self, network, demands):

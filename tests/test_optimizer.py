@@ -14,7 +14,6 @@ from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
-    Algorithm1Options,
     _bnb_choices,
     _decode,
     _exhaustive_choices,
@@ -32,14 +31,6 @@ from phasebal.powerflow import PhaseAssignment, solve_utpf
 from conftest import loaded_snapshot, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 from dataclasses import replace
-
-
-class TestOptions:
-    def test_algorithm1_options_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            Algorithm1Options(max_outer=0)
-        with pytest.raises(ValueError, match="eps_v"):
-            Algorithm1Options(eps_v=0.0)
 
 
 def tiny_snapshot():
@@ -113,16 +104,12 @@ class TestBranchAndBound:
         seed=st.integers(0, 2**16),
         switches=st.integers(1, 8),
         method=st.sampled_from(["fixv", "lbfm"]),
-        q_band=st.sampled_from([0.0, 0.02]),
         idle=st.integers(0, 1),
     )
-    def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, q_band, idle):
+    def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, idle):
         network = random_radial_network(seed)
-        snap = loaded_snapshot(network, seed, switches, q_band, idle)
-        q_adjust = None
-        if q_band:
-            q_adjust = np.random.default_rng(seed + 1).uniform(snap.q_lo_pu, snap.q_hi_pu)
-        kernel = _make_kernel(snap, method, q_adjust=q_adjust)
+        snap = loaded_snapshot(network, seed, switches, idle=idle)
+        kernel = _make_kernel(snap, method)
         full, full_count, _ = _exhaustive_choices(kernel, (), 0)
         pruned, pruned_count, stats = _bnb_choices(kernel, (), 0)
         assert np.array_equal(pruned, full)
@@ -203,9 +190,7 @@ class TestLocalSearch:
 class TestIteratedRefinement:
     def test_single_outer_is_one_discrete_solve(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = fixv_algorithm1(
-            snap, algorithm=Algorithm1Options(max_outer=1, warm_start=True)
-        )
+        out = fixv_algorithm1(snap, warm=True)
         assert out.strategy == "algorithm1-warm"
         assert out.stats["outer"] == 1.0
         assert out.candidates == 3 ** len(snap.adjustable_idx)
@@ -214,40 +199,55 @@ class TestIteratedRefinement:
 
     def test_cold_start_scores_on_flat_profile_first(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = fixv_algorithm1(snap, algorithm=Algorithm1Options(max_outer=1))
+        out = fixv_algorithm1(snap)
         assert out.strategy == "algorithm1-cold"
-        flat_view = evaluate_fixv(snap, out.assignment)
-        assert out.model.objective == flat_view.objective
-        # One pass cannot reach the profile tolerance; reported, not raised.
-        assert out.stats["delta_v"] > 1e-4
+        first = evaluate_fixv(snap, PhaseAssignment(out.trace[0].phases))
+        assert out.trace[0].model_objective == first.objective
+        # The second pass searches at the first pass's model voltages, and
+        # the outcome's model view is taken there.
+        second = evaluate_fixv(snap, out.assignment, profile=first.v)
+        assert out.model.objective == second.objective
+        assert out.trace[1].delta_v == out.stats["delta_v"] > 0.0
 
-    def test_profile_refreshes_pin_after_two_searches(self, network, demands):
+    def test_cold_run_is_two_search_passes(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = fixv_algorithm1(
-            snap, algorithm=Algorithm1Options(max_outer=6, eps_v=1e-12)
-        )
-        assert out.stats["outer"] >= 3
-        assert out.stats["pinned_outer"] == 3.0
-        held = {step.phases for step in out.trace[1:]}
-        assert held == {out.trace[1].phases}  # incumbent kept from pass 2 on
-        assert out.trace[-1].delta_v == out.stats["delta_v"]
+        out = fixv_algorithm1(snap)
+        assert out.stats["outer"] == 2.0
+        assert [step.outer for step in out.trace] == [1, 2]
+        assert out.trace[1].phases == out.assignment.phases
+        assert out.candidates == 2 * 3 ** len(snap.adjustable_idx)
+        assert set(out.stats) == {"outer", "delta_v", "scored"}
 
     def test_trace_converges_on_bundled_period(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = fixv_algorithm1(snap, algorithm=Algorithm1Options(max_outer=10))
-        assert out.stats["delta_v"] <= 1e-4
-        assert out.stats["outer"] <= 5
+        out = fixv_algorithm1(snap)
         deltas = [step.delta_v for step in out.trace]
         assert deltas[-1] <= deltas[0]
 
     def test_runs_are_reproducible(self, network, demands):
         snap = build_snapshot(network, demands, 48)
-        alg = Algorithm1Options(max_outer=3)
-        a = fixv_algorithm1(snap, algorithm=alg)
-        b = fixv_algorithm1(snap, algorithm=alg)
+        a = fixv_algorithm1(snap)
+        b = fixv_algorithm1(snap)
         assert a.assignment.phases == b.assignment.phases
         assert a.model.objective == b.model.objective
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("warm, starts, passes", [(False, 9.0, 2), (True, 4.0, 1)])
+    def test_local_search_beyond_the_enumeration_budget(
+        self, network, demands, warm, starts, passes
+    ):
+        # 3^13 candidates exceed the budget, so every pass runs local search:
+        # the initial assignment and three restarts, and in the cold run's
+        # second pass the first pass's choice as well.
+        switches = DEFAULT_SCENARIO.switch_customers + (11, 14, 41)
+        scenario = replace(DEFAULT_SCENARIO, switch_customers=switches)
+        snap = build_snapshot(network, demands, 73, scenario)
+        assert len(snap.adjustable_idx) == 13
+        out = fixv_algorithm1(snap, warm=warm)
+        assert out.stats["starts"] == starts
+        assert len(out.trace) == out.stats["outer"] == passes
+        assert "scored" not in out.stats
+        assert out.model.objective <= out.initial_model.objective
 
 
 class TestReactiveDispatch:
@@ -260,12 +260,13 @@ class TestReactiveDispatch:
         assert final.objective == start.objective
         assert stats == {"evaluations": 1.0, "rounds": 1.0, "f_start": start.objective}
 
-    def test_descends_within_bounds(self, network, demands):
+    def test_descends_within_bounds(self, network, demands, monkeypatch):
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 4)
         scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
         snap = build_snapshot(network, demands, 48, scenario)
         asg = PhaseAssignment.initial(network)
         start = evaluate_fixv(snap, asg)
-        q, final, stats = optimize_pv_q(snap, asg, max_rounds=4)
+        q, final, stats = optimize_pv_q(snap, asg)
         assert final.objective <= start.objective
         assert np.all(q >= snap.q_lo_pu - 1e-12)
         assert np.all(q <= snap.q_hi_pu + 1e-12)
@@ -283,10 +284,11 @@ class TestReactiveDispatch:
             return lambda q, c: (lambda t: -line(q, c)(t))
 
         monkeypatch.setattr(optimizer, "_line_scorer", uphill)
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
         snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
         asg = PhaseAssignment.initial(network)
         start = _model_evaluator(method)(snap, asg, None)
-        q, final, stats = optimize_pv_q(snap, asg, method, max_rounds=1)
+        q, final, stats = optimize_pv_q(snap, asg, method)
         assert np.array_equal(q, np.zeros(network.n_customers))
         assert final.objective == start.objective == stats["f_start"]
 
@@ -298,17 +300,21 @@ class TestReactiveDispatch:
         moved = np.random.default_rng(seed).integers(0, 3, size=3)
         asg = PhaseAssignment(tuple(moved.tolist()) + PhaseAssignment.initial(network).phases[3:])
         start = _model_evaluator(method)(snap, asg, None)
-        q, final, stats = optimize_pv_q(snap, asg, method, max_rounds=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_MAX_ROUNDS", 3)
+            q, final, stats = optimize_pv_q(snap, asg, method)
         assert stats["f_start"] == start.objective
         assert final.objective <= start.objective
         assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
 
-    def test_monotone_across_round_budgets(self, network, demands):
+    def test_monotone_across_round_budgets(self, network, demands, monkeypatch):
         scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
         snap = build_snapshot(network, demands, 48, scenario)
         asg = PhaseAssignment.initial(network)
-        _, one, _ = optimize_pv_q(snap, asg, max_rounds=1)
-        _, two, _ = optimize_pv_q(snap, asg, max_rounds=2)
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
+        _, one, _ = optimize_pv_q(snap, asg)
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 2)
+        _, two, _ = optimize_pv_q(snap, asg)
         assert two.objective <= one.objective + 1e-12
 
 

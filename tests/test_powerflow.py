@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasebal import powerflow
 from phasebal.netmodel import build_snapshot
 from phasebal.powerflow import (
     NonConvergenceError,
@@ -70,7 +71,7 @@ class TestPhaseAssignment:
 
 
 class TestScalarOracle:
-    def test_resistive_single_phase_closed_form(self):
+    def test_resistive_single_phase_closed_form(self, monkeypatch):
         # Uncoupled resistive line, real load on phase a, real source voltage:
         # V = v0 - r * s / V  =>  V = (v0 + sqrt(v0^2 - 4 r s)) / 2.
         r, s, v0 = 0.02, 0.05, 1.05
@@ -80,7 +81,8 @@ class TestScalarOracle:
             v0=type(network.v0)(np.array([v0, v0, v0], dtype=complex)),
         )
         snap = snapshot_for(network, [s])
-        sol = solve_utpf(snap, PhaseAssignment((0,)), tol=1e-14)
+        monkeypatch.setattr(powerflow, "MISMATCH_TOL", 1e-14)
+        sol = solve_utpf(snap, PhaseAssignment((0,)))
         expect = (v0 + math.sqrt(v0 * v0 - 4 * r * s)) / 2.0
         assert abs(sol.v[1, 0] - expect) <= 1e-12
         assert abs(sol.v[1, 0] * np.conj(sol.i_lines[0, 0]) - s) <= 1e-12
@@ -227,10 +229,11 @@ class TestFailureReporting:
         with pytest.raises(VoltageCollapseError):
             solve_utpf(snap, PhaseAssignment((0,)))
 
-    def test_nonconvergence_carries_state(self, network, demands):
+    def test_nonconvergence_carries_state(self, network, demands, monkeypatch):
         snap = build_snapshot(network, demands, 40)
+        monkeypatch.setattr(powerflow, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError) as info:
-            solve_utpf(snap, PhaseAssignment.initial(network), max_iterations=1)
+            solve_utpf(snap, PhaseAssignment.initial(network))
         assert info.value.iterations == 1
         assert info.value.mismatch > 1e-8
 
