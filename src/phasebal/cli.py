@@ -109,8 +109,6 @@ class SweepReport:
 
     rows: tuple[Mapping[str, object], ...]
     summary: Mapping[str, object]
-    accuracy: Mapping[str, Mapping[str, float]]
-    failures: int
 
 
 @dataclass(frozen=True)
@@ -447,12 +445,7 @@ def write_report_files(out_dir: str | Path) -> SweepReport:
             for dv, frac in points
         ],
     )
-    return SweepReport(
-        rows=tuple(rows),
-        summary=summary,
-        accuracy=accuracy["methods"],
-        failures=int(summary["failures"]),
-    )
+    return SweepReport(rows=tuple(rows), summary=summary)
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -620,7 +613,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_summary(report: SweepReport) -> None:
+def _print_summary(report: SweepReport) -> int:
+    """Print the per-method lines; the exit status is 1 when a cell failed."""
+
     for name, stats in report.summary["methods"].items():  # type: ignore[union-attr]
         reduction = stats["reduction_pct"]
         shown = "n/a" if reduction is None else f"{reduction:.2f}%"
@@ -628,11 +623,15 @@ def _print_summary(report: SweepReport) -> None:
             f"  {name}: {stats['rows']} rows, {stats['failures']} failures, "
             f"pi reduction {shown}"
         )
-    for name, stats in report.accuracy.items():
+    for name, stats in report.summary["accuracy"].items():  # type: ignore[union-attr]
         print(
             f"  accuracy {name}: p50 {stats['p50']:.2e}, p99 {stats['p99']:.2e}, "
             f"max {stats['max']:.2e}"
         )
+    failures = report.summary["failures"]
+    if failures:
+        print(f"{failures} rows FAILED")
+    return 1 if failures else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -655,11 +654,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sweep: {len(report.rows)} rows over {report.summary['period_count']} periods "
         f"-> {config.out_dir}"
     )
-    _print_summary(report)
-    if report.failures:
-        print(f"{report.failures} rows FAILED")
-        return 1
-    return 0
+    return _print_summary(report)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -668,11 +663,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ReportError as exc:  # outcome files missing or unreadable as a report
         args.usage_error(str(exc))
     print(f"verify: regenerated reports for {len(report.rows)} rows in {args.out_dir}")
-    _print_summary(report)
-    if report.failures:
-        print(f"{report.failures} rows FAILED")
-        return 1
-    return 0
+    return _print_summary(report)
 
 
 def _period_range(text: str) -> tuple[int, int]:

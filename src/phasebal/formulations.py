@@ -169,7 +169,6 @@ def _slack_terms(
 class _BatchScore:
     objective: np.ndarray
     pi: np.ndarray
-    slack_total: np.ndarray
 
 
 def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
@@ -183,7 +182,7 @@ def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _Ba
     p, q = s_dt.real, s_dt.imag
     pi = np.maximum(_phase_max(p) - _phase_min(p), _phase_max(q) - _phase_min(q))
     total = sum(term.sum(axis=-1) for term in terms)
-    return _BatchScore(objective=pi + limits.mb * total, pi=pi, slack_total=total)
+    return _BatchScore(objective=pi + limits.mb * total, pi=pi)
 
 
 def _price(
@@ -205,7 +204,6 @@ class EvaluationResult:
     """One formulation's view of one assignment on one period."""
 
     method: str
-    phases: tuple[int, ...]
     pi: float  # transformer power spread
     slacks: Slacks
     objective: float  # pi + mb * total slack
@@ -231,7 +229,6 @@ class EvaluationResult:
 
 def _result(
     method: str,
-    phases: np.ndarray,
     limits: Limits,
     s_dt: np.ndarray,
     i_dt_mag: np.ndarray,
@@ -239,8 +236,8 @@ def _result(
     hi: np.ndarray,
     vneg: np.ndarray,
     v: np.ndarray | None,
-    meta: Mapping[str, object],
     squared: bool = False,
+    meta: Mapping[str, object] | None = None,
 ) -> EvaluationResult:
     """One model's view of one state, priced by `_slack_terms` and `_score`.
 
@@ -252,7 +249,6 @@ def _result(
     score = _score(limits, s_dt, terms)
     return EvaluationResult(
         method=method,
-        phases=tuple(int(p) for p in phases),
         pi=float(score.pi),
         slacks=Slacks(*terms, squared_voltage_units=squared),
         objective=float(score.objective),
@@ -260,7 +256,7 @@ def _result(
         vm=np.sqrt(np.clip(hi, 0.0, None)) if squared else hi,
         vneg=vneg,
         v=v,
-        meta=meta,
+        meta=dict(meta or {}),
     )
 
 
@@ -300,22 +296,22 @@ def evaluate_exact(
         "balance_residual": power_balance_residual(solution, snapshot),
     }
     return _result(
-        "utpf", solution.cust_phase, network.limits, solution.s_dt,
-        np.abs(solution.s_dt) / np.abs(network.v0.values), lo, vm, vneg, solution.v, meta,
+        "utpf", network.limits, solution.s_dt,
+        np.abs(solution.s_dt) / np.abs(network.v0.values), lo, vm, vneg, solution.v, meta=meta,
     )
 
 
-def _fixv_profile(network: Network, profile: np.ndarray | None) -> tuple[np.ndarray, str]:
-    """The frozen voltage field and its kind: given (buses, 3), or flat at the root."""
+def _fixv_profile(network: Network, profile: np.ndarray | None) -> np.ndarray:
+    """The frozen voltage field: given (buses, 3), or flat at the root."""
 
     if profile is None:
-        return np.tile(network.v0.values, (network.n_buses, 1)), "flat"
+        return np.tile(network.v0.values, (network.n_buses, 1))
     profile = np.asarray(profile, dtype=complex)
     if profile.shape != (network.n_buses, 3):
         raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
     if np.any(np.abs(profile[feeder_geometry(network).cust_bus]) < 1e-6):
         raise FormulationError("voltage profile vanishes at a customer bus")
-    return profile, "given"
+    return profile
 
 
 def evaluate_fixv(
@@ -333,13 +329,10 @@ def evaluate_fixv(
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    profile, profile_kind = _fixv_profile(network, profile)
+    profile = _fixv_profile(network, profile)
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _fixv_fields(network, phases, _effective_loads(snapshot, q_adjust), profile)
-    return _result(
-        "fixv", phases, network.limits, *_phasor_measures(network, v, i_dt), v,
-        {"profile": profile_kind},
-    )
+    return _result("fixv", network.limits, *_phasor_measures(network, v, i_dt), v)
 
 
 def _fixv_fields(
@@ -373,16 +366,12 @@ class AffineFit:
 
     g = cb + ck*X + ch*Y, with X, Y the rectangular voltage parts and
     complex coefficients; one coefficient row per phase, fitted around each
-    phase's nominal direction. max_residual is the worst |g - 1/conj(V)|
-    on a denser validation grid over the same window.
+    phase's nominal direction.
     """
 
     cb: np.ndarray
     ck: np.ndarray
     ch: np.ndarray
-    vm_range: tuple[float, float]
-    angle_halfwidth_rad: float
-    max_residual: float
 
     def __post_init__(self) -> None:
         for nameattr in ("cb", "ck", "ch"):
@@ -398,7 +387,6 @@ class AffineFit:
 
 
 _FIT_GRID = 20  # magnitudes and angles of the least-squares grid
-_FIT_CHECK = 50  # magnitudes and angles of the validation grid
 
 
 def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
@@ -412,35 +400,19 @@ def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
     v0arr = np.asarray(getattr(v0, "values", v0), dtype=complex)
     delta = limits.angle_halfwidth_rad
     coef = np.zeros((3, 3), dtype=complex)  # phase x (constant, X, Y)
-    worst = 0.0
+    mags = np.linspace(limits.v_min, limits.v_max, _FIT_GRID)
     for phi in range(3):
         center = float(np.angle(v0arr[phi]))
-
-        def window(nm: int, na: int) -> np.ndarray:
-            mags = np.linspace(limits.v_min, limits.v_max, nm)
-            angs = np.linspace(center - delta, center + delta, na)
-            return (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
-
-        v = window(_FIT_GRID, _FIT_GRID)
+        angs = np.linspace(center - delta, center + delta, _FIT_GRID)
+        v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
         target = 1.0 / np.conj(v)
         design = np.column_stack([np.ones(v.size), v.real, v.imag])
         re_c, *_ = np.linalg.lstsq(design, target.real, rcond=None)
         im_c, *_ = np.linalg.lstsq(design, target.imag, rcond=None)
         coef[phi] = re_c + 1j * im_c
 
-        check = window(_FIT_CHECK, _FIT_CHECK)
-        approx = coef[phi, 0] + coef[phi, 1] * check.real + coef[phi, 2] * check.imag
-        worst = max(worst, float(np.max(np.abs(approx - 1.0 / np.conj(check)))))
-
     cb, ck, ch = coef.T.copy()
-    return AffineFit(
-        cb=cb,
-        ck=ck,
-        ch=ch,
-        vm_range=(limits.v_min, limits.v_max),
-        angle_halfwidth_rad=delta,
-        max_residual=worst,
-    )
+    return AffineFit(cb=cb, ck=ck, ch=ch)
 
 
 @lru_cache(maxsize=8)
@@ -454,7 +426,7 @@ _LINV_MAX_ITER = 80
 
 def _linv_solve(
     network: Network, s: np.ndarray, phases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The linearized-inverse state of a batch of b (loads, phase choices) rows.
 
     Customer j draws conj(s_j) * g(V_j), affine in its own voltage V_j through
@@ -463,9 +435,9 @@ def _linv_solve(
     the customers' voltages alone (the fixed-point linearization of Bernstein
     & Dall'Anese, 2017), on the same customer-space coupling and bus-voltage
     product as the exact `solve_utpf`, with g in place of 1 / conj(V).
-    Returns the (b, buses, 3) voltages, the (b, 3) transformer currents and
-    the final fixed-point step; a batch whose step does not contract below
-    _LINV_TOL within _LINV_MAX_ITER iterations raises FormulationError.
+    Returns the (b, buses, 3) voltages and the (b, 3) transformer currents;
+    a batch whose fixed-point step does not contract below _LINV_TOL within
+    _LINV_MAX_ITER iterations raises FormulationError.
 
     s is one (customers,) load vector or a (b, customers) batch, phases a
     (b, customers) batch or one (customers,) row that every load row shares,
@@ -492,7 +464,7 @@ def _linv_solve(
         raise FormulationError(f"voltage fixed point did not contract below {_LINV_TOL:.1e}")
 
     v_bus, injected = _bus_voltages(network, phases, i_cust)
-    return v_bus, injected.sum(axis=1), step
+    return v_bus, injected.sum(axis=1)
 
 
 def evaluate_linv(
@@ -503,18 +475,17 @@ def evaluate_linv(
     """Linearized-inverse model: `_linv_solve` for a batch of one.
 
     Customer currents are affine in their bus voltage via the surrogate
-    fitted over the network's voltage limits; meta records its residual and
-    the fixed point's final step. A state the fixed point cannot reach
-    raises FormulationError. Slack uses the linearized lower voltage bound.
+    fitted over the network's voltage limits. A state the fixed point cannot
+    reach raises FormulationError. Slack uses the linearized lower voltage
+    bound.
     """
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
     phases = np.asarray(assignment.phases, dtype=int)
-    v, i_dt, step = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
-    meta = {"fit_residual": _default_fit(network).max_residual, "fixed_point_step": step}
+    v, i_dt = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
     measures = _phasor_measures(network, v[0], i_dt[0], linearized=True)
-    return _result("linv", phases, network.limits, *measures, v[0], meta)
+    return _result("linv", network.limits, *measures, v[0])
 
 
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
@@ -542,7 +513,7 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray) -> _Line:
         rows = np.repeat(_effective_loads(snapshot, q)[None, :], 3, axis=0)
         delta = max(abs(rows[0, c]), float(snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c]))
         rows[:, c] = (0.0, delta, 1j * delta)
-        v, i_dt, _ = _linv_solve(network, rows, phases)
+        v, i_dt = _linv_solve(network, rows, phases)
         p, bus = phases[c], cust_bus[c]
         i_c = np.conj(rows[1:, c]) * fit.g(v[1:, bus, p], p)
         # Field difference k (row k + 1 less row 0) is m[0, k] U_re + m[1, k] U_im,
@@ -597,8 +568,7 @@ def evaluate_lbfm(
     phases = np.asarray(assignment.phases, dtype=int)
     fields = _lbfm_fields(network, phases, _effective_loads(snapshot, q_adjust))
     return _result(
-        "lbfm", phases, network.limits, *_lbfm_measures(network, *fields), None,
-        {"voltage_units": "squared"}, squared=True,
+        "lbfm", network.limits, *_lbfm_measures(network, *fields), None, squared=True
     )
 
 
@@ -680,7 +650,7 @@ def _line_scorer(
     network = snapshot.network
     phases = np.asarray(assignment.phases, dtype=int)
     if method == "fixv":
-        profile, _ = _fixv_profile(network, profile)
+        profile = _fixv_profile(network, profile)
         fields = partial(_fixv_fields, network, phases, profile=profile)
         return _affine_line(snapshot, fields, _phasor_measures)
     if method == "lbfm":
@@ -717,16 +687,19 @@ def _line_scorer(
 _LINV_CHUNK = 128  # assignments per batched fixed-point solve
 
 
-def _combo_table(k: int) -> np.ndarray:
-    """All 3**k phase tuples in lexicographic order, first position slowest."""
+def _decode(indices: np.ndarray, width: int) -> np.ndarray:
+    """The phase tuples of flat candidate indices, first position slowest:
+    `_decode(np.arange(3**k), k)` lists all 3**k in lexicographic order."""
 
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(3)] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    if width == 0:
+        return np.zeros((len(indices), 0), dtype=np.int64)
+    digits = np.unravel_index(indices, (3,) * width)
+    return np.stack(digits, axis=1).astype(np.int64)
 
 
 def _radix(k: int) -> np.ndarray:
+    """Place values of k base-3 digits, the inverse of `_decode`."""
+
     return 3 ** np.arange(k - 1, -1, -1, dtype=np.int64) if k else np.zeros(0, np.int64)
 
 
@@ -815,7 +788,7 @@ class _SeparableKernel(_Kernel):
 
     @staticmethod
     def _half(s_on: np.ndarray, effects: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        combos = _combo_table(len(s_on))
+        combos = _decode(np.arange(3 ** len(s_on)), len(s_on))
         rows = np.arange(combos.shape[0])
         sv = np.zeros((combos.shape[0], 3), dtype=complex)
         tables = [np.zeros((combos.shape[0],) + e.shape[2:], dtype=e.dtype) for e in effects]
@@ -862,7 +835,7 @@ class _FixvKernel(_SeparableKernel):
 
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         super().__init__(snapshot)
-        profile, _ = _fixv_profile(self.network, profile)
+        profile = _fixv_profile(self.network, profile)
         cust_bus = feeder_geometry(self.network).cust_bus
         i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
         # Voltage effect at (bus, phi) of customer j connected at p.
@@ -916,15 +889,15 @@ class _LinvKernel(_Kernel):
     def score(self, choices: np.ndarray) -> _BatchScore:
         choices = np.asarray(choices, dtype=np.int64)
         b = choices.shape[0]
-        obj, pi, slack = np.empty(b), np.empty(b), np.empty(b)
+        obj, pi = np.empty(b), np.empty(b)
         for lo in range(0, b, _LINV_CHUNK):
             part = self._score_chunk(self.full_phases(choices[lo:lo + _LINV_CHUNK]))
             hi = lo + len(part.objective)
-            obj[lo:hi], pi[lo:hi], slack[lo:hi] = part.objective, part.pi, part.slack_total
-        return _BatchScore(objective=obj, pi=pi, slack_total=slack)
+            obj[lo:hi], pi[lo:hi] = part.objective, part.pi
+        return _BatchScore(objective=obj, pi=pi)
 
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
-        v, i_dt, _ = _linv_solve(self.network, self.s, phases)
+        v, i_dt = _linv_solve(self.network, self.s, phases)
         return _price(self.limits, *_phasor_measures(self.network, v, i_dt, linearized=True))
 
 

@@ -219,7 +219,6 @@ class CaseSnapshot:
     """Net per-unit demands for one period plus PV reactive bounds."""
 
     network: Network
-    period: int
     p_pu: np.ndarray  # (customers,) net active demand, negative when exporting
     q_pu: np.ndarray
     q_lo_pu: np.ndarray  # per-customer reactive adjustment bounds, q_lo <= 0 <= q_hi
@@ -476,7 +475,6 @@ def build_snapshot(
 
     return CaseSnapshot(
         network=network,
-        period=period,
         p_pu=p_w / phase_base,
         q_pu=q_var / phase_base,
         q_lo_pu=q_lo,
@@ -526,41 +524,6 @@ def write_network_json(network: Network, path: str | Path) -> None:
         "coords": {str(b): list(xy) for b, xy in sorted(network.coords.items())},
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def read_network_json(path: str | Path) -> Network:
-    doc = json.loads(Path(path).read_text())
-    limits = Limits(**doc["limits"])
-    bases = PerUnitBases(**doc["bases"])
-    lines = tuple(
-        Line(
-            name=l["name"],
-            from_bus=l["from"],
-            to_bus=l["to"],
-            z_pu=np.array([[complex(re, im) for re, im in row] for row in l["z_pu"]]),
-        )
-        for l in doc["lines"]
-    )
-    customers = tuple(
-        Customer(
-            cid=c["id"],
-            name=c["name"],
-            bus=c["bus"],
-            initial_phase=PHASE_INDEX[c["phase"]],
-        )
-        for c in doc["customers"]
-    )
-    return Network(
-        name=doc["name"],
-        buses=tuple(doc["buses"]),
-        root=doc["root"],
-        lines=lines,
-        customers=customers,
-        v0=Phasor3(np.array([complex(re, im) for re, im in doc["v0"]])),
-        limits=limits,
-        bases=bases,
-        coords={int(b): (xy[0], xy[1]) for b, xy in doc.get("coords", {}).items()},
-    )
 
 
 def write_profiles_csv(demands: DemandSeries, path: str | Path) -> None:

@@ -39,6 +39,7 @@ import numpy as np
 from .formulations import (
     _KERNELS,
     EvaluationResult,
+    _decode,
     _Kernel,
     _line_scorer,
     _make_kernel,
@@ -93,10 +94,6 @@ class OptimizationOutcome:
     trace: tuple[Algorithm1Step, ...] = ()
     stats: Mapping[str, float] = field(default_factory=dict)
 
-    @property
-    def objective(self) -> float:
-        return self.model.objective
-
 
 def _model_evaluator(
     method: str, profile: np.ndarray | None = None
@@ -112,13 +109,6 @@ def _model_evaluator(
     if method == "utpf":
         return lambda snap, asg, q: evaluate_exact(snap, asg, q_adjust=q)
     raise ValueError(f"unknown formulation {method!r}")
-
-
-def _decode(indices: np.ndarray, width: int) -> np.ndarray:
-    if width == 0:
-        return np.zeros((len(indices), 0), dtype=np.int64)
-    digits = np.unravel_index(indices, (3,) * width)
-    return np.stack(digits, axis=1).astype(np.int64)
 
 
 def _no_worse(
@@ -146,21 +136,22 @@ def _finish(
     snapshot: CaseSnapshot,
     method: str,
     strategy: str,
-    chosen: PhaseAssignment,
+    kept: tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool],
     candidates: int,
     stats: Mapping[str, float],
-    profile: np.ndarray | None,
     trace: tuple[Algorithm1Step, ...] = (),
     initial_solution: PFSolution | None = None,
 ) -> OptimizationOutcome:
-    """Apply the no-worse check, then verify the kept and initial assignments.
+    """Verify the kept and initial assignments of a `_no_worse` result.
 
+    kept is that result; its flag, set when the search fell back to the
+    initial assignment, becomes stats["fell_back_to_initial"].
     initial_solution, when the caller already solved the initial assignment
     exactly, stands in for that state's solve.
     """
 
     initial = PhaseAssignment.initial(snapshot.network)
-    chosen, model, initial_model, fell_back = _no_worse(snapshot, method, chosen, profile)
+    chosen, model, initial_model, fell_back = kept
     if fell_back:
         stats = dict(stats, fell_back_to_initial=1.0)
 
@@ -305,9 +296,8 @@ def _verified_search(
 ) -> OptimizationOutcome:
     kernel = _make_kernel(snapshot, method)
     best, candidates, stats = _SEARCHES[strategy](kernel, (), seed)
-    return _finish(
-        snapshot, method, strategy, kernel.assignment(best), candidates, stats, None
-    )
+    kept = _no_worse(snapshot, method, kernel.assignment(best), None)
+    return _finish(snapshot, method, strategy, kept, candidates, stats)
 
 
 def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
@@ -381,7 +371,8 @@ def fixv_algorithm1(
     solve then also verifies the initial assignment. Only the final choice
     is verified against the exact power flow. The search passes' own
     statistics (the bound-ordered scan's "scored", local search's "starts")
-    are summed into stats.
+    are summed into stats, and stats["fell_back_to_initial"] is set when
+    any pass fell back.
 
     The outcome's model view is evaluated at the profile the last pass
     searched, i.e. the estimate that actually selected the assignment; the
@@ -402,13 +393,17 @@ def fixv_algorithm1(
     trace: list[Algorithm1Step] = []
     extra_starts: list[np.ndarray] = []
     search_stats: dict[str, float] = {}
+    fell_back = False
     for outer in range(1, 2 if warm else 3):
         kernel = _make_kernel(snapshot, "fixv", profile=profile)
         best, count, pass_stats = search(kernel, extra_starts, seed)
         candidates += count
         for key, value in pass_stats.items():
             search_stats[key] = search_stats.get(key, 0.0) + value
-        current, model, _, _ = _no_worse(snapshot, "fixv", kernel.assignment(best), profile)
+        current, model, initial_model, pass_fell_back = _no_worse(
+            snapshot, "fixv", kernel.assignment(best), profile
+        )
+        fell_back = fell_back or pass_fell_back
         extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
         decide_profile, profile = profile, np.asarray(model.v)
         delta = float(np.max(np.abs(profile - decide_profile)))
@@ -425,10 +420,9 @@ def fixv_algorithm1(
         snapshot,
         "fixv",
         "algorithm1-warm" if warm else "algorithm1-cold",
-        current,
+        (current, model, initial_model, fell_back),
         candidates,
         {"outer": float(len(trace)), "delta_v": delta, **search_stats},
-        decide_profile,
         trace=tuple(trace),
         initial_solution=base,
     )

@@ -3,8 +3,8 @@
 A fixed point over the constant-PQ customers' own voltages (Teng's direct
 load flow, restricted to the buses that carry load), used as the
 verification oracle for every formulation and optimization result. Also
-hosts the factorized tree geometry (depth order, path impedances, and each
-customer's shared-path impedances to every bus) and the customer-space
+hosts the factorized tree geometry (each customer's shared-path impedances
+to every bus, the line-to-customer incidence) and the customer-space
 helpers built on it, which the linearized-inverse model's solver shares:
 the customer-column table, the coupling between customers' own voltages
 and the product that turns customer currents into every bus voltage.
@@ -133,10 +133,7 @@ class FeederGeometry:
     """
 
     bus_ids: tuple[int, ...]
-    root_idx: int
-    depth_order: np.ndarray  # bus indices, root first
     parent: np.ndarray  # parent bus index, -1 at root
-    zcum: np.ndarray  # (n, 3, 3) complex
     cust_meet: np.ndarray  # (customers, n, 3, 3) complex
     cust_bus: np.ndarray  # (customers,) bus index
     col_rep: np.ndarray  # (n,) bus whose customer column bus m repeats
@@ -185,10 +182,7 @@ def _geometry_for(network: Network) -> FeederGeometry:
 
     return FeederGeometry(
         bus_ids=tuple(network.buses),
-        root_idx=root_idx,
-        depth_order=depth_order,
         parent=parent,
-        zcum=zcum,
         cust_meet=zcum[lca],
         cust_bus=cust_bus,
         col_rep=col_rep,

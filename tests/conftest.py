@@ -101,7 +101,6 @@ def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
     p[:idle] = q[:idle] = 0.0
     return CaseSnapshot(
         network=network,
-        period=0,
         p_pu=p,
         q_pu=q,
         q_lo_pu=-band,

@@ -17,8 +17,10 @@ import pytest
 from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
-from phasebal.netmodel import DEFAULT_SCENARIO, build_snapshot, bundled_feeder_dir, read_network_json
+from phasebal.netmodel import DEFAULT_SCENARIO, build_snapshot, bundled_feeder_dir
 from phasebal.powerflow import PhaseAssignment
+
+from test_netmodel import assert_network_json
 
 # Evening peak: every optimizing method moves customers, and lbfm's choice
 # verifies worse than the initial assignment.
@@ -157,7 +159,7 @@ def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):
     config = SweepConfig(
         methods=("initial",), periods=(0, 1), out_dir=str(tmp_path), parallelism=8
     )
-    assert run_sweep(config).failures == 0
+    assert run_sweep(config).summary["failures"] == 0
 
 
 def test_sweep_refuses_a_directory_holding_other_cells(tmp_path):
@@ -257,7 +259,7 @@ def test_in_process_sweep_imports_the_feeder_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "load_scenario", counting_load)
     config = SweepConfig(methods=("initial",), periods=(0, 2), out_dir=str(tmp_path), parallelism=1)
-    assert run_sweep(config).failures == 0
+    assert run_sweep(config).summary["failures"] == 0
     assert imports == ["bundled"]
     assert not cli._CTX  # and holds it no longer than the sweep
 
@@ -267,15 +269,7 @@ def test_import_writes_the_normalized_network(tmp_path, capsys, network):
     assert capsys.readouterr().out.splitlines()[0] == (
         "imported 54 buses, 53 lines, 55 customers, 96 periods (max depth 18)"
     )
-    written = read_network_json(tmp_path / "network.json")
-    assert written.buses == network.buses
-    assert [(l.name, l.from_bus, l.to_bus) for l in written.lines] == [
-        (l.name, l.from_bus, l.to_bus) for l in network.lines
-    ]
-    assert all(np.array_equal(a.z_pu, b.z_pu) for a, b in zip(written.lines, network.lines))
-    assert written.customers == network.customers
-    customers = json.loads((tmp_path / "network.json").read_text())["customers"]
-    assert {frozenset(c) for c in customers} == {frozenset({"id", "name", "bus", "phase"})}
+    assert_network_json(tmp_path / "network.json", network)
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,7 @@ def test_sweep_decides_every_method(scenario, tmp_path):
         scenario=scenario, periods=(PERIOD, PERIOD + 1), out_dir=str(tmp_path), parallelism=1
     )
     report = run_sweep(config)
-    assert report.failures == 0
+    assert report.summary["failures"] == 0
     assert sorted(r["method"] for r in report.rows) == sorted(config.methods)
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
     DEFAULT_SCENARIO,
+    PHASES,
     DemandSeries,
     FeederFormatError,
     Limits,
@@ -30,7 +32,6 @@ from phasebal.netmodel import (
     bundled_feeder_dir,
     import_european_feeder,
     pv_generation_w,
-    read_network_json,
     validate_radial,
     write_network_json,
     write_profiles_csv,
@@ -390,7 +391,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="one entry per customer"):
             CaseSnapshot(
                 network=network,
-                period=0,
                 p_pu=snap.p_pu[:-1],
                 q_pu=snap.q_pu,
                 q_lo_pu=snap.q_lo_pu,
@@ -400,7 +400,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="q_lo <= 0 <= q_hi"):
             CaseSnapshot(
                 network=network,
-                period=0,
                 p_pu=snap.p_pu,
                 q_pu=snap.q_pu,
                 q_lo_pu=np.full(network.n_customers, 0.1),
@@ -410,7 +409,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="out of range"):
             CaseSnapshot(
                 network=network,
-                period=0,
                 p_pu=snap.p_pu,
                 q_pu=snap.q_pu,
                 q_lo_pu=snap.q_lo_pu,
@@ -423,21 +421,36 @@ class TestSnapshot:
         assert np.array_equal(snap.s_pu, snap.p_pu + 1j * snap.q_pu)
 
 
+def assert_network_json(path, network):
+    """The written network.json holds every field of network, exactly."""
+
+    def cplx(pairs):
+        return np.array([complex(re, im) for re, im in pairs])
+
+    doc = json.loads(Path(path).read_text())
+    assert doc["name"] == network.name
+    assert doc["buses"] == list(network.buses)
+    assert doc["root"] == network.root
+    assert cplx(doc["v0"]).tobytes() == network.v0.values.tobytes()
+    assert doc["limits"] == asdict(network.limits)
+    assert doc["bases"] == asdict(network.bases)
+    assert [(l["name"], l["from"], l["to"]) for l in doc["lines"]] == [
+        (l.name, l.from_bus, l.to_bus) for l in network.lines
+    ]
+    for written, line in zip(doc["lines"], network.lines):
+        assert np.stack([cplx(row) for row in written["z_pu"]]).tobytes() == line.z_pu.tobytes()
+    assert doc["customers"] == [
+        {"id": c.cid, "name": c.name, "bus": c.bus, "phase": PHASES[c.initial_phase]}
+        for c in network.customers
+    ]
+    assert doc["coords"] == {str(b): list(xy) for b, xy in network.coords.items()}
+
+
 class TestNetworkSerialization:
     def test_json_round_trip(self, network, tmp_path):
         path = tmp_path / "network.json"
         write_network_json(network, path)
-        back = read_network_json(path)
-        assert back.buses == network.buses
-        assert back.root == network.root
-        assert np.allclose(back.v0.values, network.v0.values)
-        assert back.limits == network.limits
-        assert back.bases == network.bases
-        assert len(back.lines) == len(network.lines)
-        for a, b in zip(back.lines, network.lines):
-            assert a.name == b.name and np.allclose(a.z_pu, b.z_pu)
-        assert back.customers == network.customers
-        assert dict(back.coords) == dict(network.coords)
+        assert_network_json(path, network)
 
     def test_profiles_csv_shape(self, demands, tmp_path):
         path = tmp_path / "profiles.csv"

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal import optimizer
-from phasebal.formulations import _SeparableKernel, _combo_table, _make_kernel, evaluate_fixv
+from phasebal.formulations import _SeparableKernel, _decode, _make_kernel, evaluate_fixv
 from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
     _bnb_choices,
-    _decode,
     _exhaustive_choices,
     _local_choices,
     _model_evaluator,
@@ -43,7 +42,7 @@ def tiny_snapshot():
 class TestExhaustive:
     def test_matches_hand_enumeration(self):
         snap = tiny_snapshot()
-        combos = _combo_table(2)
+        combos = _decode(np.arange(9), 2)
         scores = []
         for row in combos:
             asg = PhaseAssignment(tuple(int(p) for p in row) + (1, 2))
@@ -195,7 +194,6 @@ class TestIteratedRefinement:
         assert out.stats["outer"] == 1.0
         assert out.candidates == 3 ** len(snap.adjustable_idx)
         assert len(out.trace) == 1
-        assert out.model.meta["profile"] == "given"  # warm profile from power flow
 
     def test_cold_start_scores_on_flat_profile_first(self, network, demands):
         snap = build_snapshot(network, demands, 40)
@@ -217,6 +215,24 @@ class TestIteratedRefinement:
         assert out.trace[1].phases == out.assignment.phases
         assert out.candidates == 2 * 3 ** len(snap.adjustable_idx)
         assert set(out.stats) == {"outer", "delta_v", "scored"}
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_records_a_pass_that_fell_back(self, warm, monkeypatch):
+        # Every pass's search returns the candidate its kernel ranks worst,
+        # which the scalar check refuses for the initial assignment.
+        def worst_choices(kernel, extra_starts, seed):
+            choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
+            worst = int(np.argmax(kernel.score(choices).objective))
+            return choices[worst], len(choices), {}
+
+        monkeypatch.setitem(optimizer._SEARCHES, "branch-and-bound", worst_choices)
+        snap = tiny_snapshot()
+        initial = PhaseAssignment.initial(snap.network).phases
+        out = fixv_algorithm1(snap, warm=warm)
+        assert [step.phases for step in out.trace] == [initial] * (1 if warm else 2)
+        assert out.assignment.phases == initial
+        assert out.model.objective == out.initial_model.objective
+        assert out.stats["fell_back_to_initial"] == 1.0
 
     def test_trace_converges_on_bundled_period(self, network, demands):
         snap = build_snapshot(network, demands, 40)

@@ -31,7 +31,6 @@ def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
     q = np.zeros(n) if q_pu is None else np.asarray(q_pu, dtype=float)
     return CaseSnapshot(
         network=network,
-        period=0,
         p_pu=np.asarray(p_pu, dtype=float),
         q_pu=q,
         q_lo_pu=np.zeros(n),
@@ -240,20 +239,23 @@ class TestFailureReporting:
 
 def chain_lca_cust_meet(network):
     """Reference cust_meet by a pairwise ancestor-chain search: for each
-    customer bus b and each bus m, the deepest bus on m's root chain that
-    also lies on b's."""
+    customer's bus b and each bus m, the line impedances summed from the root
+    along the chain of buses that m's and b's root chains share."""
 
-    geometry = feeder_geometry(network)
-    chains: list[list[int]] = [[] for _ in range(network.n_buses)]
-    for bi in geometry.depth_order:
-        up = geometry.parent[bi]
-        chains[bi] = [bi] if up < 0 else chains[up] + [bi]
-    chain_sets = [set(c) for c in chains]
+    topology = network.topology
+    chains = {network.root: [network.root]}
+    for bus in topology.depth_order[1:]:
+        chains[bus] = chains[topology.parent[bus]] + [bus]
     out = np.zeros((network.n_customers, network.n_buses, 3, 3), dtype=complex)
-    for j, b in enumerate(geometry.cust_bus):
-        for m in range(network.n_buses):
-            lca = next(x for x in reversed(chains[m]) if x in chain_sets[b])
-            out[j, m] = geometry.zcum[lca]
+    for j, customer in enumerate(network.customers):
+        on_b = set(chains[customer.bus])
+        for m, bus in enumerate(network.buses):
+            z = np.zeros((3, 3), dtype=complex)
+            for x in chains[bus][1:]:
+                if x not in on_b:
+                    break
+                z = z + network.lines[topology.parent_line[x]].z_pu
+            out[j, m] = z
     return out
 
 
@@ -275,7 +277,7 @@ class TestFeederGeometry:
         assert table[:, geometry.col_rep].tobytes() == table.tobytes()
         # A bus represents itself exactly when it is the root or lies on a
         # customer's root path, that is, has a customer in its subtree.
-        on_paths = {geometry.root_idx}
+        on_paths = {network.buses.index(network.root)}
         for bi in geometry.cust_bus:
             while bi >= 0:
                 on_paths.add(int(bi))
