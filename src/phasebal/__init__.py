@@ -16,7 +16,6 @@ from .netmodel import (
     DemandSeries,
     Limits,
     Network,
-    PerUnitBases,
     Phasor3,
     ScenarioOptions,
     build_snapshot,
@@ -54,7 +53,6 @@ __all__ = [
     "Network",
     "OptimizationOutcome",
     "PFSolution",
-    "PerUnitBases",
     "PhaseAssignment",
     "Phasor3",
     "ScenarioOptions",

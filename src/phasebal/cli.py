@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .formulations import EvaluationResult, evaluate_exact
 from .formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv  # noqa: F401
 from .netmodel import (
     DEFAULT_SCENARIO,
+    PHASE_POWER_BASE_VA,
     CaseSnapshot,
     DemandSeries,
     Network,
@@ -117,8 +118,6 @@ class CellSpec:
 
     period: int
     method: str
-    pv_control: bool
-    seed: int
 
 
 def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
@@ -126,30 +125,29 @@ def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
     return feeder.network, feeder.demands
 
 
-# The cells' feeder and scenario: set once per worker process by
+# The cells' feeder, scenario and base seed: set once per worker process by
 # _worker_init, or by run_sweep for the cells it runs in its own process.
-_CTX: dict[str, object] = {}
+_CTX: dict[str, Any] = {}
 
 
-def _set_context(network: Network, demands: DemandSeries, pv_control: bool) -> None:
-    _CTX["network"] = network
-    _CTX["demands"] = demands
-    _CTX["options"] = replace(DEFAULT_SCENARIO, pv_q_control=pv_control)
+def _set_context(network: Network, demands: DemandSeries, config: SweepConfig) -> None:
+    options = replace(DEFAULT_SCENARIO, pv_q_control=config.pv_control)
+    _CTX.update(network=network, demands=demands, options=options, seed=config.seed)
 
 
-def _worker_init(scenario: str, pv_control: bool) -> None:
-    _set_context(*load_scenario(scenario), pv_control)
+def _worker_init(config: SweepConfig) -> None:
+    _set_context(*load_scenario(config.scenario), config)
 
 
-def _cell_seed(base: int, period: int) -> int:
-    return int(base) + 7919 * int(period)
+def _cell_seed(period: int) -> int:
+    return int(_CTX["seed"]) + 7919 * int(period)
 
 
 def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
     """The cell's decision; the initial cell keeps the initial assignment, whose
     one exact solve stands for all four of its views."""
 
-    seed = _cell_seed(spec.seed, spec.period)
+    seed = _cell_seed(spec.period)
     if spec.method == "initial":
         initial = PhaseAssignment.initial(snapshot.network)
         exact = evaluate_exact(snapshot, initial)
@@ -218,20 +216,20 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
     """Run one (period, method) cell; failures become error records, not raises."""
 
     started = time.perf_counter()
+    options = _CTX["options"]
     doc: dict[str, object] = {
         "schema": OUTCOME_SCHEMA,
         "period": int(spec.period),
         "method": spec.method,
-        "pv_control": bool(spec.pv_control),
-        "seed": _cell_seed(spec.seed, spec.period),
+        "pv_control": bool(options.pv_q_control),
+        "seed": _cell_seed(spec.period),
         "status": "ok",
         "error": None,
     }
     try:
         network = _CTX["network"]
         demands = _CTX["demands"]
-        options = _CTX["options"]
-        snapshot = build_snapshot(network, demands, spec.period, options)  # type: ignore[arg-type]
+        snapshot = build_snapshot(network, demands, spec.period, options)
         initial = PhaseAssignment.initial(snapshot.network)
 
         outcome = _optimize_cell(snapshot, spec)
@@ -239,7 +237,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         pv_block = None
         model = outcome.model
         verified = outcome.verified
-        tunable = spec.pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
+        tunable = options.pv_q_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
         if tunable and spec.method != "initial":
             q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
             verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
@@ -293,22 +291,36 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
 def _fmt(value: object) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, which numpy 2 reprs with its type name
+        return repr(float(value))
     return str(value)
 
 
 def load_outcomes(out_dir: str | Path) -> list[dict[str, object]]:
-    """Parse every outcome file, ordered by (period, method)."""
+    """Parse every outcome file, ordered by (period, method). A file that is
+    not JSON, has another schema or lacks what the reports read raises
+    ReportError naming it."""
 
     paths = sorted(Path(out_dir).glob("outcome_*.json"))
     if not paths:
         raise ReportError(f"no outcome files under {out_dir}")
     docs = []
     for path in paths:
-        doc = json.loads(path.read_text())
-        if doc.get("schema") != OUTCOME_SCHEMA:
-            raise ReportError(f"{path.name}: unexpected schema {doc.get('schema')!r}")
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ReportError(f"{path.name}: not JSON: {exc}") from None
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != OUTCOME_SCHEMA:
+            raise ReportError(f"{path.name}: unexpected schema {schema!r}")
+        try:
+            _row_from_outcome(doc)
+            if doc["status"] == "ok":
+                _vm_error(doc)
+        except KeyError as exc:
+            raise ReportError(f"{path.name}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ReportError(f"{path.name}: malformed outcome: {exc}") from None
         docs.append(doc)
     docs.sort(key=lambda d: (int(d["period"]), str(d["method"])))
     return docs
@@ -343,6 +355,16 @@ def _row_from_outcome(doc: Mapping[str, object]) -> dict[str, object]:
     return row
 
 
+def _vm_error(doc: Mapping[str, Any]) -> np.ndarray:
+    """|vm_model - vm_utpf| over a successful cell's buses and phases."""
+
+    model_vm = np.asarray(doc["model"]["vm"], dtype=float)
+    utpf_vm = np.asarray(doc["verified"]["vm"], dtype=float)
+    if model_vm.shape != utpf_vm.shape:
+        raise ReportError(f"outcome {doc['period']}/{doc['method']}: voltage shape mismatch")
+    return np.abs(model_vm - utpf_vm).ravel()
+
+
 def verify_accuracy(outcomes: Sequence[Mapping[str, object]]) -> dict[str, object]:
     """Model-vs-verified |V| deviation distribution per method.
 
@@ -353,19 +375,8 @@ def verify_accuracy(outcomes: Sequence[Mapping[str, object]]) -> dict[str, objec
 
     pools: dict[str, list[np.ndarray]] = {}
     for doc in outcomes:
-        if doc["status"] != "ok":
-            continue
-        if "verified" not in doc or "vm" not in doc["verified"]:
-            raise ReportError(
-                f"outcome {doc['period']}/{doc['method']}: missing verified voltages"
-            )
-        model_vm = np.asarray(doc["model"]["vm"], dtype=float)
-        utpf_vm = np.asarray(doc["verified"]["vm"], dtype=float)
-        if model_vm.shape != utpf_vm.shape:
-            raise ReportError(
-                f"outcome {doc['period']}/{doc['method']}: voltage shape mismatch"
-            )
-        pools.setdefault(str(doc["method"]), []).append(np.abs(model_vm - utpf_vm).ravel())
+        if doc["status"] == "ok":
+            pools.setdefault(str(doc["method"]), []).append(_vm_error(doc))
 
     methods: dict[str, dict[str, float]] = {}
     cdf: dict[str, list[list[float]]] = {}
@@ -459,16 +470,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         )
 
     out = Path(config.out_dir)
-    tasks = [
-        CellSpec(
-            period=p,
-            method=m,
-            pv_control=config.pv_control,
-            seed=config.seed,
-        )
-        for p in range(start, stop)
-        for m in sorted(config.methods)
-    ]
+    tasks = [CellSpec(period=p, method=m) for p in range(start, stop) for m in sorted(config.methods)]
     # The reports read every outcome file in the directory, so another
     # sweep's cells would be counted as this one's.
     ours = {outcome_path(out, t.period, t.method) for t in tasks}
@@ -486,11 +488,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(config.scenario, config.pv_control),
+            initargs=(config,),
         ) as pool:
             docs = list(pool.map(_run_cell, tasks))
     else:
-        _set_context(network, demands, config.pv_control)
+        _set_context(network, demands, config)
         try:
             docs = [_run_cell(t) for t in tasks]
         finally:
@@ -548,41 +550,22 @@ def _cmd_pf(args: argparse.Namespace) -> int:
     solution = solve_utpf(snapshot, PhaseAssignment.initial(network))
     residual = power_balance_residual(solution, snapshot)
 
-    phase_base = network.bases.phase_power_va
-    load_kw = np.zeros((network.n_buses, 3))
-    load_kvar = np.zeros((network.n_buses, 3))
-    bus_index = {b: i for i, b in enumerate(solution.bus_ids)}
+    # kW and kvar per bus and phase: the customers' loads, then the DT's supply.
+    kw = np.zeros((network.n_buses + 1, 3))
+    kvar = np.zeros((network.n_buses + 1, 3))
+    bus_index = {b: i for i, b in enumerate(network.buses)}
     for k, customer in enumerate(network.customers):
-        i = bus_index[customer.bus]
-        p = int(solution.cust_phase[k])
-        load_kw[i, p] += solution.s_cust[k].real * phase_base / 1e3
-        load_kvar[i, p] += solution.s_cust[k].imag * phase_base / 1e3
-
-    rows = []
-    for i, bus in enumerate(solution.bus_ids):
-        for p, name in enumerate("abc"):
-            rows.append(
-                [
-                    str(bus),
-                    name,
-                    _fmt(float(np.abs(solution.v[i, p]))),
-                    _fmt(float(np.angle(solution.v[i, p]))),
-                    _fmt(load_kw[i, p]),
-                    _fmt(load_kvar[i, p]),
-                ]
-            )
-    v0 = network.v0.values
-    for p, name in enumerate("abc"):
-        rows.append(
-            [
-                "DT",
-                name,
-                _fmt(float(np.abs(v0[p]))),
-                _fmt(float(np.angle(v0[p]))),
-                _fmt(float(solution.s_dt[p].real * phase_base / 1e3)),
-                _fmt(float(solution.s_dt[p].imag * phase_base / 1e3)),
-            ]
-        )
+        i, p = bus_index[customer.bus], solution.cust_phase[k]
+        kw[i, p] += solution.s_cust[k].real * PHASE_POWER_BASE_VA / 1e3
+        kvar[i, p] += solution.s_cust[k].imag * PHASE_POWER_BASE_VA / 1e3
+    kw[-1] = solution.s_dt.real * PHASE_POWER_BASE_VA / 1e3
+    kvar[-1] = solution.s_dt.imag * PHASE_POWER_BASE_VA / 1e3
+    v = np.vstack([solution.v, network.v0.values])
+    rows = [
+        [str(bus), name, _fmt(np.abs(v[i, p])), _fmt(np.angle(v[i, p])), _fmt(kw[i, p]), _fmt(kvar[i, p])]
+        for i, bus in enumerate([*network.buses, "DT"])
+        for p, name in enumerate("abc")
+    ]
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

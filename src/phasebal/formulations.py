@@ -387,23 +387,23 @@ class AffineFit:
 
 
 _FIT_GRID = 20  # magnitudes and angles of the least-squares grid
+_FIT_HALFWIDTH = np.radians(10.0)  # the window's angle halfwidth around each nominal phase
 
 
 def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
     """Least-squares affine fit of 1/conj(V) per phase.
 
-    The window spans the voltage-magnitude limits and the angle halfwidth
+    The window spans the voltage-magnitude limits and _FIT_HALFWIDTH
     around each phase's nominal direction; the fit minimizes the squared
     complex error on a _FIT_GRID x _FIT_GRID grid.
     """
 
     v0arr = np.asarray(getattr(v0, "values", v0), dtype=complex)
-    delta = limits.angle_halfwidth_rad
     coef = np.zeros((3, 3), dtype=complex)  # phase x (constant, X, Y)
     mags = np.linspace(limits.v_min, limits.v_max, _FIT_GRID)
     for phi in range(3):
         center = float(np.angle(v0arr[phi]))
-        angs = np.linspace(center - delta, center + delta, _FIT_GRID)
+        angs = np.linspace(center - _FIT_HALFWIDTH, center + _FIT_HALFWIDTH, _FIT_GRID)
         v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
         target = 1.0 / np.conj(v)
         design = np.column_stack([np.ones(v.size), v.real, v.imag])

@@ -2,7 +2,7 @@
 
 Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
 load shapes, source, bus coordinates), converts everything to per-unit on
-the default bases and produces immutable per-period snapshots with net
+the fixed bases and produces immutable per-period snapshots with net
 demands and optional PV reactive-power bounds.
 """
 
@@ -13,6 +13,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -55,20 +56,12 @@ class Phasor3:
         return iter(complex(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class PerUnitBases:
-    """Per-unit system: line-neutral voltage base and three-phase power base."""
-
-    voltage_v: float = 240.0
-    power_va: float = 100_000.0
-
-    @property
-    def phase_power_va(self) -> float:
-        return self.power_va / 3.0
-
-    @property
-    def impedance_ohm(self) -> float:
-        return self.voltage_v**2 / self.phase_power_va
+# Per-unit system: line-neutral voltage base and three-phase power base, and
+# the per-phase power and impedance bases they imply.
+VOLTAGE_BASE_V = 240.0
+POWER_BASE_VA = 100_000.0
+PHASE_POWER_BASE_VA = POWER_BASE_VA / 3.0
+IMPEDANCE_BASE_OHM = VOLTAGE_BASE_V**2 / PHASE_POWER_BASE_VA
 
 
 @dataclass(frozen=True)
@@ -80,12 +73,11 @@ class Limits:
     neg_seq_max: float = 0.01
     i_dt_max: float = 2.0
     mb: float = 500.0
-    angle_halfwidth_rad: float = math.radians(10.0)
 
     def __post_init__(self) -> None:
         if not self.v_min < self.v_max:
             raise ValueError("require v_min < v_max")
-        if min(self.v_min, self.neg_seq_max, self.i_dt_max, self.mb, self.angle_halfwidth_rad) <= 0:
+        if min(self.v_min, self.neg_seq_max, self.i_dt_max, self.mb) <= 0:
             raise ValueError("limits and penalty weight must be positive")
 
 
@@ -116,7 +108,7 @@ class Customer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Radial feeder in per-unit: buses, lines, customers, limits and bases.
+    """Radial feeder in per-unit: buses, lines, customers and limits.
 
     `topology` is the radiality check's report, made once on construction.
     """
@@ -128,7 +120,6 @@ class Network:
     customers: tuple[Customer, ...]
     v0: Phasor3
     limits: Limits
-    bases: PerUnitBases
     coords: Mapping[int, tuple[float, float]] = field(default_factory=dict)
     topology: TopologyReport = field(init=False, repr=False)
 
@@ -172,7 +163,6 @@ class DemandSeries:
     p_w: np.ndarray  # (periods, customers)
     q_var: np.ndarray
     minutes_per_period: int
-    start_minute: int = 0
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p_w, dtype=float)
@@ -193,7 +183,7 @@ class DemandSeries:
         return self.p_w.shape[0]
 
     def period_mid_hour(self, period: int) -> float:
-        return (self.start_minute + (period + 0.5) * self.minutes_per_period) / 60.0
+        return (period + 0.5) * self.minutes_per_period / 60.0
 
 
 @dataclass(frozen=True)
@@ -264,6 +254,26 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return rows
 
 
+def _column(
+    table: str, rows: Sequence[Mapping[str, str | None]], column: str, convert=str.strip, start: int = 1
+) -> list:
+    """Every record's column value passed through convert, records counted
+    from start. A missing column or value, or one convert refuses, raises
+    FeederFormatError naming the table, the first such record and the column."""
+
+    try:
+        return [convert(row[column]) for row in rows]
+    except (KeyError, TypeError, ValueError):
+        for k, row in enumerate(rows, start=start):
+            text = row.get(column)
+            try:
+                convert(text)
+            except (TypeError, ValueError):
+                reason = f"no {column} value" if text is None else f"invalid {column} {text!r}"
+                raise FeederFormatError(f"{table} record {k}: {reason}") from None
+        raise
+
+
 def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     # Kron-reduced phase matrix from sequence parameters.
     zs = (z0 + 2.0 * z1) / 3.0
@@ -275,46 +285,42 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     """Parse a feeder directory of CSV tables into a per-unit Network.
 
     Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv, LoadShapes.csv
-    and optionally Buscoords.csv. Uses the default PerUnitBases and Limits,
-    with the transformer current limit taken from Source.csv's dt_kva.
-    Raises FeederFormatError naming the offending record on any dangling
-    reference or malformed table.
+    and optionally Buscoords.csv, on the module's per-unit bases and the
+    default Limits, with the transformer current limit taken from
+    Source.csv's dt_kva. Raises FeederFormatError naming the offending
+    record on any dangling reference or malformed table.
     """
 
     directory = Path(directory)
-    bases = PerUnitBases()
 
-    source = {row["quantity"].strip(): row["value"].strip() for row in _read_csv(directory / "Source.csv")}
-    try:
-        root = int(source["bus"])
-        v0_pu = float(source["pu"])
-        angle_deg = float(source.get("angle_deg", "0"))
-        dt_kva = float(source["dt_kva"])
-    except KeyError as exc:
-        raise FeederFormatError(f"Source.csv: missing quantity {exc}") from exc
+    source = _read_csv(directory / "Source.csv")
+    record_of = {q: k for k, q in enumerate(_column("Source.csv", source, "quantity"))}
 
-    codes: dict[str, np.ndarray] = {}
-    for row in _read_csv(directory / "LineCodes.csv"):
-        name = row["Name"].strip()
-        z1 = complex(float(row["R1_ohm_per_km"]), float(row["X1_ohm_per_km"]))
-        z0 = complex(float(row["R0_ohm_per_km"]), float(row["X0_ohm_per_km"]))
-        codes[name] = _sequence_to_phase_matrix(z1, z0)
+    def quantity(name: str, convert=float):
+        if name not in record_of:
+            raise FeederFormatError(f"Source.csv: missing quantity {name!r}")
+        k = record_of[name]
+        return _column("Source.csv", source[k:k + 1], "value", convert, start=k + 1)[0]
 
+    root, v0_pu, dt_kva = quantity("bus", int), quantity("pu"), quantity("dt_kva")
+    angle_deg = quantity("angle_deg") if "angle_deg" in record_of else 0.0
+
+    col = partial(_column, "LineCodes.csv", _read_csv(directory / "LineCodes.csv"))
+    r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", float) for part in ("R1", "X1", "R0", "X0"))
+    codes = {
+        name: _sequence_to_phase_matrix(complex(a, b), complex(c, d))
+        for name, a, b, c, d in zip(col("Name"), r1, x1, r0, x0)
+    }
+
+    col = partial(_column, "Lines.csv", _read_csv(directory / "Lines.csv"))
     lines: list[Line] = []
-    for row in _read_csv(directory / "Lines.csv"):
-        name = row["Name"].strip()
-        code = row["LineCode"].strip()
+    for name, code, length_m, bus1, bus2 in zip(
+        col("Name"), col("LineCode"), col("Length_m", float), col("Bus1", int), col("Bus2", int)
+    ):
         if code not in codes:
             raise FeederFormatError(f"Lines.csv: line {name} uses unknown line code {code}")
-        z_ohm = codes[code] * (float(row["Length_m"]) / 1000.0)
-        lines.append(
-            Line(
-                name=name,
-                from_bus=int(row["Bus1"]),
-                to_bus=int(row["Bus2"]),
-                z_pu=z_ohm / bases.impedance_ohm,
-            )
-        )
+        z_ohm = codes[code] * (length_m / 1000.0)
+        lines.append(Line(name=name, from_bus=bus1, to_bus=bus2, z_pu=z_ohm / IMPEDANCE_BASE_OHM))
 
     buses = sorted({root} | {l.from_bus for l in lines} | {l.to_bus for l in lines})
     bus_set = set(buses)
@@ -322,18 +328,17 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     customers: list[Customer] = []
     pf_by_load: dict[str, float] = {}
     kw_by_load: dict[str, float] = {}
-    for idx, row in enumerate(_read_csv(directory / "Loads.csv"), start=1):
-        name = row["Name"].strip()
-        bus = int(row["Bus"])
+    col = partial(_column, "Loads.csv", _read_csv(directory / "Loads.csv"))
+    records = zip(col("Name"), col("Bus", int), col("Phase"), col("kW", float), col("PF", float))
+    for idx, (name, bus, phase, kw, pf) in enumerate(records, start=1):
         if bus not in bus_set:
             raise FeederFormatError(f"Loads.csv: load {name} references unknown bus {bus}")
-        phase = row["Phase"].strip()
         if phase not in PHASE_INDEX:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid phase {phase!r}")
         customers.append(Customer(cid=idx, name=name, bus=bus, initial_phase=PHASE_INDEX[phase]))
-        kw_by_load[name] = float(row["kW"])
-        pf_by_load[name] = float(row["PF"])
-        if not 0.0 < pf_by_load[name] <= 1.0:
+        kw_by_load[name] = kw
+        pf_by_load[name] = pf
+        if not 0.0 < pf <= 1.0:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid power factor")
 
     shape_rows = _read_csv(directory / "LoadShapes.csv")
@@ -341,19 +346,20 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     missing = [n for n in load_names if n not in shape_rows[0]]
     if missing:
         raise FeederFormatError(f"LoadShapes.csv: missing shape columns for {missing}")
-    mult = np.array([[float(row[n]) for n in load_names] for row in shape_rows], dtype=float)
+    mult = np.column_stack([_column("LoadShapes.csv", shape_rows, n, float) for n in load_names])
     p_w = mult * np.array([kw_by_load[n] for n in load_names]) * 1e3
     tan_phi = np.array([math.tan(math.acos(pf_by_load[n])) for n in load_names])
     q_var = p_w * tan_phi
-    minutes = int(shape_rows[0].get("minutes", "15") or "15")
+    first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
+    minutes = _column("LoadShapes.csv", [first], "minutes", int)[0]
 
     coords: dict[int, tuple[float, float]] = {}
     coords_path = directory / "Buscoords.csv"
     if coords_path.exists():
-        for row in _read_csv(coords_path):
-            coords[int(row["Bus"])] = (float(row["x"]), float(row["y"]))
+        col = partial(_column, "Buscoords.csv", _read_csv(coords_path))
+        coords.update(zip(col("Bus", int), zip(col("x", float), col("y", float))))
 
-    lim = Limits(i_dt_max=dt_kva / (bases.power_va / 1e3))
+    lim = Limits(i_dt_max=dt_kva / (POWER_BASE_VA / 1e3))
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(
         name=directory.name,
@@ -363,7 +369,6 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
         customers=tuple(customers),
         v0=Phasor3.from_polar([v0_pu] * 3, angles),
         limits=lim,
-        bases=bases,
         coords=coords,
     )
     demands = DemandSeries(
@@ -448,7 +453,7 @@ def build_snapshot(
             raise ValueError(f"scenario references unknown customer index {cid}")
 
     id_to_col = {cid: k for k, cid in enumerate(demands.customer_ids)}
-    phase_base = network.bases.phase_power_va
+    phase_base = PHASE_POWER_BASE_VA
     n = network.n_customers
     p_w = np.empty(n)
     q_var = np.empty(n)
@@ -491,7 +496,7 @@ def write_network_json(network: Network, path: str | Path) -> None:
 
     doc = {
         "name": network.name,
-        "bases": {"voltage_v": network.bases.voltage_v, "power_va": network.bases.power_va},
+        "bases": {"voltage_v": VOLTAGE_BASE_V, "power_va": POWER_BASE_VA},
         "root": network.root,
         "v0": [cplx(v) for v in network.v0],
         "limits": {
@@ -500,7 +505,6 @@ def write_network_json(network: Network, path: str | Path) -> None:
             "neg_seq_max": network.limits.neg_seq_max,
             "i_dt_max": network.limits.i_dt_max,
             "mb": network.limits.mb,
-            "angle_halfwidth_rad": network.limits.angle_halfwidth_rad,
         },
         "buses": list(network.buses),
         "lines": [

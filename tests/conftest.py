@@ -11,7 +11,6 @@ from phasebal.netmodel import (
     Limits,
     Line,
     Network,
-    PerUnitBases,
     Phasor3,
     load_bundled_feeder,
 )
@@ -45,7 +44,6 @@ def two_bus_network(
         ),
         v0=make_v0(),
         limits=Limits(),
-        bases=PerUnitBases(),
     )
 
 
@@ -84,7 +82,6 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
         customers=customers,
         v0=make_v0(),
         limits=Limits(),
-        bases=PerUnitBases(),
     )
 
 

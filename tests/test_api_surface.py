@@ -72,5 +72,5 @@ def test_every_field_and_property_has_a_reader_in_the_package():
 def test_the_scan_sees_fields_and_properties():
     # The guard is vacuous if the scan finds nothing to check.
     members = declared_members(_trees())
-    assert ("powerflow.py:FeederGeometry", "cust_meet") in members
+    assert ("powerflow.py:FeederGeometry", "columns") in members
     assert ("netmodel.py:Network", "n_buses") in members

@@ -1,0 +1,99 @@
+"""What the benchmark harness reads from the package still exists.
+
+`bench/run.py` wraps the functions its `TRACE_TARGETS` names, calls the
+package through its module objects and reads fields off the results of the
+traced calls (`bench/tracer.py`). A name the package drops breaks the
+benchmark only when it runs; this guard parses `bench/` (it imports and
+changes nothing there) and names each reference that no longer resolves.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
+from phasebal import cli, powerflow
+from phasebal.optimizer import OptimizationOutcome
+from phasebal.powerflow import PFSolution
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = ("cli", "formulations", "netmodel", "optimizer", "powerflow")
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((BENCH / name).read_text())
+
+
+def trace_targets() -> dict[str, tuple[str, ...]]:
+    """The `TRACE_TARGETS` literal of bench/run.py."""
+
+    for node in _tree("run.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACE_TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no TRACE_TARGETS")
+
+
+def module_attributes() -> set[tuple[str, str]]:
+    """(module, attribute) for every `cli.x`, `self.cli.x` and the like that
+    bench/run.py loads off one of the package's modules."""
+
+    found = set()
+    for node in ast.walk(_tree("run.py")):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in MODULES:
+                found.add((name, node.attr))
+    return found
+
+
+def test_every_trace_target_resolves():
+    targets = trace_targets()
+    assert set(targets) <= set(MODULES)
+    missing = [
+        f"{module}.{attr}"
+        for module, attrs in targets.items()
+        for attr in attrs
+        if not callable(getattr(importlib.import_module(f"phasebal.{module}"), attr, None))
+    ]
+    assert not missing, f"TRACE_TARGETS names that phasebal no longer defines: {missing}"
+
+
+def test_every_module_attribute_the_harness_loads_resolves():
+    found = module_attributes()
+    assert ("cli", "run_sweep") in found and ("powerflow", "feeder_geometry") in found
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(found)
+        if not hasattr(importlib.import_module(f"phasebal.{module}"), attr)
+    ]
+    assert not missing, f"bench/run.py loads attributes phasebal no longer has: {missing}"
+
+
+def test_sweep_config_takes_every_keyword_the_harness_passes():
+    passed = {
+        kw.arg
+        for node in ast.walk(_tree("run.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "SweepConfig"
+        for kw in node.keywords
+    }
+    assert passed and passed <= {f.name for f in dataclasses.fields(cli.SweepConfig)}
+
+
+def test_results_carry_the_fields_the_tracer_reads():
+    # tracer.py reads method and candidates off search outcomes and
+    # iterations off power-flow solutions.
+    source = (BENCH / "tracer.py").read_text()
+    for owner, name in ((OptimizationOutcome, "method"), (OptimizationOutcome, "candidates"),
+                        (PFSolution, "iterations")):
+        assert f"result.{name}" in source
+        assert name in {f.name for f in dataclasses.fields(owner)}, f"{owner.__name__}.{name}"
+
+
+def test_the_geometry_cache_can_be_cleared():
+    # The harness empties every memo cache it finds before each sweep.
+    assert callable(getattr(powerflow.feeder_geometry, "cache_clear", None))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +19,7 @@ import pytest
 from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
-from phasebal.netmodel import DEFAULT_SCENARIO, build_snapshot, bundled_feeder_dir
+from phasebal.netmodel import DEFAULT_SCENARIO, PHASE_POWER_BASE_VA, build_snapshot, bundled_feeder_dir
 from phasebal.powerflow import PhaseAssignment
 
 from test_netmodel import assert_network_json
@@ -104,18 +106,28 @@ def test_verify_regenerates_reports_byte_identically(counted_sweep):
 
 
 def test_verify_refuses_an_older_outcome_schema(counted_sweep, tmp_path, capsys):
+    # And a damaged outcome file: cut short, or without a key the reports read.
     out, _ = counted_sweep
-    doc = json.loads(cli.outcome_path(out, PERIOD, "initial").read_text())
-    doc["schema"] = "phasebal.outcome.v2"
-    cli._write_json(cli.outcome_path(tmp_path, PERIOD, "initial"), doc)
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--out-dir", str(tmp_path)])
-    assert info.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        f"phasebal verify: error: outcome_{PERIOD}_initial.json: "
-        "unexpected schema 'phasebal.outcome.v2'"
-    )
-    assert [p.name for p in tmp_path.iterdir()] == [f"outcome_{PERIOD}_initial.json"]
+    name = f"outcome_{PERIOD}_initial.json"
+    text = (out / name).read_text()
+    doc = json.loads(text)
+    del doc["method"]
+    cases = {
+        "older": (text.replace(cli.OUTCOME_SCHEMA, "phasebal.outcome.v2"),
+                  "unexpected schema 'phasebal.outcome.v2'"),
+        "truncated": (text[: len(text) // 2], "not JSON: "),
+        "no-method": (json.dumps(doc), "missing key 'method'"),
+    }
+    for case, (damaged, message) in cases.items():
+        (tmp_path / case).mkdir()
+        (tmp_path / case / name).write_text(damaged)
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--out-dir", str(tmp_path / case)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"phasebal verify: error: {name}: {message}"), case
+        assert "Traceback" not in err
+        assert [p.name for p in (tmp_path / case).iterdir()] == [name]
 
 
 def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
@@ -233,13 +245,18 @@ def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, c
             ["pf", "--period", "3", "--scenario", "no-feeder"],
             "phasebal pf: error: missing feeder table: Source.csv",
         ),
+        (
+            ["pf", "--period", "3", "--scenario", "BROKEN"],
+            "phasebal pf: error: Lines.csv record 1: no Length_m value",
+        ),
         (["verify"], "phasebal verify: error: no outcome files under out"),
     ],
     ids=["evaluate-period", "evaluate-negative", "evaluate-no-feeder", "pf-period", "pf-no-feeder",
-         "verify-empty"],
+         "pf-malformed-feeder", "verify-empty"],
 )
-def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys, feeder_without_lengths):
     monkeypatch.chdir(tmp_path)
+    argv = [str(feeder_without_lengths) if a == "BROKEN" else a for a in argv]
     with pytest.raises(SystemExit) as info:
         main([*argv, "--out-dir", "out"])
     assert info.value.code == 2
@@ -247,6 +264,33 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys
     assert err.splitlines()[-1] == message
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def feeder_without_lengths(tmp_path_factory):
+    """The bundled feeder with the Length_m column cut from Lines.csv."""
+
+    target = tmp_path_factory.mktemp("feeder") / "no-lengths"
+    shutil.copytree(bundled_feeder_dir(), target)
+    lines = target / "Lines.csv"
+    with lines.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("Length_m")
+    lines.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+    return target
+
+
+def test_pf_writes_plain_numbers(tmp_path, network, demands):
+    assert main(["pf", "--period", str(PERIOD), "--out-dir", str(tmp_path)]) == 0
+    with (tmp_path / f"pf_{PERIOD}.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * (network.n_buses + 1)
+    for row in rows:
+        for key in ("vm_pu", "va_rad", "p_kw", "q_kvar"):
+            float(row[key])  # a numpy repr such as np.float64(1.2) does not parse
+    bus_kw = sum(float(row["p_kw"]) for row in rows if row["bus_id"] != "DT")
+    load_kw = build_snapshot(network, demands, PERIOD).p_pu.sum() * PHASE_POWER_BASE_VA / 1e3
+    assert bus_kw == pytest.approx(load_kw, rel=1e-12)
 
 
 def test_in_process_sweep_imports_the_feeder_once(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal.formulations import (
+    _FIT_HALFWIDTH,
     AffineFit,
     FormulationError,
     Slacks,
@@ -28,7 +29,7 @@ from phasebal.formulations import (
 )
 from phasebal.netmodel import DEFAULT_SCENARIO, Limits, build_snapshot
 from phasebal.optimizer import _model_evaluator
-from phasebal.powerflow import PhaseAssignment, feeder_geometry, solve_utpf
+from phasebal.powerflow import PhaseAssignment, _customer_meet, feeder_geometry, solve_utpf
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
@@ -153,7 +154,7 @@ def worst_fit_error(fit, network, grid=50):
     phase's nominal direction, denser than the fit's own grid."""
 
     limits = network.limits
-    half = limits.angle_halfwidth_rad
+    half = _FIT_HALFWIDTH
     worst = 0.0
     for phi, v0 in enumerate(network.v0.values):
         centre = float(np.angle(v0))
@@ -182,7 +183,7 @@ class TestInverseVoltageFit:
         # real and the imaginary part of 1/conj(V) on the same design.
         fit = fit_inverse_voltage(network.v0, network.limits)
         limits = network.limits
-        half = limits.angle_halfwidth_rad
+        half = _FIT_HALFWIDTH
         for phi, v0 in enumerate(network.v0.values):
             centre = float(np.angle(v0))
             mags = np.linspace(limits.v_min, limits.v_max, 20)
@@ -269,17 +270,17 @@ class TestLinearizedInverseModel:
 
     @staticmethod
     def _equation_residual(snap, asg, out, q_adjust=None):
-        """Largest gap in v = v0 - sum_j cust_meet[j][:, :, p_j] conj(s_j) g_j(v[bus_j, p_j]),
+        """Largest gap in v = v0 - sum_j meet[j, p_j] conj(s_j) g_j(v[bus_j, p_j]),
         the model's defining equation, at the voltages evaluate_linv returns."""
 
         network = snap.network
-        geometry = feeder_geometry(network)
+        geometry, meet = feeder_geometry(network), _customer_meet(network)
         fit = fit_inverse_voltage(network.v0, network.limits)
         s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
         v = out.v
         replay = np.tile(network.v0.values, (network.n_buses, 1))
         for j, (bus, p) in enumerate(zip(geometry.cust_bus, asg.phases)):
-            replay -= geometry.cust_meet[j][:, :, p] * np.conj(s[j]) * fit.g(v[bus, p], p)
+            replay -= meet[j, p] * np.conj(s[j]) * fit.g(v[bus, p], p)
         return float(np.max(np.abs(replay - v)))
 
     @pytest.mark.parametrize("period", [4, 40, 48, 73])

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phasebal import netmodel
 from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
@@ -24,7 +25,6 @@ from phasebal.netmodel import (
     Limits,
     Line,
     Network,
-    PerUnitBases,
     Phasor3,
     RadialityError,
     ScenarioOptions,
@@ -64,9 +64,9 @@ class TestPhasor3:
 
 class TestPerUnitBases:
     def test_derived_bases(self):
-        bases = PerUnitBases(voltage_v=240.0, power_va=100_000.0)
-        assert bases.phase_power_va == pytest.approx(100_000.0 / 3.0)
-        assert bases.impedance_ohm == pytest.approx(240.0**2 * 3.0 / 100_000.0)
+        assert (netmodel.VOLTAGE_BASE_V, netmodel.POWER_BASE_VA) == (240.0, 100_000.0)
+        assert netmodel.PHASE_POWER_BASE_VA == pytest.approx(100_000.0 / 3.0)
+        assert netmodel.IMPEDANCE_BASE_OHM == pytest.approx(240.0**2 * 3.0 / 100_000.0)
 
 
 class TestLimits:
@@ -96,7 +96,6 @@ class TestNetworkValidation:
                 customers=base.customers,
                 v0=base.v0,
                 limits=base.limits,
-                bases=base.bases,
             )
         with pytest.raises(FeederFormatError, match="customer"):
             Network(
@@ -107,7 +106,6 @@ class TestNetworkValidation:
                 customers=(Customer(cid=1, name="c1", bus=9, initial_phase=0),),
                 v0=base.v0,
                 limits=base.limits,
-                bases=base.bases,
             )
 
     def test_cycle_detected(self):
@@ -125,7 +123,6 @@ class TestNetworkValidation:
                 customers=(),
                 v0=make_v0(),
                 limits=Limits(),
-                bases=PerUnitBases(),
             )
 
     def test_disconnected_bus_detected(self):
@@ -142,7 +139,6 @@ class TestNetworkValidation:
                 customers=(),
                 v0=make_v0(),
                 limits=Limits(),
-                bases=PerUnitBases(),
             )
 
     def test_parent_line_per_bus(self):
@@ -164,7 +160,6 @@ class TestNetworkValidation:
             ),
             v0=make_v0(),
             limits=Limits(),
-            bases=PerUnitBases(),
         )
         report = network.topology
         assert report.depth_order == (0, 1, 2, 3)
@@ -271,6 +266,27 @@ class TestImport:
         with pytest.raises(FeederFormatError, match="power factor"):
             import_european_feeder(broken_dir)
 
+    def test_missing_column_named(self, broken_dir):
+        def transform(rows):
+            drop = rows[0].index("Length_m")
+            return [row[:drop] + row[drop + 1:] for row in rows]
+
+        self._rewrite(broken_dir / "Lines.csv", transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == "Lines.csv record 1: no Length_m value"
+
+    @pytest.mark.parametrize("table, column", [("Loads.csv", "kW"), ("Source.csv", "value")])
+    def test_non_numeric_value_named(self, broken_dir, table, column):
+        def transform(rows):
+            rows[2][rows[0].index(column)] = "abc"
+            return rows
+
+        self._rewrite(broken_dir / table, transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"{table} record 2: invalid {column} 'abc'"
+
     def test_missing_shape_column_named(self, broken_dir):
         def transform(rows):
             name = rows[1][0]
@@ -371,7 +387,7 @@ class TestSnapshot:
             network, demands, 48, replace(DEFAULT_SCENARIO, pv_q_control=True)
         )
         assert np.all(off.q_lo_pu == 0.0) and np.all(off.q_hi_pu == 0.0)
-        band = 0.05 * 7e3 / network.bases.phase_power_va
+        band = 0.05 * 7e3 / netmodel.PHASE_POWER_BASE_VA
         hosts = [
             k
             for k, c in enumerate(network.customers)
@@ -433,7 +449,7 @@ def assert_network_json(path, network):
     assert doc["root"] == network.root
     assert cplx(doc["v0"]).tobytes() == network.v0.values.tobytes()
     assert doc["limits"] == asdict(network.limits)
-    assert doc["bases"] == asdict(network.bases)
+    assert doc["bases"] == {"voltage_v": 240.0, "power_va": 100_000.0}
     assert [(l["name"], l["from"], l["to"]) for l in doc["lines"]] == [
         (l.name, l.from_bus, l.to_bus) for l in network.lines
     ]

@@ -15,6 +15,7 @@ from phasebal.powerflow import (
     NonConvergenceError,
     PhaseAssignment,
     VoltageCollapseError,
+    _customer_meet,
     check_assignment,
     feeder_geometry,
     power_balance_residual,
@@ -136,7 +137,7 @@ def current_imbalance(network, asg, sol, s):
     each bus's parent carries i_lines from the parent to the bus, not the
     solver's cached geometry."""
 
-    bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
+    bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
     balance = np.zeros((network.n_buses, 3), dtype=complex)
     for bus, li in report.parent_line.items():
@@ -153,7 +154,7 @@ def ohm_gap(network, sol):
     """Largest |v[child] - (v[parent] - z_pu @ i_line)| over the Line records,
     each oriented from parent to child by the topology report."""
 
-    bus_index = {b: i for i, b in enumerate(sol.bus_ids)}
+    bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
     return max(
         np.max(np.abs(
@@ -237,16 +238,17 @@ class TestFailureReporting:
         assert info.value.mismatch > 1e-8
 
 
-def chain_lca_cust_meet(network):
-    """Reference cust_meet by a pairwise ancestor-chain search: for each
-    customer's bus b and each bus m, the line impedances summed from the root
-    along the chain of buses that m's and b's root chains share."""
+def chain_lca_meet(network):
+    """Reference `_customer_meet` by a pairwise ancestor-chain search: for
+    each customer's bus b and each bus m, the line impedances summed from the
+    root along the chain of buses that m's and b's root chains share, as
+    out[j, p, m, phi] = Z[phi, p]."""
 
     topology = network.topology
     chains = {network.root: [network.root]}
     for bus in topology.depth_order[1:]:
         chains[bus] = chains[topology.parent[bus]] + [bus]
-    out = np.zeros((network.n_customers, network.n_buses, 3, 3), dtype=complex)
+    out = np.zeros((network.n_customers, 3, network.n_buses, 3), dtype=complex)
     for j, customer in enumerate(network.customers):
         on_b = set(chains[customer.bus])
         for m, bus in enumerate(network.buses):
@@ -255,26 +257,26 @@ def chain_lca_cust_meet(network):
                 if x not in on_b:
                     break
                 z = z + network.lines[topology.parent_line[x]].z_pu
-            out[j, m] = z
+            out[j, :, m] = z.T
     return out
 
 
 class TestFeederGeometry:
     def test_customer_table_matches_the_chain_search_on_the_bundled_feeder(self, network):
-        assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
+        assert np.array_equal(_customer_meet(network), chain_lca_meet(network))
 
     @pytest.mark.parametrize("n_buses", [2, 7, 40, 150, 400])
     def test_customer_table_matches_the_chain_search_on_random_feeders(self, n_buses):
         network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
-        assert np.array_equal(feeder_geometry(network).cust_meet, chain_lca_cust_meet(network))
+        assert np.array_equal(_customer_meet(network), chain_lca_meet(network))
 
     @pytest.mark.parametrize("n_buses", [None, 2, 7, 40, 150, 400])
     def test_bus_columns_repeat_their_representative(self, network, n_buses):
         if n_buses is not None:  # else the bundled feeder
             network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
         geometry = feeder_geometry(network)
-        table = geometry.cust_meet
-        assert table[:, geometry.col_rep].tobytes() == table.tobytes()
+        table = _customer_meet(network)
+        assert table[:, :, geometry.col_rep].tobytes() == table.tobytes()
         # A bus represents itself exactly when it is the root or lies on a
         # customer's root path, that is, has a customer in its subtree.
         on_paths = {network.buses.index(network.root)}
@@ -285,10 +287,13 @@ class TestFeederGeometry:
         assert set(np.flatnonzero(geometry.col_rep == np.arange(network.n_buses)).tolist()) == on_paths
 
     def test_customer_table_is_stored_customer_major(self, network):
-        # The kernels read it through a transposed view and inherit its order.
-        table = feeder_geometry(network).cust_meet
-        assert table.shape == (network.n_customers, network.n_buses, 3, 3)
-        assert table.flags["C_CONTIGUOUS"]
+        # One read-only array, rows by (customer, phase); the kernels read it
+        # through a contiguous view of the same memory.
+        columns = feeder_geometry(network).columns
+        assert columns.shape == (3 * network.n_customers, 3 * network.n_buses)
+        assert columns.flags["C_CONTIGUOUS"] and not columns.flags["WRITEABLE"]
+        meet = _customer_meet(network)
+        assert meet.flags["C_CONTIGUOUS"] and np.shares_memory(meet, columns)
 
     def test_memory_grows_with_buses_times_customers(self):
         network = random_radial_network(seed=900, n_buses=900, n_customers=55)
