@@ -16,7 +16,6 @@ from .netmodel import (
     DemandSeries,
     Limits,
     Network,
-    Phasor3,
     ScenarioOptions,
     build_snapshot,
     import_european_feeder,
@@ -54,7 +53,6 @@ __all__ = [
     "OptimizationOutcome",
     "PFSolution",
     "PhaseAssignment",
-    "Phasor3",
     "ScenarioOptions",
     "Slacks",
     "SweepConfig",

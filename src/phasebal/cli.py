@@ -121,8 +121,7 @@ class CellSpec:
 
 
 def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
-    feeder = load_bundled_feeder() if spec == "bundled" else import_european_feeder(spec)
-    return feeder.network, feeder.demands
+    return load_bundled_feeder() if spec == "bundled" else import_european_feeder(spec)
 
 
 # The cells' feeder, scenario and base seed: set once per worker process by
@@ -515,18 +514,18 @@ def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    feeder = import_european_feeder(args.source)
-    report = feeder.network.topology
-    depth = {feeder.network.root: 0}
+    network, demands = import_european_feeder(args.source)
+    report = network.topology
+    depth = {network.root: 0}
     for bus in report.depth_order[1:]:
         depth[bus] = depth[report.parent[bus]] + 1
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_network_json(feeder.network, out / "network.json")
-    write_profiles_csv(feeder.demands, out / "profiles.csv")
+    write_network_json(network, out / "network.json")
+    write_profiles_csv(demands, out / "profiles.csv")
     print(
-        f"imported {feeder.network.n_buses} buses, {len(feeder.network.lines)} lines, "
-        f"{feeder.network.n_customers} customers, {feeder.demands.n_periods} periods "
+        f"imported {network.n_buses} buses, {len(network.lines)} lines, "
+        f"{network.n_customers} customers, {demands.n_periods} periods "
         f"(max depth {max(depth.values())})"
     )
     print(f"wrote {out / 'network.json'} and {out / 'profiles.csv'}")
@@ -560,7 +559,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
         kvar[i, p] += solution.s_cust[k].imag * PHASE_POWER_BASE_VA / 1e3
     kw[-1] = solution.s_dt.real * PHASE_POWER_BASE_VA / 1e3
     kvar[-1] = solution.s_dt.imag * PHASE_POWER_BASE_VA / 1e3
-    v = np.vstack([solution.v, network.v0.values])
+    v = np.vstack([solution.v, network.v0])
     rows = [
         [str(bus), name, _fmt(np.abs(v[i, p])), _fmt(np.angle(v[i, p])), _fmt(kw[i, p]), _fmt(kvar[i, p])]
         for i, bus in enumerate([*network.buses, "DT"])

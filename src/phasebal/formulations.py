@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .netmodel import CaseSnapshot, Limits, Network, Phasor3
+from .netmodel import CaseSnapshot, Limits, Network
 from .powerflow import (
     PFSolution,
     PhaseAssignment,
@@ -297,7 +297,7 @@ def evaluate_exact(
     }
     return _result(
         "utpf", network.limits, solution.s_dt,
-        np.abs(solution.s_dt) / np.abs(network.v0.values), lo, vm, vneg, solution.v, meta=meta,
+        np.abs(solution.s_dt) / np.abs(network.v0), lo, vm, vneg, solution.v, meta=meta,
     )
 
 
@@ -305,7 +305,7 @@ def _fixv_profile(network: Network, profile: np.ndarray | None) -> np.ndarray:
     """The frozen voltage field: given (buses, 3), or flat at the root."""
 
     if profile is None:
-        return np.tile(network.v0.values, (network.n_buses, 1))
+        return np.tile(network.v0, (network.n_buses, 1))
     profile = np.asarray(profile, dtype=complex)
     if profile.shape != (network.n_buses, 3):
         raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
@@ -344,7 +344,7 @@ def _fixv_fields(
 
     i_cust = np.conj(s) / np.conj(profile[feeder_geometry(network).cust_bus, phases])
     sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
-    v = network.v0.values - np.einsum("jmf,...j->...mf", sel, i_cust)
+    v = network.v0 - np.einsum("jmf,...j->...mf", sel, i_cust)
     return v, _dt_current(phases, i_cust)
 
 
@@ -355,7 +355,7 @@ def _phasor_measures(
     reads off a phasor model's voltages and transformer currents; linearized
     tests the lower bound on the projection onto the nominal phasors (linv)."""
 
-    v0 = network.v0.values
+    v0 = network.v0
     lo, vm, vneg = _voltage_measures(v, v0 if linearized else None)
     return v0 * np.conj(i_dt), np.abs(i_dt), lo, vm, vneg
 
@@ -390,7 +390,7 @@ _FIT_GRID = 20  # magnitudes and angles of the least-squares grid
 _FIT_HALFWIDTH = np.radians(10.0)  # the window's angle halfwidth around each nominal phase
 
 
-def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
+def fit_inverse_voltage(v0: np.ndarray, limits: Limits) -> AffineFit:
     """Least-squares affine fit of 1/conj(V) per phase.
 
     The window spans the voltage-magnitude limits and _FIT_HALFWIDTH
@@ -398,11 +398,10 @@ def fit_inverse_voltage(v0: Phasor3 | np.ndarray, limits: Limits) -> AffineFit:
     complex error on a _FIT_GRID x _FIT_GRID grid.
     """
 
-    v0arr = np.asarray(getattr(v0, "values", v0), dtype=complex)
     coef = np.zeros((3, 3), dtype=complex)  # phase x (constant, X, Y)
     mags = np.linspace(limits.v_min, limits.v_max, _FIT_GRID)
     for phi in range(3):
-        center = float(np.angle(v0arr[phi]))
+        center = float(np.angle(v0[phi]))
         angs = np.linspace(center - _FIT_HALFWIDTH, center + _FIT_HALFWIDTH, _FIT_GRID)
         v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
         target = 1.0 / np.conj(v)
@@ -449,7 +448,7 @@ def _linv_solve(
     coupling = _coupling(network, phases)
     cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
     sconj = np.conj(s)
-    v0c = network.v0.values[phases]
+    v0c = network.v0[phases]
 
     v = v0c
     i_cust = sconj * (cb + ck * v.real + ch * v.imag)
@@ -579,7 +578,7 @@ def _lbfm_fields(
     (..., buses, 3) squared magnitudes, the (..., buses) unbalance surrogate
     and the (..., 3) transformer power, all affine in every customer's load."""
 
-    v0 = network.v0.values
+    v0 = network.v0
     sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
 
     beta_sel = BETA[:, phases].T  # (customers, 3): ratio toward each observed phase
@@ -597,7 +596,7 @@ def _lbfm_measures(
 ) -> tuple[np.ndarray, ...]:
     """s_dt, the |S|/|V0| current surrogate, and diag as both voltage measures."""
 
-    return s_dt, np.abs(s_dt) / np.abs(network.v0.values), diag, diag, vneg
+    return s_dt, np.abs(s_dt) / np.abs(network.v0), diag, diag, vneg
 
 
 def _affine_line(
@@ -714,7 +713,7 @@ class _Kernel:
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         self.network = snapshot.network
         self.limits = snapshot.network.limits
-        self.v0 = self.network.v0.values
+        self.v0 = self.network.v0
         self.s = _effective_loads(snapshot, None)
         self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
         self.initial = np.array([c.initial_phase for c in self.network.customers], dtype=int)

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,31 +29,6 @@ class FeederFormatError(ValueError):
 
 class RadialityError(ValueError):
     """The feeder graph is not a tree rooted at the source bus."""
-
-
-@dataclass(frozen=True, eq=False)
-class Phasor3:
-    """One complex value per phase a, b, c."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=complex)
-        if arr.shape != (3,):
-            raise ValueError(f"Phasor3 needs exactly 3 values, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Phasor3 components must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_polar(cls, magnitudes: Sequence[float], angles_rad: Sequence[float]) -> "Phasor3":
-        mags = np.asarray(magnitudes, dtype=float)
-        angs = np.asarray(angles_rad, dtype=float)
-        return cls(mags * np.exp(1j * angs))
-
-    def __iter__(self):
-        return iter(complex(v) for v in self.values)
 
 
 # Per-unit system: line-neutral voltage base and three-phase power base, and
@@ -75,6 +50,8 @@ class Limits:
     mb: float = 500.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("limits and penalty weight must be finite")
         if not self.v_min < self.v_max:
             raise ValueError("require v_min < v_max")
         if min(self.v_min, self.neg_seq_max, self.i_dt_max, self.mb) <= 0:
@@ -92,7 +69,9 @@ class Line:
         z = np.asarray(self.z_pu, dtype=complex)
         if z.shape != (3, 3):
             raise FeederFormatError(f"line {self.name}: impedance must be 3x3")
-        if not np.allclose(z, z.T, rtol=0, atol=1e-12):
+        if not np.all(np.isfinite(z)):
+            raise FeederFormatError(f"line {self.name}: impedance must be finite")
+        if np.abs(z - z.T).max() > 1e-12:
             raise FeederFormatError(f"line {self.name}: impedance matrix is not symmetric")
         z.setflags(write=False)
         object.__setattr__(self, "z_pu", z)
@@ -118,12 +97,17 @@ class Network:
     root: int
     lines: tuple[Line, ...]
     customers: tuple[Customer, ...]
-    v0: Phasor3
+    v0: np.ndarray  # (3,) complex source voltage, phases a, b, c
     limits: Limits
     coords: Mapping[int, tuple[float, float]] = field(default_factory=dict)
     topology: TopologyReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        v0 = np.array(self.v0, dtype=complex)
+        if v0.shape != (3,) or not np.all(np.isfinite(v0)):
+            raise FeederFormatError(f"v0 must be 3 finite phase voltages, got {self.v0!r}")
+        v0.setflags(write=False)
+        object.__setattr__(self, "v0", v0)
         bus_set = set(self.buses)
         if self.root not in bus_set:
             raise FeederFormatError(f"root bus {self.root} is not in the bus list")
@@ -238,12 +222,6 @@ class CaseSnapshot:
         return len(self.adjustable_idx)
 
 
-@dataclass(frozen=True, eq=False)
-class FeederImport:
-    network: Network
-    demands: DemandSeries
-
-
 def _read_csv(path: Path) -> list[dict[str, str]]:
     if not path.exists():
         raise FeederFormatError(f"missing feeder table: {path.name}")
@@ -274,6 +252,13 @@ def _column(
         raise
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     # Kron-reduced phase matrix from sequence parameters.
     zs = (z0 + 2.0 * z1) / 3.0
@@ -281,8 +266,9 @@ def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     return np.full((3, 3), zm, dtype=complex) + np.eye(3) * (zs - zm)
 
 
-def import_european_feeder(directory: str | Path) -> FeederImport:
-    """Parse a feeder directory of CSV tables into a per-unit Network.
+def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries]:
+    """Parse a feeder directory of CSV tables into a per-unit Network and
+    its demand series.
 
     Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv, LoadShapes.csv
     and optionally Buscoords.csv, on the module's per-unit bases and the
@@ -296,7 +282,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     source = _read_csv(directory / "Source.csv")
     record_of = {q: k for k, q in enumerate(_column("Source.csv", source, "quantity"))}
 
-    def quantity(name: str, convert=float):
+    def quantity(name: str, convert=_finite):
         if name not in record_of:
             raise FeederFormatError(f"Source.csv: missing quantity {name!r}")
         k = record_of[name]
@@ -306,7 +292,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     angle_deg = quantity("angle_deg") if "angle_deg" in record_of else 0.0
 
     col = partial(_column, "LineCodes.csv", _read_csv(directory / "LineCodes.csv"))
-    r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", float) for part in ("R1", "X1", "R0", "X0"))
+    r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", _finite) for part in ("R1", "X1", "R0", "X0"))
     codes = {
         name: _sequence_to_phase_matrix(complex(a, b), complex(c, d))
         for name, a, b, c, d in zip(col("Name"), r1, x1, r0, x0)
@@ -315,7 +301,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     col = partial(_column, "Lines.csv", _read_csv(directory / "Lines.csv"))
     lines: list[Line] = []
     for name, code, length_m, bus1, bus2 in zip(
-        col("Name"), col("LineCode"), col("Length_m", float), col("Bus1", int), col("Bus2", int)
+        col("Name"), col("LineCode"), col("Length_m", _finite), col("Bus1", int), col("Bus2", int)
     ):
         if code not in codes:
             raise FeederFormatError(f"Lines.csv: line {name} uses unknown line code {code}")
@@ -325,31 +311,30 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     buses = sorted({root} | {l.from_bus for l in lines} | {l.to_bus for l in lines})
     bus_set = set(buses)
 
+    # A load's shape is the LoadShapes.csv column of its name, so names must not repeat.
     customers: list[Customer] = []
-    pf_by_load: dict[str, float] = {}
-    kw_by_load: dict[str, float] = {}
+    seen: set[str] = set()
     col = partial(_column, "Loads.csv", _read_csv(directory / "Loads.csv"))
-    records = zip(col("Name"), col("Bus", int), col("Phase"), col("kW", float), col("PF", float))
-    for idx, (name, bus, phase, kw, pf) in enumerate(records, start=1):
+    names, kws, pfs = col("Name"), col("kW", _finite), col("PF", _finite)
+    for idx, (name, bus, phase, pf) in enumerate(zip(names, col("Bus", int), col("Phase"), pfs), start=1):
+        if name in seen:
+            raise FeederFormatError(f"Loads.csv record {idx}: load name {name} repeats")
+        seen.add(name)
         if bus not in bus_set:
             raise FeederFormatError(f"Loads.csv: load {name} references unknown bus {bus}")
         if phase not in PHASE_INDEX:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid phase {phase!r}")
-        customers.append(Customer(cid=idx, name=name, bus=bus, initial_phase=PHASE_INDEX[phase]))
-        kw_by_load[name] = kw
-        pf_by_load[name] = pf
         if not 0.0 < pf <= 1.0:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid power factor")
+        customers.append(Customer(cid=idx, name=name, bus=bus, initial_phase=PHASE_INDEX[phase]))
 
     shape_rows = _read_csv(directory / "LoadShapes.csv")
-    load_names = [c.name for c in customers]
-    missing = [n for n in load_names if n not in shape_rows[0]]
+    missing = [n for n in names if n not in shape_rows[0]]
     if missing:
         raise FeederFormatError(f"LoadShapes.csv: missing shape columns for {missing}")
-    mult = np.column_stack([_column("LoadShapes.csv", shape_rows, n, float) for n in load_names])
-    p_w = mult * np.array([kw_by_load[n] for n in load_names]) * 1e3
-    tan_phi = np.array([math.tan(math.acos(pf_by_load[n])) for n in load_names])
-    q_var = p_w * tan_phi
+    mult = np.column_stack([_column("LoadShapes.csv", shape_rows, n, float) for n in names])
+    p_w = mult * np.array(kws) * 1e3
+    q_var = p_w * np.array([math.tan(math.acos(pf)) for pf in pfs])
     first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
     minutes = _column("LoadShapes.csv", [first], "minutes", int)[0]
 
@@ -357,7 +342,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
     coords_path = directory / "Buscoords.csv"
     if coords_path.exists():
         col = partial(_column, "Buscoords.csv", _read_csv(coords_path))
-        coords.update(zip(col("Bus", int), zip(col("x", float), col("y", float))))
+        coords.update(zip(col("Bus", int), zip(col("x", _finite), col("y", _finite))))
 
     lim = Limits(i_dt_max=dt_kva / (POWER_BASE_VA / 1e3))
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
@@ -367,7 +352,7 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
         root=root,
         lines=tuple(lines),
         customers=tuple(customers),
-        v0=Phasor3.from_polar([v0_pu] * 3, angles),
+        v0=v0_pu * np.exp(1j * angles),
         limits=lim,
         coords=coords,
     )
@@ -377,14 +362,14 @@ def import_european_feeder(directory: str | Path) -> FeederImport:
         q_var=q_var,
         minutes_per_period=minutes,
     )
-    return FeederImport(network=network, demands=demands)
+    return network, demands
 
 
 def bundled_feeder_dir() -> Path:
     return Path(__file__).parent / "data" / "european_lv"
 
 
-def load_bundled_feeder() -> FeederImport:
+def load_bundled_feeder() -> tuple[Network, DemandSeries]:
     """Import the feeder dataset shipped with the package."""
 
     return import_european_feeder(bundled_feeder_dir())
@@ -499,13 +484,7 @@ def write_network_json(network: Network, path: str | Path) -> None:
         "bases": {"voltage_v": VOLTAGE_BASE_V, "power_va": POWER_BASE_VA},
         "root": network.root,
         "v0": [cplx(v) for v in network.v0],
-        "limits": {
-            "v_min": network.limits.v_min,
-            "v_max": network.limits.v_max,
-            "neg_seq_max": network.limits.neg_seq_max,
-            "i_dt_max": network.limits.i_dt_max,
-            "mb": network.limits.mb,
-        },
+        "limits": asdict(network.limits),
         "buses": list(network.buses),
         "lines": [
             {

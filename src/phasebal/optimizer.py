@@ -386,7 +386,7 @@ def fixv_algorithm1(
         base = solve_utpf(snapshot, PhaseAssignment.initial(network))
         profile = np.asarray(base.v)
     else:
-        profile = np.tile(network.v0.values, (network.n_buses, 1))
+        profile = np.tile(network.v0, (network.n_buses, 1))
 
     search = _SEARCHES[_strategy(snapshot, "fixv")]
     candidates = 0

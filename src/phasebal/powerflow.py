@@ -227,7 +227,7 @@ def _bus_voltages(
         injected, np.broadcast_to(phases, i_cust.shape)[..., None], i_cust[..., None], axis=-1
     )
     drops = injected.reshape(lead + (-1,)) @ feeder_geometry(network).columns
-    return network.v0.values - drops.reshape(lead + (network.n_buses, 3)), injected
+    return network.v0 - drops.reshape(lead + (network.n_buses, 3)), injected
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +274,7 @@ def solve_utpf(
     check_assignment(snapshot, assignment)
     network = snapshot.network
     geometry = feeder_geometry(network)
-    v0 = network.v0.values
+    v0 = network.v0
 
     s = _effective_loads(snapshot, q_adjust)
     phases = np.asarray(assignment.phases, dtype=int)

@@ -11,15 +11,14 @@ from phasebal.netmodel import (
     Limits,
     Line,
     Network,
-    Phasor3,
     load_bundled_feeder,
 )
 
 V0_ANGLES = np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
 
 
-def make_v0(magnitude: float = 1.05) -> Phasor3:
-    return Phasor3.from_polar([magnitude] * 3, V0_ANGLES)
+def make_v0(magnitude: float = 1.05) -> np.ndarray:
+    return magnitude * np.exp(1j * V0_ANGLES)
 
 
 def symmetric_z(z_self: complex, z_mutual: complex) -> np.ndarray:
@@ -113,9 +112,10 @@ def feeder():
 
 @pytest.fixture(scope="session")
 def network(feeder):
-    return feeder.network
+    return feeder[0]
+
 
 @pytest.fixture(scope="session")
 def demands(feeder):
-    return feeder.demands
+    return feeder[1]
 

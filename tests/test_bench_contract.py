@@ -15,6 +15,7 @@ import importlib
 from pathlib import Path
 
 from phasebal import cli, powerflow
+from phasebal.netmodel import DemandSeries, Network
 from phasebal.optimizer import OptimizationOutcome
 from phasebal.powerflow import PFSolution
 
@@ -97,3 +98,27 @@ def test_results_carry_the_fields_the_tracer_reads():
 def test_the_geometry_cache_can_be_cleared():
     # The harness empties every memo cache it finds before each sweep.
     assert callable(getattr(powerflow.feeder_geometry, "cache_clear", None))
+
+
+def test_setup_unpacks_the_scenario_into_network_and_demands():
+    # Bench.setup unpacks load_scenario(...) into a pair and builds the
+    # geometry of its first element.
+    setup = next(
+        node for node in ast.walk(_tree("run.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "setup"
+    )
+    (target,) = [
+        node.targets[0] for node in ast.walk(setup)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "load_scenario"
+    ]
+    assert isinstance(target, ast.Tuple) and len(target.elts) == 2
+    geometry_args = [
+        ast.unparse(node.args[0]) for node in ast.walk(setup)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "feeder_geometry"
+    ]
+    assert geometry_args == [ast.unparse(target.elts[0])]
+
+    network, demands = cli.load_scenario("bundled")
+    assert isinstance(network, Network) and isinstance(demands, DemandSeries)
+    assert powerflow.feeder_geometry(network).cust_bus.shape == (network.n_customers,)

@@ -246,17 +246,21 @@ def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, c
             "phasebal pf: error: missing feeder table: Source.csv",
         ),
         (
-            ["pf", "--period", "3", "--scenario", "BROKEN"],
+            ["pf", "--period", "3", "--scenario", "NO-LENGTHS"],
             "phasebal pf: error: Lines.csv record 1: no Length_m value",
+        ),
+        (
+            ["evaluate", "--period", "73", "--method", "fixv", "--scenario", "NAN-RATING"],
+            "phasebal evaluate: error: Source.csv record 4: invalid value 'nan'",
         ),
         (["verify"], "phasebal verify: error: no outcome files under out"),
     ],
     ids=["evaluate-period", "evaluate-negative", "evaluate-no-feeder", "pf-period", "pf-no-feeder",
-         "pf-malformed-feeder", "verify-empty"],
+         "pf-malformed-feeder", "evaluate-non-finite-feeder", "verify-empty"],
 )
-def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys, feeder_without_lengths):
+def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys, broken_feeders):
     monkeypatch.chdir(tmp_path)
-    argv = [str(feeder_without_lengths) if a == "BROKEN" else a for a in argv]
+    argv = [str(broken_feeders.get(a, a)) for a in argv]
     with pytest.raises(SystemExit) as info:
         main([*argv, "--out-dir", "out"])
     assert info.value.code == 2
@@ -267,17 +271,29 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys
 
 
 @pytest.fixture(scope="module")
-def feeder_without_lengths(tmp_path_factory):
-    """The bundled feeder with the Length_m column cut from Lines.csv."""
+def broken_feeders(tmp_path_factory):
+    """Copies of the bundled feeder: NO-LENGTHS has the Length_m column cut
+    from Lines.csv, NAN-RATING reads dt_kva,nan in Source.csv."""
 
-    target = tmp_path_factory.mktemp("feeder") / "no-lengths"
-    shutil.copytree(bundled_feeder_dir(), target)
-    lines = target / "Lines.csv"
-    with lines.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    drop = rows[0].index("Length_m")
-    lines.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
-    return target
+    def rewrite(name, table, transform):
+        target = tmp_path_factory.mktemp("feeder") / name
+        shutil.copytree(bundled_feeder_dir(), target)
+        with (target / table).open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        (target / table).write_text("".join(",".join(r) + "\n" for r in transform(rows)))
+        return target
+
+    def drop_lengths(rows):
+        drop = rows[0].index("Length_m")
+        return [r[:drop] + r[drop + 1:] for r in rows]
+
+    def nan_rating(rows):
+        return [["dt_kva", "nan"] if r[0] == "dt_kva" else r for r in rows]
+
+    return {
+        "NO-LENGTHS": rewrite("no-lengths", "Lines.csv", drop_lengths),
+        "NAN-RATING": rewrite("nan-rating", "Source.csv", nan_rating),
+    }
 
 
 def test_pf_writes_plain_numbers(tmp_path, network, demands):

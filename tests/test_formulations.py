@@ -46,7 +46,7 @@ class TestUnbalanceMeasures:
     def test_negative_sequence_on_sequence_sets(self):
         positive = np.array([1.0, CHI, CHI**2])
         negative = np.array([1.0, CHI**2, CHI])
-        vneg = _voltage_measures(np.stack([positive, negative, make_v0().values]))[2]
+        vneg = _voltage_measures(np.stack([positive, negative, make_v0()]))[2]
         assert abs(vneg[0]) <= 1e-14
         assert vneg[1] == pytest.approx(1.0)
         assert abs(vneg[2]) <= 1e-14
@@ -101,7 +101,7 @@ class TestSlacks:
 
     def test_linearized_mode_projects_onto_nominal(self):
         limits = Limits()
-        nominal = make_v0().values
+        nominal = make_v0()
         # On-angle voltage: projection equals the magnitude.
         v = (0.92 * np.exp(1j * np.angle(nominal)))[None, :]
         exact = slacks_of(v, np.zeros(3), limits)
@@ -156,7 +156,7 @@ def worst_fit_error(fit, network, grid=50):
     limits = network.limits
     half = _FIT_HALFWIDTH
     worst = 0.0
-    for phi, v0 in enumerate(network.v0.values):
+    for phi, v0 in enumerate(network.v0):
         centre = float(np.angle(v0))
         mags = np.linspace(limits.v_min, limits.v_max, grid)
         angs = np.linspace(centre - half, centre + half, grid)
@@ -173,7 +173,7 @@ class TestInverseVoltageFit:
     def test_surrogate_tracks_inverse_at_nominal(self, network):
         fit = fit_inverse_voltage(network.v0, network.limits)
         worst = worst_fit_error(fit, network)
-        v0 = network.v0.values
+        v0 = network.v0
         for phi in range(3):
             err = abs(fit.g(v0[phi], phi) - 1.0 / np.conj(v0[phi]))
             assert err <= worst
@@ -184,7 +184,7 @@ class TestInverseVoltageFit:
         fit = fit_inverse_voltage(network.v0, network.limits)
         limits = network.limits
         half = _FIT_HALFWIDTH
-        for phi, v0 in enumerate(network.v0.values):
+        for phi, v0 in enumerate(network.v0):
             centre = float(np.angle(v0))
             mags = np.linspace(limits.v_min, limits.v_max, 20)
             angs = np.linspace(centre - half, centre + half, 20)
@@ -206,7 +206,7 @@ class TestFixedVoltageModel:
         snap = build_snapshot(network, demands, 40)
         asg = PhaseAssignment.initial(network)
         out = evaluate_fixv(snap, asg)
-        flat = np.tile(network.v0.values, (network.n_buses, 1))
+        flat = np.tile(network.v0, (network.n_buses, 1))
         assert out.method == "fixv"
         assert out.objective == evaluate_fixv(snap, asg, profile=flat).objective
         assert out.objective == pytest.approx(out.pi + network.limits.mb * out.slacks.total())
@@ -278,7 +278,7 @@ class TestLinearizedInverseModel:
         fit = fit_inverse_voltage(network.v0, network.limits)
         s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
         v = out.v
-        replay = np.tile(network.v0.values, (network.n_buses, 1))
+        replay = np.tile(network.v0, (network.n_buses, 1))
         for j, (bus, p) in enumerate(zip(geometry.cust_bus, asg.phases)):
             replay -= meet[j, p] * np.conj(s[j]) * fit.g(v[bus, p], p)
         return float(np.max(np.abs(replay - v)))
@@ -354,7 +354,7 @@ class TestBranchFlowModel:
         out = evaluate_lbfm(snap, PhaseAssignment.initial(network))
         assert out.pi == 0.0
         assert out.slacks.total() == 0.0
-        assert np.allclose(out.vm, np.abs(network.v0.values)[None, :])
+        assert np.allclose(out.vm, np.abs(network.v0)[None, :])
         assert np.max(np.abs(out.vneg)) <= 1e-14
 
 

@@ -25,7 +25,6 @@ from phasebal.netmodel import (
     Limits,
     Line,
     Network,
-    Phasor3,
     RadialityError,
     ScenarioOptions,
     build_snapshot,
@@ -40,26 +39,21 @@ from phasebal.netmodel import (
 from conftest import make_v0, symmetric_z, two_bus_network
 
 
-class TestPhasor3:
+class TestSourceVoltage:
     def test_shape_and_finiteness_enforced(self):
-        with pytest.raises(ValueError, match="exactly 3"):
-            Phasor3(np.ones(4, dtype=complex))
-        with pytest.raises(ValueError, match="finite"):
-            Phasor3(np.array([1.0, np.inf, 1.0], dtype=complex))
-
-    def test_polar_round_trip(self):
-        ph = Phasor3.from_polar([1.0, 2.0, 3.0], [0.1, -0.2, 0.3])
-        assert np.allclose(np.abs(ph.values), [1.0, 2.0, 3.0])
-        assert np.allclose(np.angle(ph.values), [0.1, -0.2, 0.3])
-
-    def test_iterates_phase_values(self):
-        ph = Phasor3(np.array([1 + 2j, 3 + 4j, 5 + 6j]))
-        assert list(ph) == [1 + 2j, 3 + 4j, 5 + 6j]
+        for v0 in (np.ones(4, dtype=complex), np.ones((1, 3)), np.array([1.0, np.inf, 1.0]), [1.0, np.nan, 1.0]):
+            with pytest.raises(FeederFormatError, match="v0 must be 3 finite phase voltages"):
+                replace(two_bus_network(), v0=v0)
 
     def test_values_are_read_only(self):
-        ph = make_v0()
+        given = make_v0()
+        network = replace(two_bus_network(), v0=given)
+        assert network.v0.dtype == complex and network.v0.shape == (3,)
+        assert np.array_equal(network.v0, given) and network.v0 is not given
         with pytest.raises(ValueError):
-            ph.values[0] = 0.0
+            network.v0[0] = 0.0
+        given[0] = 0.0
+        assert network.v0[0] == make_v0()[0]
 
 
 class TestPerUnitBases:
@@ -76,6 +70,12 @@ class TestLimits:
         with pytest.raises(ValueError, match="positive"):
             Limits(neg_seq_max=0.0)
 
+    @pytest.mark.parametrize("field", ["v_min", "v_max", "neg_seq_max", "i_dt_max", "mb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Limits(**{field: value})
+
 
 class TestNetworkValidation:
     def test_line_impedance_must_be_symmetric(self):
@@ -84,6 +84,28 @@ class TestNetworkValidation:
         z[0, 1] += 1e-6
         with pytest.raises(FeederFormatError, match="not symmetric"):
             Line(name="bad", from_bus=0, to_bus=1, z_pu=z)
+
+    def test_symmetry_tolerance_boundary(self):
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
+        for gap, accepted in ((2e-12, False), (5e-13, True), (2e-12j, False), (5e-13j, True)):
+            skewed = z.copy()
+            skewed[2, 0] += gap
+            if accepted:
+                assert Line(name="near", from_bus=0, to_bus=1, z_pu=skewed).z_pu[2, 0] == z[2, 0] + gap
+            else:
+                with pytest.raises(FeederFormatError, match="line far: impedance matrix is not symmetric"):
+                    Line(name="far", from_bus=0, to_bus=1, z_pu=skewed)
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_line_impedance_must_be_finite(self, entry):
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
+        for where in ((1, 1), (0, 2)):
+            bad = z.copy()
+            bad[where] = entry
+            with pytest.raises(FeederFormatError, match="line bad: impedance must be finite"):
+                Line(name="bad", from_bus=0, to_bus=1, z_pu=bad)
+        with pytest.raises(FeederFormatError, match="finite"):
+            Line(name="bad", from_bus=0, to_bus=1, z_pu=np.full((3, 3), math.inf))
 
     def test_dangling_references_rejected(self):
         base = two_bus_network()
@@ -176,30 +198,29 @@ def replace_line(line: Line, **kwargs) -> Line:
 
 
 class TestImport:
-    def test_bundled_counts(self, feeder):
-        assert feeder.network.n_buses == 54
-        assert len(feeder.network.lines) == 53
-        assert feeder.network.n_customers == 55
-        assert feeder.demands.n_periods == 96
-        assert feeder.demands.minutes_per_period == 15
+    def test_bundled_counts(self, network, demands):
+        assert network.n_buses == 54
+        assert len(network.lines) == 53
+        assert network.n_customers == 55
+        assert demands.n_periods == 96
+        assert demands.minutes_per_period == 15
 
     def test_source_anchors_root_voltage(self, network):
-        assert np.allclose(np.abs(network.v0.values), 1.05)
-        angles = np.angle(network.v0.values)
+        assert np.allclose(np.abs(network.v0), 1.05)
+        angles = np.angle(network.v0)
         assert angles[0] == pytest.approx(0.0)
         assert angles[1] == pytest.approx(-2.0 * math.pi / 3.0)
         assert angles[2] == pytest.approx(2.0 * math.pi / 3.0)
         # DT rating from Source.csv, on the 100 kVA base.
         assert network.limits.i_dt_max == pytest.approx(2.0)
 
-    def test_reactive_follows_power_factor(self, feeder):
+    def test_reactive_follows_power_factor(self, network, demands):
         with (bundled_feeder_dir() / "Loads.csv").open() as fh:
             loads = {
                 row["Name"]: (float(row["kW"]), float(row["PF"]))
                 for row in csv.DictReader(fh)
             }
-        demands = feeder.demands
-        for k, cust in enumerate(feeder.network.customers):
+        for k, cust in enumerate(network.customers):
             kw, pf = loads[cust.name]
             expect = demands.p_w[:, k] * math.tan(math.acos(pf))
             assert np.allclose(demands.q_var[:, k], expect)
@@ -286,6 +307,50 @@ class TestImport:
         with pytest.raises(FeederFormatError) as info:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"{table} record 2: invalid {column} 'abc'"
+
+    @pytest.mark.parametrize(
+        "table, column, record, text",
+        [
+            ("Source.csv", "value", 4, "nan"),
+            ("LineCodes.csv", "X0_ohm_per_km", 2, "inf"),
+            ("Lines.csv", "Length_m", 3, "nan"),
+            ("Loads.csv", "kW", 5, "-inf"),
+            ("Buscoords.csv", "x", 1, "nan"),
+        ],
+    )
+    def test_non_finite_value_named(self, broken_dir, table, column, record, text):
+        def transform(rows):
+            rows[record][rows[0].index(column)] = text
+            return rows
+
+        self._rewrite(broken_dir / table, transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"{table} record {record}: invalid {column} {text!r}"
+
+    def test_repeated_load_name_named(self, broken_dir):
+        # Two records named LOAD1 would share one shape column and one kW and PF.
+        def transform(rows):
+            rows[2][rows[0].index("Name")] = rows[1][rows[0].index("Name")]
+            return rows
+
+        self._rewrite(broken_dir / "Loads.csv", transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == "Loads.csv record 2: load name LOAD1 repeats"
+
+    def test_loads_are_read_per_record(self, network, demands):
+        # Each customer's demand is its own record's kW and PF times its shape.
+        with (bundled_feeder_dir() / "Loads.csv").open() as fh:
+            loads = list(csv.DictReader(fh))
+        with (bundled_feeder_dir() / "LoadShapes.csv").open() as fh:
+            shapes = list(csv.DictReader(fh))
+        assert [c.name for c in network.customers] == [row["Name"] for row in loads]
+        for k, row in enumerate(loads):
+            mult = np.array([float(shape[row["Name"]]) for shape in shapes])
+            p_w = mult * float(row["kW"]) * 1e3
+            assert np.array_equal(demands.p_w[:, k], p_w)
+            assert np.array_equal(demands.q_var[:, k], p_w * math.tan(math.acos(float(row["PF"]))))
 
     def test_missing_shape_column_named(self, broken_dir):
         def transform(rows):
@@ -447,7 +512,7 @@ def assert_network_json(path, network):
     assert doc["name"] == network.name
     assert doc["buses"] == list(network.buses)
     assert doc["root"] == network.root
-    assert cplx(doc["v0"]).tobytes() == network.v0.values.tobytes()
+    assert cplx(doc["v0"]).tobytes() == network.v0.tobytes()
     assert doc["limits"] == asdict(network.limits)
     assert doc["bases"] == {"voltage_v": 240.0, "power_va": 100_000.0}
     assert [(l["name"], l["from"], l["to"]) for l in doc["lines"]] == [
