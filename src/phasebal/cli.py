@@ -35,8 +35,6 @@ from .netmodel import (
     build_snapshot,
     import_european_feeder,
     load_bundled_feeder,
-    write_network_json,
-    write_profiles_csv,
 )
 from .optimizer import (
     OptimizationOutcome,
@@ -102,6 +100,8 @@ class SweepConfig:
             raise ValueError(f"periods must satisfy 0 <= start < stop, got {self.periods}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if self.seed < 0:  # else early periods get negative cell seeds, which numpy refuses
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -513,23 +513,15 @@ def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_import(args: argparse.Namespace) -> int:
-    network, demands = import_european_feeder(args.source)
-    report = network.topology
-    depth = {network.root: 0}
-    for bus in report.depth_order[1:]:
-        depth[bus] = depth[report.parent[bus]] + 1
+def _out_dir(args: argparse.Namespace) -> Path:
+    """The --out-dir path; one that names an existing file, or a path under
+    one, is a usage error, checked before anything is loaded or run."""
+
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_network_json(network, out / "network.json")
-    write_profiles_csv(demands, out / "profiles.csv")
-    print(
-        f"imported {network.n_buses} buses, {len(network.lines)} lines, "
-        f"{network.n_customers} customers, {demands.n_periods} periods "
-        f"(max depth {max(depth.values())})"
-    )
-    print(f"wrote {out / 'network.json'} and {out / 'profiles.csv'}")
-    return 0
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        args.usage_error(f"--out-dir {args.out_dir}: {existing} is not a directory")
+    return out
 
 
 def _load_period(args: argparse.Namespace) -> CaseSnapshot:
@@ -544,6 +536,7 @@ def _load_period(args: argparse.Namespace) -> CaseSnapshot:
 
 
 def _cmd_pf(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     snapshot = _load_period(args)
     network = snapshot.network
     solution = solve_utpf(snapshot, PhaseAssignment.initial(network))
@@ -566,7 +559,6 @@ def _cmd_pf(args: argparse.Namespace) -> int:
         for p, name in enumerate("abc")
     ]
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"pf_{args.period}.csv"
     _write_csv(path, ("bus_id", "phase", "vm_pu", "va_rad", "p_kw", "q_kvar"), rows)
@@ -579,11 +571,11 @@ def _cmd_pf(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     snapshot = _load_period(args)
     initial = PhaseAssignment.initial(snapshot.network)
     result = _model_evaluator(args.method)(snapshot, initial, None)
     view = _with_vm(_eval_view(result), result)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evaluation_{args.period}_{args.method}.json"
     _write_json(path, view)
@@ -617,6 +609,7 @@ def _print_summary(report: SweepReport) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _out_dir(args)
     try:
         config = SweepConfig(
             scenario=args.scenario,
@@ -669,11 +662,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Per-period phase-balancing optimization for LV feeders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_import = sub.add_parser("import", help="normalize a feeder CSV directory")
-    p_import.add_argument("source", help="directory with the feeder CSV tables")
-    p_import.add_argument("--out-dir", default=".", help="where to write the normalized files")
-    p_import.set_defaults(func=_cmd_import)
 
     p_pf = sub.add_parser("pf", help="exact power flow for one period")
     _add_scenario_arg(p_pf)

@@ -1,25 +1,23 @@
 """Feeder topology, demand series and per-period case snapshots.
 
 Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
-load shapes, source, bus coordinates), converts everything to per-unit on
-the fixed bases and produces immutable per-period snapshots with net
-demands and optional PV reactive-power bounds.
+load shapes, source), converts everything to per-unit on the fixed bases
+and produces immutable per-period snapshots with net demands and optional
+PV reactive-power bounds.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-PHASES = ("a", "b", "c")
 PHASE_INDEX = {"a": 0, "b": 1, "c": 2, "A": 0, "B": 1, "C": 2, "1": 0, "2": 1, "3": 2}
 
 
@@ -92,14 +90,12 @@ class Network:
     `topology` is the radiality check's report, made once on construction.
     """
 
-    name: str
     buses: tuple[int, ...]
     root: int
     lines: tuple[Line, ...]
     customers: tuple[Customer, ...]
     v0: np.ndarray  # (3,) complex source voltage, phases a, b, c
     limits: Limits
-    coords: Mapping[int, tuple[float, float]] = field(default_factory=dict)
     topology: TopologyReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -141,9 +137,9 @@ class TopologyReport:
 
 @dataclass(frozen=True, eq=False)
 class DemandSeries:
-    """Aligned per-customer demand samples in watts/vars on a fixed grid."""
+    """Per-customer demand samples in watts/vars on a fixed grid, one column
+    per customer of the network they come with, in its customer order."""
 
-    customer_ids: tuple[int, ...]
     p_w: np.ndarray  # (periods, customers)
     q_var: np.ndarray
     minutes_per_period: int
@@ -151,7 +147,7 @@ class DemandSeries:
     def __post_init__(self) -> None:
         p = np.asarray(self.p_w, dtype=float)
         q = np.asarray(self.q_var, dtype=float)
-        if p.shape != q.shape or p.ndim != 2 or p.shape[1] != len(self.customer_ids):
+        if p.shape != q.shape or p.ndim != 2:
             raise ValueError("demand arrays must be (periods, customers) and aligned")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise ValueError("demand samples must be finite")
@@ -270,11 +266,11 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     """Parse a feeder directory of CSV tables into a per-unit Network and
     its demand series.
 
-    Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv, LoadShapes.csv
-    and optionally Buscoords.csv, on the module's per-unit bases and the
-    default Limits, with the transformer current limit taken from
-    Source.csv's dt_kva. Raises FeederFormatError naming the offending
-    record on any dangling reference or malformed table.
+    Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv and
+    LoadShapes.csv, on the module's per-unit bases and the default Limits,
+    with the transformer current limit taken from Source.csv's dt_kva.
+    Raises FeederFormatError naming the offending record on any dangling
+    reference or malformed table.
     """
 
     directory = Path(directory)
@@ -338,31 +334,17 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
     minutes = _column("LoadShapes.csv", [first], "minutes", int)[0]
 
-    coords: dict[int, tuple[float, float]] = {}
-    coords_path = directory / "Buscoords.csv"
-    if coords_path.exists():
-        col = partial(_column, "Buscoords.csv", _read_csv(coords_path))
-        coords.update(zip(col("Bus", int), zip(col("x", _finite), col("y", _finite))))
-
     lim = Limits(i_dt_max=dt_kva / (POWER_BASE_VA / 1e3))
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(
-        name=directory.name,
         buses=tuple(buses),
         root=root,
         lines=tuple(lines),
         customers=tuple(customers),
         v0=v0_pu * np.exp(1j * angles),
         limits=lim,
-        coords=coords,
     )
-    demands = DemandSeries(
-        customer_ids=tuple(c.cid for c in customers),
-        p_w=p_w,
-        q_var=q_var,
-        minutes_per_period=minutes,
-    )
-    return network, demands
+    return network, DemandSeries(p_w=p_w, q_var=q_var, minutes_per_period=minutes)
 
 
 def bundled_feeder_dir() -> Path:
@@ -430,6 +412,11 @@ def build_snapshot(
 ) -> CaseSnapshot:
     """Produce the immutable per-unit case for one period under a scenario."""
 
+    n = network.n_customers
+    if demands.p_w.shape[1] != n:
+        raise ValueError(
+            f"demands have {demands.p_w.shape[1]} customer columns, the network {n} customers"
+        )
     if not 0 <= period < demands.n_periods:
         raise ValueError(f"period {period} outside series of {demands.n_periods}")
     known = {c.cid for c in network.customers}
@@ -437,15 +424,9 @@ def build_snapshot(
         if cid not in known:
             raise ValueError(f"scenario references unknown customer index {cid}")
 
-    id_to_col = {cid: k for k, cid in enumerate(demands.customer_ids)}
     phase_base = PHASE_POWER_BASE_VA
-    n = network.n_customers
-    p_w = np.empty(n)
-    q_var = np.empty(n)
-    for k, cust in enumerate(network.customers):
-        col = id_to_col[cust.cid]
-        p_w[k] = demands.p_w[period, col]
-        q_var[k] = demands.q_var[period, col]
+    p_w = demands.p_w[period].copy()
+    q_var = demands.q_var[period]
 
     hour = demands.period_mid_hour(period)
     gen_w = pv_generation_w(scenario.pv_capacity_kw, hour)
@@ -472,51 +453,3 @@ def build_snapshot(
         adjustable_idx=adjustable,
     )
 
-
-def write_network_json(network: Network, path: str | Path) -> None:
-    """Write the normalized network form (documented schema, stable ordering)."""
-
-    def cplx(z: complex) -> list[float]:
-        return [float(z.real), float(z.imag)]
-
-    doc = {
-        "name": network.name,
-        "bases": {"voltage_v": VOLTAGE_BASE_V, "power_va": POWER_BASE_VA},
-        "root": network.root,
-        "v0": [cplx(v) for v in network.v0],
-        "limits": asdict(network.limits),
-        "buses": list(network.buses),
-        "lines": [
-            {
-                "name": l.name,
-                "from": l.from_bus,
-                "to": l.to_bus,
-                "z_pu": [[cplx(l.z_pu[r, c]) for c in range(3)] for r in range(3)],
-            }
-            for l in network.lines
-        ],
-        "customers": [
-            {
-                "id": c.cid,
-                "name": c.name,
-                "bus": c.bus,
-                "phase": PHASES[c.initial_phase],
-            }
-            for c in network.customers
-        ],
-        "coords": {str(b): list(xy) for b, xy in sorted(network.coords.items())},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def write_profiles_csv(demands: DemandSeries, path: str | Path) -> None:
-    """Write the demand series as period, customer_id, p_kw, q_kvar rows."""
-
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "customer_id", "p_kw", "q_kvar"])
-        for t in range(demands.n_periods):
-            for k, cid in enumerate(demands.customer_ids):
-                writer.writerow(
-                    [t, cid, f"{demands.p_w[t, k] / 1e3:.6f}", f"{demands.q_var[t, k] / 1e3:.6f}"]
-                )

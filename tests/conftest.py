@@ -33,7 +33,6 @@ def two_bus_network(
     """Root 0 -- line -- bus 1, with customers on the given initial phases."""
 
     return Network(
-        name="two-bus",
         buses=(0, 1),
         root=0,
         lines=(Line(name="l1", from_bus=0, to_bus=1, z_pu=symmetric_z(z_self, z_mutual)),),
@@ -74,7 +73,6 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
         for j in range(n_customers)
     )
     return Network(
-        name=f"random-{seed}",
         buses=tuple(range(n_buses)),
         root=0,
         lines=lines,

@@ -1,4 +1,4 @@
-"""The command line end to end: sweep, verify, evaluate and import."""
+"""The command line end to end: sweep, verify and evaluate."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import DEFAULT_SCENARIO, PHASE_POWER_BASE_VA, build_snapshot, bundled_feeder_dir
 from phasebal.powerflow import PhaseAssignment
-
-from test_netmodel import assert_network_json
 
 # Evening peak: every optimizing method moves customers, and lbfm's choice
 # verifies worse than the initial assignment.
@@ -212,8 +210,9 @@ def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
         (["--methods", "initial,initial"], "methods must not repeat, got ['initial', 'initial']"),
         (["--parallelism", "0"], "parallelism must be at least 1"),
         (["--scenario", "no-feeder"], "missing feeder table: Source.csv"),
+        (["--seed", "-8"], "seed must be non-negative, got -8"),
     ],
-    ids=["past-profile", "unknown-method", "repeated-method", "no-workers", "no-feeder"],
+    ids=["past-profile", "unknown-method", "repeated-method", "no-workers", "no-feeder", "negative-seed"],
 )
 def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, capsys):
     # Refused before any cell runs: a usage error, and nothing written.
@@ -270,6 +269,33 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out_dir", ["out", "out/sub"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--periods", "0:1", "--methods", "initial"],
+        ["pf", "--period", "3"],
+        ["evaluate", "--period", "3", "--method", "utpf"],
+    ],
+    ids=["sweep", "pf", "evaluate"],
+)
+def test_out_dir_at_a_file_is_a_usage_error(argv, out_dir, tmp_path, monkeypatch, capsys):
+    # Refused before the feeder is loaded; the file is left as it was.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").write_text("keep\n")
+    monkeypatch.setattr(cli, "load_scenario", None)  # any load would raise TypeError
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out-dir", out_dir])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"phasebal {argv[0]}: error: --out-dir {out_dir}: out is not a directory"
+    )
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (tmp_path / "out").read_text() == "keep\n"
+
+
 @pytest.fixture(scope="module")
 def broken_feeders(tmp_path_factory):
     """Copies of the bundled feeder: NO-LENGTHS has the Length_m column cut
@@ -322,14 +348,6 @@ def test_in_process_sweep_imports_the_feeder_once(tmp_path, monkeypatch):
     assert run_sweep(config).summary["failures"] == 0
     assert imports == ["bundled"]
     assert not cli._CTX  # and holds it no longer than the sweep
-
-
-def test_import_writes_the_normalized_network(tmp_path, capsys, network):
-    assert main(["import", str(bundled_feeder_dir()), "--out-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == (
-        "imported 54 buses, 53 lines, 55 customers, 96 periods (max depth 18)"
-    )
-    assert_network_json(tmp_path / "network.json", network)
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
     DEFAULT_SCENARIO,
-    PHASES,
     DemandSeries,
     FeederFormatError,
     Limits,
@@ -32,8 +30,6 @@ from phasebal.netmodel import (
     import_european_feeder,
     pv_generation_w,
     validate_radial,
-    write_network_json,
-    write_profiles_csv,
 )
 
 from conftest import make_v0, symmetric_z, two_bus_network
@@ -111,7 +107,6 @@ class TestNetworkValidation:
         base = two_bus_network()
         with pytest.raises(FeederFormatError, match="unknown bus"):
             Network(
-                name="bad",
                 buses=base.buses,
                 root=base.root,
                 lines=(replace_line(base.lines[0], to_bus=9),),
@@ -121,7 +116,6 @@ class TestNetworkValidation:
             )
         with pytest.raises(FeederFormatError, match="customer"):
             Network(
-                name="bad",
                 buses=base.buses,
                 root=base.root,
                 lines=base.lines,
@@ -134,7 +128,6 @@ class TestNetworkValidation:
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         with pytest.raises(RadialityError, match="cycle or parallel"):
             Network(
-                name="loop",
                 buses=(0, 1, 2),
                 root=0,
                 lines=(
@@ -151,7 +144,6 @@ class TestNetworkValidation:
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         with pytest.raises(RadialityError, match="not connected"):
             Network(
-                name="island",
                 buses=(0, 1, 2, 3),
                 root=0,
                 lines=(
@@ -167,7 +159,6 @@ class TestNetworkValidation:
         # 0 - 1 - 2 and 1 - 3; "left" is stored pointing toward the root.
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         network = Network(
-            name="fork",
             buses=(0, 1, 2, 3),
             root=0,
             lines=(
@@ -315,7 +306,6 @@ class TestImport:
             ("LineCodes.csv", "X0_ohm_per_km", 2, "inf"),
             ("Lines.csv", "Length_m", 3, "nan"),
             ("Loads.csv", "kW", 5, "-inf"),
-            ("Buscoords.csv", "x", 1, "nan"),
         ],
     )
     def test_non_finite_value_named(self, broken_dir, table, column, record, text):
@@ -378,14 +368,12 @@ class TestDemandSeries:
     def test_alignment_enforced(self):
         with pytest.raises(ValueError, match="aligned"):
             DemandSeries(
-                customer_ids=(1, 2),
                 p_w=np.ones((4, 2)),
                 q_var=np.ones((4, 3)),
                 minutes_per_period=15,
             )
         with pytest.raises(ValueError, match="finite"):
             DemandSeries(
-                customer_ids=(1,),
                 p_w=np.full((4, 1), np.nan),
                 q_var=np.zeros((4, 1)),
                 minutes_per_period=15,
@@ -393,7 +381,6 @@ class TestDemandSeries:
 
     def test_timestamps_and_mid_hour(self):
         series = DemandSeries(
-            customer_ids=(1,),
             p_w=np.zeros((4, 1)),
             q_var=np.zeros((4, 1)),
             minutes_per_period=15,
@@ -417,6 +404,15 @@ class TestSnapshot:
     def test_period_out_of_range(self, network, demands):
         with pytest.raises(ValueError, match="period"):
             build_snapshot(network, demands, 96)
+
+    def test_demands_must_match_the_network_customers(self, network, demands):
+        # Column k of the demands is customer k of the network.
+        short = DemandSeries(
+            p_w=demands.p_w[:, 1:], q_var=demands.q_var[:, 1:], minutes_per_period=15
+        )
+        with pytest.raises(ValueError) as info:
+            build_snapshot(network, short, 0)
+        assert str(info.value) == "demands have 54 customer columns, the network 55 customers"
 
     def test_unknown_scenario_customer(self, network, demands):
         with pytest.raises(ValueError, match="unknown customer"):
@@ -501,44 +497,3 @@ class TestSnapshot:
         snap = build_snapshot(network, demands, 40)
         assert np.array_equal(snap.s_pu, snap.p_pu + 1j * snap.q_pu)
 
-
-def assert_network_json(path, network):
-    """The written network.json holds every field of network, exactly."""
-
-    def cplx(pairs):
-        return np.array([complex(re, im) for re, im in pairs])
-
-    doc = json.loads(Path(path).read_text())
-    assert doc["name"] == network.name
-    assert doc["buses"] == list(network.buses)
-    assert doc["root"] == network.root
-    assert cplx(doc["v0"]).tobytes() == network.v0.tobytes()
-    assert doc["limits"] == asdict(network.limits)
-    assert doc["bases"] == {"voltage_v": 240.0, "power_va": 100_000.0}
-    assert [(l["name"], l["from"], l["to"]) for l in doc["lines"]] == [
-        (l.name, l.from_bus, l.to_bus) for l in network.lines
-    ]
-    for written, line in zip(doc["lines"], network.lines):
-        assert np.stack([cplx(row) for row in written["z_pu"]]).tobytes() == line.z_pu.tobytes()
-    assert doc["customers"] == [
-        {"id": c.cid, "name": c.name, "bus": c.bus, "phase": PHASES[c.initial_phase]}
-        for c in network.customers
-    ]
-    assert doc["coords"] == {str(b): list(xy) for b, xy in network.coords.items()}
-
-
-class TestNetworkSerialization:
-    def test_json_round_trip(self, network, tmp_path):
-        path = tmp_path / "network.json"
-        write_network_json(network, path)
-        assert_network_json(path, network)
-
-    def test_profiles_csv_shape(self, demands, tmp_path):
-        path = tmp_path / "profiles.csv"
-        write_profiles_csv(demands, path)
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == demands.n_periods * len(demands.customer_ids)
-        first = rows[0]
-        assert set(first) == {"period", "customer_id", "p_kw", "q_kvar"}
-        assert float(first["p_kw"]) == pytest.approx(demands.p_w[0, 0] / 1e3, abs=1e-6)

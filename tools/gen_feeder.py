@@ -1,6 +1,6 @@
 """Generate the bundled synthetic LV feeder dataset (deterministic).
 
-Writes the six CSV tables the importer consumes. Rerunning with the same
+Writes the five CSV tables the importer consumes. Rerunning with the same
 knobs reproduces the committed files byte-for-byte; the knobs below are the
 tuning surface for the acceptance bands measured on this dataset (feeder
 voltage drop, movable-load sizes and depths, phase skew, PV/demand shapes).
@@ -223,21 +223,11 @@ def write_dataset(out_dir: Path) -> None:
                for t in range(N_PERIODS)]
     write("LoadShapes.csv", header, records)
 
-    coords = {ROOT_BUS: (0, 0)}
-    for k in range(2, TRUNK_BUSES + 1):
-        coords[k] = ((k - 1) * TRUNK_SEG_M, 0)
-    for i, (trunk, chain) in enumerate(lat_bus.items()):
-        side = 1 if i % 2 == 0 else -1
-        _, seg_m = LATERALS[trunk]
-        for j, bus in enumerate(chain):
-            coords[bus] = ((trunk - 1) * TRUNK_SEG_M, side * seg_m * (j + 1))
-    write("Buscoords.csv", ("Bus", "x", "y"),
-          [(b, x, y) for b, (x, y) in sorted(coords.items())])
-
     total_kw = sum(r[3] for r in rows)
     by_phase = {p: sum(r[3] for r in rows if r[2] == p) for p in "abc"}
     peak = float((shapes * np.array([r[3] for r in rows])).sum(axis=1).max())
-    print(f"wrote {out_dir}: {len(coords)} buses, {len(lines)} lines, "
+    buses = {bus for _, bus1, bus2, _, _ in lines for bus in (bus1, bus2)}
+    print(f"wrote {out_dir}: {len(buses)} buses, {len(lines)} lines, "
           f"{len(rows)} customers")
     print(f"  installed kW {total_kw:.1f} (a/b/c {by_phase['a']:.1f}/"
           f"{by_phase['b']:.1f}/{by_phase['c']:.1f}), peak coincident {peak:.1f} kW")
