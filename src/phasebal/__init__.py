@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 from .netmodel import (
     CaseSnapshot,
     DemandSeries,
-    Limits,
     Network,
-    ScenarioOptions,
     build_snapshot,
     import_european_feeder,
     load_bundled_feeder,
@@ -48,12 +46,10 @@ __all__ = [
     "CaseSnapshot",
     "DemandSeries",
     "EvaluationResult",
-    "Limits",
     "Network",
     "OptimizationOutcome",
     "PFSolution",
     "PhaseAssignment",
-    "ScenarioOptions",
     "Slacks",
     "SweepConfig",
     "SweepReport",

@@ -15,19 +15,19 @@ import concurrent.futures
 import csv
 import json
 import os
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .formulations import EvaluationResult, evaluate_exact
+from .formulations import EvaluationResult, FormulationError, evaluate_exact
 
 # Bound here only so that the benchmark tracer (bench/run.py) finds them.
 from .formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv  # noqa: F401
 from .netmodel import (
-    DEFAULT_SCENARIO,
     PHASE_POWER_BASE_VA,
     CaseSnapshot,
     DemandSeries,
@@ -46,7 +46,7 @@ from .optimizer import (
 
 # Bound here only so that the benchmark tracer (bench/run.py) finds them.
 from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
-from .powerflow import PhaseAssignment, power_balance_residual, solve_utpf
+from .powerflow import PhaseAssignment, PowerFlowError, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
 OUTCOME_SCHEMA = "phasebal.outcome.v3"
@@ -124,14 +124,13 @@ def load_scenario(spec: str) -> tuple[Network, DemandSeries]:
     return load_bundled_feeder() if spec == "bundled" else import_european_feeder(spec)
 
 
-# The cells' feeder, scenario and base seed: set once per worker process by
-# _worker_init, or by run_sweep for the cells it runs in its own process.
+# The cells' feeder, PV-Q setting and base seed: set once per worker process
+# by _worker_init, or by run_sweep for the cells it runs in its own process.
 _CTX: dict[str, Any] = {}
 
 
 def _set_context(network: Network, demands: DemandSeries, config: SweepConfig) -> None:
-    options = replace(DEFAULT_SCENARIO, pv_q_control=config.pv_control)
-    _CTX.update(network=network, demands=demands, options=options, seed=config.seed)
+    _CTX.update(network=network, demands=demands, pv_control=config.pv_control, seed=config.seed)
 
 
 def _worker_init(config: SweepConfig) -> None:
@@ -215,12 +214,12 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
     """Run one (period, method) cell; failures become error records, not raises."""
 
     started = time.perf_counter()
-    options = _CTX["options"]
+    pv_control = bool(_CTX["pv_control"])
     doc: dict[str, object] = {
         "schema": OUTCOME_SCHEMA,
         "period": int(spec.period),
         "method": spec.method,
-        "pv_control": bool(options.pv_q_control),
+        "pv_control": pv_control,
         "seed": _cell_seed(spec.period),
         "status": "ok",
         "error": None,
@@ -228,7 +227,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
     try:
         network = _CTX["network"]
         demands = _CTX["demands"]
-        snapshot = build_snapshot(network, demands, spec.period, options)
+        snapshot = build_snapshot(network, demands, spec.period, pv_control)
         initial = PhaseAssignment.initial(snapshot.network)
 
         outcome = _optimize_cell(snapshot, spec)
@@ -236,7 +235,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         pv_block = None
         model = outcome.model
         verified = outcome.verified
-        tunable = options.pv_q_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
+        tunable = pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
         if tunable and spec.method != "initial":
             q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
             verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
@@ -467,6 +466,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         raise ValueError(
             f"periods {config.periods} exceed the {demands.n_periods}-period profile"
         )
+    build_snapshot(network, demands, start)  # refuse now a feeder that every cell would refuse
 
     out = Path(config.out_dir)
     tasks = [CellSpec(period=p, method=m) for p in range(start, stop) for m in sorted(config.methods)]
@@ -530,7 +530,7 @@ def _load_period(args: argparse.Namespace) -> CaseSnapshot:
 
     try:
         network, demands = load_scenario(args.scenario)
-        return build_snapshot(network, demands, args.period, DEFAULT_SCENARIO)
+        return build_snapshot(network, demands, args.period)
     except ValueError as exc:
         args.usage_error(str(exc))
 
@@ -714,7 +714,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PowerFlowError, FormulationError) as exc:
+        # pf or evaluate could not solve its period (a sweep keeps such failures
+        # in their cells): one line and status 1, as a failed cell, nothing written.
+        print(f"phasebal {args.command}: period {args.period}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .netmodel import CaseSnapshot, Limits, Network
+from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network
 from .powerflow import (
     PFSolution,
     PhaseAssignment,
@@ -63,7 +63,6 @@ __all__ = [
     "AffineFit",
     "EvaluationResult",
     "FormulationError",
-    "Limits",
     "Slacks",
     "evaluate_exact",
     "evaluate_fixv",
@@ -138,7 +137,7 @@ def _phase_max(x: np.ndarray) -> np.ndarray:
 
 
 def _slack_terms(
-    limits: Limits,
+    i_dt_max: float,
     lo: np.ndarray,
     hi: np.ndarray,
     neg: np.ndarray,
@@ -147,8 +146,8 @@ def _slack_terms(
 ) -> Iterator[np.ndarray]:
     """Yield the limit slacks v_lo, v_hi, neg_seq and i_dt, over any leading batch axes.
 
-    lo and hi are (..., buses, 3) voltage measures held against v_min and
-    v_max, neg the (..., buses) unbalance magnitude against neg_seq_max and
+    lo and hi are (..., buses, 3) voltage measures held against V_MIN and
+    V_MAX, neg the (..., buses) unbalance magnitude against NEG_SEQ_MAX and
     i_dt_mag the (..., 3) transformer current magnitudes against i_dt_max.
     With squared set, lo and hi are squared magnitudes (branch-flow units),
     and the voltage limits and the unbalance magnitude are squared to match.
@@ -156,13 +155,13 @@ def _slack_terms(
     phase axis is reduced elementwise, which gives min and max bit for bit.
     """
 
-    v_min, v_max, neg_max = limits.v_min, limits.v_max, limits.neg_seq_max
+    v_min, v_max, neg_max = V_MIN, V_MAX, NEG_SEQ_MAX
     if squared:
         v_min, v_max, neg_max = v_min**2, v_max**2, neg_max**2
     yield np.maximum(0.0, v_min - _phase_min(lo))
     yield np.maximum(0.0, _phase_max(hi) - v_max)
     yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
-    yield np.maximum(0.0, i_dt_mag - limits.i_dt_max)
+    yield np.maximum(0.0, i_dt_mag - i_dt_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +170,8 @@ class _BatchScore:
     pi: np.ndarray
 
 
-def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
-    """Objective pi + mb * total slack for a batch of model states.
+def _score(s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
+    """Objective pi + MB * total slack for a batch of model states.
 
     s_dt is the (..., 3) complex transformer power and terms the slacks
     `_slack_terms` yields. They sum in the order of `Slacks.total`, so a
@@ -182,11 +181,11 @@ def _score(limits: Limits, s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _Ba
     p, q = s_dt.real, s_dt.imag
     pi = np.maximum(_phase_max(p) - _phase_min(p), _phase_max(q) - _phase_min(q))
     total = sum(term.sum(axis=-1) for term in terms)
-    return _BatchScore(objective=pi + limits.mb * total, pi=pi)
+    return _BatchScore(objective=pi + MB * total, pi=pi)
 
 
 def _price(
-    limits: Limits,
+    i_dt_max: float,
     s_dt: np.ndarray,
     i_dt_mag: np.ndarray,
     lo: np.ndarray,
@@ -196,7 +195,7 @@ def _price(
 ) -> _BatchScore:
     """`_score` of a batch of states given by a model's measures (see `_result`)."""
 
-    return _score(limits, s_dt, _slack_terms(limits, lo, hi, np.abs(vneg), i_dt_mag, squared))
+    return _score(s_dt, _slack_terms(i_dt_max, lo, hi, np.abs(vneg), i_dt_mag, squared))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +205,7 @@ class EvaluationResult:
     method: str
     pi: float  # transformer power spread
     slacks: Slacks
-    objective: float  # pi + mb * total slack
+    objective: float  # pi + MB * total slack
     s_dt: np.ndarray  # (3,) complex transformer power
     vm: np.ndarray  # (buses, 3) voltage magnitudes under the model
     vneg: np.ndarray  # (buses,) model unbalance; squared units for branch-flow
@@ -229,7 +228,7 @@ class EvaluationResult:
 
 def _result(
     method: str,
-    limits: Limits,
+    i_dt_max: float,
     s_dt: np.ndarray,
     i_dt_mag: np.ndarray,
     lo: np.ndarray,
@@ -245,8 +244,8 @@ def _result(
     limits, and hi is |V| itself, or its square when squared is set.
     """
 
-    terms = tuple(_slack_terms(limits, lo, hi, np.abs(vneg), i_dt_mag, squared))
-    score = _score(limits, s_dt, terms)
+    terms = tuple(_slack_terms(i_dt_max, lo, hi, np.abs(vneg), i_dt_mag, squared))
+    score = _score(s_dt, terms)
     return EvaluationResult(
         method=method,
         pi=float(score.pi),
@@ -296,7 +295,7 @@ def evaluate_exact(
         "balance_residual": power_balance_residual(solution, snapshot),
     }
     return _result(
-        "utpf", network.limits, solution.s_dt,
+        "utpf", network.i_dt_max, solution.s_dt,
         np.abs(solution.s_dt) / np.abs(network.v0), lo, vm, vneg, solution.v, meta=meta,
     )
 
@@ -332,7 +331,7 @@ def evaluate_fixv(
     profile = _fixv_profile(network, profile)
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _fixv_fields(network, phases, _effective_loads(snapshot, q_adjust), profile)
-    return _result("fixv", network.limits, *_phasor_measures(network, v, i_dt), v)
+    return _result("fixv", network.i_dt_max, *_phasor_measures(network, v, i_dt), v)
 
 
 def _fixv_fields(
@@ -390,16 +389,16 @@ _FIT_GRID = 20  # magnitudes and angles of the least-squares grid
 _FIT_HALFWIDTH = np.radians(10.0)  # the window's angle halfwidth around each nominal phase
 
 
-def fit_inverse_voltage(v0: np.ndarray, limits: Limits) -> AffineFit:
+def fit_inverse_voltage(v0: np.ndarray) -> AffineFit:
     """Least-squares affine fit of 1/conj(V) per phase.
 
-    The window spans the voltage-magnitude limits and _FIT_HALFWIDTH
-    around each phase's nominal direction; the fit minimizes the squared
-    complex error on a _FIT_GRID x _FIT_GRID grid.
+    The window spans the voltage-magnitude band V_MIN to V_MAX and
+    _FIT_HALFWIDTH around each phase's nominal direction; the fit minimizes
+    the squared complex error on a _FIT_GRID x _FIT_GRID grid.
     """
 
     coef = np.zeros((3, 3), dtype=complex)  # phase x (constant, X, Y)
-    mags = np.linspace(limits.v_min, limits.v_max, _FIT_GRID)
+    mags = np.linspace(V_MIN, V_MAX, _FIT_GRID)
     for phi in range(3):
         center = float(np.angle(v0[phi]))
         angs = np.linspace(center - _FIT_HALFWIDTH, center + _FIT_HALFWIDTH, _FIT_GRID)
@@ -416,7 +415,7 @@ def fit_inverse_voltage(v0: np.ndarray, limits: Limits) -> AffineFit:
 
 @lru_cache(maxsize=8)
 def _default_fit(network: Network) -> AffineFit:
-    return fit_inverse_voltage(network.v0, network.limits)
+    return fit_inverse_voltage(network.v0)
 
 
 _LINV_TOL = 1e-12  # fixed-point step at which the voltages count as converged
@@ -474,7 +473,7 @@ def evaluate_linv(
     """Linearized-inverse model: `_linv_solve` for a batch of one.
 
     Customer currents are affine in their bus voltage via the surrogate
-    fitted over the network's voltage limits. A state the fixed point cannot
+    fitted over the voltage band. A state the fixed point cannot
     reach raises FormulationError. Slack uses the linearized lower voltage
     bound.
     """
@@ -484,7 +483,7 @@ def evaluate_linv(
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
     measures = _phasor_measures(network, v[0], i_dt[0], linearized=True)
-    return _result("linv", network.limits, *measures, v[0])
+    return _result("linv", network.i_dt_max, *measures, v[0])
 
 
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
@@ -541,7 +540,7 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray) -> _Line:
                 f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui)
                 for f0, ur, ui in zip(base, *units)
             )
-            return _price(network.limits, *_phasor_measures(network, *fields, True)).objective
+            return _price(network.i_dt_max, *_phasor_measures(network, *fields, True)).objective
 
         return g
 
@@ -567,7 +566,7 @@ def evaluate_lbfm(
     phases = np.asarray(assignment.phases, dtype=int)
     fields = _lbfm_fields(network, phases, _effective_loads(snapshot, q_adjust))
     return _result(
-        "lbfm", network.limits, *_lbfm_measures(network, *fields), None, squared=True
+        "lbfm", network.i_dt_max, *_lbfm_measures(network, *fields), None, squared=True
     )
 
 
@@ -625,7 +624,7 @@ def _affine_line(
             _check_band(snapshot, t, c)
             step = t - q_c
             moved = (b + step.reshape((-1,) + (1,) * b.ndim) * u for b, u in zip(base, unit))
-            return _price(network.limits, *measures(network, *moved), squared).objective
+            return _price(network.i_dt_max, *measures(network, *moved), squared).objective
 
         return g
 
@@ -712,7 +711,6 @@ class _Kernel:
 
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         self.network = snapshot.network
-        self.limits = snapshot.network.limits
         self.v0 = self.network.v0
         self.s = _effective_loads(snapshot, None)
         self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
@@ -764,11 +762,10 @@ class _SeparableKernel(_Kernel):
         lo, hi, neg = self._measures(*base)
         lo_r, hi_r, neg_r = (np.abs(x).max(axis=1).sum(axis=0) for x in self._measures(*moving))
         k = 2 if self.squared else 1
-        limits = self.limits
         cap = (
-            ((lo - lo_r).min(axis=1) < limits.v_min**k)
-            | ((hi + hi_r).max(axis=1) > limits.v_max**k)
-            | (neg + neg_r > limits.neg_seq_max)
+            ((lo - lo_r).min(axis=1) < V_MIN**k)
+            | ((hi + hi_r).max(axis=1) > V_MAX**k)
+            | (neg + neg_r > NEG_SEQ_MAX)
         )
         self.cap_idx = np.flatnonzero(cap)
         # States are kept at cols, one cap bus per distinct column (a cap
@@ -804,7 +801,7 @@ class _SeparableKernel(_Kernel):
 
         (sv1, _), (sv2, _) = self.halves
         s_dt = ((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
-        return _score(self.limits, s_dt, ()).pi
+        return _score(s_dt, ()).pi
 
     def score(self, choices: np.ndarray) -> _BatchScore:
         choices = np.asarray(choices, dtype=np.int64)
@@ -816,12 +813,11 @@ class _SeparableKernel(_Kernel):
         # The field states, a chunk's largest arrays, are freed once measured.
         measures = self._measures(*(a[idx1] + c[idx2] for a, c in zip(t1, t2)))
         i_dt_mag = np.abs(s_dt) / np.abs(self.v0)
-        terms = _slack_terms(self.limits, *measures, i_dt_mag, self.squared)
+        terms = _slack_terms(self.network.i_dt_max, *measures, i_dt_mag, self.squared)
         # The three per-bus terms go back to cap_idx order (i_dt is per
         # phase). take keeps them C-ordered, so they sum as unmerged terms
         # would; fancy indexing returns an F-ordered copy that sums otherwise.
         return _score(
-            self.limits,
             s_dt,
             (t.take(self.cap_inverse, axis=-1) if k < 3 else t for k, t in enumerate(terms)),
         )
@@ -897,7 +893,7 @@ class _LinvKernel(_Kernel):
 
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
         v, i_dt = _linv_solve(self.network, self.s, phases)
-        return _price(self.limits, *_phasor_measures(self.network, v, i_dt, linearized=True))
+        return _price(self.network.i_dt_max, *_phasor_measures(self.network, v, i_dt, linearized=True))
 
 
 # The one lookup from a model name to its batch kernel.

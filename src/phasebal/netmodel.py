@@ -3,7 +3,9 @@
 Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
 load shapes, source), converts everything to per-unit on the fixed bases
 and produces immutable per-period snapshots with net demands and optional
-PV reactive-power bounds.
+PV reactive-power bounds. The operational limits, the penalty weight and
+the case study's PV and switch customers are module constants; only the
+transformer rating varies, per feeder.
 """
 
 from __future__ import annotations
@@ -37,23 +39,21 @@ PHASE_POWER_BASE_VA = POWER_BASE_VA / 3.0
 IMPEDANCE_BASE_OHM = VOLTAGE_BASE_V**2 / PHASE_POWER_BASE_VA
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Operational limits and the penalty weight shared by all formulations."""
+# Operational limits shared by every formulation: the voltage-magnitude band
+# and the negative-sequence unbalance limit in per-unit, and the big-M
+# weight on their total slack in the objective.
+V_MIN = 0.94
+V_MAX = 1.10
+NEG_SEQ_MAX = 0.01
+MB = 500.0
 
-    v_min: float = 0.94
-    v_max: float = 1.10
-    neg_seq_max: float = 0.01
-    i_dt_max: float = 2.0
-    mb: float = 500.0
-
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError("limits and penalty weight must be finite")
-        if not self.v_min < self.v_max:
-            raise ValueError("require v_min < v_max")
-        if min(self.v_min, self.neg_seq_max, self.i_dt_max, self.mb) <= 0:
-            raise ValueError("limits and penalty weight must be positive")
+# The case study: customer ids (Loads.csv record numbers) that host PV or
+# a phase-switching device, each PV unit's capacity, and its reactive band
+# as a fraction of that capacity when PV-Q control is on.
+PV_CUSTOMERS = (5, 9, 15, 18, 20, 26, 30, 37, 45, 50)
+SWITCH_CUSTOMERS = (2, 8, 23, 24, 29, 32, 33, 35, 38, 53)
+PV_CAPACITY_KW = 7.0
+PV_Q_FRACTION = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +85,8 @@ class Customer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Radial feeder in per-unit: buses, lines, customers and limits.
+    """Radial feeder in per-unit: buses, lines, customers, the source voltage
+    and the transformer's current rating.
 
     `topology` is the radiality check's report, made once on construction.
     """
@@ -95,10 +96,12 @@ class Network:
     lines: tuple[Line, ...]
     customers: tuple[Customer, ...]
     v0: np.ndarray  # (3,) complex source voltage, phases a, b, c
-    limits: Limits
+    i_dt_max: float  # per-phase transformer current limit
     topology: TopologyReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.i_dt_max) and self.i_dt_max > 0):
+            raise FeederFormatError(f"i_dt_max must be finite and positive, got {self.i_dt_max!r}")
         v0 = np.array(self.v0, dtype=complex)
         if v0.shape != (3,) or not np.all(np.isfinite(v0)):
             raise FeederFormatError(f"v0 must be 3 finite phase voltages, got {self.v0!r}")
@@ -164,24 +167,6 @@ class DemandSeries:
 
     def period_mid_hour(self, period: int) -> float:
         return (period + 0.5) * self.minutes_per_period / 60.0
-
-
-@dataclass(frozen=True)
-class ScenarioOptions:
-    """Which customers carry PV and switches, and whether PV Q is controllable."""
-
-    pv_customers: tuple[int, ...] = ()
-    pv_capacity_kw: float = 7.0
-    switch_customers: tuple[int, ...] = ()
-    pv_q_control: bool = False
-    pv_q_fraction: float = 0.05  # reactive band as a fraction of PV capacity
-
-
-DEFAULT_SCENARIO = ScenarioOptions(
-    pv_customers=(5, 9, 15, 18, 20, 26, 30, 37, 45, 50),
-    pv_capacity_kw=7.0,
-    switch_customers=(2, 8, 23, 24, 29, 32, 33, 35, 38, 53),
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +240,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
 def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     # Kron-reduced phase matrix from sequence parameters.
     zs = (z0 + 2.0 * z1) / 3.0
@@ -267,8 +259,9 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     its demand series.
 
     Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv and
-    LoadShapes.csv, on the module's per-unit bases and the default Limits,
-    with the transformer current limit taken from Source.csv's dt_kva.
+    LoadShapes.csv, on the module's per-unit bases, with the transformer
+    current limit taken from Source.csv's dt_kva. The source voltage pu and
+    dt_kva must be positive.
     Raises FeederFormatError naming the offending record on any dangling
     reference or malformed table.
     """
@@ -284,7 +277,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
         k = record_of[name]
         return _column("Source.csv", source[k:k + 1], "value", convert, start=k + 1)[0]
 
-    root, v0_pu, dt_kva = quantity("bus", int), quantity("pu"), quantity("dt_kva")
+    root, v0_pu, dt_kva = quantity("bus", int), quantity("pu", _positive), quantity("dt_kva", _positive)
     angle_deg = quantity("angle_deg") if "angle_deg" in record_of else 0.0
 
     col = partial(_column, "LineCodes.csv", _read_csv(directory / "LineCodes.csv"))
@@ -334,7 +327,6 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
     minutes = _column("LoadShapes.csv", [first], "minutes", int)[0]
 
-    lim = Limits(i_dt_max=dt_kva / (POWER_BASE_VA / 1e3))
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(
         buses=tuple(buses),
@@ -342,7 +334,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
         lines=tuple(lines),
         customers=tuple(customers),
         v0=v0_pu * np.exp(1j * angles),
-        limits=lim,
+        i_dt_max=dt_kva / (POWER_BASE_VA / 1e3),
     )
     return network, DemandSeries(p_w=p_w, q_var=q_var, minutes_per_period=minutes)
 
@@ -405,12 +397,10 @@ def pv_generation_w(capacity_kw: float, hour: float) -> float:
 
 
 def build_snapshot(
-    network: Network,
-    demands: DemandSeries,
-    period: int,
-    scenario: ScenarioOptions = DEFAULT_SCENARIO,
+    network: Network, demands: DemandSeries, period: int, pv_q_control: bool = False
 ) -> CaseSnapshot:
-    """Produce the immutable per-unit case for one period under a scenario."""
+    """Produce the immutable per-unit case for one period of the case study,
+    with PV reactive bands when pv_q_control is set."""
 
     n = network.n_customers
     if demands.p_w.shape[1] != n:
@@ -420,29 +410,27 @@ def build_snapshot(
     if not 0 <= period < demands.n_periods:
         raise ValueError(f"period {period} outside series of {demands.n_periods}")
     known = {c.cid for c in network.customers}
-    for cid in tuple(scenario.pv_customers) + tuple(scenario.switch_customers):
+    for cid in PV_CUSTOMERS + SWITCH_CUSTOMERS:
         if cid not in known:
-            raise ValueError(f"scenario references unknown customer index {cid}")
+            raise ValueError(f"the feeder has no customer {cid}, a case-study PV or switch customer")
 
     phase_base = PHASE_POWER_BASE_VA
     p_w = demands.p_w[period].copy()
     q_var = demands.q_var[period]
 
     hour = demands.period_mid_hour(period)
-    gen_w = pv_generation_w(scenario.pv_capacity_kw, hour)
+    gen_w = pv_generation_w(PV_CAPACITY_KW, hour)
     q_lo = np.zeros(n)
     q_hi = np.zeros(n)
-    pv_set = set(scenario.pv_customers)
     for k, cust in enumerate(network.customers):
-        if cust.cid in pv_set:
+        if cust.cid in PV_CUSTOMERS:
             p_w[k] -= gen_w
-            if scenario.pv_q_control:
-                band = scenario.pv_q_fraction * scenario.pv_capacity_kw * 1e3
+            if pv_q_control:
+                band = PV_Q_FRACTION * PV_CAPACITY_KW * 1e3
                 q_lo[k] = -band / phase_base
                 q_hi[k] = band / phase_base
 
-    switch_set = set(scenario.switch_customers)
-    adjustable = tuple(k for k, c in enumerate(network.customers) if c.cid in switch_set)
+    adjustable = tuple(k for k, c in enumerate(network.customers) if c.cid in SWITCH_CUSTOMERS)
 
     return CaseSnapshot(
         network=network,
@@ -452,4 +440,3 @@ def build_snapshot(
         q_hi_pu=q_hi,
         adjustable_idx=adjustable,
     )
-

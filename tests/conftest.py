@@ -8,7 +8,6 @@ import pytest
 from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
-    Limits,
     Line,
     Network,
     load_bundled_feeder,
@@ -41,7 +40,7 @@ def two_bus_network(
             for i, ph in enumerate(customers)
         ),
         v0=make_v0(),
-        limits=Limits(),
+        i_dt_max=2.0,
     )
 
 
@@ -78,7 +77,7 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
         lines=lines,
         customers=customers,
         v0=make_v0(),
-        limits=Limits(),
+        i_dt_max=2.0,
     )
 
 

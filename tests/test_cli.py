@@ -19,7 +19,7 @@ import pytest
 from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
-from phasebal.netmodel import DEFAULT_SCENARIO, PHASE_POWER_BASE_VA, build_snapshot, bundled_feeder_dir
+from phasebal.netmodel import PHASE_POWER_BASE_VA, build_snapshot, bundled_feeder_dir
 from phasebal.powerflow import PhaseAssignment
 
 # Evening peak: every optimizing method moves customers, and lbfm's choice
@@ -140,7 +140,7 @@ def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
     assert (doc["strategy"], doc["candidates"], doc["moves"]) == ("none", 1, 0)
     assert doc["pv"] is None and doc["q_adjust"] is None
     assert doc["trace"] == [] and doc["stats"] == {}
-    snap = build_snapshot(network, demands, PERIOD, replace(DEFAULT_SCENARIO, pv_q_control=True))
+    snap = build_snapshot(network, demands, PERIOD, pv_q_control=True)
     exact = evaluate_exact(snap, PhaseAssignment.initial(network))
     for key in ("model", "initial_model", "verified", "initial_verified"):
         assert doc[key]["objective"] == exact.objective
@@ -211,12 +211,18 @@ def test_sweep_rejects_a_malformed_period_range(periods, tmp_path, capsys):
         (["--parallelism", "0"], "parallelism must be at least 1"),
         (["--scenario", "no-feeder"], "missing feeder table: Source.csv"),
         (["--seed", "-8"], "seed must be non-negative, got -8"),
+        (
+            ["--scenario", "SHORT-LOADS"],
+            "the feeder has no customer 53, a case-study PV or switch customer",
+        ),
     ],
-    ids=["past-profile", "unknown-method", "repeated-method", "no-workers", "no-feeder", "negative-seed"],
+    ids=["past-profile", "unknown-method", "repeated-method", "no-workers", "no-feeder", "negative-seed",
+         "no-switch-customer"],
 )
-def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, capsys):
+def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, capsys, broken_feeders):
     # Refused before any cell runs: a usage error, and nothing written.
     monkeypatch.chdir(tmp_path)
+    flags = [str(broken_feeders.get(f, f)) for f in flags]
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--periods", "0:1", "--out-dir", "out", *flags])
     assert info.value.code == 2
@@ -252,10 +258,14 @@ def test_sweep_rejects_invalid_settings(flags, message, tmp_path, monkeypatch, c
             ["evaluate", "--period", "73", "--method", "fixv", "--scenario", "NAN-RATING"],
             "phasebal evaluate: error: Source.csv record 4: invalid value 'nan'",
         ),
+        (
+            ["pf", "--period", "3", "--scenario", "ZERO-VOLTAGE"],
+            "phasebal pf: error: Source.csv record 2: invalid value '0'",
+        ),
         (["verify"], "phasebal verify: error: no outcome files under out"),
     ],
     ids=["evaluate-period", "evaluate-negative", "evaluate-no-feeder", "pf-period", "pf-no-feeder",
-         "pf-malformed-feeder", "evaluate-non-finite-feeder", "verify-empty"],
+         "pf-malformed-feeder", "evaluate-non-finite-feeder", "pf-zero-voltage", "verify-empty"],
 )
 def test_bad_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys, broken_feeders):
     monkeypatch.chdir(tmp_path)
@@ -299,7 +309,9 @@ def test_out_dir_at_a_file_is_a_usage_error(argv, out_dir, tmp_path, monkeypatch
 @pytest.fixture(scope="module")
 def broken_feeders(tmp_path_factory):
     """Copies of the bundled feeder: NO-LENGTHS has the Length_m column cut
-    from Lines.csv, NAN-RATING reads dt_kva,nan in Source.csv."""
+    from Lines.csv, NAN-RATING reads dt_kva,nan and ZERO-VOLTAGE pu,0 in
+    Source.csv, SHORT-LOADS keeps the first 51 records of Loads.csv, and
+    HEAVY-LOADS draws 40 times every load's kW."""
 
     def rewrite(name, table, transform):
         target = tmp_path_factory.mktemp("feeder") / name
@@ -316,10 +328,47 @@ def broken_feeders(tmp_path_factory):
     def nan_rating(rows):
         return [["dt_kva", "nan"] if r[0] == "dt_kva" else r for r in rows]
 
+    def zero_voltage(rows):
+        return [["pu", "0"] if r[0] == "pu" else r for r in rows]
+
+    def heavy_loads(rows):
+        kw = rows[0].index("kW")
+        return [rows[0]] + [r[:kw] + [repr(40 * float(r[kw]))] + r[kw + 1:] for r in rows[1:]]
+
     return {
         "NO-LENGTHS": rewrite("no-lengths", "Lines.csv", drop_lengths),
         "NAN-RATING": rewrite("nan-rating", "Source.csv", nan_rating),
+        "ZERO-VOLTAGE": rewrite("zero-voltage", "Source.csv", zero_voltage),
+        "SHORT-LOADS": rewrite("short-loads", "Loads.csv", lambda rows: rows[:52]),
+        "HEAVY-LOADS": rewrite("heavy-loads", "Loads.csv", heavy_loads),
     }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pf"], "phasebal pf: period 73: VoltageCollapseError: voltage magnitude below 0.5 p.u."),
+        (
+            ["evaluate", "--method", "utpf"],
+            "phasebal evaluate: period 73: VoltageCollapseError: voltage magnitude below 0.5 p.u.",
+        ),
+        (
+            ["evaluate", "--method", "linv"],
+            "phasebal evaluate: period 73: FormulationError: voltage fixed point did not contract",
+        ),
+    ],
+    ids=["pf", "evaluate-utpf", "evaluate-linv"],
+)
+def test_a_failed_solve_is_one_line_and_exit_1(argv, message, tmp_path, monkeypatch, capsys, broken_feeders):
+    # As a failed sweep cell: exit status 1, no traceback, nothing written.
+    monkeypatch.chdir(tmp_path)
+    scenario = ["--scenario", str(broken_feeders["HEAVY-LOADS"])]
+    assert main([*argv, "--period", str(PERIOD), *scenario, "--out-dir", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(message)
+    assert not any(tmp_path.iterdir())
 
 
 def test_pf_writes_plain_numbers(tmp_path, network, demands):
@@ -385,9 +434,7 @@ def test_optimize_with_pv_q_reports_the_tuned_state(method, tmp_path, network, d
     assert pv["f_after"] <= pv["f_before"]
     assert doc["model"]["objective"] == pv["f_after"]
 
-    snap = build_snapshot(
-        network, demands, PERIOD, replace(DEFAULT_SCENARIO, pv_q_control=True)
-    )
+    snap = build_snapshot(network, demands, PERIOD, pv_q_control=True)
     q = np.asarray(doc["q_adjust"])
     assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
     assert np.any(q != 0.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from phasebal.formulations import (
     evaluate_linv,
     fit_inverse_voltage,
 )
-from phasebal.netmodel import DEFAULT_SCENARIO, Limits, build_snapshot
+from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, build_snapshot
 from phasebal.optimizer import _model_evaluator
 from phasebal.powerflow import PhaseAssignment, _customer_meet, feeder_geometry, solve_utpf
 
@@ -40,8 +39,8 @@ CHI = np.exp(-2j * np.pi / 3.0)
 class TestUnbalanceMeasures:
     def test_spread_picks_worst_axis(self):
         s = np.array([1.0 + 0.5j, 0.8 + 0.1j, 0.9 + 0.2j])
-        assert _score(Limits(), s, ()).pi == pytest.approx(0.4)  # Q spread beats P spread
-        assert _score(Limits(), np.full(3, 0.7 + 0.3j), ()).pi == 0.0
+        assert _score(s, ()).pi == pytest.approx(0.4)  # Q spread beats P spread
+        assert _score(np.full(3, 0.7 + 0.3j), ()).pi == 0.0
 
     def test_negative_sequence_on_sequence_sets(self):
         positive = np.array([1.0, CHI, CHI**2])
@@ -59,11 +58,11 @@ class TestUnbalanceMeasures:
         assert vneg[1, 0] == pytest.approx(1.0) and abs(vneg[1, 1]) <= 1e-14
 
 
-def slacks_of(v, i_dt_mag, limits, nominal=None):
+def slacks_of(v, i_dt_mag, nominal=None, i_dt_max=2.0):
     """The scalar evaluators' slacks for a (buses, 3) voltage field."""
 
     lo, vm, vneg = _voltage_measures(np.asarray(v, dtype=complex), nominal)
-    return Slacks(*_slack_terms(limits, lo, vm, np.abs(vneg), np.asarray(i_dt_mag, dtype=float)))
+    return Slacks(*_slack_terms(i_dt_max, lo, vm, np.abs(vneg), np.asarray(i_dt_mag, dtype=float)))
 
 
 class TestSlacks:
@@ -86,26 +85,24 @@ class TestSlacks:
         assert s.total() == pytest.approx(0.65)
 
     def test_exact_mode_hand_case(self):
-        limits = Limits()
         v = np.array(
             [
                 1.05 * np.exp(1j * np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])),
                 0.90 * np.exp(1j * np.array([0.0, -2 * np.pi / 3, 2 * np.pi / 3])),
             ]
         )
-        out = slacks_of(v, np.array([0.5, 0.5, 2.5]), limits)
-        assert out.v_lo == pytest.approx([0.0, limits.v_min - 0.90])
+        out = slacks_of(v, np.array([0.5, 0.5, 2.5]))
+        assert out.v_lo == pytest.approx([0.0, V_MIN - 0.90])
         assert np.all(out.v_hi == 0.0)
         assert np.all(out.neg_seq == 0.0)  # balanced scaling keeps sequence clean
-        assert out.i_dt == pytest.approx([0.0, 0.0, 2.5 - limits.i_dt_max])
+        assert out.i_dt == pytest.approx([0.0, 0.0, 2.5 - 2.0])
 
     def test_linearized_mode_projects_onto_nominal(self):
-        limits = Limits()
         nominal = make_v0()
         # On-angle voltage: projection equals the magnitude.
         v = (0.92 * np.exp(1j * np.angle(nominal)))[None, :]
-        exact = slacks_of(v, np.zeros(3), limits)
-        lin = slacks_of(v, np.zeros(3), limits, nominal=nominal)
+        exact = slacks_of(v, np.zeros(3))
+        lin = slacks_of(v, np.zeros(3), nominal=nominal)
         assert lin.v_lo == pytest.approx(exact.v_lo)
 
 
@@ -127,13 +124,12 @@ class TestPhaseReduction:
     """The elementwise reduction over the phase axis gives numpy's reductions bit for bit."""
 
     def test_voltage_slacks_match_min_and_max(self):
-        limits = Limits()
         rng = np.random.default_rng(3)
         lo = with_nonfinite_rows(rng.uniform(0.85, 1.15, size=(6, 40, 3)))
         hi = with_nonfinite_rows(rng.uniform(0.85, 1.15, size=(6, 40, 3)))[::-1]
-        v_lo, v_hi, *_ = _slack_terms(limits, lo, hi, np.zeros((6, 40)), np.zeros((6, 3)))
-        expect_lo = np.maximum(0.0, limits.v_min - lo.min(axis=-1))
-        expect_hi = np.maximum(0.0, hi.max(axis=-1) - limits.v_max)
+        v_lo, v_hi, *_ = _slack_terms(2.0, lo, hi, np.zeros((6, 40)), np.zeros((6, 3)))
+        expect_lo = np.maximum(0.0, V_MIN - lo.min(axis=-1))
+        expect_hi = np.maximum(0.0, hi.max(axis=-1) - V_MAX)
         assert v_lo.tobytes() == expect_lo.tobytes()
         assert v_hi.tobytes() == expect_hi.tobytes()
 
@@ -143,7 +139,7 @@ class TestPhaseReduction:
         s_dt.real = with_nonfinite_rows(rng.normal(size=s_dt.shape))
         s_dt.imag = with_nonfinite_rows(rng.normal(size=s_dt.shape))[:, ::-1]
         with np.errstate(invalid="ignore"):  # inf - inf
-            pi = _score(Limits(), s_dt, ()).pi
+            pi = _score(s_dt, ()).pi
             expect = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
         assert pi.tobytes() == expect.tobytes()
 
@@ -153,12 +149,11 @@ def worst_fit_error(fit, network, grid=50):
     between the voltage limits and angles within the halfwidth of each
     phase's nominal direction, denser than the fit's own grid."""
 
-    limits = network.limits
     half = _FIT_HALFWIDTH
     worst = 0.0
     for phi, v0 in enumerate(network.v0):
         centre = float(np.angle(v0))
-        mags = np.linspace(limits.v_min, limits.v_max, grid)
+        mags = np.linspace(V_MIN, V_MAX, grid)
         angs = np.linspace(centre - half, centre + half, grid)
         v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
         worst = max(worst, float(np.max(np.abs(fit.g(v, phi) - 1.0 / np.conj(v)))))
@@ -167,11 +162,11 @@ def worst_fit_error(fit, network, grid=50):
 
 class TestInverseVoltageFit:
     def test_residual_is_small_but_honest(self, network):
-        fit = fit_inverse_voltage(network.v0, network.limits)
+        fit = fit_inverse_voltage(network.v0)
         assert 1e-3 <= worst_fit_error(fit, network) <= 3.2e-2
 
     def test_surrogate_tracks_inverse_at_nominal(self, network):
-        fit = fit_inverse_voltage(network.v0, network.limits)
+        fit = fit_inverse_voltage(network.v0)
         worst = worst_fit_error(fit, network)
         v0 = network.v0
         for phi in range(3):
@@ -181,12 +176,11 @@ class TestInverseVoltageFit:
     def test_complex_views_match_parts(self, network):
         # Each complex coefficient row joins the least-squares fits of the
         # real and the imaginary part of 1/conj(V) on the same design.
-        fit = fit_inverse_voltage(network.v0, network.limits)
-        limits = network.limits
+        fit = fit_inverse_voltage(network.v0)
         half = _FIT_HALFWIDTH
         for phi, v0 in enumerate(network.v0):
             centre = float(np.angle(v0))
-            mags = np.linspace(limits.v_min, limits.v_max, 20)
+            mags = np.linspace(V_MIN, V_MAX, 20)
             angs = np.linspace(centre - half, centre + half, 20)
             v = (mags[:, None] * np.exp(1j * angs[None, :])).ravel()
             design = np.column_stack([np.ones(v.size), v.real, v.imag])
@@ -209,7 +203,7 @@ class TestFixedVoltageModel:
         flat = np.tile(network.v0, (network.n_buses, 1))
         assert out.method == "fixv"
         assert out.objective == evaluate_fixv(snap, asg, profile=flat).objective
-        assert out.objective == pytest.approx(out.pi + network.limits.mb * out.slacks.total())
+        assert out.objective == pytest.approx(out.pi + MB * out.slacks.total())
 
     def test_exact_profile_is_a_fixed_point(self, network, demands):
         # Replaying the model at the converged exact voltages reproduces the
@@ -275,7 +269,7 @@ class TestLinearizedInverseModel:
 
         network = snap.network
         geometry, meet = feeder_geometry(network), _customer_meet(network)
-        fit = fit_inverse_voltage(network.v0, network.limits)
+        fit = fit_inverse_voltage(network.v0)
         s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
         v = out.v
         replay = np.tile(network.v0, (network.n_buses, 1))
@@ -294,7 +288,7 @@ class TestLinearizedInverseModel:
         assert self._equation_residual(snap, asg, out) <= 1e-12
 
     def test_solves_the_model_equation_with_reactive_adjustment(self, network, demands):
-        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         dq = np.where(snap.q_hi_pu > 0, snap.q_hi_pu, 0.0)
         assert np.any(dq != 0.0)
@@ -393,8 +387,7 @@ class TestLineScorer:
     @pytest.mark.parametrize("period", [48, 73])
     @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
     def test_matches_scalar_on_bundled_periods(self, network, demands, method, period):
-        scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
-        snap = build_snapshot(network, demands, period, scenario)
+        snap = build_snapshot(network, demands, period, pv_q_control=True)
         rng = np.random.default_rng(period)
         phases = np.array([c.initial_phase for c in network.customers])
         phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=snap.n_adjustable)
@@ -417,7 +410,7 @@ class TestLineScorer:
 
     @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
     def test_point_outside_the_band_rejected(self, network, demands, method):
-        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
         c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
         g = _line_scorer(snap, PhaseAssignment.initial(network), method)(
             np.zeros(network.n_customers), c
@@ -440,7 +433,7 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
     use numpy's reductions over the phase axis.
     """
 
-    movable, initial, limits = kernel.movable, kernel.initial, kernel.limits
+    movable, initial = kernel.movable, kernel.initial
     fixed = np.setdiff1d(np.arange(len(s_on)), movable)
     pf = initial[fixed]
     cap = kernel.cap_idx
@@ -471,14 +464,14 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
     lo, hi, neg = kernel._measures(*fields)
     k = 2 if kernel.squared else 1
     terms = (
-        np.maximum(0.0, limits.v_min**k - lo.min(axis=-1)),
-        np.maximum(0.0, hi.max(axis=-1) - limits.v_max**k),
-        np.maximum(0.0, neg**k - limits.neg_seq_max**k),
-        np.maximum(0.0, np.abs(s_dt) / np.abs(kernel.v0) - limits.i_dt_max),
+        np.maximum(0.0, V_MIN**k - lo.min(axis=-1)),
+        np.maximum(0.0, hi.max(axis=-1) - V_MAX**k),
+        np.maximum(0.0, neg**k - NEG_SEQ_MAX**k),
+        np.maximum(0.0, np.abs(s_dt) / np.abs(kernel.v0) - kernel.network.i_dt_max),
     )
     total = sum(term.sum(axis=-1) for term in terms)
     pi = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
-    return pi + limits.mb * total, pi, total
+    return pi + MB * total, pi, total
 
 
 class TestBatchKernels:

@@ -17,14 +17,11 @@ from phasebal import netmodel
 from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
-    DEFAULT_SCENARIO,
     DemandSeries,
     FeederFormatError,
-    Limits,
     Line,
     Network,
     RadialityError,
-    ScenarioOptions,
     build_snapshot,
     bundled_feeder_dir,
     import_european_feeder,
@@ -57,20 +54,6 @@ class TestPerUnitBases:
         assert (netmodel.VOLTAGE_BASE_V, netmodel.POWER_BASE_VA) == (240.0, 100_000.0)
         assert netmodel.PHASE_POWER_BASE_VA == pytest.approx(100_000.0 / 3.0)
         assert netmodel.IMPEDANCE_BASE_OHM == pytest.approx(240.0**2 * 3.0 / 100_000.0)
-
-
-class TestLimits:
-    def test_rejects_inverted_and_nonpositive(self):
-        with pytest.raises(ValueError, match="v_min < v_max"):
-            Limits(v_min=1.1, v_max=0.9)
-        with pytest.raises(ValueError, match="positive"):
-            Limits(neg_seq_max=0.0)
-
-    @pytest.mark.parametrize("field", ["v_min", "v_max", "neg_seq_max", "i_dt_max", "mb"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
-            Limits(**{field: value})
 
 
 class TestNetworkValidation:
@@ -112,7 +95,7 @@ class TestNetworkValidation:
                 lines=(replace_line(base.lines[0], to_bus=9),),
                 customers=base.customers,
                 v0=base.v0,
-                limits=base.limits,
+                i_dt_max=base.i_dt_max,
             )
         with pytest.raises(FeederFormatError, match="customer"):
             Network(
@@ -121,8 +104,14 @@ class TestNetworkValidation:
                 lines=base.lines,
                 customers=(Customer(cid=1, name="c1", bus=9, initial_phase=0),),
                 v0=base.v0,
-                limits=base.limits,
+                i_dt_max=base.i_dt_max,
             )
+
+    @pytest.mark.parametrize("rating", [0.0, -2.0, math.nan, math.inf])
+    def test_transformer_rating_must_be_finite_and_positive(self, rating):
+        with pytest.raises(FeederFormatError) as info:
+            replace(two_bus_network(), i_dt_max=rating)
+        assert str(info.value) == f"i_dt_max must be finite and positive, got {rating!r}"
 
     def test_cycle_detected(self):
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
@@ -137,7 +126,7 @@ class TestNetworkValidation:
                 ),
                 customers=(),
                 v0=make_v0(),
-                limits=Limits(),
+                i_dt_max=2.0,
             )
 
     def test_disconnected_bus_detected(self):
@@ -152,7 +141,7 @@ class TestNetworkValidation:
                 ),
                 customers=(),
                 v0=make_v0(),
-                limits=Limits(),
+                i_dt_max=2.0,
             )
 
     def test_parent_line_per_bus(self):
@@ -172,7 +161,7 @@ class TestNetworkValidation:
                 Customer(cid=3, name="c3", bus=1, initial_phase=2),
             ),
             v0=make_v0(),
-            limits=Limits(),
+            i_dt_max=2.0,
         )
         report = network.topology
         assert report.depth_order == (0, 1, 2, 3)
@@ -203,7 +192,7 @@ class TestImport:
         assert angles[1] == pytest.approx(-2.0 * math.pi / 3.0)
         assert angles[2] == pytest.approx(2.0 * math.pi / 3.0)
         # DT rating from Source.csv, on the 100 kVA base.
-        assert network.limits.i_dt_max == pytest.approx(2.0)
+        assert network.i_dt_max == pytest.approx(2.0)
 
     def test_reactive_follows_power_factor(self, network, demands):
         with (bundled_feeder_dir() / "Loads.csv").open() as fh:
@@ -318,6 +307,19 @@ class TestImport:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"{table} record {record}: invalid {column} {text!r}"
 
+    @pytest.mark.parametrize("quantity, record, text", [("pu", 2, "0"), ("dt_kva", 4, "-200")])
+    def test_non_positive_source_quantity_named(self, broken_dir, quantity, record, text):
+        # A zero or negative source voltage or transformer rating has no meaning.
+        def transform(rows):
+            assert rows[record][0] == quantity
+            rows[record][1] = text
+            return rows
+
+        self._rewrite(broken_dir / "Source.csv", transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"Source.csv record {record}: invalid value {text!r}"
+
     def test_repeated_load_name_named(self, broken_dir):
         # Two records named LOAD1 would share one shape column and one kW and PF.
         def transform(rows):
@@ -415,53 +417,48 @@ class TestSnapshot:
         assert str(info.value) == "demands have 54 customer columns, the network 55 customers"
 
     def test_unknown_scenario_customer(self, network, demands):
-        with pytest.raises(ValueError, match="unknown customer"):
-            build_snapshot(
-                network, demands, 0, ScenarioOptions(switch_customers=(999,))
-            )
+        # Switch customer 53 is beyond a feeder cut to its first 51 loads.
+        cut = replace(network, customers=network.customers[:51])
+        short = DemandSeries(
+            p_w=demands.p_w[:, :51], q_var=demands.q_var[:, :51], minutes_per_period=15
+        )
+        with pytest.raises(ValueError) as info:
+            build_snapshot(cut, short, 0)
+        assert str(info.value) == "the feeder has no customer 53, a case-study PV or switch customer"
 
     def test_pv_subtracts_at_noon_only(self, network, demands):
         noon = 48  # 12:00-12:15
         night = 4
-        plain = ScenarioOptions()
-        with_pv = DEFAULT_SCENARIO
+        hosts = [k for k, c in enumerate(network.customers) if c.cid in netmodel.PV_CUSTOMERS]
+        others = [k for k in range(network.n_customers) if k not in hosts]
+        assert len(hosts) == 10
         for period, changed in ((noon, True), (night, False)):
-            bare = build_snapshot(network, demands, period, plain)
-            pv = build_snapshot(network, demands, period, with_pv)
-            hosts = [
-                k
-                for k, c in enumerate(network.customers)
-                if c.cid in with_pv.pv_customers
-            ]
-            delta = bare.p_pu[hosts] - pv.p_pu[hosts]
+            snap = build_snapshot(network, demands, period)
+            bare = demands.p_w[period] / netmodel.PHASE_POWER_BASE_VA
+            delta = bare[hosts] - snap.p_pu[hosts]
             if changed:
                 assert np.all(delta > 0)
             else:
                 assert np.allclose(delta, 0.0)
-            others = [k for k in range(network.n_customers) if k not in hosts]
-            assert np.array_equal(bare.p_pu[others], pv.p_pu[others])
-            assert np.array_equal(bare.q_pu, pv.q_pu)
+            assert np.array_equal(bare[others], snap.p_pu[others])
+            assert np.array_equal(demands.q_var[period] / netmodel.PHASE_POWER_BASE_VA, snap.q_pu)
 
     def test_reactive_bounds_only_under_q_control(self, network, demands):
-        off = build_snapshot(network, demands, 48, DEFAULT_SCENARIO)
-        on = build_snapshot(
-            network, demands, 48, replace(DEFAULT_SCENARIO, pv_q_control=True)
-        )
+        off = build_snapshot(network, demands, 48)
+        on = build_snapshot(network, demands, 48, pv_q_control=True)
         assert np.all(off.q_lo_pu == 0.0) and np.all(off.q_hi_pu == 0.0)
         band = 0.05 * 7e3 / netmodel.PHASE_POWER_BASE_VA
-        hosts = [
-            k
-            for k, c in enumerate(network.customers)
-            if c.cid in DEFAULT_SCENARIO.pv_customers
-        ]
+        hosts = [k for k, c in enumerate(network.customers) if c.cid in netmodel.PV_CUSTOMERS]
         assert np.allclose(on.q_hi_pu[hosts], band)
         assert np.allclose(on.q_lo_pu[hosts], -band)
+        others = [k for k in range(network.n_customers) if k not in hosts]
+        assert np.all(on.q_lo_pu[others] == 0.0) and np.all(on.q_hi_pu[others] == 0.0)
         assert on.n_adjustable == 10
 
     def test_adjustable_positions_map_switch_ids(self, network, demands):
-        snap = build_snapshot(network, demands, 0, DEFAULT_SCENARIO)
+        snap = build_snapshot(network, demands, 0)
         cids = {network.customers[k].cid for k in snap.adjustable_idx}
-        assert cids == set(DEFAULT_SCENARIO.switch_customers)
+        assert cids == set(netmodel.SWITCH_CUSTOMERS)
 
     def test_snapshot_validation(self, network, demands):
         snap = build_snapshot(network, demands, 0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from phasebal import optimizer
 from phasebal.formulations import _SeparableKernel, _decode, _make_kernel, evaluate_fixv
-from phasebal.netmodel import DEFAULT_SCENARIO, ScenarioOptions, build_snapshot
+from phasebal.netmodel import SWITCH_CUSTOMERS, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
@@ -30,6 +30,13 @@ from phasebal.powerflow import PhaseAssignment, solve_utpf
 from conftest import loaded_snapshot, random_radial_network, two_bus_network
 from test_powerflow import snapshot_for
 from dataclasses import replace
+
+
+def with_switches(snapshot, cids):
+    """snapshot with the customers of the given ids as its switch set."""
+
+    customers = snapshot.network.customers
+    return replace(snapshot, adjustable_idx=tuple(k for k, c in enumerate(customers) if c.cid in cids))
 
 
 def tiny_snapshot():
@@ -82,12 +89,7 @@ class TestBranchAndBound:
             switches = tuple(
                 int(c) for c in rng.choice(cids, size=int(rng.integers(6, 8)), replace=False)
             )
-            scenario = ScenarioOptions(
-                pv_customers=DEFAULT_SCENARIO.pv_customers,
-                pv_capacity_kw=DEFAULT_SCENARIO.pv_capacity_kw,
-                switch_customers=switches,
-            )
-            snap = build_snapshot(network, demands, period, scenario)
+            snap = with_switches(build_snapshot(network, demands, period), switches)
             full = exhaustive(snap, method=method)
             pruned = branch_and_bound(snap, method=method)
             assert pruned.strategy == "branch-and-bound"
@@ -255,9 +257,7 @@ class TestIteratedRefinement:
         # 3^13 candidates exceed the budget, so every pass runs local search:
         # the initial assignment and three restarts, and in the cold run's
         # second pass the first pass's choice as well.
-        switches = DEFAULT_SCENARIO.switch_customers + (11, 14, 41)
-        scenario = replace(DEFAULT_SCENARIO, switch_customers=switches)
-        snap = build_snapshot(network, demands, 73, scenario)
+        snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
         assert len(snap.adjustable_idx) == 13
         out = fixv_algorithm1(snap, warm=warm)
         assert out.stats["starts"] == starts
@@ -278,8 +278,7 @@ class TestReactiveDispatch:
 
     def test_descends_within_bounds(self, network, demands, monkeypatch):
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 4)
-        scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
-        snap = build_snapshot(network, demands, 48, scenario)
+        snap = build_snapshot(network, demands, 48, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         start = evaluate_fixv(snap, asg)
         q, final, stats = optimize_pv_q(snap, asg)
@@ -301,7 +300,7 @@ class TestReactiveDispatch:
 
         monkeypatch.setattr(optimizer, "_line_scorer", uphill)
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
-        snap = build_snapshot(network, demands, 73, replace(DEFAULT_SCENARIO, pv_q_control=True))
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         start = _model_evaluator(method)(snap, asg, None)
         q, final, stats = optimize_pv_q(snap, asg, method)
@@ -324,8 +323,7 @@ class TestReactiveDispatch:
         assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
 
     def test_monotone_across_round_budgets(self, network, demands, monkeypatch):
-        scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
-        snap = build_snapshot(network, demands, 48, scenario)
+        snap = build_snapshot(network, demands, 48, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
         _, one, _ = optimize_pv_q(snap, asg)

@@ -211,10 +211,7 @@ class TestReactiveAdjustment:
             solve_utpf(snap, asg, q_adjust=np.full(network.n_customers, 1e-3))
 
     def test_adjustment_shifts_served_power(self, network, demands):
-        from phasebal.netmodel import DEFAULT_SCENARIO
-
-        scenario = replace(DEFAULT_SCENARIO, pv_q_control=True)
-        snap = build_snapshot(network, demands, 48, scenario)
+        snap = build_snapshot(network, demands, 48, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         dq = np.where(snap.q_hi_pu > 0, snap.q_hi_pu, 0.0)
         sol = solve_utpf(snap, asg, q_adjust=dq)
