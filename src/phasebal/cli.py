@@ -49,7 +49,7 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, PowerFlowError, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-OUTCOME_SCHEMA = "phasebal.outcome.v3"
+OUTCOME_SCHEMA = "phasebal.outcome.v4"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256
 
@@ -179,12 +179,6 @@ def _eval_view(result: EvaluationResult) -> dict[str, object]:
     }
 
 
-def _with_vm(view: dict[str, object], result: EvaluationResult) -> dict[str, object]:
-    """view plus the state's per-bus |V|, which `verify_accuracy` compares."""
-
-    return {**view, "vm": np.asarray(result.vm, dtype=float).tolist()}
-
-
 def _verified_view(result: EvaluationResult) -> dict[str, object]:
     """An exact state's view plus its solve diagnostics."""
 
@@ -248,9 +242,14 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
                 sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
             ),
             q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
-            model=_with_vm(_eval_view(model), model),
+            model=_eval_view(model),
             initial_model=_eval_view(outcome.initial_model),
-            verified=_with_vm(_verified_view(verified), verified),
+            verified=_verified_view(verified),
+            # |V| of the model less the exact |V| per bus and phase, which
+            # `verify_accuracy` pools.
+            vm_error=np.abs(
+                np.asarray(model.vm, dtype=float) - np.asarray(verified.vm, dtype=float)
+            ).ravel().tolist(),
             initial_verified=_verified_view(outcome.initial_verified),
             trace=[
                 {
@@ -356,11 +355,10 @@ def _row_from_outcome(doc: Mapping[str, object]) -> dict[str, object]:
 def _vm_error(doc: Mapping[str, Any]) -> np.ndarray:
     """|vm_model - vm_utpf| over a successful cell's buses and phases."""
 
-    model_vm = np.asarray(doc["model"]["vm"], dtype=float)
-    utpf_vm = np.asarray(doc["verified"]["vm"], dtype=float)
-    if model_vm.shape != utpf_vm.shape:
-        raise ReportError(f"outcome {doc['period']}/{doc['method']}: voltage shape mismatch")
-    return np.abs(model_vm - utpf_vm).ravel()
+    error = np.asarray(doc["vm_error"], dtype=float)
+    if error.ndim != 1:
+        raise ReportError(f"outcome {doc['period']}/{doc['method']}: vm_error is not a flat list")
+    return error
 
 
 def verify_accuracy(outcomes: Sequence[Mapping[str, object]]) -> dict[str, object]:
@@ -575,7 +573,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     snapshot = _load_period(args)
     initial = PhaseAssignment.initial(snapshot.network)
     result = _model_evaluator(args.method)(snapshot, initial, None)
-    view = _with_vm(_eval_view(result), result)
+    view = {**_eval_view(result), "vm": np.asarray(result.vm, dtype=float).tolist()}
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evaluation_{args.period}_{args.method}.json"
     _write_json(path, view)

@@ -784,15 +784,18 @@ class _SeparableKernel(_Kernel):
 
     @staticmethod
     def _half(s_on: np.ndarray, effects: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        combos = _decode(np.arange(3 ** len(s_on)), len(s_on))
-        rows = np.arange(combos.shape[0])
-        sv = np.zeros((combos.shape[0], 3), dtype=complex)
-        tables = [np.zeros((combos.shape[0],) + e.shape[2:], dtype=e.dtype) for e in effects]
+        """Transformer power and field tables of every choice of these
+        customers in `_decode` order, built by one outer sum per customer."""
+
+        sv = np.zeros((1, 3), dtype=complex)
+        tables = [np.zeros((1,) + e.shape[2:], dtype=e.dtype) for e in effects]
         for local in range(len(s_on)):
-            pj = combos[:, local]
-            np.add.at(sv, (rows, pj), s_on[local, pj])
-            for table, e in zip(tables, effects):
-                table += e[local][pj]
+            # On phase p the customer adds its power to the transformer's phase p only.
+            sv = (sv[:, None] + np.diag(s_on[local])[None, :]).reshape(-1, 3)
+            tables = [
+                (t[:, None] + e[local][None, :]).reshape((3 * len(t),) + t.shape[1:])
+                for t, e in zip(tables, effects)
+            ]
         return sv, tables
 
     def spreads(self) -> np.ndarray:

@@ -1,21 +1,22 @@
 """Assignment search over the formulation kernels.
 
 Strategies: chunked exhaustive enumeration (lexicographic tie-break), the
-same exact answer by a scan in ascending transformer spread pi, which
-bounds each objective from below (branch-and-bound, separable models only),
-and seeded best-improvement local search. Exhaustive enumeration is the
-reference the scan is tested against; no sweep runs it. On top of those,
+same exact answer by a scan in ascending transformer spread pi, which bounds
+each objective from below and stops once no candidate left can beat its
+incumbent in (objective, index) order (branch-and-bound, separable models
+only), and seeded best-improvement local search. Exhaustive enumeration is
+the reference the scan is tested against; no sweep runs it. On top of those,
 the iterated fixed-voltage refinement (the paper's Algorithm 1) solves the
 discrete problem at a frozen voltage profile and refreshes the profile from
 its choice: two search passes from the flat profile (cold), or one at the
 exact profile of the initial assignment (warm). A cyclic coordinate descent
 tunes continuous reactive adjustments after the discrete search. The descent
-prices each coordinate's points in batches through the model's line
-scorer (`formulations._line_scorer`), objectives only: the coarse scan in
-one call, the first golden pair in another, and the golden steps _AHEAD at
-a time, each call pricing every point those steps can reach. The scalar
-evaluator runs only at the start and the end; an end the scalar model
-ranks above the start is dropped for the start.
+prices each coordinate's points in batches through the model's line scorer
+(`formulations._line_scorer`), objectives only: the coarse scan in one call,
+the first golden pair in another, and the golden steps _AHEAD at a time,
+each call pricing every point those steps can reach. The scalar evaluator
+runs only at the start and the end; an end the scalar model ranks above the
+start is dropped for the start.
 
 `_model_evaluator` is the one lookup from a model name to its scalar
 evaluator, and `_strategy` holds the one search policy, which no caller
@@ -204,13 +205,6 @@ def _exhaustive_choices(
     return _decode(np.array([best_idx]), mm)[0], total, {}
 
 
-def _pi_order(kernel: _Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Every candidate's spread pi by flat index, and the indices stably sorted by it."""
-
-    pi = kernel.spreads()
-    return pi, np.argsort(pi, kind="stable")
-
-
 def _bnb_choices(
     kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
 ) -> tuple[np.ndarray, int, dict[str, float]]:
@@ -221,13 +215,22 @@ def _bnb_choices(
         )
     mm = kernel.n_movable
     total = _enumerated(mm)
-    pi, order = _pi_order(kernel)
-    best_f, best_idx, scored = math.inf, 0, 0
-    for lo in range(0, total, _BLOCK):
+    pi = kernel.spreads()
+    # The first incumbent is the smallest-index candidate of least pi.
+    best_idx = int(np.argmin(pi))
+    best_f = float(kernel.score(_decode(np.array([best_idx]), mm)).objective[0])
+    scored = 1
+    # The objective is pi plus a non-negative slack term, so only candidates
+    # with pi <= best_f can still win; a stable sort lists them in
+    # (pi, index) order, their order among all candidates.
+    live = np.flatnonzero(pi <= best_f)
+    order = live[np.argsort(pi[live], kind="stable")]
+    for lo in range(0, len(order), _BLOCK):
         block = order[lo:lo + _BLOCK]
-        # The objective is pi plus a non-negative slack term, so once the
-        # block's smallest pi exceeds the incumbent nothing left can tie it.
-        if pi[block[0]] > best_f:
+        # Nothing from the block's head on can beat the incumbent in
+        # (objective, index) order once the head itself cannot.
+        head = int(block[0])
+        if pi[head] > best_f or (pi[head] == best_f and head >= best_idx):
             break
         objective = kernel.score(_decode(block, mm)).objective
         scored += len(block)
@@ -311,12 +314,16 @@ def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> Optimizati
     """Exact search that scores the fields only where the spread bound can win.
 
     Every candidate's transformer spread pi, a lower bound on its
-    objective, is priced from the kernel's half-tables; the fields are then
-    scored in ascending-pi blocks until a block's smallest pi exceeds the
-    incumbent objective. Among equal objectives the smallest flat index
+    objective, is priced from the kernel's half-tables. The first incumbent
+    is the smallest-index candidate of least pi, scored alone; the
+    candidates whose pi does not exceed its objective are then scored in
+    (pi, index) order, in blocks, until a block's first candidate cannot
+    beat the incumbent: its pi exceeds the incumbent objective, or equals
+    it at an index no smaller than the incumbent's. Among equal objectives the smallest flat index
     wins, so the choice is exactly the exhaustive one. Requires a separable
     model (fixed-voltage or branch-flow) within the enumeration budget;
-    stats["scored"] counts the field-scored candidates."""
+    stats["scored"] counts the field-scored candidates, the first
+    incumbent included."""
 
     return _verified_search("branch-and-bound", snapshot, method)
 

@@ -18,7 +18,6 @@ from phasebal.optimizer import (
     _exhaustive_choices,
     _local_choices,
     _model_evaluator,
-    _pi_order,
     branch_and_bound,
     exhaustive,
     fixv_algorithm1,
@@ -143,13 +142,38 @@ class TestBranchAndBound:
             kernel.score(_decode(np.arange(lo, min(lo + _CHUNK, total)), mm))
             for lo in range(0, total, _CHUNK)
         ]
-        pi, order = _pi_order(kernel)
+        pi = kernel.spreads()
+        order = np.argsort(pi, kind="stable")
         blocked = np.empty(total)
         for lo in range(0, total, _BLOCK):
             block = order[lo:lo + _BLOCK]
             blocked[block] = kernel.score(_decode(block, mm)).objective
         assert blocked.tobytes() == np.concatenate([c.objective for c in chunks]).tobytes()
         assert pi.tobytes() == np.concatenate([c.pi for c in chunks]).tobytes()
+
+    @pytest.mark.parametrize("method", ["fixv", "lbfm"])
+    def test_scan_stops_at_the_spread_plateau(self, network, demands, method):
+        # Thousands of candidates tie at the least pi at period 73; the
+        # smallest-index one carries no slack and wins, so the scan stops
+        # within the first block.
+        kernel = _make_kernel(build_snapshot(network, demands, 73), method)
+        best, count, stats = _bnb_choices(kernel, (), 0)
+        assert np.array_equal(best, _exhaustive_choices(kernel, (), 0)[0])
+        assert count == 3**kernel.n_movable
+        assert stats["scored"] <= _BLOCK + 1
+
+    def test_scan_past_a_first_incumbent_with_slack(self, network, demands):
+        # At period 41 on the initial assignment's exact profile the least-pi
+        # candidate carries slack, so the scan must go on scoring past it.
+        snap = build_snapshot(network, demands, 41)
+        profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
+        kernel = _make_kernel(snap, "fixv", profile=profile)
+        pi = kernel.spreads()
+        first = kernel.score(_decode(np.array([np.argmin(pi)]), kernel.n_movable))
+        assert first.objective[0] > pi.min()
+        best, _, stats = _bnb_choices(kernel, (), 0)
+        assert np.array_equal(best, _exhaustive_choices(kernel, (), 0)[0])
+        assert stats["scored"] > 1
 
     def test_rejects_non_separable_model(self, network, demands):
         snap = build_snapshot(network, demands, 40)
