@@ -24,7 +24,6 @@ from .powerflow import PFSolution, PhaseAssignment, power_balance_residual, solv
 from .formulations import (
     AffineFit,
     EvaluationResult,
-    Slacks,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
@@ -50,7 +49,6 @@ __all__ = [
     "OptimizationOutcome",
     "PFSolution",
     "PhaseAssignment",
-    "Slacks",
     "SweepConfig",
     "SweepReport",
     "branch_and_bound",

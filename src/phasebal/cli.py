@@ -158,20 +158,13 @@ def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
 def _eval_view(result: EvaluationResult) -> dict[str, object]:
     """A state's objective, slacks and extreme voltages, without per-bus arrays."""
 
-    slacks = result.slacks
     vm = np.asarray(result.vm, dtype=float)
     return {
         "method": result.method,
         "pi": float(result.pi),
         "objective": float(result.objective),
-        "slack_total": float(slacks.total()),
-        "slack": {
-            "v_lo": float(slacks.v_lo.sum()),
-            "v_hi": float(slacks.v_hi.sum()),
-            "neg_seq": float(slacks.neg_seq.sum()),
-            "i_dt": float(slacks.i_dt.sum()),
-            "squared_voltage_units": bool(slacks.squared_voltage_units),
-        },
+        "slack_total": sum(result.slack.values()),
+        "slack": {**result.slack, "squared_voltage_units": result.squared_voltage_units},
         "s_dt": [[float(z.real), float(z.imag)] for z in result.s_dt],
         "vm_min": float(vm.min()),
         "vm_max": float(vm.max()),

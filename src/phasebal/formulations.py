@@ -63,7 +63,6 @@ __all__ = [
     "AffineFit",
     "EvaluationResult",
     "FormulationError",
-    "Slacks",
     "evaluate_exact",
     "evaluate_fixv",
     "evaluate_lbfm",
@@ -74,35 +73,6 @@ __all__ = [
 
 class FormulationError(RuntimeError):
     """A formulation could not be evaluated on the given case."""
-
-
-@dataclass(frozen=True, eq=False)
-class Slacks:
-    """Non-negative limit violations; voltage entries per bus, current per phase.
-
-    When squared_voltage_units is set (branch-flow model) v_lo, v_hi and
-    neg_seq are expressed in squared per-unit, matching that model's
-    constraint space; they still sum into the objective unconverted.
-    """
-
-    v_lo: np.ndarray  # (buses,)
-    v_hi: np.ndarray  # (buses,)
-    neg_seq: np.ndarray  # (buses,)
-    i_dt: np.ndarray  # (3,)
-    squared_voltage_units: bool = False
-
-    def __post_init__(self) -> None:
-        for nameattr in ("v_lo", "v_hi", "neg_seq", "i_dt"):
-            arr = np.asarray(getattr(self, nameattr), dtype=float)
-            if np.any(arr < 0):
-                raise ValueError(f"{nameattr} slack must be non-negative")
-            arr.setflags(write=False)
-            object.__setattr__(self, nameattr, arr)
-
-    def total(self) -> float:
-        return float(
-            self.v_lo.sum() + self.v_hi.sum() + self.neg_seq.sum() + self.i_dt.sum()
-        )
 
 
 def _voltage_measures(
@@ -174,8 +144,7 @@ def _score(s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
     """Objective pi + MB * total slack for a batch of model states.
 
     s_dt is the (..., 3) complex transformer power and terms the slacks
-    `_slack_terms` yields. They sum in the order of `Slacks.total`, so a
-    batch of one prices exactly like the scalar path.
+    `_slack_terms` yields, summed in that order.
     """
 
     p, q = s_dt.real, s_dt.imag
@@ -204,8 +173,9 @@ class EvaluationResult:
 
     method: str
     pi: float  # transformer power spread
-    slacks: Slacks
-    objective: float  # pi + MB * total slack
+    slack: Mapping[str, float]  # summed v_lo, v_hi, neg_seq and i_dt slacks, in that order
+    squared_voltage_units: bool  # voltage slacks in squared per-unit (branch-flow)
+    objective: float  # pi + MB * sum(slack.values())
     s_dt: np.ndarray  # (3,) complex transformer power
     vm: np.ndarray  # (buses, 3) voltage magnitudes under the model
     vneg: np.ndarray  # (buses,) model unbalance; squared units for branch-flow
@@ -249,7 +219,8 @@ def _result(
     return EvaluationResult(
         method=method,
         pi=float(score.pi),
-        slacks=Slacks(*terms, squared_voltage_units=squared),
+        slack={k: float(t.sum()) for k, t in zip(("v_lo", "v_hi", "neg_seq", "i_dt"), terms)},
+        squared_voltage_units=squared,
         objective=float(score.objective),
         s_dt=s_dt,
         vm=np.sqrt(np.clip(hi, 0.0, None)) if squared else hi,

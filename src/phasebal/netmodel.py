@@ -247,6 +247,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def _sequence_to_phase_matrix(z1: complex, z0: complex) -> np.ndarray:
     # Kron-reduced phase matrix from sequence parameters.
     zs = (z0 + 2.0 * z1) / 3.0
@@ -261,7 +268,8 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     Expects Source.csv, LineCodes.csv, Lines.csv, Loads.csv and
     LoadShapes.csv, on the module's per-unit bases, with the transformer
     current limit taken from Source.csv's dt_kva. The source voltage pu and
-    dt_kva must be positive.
+    dt_kva must be positive, line lengths and line-code impedances
+    non-negative.
     Raises FeederFormatError naming the offending record on any dangling
     reference or malformed table.
     """
@@ -281,7 +289,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     angle_deg = quantity("angle_deg") if "angle_deg" in record_of else 0.0
 
     col = partial(_column, "LineCodes.csv", _read_csv(directory / "LineCodes.csv"))
-    r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", _finite) for part in ("R1", "X1", "R0", "X0"))
+    r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", _non_negative) for part in ("R1", "X1", "R0", "X0"))
     codes = {
         name: _sequence_to_phase_matrix(complex(a, b), complex(c, d))
         for name, a, b, c, d in zip(col("Name"), r1, x1, r0, x0)
@@ -290,7 +298,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     col = partial(_column, "Lines.csv", _read_csv(directory / "Lines.csv"))
     lines: list[Line] = []
     for name, code, length_m, bus1, bus2 in zip(
-        col("Name"), col("LineCode"), col("Length_m", _finite), col("Bus1", int), col("Bus2", int)
+        col("Name"), col("LineCode"), col("Length_m", _non_negative), col("Bus1", int), col("Bus2", int)
     ):
         if code not in codes:
             raise FeederFormatError(f"Lines.csv: line {name} uses unknown line code {code}")

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -188,9 +189,7 @@ def _enumerated(mm: int) -> int:
     return total
 
 
-def _exhaustive_choices(
-    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
-) -> tuple[np.ndarray, int, dict[str, float]]:
+def _exhaustive_choices(kernel: _Kernel) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
     total = _enumerated(mm)
     best_f = math.inf
@@ -205,9 +204,7 @@ def _exhaustive_choices(
     return _decode(np.array([best_idx]), mm)[0], total, {}
 
 
-def _bnb_choices(
-    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
-) -> tuple[np.ndarray, int, dict[str, float]]:
+def _bnb_choices(kernel: _Kernel) -> tuple[np.ndarray, int, dict[str, float]]:
     if not kernel.separable:
         raise ValueError(
             "branch-and-bound needs separable per-customer effects; "
@@ -222,8 +219,10 @@ def _bnb_choices(
     scored = 1
     # The objective is pi plus a non-negative slack term, so only candidates
     # with pi <= best_f can still win; a stable sort lists them in
-    # (pi, index) order, their order among all candidates.
+    # (pi, index) order, their order among all candidates. The incumbent
+    # is already scored.
     live = np.flatnonzero(pi <= best_f)
+    live = live[live != best_idx]
     order = live[np.argsort(pi[live], kind="stable")]
     for lo in range(0, len(order), _BLOCK):
         block = order[lo:lo + _BLOCK]
@@ -241,13 +240,10 @@ def _bnb_choices(
     return _decode(np.array([best_idx]), mm)[0], total, {"scored": float(scored)}
 
 
-def _local_choices(
-    kernel: _Kernel, extra_starts: Sequence[Sequence[int]], seed: int
-) -> tuple[np.ndarray, int, dict[str, float]]:
+def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
     rng = np.random.default_rng(seed)
     starts = [kernel.initial[kernel.movable].astype(np.int64)]
-    starts.extend(np.asarray(s, dtype=np.int64) for s in extra_starts)
     starts.extend(rng.integers(0, 3, size=mm) for _ in range(_RESTARTS))
 
     best_f = math.inf
@@ -281,24 +277,17 @@ def _local_choices(
     return best, evaluations, {"starts": float(len(starts))}
 
 
-# Strategy name -> search over a kernel's movable customers, given extra
-# starts and a seed that only local search reads, returning the best
-# choices, the candidates scored and strategy statistics.
-_SEARCHES = {
-    "exhaustive": _exhaustive_choices,
-    "branch-and-bound": _bnb_choices,
-    "local": _local_choices,
-}
-
-
 def _verified_search(
     strategy: str,
+    search: Callable[[_Kernel], tuple[np.ndarray, int, dict[str, float]]],
     snapshot: CaseSnapshot,
     method: str,
-    seed: int = _SEED,
 ) -> OptimizationOutcome:
+    """Run search, which maps a kernel to its best movable choices, the
+    candidates scored and strategy statistics, then verify its choice."""
+
     kernel = _make_kernel(snapshot, method)
-    best, candidates, stats = _SEARCHES[strategy](kernel, (), seed)
+    best, candidates, stats = search(kernel)
     kept = _no_worse(snapshot, method, kernel.assignment(best), None)
     return _finish(snapshot, method, strategy, kept, candidates, stats)
 
@@ -307,7 +296,7 @@ def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutc
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
-    return _verified_search("exhaustive", snapshot, method)
+    return _verified_search("exhaustive", _exhaustive_choices, snapshot, method)
 
 
 def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
@@ -325,7 +314,7 @@ def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> Optimizati
     stats["scored"] counts the field-scored candidates, the first
     incumbent included."""
 
-    return _verified_search("branch-and-bound", snapshot, method)
+    return _verified_search("branch-and-bound", _bnb_choices, snapshot, method)
 
 
 def local_search(
@@ -335,11 +324,9 @@ def local_search(
 
     Starts from the initial assignment, then _RESTARTS random restarts
     drawn from seed; each pass scores the whole one-move neighborhood and
-    takes the best strict improvement. Iterated refinement runs the same
-    descent (`_local_choices`) with the previous pass's choice as an extra
-    start."""
+    takes the best strict improvement."""
 
-    return _verified_search("local", snapshot, method, seed)
+    return _verified_search("local", partial(_local_choices, seed=seed), snapshot, method)
 
 
 def _strategy(snapshot: CaseSnapshot, method: str) -> str:
@@ -372,14 +359,13 @@ def fixv_algorithm1(
     if the model at that profile ranks it no worse than the initial
     assignment, and refreshes the profile from the kept assignment's model
     voltages. The cold run makes two passes: the first from the flat
-    root-voltage profile, the second at the first pass's refreshed profile,
-    its local search seeded with the first pass's choice. The warm run
-    makes one pass at the exact power flow of the initial assignment, whose
-    solve then also verifies the initial assignment. Only the final choice
-    is verified against the exact power flow. The search passes' own
-    statistics (the bound-ordered scan's "scored", local search's "starts")
-    are summed into stats, and stats["fell_back_to_initial"] is set when
-    any pass fell back.
+    root-voltage profile, the second at the first pass's refreshed profile.
+    The warm run makes one pass at the exact power flow of the initial
+    assignment, whose solve then also verifies the initial assignment. Only
+    the final choice is verified against the exact power flow. The search
+    passes' own statistics (the bound-ordered scan's "scored", local
+    search's "starts") are summed into stats, and
+    stats["fell_back_to_initial"] is set when any pass fell back.
 
     The outcome's model view is evaluated at the profile the last pass
     searched, i.e. the estimate that actually selected the assignment; the
@@ -395,15 +381,15 @@ def fixv_algorithm1(
     else:
         profile = np.tile(network.v0, (network.n_buses, 1))
 
-    search = _SEARCHES[_strategy(snapshot, "fixv")]
+    local = _strategy(snapshot, "fixv") == "local"
+    search = partial(_local_choices, seed=seed) if local else _bnb_choices
     candidates = 0
     trace: list[Algorithm1Step] = []
-    extra_starts: list[np.ndarray] = []
     search_stats: dict[str, float] = {}
     fell_back = False
     for outer in range(1, 2 if warm else 3):
         kernel = _make_kernel(snapshot, "fixv", profile=profile)
-        best, count, pass_stats = search(kernel, extra_starts, seed)
+        best, count, pass_stats = search(kernel)
         candidates += count
         for key, value in pass_stats.items():
             search_stats[key] = search_stats.get(key, 0.0) + value
@@ -411,7 +397,6 @@ def fixv_algorithm1(
             snapshot, "fixv", kernel.assignment(best), profile
         )
         fell_back = fell_back or pass_fell_back
-        extra_starts = [np.asarray(current.phases, dtype=np.int64)[kernel.movable]]
         decide_profile, profile = profile, np.asarray(model.v)
         delta = float(np.max(np.abs(profile - decide_profile)))
         trace.append(

@@ -1,0 +1,45 @@
+"""tools/diff_sweeps.py: two sweeps' outcome files compared cell by cell."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from phasebal.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "diff_sweeps.py"
+
+
+def diff(old: Path, new: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(old), str(new)], capture_output=True, text=True
+    )
+
+
+def test_sweeps_match_apart_from_runtime_and_an_edit_is_named(tmp_path):
+    for name in ("old", "new"):
+        argv = ["sweep", "--periods", "73:74", "--methods", "lbfm", "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    cell = tmp_path / "new" / "outcome_73_lbfm.json"
+    doc = json.loads(cell.read_text())
+    doc["runtime_s"] += 1.0
+    cell.write_text(json.dumps(doc))
+    same = diff(tmp_path / "old", tmp_path / "new")
+    assert (same.returncode, same.stdout) == (0, "")
+
+    doc["assignment"] = [(p + 1) % 3 for p in doc["assignment"]]
+    cell.write_text(json.dumps(doc))
+    edited = diff(tmp_path / "old", tmp_path / "new")
+    assert edited.returncode == 1
+    assert edited.stdout.splitlines() == ["outcome_73_lbfm.json: assignment"]
+
+
+def test_a_directory_without_outcomes_is_refused(tmp_path):
+    for name in ("old", "empty"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "old" / "outcome_73_lbfm.json").write_text("{}")
+    refused = diff(tmp_path / "old", tmp_path / "empty")
+    assert refused.returncode == 2
+    assert "no outcome files" in refused.stderr

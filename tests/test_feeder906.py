@@ -77,8 +77,8 @@ def test_sweep_decides_every_method(scenario, tmp_path):
 @pytest.mark.slow
 def test_bound_ordered_scan_equals_exhaustive(snapshot):
     kernel = _make_kernel(snapshot, "lbfm")
-    full, full_count, _ = _exhaustive_choices(kernel, (), 0)
-    pruned, pruned_count, stats = _bnb_choices(kernel, (), 0)
+    full, full_count, _ = _exhaustive_choices(kernel)
+    pruned, pruned_count, stats = _bnb_choices(kernel)
     assert np.array_equal(pruned, full)
     assert pruned_count == full_count == 3**kernel.n_movable
     assert stats["scored"] <= pruned_count

@@ -320,6 +320,30 @@ class TestImport:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"Source.csv record {record}: invalid value {text!r}"
 
+    @pytest.mark.parametrize(
+        "table, column, record, text",
+        [("Lines.csv", "Length_m", 4, "-55.0"), ("LineCodes.csv", "R1_ohm_per_km", 3, "-0.125")],
+    )
+    def test_negative_line_quantity_named(self, broken_dir, table, column, record, text):
+        # A negative length or impedance turns a line into a source of voltage rise.
+        def transform(rows):
+            rows[record][rows[0].index(column)] = text
+            return rows
+
+        self._rewrite(broken_dir / table, transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"{table} record {record}: invalid {column} {text!r}"
+
+    def test_zero_line_quantity_accepted(self, broken_dir):
+        def transform(rows):
+            rows[4][rows[0].index("Length_m")] = "0"
+            return rows
+
+        self._rewrite(broken_dir / "Lines.csv", transform)
+        network, _ = import_european_feeder(broken_dir)
+        assert not next(line.z_pu for line in network.lines if line.name == "T4").any()
+
     def test_repeated_load_name_named(self, broken_dir):
         # Two records named LOAD1 would share one shape column and one kW and PF.
         def transform(rows):

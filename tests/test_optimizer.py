@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phasebal import optimizer
 from phasebal.formulations import _SeparableKernel, _decode, _make_kernel, evaluate_fixv
@@ -16,7 +16,6 @@ from phasebal.optimizer import (
     _CHUNK,
     _bnb_choices,
     _exhaustive_choices,
-    _local_choices,
     _model_evaluator,
     branch_and_bound,
     exhaustive,
@@ -106,12 +105,14 @@ class TestBranchAndBound:
         method=st.sampled_from(["fixv", "lbfm"]),
         idle=st.integers(0, 1),
     )
+    # The least-pi candidate carries slack here; the scan once scored it twice.
+    @example(seed=2, switches=1, method="fixv", idle=0)
     def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, idle):
         network = random_radial_network(seed)
         snap = loaded_snapshot(network, seed, switches, idle=idle)
         kernel = _make_kernel(snap, method)
-        full, full_count, _ = _exhaustive_choices(kernel, (), 0)
-        pruned, pruned_count, stats = _bnb_choices(kernel, (), 0)
+        full, full_count, _ = _exhaustive_choices(kernel)
+        pruned, pruned_count, stats = _bnb_choices(kernel)
         assert np.array_equal(pruned, full)
         assert pruned_count == full_count
         assert stats["scored"] <= pruned_count
@@ -157,8 +158,8 @@ class TestBranchAndBound:
         # smallest-index one carries no slack and wins, so the scan stops
         # within the first block.
         kernel = _make_kernel(build_snapshot(network, demands, 73), method)
-        best, count, stats = _bnb_choices(kernel, (), 0)
-        assert np.array_equal(best, _exhaustive_choices(kernel, (), 0)[0])
+        best, count, stats = _bnb_choices(kernel)
+        assert np.array_equal(best, _exhaustive_choices(kernel)[0])
         assert count == 3**kernel.n_movable
         assert stats["scored"] <= _BLOCK + 1
 
@@ -171,8 +172,8 @@ class TestBranchAndBound:
         pi = kernel.spreads()
         first = kernel.score(_decode(np.array([np.argmin(pi)]), kernel.n_movable))
         assert first.objective[0] > pi.min()
-        best, _, stats = _bnb_choices(kernel, (), 0)
-        assert np.array_equal(best, _exhaustive_choices(kernel, (), 0)[0])
+        best, _, stats = _bnb_choices(kernel)
+        assert np.array_equal(best, _exhaustive_choices(kernel)[0])
         assert stats["scored"] > 1
 
     def test_rejects_non_separable_model(self, network, demands):
@@ -188,20 +189,6 @@ class TestLocalSearch:
             out = local_search(snap, method="fixv")
             assert out.strategy == "local"
             assert out.model.objective <= out.initial_model.objective + 1e-12
-
-    def test_optimum_is_a_fixed_point(self, monkeypatch):
-        # Without random restarts only the extra start can reach the optimum:
-        # descent from the initial assignment alone stops at a worse one.
-        monkeypatch.setattr(optimizer, "_RESTARTS", 0)
-        snap = loaded_snapshot(random_radial_network(seed=0), seed=0, switches=8)
-        kernel = _make_kernel(snap, "fixv")
-        best, _, _ = _exhaustive_choices(kernel, (), 0)
-        stuck, _, _ = _local_choices(kernel, (), 0)
-        out, _, stats = _local_choices(kernel, [best], 0)
-        objective = kernel.score(np.stack([stuck, best])).objective
-        assert objective[0] > objective[1] + 1e-3
-        assert np.array_equal(out, best)
-        assert stats["starts"] == 2.0  # the initial assignment and the extra start
 
     def test_seeded_restarts_are_reproducible(self, network, demands):
         snap = build_snapshot(network, demands, 40)
@@ -246,12 +233,12 @@ class TestIteratedRefinement:
     def test_records_a_pass_that_fell_back(self, warm, monkeypatch):
         # Every pass's search returns the candidate its kernel ranks worst,
         # which the scalar check refuses for the initial assignment.
-        def worst_choices(kernel, extra_starts, seed):
+        def worst_choices(kernel):
             choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
             worst = int(np.argmax(kernel.score(choices).objective))
             return choices[worst], len(choices), {}
 
-        monkeypatch.setitem(optimizer._SEARCHES, "branch-and-bound", worst_choices)
+        monkeypatch.setattr(optimizer, "_bnb_choices", worst_choices)
         snap = tiny_snapshot()
         initial = PhaseAssignment.initial(snap.network).phases
         out = fixv_algorithm1(snap, warm=warm)
@@ -274,13 +261,12 @@ class TestIteratedRefinement:
         assert a.model.objective == b.model.objective
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("warm, starts, passes", [(False, 9.0, 2), (True, 4.0, 1)])
+    @pytest.mark.parametrize("warm, starts, passes", [(False, 8.0, 2), (True, 4.0, 1)])
     def test_local_search_beyond_the_enumeration_budget(
         self, network, demands, warm, starts, passes
     ):
-        # 3^13 candidates exceed the budget, so every pass runs local search:
-        # the initial assignment and three restarts, and in the cold run's
-        # second pass the first pass's choice as well.
+        # 3^13 candidates exceed the budget, so every pass runs local search
+        # from the initial assignment and three restarts.
         snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
         assert len(snap.adjustable_idx) == 13
         out = fixv_algorithm1(snap, warm=warm)
