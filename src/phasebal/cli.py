@@ -37,8 +37,8 @@ from .netmodel import (
     load_bundled_feeder,
 )
 from .optimizer import (
+    _MODELS,
     OptimizationOutcome,
-    _model_evaluator,
     _search_once,
     fixv_algorithm1,
     optimize_pv_q,
@@ -145,14 +145,13 @@ def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
     """The cell's decision; the initial cell keeps the initial assignment, whose
     one exact solve stands for all four of its views."""
 
-    seed = _cell_seed(spec.period)
     if spec.method == "initial":
         initial = PhaseAssignment.initial(snapshot.network)
         exact = evaluate_exact(snapshot, initial)
         return OptimizationOutcome("utpf", "none", initial, exact, exact, exact, exact, 1)
     if spec.method in ("fixv-mc", "fixv-mw"):
-        return fixv_algorithm1(snapshot, warm=spec.method == "fixv-mw", seed=seed)
-    return _search_once(snapshot, spec.method, seed)
+        return fixv_algorithm1(snapshot, warm=spec.method == "fixv-mw")
+    return _search_once(snapshot, spec.method, _cell_seed(spec.period))
 
 
 def _eval_view(result: EvaluationResult) -> dict[str, object]:
@@ -185,9 +184,8 @@ def _verified_view(result: EvaluationResult) -> dict[str, object]:
 def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, EvaluationResult, dict[str, object]]:
     """Tune PV reactive power after the phase decision, under the same model."""
 
-    # The fixed-voltage model freezes currents at the verified voltages.
-    profile = np.asarray(outcome.verified.v) if outcome.method == "fixv" else None
-    q, final, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, profile=profile)
+    # Only fixv reads the profile: it freezes currents at the verified voltages.
+    q, final, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, outcome.verified.v)
     block = {
         "f_before": float(stats["f_start"]),
         "f_after": float(final.objective),
@@ -565,7 +563,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     snapshot = _load_period(args)
     initial = PhaseAssignment.initial(snapshot.network)
-    result = _model_evaluator(args.method)(snapshot, initial, None)
+    result = _MODELS[args.method].evaluate(snapshot, initial, None, None)
     view = {**_eval_view(result), "vm": np.asarray(result.vm, dtype=float).tolist()}
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evaluation_{args.period}_{args.method}.json"
@@ -663,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="one formulation's view of one period")
     _add_scenario_arg(p_eval)
     p_eval.add_argument("--period", type=int, required=True)
-    p_eval.add_argument("--method", choices=("utpf", "fixv", "linv", "lbfm"), required=True)
+    p_eval.add_argument("--method", choices=tuple(_MODELS), required=True)
     p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=_cmd_evaluate, usage_error=p_eval.error)
 
@@ -693,7 +691,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=SweepConfig.parallelism,
         help="most worker processes; capped at the CPU count and the number of cells",
     )
-    p_sweep.add_argument("--seed", type=int, default=SweepConfig.seed)
+    seed_help = "seeds linv's local-search restarts; the exact scans of fixv and lbfm do not read it"
+    p_sweep.add_argument("--seed", type=int, default=SweepConfig.seed, help=seed_help)
     p_sweep.set_defaults(func=_cmd_sweep, usage_error=p_sweep.error)
 
     p_verify = sub.add_parser("verify", help="regenerate reports from stored outcomes")

@@ -16,18 +16,19 @@ transformer-current limits. What differs is the voltage model:
 All evaluators return the same result shape, so search code can score
 assignments under any model and verify winners against the exact power
 flow. The private batch kernels score many assignments at once and are the
-workhorses behind enumeration and local search; `_make_kernel` is the one
-lookup from a model name to its kernel class, whose `separable` attribute
-tells search code whether the model's customer effects add up. For PV
-reactive-power tuning, `_line_scorer` prices a batch of values of one
-customer's reactive adjustment, objectives only, through the same field
-equations the scalar evaluator runs (`_fixv_fields`, `_linv_solve`,
-`_lbfm_fields`), called once per coordinate: every model's fields are
-affine along it, in the customer's load for fixv and lbfm and in the
-customer's own current for linv. For any batch of model states, a single
-state included, `_slack_terms` computes the limit slacks and `_score` the
-objective, so the scalar evaluators, the kernels and the line scorers
-price a state the same way.
+workhorses behind enumeration and local search; a kernel class's
+`separable` attribute tells search code whether the model's customer
+effects add up. For PV reactive-power tuning, a line builder (`_fixv_line`,
+`_linv_line`, `_lbfm_line`) prices a batch of values of one customer's
+reactive adjustment, objectives only, through the same field equations the
+scalar evaluator runs (`_fixv_fields`, `_linv_solve`, `_lbfm_fields`),
+called once per coordinate: every model's fields are affine along it, in
+the customer's load for fixv and lbfm and in the customer's own current for
+linv. For any batch of model states, a single state included,
+`_slack_terms` computes the limit slacks and `_score` the objective, so the
+scalar evaluators, the kernels and the line builders price a state the same
+way. `optimizer._MODELS` is the one lookup from a model name to its
+evaluator, kernel class and line builder.
 """
 
 from __future__ import annotations
@@ -459,12 +460,14 @@ def evaluate_linv(
 
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
 # customer c's reactive adjustment, every other customer held at q, to the
-# model's objectives there.
+# model's objectives there: the scalar evaluator's, to rounding. A t outside
+# c's band raises ValueError, as the scalar evaluators do. A line builder
+# makes one from a snapshot, an assignment's phases and a profile.
 _Line = Callable[[np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
 
 
-def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray) -> _Line:
-    """`_line_scorer` for linv, closed in customer c's own current i_c.
+def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray | None) -> _Line:
+    """The line scorer of linv, closed in customer c's own current i_c; no profile.
 
     With every other customer's load held, the fixed-point map is affine in
     i_c, and so are its fixed point's bus voltages and transformer currents:
@@ -575,7 +578,7 @@ def _affine_line(
     measures: Callable[..., tuple[np.ndarray, ...]],
     squared: bool = False,
 ) -> _Line:
-    """`_line_scorer` for a model whose fields are affine in each customer's load.
+    """The line scorer of a model whose fields are affine in each customer's load.
 
     fields maps (..., customers) loads to the model's field arrays, and
     measures maps those to what `_price` reads. Per coordinate, the fields
@@ -602,32 +605,19 @@ def _affine_line(
     return line
 
 
-def _line_scorer(
-    snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
-    method: str,
-    profile: np.ndarray | None = None,
-) -> _Line:
-    """The line scorer of method's model for one assignment (see `_Line`).
+def _fixv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray | None) -> _Line:
+    """The line scorer of fixv at profile, flat at the root when omitted."""
 
-    Its objectives are the scalar evaluator's, through the same field
-    equations and `_price`, to rounding; a t outside customer c's band
-    raises ValueError, as the scalar evaluators do. Only fixv reads profile.
-    """
-
-    check_assignment(snapshot, assignment)
     network = snapshot.network
-    phases = np.asarray(assignment.phases, dtype=int)
-    if method == "fixv":
-        profile = _fixv_profile(network, profile)
-        fields = partial(_fixv_fields, network, phases, profile=profile)
-        return _affine_line(snapshot, fields, _phasor_measures)
-    if method == "lbfm":
-        fields = partial(_lbfm_fields, network, phases)
-        return _affine_line(snapshot, fields, _lbfm_measures, squared=True)
-    if method == "linv":
-        return _linv_line(snapshot, phases)
-    raise ValueError(f"unknown formulation {method!r}")
+    fields = partial(_fixv_fields, network, phases, profile=_fixv_profile(network, profile))
+    return _affine_line(snapshot, fields, _phasor_measures)
+
+
+def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray | None) -> _Line:
+    """The line scorer of lbfm, which has no voltage profile to read."""
+
+    fields = partial(_lbfm_fields, snapshot.network, phases)
+    return _affine_line(snapshot, fields, _lbfm_measures, squared=True)
 
 
 # ---------------------------------------------------------------------------
@@ -868,17 +858,3 @@ class _LinvKernel(_Kernel):
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
         v, i_dt = _linv_solve(self.network, self.s, phases)
         return _price(self.network.i_dt_max, *_phasor_measures(self.network, v, i_dt, linearized=True))
-
-
-# The one lookup from a model name to its batch kernel.
-_KERNELS = {kernel.method: kernel for kernel in (_FixvKernel, _LbfmKernel, _LinvKernel)}
-
-
-def _make_kernel(
-    snapshot: CaseSnapshot, method: str, profile: np.ndarray | None = None
-) -> _Kernel:
-    """Build method's kernel; only fixv reads profile."""
-
-    if method not in _KERNELS:
-        raise ValueError(f"unknown formulation {method!r}")
-    return _KERNELS[method](snapshot, profile=profile)

@@ -198,10 +198,6 @@ class CaseSnapshot:
     def s_pu(self) -> np.ndarray:
         return self.p_pu + 1j * self.q_pu
 
-    @property
-    def n_adjustable(self) -> int:
-        return len(self.adjustable_idx)
-
 
 def _read_csv(path: Path) -> list[dict[str, str]]:
     if not path.exists():
@@ -242,6 +238,13 @@ def _finite(text: str) -> float:
 
 def _positive(text: str) -> float:
     value = _finite(text)
+    if value <= 0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
     if value <= 0:
         raise ValueError(f"{text!r} is not positive")
     return value
@@ -330,10 +333,14 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     if missing:
         raise FeederFormatError(f"LoadShapes.csv: missing shape columns for {missing}")
     mult = np.column_stack([_column("LoadShapes.csv", shape_rows, n, float) for n in names])
+    # Only a column holding a non-finite sample is re-read through _finite, which names
+    # the record: _finite on every sample made the bundled feeder's conversion 70% slower.
+    for name in np.asarray(names)[~np.isfinite(mult).all(axis=0)]:
+        _column("LoadShapes.csv", shape_rows, name, _finite)
     p_w = mult * np.array(kws) * 1e3
     q_var = p_w * np.array([math.tan(math.acos(pf)) for pf in pfs])
     first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
-    minutes = _column("LoadShapes.csv", [first], "minutes", int)[0]
+    minutes = _column("LoadShapes.csv", [first], "minutes", _positive_int)[0]
 
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(

@@ -11,18 +11,17 @@ discrete problem at a frozen voltage profile and refreshes the profile from
 its choice: two search passes from the flat profile (cold), or one at the
 exact profile of the initial assignment (warm). A cyclic coordinate descent
 tunes continuous reactive adjustments after the discrete search. The descent
-prices each coordinate's points in batches through the model's line scorer
-(`formulations._line_scorer`), objectives only: the coarse scan in one call,
-the first golden pair in another, and the golden steps _AHEAD at a time,
-each call pricing every point those steps can reach. The scalar evaluator
-runs only at the start and the end; an end the scalar model ranks above the
-start is dropped for the start.
+prices each coordinate's points in batches through the model's line scorer,
+objectives only: the coarse scan in one call, the first golden pair in
+another, and the golden steps _AHEAD at a time, each call pricing every
+point those steps can reach. The scalar evaluator runs only at the start and
+the end; an end it ranks above the start is dropped for the start.
 
-`_model_evaluator` is the one lookup from a model name to its scalar
-evaluator, and `_strategy` holds the one search policy, which no caller
-overrides: branch-and-bound for separable models within the enumeration
-budget of 3**12 candidates, local search otherwise. Every search keeps a
-choice only if the scalar model ranks it no worse than the initial
+`_MODELS` is the one lookup from a model name to its scalar evaluator,
+batch kernel class and PV-Q line builder. The search follows from the
+kernel: the bound-ordered scan for a separable one (fixv, lbfm), within the
+enumeration budget of 3**12 candidates, local search for linv. Every search
+keeps a choice only if the scalar model ranks it no worse than the initial
 assignment, then verifies the outcome once: one exact power flow for the
 chosen and one for the initial assignment (shared when they coincide),
 carried in the outcome for reporting. The passes of the iterated
@@ -39,12 +38,16 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .formulations import (
-    _KERNELS,
     EvaluationResult,
     _decode,
+    _FixvKernel,
+    _fixv_line,
     _Kernel,
-    _line_scorer,
-    _make_kernel,
+    _LbfmKernel,
+    _lbfm_line,
+    _Line,
+    _LinvKernel,
+    _linv_line,
     evaluate_exact,
     evaluate_fixv,
     evaluate_lbfm,
@@ -97,20 +100,40 @@ class OptimizationOutcome:
     stats: Mapping[str, float] = field(default_factory=dict)
 
 
-def _model_evaluator(
-    method: str, profile: np.ndarray | None = None
-) -> Callable[[CaseSnapshot, PhaseAssignment, np.ndarray | None], EvaluationResult]:
-    """The one lookup from a model name to its scalar evaluator."""
+@dataclass(frozen=True)
+class _Model:
+    """One formulation: its scalar evaluator, batch kernel class and PV-Q
+    line builder; the exact power flow (utpf) has neither of the last two.
 
-    if method == "fixv":
-        return lambda snap, asg, q: evaluate_fixv(snap, asg, profile=profile, q_adjust=q)
-    if method == "linv":
-        return lambda snap, asg, q: evaluate_linv(snap, asg, q_adjust=q)
-    if method == "lbfm":
-        return lambda snap, asg, q: evaluate_lbfm(snap, asg, q_adjust=q)
-    if method == "utpf":
-        return lambda snap, asg, q: evaluate_exact(snap, asg, q_adjust=q)
-    raise ValueError(f"unknown formulation {method!r}")
+    evaluate(snapshot, assignment, q_adjust, profile) calls the evaluator by
+    its module-level name, so a wrapper put there (bench/tracer.py) sees
+    every call. Only fixv reads profile, in all three parts.
+    """
+
+    evaluate: Callable[..., EvaluationResult]
+    kernel: type[_Kernel] | None
+    line: Callable[[CaseSnapshot, np.ndarray, np.ndarray | None], _Line] | None
+
+
+_MODELS = {
+    "utpf": _Model(lambda s, a, q, v: evaluate_exact(s, a, q_adjust=q), None, None),
+    "fixv": _Model(
+        lambda s, a, q, v: evaluate_fixv(s, a, profile=v, q_adjust=q), _FixvKernel, _fixv_line
+    ),
+    "linv": _Model(lambda s, a, q, v: evaluate_linv(s, a, q_adjust=q), _LinvKernel, _linv_line),
+    "lbfm": _Model(lambda s, a, q, v: evaluate_lbfm(s, a, q_adjust=q), _LbfmKernel, _lbfm_line),
+}
+
+
+def _model(method: str, part: str = "evaluate") -> _Model:
+    """method's `_MODELS` entry, which must have the part the caller reads."""
+
+    model = _MODELS.get(method)
+    if model is None:
+        raise ValueError(f"unknown formulation {method!r}")
+    if getattr(model, part) is None:
+        raise ValueError(f"formulation {method!r} has no {part}; it only verifies")
+    return model
 
 
 def _no_worse(
@@ -125,10 +148,10 @@ def _no_worse(
     model view and whether the choice fell back to the initial assignment.
     """
 
-    evaluator = _model_evaluator(method, profile)
+    evaluate = _model(method).evaluate
     initial = PhaseAssignment.initial(snapshot.network)
-    model = evaluator(snapshot, chosen, None)
-    initial_model = evaluator(snapshot, initial, None)
+    model = evaluate(snapshot, chosen, None, profile)
+    initial_model = evaluate(snapshot, initial, None, profile)
     if model.objective > initial_model.objective:
         return initial, initial_model, initial_model, True
     return chosen, model, initial_model, False
@@ -286,7 +309,7 @@ def _verified_search(
     """Run search, which maps a kernel to its best movable choices, the
     candidates scored and strategy statistics, then verify its choice."""
 
-    kernel = _make_kernel(snapshot, method)
+    kernel = _model(method, "kernel").kernel(snapshot)
     best, candidates, stats = search(kernel)
     kept = _no_worse(snapshot, method, kernel.assignment(best), None)
     return _finish(snapshot, method, strategy, kept, candidates, stats)
@@ -320,7 +343,8 @@ def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> Optimizati
 def local_search(
     snapshot: CaseSnapshot, method: str = "fixv", seed: int = _SEED
 ) -> OptimizationOutcome:
-    """Best-improvement descent over single-customer moves.
+    """Best-improvement descent over single-customer moves; the sweep's
+    search for linv, whose kernel is not separable.
 
     Starts from the initial assignment, then _RESTARTS random restarts
     drawn from seed; each pass scores the whole one-move neighborhood and
@@ -329,29 +353,20 @@ def local_search(
     return _verified_search("local", partial(_local_choices, seed=seed), snapshot, method)
 
 
-def _strategy(snapshot: CaseSnapshot, method: str) -> str:
-    """The one search policy: the bound-ordered exact scan for a separable
-    model whose candidates fit the enumeration budget, local search otherwise."""
-
-    small = 3**snapshot.n_adjustable <= _ENUMERATION_BUDGET
-    return "branch-and-bound" if _KERNELS[method].separable and small else "local"
-
-
 def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> OptimizationOutcome:
-    """One verified search under method's model with the strategy `_strategy` picks.
+    """One verified search under method's model: the bound-ordered scan
+    when its kernel is separable, local search from seed otherwise.
 
     The public search functions are looked up by name when this runs, so
     the benchmark's traced run (bench/run.py) still sees every search.
     """
 
-    if _strategy(snapshot, method) == "local":
-        return local_search(snapshot, method, seed=seed)
-    return branch_and_bound(snapshot, method)
+    if _model(method, "kernel").kernel.separable:
+        return branch_and_bound(snapshot, method)
+    return local_search(snapshot, method, seed=seed)
 
 
-def fixv_algorithm1(
-    snapshot: CaseSnapshot, warm: bool = False, seed: int = _SEED
-) -> OptimizationOutcome:
+def fixv_algorithm1(snapshot: CaseSnapshot, warm: bool = False) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
 
     A search pass solves the discrete assignment problem with customer
@@ -362,16 +377,15 @@ def fixv_algorithm1(
     root-voltage profile, the second at the first pass's refreshed profile.
     The warm run makes one pass at the exact power flow of the initial
     assignment, whose solve then also verifies the initial assignment. Only
-    the final choice is verified against the exact power flow. The search
-    passes' own statistics (the bound-ordered scan's "scored", local
-    search's "starts") are summed into stats, and
+    the final choice is verified against the exact power flow. Each pass is
+    the bound-ordered scan, which raises ValueError beyond the enumeration
+    budget; the passes' "scored" counts are summed into stats, and
     stats["fell_back_to_initial"] is set when any pass fell back.
 
     The outcome's model view is evaluated at the profile the last pass
     searched, i.e. the estimate that actually selected the assignment; the
     trace records each pass's choice and how far it moved the profile, and
-    stats["delta_v"] is the last pass's movement. seed draws local search's
-    random restarts."""
+    stats["delta_v"] is the last pass's movement."""
 
     network = snapshot.network
     base = None
@@ -381,15 +395,13 @@ def fixv_algorithm1(
     else:
         profile = np.tile(network.v0, (network.n_buses, 1))
 
-    local = _strategy(snapshot, "fixv") == "local"
-    search = partial(_local_choices, seed=seed) if local else _bnb_choices
     candidates = 0
     trace: list[Algorithm1Step] = []
     search_stats: dict[str, float] = {}
     fell_back = False
     for outer in range(1, 2 if warm else 3):
-        kernel = _make_kernel(snapshot, "fixv", profile=profile)
-        best, count, pass_stats = search(kernel)
+        kernel = _FixvKernel(snapshot, profile=profile)
+        best, count, pass_stats = _bnb_choices(kernel)
         candidates += count
         for key, value in pass_stats.items():
             search_stats[key] = search_stats.get(key, 0.0) + value
@@ -515,7 +527,7 @@ def optimize_pv_q(
     non-degenerate reactive band are visited in ascending position; each
     coordinate is minimized over its band by a coarse scan plus
     golden-section refinement under the chosen model. The points of a
-    coordinate are priced by the model's line scorer (`_line_scorer`),
+    coordinate are priced by the model's line scorer (its `_MODELS` line),
     which returns objectives only, in a few batched calls per coordinate
     (see `_minimize_1d`); the scalar evaluator prices only the start and
     the final state. Rounds stop once a full sweep improves by less than
@@ -527,8 +539,7 @@ def optimize_pv_q(
     through, not the points priced ahead of the golden steps and never
     reached."""
 
-    evaluator = _model_evaluator(method, profile)
-    line = _line_scorer(snapshot, assignment, method, profile)
+    model = _model(method, "line")
     q = np.zeros(snapshot.network.n_customers)
     free = [
         int(c)
@@ -536,7 +547,8 @@ def optimize_pv_q(
         if snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c] > 0.0
     ]
     start_q = q.copy()
-    start = evaluator(snapshot, assignment, q)
+    start = model.evaluate(snapshot, assignment, q, profile)
+    line = model.line(snapshot, np.asarray(assignment.phases, dtype=int), profile)
     f_cur = start.objective
     total_evals = 1
     rounds = 0
@@ -554,7 +566,7 @@ def optimize_pv_q(
                 f_cur = f_best
         if f_round - f_cur < _SWEEP_TOL:
             break
-    final = evaluator(snapshot, assignment, q)
+    final = model.evaluate(snapshot, assignment, q, profile)
     if final.objective > start.objective:
         q, final = start_q, start
     stats = {"evaluations": float(total_evals), "rounds": float(rounds), "f_start": start.objective}

@@ -12,12 +12,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+from functools import partial
 from pathlib import Path
 
-from phasebal import cli, powerflow
-from phasebal.netmodel import DemandSeries, Network
+from phasebal import cli, optimizer, powerflow
+from phasebal.netmodel import DemandSeries, Network, build_snapshot
 from phasebal.optimizer import OptimizationOutcome
-from phasebal.powerflow import PFSolution
+from phasebal.powerflow import PFSolution, PhaseAssignment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("cli", "formulations", "netmodel", "optimizer", "powerflow")
@@ -122,3 +123,40 @@ def test_setup_unpacks_the_scenario_into_network_and_demands():
     network, demands = cli.load_scenario("bundled")
     assert isinstance(network, Network) and isinstance(demands, DemandSeries)
     assert powerflow.feeder_geometry(network).cust_bus.shape == (network.n_customers,)
+
+
+def test_the_model_table_calls_the_evaluators_the_tracer_wraps(monkeypatch):
+    # The tracer counts evaluator calls (formulations.eval_calls.*) through
+    # wrappers it puts on optimizer's module-level names. A model table that
+    # bound the evaluators at import would bypass them and read zero.
+    names = [attr for attr in trace_targets()["optimizer"] if attr.startswith("evaluate_")]
+    assert sorted(names) == ["evaluate_exact", "evaluate_fixv", "evaluate_lbfm", "evaluate_linv"]
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(optimizer, name, counting(name, getattr(optimizer, name)))
+
+    network, demands = cli.load_scenario("bundled")
+    snap = build_snapshot(network, demands, 73, pv_q_control=True)
+    asg = PhaseAssignment.initial(network)
+    runs = [
+        (partial(optimizer.fixv_algorithm1, snap), "evaluate_fixv"),
+        (partial(optimizer.fixv_algorithm1, snap, warm=True), "evaluate_fixv"),
+        (partial(optimizer._search_once, snap, "linv", 7), "evaluate_linv"),
+        (partial(optimizer._search_once, snap, "lbfm", 7), "evaluate_lbfm"),
+        (partial(optimizer._MODELS["utpf"].evaluate, snap, asg, None, None), "evaluate_exact"),
+        *(
+            (partial(optimizer.optimize_pv_q, snap, asg, method), f"evaluate_{method}")
+            for method in ("fixv", "linv", "lbfm")
+        ),
+    ]
+    for k, (run, name) in enumerate(runs):
+        before = counts[name]
+        run()
+        assert counts[name] > before, f"run {k} made no {name} call"

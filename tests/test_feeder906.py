@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from phasebal.cli import SweepConfig, load_scenario, run_sweep
-from phasebal.formulations import _make_kernel, evaluate_fixv, evaluate_lbfm, evaluate_linv
+from phasebal.formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import build_snapshot, bundled_feeder_dir
-from phasebal.optimizer import _bnb_choices, _exhaustive_choices
+from phasebal.optimizer import _MODELS, _bnb_choices, _exhaustive_choices
 from phasebal.powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
 from test_powerflow import current_imbalance, ohm_gap
@@ -56,7 +56,7 @@ def test_exact_state(snapshot):
     [("fixv", evaluate_fixv), ("lbfm", evaluate_lbfm), ("linv", evaluate_linv)],
 )
 def test_batch_matches_scalar(snapshot, method, evaluate):
-    kernel = _make_kernel(snapshot, method)
+    kernel = _MODELS[method].kernel(snapshot)
     choices = np.random.default_rng(906).integers(0, 3, size=(32, kernel.n_movable))
     batch = kernel.score(choices)
     tol = 1e-10 if method == "linv" else 1e-9
@@ -76,7 +76,7 @@ def test_sweep_decides_every_method(scenario, tmp_path):
 
 @pytest.mark.slow
 def test_bound_ordered_scan_equals_exhaustive(snapshot):
-    kernel = _make_kernel(snapshot, "lbfm")
+    kernel = _MODELS["lbfm"].kernel(snapshot)
     full, full_count, _ = _exhaustive_choices(kernel)
     pruned, pruned_count, stats = _bnb_choices(kernel)
     assert np.array_equal(pruned, full)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from phasebal.formulations import (
     FormulationError,
     _SeparableKernel,
     _decode,
-    _line_scorer,
-    _make_kernel,
     _radix,
     _score,
     _slack_terms,
@@ -26,7 +25,14 @@ from phasebal.formulations import (
     fit_inverse_voltage,
 )
 from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, build_snapshot
-from phasebal.optimizer import _model_evaluator
+from phasebal.optimizer import (
+    _MODELS,
+    _search_once,
+    branch_and_bound,
+    exhaustive,
+    local_search,
+    optimize_pv_q,
+)
 from phasebal.powerflow import PhaseAssignment, _customer_meet, feeder_geometry, solve_utpf
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
@@ -283,7 +289,7 @@ class TestLinearizedInverseModel:
         snap = build_snapshot(network, demands, period)
         rng = np.random.default_rng(period)
         phases = np.array([c.initial_phase for c in network.customers])
-        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=snap.n_adjustable)
+        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=len(snap.adjustable_idx))
         asg = PhaseAssignment(tuple(int(p) for p in phases))
         out = evaluate_linv(snap, asg)
         assert self._equation_residual(snap, asg, out) <= 1e-12
@@ -370,7 +376,7 @@ class TestLineScorer:
         tol = 1e-12
         rng = np.random.default_rng(seed)
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
-        line = _line_scorer(snap, asg, method, profile)
+        line = _MODELS[method].line(snap, np.asarray(asg.phases), profile)
         free = np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)
         assert len(free) > 0
         for c in free:
@@ -391,7 +397,7 @@ class TestLineScorer:
         snap = build_snapshot(network, demands, period, pv_q_control=True)
         rng = np.random.default_rng(period)
         phases = np.array([c.initial_phase for c in network.customers])
-        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=snap.n_adjustable)
+        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=len(snap.adjustable_idx))
         asg = PhaseAssignment(tuple(int(p) for p in phases))
         self._assert_matches_scalar(snap, asg, method, seed=period)
         if method == "fixv":
@@ -413,17 +419,21 @@ class TestLineScorer:
     def test_point_outside_the_band_rejected(self, network, demands, method):
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
         c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
-        g = _line_scorer(snap, PhaseAssignment.initial(network), method)(
-            np.zeros(network.n_customers), c
-        )
+        phases = np.asarray(PhaseAssignment.initial(network).phases)
+        g = _MODELS[method].line(snap, phases, None)(np.zeros(network.n_customers), c)
         for t in (snap.q_lo_pu[c] - 1e-9, snap.q_hi_pu[c] + 1e-9):
             with pytest.raises(ValueError, match="reactive bounds"):
                 g(np.array([0.0, t]))
 
     def test_unknown_method_rejected(self, network, demands):
-        snap = build_snapshot(network, demands, 73)
-        with pytest.raises(ValueError, match="unknown formulation"):
-            _line_scorer(snap, PhaseAssignment.initial(network), "utpf")
+        # A name outside the table is unknown; the exact power flow (utpf)
+        # verifies but has no line.
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
+        asg = PhaseAssignment.initial(network)
+        with pytest.raises(ValueError, match="unknown formulation 'newton'"):
+            optimize_pv_q(snap, asg, "newton")
+        with pytest.raises(ValueError, match="formulation 'utpf' has no line"):
+            optimize_pv_q(snap, asg, "utpf")
 
 
 def unmerged_score(kernel, s_on, effects, no_load, choices):
@@ -484,7 +494,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("method", ["fixv", "lbfm", "linv"])
     def test_batch_matches_scalar(self, network, demands, method, period):
         snap = build_snapshot(network, demands, period)
-        kernel = _make_kernel(snap, method)
+        kernel = _MODELS[method].kernel(snap)
         rng = np.random.default_rng(20240817 + period)
         choices = self._random_choices(rng, kernel, 25)
         batch = kernel.score(choices)
@@ -509,19 +519,19 @@ class TestBatchKernels:
         profile = None
         if method == "fixv" and exact_profile:
             profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
-        kernel = _make_kernel(snap, method, profile=profile)
+        model = _MODELS[method]
+        kernel = model.kernel(snap, profile=profile)
         choices = self._random_choices(rng, kernel, 12)
         batch = kernel.score(choices)
-        scalar = _model_evaluator(method, profile)
         tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch.objective, kernel.full_phases(choices)):
-            one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)), None)
+            one = model.evaluate(snap, PhaseAssignment(tuple(int(p) for p in full)), None, profile)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
     def test_fixv_kernel_accepts_profile(self, network, demands):
         snap = build_snapshot(network, demands, 40)
         sol = solve_utpf(snap, PhaseAssignment.initial(network))
-        kernel = _make_kernel(snap, "fixv", profile=sol.v)
+        kernel = _MODELS["fixv"].kernel(snap, profile=sol.v)
         rng = np.random.default_rng(7)
         choices = self._random_choices(rng, kernel, 10)
         batch = kernel.score(choices)
@@ -533,7 +543,7 @@ class TestBatchKernels:
 
     def test_full_phases_only_moves_switch_customers(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        kernel = _make_kernel(snap, "lbfm")
+        kernel = _MODELS["lbfm"].kernel(snap)
         initial = np.array([c.initial_phase for c in network.customers])
         full = kernel.full_phases(np.zeros((1, kernel.n_movable), dtype=int))[0]
         fixed = np.setdiff1d(np.arange(network.n_customers), kernel.movable)
@@ -566,7 +576,7 @@ class TestBatchKernels:
             tabulate(self, s_on, effects, no_load)
 
         monkeypatch.setattr(_SeparableKernel, "_tabulate", recording_tabulate)
-        kernel = _make_kernel(snap, method)
+        kernel = _MODELS[method].kernel(snap)
         col_rep = feeder_geometry(network).col_rep
         assert len(np.unique(col_rep[kernel.cap_idx])) < len(kernel.cap_idx)
 
@@ -578,6 +588,13 @@ class TestBatchKernels:
         assert batch.pi.tobytes() == pi.tobytes()
 
     def test_unknown_method_rejected(self, network, demands):
+        # A name outside the table is unknown; the exact power flow (utpf)
+        # verifies but has no kernel to search with. (test_optimizer's
+        # TestBranchAndBound checks that the scan refuses linv, whose kernel
+        # is not separable.)
         snap = build_snapshot(network, demands, 40)
-        with pytest.raises(ValueError, match="unknown formulation"):
-            _make_kernel(snap, "newton")
+        for search in (exhaustive, branch_and_bound, local_search, partial(_search_once, seed=7)):
+            with pytest.raises(ValueError, match="unknown formulation 'newton'"):
+                search(snap, method="newton")
+            with pytest.raises(ValueError, match="formulation 'utpf' has no kernel"):
+                search(snap, method="utpf")

@@ -295,6 +295,7 @@ class TestImport:
             ("LineCodes.csv", "X0_ohm_per_km", 2, "inf"),
             ("Lines.csv", "Length_m", 3, "nan"),
             ("Loads.csv", "kW", 5, "-inf"),
+            ("LoadShapes.csv", "LOAD1", 3, "nan"),
         ],
     )
     def test_non_finite_value_named(self, broken_dir, table, column, record, text):
@@ -306,6 +307,18 @@ class TestImport:
         with pytest.raises(FeederFormatError) as info:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"{table} record {record}: invalid {column} {text!r}"
+
+    @pytest.mark.parametrize("text", ["0", "-15"])
+    def test_non_positive_minutes_named(self, broken_dir, text):
+        # The resolution is read from the first record only.
+        def transform(rows):
+            rows[1][rows[0].index("minutes")] = text
+            return rows
+
+        self._rewrite(broken_dir / "LoadShapes.csv", transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"LoadShapes.csv record 1: invalid minutes {text!r}"
 
     @pytest.mark.parametrize("quantity, record, text", [("pu", 2, "0"), ("dt_kva", 4, "-200")])
     def test_non_positive_source_quantity_named(self, broken_dir, quantity, record, text):
@@ -477,7 +490,7 @@ class TestSnapshot:
         assert np.allclose(on.q_lo_pu[hosts], -band)
         others = [k for k in range(network.n_customers) if k not in hosts]
         assert np.all(on.q_lo_pu[others] == 0.0) and np.all(on.q_hi_pu[others] == 0.0)
-        assert on.n_adjustable == 10
+        assert len(on.adjustable_idx) == 10
 
     def test_adjustable_positions_map_switch_ids(self, network, demands):
         snap = build_snapshot(network, demands, 0)

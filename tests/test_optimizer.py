@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phasebal import optimizer
-from phasebal.formulations import _SeparableKernel, _decode, _make_kernel, evaluate_fixv
+from phasebal.formulations import _SeparableKernel, _decode, evaluate_fixv
 from phasebal.netmodel import SWITCH_CUSTOMERS, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
     _CHUNK,
+    _MODELS,
     _bnb_choices,
     _exhaustive_choices,
-    _model_evaluator,
+    _search_once,
     branch_and_bound,
     exhaustive,
     fixv_algorithm1,
@@ -110,7 +111,7 @@ class TestBranchAndBound:
     def test_equals_exhaustive_on_random_feeders(self, seed, switches, method, idle):
         network = random_radial_network(seed)
         snap = loaded_snapshot(network, seed, switches, idle=idle)
-        kernel = _make_kernel(snap, method)
+        kernel = _MODELS[method].kernel(snap)
         full, full_count, _ = _exhaustive_choices(kernel)
         pruned, pruned_count, stats = _bnb_choices(kernel)
         assert np.array_equal(pruned, full)
@@ -136,7 +137,7 @@ class TestBranchAndBound:
         profile = None
         if model == "fixv-exact":
             profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
-        kernel = _make_kernel(snap, model[:4], profile=profile)
+        kernel = _MODELS[model[:4]].kernel(snap, profile=profile)
         mm = kernel.n_movable
         total = 3**mm
         chunks = [
@@ -157,7 +158,7 @@ class TestBranchAndBound:
         # Thousands of candidates tie at the least pi at period 73; the
         # smallest-index one carries no slack and wins, so the scan stops
         # within the first block.
-        kernel = _make_kernel(build_snapshot(network, demands, 73), method)
+        kernel = _MODELS[method].kernel(build_snapshot(network, demands, 73))
         best, count, stats = _bnb_choices(kernel)
         assert np.array_equal(best, _exhaustive_choices(kernel)[0])
         assert count == 3**kernel.n_movable
@@ -168,7 +169,7 @@ class TestBranchAndBound:
         # candidate carries slack, so the scan must go on scoring past it.
         snap = build_snapshot(network, demands, 41)
         profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
-        kernel = _make_kernel(snap, "fixv", profile=profile)
+        kernel = _MODELS["fixv"].kernel(snap, profile=profile)
         pi = kernel.spreads()
         first = kernel.score(_decode(np.array([np.argmin(pi)]), kernel.n_movable))
         assert first.objective[0] > pi.min()
@@ -261,18 +262,32 @@ class TestIteratedRefinement:
         assert a.model.objective == b.model.objective
         assert a.trace == b.trace
 
-    @pytest.mark.parametrize("warm, starts, passes", [(False, 8.0, 2), (True, 4.0, 1)])
-    def test_local_search_beyond_the_enumeration_budget(
-        self, network, demands, warm, starts, passes
-    ):
-        # 3^13 candidates exceed the budget, so every pass runs local search
-        # from the initial assignment and three restarts.
+    # The case ids are those of the (warm, starts, passes) cases that covered
+    # the fixv local-search fallback beyond the budget before it was deleted.
+    @pytest.mark.parametrize("warm", [False, True], ids=["False-8.0-2", "True-4.0-1"])
+    def test_local_search_beyond_the_enumeration_budget(self, network, demands, monkeypatch, warm):
+        # 3^13 candidates exceed the budget, so Algorithm 1's scan refuses
+        # before any candidate is scored.
         snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
         assert len(snap.adjustable_idx) == 13
-        out = fixv_algorithm1(snap, warm=warm)
-        assert out.stats["starts"] == starts
-        assert len(out.trace) == out.stats["outer"] == passes
-        assert "scored" not in out.stats
+        monkeypatch.setattr(_SeparableKernel, "score", None)
+        with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
+            fixv_algorithm1(snap, warm=warm)
+
+
+class TestModelTable:
+    def test_search_follows_the_kernel_beyond_the_budget(self, network, demands, monkeypatch):
+        # 3^13 candidates exceed the budget. lbfm's kernel is separable, so
+        # its scan refuses before any candidate is scored; linv's is not, so
+        # linv still runs local search from the initial assignment and three
+        # restarts.
+        snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
+        monkeypatch.setattr(_SeparableKernel, "score", None)
+        with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
+            _search_once(snap, "lbfm", 7)
+        out = _search_once(snap, "linv", 7)
+        assert out.strategy == "local"
+        assert out.stats["starts"] == 4.0
         assert out.model.objective <= out.initial_model.objective
 
 
@@ -302,17 +317,17 @@ class TestReactiveDispatch:
     def test_end_state_above_the_start_is_dropped(self, network, demands, method, monkeypatch):
         # Line scores turned upside down walk the descent uphill; the scalar
         # model then ranks the end state above the start, which is kept.
-        line_scorer = optimizer._line_scorer
+        model = _MODELS[method]
 
         def uphill(*args):
-            line = line_scorer(*args)
+            line = model.line(*args)
             return lambda q, c: (lambda t: -line(q, c)(t))
 
-        monkeypatch.setattr(optimizer, "_line_scorer", uphill)
+        monkeypatch.setitem(_MODELS, method, replace(model, line=uphill))
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
-        start = _model_evaluator(method)(snap, asg, None)
+        start = model.evaluate(snap, asg, None, None)
         q, final, stats = optimize_pv_q(snap, asg, method)
         assert np.array_equal(q, np.zeros(network.n_customers))
         assert final.objective == start.objective == stats["f_start"]
@@ -324,7 +339,7 @@ class TestReactiveDispatch:
         snap = loaded_snapshot(network, seed, switches=3, q_band=0.02)
         moved = np.random.default_rng(seed).integers(0, 3, size=3)
         asg = PhaseAssignment(tuple(moved.tolist()) + PhaseAssignment.initial(network).phases[3:])
-        start = _model_evaluator(method)(snap, asg, None)
+        start = _MODELS[method].evaluate(snap, asg, None, None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer, "_MAX_ROUNDS", 3)
             q, final, stats = optimize_pv_q(snap, asg, method)
