@@ -286,8 +286,9 @@ def _fmt(value: object) -> str:
 
 def load_outcomes(out_dir: str | Path) -> list[dict[str, object]]:
     """Parse every outcome file, ordered by (period, method). A file that is
-    not JSON, has another schema or lacks what the reports read raises
-    ReportError naming it."""
+    not JSON, has another schema, lacks what the reports read or is named
+    for another cell than its own period and method raises ReportError
+    naming it."""
 
     paths = sorted(Path(out_dir).glob("outcome_*.json"))
     if not paths:
@@ -302,13 +303,16 @@ def load_outcomes(out_dir: str | Path) -> list[dict[str, object]]:
         if schema != OUTCOME_SCHEMA:
             raise ReportError(f"{path.name}: unexpected schema {schema!r}")
         try:
-            _row_from_outcome(doc)
+            row = _row_from_outcome(doc)
             if doc["status"] == "ok":
                 _vm_error(doc)
         except KeyError as exc:
             raise ReportError(f"{path.name}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ReportError(f"{path.name}: malformed outcome: {exc}") from None
+        own = outcome_path(path.parent, row["period"], row["method"]).name
+        if path.name != own:
+            raise ReportError(f"{path.name}: holds the outcome of {own}")
         docs.append(doc)
     docs.sort(key=lambda d: (int(d["period"]), str(d["method"])))
     return docs

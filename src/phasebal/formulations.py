@@ -15,10 +15,12 @@ transformer-current limits. What differs is the voltage model:
 
 All evaluators return the same result shape, so search code can score
 assignments under any model and verify winners against the exact power
-flow. The private batch kernels score many assignments at once and are the
-workhorses behind enumeration and local search; a kernel class's
-`separable` attribute tells search code whether the model's customer
-effects add up. For PV reactive-power tuning, a line builder (`_fixv_line`,
+flow. The private batch kernels score many assignments at once for the
+searches; a kernel class's `separable` attribute tells search code whether
+the model's customer effects add up. A separable kernel scores a candidate
+by adding its switch customers' effect tables onto a base state, and prices
+every candidate's transformer spread from two half-tables of transformer
+power. For PV reactive-power tuning, a line builder (`_fixv_line`,
 `_linv_line`, `_lbfm_line`) prices a batch of values of one customer's
 reactive adjustment, objectives only, through the same field equations the
 scalar evaluator runs (`_fixv_fields`, `_linv_solve`, `_lbfm_fields`),
@@ -626,17 +628,15 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # Search code scores thousands of assignments per period. Customer effects
 # under the fixed-voltage and branch-flow models are separable, so each
 # kernel precomputes per-(customer, phase) effect tables, folds the
-# non-adjustable customers into a base state, and scores a batch through two
-# half-assignment lookup tables, the first of which carries the base. The
-# outer sum of the transformer-power halves (sv1, sv2) prices every
-# candidate's spread pi (`spreads`), which the bound-ordered search ranks
-# by. Slack terms are only evaluated on the buses that could possibly
-# violate a limit under some assignment (triangle bound on the movable
-# customers' total effect); all other buses contribute zero slack for every
-# candidate. Of those cap buses, only one per distinct customer column (the
-# geometry's col_rep) gets a state: buses with no customer below them
-# repeat their parent's column bit for bit, so their slacks are copied, not
-# recomputed.
+# non-adjustable customers into a base state, and scores a candidate by
+# adding its movable customers' effects onto the base in customer order.
+# The outer sum of two half-assignment tables of transformer power (sv1,
+# sv2) prices every candidate's spread pi (`spreads`), which the
+# bound-ordered search ranks by; `score` reads pi off the same tables, so
+# the bound and the score agree bit for bit. States are kept at one bus per
+# distinct customer column (the geometry's col_rep): buses with no customer
+# below them repeat their parent's column bit for bit, so their slacks are
+# copied, not recomputed.
 # The linearized-inverse model is not separable; its kernel hands chunks of
 # candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
 # one. Every kernel prices its states through `_score`, as the scalar
@@ -692,7 +692,7 @@ class _Kernel:
 
 
 class _SeparableKernel(_Kernel):
-    """Half-table scoring for models whose customer effects simply add up.
+    """Scoring for models whose customer effects simply add up.
 
     A subclass hands `_tabulate` each customer's power landing on each phase
     and its effect on every state field, and names in `_measures` the voltage
@@ -715,55 +715,32 @@ class _SeparableKernel(_Kernel):
         pf = self.initial[fixed]
         self.s_base = np.zeros(3, dtype=complex)
         np.add.at(self.s_base, pf, s_on[fixed, pf])
-        base = [z + e[fixed, pf].sum(axis=0) for z, e in zip(no_load, effects)]
-        moving = [e[self.movable] for e in effects]
-
-        # Buses that could violate a limit under some choice of the movables:
-        # no measure moves further than the movables' largest effects summed.
-        lo, hi, neg = self._measures(*base)
-        lo_r, hi_r, neg_r = (np.abs(x).max(axis=1).sum(axis=0) for x in self._measures(*moving))
-        k = 2 if self.squared else 1
-        cap = (
-            ((lo - lo_r).min(axis=1) < V_MIN**k)
-            | ((hi + hi_r).max(axis=1) > V_MAX**k)
-            | (neg + neg_r > NEG_SEQ_MAX)
+        # States are kept at cols, one bus per distinct column; col_inverse
+        # puts each bus's slack back in bus order.
+        cols, self.col_inverse = np.unique(
+            feeder_geometry(self.network).col_rep, return_inverse=True
         )
-        self.cap_idx = np.flatnonzero(cap)
-        # States are kept at cols, one cap bus per distinct column (a cap
-        # bus's representative is a cap bus too); cap_inverse puts each cap
-        # bus's slack back in cap_idx order.
-        cols, self.cap_inverse = np.unique(
-            feeder_geometry(self.network).col_rep[self.cap_idx], return_inverse=True
-        )
-
+        self.base = [(z + e[fixed, pf].sum(axis=0))[cols] for z, e in zip(no_load, effects)]
+        self.effects = [e[self.movable][:, :, cols] for e in effects]
         k1 = (self.n_movable + 1) // 2
-        (sv1, t1), (sv2, t2) = (
-            self._half(s_on[self.movable[part]], [e[part][:, :, cols] for e in moving])
-            for part in (slice(0, k1), slice(k1, None))
-        )
-        self.halves = [(sv1, [b[cols] + t for b, t in zip(base, t1)]), (sv2, t2)]
+        self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
     @staticmethod
-    def _half(s_on: np.ndarray, effects: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Transformer power and field tables of every choice of these
-        customers in `_decode` order, built by one outer sum per customer."""
+    def _half(s_on: np.ndarray) -> np.ndarray:
+        """Transformer power of every choice of these customers in `_decode`
+        order, built by one outer sum per customer."""
 
         sv = np.zeros((1, 3), dtype=complex)
-        tables = [np.zeros((1,) + e.shape[2:], dtype=e.dtype) for e in effects]
-        for local in range(len(s_on)):
+        for row in s_on:
             # On phase p the customer adds its power to the transformer's phase p only.
-            sv = (sv[:, None] + np.diag(s_on[local])[None, :]).reshape(-1, 3)
-            tables = [
-                (t[:, None] + e[local][None, :]).reshape((3 * len(t),) + t.shape[1:])
-                for t, e in zip(tables, effects)
-            ]
-        return sv, tables
+            sv = (sv[:, None] + np.diag(row)[None, :]).reshape(-1, 3)
+        return sv
 
     def spreads(self) -> np.ndarray:
         """Every candidate's spread pi by flat index. The half-tables' outer
         sum adds up s_dt bit for bit as `score` does."""
 
-        (sv1, _), (sv2, _) = self.halves
+        sv1, sv2 = self.halves
         s_dt = ((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
         return _score(s_dt, ()).pi
 
@@ -772,18 +749,24 @@ class _SeparableKernel(_Kernel):
         k1 = (self.n_movable + 1) // 2
         idx1 = choices[:, :k1] @ _radix(k1)
         idx2 = choices[:, k1:] @ _radix(self.n_movable - k1)
-        (sv1, t1), (sv2, t2) = self.halves
+        sv1, sv2 = self.halves
         s_dt = self.s_base + sv1[idx1] + sv2[idx2]
-        # The field states, a chunk's largest arrays, are freed once measured.
-        measures = self._measures(*(a[idx1] + c[idx2] for a, c in zip(t1, t2)))
+        fields = []
+        for base, effects in zip(self.base, self.effects):
+            # The base plus each movable customer's effect, in customer order.
+            fields.append(np.repeat(base[None], len(choices), axis=0))
+            for e, chosen in zip(effects, choices.T):
+                fields[-1] += e[chosen]
+        measures = self._measures(*fields)
+        del fields  # a chunk's largest arrays, freed once measured
         i_dt_mag = np.abs(s_dt) / np.abs(self.v0)
         terms = _slack_terms(self.network.i_dt_max, *measures, i_dt_mag, self.squared)
-        # The three per-bus terms go back to cap_idx order (i_dt is per
-        # phase). take keeps them C-ordered, so they sum as unmerged terms
-        # would; fancy indexing returns an F-ordered copy that sums otherwise.
+        # The three per-bus terms go back to bus order (i_dt is per phase).
+        # take keeps them C-ordered, so they sum as unmerged terms would;
+        # fancy indexing returns an F-ordered copy that sums otherwise.
         return _score(
             s_dt,
-            (t.take(self.cap_inverse, axis=-1) if k < 3 else t for k, t in enumerate(terms)),
+            (t.take(self.col_inverse, axis=-1) if k < 3 else t for k, t in enumerate(terms)),
         )
 
 

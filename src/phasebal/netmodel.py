@@ -272,7 +272,8 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     LoadShapes.csv, on the module's per-unit bases, with the transformer
     current limit taken from Source.csv's dt_kva. The source voltage pu and
     dt_kva must be positive, line lengths and line-code impedances
-    non-negative.
+    non-negative, and LoadShapes.csv's minutes column, when present, one
+    positive value in every record.
     Raises FeederFormatError naming the offending record on any dangling
     reference or malformed table.
     """
@@ -339,8 +340,15 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
         _column("LoadShapes.csv", shape_rows, name, _finite)
     p_w = mult * np.array(kws) * 1e3
     q_var = p_w * np.array([math.tan(math.acos(pf)) for pf in pfs])
-    first = {"minutes": shape_rows[0].get("minutes") or "15"}  # 15-minute periods by default
-    minutes = _column("LoadShapes.csv", [first], "minutes", _positive_int)[0]
+    minutes = 15  # 15-minute periods when the table has no minutes column
+    if "minutes" in shape_rows[0]:
+        every = _column("LoadShapes.csv", shape_rows, "minutes", _positive_int)
+        minutes = every[0]
+        for k, value in enumerate(every, start=1):
+            if value != minutes:
+                raise FeederFormatError(
+                    f"LoadShapes.csv record {k}: minutes {value} differ from record 1's {minutes}"
+                )
 
     angles = np.deg2rad(angle_deg) + np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
     network = Network(

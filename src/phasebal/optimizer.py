@@ -207,7 +207,7 @@ def _enumerated(mm: int) -> int:
     if total > _ENUMERATION_BUDGET:
         raise ValueError(
             f"3^{mm} = {total} candidates exceed the enumeration budget "
-            f"{_ENUMERATION_BUDGET}; use local search"
+            f"of {_ENUMERATION_BUDGET}: {mm} switch customers are too many to search exactly"
         )
     return total
 

@@ -128,6 +128,26 @@ def test_verify_refuses_an_older_outcome_schema(counted_sweep, tmp_path, capsys)
         assert [p.name for p in (tmp_path / case).iterdir()] == [name]
 
 
+def test_verify_refuses_an_outcome_file_named_for_another_cell(counted_sweep, tmp_path, capsys):
+    # A copy saved under another period's name would be reported twice.
+    out, _ = counted_sweep
+    copied = tmp_path / "copied"
+    copied.mkdir()
+    for path in out.glob("outcome_*.json"):
+        (copied / path.name).write_bytes(path.read_bytes())
+    name = f"outcome_{PERIOD + 1}_lbfm.json"
+    (copied / name).write_bytes(cli.outcome_path(out, PERIOD, "lbfm").read_bytes())
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--out-dir", str(copied)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"phasebal verify: error: {name}: holds the outcome of outcome_{PERIOD}_lbfm.json"
+    )
+    assert "Traceback" not in err
+    assert not any(copied.glob("*.csv")) and not (copied / "summary.json").exists()
+
+
 def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
     # PV-Q is on, and the initial cell still keeps the untuned state.
     assert main(

@@ -439,15 +439,15 @@ class TestLineScorer:
 def unmerged_score(kernel, s_on, effects, no_load, choices):
     """A separable kernel's objective, pi and slack, with no column merging.
 
-    Every cap bus gets its own state, summed as base + first half + second
-    half, each half adding its customers' effects in turn, and the slacks
-    use numpy's reductions over the phase axis.
+    Every bus gets its own state, summed as the base plus each switch
+    customer's effect in customer order; the transformer power is summed as
+    the base plus two halves, each adding its customers' powers in turn. The
+    slacks use numpy's reductions over the phase axis.
     """
 
     movable, initial = kernel.movable, kernel.initial
     fixed = np.setdiff1d(np.arange(len(s_on)), movable)
     pf = initial[fixed]
-    cap = kernel.cap_idx
     k1 = (kernel.n_movable + 1) // 2
     rows = np.arange(len(choices))
 
@@ -463,13 +463,9 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
 
     fields = []
     for z, e in zip(no_load, effects):
-        base = (z + e[fixed, pf].sum(axis=0))[cap]
-        state = base
-        for part in (range(k1), range(k1, kernel.n_movable)):
-            half = np.zeros((len(choices),) + base.shape, dtype=e.dtype)
-            for local in part:
-                half += e[movable[local]][:, cap][choices[:, local]]
-            state = state + half
+        state = np.repeat((z + e[fixed, pf].sum(axis=0))[None], len(choices), axis=0)
+        for local in range(kernel.n_movable):
+            state = state + e[movable[local]][choices[:, local]]
         fields.append(state)
 
     lo, hi, neg = kernel._measures(*fields)
@@ -561,8 +557,8 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_merged_columns_score_as_unmerged(self, method, monkeypatch):
-        # Customer-free branches and loads heavy enough that many buses near
-        # the limits stay in the cap, some of them merged with their parent.
+        # Customer-free branches, merged with their parent, and loads heavy
+        # enough that some candidates break a limit.
         network = random_radial_network(seed=0, n_buses=60, n_customers=20)
         rng = np.random.default_rng(60)
         snap = snapshot_for(
@@ -578,7 +574,7 @@ class TestBatchKernels:
         monkeypatch.setattr(_SeparableKernel, "_tabulate", recording_tabulate)
         kernel = _MODELS[method].kernel(snap)
         col_rep = feeder_geometry(network).col_rep
-        assert len(np.unique(col_rep[kernel.cap_idx])) < len(kernel.cap_idx)
+        assert len(np.unique(col_rep)) < len(col_rep)  # some buses share a column
 
         choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
         batch = kernel.score(choices)

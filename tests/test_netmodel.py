@@ -277,7 +277,9 @@ class TestImport:
             import_european_feeder(broken_dir)
         assert str(info.value) == "Lines.csv record 1: no Length_m value"
 
-    @pytest.mark.parametrize("table, column", [("Loads.csv", "kW"), ("Source.csv", "value")])
+    @pytest.mark.parametrize(
+        "table, column", [("Loads.csv", "kW"), ("Source.csv", "value"), ("LoadShapes.csv", "minutes")]
+    )
     def test_non_numeric_value_named(self, broken_dir, table, column):
         def transform(rows):
             rows[2][rows[0].index(column)] = "abc"
@@ -310,7 +312,7 @@ class TestImport:
 
     @pytest.mark.parametrize("text", ["0", "-15"])
     def test_non_positive_minutes_named(self, broken_dir, text):
-        # The resolution is read from the first record only.
+        # Record 1's period length must be positive.
         def transform(rows):
             rows[1][rows[0].index("minutes")] = text
             return rows
@@ -319,6 +321,24 @@ class TestImport:
         with pytest.raises(FeederFormatError) as info:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"LoadShapes.csv record 1: invalid minutes {text!r}"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("30", "minutes 30 differ from record 1's 15"),
+            ("", "invalid minutes ''"),
+        ],
+    )
+    def test_later_minutes_named(self, broken_dir, text, reason):
+        # A later record's period length must be there and equal record 1's.
+        def transform(rows):
+            rows[5][rows[0].index("minutes")] = text
+            return rows
+
+        self._rewrite(broken_dir / "LoadShapes.csv", transform)
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"LoadShapes.csv record 5: {reason}"
 
     @pytest.mark.parametrize("quantity, record, text", [("pu", 2, "0"), ("dt_kva", 4, "-200")])
     def test_non_positive_source_quantity_named(self, broken_dir, quantity, record, text):
