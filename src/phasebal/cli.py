@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -133,7 +134,25 @@ def _set_context(network: Network, demands: DemandSeries, config: SweepConfig) -
     _CTX.update(network=network, demands=demands, pv_control=config.pv_control, seed=config.seed)
 
 
+def _pin_blas_thread() -> None:
+    """Give numpy's OpenBLAS one thread in this process, when the library
+    numpy loaded exposes a setter. Sweep workers already share the cores, so
+    more BLAS threads per worker only oversubscribe them."""
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in (
+            "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
+        ):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def _worker_init(config: SweepConfig) -> None:
+    _pin_blas_thread()
     _set_context(*load_scenario(config.scenario), config)
 
 

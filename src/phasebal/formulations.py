@@ -234,9 +234,9 @@ def _result(
 
 
 def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
-    """sel[j, m, phi] = shared-path impedance row Meet[m, bus_j][phi, p_j]."""
+    """sel[j, c, phi] = shared-path impedance row Meet[c, bus_j][phi, p_j], c a column."""
 
-    return _customer_meet(network)[np.arange(len(phases)), phases]  # (m, buses, 3)
+    return _customer_meet(network)[np.arange(len(phases)), phases]  # (customers, k, 3)
 
 
 def _dt_current(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
@@ -312,13 +312,14 @@ def _fixv_fields(
     network: Network, phases: np.ndarray, s: np.ndarray, profile: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fixed-voltage model's equations for loads s (..., customers): the
-    (..., buses, 3) voltages and (..., 3) transformer currents, both affine
-    in every customer's load."""
+    (..., buses, 3) voltages, computed at the geometry's columns, and (..., 3)
+    transformer currents, both affine in every customer's load."""
 
-    i_cust = np.conj(s) / np.conj(profile[feeder_geometry(network).cust_bus, phases])
-    sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
+    geometry = feeder_geometry(network)
+    i_cust = np.conj(s) / np.conj(profile[geometry.cust_bus, phases])
+    sel = _phase_path_impedances(network, phases)  # (customers, k, 3)
     v = network.v0 - np.einsum("jmf,...j->...mf", sel, i_cust)
-    return v, _dt_current(phases, i_cust)
+    return v.take(geometry.col_inverse, axis=-2), _dt_current(phases, i_cust)
 
 
 def _phasor_measures(
@@ -407,9 +408,10 @@ def _linv_solve(
     the customers' voltages alone (the fixed-point linearization of Bernstein
     & Dall'Anese, 2017), on the same customer-space coupling and bus-voltage
     product as the exact `solve_utpf`, with g in place of 1 / conj(V).
-    Returns the (b, buses, 3) voltages and the (b, 3) transformer currents;
-    a batch whose fixed-point step does not contract below _LINV_TOL within
-    _LINV_MAX_ITER iterations raises FormulationError.
+    Returns the (b, k, 3) voltages at the geometry's k columns, which
+    take(col_inverse, axis=1) puts in bus order, and the (b, 3) transformer
+    currents; a batch whose fixed-point step does not contract below
+    _LINV_TOL within _LINV_MAX_ITER iterations raises FormulationError.
 
     s is one (customers,) load vector or a (b, customers) batch, phases a
     (b, customers) batch or one (customers,) row that every load row shares,
@@ -426,7 +428,7 @@ def _linv_solve(
     v = v0c
     i_cust = sconj * (cb + ck * v.real + ch * v.imag)
     for _ in range(_LINV_MAX_ITER):
-        v_new = v0c - np.einsum("...jk,...k->...j", coupling, i_cust)
+        v_new = v0c - (coupling @ i_cust[..., None])[..., 0]
         step = float(np.max(np.abs(v_new - v))) if v.size else 0.0
         v = v_new
         i_cust = sconj * (cb + ck * v.real + ch * v.imag)
@@ -456,8 +458,8 @@ def evaluate_linv(
     network = snapshot.network
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
-    measures = _phasor_measures(network, v[0], i_dt[0], linearized=True)
-    return _result("linv", network.i_dt_max, *measures, v[0])
+    v = v[0].take(feeder_geometry(network).col_inverse, axis=0)
+    return _result("linv", network.i_dt_max, *_phasor_measures(network, v, i_dt[0], True), v)
 
 
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
@@ -481,14 +483,15 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 
     network = snapshot.network
     fit = _default_fit(network)
-    cust_bus = feeder_geometry(network).cust_bus
+    geometry = feeder_geometry(network)
 
     def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
         rows = np.repeat(_effective_loads(snapshot, q)[None, :], 3, axis=0)
         delta = max(abs(rows[0, c]), float(snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c]))
         rows[:, c] = (0.0, delta, 1j * delta)
         v, i_dt = _linv_solve(network, rows, phases)
-        p, bus = phases[c], cust_bus[c]
+        v = v.take(geometry.col_inverse, axis=1)
+        p, bus = phases[c], geometry.cust_bus[c]
         i_c = np.conj(rows[1:, c]) * fit.g(v[1:, bus, p], p)
         # Field difference k (row k + 1 less row 0) is m[0, k] U_re + m[1, k] U_im,
         # with column k of m the (Re, Im) of row k + 1's i_c; inv(m) weighs
@@ -550,11 +553,12 @@ def _lbfm_fields(
     network: Network, phases: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The branch-flow model's equations for loads s (..., customers): the
-    (..., buses, 3) squared magnitudes, the (..., buses) unbalance surrogate
-    and the (..., 3) transformer power, all affine in every customer's load."""
+    (..., buses, 3) squared magnitudes and (..., buses) unbalance surrogate,
+    computed at the geometry's columns, and the (..., 3) transformer power,
+    all affine in every customer's load."""
 
     v0 = network.v0
-    sel = _phase_path_impedances(network, phases)  # (customers, buses, 3)
+    sel = _phase_path_impedances(network, phases)  # (customers, k, 3)
 
     beta_sel = BETA[:, phases].T  # (customers, 3): ratio toward each observed phase
     ddiag = 2.0 * np.real(beta_sel[:, None, :] * s[..., :, None, None] * np.conj(sel))
@@ -563,7 +567,8 @@ def _lbfm_fields(
     vneg0 = complex(_NEG_ROW @ v0) / 3.0
     i_nom = np.conj(s) / np.conj(v0[phases])
     vneg = vneg0 - np.einsum("...j,jm->...m", i_nom / 3.0, sel @ _NEG_ROW)
-    return diag, vneg, _dt_current(phases, s)
+    col_inverse = feeder_geometry(network).col_inverse
+    return diag.take(col_inverse, axis=-2), vneg.take(col_inverse, axis=-1), _dt_current(phases, s)
 
 
 def _lbfm_measures(
@@ -633,13 +638,12 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # The outer sum of two half-assignment tables of transformer power (sv1,
 # sv2) prices every candidate's spread pi (`spreads`), which the
 # bound-ordered search ranks by; `score` reads pi off the same tables, so
-# the bound and the score agree bit for bit. States are kept at one bus per
-# distinct customer column (the geometry's col_rep): buses with no customer
-# below them repeat their parent's column bit for bit, so their slacks are
-# copied, not recomputed.
+# the bound and the score agree bit for bit.
 # The linearized-inverse model is not separable; its kernel hands chunks of
 # candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
-# one. Every kernel prices its states through `_score`, as the scalar
+# one. Every kernel keeps its states at the geometry's columns, and
+# `_score_columns` copies each column's slacks to the buses that share it
+# (no customer below them) before pricing through `_score`, as the scalar
 # evaluators do.
 # ---------------------------------------------------------------------------
 
@@ -669,6 +673,7 @@ class _Kernel:
     """
 
     separable = False
+    squared = False
 
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         self.network = snapshot.network
@@ -676,6 +681,7 @@ class _Kernel:
         self.s = _effective_loads(snapshot, None)
         self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
         self.initial = np.array([c.initial_phase for c in self.network.customers], dtype=int)
+        self.col_inverse = feeder_geometry(self.network).col_inverse
 
     @property
     def n_movable(self) -> int:
@@ -690,6 +696,17 @@ class _Kernel:
     def assignment(self, choices: np.ndarray) -> PhaseAssignment:
         return PhaseAssignment(tuple(int(p) for p in self.full_phases(choices[None, :])[0]))
 
+    def _score_columns(self, s_dt: np.ndarray, *measures: np.ndarray) -> _BatchScore:
+        """`_score` of states whose measures (lo, hi, neg and i_dt_mag, as
+        `_slack_terms` reads them) are kept at the geometry's columns."""
+
+        terms = _slack_terms(self.network.i_dt_max, *measures, self.squared)
+        # The three per-bus terms go back to bus order (i_dt is per phase).
+        # take keeps them C-ordered, so they sum as unmerged terms would;
+        # fancy indexing returns an F-ordered copy that sums otherwise.
+        ci = self.col_inverse
+        return _score(s_dt, (t.take(ci, axis=-1) if k < 3 else t for k, t in enumerate(terms)))
+
 
 class _SeparableKernel(_Kernel):
     """Scoring for models whose customer effects simply add up.
@@ -700,7 +717,6 @@ class _SeparableKernel(_Kernel):
     """
 
     separable = True
-    squared = False
 
     def _tabulate(
         self,
@@ -708,20 +724,16 @@ class _SeparableKernel(_Kernel):
         effects: list[np.ndarray],
         no_load: list[np.ndarray],
     ) -> None:
-        """s_on (customers, 3); effects[f] (customers, 3, buses, ...) with no_load[f]
-        the field's (buses, ...) value when no customer draws power."""
+        """s_on (customers, 3); effects[f] (customers, 3, k, ...) at the
+        geometry's k columns, with no_load[f] the field's (k, ...) value when
+        no customer draws power."""
 
         fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
         pf = self.initial[fixed]
         self.s_base = np.zeros(3, dtype=complex)
         np.add.at(self.s_base, pf, s_on[fixed, pf])
-        # States are kept at cols, one bus per distinct column; col_inverse
-        # puts each bus's slack back in bus order.
-        cols, self.col_inverse = np.unique(
-            feeder_geometry(self.network).col_rep, return_inverse=True
-        )
-        self.base = [(z + e[fixed, pf].sum(axis=0))[cols] for z, e in zip(no_load, effects)]
-        self.effects = [e[self.movable][:, :, cols] for e in effects]
+        self.base = [z + e[fixed, pf].sum(axis=0) for z, e in zip(no_load, effects)]
+        self.effects = [e[self.movable] for e in effects]
         k1 = (self.n_movable + 1) // 2
         self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
@@ -759,15 +771,7 @@ class _SeparableKernel(_Kernel):
                 fields[-1] += e[chosen]
         measures = self._measures(*fields)
         del fields  # a chunk's largest arrays, freed once measured
-        i_dt_mag = np.abs(s_dt) / np.abs(self.v0)
-        terms = _slack_terms(self.network.i_dt_max, *measures, i_dt_mag, self.squared)
-        # The three per-bus terms go back to bus order (i_dt is per phase).
-        # take keeps them C-ordered, so they sum as unmerged terms would;
-        # fancy indexing returns an F-ordered copy that sums otherwise.
-        return _score(
-            s_dt,
-            (t.take(self.col_inverse, axis=-1) if k < 3 else t for k, t in enumerate(terms)),
-        )
+        return self._score_columns(s_dt, *measures, np.abs(s_dt) / np.abs(self.v0))
 
 
 class _FixvKernel(_SeparableKernel):
@@ -780,12 +784,11 @@ class _FixvKernel(_SeparableKernel):
         profile = _fixv_profile(self.network, profile)
         cust_bus = feeder_geometry(self.network).cust_bus
         i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
-        # Voltage effect at (bus, phi) of customer j connected at p.
-        dv_all = -_customer_meet(self.network) * i_all[:, :, None, None]
+        # Voltage effect at (column, phi) of customer j connected at p.
+        meet = _customer_meet(self.network)
+        dv_all = -meet * i_all[:, :, None, None]
         self._tabulate(
-            self.v0[None, :] * np.conj(i_all),
-            [dv_all],
-            [np.tile(self.v0, (self.network.n_buses, 1))],
+            self.v0[None, :] * np.conj(i_all), [dv_all], [np.tile(self.v0, (meet.shape[2], 1))]
         )
 
     @staticmethod
@@ -803,15 +806,15 @@ class _LbfmKernel(_SeparableKernel):
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         super().__init__(snapshot)
         s, v0, meet_t = self.s, self.v0, _customer_meet(self.network)
-        # Changes of the squared magnitude at (bus, phi) and of the unbalance
-        # surrogate at each bus when customer j sits on phase p.
+        # Changes of the squared magnitude at (column, phi) and of the
+        # unbalance surrogate at each column when customer j sits on phase p.
         ddiag_all = -2.0 * np.real(
             BETA.T[None, :, None, :] * s[:, None, None, None] * np.conj(meet_t)
         )
         dneg_all = -(
             ((1.0 / np.conj(v0))[None, :, None] / 3.0) * np.conj(s)[:, None, None] * (meet_t @ _NEG_ROW)
         )
-        n = self.network.n_buses
+        n = meet_t.shape[2]
         self._tabulate(
             np.repeat(s[:, None], 3, axis=1),
             [ddiag_all, dneg_all],
@@ -840,4 +843,5 @@ class _LinvKernel(_Kernel):
 
     def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
         v, i_dt = _linv_solve(self.network, self.s, phases)
-        return _price(self.network.i_dt_max, *_phasor_measures(self.network, v, i_dt, linearized=True))
+        s_dt, i_dt_mag, lo, hi, vneg = _phasor_measures(self.network, v, i_dt, linearized=True)
+        return self._score_columns(s_dt, lo, hi, np.abs(vneg), i_dt_mag)

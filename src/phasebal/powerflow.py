@@ -4,10 +4,10 @@ A fixed point over the constant-PQ customers' own voltages (Teng's direct
 load flow, restricted to the buses that carry load), used as the
 verification oracle for every formulation and optimization result. Also
 hosts the factorized tree geometry (each customer's shared-path impedances
-to every bus, the line-to-customer incidence) and the customer-space
-helpers built on it, which the linearized-inverse model's solver shares:
-the coupling between customers' own voltages and the product that turns
-customer currents into every bus voltage.
+to every distinct bus column, the line-to-customer incidence) and the
+customer-space helpers built on it, which the linearized-inverse model's
+solver shares: the coupling between customers' own voltages and the product
+that turns customer currents into the voltages at those columns.
 """
 
 from __future__ import annotations
@@ -118,15 +118,15 @@ class FeederGeometry:
     """Factorized radial topology in array form: the tables behind the
     customer-space state that `solve_utpf` and the models compute.
 
-    columns is the read-only (3 * customers, 3 * buses) coupling table:
-    columns[3j + p, 3m + phi] is the impedance that bus m's and customer
-    j's root paths share, seen on phase phi for a current drawn on phase p,
-    so the voltage effect at (m, phi) of a current i that customer j draws
-    on phase p is -columns[3j + p, 3m + phi] * i.
-    col_rep[m] is m itself when a customer sits in m's subtree and otherwise
-    its parent's col_rep. Such a bus meets every customer's path where its
-    parent does, so bus m's three columns repeat col_rep[m]'s bit for bit,
-    and so does any state built column by column from the table.
+    columns is the read-only (3 * customers, 3 * k) coupling table:
+    columns[3j + p, 3c + phi] is the impedance that column c's and customer
+    j's root paths share, seen on phase phi for a current drawn on phase p.
+    A bus with no customer in its subtree meets every customer's path where
+    its parent does, so the table keeps one column per bus that is the root
+    or has a customer below it, in bus order, and col_inverse[m] is bus m's:
+    the effect at (m, phi) of a current i that customer j draws on phase p
+    is -columns[3j + p, 3 col_inverse[m] + phi] * i, and a state built column
+    by column goes to bus order with one take(col_inverse), bit for bit.
     line_child[l] is the bus at line l's end away from the root, whichever
     way the line is stored, and below[l, j] is 1 when customer j's current
     flows through line l, so below @ (customer injections) gives the line
@@ -134,9 +134,9 @@ class FeederGeometry:
     """
 
     parent: np.ndarray  # parent bus index, -1 at root
-    columns: np.ndarray  # (3 * customers, 3 * n) complex, read-only
+    columns: np.ndarray  # (3 * customers, 3 * k) complex, read-only
     cust_bus: np.ndarray  # (customers,) bus index
-    col_rep: np.ndarray  # (n,) bus whose customer column bus m repeats
+    col_inverse: np.ndarray  # (n,) column of each bus
     line_child: np.ndarray  # (L,) bus index
     below: np.ndarray  # (L, customers) 0.0 or 1.0
 
@@ -163,7 +163,8 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     # lca[j, m] is the deepest bus on both bus m's and customer j's root
     # paths: bus m itself when it lies on customer j's path, else its
     # parent's entry, which one pass down the depth order has already set.
-    # A bus on no customer's path copies its parent's whole column.
+    # A bus on no customer's path copies its parent's whole column, so the
+    # table keeps the columns of the buses that are their own col_rep.
     cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
     on_path = np.zeros((len(cust_bus), n), dtype=bool)
     for j, bi in enumerate(cust_bus):
@@ -184,24 +185,25 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     # zcum[m][:, p], taken along one axis: indexing two axes at once ran
     # three times slower on a 906-bus feeder.
     rows = zcum.transpose(0, 2, 1).reshape(3 * n, 3)
-    columns = np.take(rows, 3 * lca[:, None, :] + np.arange(3)[:, None], axis=0)
-    columns = columns.reshape(3 * len(cust_bus), 3 * n)
+    cols, col_inverse = np.unique(col_rep, return_inverse=True)
+    columns = np.take(rows, 3 * lca[:, None, cols] + np.arange(3)[:, None], axis=0)
+    columns = columns.reshape(3 * len(cust_bus), 3 * len(cols))
     columns.setflags(write=False)
     return FeederGeometry(
         parent=parent,
         columns=columns,
         cust_bus=cust_bus,
-        col_rep=col_rep,
+        col_inverse=col_inverse,
         line_child=line_child,
         below=on_path[:, line_child].T.astype(float),
     )
 
 
 def _customer_meet(network: Network) -> np.ndarray:
-    """meet[j, p, m, phi] = columns[3j + p, 3m + phi]: the geometry's table
-    as a (customers, 3, buses, 3) view."""
+    """meet[j, p, c, phi] = columns[3j + p, 3c + phi]: the geometry's table
+    as a (customers, 3, k, 3) view over its k columns."""
 
-    return feeder_geometry(network).columns.reshape(network.n_customers, 3, network.n_buses, 3)
+    return feeder_geometry(network).columns.reshape(network.n_customers, 3, -1, 3)
 
 
 def _coupling(network: Network, phases: np.ndarray) -> np.ndarray:
@@ -209,17 +211,20 @@ def _coupling(network: Network, phases: np.ndarray) -> np.ndarray:
     (..., customers): the drop in customer j's own voltage per unit current
     that customer k draws."""
 
+    geometry = feeder_geometry(network)
+    width = geometry.columns.shape[1]
     rows = 3 * np.arange(phases.shape[-1]) + phases  # each customer's injection row
-    cols = 3 * feeder_geometry(network).cust_bus + phases  # and its own (bus, phase) column
-    return feeder_geometry(network).columns[rows[..., None, :], cols[..., :, None]]
+    cols = 3 * geometry.col_inverse[geometry.cust_bus] + phases  # and its own column
+    # One gather from the flat table runs faster than indexing two axes.
+    return np.take(geometry.columns, width * rows[..., None, :] + cols[..., :, None])
 
 
 def _bus_voltages(
     network: Network, phases: np.ndarray, i_cust: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every bus voltage for customer currents i_cust (..., customers) drawn
-    on phases, in one product with the geometry's coupling table. Returns the
-    (..., buses, 3) voltages and the (..., customers, 3) injections."""
+    """The (..., k, 3) column voltages for customer currents i_cust (..., customers)
+    drawn on phases, in one product with the geometry's table, and the (...,
+    customers, 3) injections; take(col_inverse, axis=-2) gives bus order."""
 
     lead = i_cust.shape[:-1]
     injected = np.zeros(i_cust.shape + (3,), dtype=complex)
@@ -227,7 +232,7 @@ def _bus_voltages(
         injected, np.broadcast_to(phases, i_cust.shape)[..., None], i_cust[..., None], axis=-1
     )
     drops = injected.reshape(lead + (-1,)) @ feeder_geometry(network).columns
-    return network.v0 - drops.reshape(lead + (network.n_buses, 3)), injected
+    return network.v0 - drops.reshape(lead + (-1, 3)), injected
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +308,7 @@ def solve_utpf(
             if np.any(np.abs(v) < COLLAPSE_GUARD):
                 raise VoltageCollapseError("converged state below the collapse guard")
             return PFSolution(
-                v=v,
+                v=v.take(geometry.col_inverse, axis=0),
                 i_lines=geometry.below @ injected,
                 s_dt=v0 * np.conj(injected.sum(axis=0)),
                 s_cust=s,

@@ -169,16 +169,71 @@ def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
     assert doc["vm_error"] == [0.0] * 3 * network.n_buses
 
 
-def test_package_runs_as_a_module_without_warnings():
+def _package_env(**extra: str) -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_package_runs_as_a_module_without_warnings():
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "phasebal", "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_package_env(), timeout=120,
     )
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("usage: phasebal")
+
+
+def test_sweep_workers_run_one_blas_thread():
+    # In a process that starts OpenBLAS with two threads, the worker setup
+    # leaves it one; a numpy without an OpenBLAS getter has nothing to check.
+    probe = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+from phasebal import cli
+
+def threads():
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return getter()
+    sys.exit(3)
+
+before = threads()
+cli._worker_init(cli.SweepConfig())
+print(before, threads())
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env=_package_env(OPENBLAS_NUM_THREADS="2"),
+    )
+    if done.returncode == 3:
+        pytest.skip("numpy's OpenBLAS exposes no thread-count getter")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "1"]
+
+
+def test_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
+    for threads in ("2", "1"):
+        argv = ["sweep", "--periods", "72:74", "--parallelism", "2", "--out-dir", str(tmp_path / threads)]
+        done = subprocess.run(
+            [sys.executable, "-m", "phasebal", *argv], capture_output=True, text=True, timeout=300,
+            env=_package_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert done.returncode == 0, done.stderr
+    script = Path(__file__).resolve().parents[1] / "tools" / "diff_sweeps.py"
+    diff = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "2"), str(tmp_path / "1")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (diff.returncode, diff.stdout) == (0, "")
 
 
 def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phasebal import formulations, powerflow
 from phasebal.formulations import (
     _FIT_HALFWIDTH,
+    _LINV_CHUNK,
     AffineFit,
     FormulationError,
     _SeparableKernel,
     _decode,
+    _linv_solve,
+    _phasor_measures,
+    _price,
     _radix,
     _score,
     _slack_terms,
@@ -36,7 +42,7 @@ from phasebal.optimizer import (
 from phasebal.powerflow import PhaseAssignment, _customer_meet, feeder_geometry, solve_utpf
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
-from test_powerflow import snapshot_for
+from test_powerflow import chain_lca_meet, on_customer_paths, snapshot_for
 
 CHI = np.exp(-2j * np.pi / 3.0)
 
@@ -275,7 +281,8 @@ class TestLinearizedInverseModel:
         the model's defining equation, at the voltages evaluate_linv returns."""
 
         network = snap.network
-        geometry, meet = feeder_geometry(network), _customer_meet(network)
+        geometry = feeder_geometry(network)
+        meet = _customer_meet(network)[:, :, geometry.col_inverse]  # at every bus
         fit = fit_inverse_voltage(network.v0)
         s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
         v = out.v
@@ -436,13 +443,27 @@ class TestLineScorer:
             optimize_pv_q(snap, asg, "utpf")
 
 
+def merged_column_case():
+    """A random feeder with customer-free branches, which share their
+    parent's column, and loads heavy enough that some assignments of its six
+    switch customers break a limit."""
+
+    network = random_radial_network(seed=0, n_buses=60, n_customers=20)
+    assert feeder_geometry(network).columns.shape[1] < 3 * network.n_buses
+    rng = np.random.default_rng(60)
+    snap = snapshot_for(
+        network, rng.uniform(0.0, 0.1, 20), rng.uniform(0.0, 0.03, 20), adjustable=range(6)
+    )
+    return network, snap
+
+
 def unmerged_score(kernel, s_on, effects, no_load, choices):
     """A separable kernel's objective, pi and slack, with no column merging.
 
-    Every bus gets its own state, summed as the base plus each switch
-    customer's effect in customer order; the transformer power is summed as
-    the base plus two halves, each adding its customers' powers in turn. The
-    slacks use numpy's reductions over the phase axis.
+    Every bus gets its own state from its column's tables, summed as the base
+    plus each switch customer's effect in customer order; the transformer
+    power is summed as the base plus two halves, each adding its customers'
+    powers in turn. The slacks use numpy's reductions over the phase axis.
     """
 
     movable, initial = kernel.movable, kernel.initial
@@ -461,8 +482,10 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
             np.add.at(sv, (rows, p), s_on[movable[local], p])
         s_dt = s_dt + sv
 
+    col_inverse = feeder_geometry(kernel.network).col_inverse
     fields = []
     for z, e in zip(no_load, effects):
+        z, e = z[col_inverse], e[:, :, col_inverse]
         state = np.repeat((z + e[fixed, pf].sum(axis=0))[None], len(choices), axis=0)
         for local in range(kernel.n_movable):
             state = state + e[movable[local]][choices[:, local]]
@@ -479,6 +502,64 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
     total = sum(term.sum(axis=-1) for term in terms)
     pi = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
     return pi + MB * total, pi, total
+
+
+class TestPerBusOutputs:
+    """Every per-bus array that leaves the solvers and evaluators is put in
+    bus order from the geometry's columns."""
+
+    @staticmethod
+    def _outputs(snap, asg):
+        solution = solve_utpf(snap, asg)
+        out = {"utpf.v": solution.v}
+        views = {
+            "linv": evaluate_linv(snap, asg),
+            "fixv": evaluate_fixv(snap, asg, profile=solution.v),
+            "lbfm": evaluate_lbfm(snap, asg),
+        }
+        for name, view in views.items():
+            out.update({f"{name}.vm": view.vm, f"{name}.vneg": view.vneg})
+            if view.v is not None:
+                out[f"{name}.v"] = view.v
+        return out
+
+    @staticmethod
+    def _case():
+        network, snap = merged_column_case()
+        phases = [c.initial_phase for c in network.customers]
+        phases[:6] = [2, 0, 1, 1, 2, 0]
+        return network, snap, PhaseAssignment(tuple(phases))
+
+    def test_buses_without_customers_below_repeat_their_column(self):
+        network, snap, asg = self._case()
+        geometry = feeder_geometry(network)
+        # rep[m] is the deepest bus on m's root path that has a customer in
+        # its subtree; random_radial_network numbers parents before children.
+        on_paths = on_customer_paths(network)
+        rep = np.arange(network.n_buses)
+        for m in range(network.n_buses):
+            if m not in on_paths:
+                rep[m] = rep[geometry.parent[m]]
+        assert np.any(rep != np.arange(network.n_buses))
+        for name, arr in self._outputs(snap, asg).items():
+            assert arr.shape[0] == network.n_buses, name
+            assert arr.take(rep, axis=0).tobytes() == arr.tobytes(), name
+
+    def test_match_the_full_table_product(self, monkeypatch):
+        network, snap, asg = self._case()
+        merged = self._outputs(snap, asg)
+        # The same solvers on a test-local geometry that keeps every bus's
+        # column: the chain-search table at full width, each bus its own column.
+        geometry = feeder_geometry(network)
+        full = chain_lca_meet(network).reshape(3 * network.n_customers, -1)
+        unmerged = replace(geometry, columns=full, col_inverse=np.arange(network.n_buses))
+        for module in (powerflow, formulations):
+            monkeypatch.setattr(module, "feeder_geometry", lambda _network: unmerged)
+        reference = self._outputs(snap, asg)
+        assert merged.keys() == reference.keys()
+        for name, arr in merged.items():
+            scale = np.max(np.abs(reference[name]))
+            assert np.max(np.abs(arr - reference[name])) <= 1e-13 * scale, name
 
 
 class TestBatchKernels:
@@ -557,13 +638,7 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_merged_columns_score_as_unmerged(self, method, monkeypatch):
-        # Customer-free branches, merged with their parent, and loads heavy
-        # enough that some candidates break a limit.
-        network = random_radial_network(seed=0, n_buses=60, n_customers=20)
-        rng = np.random.default_rng(60)
-        snap = snapshot_for(
-            network, rng.uniform(0.0, 0.1, 20), rng.uniform(0.0, 0.03, 20), adjustable=range(6)
-        )
+        network, snap = merged_column_case()
         tables = {}
         tabulate = _SeparableKernel._tabulate
 
@@ -573,13 +648,33 @@ class TestBatchKernels:
 
         monkeypatch.setattr(_SeparableKernel, "_tabulate", recording_tabulate)
         kernel = _MODELS[method].kernel(snap)
-        col_rep = feeder_geometry(network).col_rep
-        assert len(np.unique(col_rep)) < len(col_rep)  # some buses share a column
+        assert tables["no_load"][0].shape[0] < network.n_buses  # some buses share a column
 
         choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
         batch = kernel.score(choices)
         objective, pi, slack = unmerged_score(kernel, choices=choices, **tables)
         assert 0.0 < np.mean(slack > 0) < 1.0
+        assert batch.objective.tobytes() == objective.tobytes()
+        assert batch.pi.tobytes() == pi.tobytes()
+
+    def test_linv_merged_columns_score_as_unmerged(self):
+        # The kernel prices each chunk's states at the geometry's columns;
+        # the same `_linv_solve` states, put at every bus and priced there,
+        # give the same bytes.
+        network, snap = merged_column_case()
+        kernel = _MODELS["linv"].kernel(snap)
+        col_inverse = feeder_geometry(network).col_inverse
+        choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
+        batch = kernel.score(choices)
+        parts = []
+        for lo in range(0, len(choices), _LINV_CHUNK):
+            phases = kernel.full_phases(choices[lo:lo + _LINV_CHUNK])
+            v, i_dt = _linv_solve(network, kernel.s, phases)
+            at_buses = v.take(col_inverse, axis=1)
+            parts.append(_price(network.i_dt_max, *_phasor_measures(network, at_buses, i_dt, True)))
+        objective = np.concatenate([part.objective for part in parts])
+        pi = np.concatenate([part.pi for part in parts])
+        assert 0.0 < np.mean(objective > pi) < 1.0
         assert batch.objective.tobytes() == objective.tobytes()
         assert batch.pi.tobytes() == pi.tobytes()
 

@@ -236,10 +236,10 @@ class TestFailureReporting:
 
 
 def chain_lca_meet(network):
-    """Reference `_customer_meet` by a pairwise ancestor-chain search: for
-    each customer's bus b and each bus m, the line impedances summed from the
-    root along the chain of buses that m's and b's root chains share, as
-    out[j, p, m, phi] = Z[phi, p]."""
+    """Reference `_customer_meet`, expanded to every bus, by a pairwise
+    ancestor-chain search: for each customer's bus b and each bus m, the
+    line impedances summed from the root along the chain of buses that m's
+    and b's root chains share, as out[j, p, m, phi] = Z[phi, p]."""
 
     topology = network.topology
     chains = {network.root: [network.root]}
@@ -258,36 +258,59 @@ def chain_lca_meet(network):
     return out
 
 
+def expanded_meet(network):
+    """`_customer_meet` put in bus order through the geometry's col_inverse."""
+
+    return _customer_meet(network)[:, :, feeder_geometry(network).col_inverse]
+
+
+def on_customer_paths(network):
+    """Indices of the root and of every bus on some customer's root path."""
+
+    geometry = feeder_geometry(network)
+    on_paths = {network.buses.index(network.root)}
+    for bi in geometry.cust_bus:
+        while bi >= 0:
+            on_paths.add(int(bi))
+            bi = geometry.parent[bi]
+    return on_paths
+
+
 class TestFeederGeometry:
     def test_customer_table_matches_the_chain_search_on_the_bundled_feeder(self, network):
-        assert np.array_equal(_customer_meet(network), chain_lca_meet(network))
+        assert expanded_meet(network).tobytes() == chain_lca_meet(network).tobytes()
 
     @pytest.mark.parametrize("n_buses", [2, 7, 40, 150, 400])
     def test_customer_table_matches_the_chain_search_on_random_feeders(self, n_buses):
         network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
-        assert np.array_equal(_customer_meet(network), chain_lca_meet(network))
+        assert expanded_meet(network).tobytes() == chain_lca_meet(network).tobytes()
 
     @pytest.mark.parametrize("n_buses", [None, 2, 7, 40, 150, 400])
     def test_bus_columns_repeat_their_representative(self, network, n_buses):
         if n_buses is not None:  # else the bundled feeder
             network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
         geometry = feeder_geometry(network)
-        table = _customer_meet(network)
-        assert table[:, :, geometry.col_rep].tobytes() == table.tobytes()
-        # A bus represents itself exactly when it is the root or lies on a
-        # customer's root path, that is, has a customer in its subtree.
-        on_paths = {network.buses.index(network.root)}
-        for bi in geometry.cust_bus:
-            while bi >= 0:
-                on_paths.add(int(bi))
-                bi = geometry.parent[bi]
-        assert set(np.flatnonzero(geometry.col_rep == np.arange(network.n_buses)).tolist()) == on_paths
+        col_inverse = geometry.col_inverse
+        # A bus has a column of its own exactly when it is the root or lies
+        # on a customer's root path, that is, has a customer in its subtree;
+        # any other bus repeats its parent's column. The columns follow their
+        # own buses' order.
+        on_paths = on_customer_paths(network)
+        own = {
+            m for m in range(network.n_buses)
+            if geometry.parent[m] < 0 or col_inverse[m] != col_inverse[geometry.parent[m]]
+        }
+        assert own == on_paths
+        assert np.array_equal(col_inverse[sorted(on_paths)], np.arange(len(on_paths)))
+        assert geometry.columns.shape[1] == 3 * len(on_paths)
 
     def test_customer_table_is_stored_customer_major(self, network):
-        # One read-only array, rows by (customer, phase); the kernels read it
-        # through a contiguous view of the same memory.
+        # One read-only array, rows by (customer, phase), one column triple per
+        # bus with a column of its own; the kernels read it through a
+        # contiguous view of the same memory.
         columns = feeder_geometry(network).columns
-        assert columns.shape == (3 * network.n_customers, 3 * network.n_buses)
+        k = len(on_customer_paths(network))
+        assert columns.shape == (3 * network.n_customers, 3 * k)
         assert columns.flags["C_CONTIGUOUS"] and not columns.flags["WRITEABLE"]
         meet = _customer_meet(network)
         assert meet.flags["C_CONTIGUOUS"] and np.shares_memory(meet, columns)
@@ -296,4 +319,4 @@ class TestFeederGeometry:
         network = random_radial_network(seed=900, n_buses=900, n_customers=55)
         geometry = feeder_geometry(network)
         arrays = [v for v in vars(geometry).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) < 10 * 2**20  # an (n, n, 3, 3) table would hold 112 MiB
+        assert sum(a.nbytes for a in arrays) < 3 * 2**20  # an (n, n, 3, 3) table would hold 112 MiB
