@@ -137,7 +137,8 @@ def _set_context(network: Network, demands: DemandSeries, config: SweepConfig) -
 def _pin_blas_thread() -> None:
     """Give numpy's OpenBLAS one thread in this process, when the library
     numpy loaded exposes a setter. Sweep workers already share the cores, so
-    more BLAS threads per worker only oversubscribe them."""
+    more BLAS threads per worker only oversubscribe them. `phasebal sweep`
+    pins its own process too; a library caller of `run_sweep` keeps its own."""
 
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))
@@ -622,6 +623,7 @@ def _print_summary(report: SweepReport) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _out_dir(args)
+    _pin_blas_thread()  # the cells that run in this process, at --parallelism 1
     try:
         config = SweepConfig(
             scenario=args.scenario,

@@ -10,8 +10,10 @@ transformer-current limits. What differs is the voltage model:
 * linearized-inverse: currents affine in the local bus voltage through a
   fitted approximation of 1/conj(V), closed by a fixed point over the
   customers' own voltages;
-* lossless branch-flow: squared-magnitude voltage propagation with
-  nominally rotated per-phase flows and no voltage feedback at all.
+* lossless branch-flow: the fixed-voltage state at the flat profile read as
+  squared magnitudes to first order in the drop, the loads' exact sum on the
+  transformer: under a balanced source the nominally rotated linear branch
+  flow of Gan & Low (2014), under an unbalanced one the source's own ratios.
 
 All evaluators return the same result shape, so search code can score
 assignments under any model and verify winners against the exact power
@@ -59,8 +61,6 @@ from .powerflow import (
 CHI = complex(np.exp(-2j * np.pi / 3))
 # Row vector turning phase values into 3x the negative-sequence component.
 _NEG_ROW = np.array([1.0, CHI, CHI**2], dtype=complex)
-# BETA[phi, p]: assumed voltage ratio V_phi / V_p under exact 120 deg spacing.
-BETA = np.array([[CHI ** ((phi - p) % 3) for p in range(3)] for phi in range(3)])
 
 __all__ = [
     "AffineFit",
@@ -181,7 +181,7 @@ class EvaluationResult:
     objective: float  # pi + MB * sum(slack.values())
     s_dt: np.ndarray  # (3,) complex transformer power
     vm: np.ndarray  # (buses, 3) voltage magnitudes under the model
-    vneg: np.ndarray  # (buses,) model unbalance; squared units for branch-flow
+    vneg: np.ndarray  # (buses,) model negative-sequence phasor, in per-unit for every model
     v: np.ndarray | None = None  # (buses, 3) phasors when the model has them
     meta: Mapping[str, object] = field(default_factory=dict)
 
@@ -231,12 +231,6 @@ def _result(
         v=v,
         meta=dict(meta or {}),
     )
-
-
-def _phase_path_impedances(network: Network, phases: np.ndarray) -> np.ndarray:
-    """sel[j, c, phi] = shared-path impedance row Meet[c, bus_j][phi, p_j], c a column."""
-
-    return _customer_meet(network)[np.arange(len(phases)), phases]  # (customers, k, 3)
 
 
 def _dt_current(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
@@ -317,7 +311,8 @@ def _fixv_fields(
 
     geometry = feeder_geometry(network)
     i_cust = np.conj(s) / np.conj(profile[geometry.cust_bus, phases])
-    sel = _phase_path_impedances(network, phases)  # (customers, k, 3)
+    # sel[j, c, phi]: shared-path impedance row Meet[c, bus_j][phi, p_j] at column c.
+    sel = _customer_meet(network)[np.arange(len(phases)), phases]  # (customers, k, 3)
     v = network.v0 - np.einsum("jmf,...j->...mf", sel, i_cust)
     return v.take(geometry.col_inverse, axis=-2), _dt_current(phases, i_cust)
 
@@ -534,10 +529,11 @@ def evaluate_lbfm(
     """Lossless branch-flow model over squared voltage magnitudes.
 
     Per-phase flows aggregate customer powers unchanged (no losses, no
-    voltage feedback); squared magnitudes and the unbalance surrogate
-    propagate through the path impedances under nominal phase rotation.
-    Voltage-type slacks are in squared per-unit; the transformer current
-    surrogate is |S_phase| / |V0_phase|.
+    voltage feedback). The voltages are flat fixv's read as squared
+    magnitudes (`_lbfm_fields`): under a balanced source, as every imported
+    feeder has, the nominally rotated branch flow; an unbalanced source's own
+    phase ratios replace that rotation. Voltage-type slacks are in squared
+    per-unit; the transformer current surrogate is |S_phase| / |V0_phase|.
     """
 
     check_assignment(snapshot, assignment)
@@ -549,26 +545,28 @@ def evaluate_lbfm(
     )
 
 
+def _lbfm_squares(v0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared magnitudes of voltages v near the root's v0, to first order in
+    the drop v0 - v: |v|^2 = 2 Re(conj(v0) v) - |v0|^2 + |v0 - v|^2."""
+
+    return 2.0 * np.real(np.conj(v0) * v) - np.abs(v0) ** 2
+
+
 def _lbfm_fields(
     network: Network, phases: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The branch-flow model's equations for loads s (..., customers): the
-    (..., buses, 3) squared magnitudes and (..., buses) unbalance surrogate,
-    computed at the geometry's columns, and the (..., 3) transformer power,
-    all affine in every customer's load."""
+    (..., buses, 3) squared magnitudes and (..., buses) unbalance phasor of
+    the fixed-voltage state at the flat profile, and the (..., 3) transformer
+    power, the exact per-phase sum of the loads; all affine in every load.
 
-    v0 = network.v0
-    sel = _phase_path_impedances(network, phases)  # (customers, k, 3)
+    With BETA[phi, p] = v0[phi] / v0[p], the squares are
+    |v0[phi]|^2 - sum_j 2 Re(BETA[phi, p_j] s_j conj(Z_j[phi])), Z_j the
+    shared-path impedances of customer j, and the unbalance phasor is fixv's.
+    """
 
-    beta_sel = BETA[:, phases].T  # (customers, 3): ratio toward each observed phase
-    ddiag = 2.0 * np.real(beta_sel[:, None, :] * s[..., :, None, None] * np.conj(sel))
-    diag = np.abs(v0) ** 2 - ddiag.sum(axis=-3)
-
-    vneg0 = complex(_NEG_ROW @ v0) / 3.0
-    i_nom = np.conj(s) / np.conj(v0[phases])
-    vneg = vneg0 - np.einsum("...j,jm->...m", i_nom / 3.0, sel @ _NEG_ROW)
-    col_inverse = feeder_geometry(network).col_inverse
-    return diag.take(col_inverse, axis=-2), vneg.take(col_inverse, axis=-1), _dt_current(phases, s)
+    v, _ = _fixv_fields(network, phases, s, _fixv_profile(network, None))
+    return _lbfm_squares(network.v0, v), v @ (_NEG_ROW / 3.0), _dt_current(phases, s)
 
 
 def _lbfm_measures(
@@ -631,14 +629,17 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # Batch scoring kernels (internal).
 #
 # Search code scores thousands of assignments per period. Customer effects
-# under the fixed-voltage and branch-flow models are separable, so each
-# kernel precomputes per-(customer, phase) effect tables, folds the
-# non-adjustable customers into a base state, and scores a candidate by
-# adding its movable customers' effects onto the base in customer order.
-# The outer sum of two half-assignment tables of transformer power (sv1,
-# sv2) prices every candidate's spread pi (`spreads`), which the
-# bound-ordered search ranks by; `score` reads pi off the same tables, so
-# the bound and the score agree bit for bit.
+# under the fixed-voltage model are separable, so its kernel precomputes
+# per-(customer, phase) voltage effect tables, folds the non-adjustable
+# customers into a base state, and scores a candidate by adding its movable
+# customers' effects onto the base in customer order. The branch-flow kernel
+# is the fixed-voltage kernel at the flat profile; it differs only in the
+# power each customer lands on the transformer (its load, exactly) and in
+# reading the voltages as squared magnitudes. The outer sum of two
+# half-assignment tables of transformer power (sv1, sv2) prices every
+# candidate's spread pi (`spreads`), which the bound-ordered search ranks
+# by; `score` reads pi off the same tables, so the bound and the score
+# agree bit for bit.
 # The linearized-inverse model is not separable; its kernel hands chunks of
 # candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
 # one. Every kernel keeps its states at the geometry's columns, and
@@ -708,32 +709,42 @@ class _Kernel:
         return _score(s_dt, (t.take(ci, axis=-1) if k < 3 else t for k, t in enumerate(terms)))
 
 
-class _SeparableKernel(_Kernel):
-    """Scoring for models whose customer effects simply add up.
+class _FixvKernel(_Kernel):
+    """Batch scorer for the fixed-voltage model at one voltage profile, whose
+    customer effects simply add up."""
 
-    A subclass hands `_tabulate` each customer's power landing on each phase
-    and its effect on every state field, and names in `_measures` the voltage
-    measures and unbalance magnitude that `_slack_terms` tests on the fields.
-    """
-
+    method = "fixv"
     separable = True
 
-    def _tabulate(
-        self,
-        s_on: np.ndarray,
-        effects: list[np.ndarray],
-        no_load: list[np.ndarray],
-    ) -> None:
-        """s_on (customers, 3); effects[f] (customers, 3, k, ...) at the
-        geometry's k columns, with no_load[f] the field's (k, ...) value when
-        no customer draws power."""
+    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
+        super().__init__(snapshot)
+        profile = _fixv_profile(self.network, profile)
+        cust_bus = feeder_geometry(self.network).cust_bus
+        i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
+        # Voltage effect at (column, phi) of customer j connected at p.
+        meet = _customer_meet(self.network)
+        no_load = np.tile(self.v0, (meet.shape[2], 1))
+        self._tabulate(self._s_on(i_all), -meet * i_all[:, :, None, None], no_load)
+
+    def _s_on(self, i_all: np.ndarray) -> np.ndarray:
+        """(customers, 3) power customer j lands on phase p drawing i_all[j, p]."""
+
+        return self.v0[None, :] * np.conj(i_all)
+
+    def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        lo, vm, vneg = _voltage_measures(v)
+        return lo, vm, np.abs(vneg)
+
+    def _tabulate(self, s_on: np.ndarray, effects: np.ndarray, no_load: np.ndarray) -> None:
+        """s_on (customers, 3); effects (customers, 3, k, 3) at the geometry's
+        k columns, with no_load the (k, 3) voltages when no customer draws power."""
 
         fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
         pf = self.initial[fixed]
         self.s_base = np.zeros(3, dtype=complex)
         np.add.at(self.s_base, pf, s_on[fixed, pf])
-        self.base = [z + e[fixed, pf].sum(axis=0) for z, e in zip(no_load, effects)]
-        self.effects = [e[self.movable] for e in effects]
+        self.base = no_load + effects[fixed, pf].sum(axis=0)
+        self.effects = effects[self.movable]
         k1 = (self.n_movable + 1) // 2
         self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
@@ -763,67 +774,29 @@ class _SeparableKernel(_Kernel):
         idx2 = choices[:, k1:] @ _radix(self.n_movable - k1)
         sv1, sv2 = self.halves
         s_dt = self.s_base + sv1[idx1] + sv2[idx2]
-        fields = []
-        for base, effects in zip(self.base, self.effects):
-            # The base plus each movable customer's effect, in customer order.
-            fields.append(np.repeat(base[None], len(choices), axis=0))
-            for e, chosen in zip(effects, choices.T):
-                fields[-1] += e[chosen]
-        measures = self._measures(*fields)
-        del fields  # a chunk's largest arrays, freed once measured
+        # The base plus each movable customer's effect, in customer order.
+        v = np.repeat(self.base[None], len(choices), axis=0)
+        for e, chosen in zip(self.effects, choices.T):
+            v += e[chosen]
+        measures = self._measures(v)
+        del v  # a chunk's largest array, freed once measured
         return self._score_columns(s_dt, *measures, np.abs(s_dt) / np.abs(self.v0))
 
 
-class _FixvKernel(_SeparableKernel):
-    """Batch scorer for the fixed-voltage model at one voltage profile."""
-
-    method = "fixv"
-
-    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
-        super().__init__(snapshot)
-        profile = _fixv_profile(self.network, profile)
-        cust_bus = feeder_geometry(self.network).cust_bus
-        i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
-        # Voltage effect at (column, phi) of customer j connected at p.
-        meet = _customer_meet(self.network)
-        dv_all = -meet * i_all[:, :, None, None]
-        self._tabulate(
-            self.v0[None, :] * np.conj(i_all), [dv_all], [np.tile(self.v0, (meet.shape[2], 1))]
-        )
-
-    @staticmethod
-    def _measures(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lo, vm, vneg = _voltage_measures(v)
-        return lo, vm, np.abs(vneg)
-
-
-class _LbfmKernel(_SeparableKernel):
-    """Batch scorer for the lossless branch-flow model."""
+class _LbfmKernel(_FixvKernel):
+    """Batch scorer for the lossless branch-flow model: fixv at the flat
+    profile (its callers pass none), read as `_lbfm_fields` reads it."""
 
     method = "lbfm"
     squared = True
 
-    def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
-        super().__init__(snapshot)
-        s, v0, meet_t = self.s, self.v0, _customer_meet(self.network)
-        # Changes of the squared magnitude at (column, phi) and of the
-        # unbalance surrogate at each column when customer j sits on phase p.
-        ddiag_all = -2.0 * np.real(
-            BETA.T[None, :, None, :] * s[:, None, None, None] * np.conj(meet_t)
-        )
-        dneg_all = -(
-            ((1.0 / np.conj(v0))[None, :, None] / 3.0) * np.conj(s)[:, None, None] * (meet_t @ _NEG_ROW)
-        )
-        n = meet_t.shape[2]
-        self._tabulate(
-            np.repeat(s[:, None], 3, axis=1),
-            [ddiag_all, dneg_all],
-            [np.tile(np.abs(v0) ** 2, (n, 1)), np.full(n, complex(_NEG_ROW @ v0) / 3.0)],
-        )
+    def _s_on(self, i_all: np.ndarray) -> np.ndarray:
+        # The loads themselves, so that plateau ties in pi stay exact.
+        return np.repeat(self.s[:, None], 3, axis=1)
 
-    @staticmethod
-    def _measures(diag: np.ndarray, vneg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return diag, diag, np.abs(vneg)
+    def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        diag = _lbfm_squares(self.v0, v)
+        return diag, diag, np.abs(v @ (_NEG_ROW / 3.0))
 
 
 class _LinvKernel(_Kernel):

@@ -309,7 +309,8 @@ def solve_utpf(
                 raise VoltageCollapseError("converged state below the collapse guard")
             return PFSolution(
                 v=v.take(geometry.col_inverse, axis=0),
-                i_lines=geometry.below @ injected,
+                # Two real products: numpy would cast the incidence to complex.
+                i_lines=geometry.below @ injected.real + 1j * (geometry.below @ injected.imag),
                 s_dt=v0 * np.conj(injected.sum(axis=0)),
                 s_cust=s,
                 cust_phase=phases,

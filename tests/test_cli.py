@@ -187,14 +187,11 @@ def test_package_runs_as_a_module_without_warnings():
     assert done.stdout.startswith("usage: phasebal")
 
 
-def test_sweep_workers_run_one_blas_thread():
-    # In a process that starts OpenBLAS with two threads, the worker setup
-    # leaves it one; a numpy without an OpenBLAS getter has nothing to check.
-    probe = """
+# Reads numpy's OpenBLAS thread count; exits 3 when the library exposes no getter.
+BLAS_THREADS = """
 import ctypes, sys
 from pathlib import Path
 import numpy as np
-from phasebal import cli
 
 def threads():
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
@@ -205,26 +202,61 @@ def threads():
                 getter.restype = ctypes.c_int
                 return getter()
     sys.exit(3)
-
-before = threads()
-cli._worker_init(cli.SweepConfig())
-print(before, threads())
 """
+
+
+def _blas_probe(script: str) -> list[str]:
+    """What script prints after BLAS_THREADS, run in a process that starts
+    OpenBLAS with two threads; skips when the thread count cannot be read."""
+
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
-        env=_package_env(OPENBLAS_NUM_THREADS="2"),
+        [sys.executable, "-c", BLAS_THREADS + script], capture_output=True, text=True,
+        timeout=120, env=_package_env(OPENBLAS_NUM_THREADS="2"),
     )
     if done.returncode == 3:
         pytest.skip("numpy's OpenBLAS exposes no thread-count getter")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["2", "1"]
+    return done.stdout.split()
 
 
-def test_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
+def test_sweep_workers_run_one_blas_thread():
+    # The worker setup leaves OpenBLAS one thread.
+    probe = """
+from phasebal import cli
+before = threads()
+cli._worker_init(cli.SweepConfig())
+print(before, threads())
+"""
+    assert _blas_probe(probe) == ["2", "1"]
+
+
+def test_in_process_sweep_cells_run_one_blas_thread(tmp_path):
+    # `phasebal sweep --parallelism 1` runs its cells under one BLAS thread;
+    # `run_sweep` called as a library leaves its caller's threads alone.
+    probe = f"""
+import contextlib, io
+from phasebal import cli
+seen, run_cell = [], cli._run_cell
+def counting_cell(spec):
+    seen.append(threads())
+    return run_cell(spec)
+cli._run_cell = counting_cell
+config = cli.SweepConfig(methods=("initial",), periods=(0, 1), out_dir={str(tmp_path / "lib")!r})
+cli.run_sweep(config)
+argv = ["sweep", "--periods", "0:1", "--methods", "initial", "--parallelism", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv + ["--out-dir", {str(tmp_path / "cli")!r}])
+print(*seen, code)
+"""
+    assert _blas_probe(probe) == ["2", "1", "0"]
+
+
+def _assert_blas_threads_change_no_outcome(tmp_path, parallelism: str) -> None:
     for threads in ("2", "1"):
-        argv = ["sweep", "--periods", "72:74", "--parallelism", "2", "--out-dir", str(tmp_path / threads)]
+        argv = ["sweep", "--periods", "72:74", "--parallelism", parallelism]
         done = subprocess.run(
-            [sys.executable, "-m", "phasebal", *argv], capture_output=True, text=True, timeout=300,
+            [sys.executable, "-m", "phasebal", *argv, "--out-dir", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=300,
             env=_package_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert done.returncode == 0, done.stderr
@@ -234,6 +266,14 @@ def test_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert (diff.returncode, diff.stdout) == (0, "")
+
+
+def test_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
+    _assert_blas_threads_change_no_outcome(tmp_path, parallelism="2")
+
+
+def test_in_process_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
+    _assert_blas_threads_change_no_outcome(tmp_path, parallelism="1")
 
 
 def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):

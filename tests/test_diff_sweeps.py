@@ -33,7 +33,23 @@ def test_sweeps_match_apart_from_runtime_and_an_edit_is_named(tmp_path):
     cell.write_text(json.dumps(doc))
     edited = diff(tmp_path / "old", tmp_path / "new")
     assert edited.returncode == 1
-    assert edited.stdout.splitlines() == ["outcome_73_lbfm.json: assignment"]
+    assert edited.stdout.splitlines() == ["outcome_73_lbfm.json: assignment (2.0e+00)"]
+
+
+def test_each_change_is_sized_and_a_changed_shape_named_bare(tmp_path):
+    for name in ("old", "new"):
+        argv = ["sweep", "--periods", "73:74", "--methods", "lbfm", "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    cell = tmp_path / "new" / "outcome_73_lbfm.json"
+    doc = json.loads(cell.read_text())
+    doc["model"]["objective"] += 1.5e-12  # a number deep in a key
+    doc["model"]["slack"]["v_lo"] -= 3e-11
+    doc["vm_error"] = doc["vm_error"][:-1]  # a list of another length
+    doc["status"] = "failed"  # changed text
+    cell.write_text(json.dumps(doc))
+    edited = diff(tmp_path / "old", tmp_path / "new")
+    assert edited.returncode == 1
+    assert edited.stdout.splitlines() == ["outcome_73_lbfm.json: model (3.0e-11), status, vm_error"]
 
 
 def test_a_directory_without_outcomes_is_refused(tmp_path):

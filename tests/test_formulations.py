@@ -15,12 +15,16 @@ from phasebal.formulations import (
     _LINV_CHUNK,
     AffineFit,
     FormulationError,
-    _SeparableKernel,
+    _FixvKernel,
     _decode,
+    _dt_current,
+    _lbfm_fields,
+    _lbfm_measures,
     _linv_solve,
     _phasor_measures,
     _price,
     _radix,
+    _result,
     _score,
     _slack_terms,
     _voltage_measures,
@@ -357,6 +361,17 @@ class TestBranchFlowModel:
         assert abs(lossless.pi - exact.pi) <= 1e-5
         assert np.max(np.abs(lossless.vm - exact.vm)) <= 1e-5
 
+    def test_kernel_lands_each_load_on_the_transformer_exactly(self, network, demands):
+        # The switch customers draw at unity power factor, so no choice of
+        # theirs may move the transformer's reactive power: the spread
+        # plateau's ties stay exact. Flat fixv's v0 * conj(i) leaves
+        # reactive power at rounding level.
+        snap = build_snapshot(network, demands, 73)
+        kernel = _MODELS["lbfm"].kernel(snap)
+        assert np.all(snap.q_pu[kernel.movable] == 0.0)
+        for half in kernel.halves:
+            assert np.all(half.imag == 0.0)
+
     def test_no_load_is_nominal(self, network):
         snap = snapshot_for(network, np.zeros(network.n_customers))
         out = evaluate_lbfm(snap, PhaseAssignment.initial(network))
@@ -364,6 +379,71 @@ class TestBranchFlowModel:
         assert sum(out.slack.values()) == 0.0
         assert np.allclose(out.vm, np.abs(network.v0)[None, :])
         assert np.max(np.abs(out.vneg)) <= 1e-14
+
+
+# lbfm's equations as they were written before the model came to read flat
+# fixv: BETA[phi, p] is the voltage ratio V_phi / V_p under exact 120 degree
+# spacing, and the squared magnitudes and unbalance phasor propagate each
+# customer's load through its shared-path impedances under that rotation.
+BETA = np.array([[CHI ** ((phi - p) % 3) for p in range(3)] for phi in range(3)])
+NEG_ROW = np.array([1.0, CHI, CHI**2])
+
+
+def nominal_rotation_fields(network, phases, s):
+    v0 = network.v0
+    sel = _customer_meet(network)[np.arange(len(phases)), phases]  # (customers, k, 3)
+    beta_sel = BETA[:, phases].T  # (customers, 3): ratio toward each observed phase
+    ddiag = 2.0 * np.real(beta_sel[:, None, :] * s[..., :, None, None] * np.conj(sel))
+    diag = np.abs(v0) ** 2 - ddiag.sum(axis=-3)
+    vneg0 = complex(NEG_ROW @ v0) / 3.0
+    i_nom = np.conj(s) / np.conj(v0[phases])
+    vneg = vneg0 - np.einsum("...j,jm->...m", i_nom / 3.0, sel @ NEG_ROW)
+    col_inverse = feeder_geometry(network).col_inverse
+    return diag.take(col_inverse, axis=-2), vneg.take(col_inverse, axis=-1), _dt_current(phases, s)
+
+
+class TestBranchFlowIsFlatFixv:
+    """lbfm's fields, read off flat fixv, equal the nominal-rotation branch
+    flow on every source that is balanced, as the bundled feeder's and
+    `make_v0`'s are."""
+
+    @staticmethod
+    def _assert_matches_nominal_rotation(snap, rng):
+        network = snap.network
+        phases = np.array([c.initial_phase for c in network.customers])
+        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, len(snap.adjustable_idx))
+        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
+        assert np.any(q != 0.0)
+        s = powerflow._effective_loads(snap, q)
+        reference = nominal_rotation_fields(network, phases, s)
+        for got, want in zip(_lbfm_fields(network, phases, s), reference):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14
+        out = evaluate_lbfm(snap, asg, q_adjust=q)
+        ref = _result(
+            "lbfm", network.i_dt_max, *_lbfm_measures(network, *reference), None, squared=True
+        )
+        assert np.array_equal(out.s_dt, ref.s_dt)
+        for name in ("vm", "vneg"):
+            assert np.max(np.abs(getattr(out, name) - getattr(ref, name))) <= 1e-14, name
+        assert abs(out.objective - ref.objective) <= 1e-14 * max(1.0, abs(ref.objective))
+
+    @pytest.mark.parametrize("period", [0, 48, 73])
+    def test_bundled_periods(self, network, demands, period):
+        assert np.allclose(network.v0, network.v0[0] * CHI ** np.arange(3), rtol=0, atol=1e-15)
+        snap = build_snapshot(network, demands, period, pv_q_control=True)
+        rng = np.random.default_rng(period)
+        for _ in range(5):
+            self._assert_matches_nominal_rotation(snap, rng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_feeders(self, seed):
+        network = random_radial_network(seed)
+        snap = loaded_snapshot(network, seed, switches=4, q_band=0.02)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            self._assert_matches_nominal_rotation(snap, rng)
 
 
 class TestLineScorer:
@@ -460,10 +540,11 @@ def merged_column_case():
 def unmerged_score(kernel, s_on, effects, no_load, choices):
     """A separable kernel's objective, pi and slack, with no column merging.
 
-    Every bus gets its own state from its column's tables, summed as the base
-    plus each switch customer's effect in customer order; the transformer
-    power is summed as the base plus two halves, each adding its customers'
-    powers in turn. The slacks use numpy's reductions over the phase axis.
+    Every bus gets its own voltages from its column's tables, summed as the
+    base plus each switch customer's effect in customer order; the
+    transformer power is summed as the base plus two halves, each adding its
+    customers' powers in turn. The slacks use numpy's reductions over the
+    phase axis.
     """
 
     movable, initial = kernel.movable, kernel.initial
@@ -483,15 +564,12 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
         s_dt = s_dt + sv
 
     col_inverse = feeder_geometry(kernel.network).col_inverse
-    fields = []
-    for z, e in zip(no_load, effects):
-        z, e = z[col_inverse], e[:, :, col_inverse]
-        state = np.repeat((z + e[fixed, pf].sum(axis=0))[None], len(choices), axis=0)
-        for local in range(kernel.n_movable):
-            state = state + e[movable[local]][choices[:, local]]
-        fields.append(state)
+    z, e = no_load[col_inverse], effects[:, :, col_inverse]
+    v = np.repeat((z + e[fixed, pf].sum(axis=0))[None], len(choices), axis=0)
+    for local in range(kernel.n_movable):
+        v = v + e[movable[local]][choices[:, local]]
 
-    lo, hi, neg = kernel._measures(*fields)
+    lo, hi, neg = kernel._measures(v)
     k = 2 if kernel.squared else 1
     terms = (
         np.maximum(0.0, V_MIN**k - lo.min(axis=-1)),
@@ -640,15 +718,15 @@ class TestBatchKernels:
     def test_merged_columns_score_as_unmerged(self, method, monkeypatch):
         network, snap = merged_column_case()
         tables = {}
-        tabulate = _SeparableKernel._tabulate
+        tabulate = _FixvKernel._tabulate
 
         def recording_tabulate(self, s_on, effects, no_load):
             tables.update(s_on=s_on, effects=effects, no_load=no_load)
             tabulate(self, s_on, effects, no_load)
 
-        monkeypatch.setattr(_SeparableKernel, "_tabulate", recording_tabulate)
+        monkeypatch.setattr(_FixvKernel, "_tabulate", recording_tabulate)
         kernel = _MODELS[method].kernel(snap)
-        assert tables["no_load"][0].shape[0] < network.n_buses  # some buses share a column
+        assert tables["no_load"].shape[0] < network.n_buses  # some buses share a column
 
         choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
         batch = kernel.score(choices)

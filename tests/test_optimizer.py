@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phasebal import optimizer
-from phasebal.formulations import _SeparableKernel, _decode, evaluate_fixv
+from phasebal.formulations import _FixvKernel, _decode, evaluate_fixv
 from phasebal.netmodel import SWITCH_CUSTOMERS, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
@@ -71,7 +71,7 @@ class TestExhaustive:
         # any candidate is scored.
         network = random_radial_network(seed=13)
         snap = loaded_snapshot(network, seed=13, switches=13)
-        monkeypatch.setattr(_SeparableKernel, "score", None)
+        monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError) as info:
             search(snap)
         assert str(info.value) == (
@@ -274,7 +274,7 @@ class TestIteratedRefinement:
         # before any candidate is scored.
         snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
         assert len(snap.adjustable_idx) == 13
-        monkeypatch.setattr(_SeparableKernel, "score", None)
+        monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
             fixv_algorithm1(snap, warm=warm)
 
@@ -286,7 +286,7 @@ class TestModelTable:
         # linv still runs local search from the initial assignment and three
         # restarts.
         snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
-        monkeypatch.setattr(_SeparableKernel, "score", None)
+        monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
             _search_once(snap, "lbfm", 7)
         out = _search_once(snap, "linv", 7)

@@ -5,9 +5,13 @@ equal apart from `runtime_s`, and byte-identical `accuracy_cdf.csv` files.
 `sweep.csv` and `summary.json` are not compared: `phasebal verify` rebuilds
 both from the outcome files.
 
-Prints one line per differing cell, naming the top-level keys that differ.
-Exits 0 when everything matches, 1 when something differs, and 2 when a
-directory holds no outcome files.
+Prints one line per differing cell, naming the top-level keys that differ,
+each with the largest absolute difference between the numbers at matching
+paths under it, as in `outcome_73_lbfm.json: model (1.1e-12), q_adjust
+(2.0e-11)`; a key whose shape or types differ (a list of another length, a
+number against NaN, changed text) is named bare. Exits 0 when everything
+matches, 1 when something differs, and 2 when a directory holds no outcome
+files.
 
 Usage: python3 tools/diff_sweeps.py OLD NEW
 """
@@ -33,6 +37,30 @@ def outcomes(directory: Path) -> dict[str, dict]:
     }
 
 
+def largest_change(a: object, b: object) -> float | None:
+    """The largest absolute difference between the numbers at matching paths
+    of two JSON values, or None when their shapes, types or texts differ."""
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [largest_change(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [largest_change(x, y) for x, y in zip(a, b)]
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return abs(a - b)
+    else:
+        return 0.0 if a == b and type(a) is type(b) else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def described(key: str, a: object, b: object) -> str:
+    change = largest_change(a, b)
+    return key if change is None else f"{key} ({change:.1e})"
+
+
 def differences(old_dir: Path, new_dir: Path) -> list[str]:
     """One line per outcome file or report that differs between the sweeps."""
 
@@ -45,7 +73,8 @@ def differences(old_dir: Path, new_dir: Path) -> list[str]:
             k for k in (a.keys() | b.keys()) - IGNORED if a.get(k, MISSING) != b.get(k, MISSING)
         )
         if keys:
-            lines.append(f"{name}: {', '.join(keys)}")
+            changes = (described(k, a.get(k, MISSING), b.get(k, MISSING)) for k in keys)
+            lines.append(f"{name}: {', '.join(changes)}")
     cdf = "accuracy_cdf.csv"
     texts = [(d / cdf).read_bytes() if (d / cdf).exists() else None for d in (old_dir, new_dir)]
     if texts[0] != texts[1]:
