@@ -28,7 +28,13 @@ reactive adjustment, objectives only, through the same field equations the
 scalar evaluator runs (`_fixv_fields`, `_linv_solve`, `_lbfm_fields`),
 called once per coordinate: every model's fields are affine along it, in
 the customer's load for fixv and lbfm and in the customer's own current for
-linv. For any batch of model states, a single state included,
+linv. A line prices pi and the transformer-current slack at every point, but
+a voltage slack (v_lo, v_hi, neg_seq) only where it cannot prove it zero:
+along the line each voltage measure moves by at most the reach (the band's
+for fixv and lbfm, the batch's largest current move for linv) times that
+measure of the unit direction, and a term whose bound clears its limit by
+`_SCREEN_MARGIN` is +0.0 at every point, so leaving it out changes no bit
+(`_live_terms`). For any batch of model states, a single state included,
 `_slack_terms` computes the limit slacks and `_score` the objective, so the
 scalar evaluators, the kernels and the line builders price a state the same
 way. `optimizer._MODELS` is the one lookup from a model name to its
@@ -45,6 +51,7 @@ import numpy as np
 
 from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network
 from .powerflow import (
+    _BAND_TOL,
     PFSolution,
     PhaseAssignment,
     _bus_voltages,
@@ -109,11 +116,18 @@ def _phase_max(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(x[..., 0], x[..., 1]), x[..., 2])
 
 
+def _limits(squared: bool) -> tuple[float, float, float]:
+    """V_MIN, V_MAX and NEG_SEQ_MAX, squared for branch-flow units."""
+
+    k = 2 if squared else 1
+    return V_MIN**k, V_MAX**k, NEG_SEQ_MAX**k
+
+
 def _slack_terms(
     i_dt_max: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    neg: np.ndarray,
+    lo: np.ndarray | None,
+    hi: np.ndarray | None,
+    neg: np.ndarray | None,
     i_dt_mag: np.ndarray,
     squared: bool = False,
 ) -> Iterator[np.ndarray]:
@@ -124,16 +138,19 @@ def _slack_terms(
     i_dt_mag the (..., 3) transformer current magnitudes against i_dt_max.
     With squared set, lo and hi are squared magnitudes (branch-flow units),
     and the voltage limits and the unbalance magnitude are squared to match.
-    One term at a time, so that a large batch never holds all four. The
-    phase axis is reduced elementwise, which gives min and max bit for bit.
+    A voltage measure given as None has its term left out (see
+    `_live_terms`). One term at a time, so that a large batch never holds
+    all four. The phase axis is reduced elementwise, which gives min and max
+    bit for bit.
     """
 
-    v_min, v_max, neg_max = V_MIN, V_MAX, NEG_SEQ_MAX
-    if squared:
-        v_min, v_max, neg_max = v_min**2, v_max**2, neg_max**2
-    yield np.maximum(0.0, v_min - _phase_min(lo))
-    yield np.maximum(0.0, _phase_max(hi) - v_max)
-    yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
+    v_min, v_max, neg_max = _limits(squared)
+    if lo is not None:
+        yield np.maximum(0.0, v_min - _phase_min(lo))
+    if hi is not None:
+        yield np.maximum(0.0, _phase_max(hi) - v_max)
+    if neg is not None:
+        yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
     yield np.maximum(0.0, i_dt_mag - i_dt_max)
 
 
@@ -160,14 +177,52 @@ def _price(
     i_dt_max: float,
     s_dt: np.ndarray,
     i_dt_mag: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    vneg: np.ndarray,
+    lo: np.ndarray | None,
+    hi: np.ndarray | None,
+    vneg: np.ndarray | None,
     squared: bool = False,
+    live: tuple[bool, bool, bool] = (True, True, True),
 ) -> _BatchScore:
-    """`_score` of a batch of states given by a model's measures (see `_result`)."""
+    """`_score` of a batch of states given by a model's measures (see `_result`).
 
-    return _score(s_dt, _slack_terms(i_dt_max, lo, hi, np.abs(vneg), i_dt_mag, squared))
+    live flags the v_lo, v_hi and neg_seq terms to price; a line scorer
+    clears those `_live_terms` proves zero, and their measures may be None.
+    """
+
+    lo, hi, vneg = (m if keep else None for m, keep in zip((lo, hi, vneg), live))
+    neg = None if vneg is None else np.abs(vneg)
+    return _score(s_dt, _slack_terms(i_dt_max, lo, hi, neg, i_dt_mag, squared))
+
+
+# How far a bound on a voltage measure along a line must clear its limit for
+# the line scorers to leave that limit's slack out: far above the rounding of
+# the measures and of the bound itself (about 1e-16 pu).
+_SCREEN_MARGIN = 1e-9
+
+
+def _live_terms(
+    at: tuple[np.ndarray, ...], moves: tuple[np.ndarray, ...], squared: bool = False
+) -> tuple[bool, bool, bool]:
+    """Whether the v_lo, v_hi and neg_seq slacks can be nonzero along a line.
+
+    at holds the voltage measures lo, hi and vneg at the line's base, and
+    moves bounds, elementwise, how far lo, hi and |vneg| move from there at
+    any point the line prices. Every measure is linear in the fields or the
+    modulus of a linear map of them, so it moves by at most the modulus of
+    its own value at the fields' move. A term whose bound clears its limit
+    by _SCREEN_MARGIN is +0.0 at every such point, and leaving +0.0 out of
+    the slack total changes no bit of the objective. A NaN bound clears
+    nothing.
+    """
+
+    (lo, hi, vneg), (d_lo, d_hi, d_neg) = at, moves
+    v_min, v_max, neg_max = _limits(squared)
+    neg = np.max(np.abs(vneg) + d_neg)
+    return (
+        not np.min(lo - d_lo) >= v_min + _SCREEN_MARGIN,
+        not np.max(hi + d_hi) <= v_max - _SCREEN_MARGIN,
+        not (neg**2 if squared else neg) <= neg_max - _SCREEN_MARGIN,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,15 +373,17 @@ def _fixv_fields(
 
 
 def _phasor_measures(
-    network: Network, v: np.ndarray, i_dt: np.ndarray, linearized: bool = False
-) -> tuple[np.ndarray, ...]:
+    network: Network, v: np.ndarray | None, i_dt: np.ndarray, linearized: bool = False
+) -> tuple[np.ndarray | None, ...]:
     """s_dt, |i_dt| and the voltage measures lo, hi and vneg that `_price`
     reads off a phasor model's voltages and transformer currents; linearized
-    tests the lower bound on the projection onto the nominal phasors (linv)."""
+    tests the lower bound on the projection onto the nominal phasors (linv).
+    A line scorer passes v as None when it prices no voltage term; the
+    voltage measures are then None."""
 
     v0 = network.v0
-    lo, vm, vneg = _voltage_measures(v, v0 if linearized else None)
-    return v0 * np.conj(i_dt), np.abs(i_dt), lo, vm, vneg
+    volts = (None,) * 3 if v is None else _voltage_measures(v, v0 if linearized else None)
+    return v0 * np.conj(i_dt), np.abs(i_dt), *volts
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,7 +517,8 @@ def evaluate_linv(
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
 # customer c's reactive adjustment, every other customer held at q, to the
 # model's objectives there: the scalar evaluator's, to rounding. A t outside
-# c's band raises ValueError, as the scalar evaluators do. A line builder
+# c's band raises ValueError, as the scalar evaluators do. g leaves out the
+# voltage slacks `_live_terms` proves +0.0 at every point. A line builder
 # makes one from a snapshot, an assignment's phases and a profile.
 _Line = Callable[[np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
 
@@ -474,6 +532,11 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
     of three rows, c's load at 0, delta and j * delta, gives the base and the
     two directions. Each point t then solves i_c = conj(s_c + jt) g(V_c(i_c))
     as one real 2x2 system, since V_c is affine in i_c too.
+
+    The solved x + jy is not affine in t, so each call bounds how far the
+    voltage measures move by its own largest |x| and |y| times the measures
+    of U_re and U_im, and prices only the voltage terms that bound leaves
+    live (`_live_terms`); with none live, it moves no bus voltage.
     """
 
     network = snapshot.network
@@ -500,21 +563,27 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
         # g(V_c) at the base and along each unit direction of i_c.
         g0 = fit.g(v[0, bus, p], p)
         g_re, g_im = (fit.ck[p] * u[0][bus, p].real + fit.ch[p] * u[0][bus, p].imag for u in units)
+        at = _phasor_measures(network, *base, True)[2:]
+        rates = [[np.abs(m) for m in _phasor_measures(network, *u, True)[2:]] for u in units]
+        s_c, lo, hi = snapshot.s_pu[c], float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c])
 
         def g(t: np.ndarray) -> np.ndarray:
-            _check_band(snapshot, t, c)
-            w = np.conj(snapshot.s_pu[c] + 1j * t)  # as `_effective_loads` adds it
+            _check_band(t, lo, hi)
+            w = np.conj(s_c + 1j * t)  # as `_effective_loads` adds it
             a, b, e = w * g0, w * g_re, w * g_im
             # x + jy = a + x b + y e, as (1 - Re b) x - Re e y = Re a and
             # -Im b x + (1 - Im e) y = Im a, by Cramer's rule.
             det = (1.0 - b.real) * (1.0 - e.imag) - e.real * b.imag
             x = (a.real * (1.0 - e.imag) + e.real * a.imag) / det
             y = ((1.0 - b.real) * a.imag + b.imag * a.real) / det
+            x_max, y_max = np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)
+            live = _live_terms(at, tuple(x_max * r + y_max * i for r, i in zip(*rates)))
             fields = (
-                f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui)
-                for f0, ur, ui in zip(base, *units)
+                f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui) if moving else None
+                for f0, ur, ui, moving in zip(base, *units, (any(live), True))
             )
-            return _price(network.i_dt_max, *_phasor_measures(network, *fields, True)).objective
+            measures = _phasor_measures(network, *fields, True)
+            return _price(network.i_dt_max, *measures, live=live).objective
 
         return g
 
@@ -585,25 +654,39 @@ def _affine_line(
 ) -> _Line:
     """The line scorer of a model whose fields are affine in each customer's load.
 
-    fields maps (..., customers) loads to the model's field arrays, and
-    measures maps those to what `_price` reads. Per coordinate, the fields
-    are built at q and one unit of reactive load further on customer c; each
-    point then moves the base fields along that direction.
+    fields maps (..., customers) loads to the model's field arrays, the
+    transformer's last, and measures maps those to what `_price` reads. Per
+    coordinate, the fields are built at q and one unit of reactive load
+    further on customer c; each point then moves the base fields along
+    that direction.
+
+    No point moves further than the band's reach from q[c], so the measures
+    of the unit direction, times that reach, bound how far the voltage
+    measures move (see `_live_terms`). Once per coordinate, that bound tells
+    which voltage terms the line prices; with none live, the bus-level
+    fields are not moved at all.
     """
 
     network = snapshot.network
 
     def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
-        q_c = float(q[c])
+        q_c, lo, hi = float(q[c]), float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c])
         rows = np.repeat(_effective_loads(snapshot, q)[None, :], 2, axis=0)
         rows[1, c] += 1j
         base, unit = zip(*((f[0], f[1] - f[0]) for f in fields(rows)))
+        reach = max(q_c - lo, hi - q_c) + _BAND_TOL
+        moves = tuple(reach * np.abs(m) for m in measures(network, *unit)[2:])
+        live = _live_terms(measures(network, *base)[2:], moves, squared)
+        moving = (any(live),) * (len(base) - 1) + (True,)
 
         def g(t: np.ndarray) -> np.ndarray:
-            _check_band(snapshot, t, c)
+            _check_band(t, lo, hi)
             step = t - q_c
-            moved = (b + step.reshape((-1,) + (1,) * b.ndim) * u for b, u in zip(base, unit))
-            return _price(network.i_dt_max, *measures(network, *moved), squared).objective
+            moved = (
+                b + step.reshape((-1,) + (1,) * b.ndim) * u if keep else None
+                for b, u, keep in zip(base, unit, moving)
+            )
+            return _price(network.i_dt_max, *measures(network, *moved), squared, live).objective
 
         return g
 
@@ -629,13 +712,14 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # Batch scoring kernels (internal).
 #
 # Search code scores thousands of assignments per period. Customer effects
-# under the fixed-voltage model are separable, so its kernel precomputes
-# per-(customer, phase) voltage effect tables, folds the non-adjustable
-# customers into a base state, and scores a candidate by adding its movable
-# customers' effects onto the base in customer order. The branch-flow kernel
-# is the fixed-voltage kernel at the flat profile; it differs only in the
-# power each customer lands on the transformer (its load, exactly) and in
-# reading the voltages as squared magnitudes. The outer sum of two
+# under the fixed-voltage model are separable, so its kernel folds the
+# non-adjustable customers' effects at their own phase into a base state,
+# precomputes each movable customer's voltage effect table at every phase,
+# and scores a candidate by adding its movable customers' effects onto the
+# base in customer order. The branch-flow kernel is the fixed-voltage kernel
+# at the flat profile; it differs only in the power each customer lands on
+# the transformer (its load, exactly) and in reading the voltages as squared
+# magnitudes. The outer sum of two
 # half-assignment tables of transformer power (sv1, sv2) prices every
 # candidate's spread pi (`spreads`), which the bound-ordered search ranks
 # by; `score` reads pi off the same tables, so the bound and the score
@@ -721,10 +805,19 @@ class _FixvKernel(_Kernel):
         profile = _fixv_profile(self.network, profile)
         cust_bus = feeder_geometry(self.network).cust_bus
         i_all = np.conj(self.s)[:, None] / np.conj(profile[cust_bus])  # (customers, 3 options)
-        # Voltage effect at (column, phi) of customer j connected at p.
+        s_on = self._s_on(i_all)
+        fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
+        pf = self.initial[fixed]
+        self.s_base = np.zeros(3, dtype=complex)
+        np.add.at(self.s_base, pf, s_on[fixed, pf])
+        # Voltage effect at (column, phi) of customer j connected at p, built
+        # only for the fixed customers at their phase and the movable at all.
         meet = _customer_meet(self.network)
-        no_load = np.tile(self.v0, (meet.shape[2], 1))
-        self._tabulate(self._s_on(i_all), -meet * i_all[:, :, None, None], no_load)
+        fixed_effects = -meet[fixed, pf] * i_all[fixed, pf][:, None, None]
+        self.base = np.tile(self.v0, (meet.shape[2], 1)) + fixed_effects.sum(axis=0)
+        self.effects = -meet[self.movable] * i_all[self.movable][:, :, None, None]
+        k1 = (self.n_movable + 1) // 2
+        self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
     def _s_on(self, i_all: np.ndarray) -> np.ndarray:
         """(customers, 3) power customer j lands on phase p drawing i_all[j, p]."""
@@ -734,19 +827,6 @@ class _FixvKernel(_Kernel):
     def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lo, vm, vneg = _voltage_measures(v)
         return lo, vm, np.abs(vneg)
-
-    def _tabulate(self, s_on: np.ndarray, effects: np.ndarray, no_load: np.ndarray) -> None:
-        """s_on (customers, 3); effects (customers, 3, k, 3) at the geometry's
-        k columns, with no_load the (k, 3) voltages when no customer draws power."""
-
-        fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
-        pf = self.initial[fixed]
-        self.s_base = np.zeros(3, dtype=complex)
-        np.add.at(self.s_base, pf, s_on[fixed, pf])
-        self.base = no_load + effects[fixed, pf].sum(axis=0)
-        self.effects = effects[self.movable]
-        k1 = (self.n_movable + 1) // 2
-        self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
     @staticmethod
     def _half(s_on: np.ndarray) -> np.ndarray:

@@ -456,13 +456,19 @@ def _golden_step(
 
 
 def _reachable(a: float, b: float, c: float, d: float, steps: int) -> list[float]:
-    """The points the next `steps` golden steps from a bracket can add, on either branch."""
+    """The points the next `steps` golden steps from a bracket can add, on either
+    branch, one step's brackets at a time."""
 
-    points = []
-    for left in (True, False) if steps else ():
-        bracket, t = _golden_step(a, b, c, d, left)
-        points.append(t)
-        points.extend(_reachable(*bracket, steps - 1))
+    points: list[float] = []
+    brackets = [(a, b, c, d)]
+    for _ in range(steps):
+        grown = []
+        for bracket in brackets:
+            for left in (True, False):
+                after, t = _golden_step(*bracket, left)
+                grown.append(after)
+                points.append(t)
+        brackets = grown
     return points
 
 
@@ -472,7 +478,9 @@ def _minimize_1d(
     """Coarse scan plus golden-section refinement; never worse than (t0, f0).
 
     g maps an array of points to their objectives, each row on its own, so
-    a point's value does not depend on the batch it is priced in. The
+    a point's value does not depend on the batch it is priced in. A line
+    scorer's g leaves out a voltage slack only where it proves that slack
+    +0.0 at every point of the line or batch, which changes no value. The
     coarse scan is one call and the first golden pair another. Each golden
     step depends on the last, so when a step's point is not yet priced, one
     call prices every point the next _AHEAD steps can reach (1 + 2 + 4 + 8);
@@ -493,7 +501,7 @@ def _minimize_1d(
     b = float(points[min(len(points) - 1, k + 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = (float(f) for f in g(np.array([c, d])))
+    fc, fd = g(np.array([c, d])).tolist()
     evals += 2
     priced: dict[float, float] = {}
     while evals < _MAX_EVALS and (b - a) > 1e-10 * max(1.0, hi - lo):
@@ -501,7 +509,7 @@ def _minimize_1d(
         (a, b, c, d), t = _golden_step(a, b, c, d, left)
         if t not in priced:
             ahead = [t, *_reachable(a, b, c, d, _AHEAD - 1)]
-            priced.update(zip(ahead, (float(f) for f in g(np.array(ahead)))))
+            priced.update(zip(ahead, g(np.array(ahead)).tolist()))
         if left:
             fc, fd = priced[t], fc
         else:
@@ -530,10 +538,16 @@ def optimize_pv_q(
     coordinate are priced by the model's line scorer (its `_MODELS` line),
     which returns objectives only, in a few batched calls per coordinate
     (see `_minimize_1d`); the scalar evaluator prices only the start and
-    the final state. Rounds stop once a full sweep improves by less than
-    _SWEEP_TOL, or after _MAX_ROUNDS. Line objectives match the scalar
-    ones to rounding only, so a final state the scalar model ranks above
-    the start is dropped for the start: the objective never increases.
+    the final state. A line prices pi and the transformer-current slack at
+    every point, and a voltage slack only when its screen cannot prove it
+    +0.0 across the customer's band (or, under linv, across the batch's
+    currents); a slack left out is zero at every point it would have
+    priced, so each objective, and so each q, is what pricing all four
+    slacks gives, bit for bit. Rounds stop once a full sweep improves by
+    less than _SWEEP_TOL, or after _MAX_ROUNDS. Line objectives match the
+    scalar ones to rounding only, so a final state the scalar model ranks
+    above the start is dropped for the start: the objective never
+    increases.
     stats["f_start"] is the start's scalar objective and
     stats["evaluations"] counts the start and every point the descent steps
     through, not the points priced ahead of the golden steps and never

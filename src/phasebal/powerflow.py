@@ -98,18 +98,18 @@ def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.
         dq = np.asarray(q_adjust, dtype=float)
         if dq.shape != s.shape:
             raise ValueError("q_adjust must have one entry per customer")
-        _check_band(snapshot, dq)
+        _check_band(dq, snapshot.q_lo_pu, snapshot.q_hi_pu)
         s = s + 1j * dq
     return s
 
 
-def _check_band(
-    snapshot: CaseSnapshot, dq: np.ndarray, customers: int | slice = slice(None)
-) -> None:
-    """Raise unless the reactive adjustments dq of customers lie in their bands."""
+_BAND_TOL = 1e-12  # how far a reactive adjustment may stray outside its band
 
-    lo, hi = snapshot.q_lo_pu[customers], snapshot.q_hi_pu[customers]
-    if np.any(dq < lo - 1e-12) or np.any(dq > hi + 1e-12):
+
+def _check_band(dq: np.ndarray, lo: np.ndarray | float, hi: np.ndarray | float) -> None:
+    """Raise unless the reactive adjustments dq lie in their bands [lo, hi]."""
+
+    if (dq < lo - _BAND_TOL).any() or (dq > hi + _BAND_TOL).any():
         raise ValueError("q_adjust outside the snapshot's reactive bounds")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,21 @@ def test_a_directory_without_outcomes_is_refused(tmp_path):
     refused = diff(tmp_path / "old", tmp_path / "empty")
     assert refused.returncode == 2
     assert "no outcome files" in refused.stderr
+
+
+def test_a_reader_that_stops_early_leaves_the_exit_code(tmp_path):
+    for name, status in (("old", "ok"), ("new", "failed")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "outcome_73_lbfm.json").write_text(json.dumps({"status": status}))
+    # A pipe whose reading end is closed before the script writes, as
+    # `| head -1` leaves it once it has read its line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(
+            [sys.executable, str(SCRIPT), str(tmp_path / "old"), str(tmp_path / "new")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (closed.returncode, closed.stderr) == (1, "")

@@ -15,7 +15,6 @@ from phasebal.formulations import (
     _LINV_CHUNK,
     AffineFit,
     FormulationError,
-    _FixvKernel,
     _decode,
     _dt_current,
     _lbfm_fields,
@@ -36,6 +35,7 @@ from phasebal.formulations import (
 )
 from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, build_snapshot
 from phasebal.optimizer import (
+    _COARSE,
     _MODELS,
     _search_once,
     branch_and_bound,
@@ -523,6 +523,97 @@ class TestLineScorer:
             optimize_pv_q(snap, asg, "utpf")
 
 
+def doubled(snap):
+    """snap with every load and reactive band doubled."""
+
+    return replace(
+        snap, p_pu=2.0 * snap.p_pu, q_pu=2.0 * snap.q_pu,
+        q_lo_pu=2.0 * snap.q_lo_pu, q_hi_pu=2.0 * snap.q_hi_pu,
+    )
+
+
+class TestLineScreen:
+    """A line scorer leaves out only the voltage slacks it proves +0.0 at
+    every point it prices, so each objective is bit for bit the one it
+    gives when every term is priced (the margin set to infinity)."""
+
+    @staticmethod
+    def _assert_screen_changes_nothing(monkeypatch, snap, asg, method, profile=None):
+        cleared = []
+        live_terms = formulations._live_terms
+
+        def spy(*args):
+            live = live_terms(*args)
+            cleared.append(3 - sum(live))
+            return live
+
+        monkeypatch.setattr(formulations, "_live_terms", spy)
+        rng = np.random.default_rng(0)
+        line = _MODELS[method].line(snap, np.asarray(asg.phases), profile)
+        free = np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)
+        for q in (np.zeros(snap.network.n_customers), rng.uniform(snap.q_lo_pu, snap.q_hi_pu)):
+            for c in free:
+                lo, hi = snap.q_lo_pu[c], snap.q_hi_pu[c]
+                # The coarse scan, the band edges, and random points, in one
+                # batch and one at a time (linv bounds each batch on its own).
+                t = np.concatenate([np.linspace(lo, hi, _COARSE), [lo, hi], rng.uniform(lo, hi, 4)])
+                batches = [t] + [t[k:k + 1] for k in range(_COARSE, len(t))]
+                g = line(q, c)
+                screened = [g(b) for b in batches]
+                with monkeypatch.context() as patch:
+                    patch.setattr(formulations, "_SCREEN_MARGIN", np.inf)
+                    g = line(q, c)
+                    full = [g(b) for b in batches]
+                for got, want in zip(screened, full):
+                    assert np.array_equal(got, want)
+        # The screen cleared terms, and an infinite margin clears none.
+        assert sum(cleared) > 0
+        monkeypatch.setattr(formulations, "_SCREEN_MARGIN", np.inf)
+        cleared.clear()
+        line(np.zeros(snap.network.n_customers), free[0])(snap.q_lo_pu[free[:1]])
+        assert cleared == [0]
+
+    @pytest.mark.parametrize("period", [48, 73])
+    @pytest.mark.parametrize("method", ["fixv", "fixv-exact", "linv", "lbfm"])
+    def test_bundled_periods(self, network, demands, method, period, monkeypatch):
+        # At period 48 the initial assignment breaks the unbalance limit.
+        snap = build_snapshot(network, demands, period, pv_q_control=True)
+        asg = PhaseAssignment.initial(network)
+        profile = solve_utpf(snap, asg).v if method == "fixv-exact" else None
+        self._assert_screen_changes_nothing(monkeypatch, snap, asg, method[:4], profile)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_random_feeders_where_v_lo_binds(self, method, seed, monkeypatch):
+        network = random_radial_network(seed)
+        snap = doubled(loaded_snapshot(network, seed, switches=4, q_band=0.02))
+        asg = PhaseAssignment.initial(network)
+        if seed == 2:
+            assert _MODELS[method].evaluate(snap, asg, None, None).slack["v_lo"] > 0.0
+        self._assert_screen_changes_nothing(monkeypatch, snap, asg, method)
+
+    def test_a_clear_fixv_line_computes_no_bus_measure(self, network, demands, monkeypatch):
+        # At period 73 every fixv line clears all three voltage terms, so g
+        # prices pi and the transformer current alone.
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
+        asg = PhaseAssignment.initial(network)
+        line = _MODELS["fixv"].line(snap, np.asarray(asg.phases), solve_utpf(snap, asg).v)
+        c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
+        t = np.linspace(snap.q_lo_pu[c], snap.q_hi_pu[c], _COARSE)
+        calls = []
+        measures = formulations._voltage_measures
+        monkeypatch.setattr(
+            formulations, "_voltage_measures", lambda *args: calls.append(args) or measures(*args)
+        )
+        g = line(np.zeros(network.n_customers), c)
+        calls.clear()  # building the line measures its base and direction
+        g(t)
+        assert calls == []
+        monkeypatch.setattr(formulations, "_SCREEN_MARGIN", np.inf)
+        line(np.zeros(network.n_customers), c)(t)
+        assert len(calls) == 3  # the base, the direction, and the batch
+
+
 def merged_column_case():
     """A random feeder with customer-free branches, which share their
     parent's column, and loads heavy enough that some assignments of its six
@@ -715,18 +806,18 @@ class TestBatchKernels:
         assert _decode(np.arange(1), 0).shape == (1, 0)
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
-    def test_merged_columns_score_as_unmerged(self, method, monkeypatch):
+    def test_merged_columns_score_as_unmerged(self, method):
         network, snap = merged_column_case()
-        tables = {}
-        tabulate = _FixvKernel._tabulate
-
-        def recording_tabulate(self, s_on, effects, no_load):
-            tables.update(s_on=s_on, effects=effects, no_load=no_load)
-            tabulate(self, s_on, effects, no_load)
-
-        monkeypatch.setattr(_FixvKernel, "_tabulate", recording_tabulate)
         kernel = _MODELS[method].kernel(snap)
-        assert tables["no_load"].shape[0] < network.n_buses  # some buses share a column
+        # Every customer's effect at every phase, at the flat profile both
+        # kernels are built at here; the kernel builds only the rows it keeps.
+        meet = _customer_meet(network)
+        i_all = np.conj(kernel.s)[:, None] / np.conj(network.v0)[None, :]
+        no_load = np.tile(network.v0, (meet.shape[2], 1))
+        assert no_load.shape[0] < network.n_buses  # some buses share a column
+        tables = dict(
+            s_on=kernel._s_on(i_all), effects=-meet * i_all[:, :, None, None], no_load=no_load
+        )
 
         choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
         batch = kernel.score(choices)

@@ -11,7 +11,7 @@ paths under it, as in `outcome_73_lbfm.json: model (1.1e-12), q_adjust
 (2.0e-11)`; a key whose shape or types differ (a list of another length, a
 number against NaN, changed text) is named bare. Exits 0 when everything
 matches, 1 when something differs, and 2 when a directory holds no outcome
-files.
+files; the code stands when the reader of its output stops early (`| head -1`).
 
 Usage: python3 tools/diff_sweeps.py OLD NEW
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,8 +93,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{directory}: no outcome files", file=sys.stderr)
             return 2
     lines = differences(args.old, args.new)
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head -1`). Point stdout at the null
+        # device so that the flush at exit cannot fail again; the exit code
+        # still tells what was found.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if lines else 0
 
 
