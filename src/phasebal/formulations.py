@@ -18,12 +18,13 @@ transformer-current limits. What differs is the voltage model:
 All evaluators return the same result shape, so search code can score
 assignments under any model and verify winners against the exact power
 flow. The private batch kernels score many assignments at once for the
-searches; a kernel class's `separable` attribute tells search code whether
-the model's customer effects add up. A separable kernel scores a candidate
-by adding its switch customers' effect tables onto a base state, and prices
-every candidate's transformer spread from two half-tables of transformer
-power. For PV reactive-power tuning, a line builder (`_fixv_line`,
-`_linv_line`, `_lbfm_line`) prices a batch of values of one customer's
+searches, in one chunked loop (`_Kernel.score`) that returns objectives; a
+kernel class's `separable` attribute tells search code whether the model's
+customer effects add up. A separable kernel scores a candidate by adding its
+switch customers' effect tables onto a base state, and prices every
+candidate's transformer spread from two half-tables of transformer power.
+For PV reactive-power tuning, a line builder (`_fixv_line`, `_linv_line`,
+`_lbfm_line`) prices a batch of values of one customer's
 reactive adjustment, objectives only, through the same field equations the
 scalar evaluator runs (`_fixv_fields`, `_linv_solve`, `_lbfm_fields`),
 called once per coordinate: every model's fields are affine along it, in
@@ -34,18 +35,20 @@ along the line each voltage measure moves by at most the reach (the band's
 for fixv and lbfm, the batch's largest current move for linv) times that
 measure of the unit direction, and a term whose bound clears its limit by
 `_SCREEN_MARGIN` is +0.0 at every point, so leaving it out changes no bit
-(`_live_terms`). For any batch of model states, a single state included,
-`_slack_terms` computes the limit slacks and `_score` the objective, so the
-scalar evaluators, the kernels and the line builders price a state the same
-way. `optimizer._MODELS` is the one lookup from a model name to its
-evaluator, kernel class and line builder.
+(`_live_terms`). `_price` is the one pricer: for any batch of model states,
+a single state included, it takes the transformer power and the model's
+voltage measures, prices the transformer current as |s_dt| / |v0| under
+every model, and returns the spread pi, the per-term slack sums
+(`_slack_terms`) and the objective. The scalar evaluators, the kernels and
+the line builders all price through it. `optimizer._MODELS` is the one
+lookup from a model name to its evaluator, kernel class and line builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -130,6 +133,7 @@ def _slack_terms(
     neg: np.ndarray | None,
     i_dt_mag: np.ndarray,
     squared: bool = False,
+    col_inverse: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield the limit slacks v_lo, v_hi, neg_seq and i_dt, over any leading batch axes.
 
@@ -141,57 +145,62 @@ def _slack_terms(
     A voltage measure given as None has its term left out (see
     `_live_terms`). One term at a time, so that a large batch never holds
     all four. The phase axis is reduced elementwise, which gives min and max
-    bit for bit.
+    bit for bit. With col_inverse given, the measures are at the geometry's
+    columns, and one take puts each per-bus term in bus order C-ordered, so
+    it sums as one built there (fancy indexing's F-ordered copy would not).
     """
 
+    buses = (lambda t: t) if col_inverse is None else partial(np.take, indices=col_inverse, axis=-1)
     v_min, v_max, neg_max = _limits(squared)
     if lo is not None:
-        yield np.maximum(0.0, v_min - _phase_min(lo))
+        yield buses(np.maximum(0.0, v_min - _phase_min(lo)))
     if hi is not None:
-        yield np.maximum(0.0, _phase_max(hi) - v_max)
+        yield buses(np.maximum(0.0, _phase_max(hi) - v_max))
     if neg is not None:
-        yield np.maximum(0.0, (neg**2 if squared else neg) - neg_max)
+        yield buses(np.maximum(0.0, (neg**2 if squared else neg) - neg_max))
     yield np.maximum(0.0, i_dt_mag - i_dt_max)
+
+
+def _spread(s_dt: np.ndarray) -> np.ndarray:
+    """The transformer spread pi of (..., 3) complex transformer powers."""
+
+    p, q = s_dt.real, s_dt.imag
+    return np.maximum(_phase_max(p) - _phase_min(p), _phase_max(q) - _phase_min(q))
 
 
 @dataclass(frozen=True, eq=False)
 class _BatchScore:
     objective: np.ndarray
     pi: np.ndarray
-
-
-def _score(s_dt: np.ndarray, terms: Iterable[np.ndarray]) -> _BatchScore:
-    """Objective pi + MB * total slack for a batch of model states.
-
-    s_dt is the (..., 3) complex transformer power and terms the slacks
-    `_slack_terms` yields, summed in that order.
-    """
-
-    p, q = s_dt.real, s_dt.imag
-    pi = np.maximum(_phase_max(p) - _phase_min(p), _phase_max(q) - _phase_min(q))
-    total = sum(term.sum(axis=-1) for term in terms)
-    return _BatchScore(objective=pi + MB * total, pi=pi)
+    slack: tuple[np.ndarray, ...]  # each priced term summed over its last axis, in order
 
 
 def _price(
-    i_dt_max: float,
+    network: Network,
     s_dt: np.ndarray,
-    i_dt_mag: np.ndarray,
     lo: np.ndarray | None,
     hi: np.ndarray | None,
     vneg: np.ndarray | None,
     squared: bool = False,
     live: tuple[bool, bool, bool] = (True, True, True),
+    col_inverse: np.ndarray | None = None,
 ) -> _BatchScore:
-    """`_score` of a batch of states given by a model's measures (see `_result`).
+    """pi + MB * total slack of a batch of model states, and each term's sum.
 
-    live flags the v_lo, v_hi and neg_seq terms to price; a line scorer
-    clears those `_live_terms` proves zero, and their measures may be None.
+    s_dt is the (..., 3) complex transformer power, whose current every model
+    prices as |s_dt| / |v0|; lo, hi and the unbalance phasor vneg are the
+    model's voltage measures (see `_result`), col_inverse as `_slack_terms`
+    takes it. live flags the v_lo, v_hi and neg_seq terms to price; a line
+    scorer clears those `_live_terms` proves zero, their measures then None.
     """
 
     lo, hi, vneg = (m if keep else None for m, keep in zip((lo, hi, vneg), live))
     neg = None if vneg is None else np.abs(vneg)
-    return _score(s_dt, _slack_terms(i_dt_max, lo, hi, neg, i_dt_mag, squared))
+    i_dt_mag = np.abs(s_dt) / np.abs(network.v0)
+    terms = _slack_terms(network.i_dt_max, lo, hi, neg, i_dt_mag, squared, col_inverse)
+    slack = tuple(term.sum(axis=-1) for term in terms)
+    pi = _spread(s_dt)
+    return _BatchScore(objective=pi + MB * sum(slack), pi=pi, slack=slack)
 
 
 # How far a bound on a voltage measure along a line must clear its limit for
@@ -256,9 +265,8 @@ class EvaluationResult:
 
 def _result(
     method: str,
-    i_dt_max: float,
+    network: Network,
     s_dt: np.ndarray,
-    i_dt_mag: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     vneg: np.ndarray,
@@ -266,18 +274,17 @@ def _result(
     squared: bool = False,
     meta: Mapping[str, object] | None = None,
 ) -> EvaluationResult:
-    """One model's view of one state, priced by `_slack_terms` and `_score`.
+    """One model's view of one state, priced by `_price`.
 
     lo and hi are the voltage measures held against the lower and upper
     limits, and hi is |V| itself, or its square when squared is set.
     """
 
-    terms = tuple(_slack_terms(i_dt_max, lo, hi, np.abs(vneg), i_dt_mag, squared))
-    score = _score(s_dt, terms)
+    score = _price(network, s_dt, lo, hi, vneg, squared)
     return EvaluationResult(
         method=method,
         pi=float(score.pi),
-        slack={k: float(t.sum()) for k, t in zip(("v_lo", "v_hi", "neg_seq", "i_dt"), terms)},
+        slack={k: float(t) for k, t in zip(("v_lo", "v_hi", "neg_seq", "i_dt"), score.slack)},
         squared_voltage_units=squared,
         objective=float(score.objective),
         s_dt=s_dt,
@@ -310,17 +317,13 @@ def evaluate_exact(
 
     if solution is None:
         solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
-    network = snapshot.network
     lo, vm, vneg = _voltage_measures(solution.v)
     meta = {
         "iterations": solution.iterations,
         "mismatch": solution.mismatch,
         "balance_residual": power_balance_residual(solution, snapshot),
     }
-    return _result(
-        "utpf", network.i_dt_max, solution.s_dt,
-        np.abs(solution.s_dt) / np.abs(network.v0), lo, vm, vneg, solution.v, meta=meta,
-    )
+    return _result("utpf", snapshot.network, solution.s_dt, lo, vm, vneg, solution.v, meta=meta)
 
 
 def _fixv_profile(network: Network, profile: np.ndarray | None) -> np.ndarray:
@@ -354,7 +357,7 @@ def evaluate_fixv(
     profile = _fixv_profile(network, profile)
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _fixv_fields(network, phases, _effective_loads(snapshot, q_adjust), profile)
-    return _result("fixv", network.i_dt_max, *_phasor_measures(network, v, i_dt), v)
+    return _result("fixv", network, *_phasor_measures(network, v, i_dt), v)
 
 
 def _fixv_fields(
@@ -375,15 +378,15 @@ def _fixv_fields(
 def _phasor_measures(
     network: Network, v: np.ndarray | None, i_dt: np.ndarray, linearized: bool = False
 ) -> tuple[np.ndarray | None, ...]:
-    """s_dt, |i_dt| and the voltage measures lo, hi and vneg that `_price`
-    reads off a phasor model's voltages and transformer currents; linearized
-    tests the lower bound on the projection onto the nominal phasors (linv).
-    A line scorer passes v as None when it prices no voltage term; the
-    voltage measures are then None."""
+    """s_dt and the voltage measures lo, hi and vneg that `_price` reads off
+    a phasor model's voltages and transformer currents; linearized tests the
+    lower bound on the projection onto the nominal phasors (linv). A line
+    scorer passes v as None when it prices no voltage term; the voltage
+    measures are then None."""
 
     v0 = network.v0
     volts = (None,) * 3 if v is None else _voltage_measures(v, v0 if linearized else None)
-    return v0 * np.conj(i_dt), np.abs(i_dt), *volts
+    return v0 * np.conj(i_dt), *volts
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,7 +514,7 @@ def evaluate_linv(
     phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
     v = v[0].take(feeder_geometry(network).col_inverse, axis=0)
-    return _result("linv", network.i_dt_max, *_phasor_measures(network, v, i_dt[0], True), v)
+    return _result("linv", network, *_phasor_measures(network, v, i_dt[0], True), v)
 
 
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
@@ -563,8 +566,8 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
         # g(V_c) at the base and along each unit direction of i_c.
         g0 = fit.g(v[0, bus, p], p)
         g_re, g_im = (fit.ck[p] * u[0][bus, p].real + fit.ch[p] * u[0][bus, p].imag for u in units)
-        at = _phasor_measures(network, *base, True)[2:]
-        rates = [[np.abs(m) for m in _phasor_measures(network, *u, True)[2:]] for u in units]
+        at = _phasor_measures(network, *base, True)[1:]
+        rates = [[np.abs(m) for m in _phasor_measures(network, *u, True)[1:]] for u in units]
         s_c, lo, hi = snapshot.s_pu[c], float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c])
 
         def g(t: np.ndarray) -> np.ndarray:
@@ -582,8 +585,7 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
                 f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui) if moving else None
                 for f0, ur, ui, moving in zip(base, *units, (any(live), True))
             )
-            measures = _phasor_measures(network, *fields, True)
-            return _price(network.i_dt_max, *measures, live=live).objective
+            return _price(network, *_phasor_measures(network, *fields, True), live=live).objective
 
         return g
 
@@ -609,9 +611,7 @@ def evaluate_lbfm(
     network = snapshot.network
     phases = np.asarray(assignment.phases, dtype=int)
     fields = _lbfm_fields(network, phases, _effective_loads(snapshot, q_adjust))
-    return _result(
-        "lbfm", network.i_dt_max, *_lbfm_measures(network, *fields), None, squared=True
-    )
+    return _result("lbfm", network, *_lbfm_measures(*fields), None, squared=True)
 
 
 def _lbfm_squares(v0: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -638,12 +638,10 @@ def _lbfm_fields(
     return _lbfm_squares(network.v0, v), v @ (_NEG_ROW / 3.0), _dt_current(phases, s)
 
 
-def _lbfm_measures(
-    network: Network, diag: np.ndarray, vneg: np.ndarray, s_dt: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """s_dt, the |S|/|V0| current surrogate, and diag as both voltage measures."""
+def _lbfm_measures(diag: np.ndarray, vneg: np.ndarray, s_dt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """s_dt, diag as both voltage measures, and vneg."""
 
-    return s_dt, np.abs(s_dt) / np.abs(network.v0), diag, diag, vneg
+    return s_dt, diag, diag, vneg
 
 
 def _affine_line(
@@ -675,8 +673,8 @@ def _affine_line(
         rows[1, c] += 1j
         base, unit = zip(*((f[0], f[1] - f[0]) for f in fields(rows)))
         reach = max(q_c - lo, hi - q_c) + _BAND_TOL
-        moves = tuple(reach * np.abs(m) for m in measures(network, *unit)[2:])
-        live = _live_terms(measures(network, *base)[2:], moves, squared)
+        moves = tuple(reach * np.abs(m) for m in measures(*unit)[1:])
+        live = _live_terms(measures(*base)[1:], moves, squared)
         moving = (any(live),) * (len(base) - 1) + (True,)
 
         def g(t: np.ndarray) -> np.ndarray:
@@ -686,7 +684,7 @@ def _affine_line(
                 b + step.reshape((-1,) + (1,) * b.ndim) * u if keep else None
                 for b, u, keep in zip(base, unit, moving)
             )
-            return _price(network.i_dt_max, *measures(network, *moved), squared, live).objective
+            return _price(network, *measures(*moved), squared, live).objective
 
         return g
 
@@ -698,7 +696,7 @@ def _fixv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 
     network = snapshot.network
     fields = partial(_fixv_fields, network, phases, profile=_fixv_profile(network, profile))
-    return _affine_line(snapshot, fields, _phasor_measures)
+    return _affine_line(snapshot, fields, partial(_phasor_measures, network))
 
 
 def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray | None) -> _Line:
@@ -722,17 +720,16 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # magnitudes. The outer sum of two
 # half-assignment tables of transformer power (sv1, sv2) prices every
 # candidate's spread pi (`spreads`), which the bound-ordered search ranks
-# by; `score` reads pi off the same tables, so the bound and the score
-# agree bit for bit.
-# The linearized-inverse model is not separable; its kernel hands chunks of
-# candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs for
-# one. Every kernel keeps its states at the geometry's columns, and
-# `_score_columns` copies each column's slacks to the buses that share it
-# (no customer below them) before pricing through `_score`, as the scalar
-# evaluators do.
+# by; a scored block adds its transformer power from the same tables, so
+# the bound and the score agree bit for bit.
+# The linearized-inverse model is not separable; its kernel hands each block
+# of candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs
+# for one. `_Kernel.score`, the one scoring loop, scores a class's `chunk`
+# candidates per block and returns their objectives. Every kernel keeps its
+# states at the geometry's columns and prices them through `_price`, as the
+# scalar evaluators do, which copies each column's slacks to the buses that
+# share it (no customer below them).
 # ---------------------------------------------------------------------------
-
-_LINV_CHUNK = 128  # assignments per batched fixed-point solve
 
 
 def _decode(indices: np.ndarray, width: int) -> np.ndarray:
@@ -752,13 +749,14 @@ def _radix(k: int) -> np.ndarray:
 
 
 class _Kernel:
-    """What every kernel shares: loads, movable positions, the initial phases.
+    """What every kernel shares: loads, movable positions, initial phases, the scoring loop.
 
     Only the fixed-voltage kernel reads profile, its frozen voltage field.
     """
 
     separable = False
     squared = False
+    chunk = 6561  # candidates per scored block
 
     def __init__(self, snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> None:
         self.network = snapshot.network
@@ -781,16 +779,14 @@ class _Kernel:
     def assignment(self, choices: np.ndarray) -> PhaseAssignment:
         return PhaseAssignment(tuple(int(p) for p in self.full_phases(choices[None, :])[0]))
 
-    def _score_columns(self, s_dt: np.ndarray, *measures: np.ndarray) -> _BatchScore:
-        """`_score` of states whose measures (lo, hi, neg and i_dt_mag, as
-        `_slack_terms` reads them) are kept at the geometry's columns."""
+    def score(self, choices: np.ndarray) -> np.ndarray:
+        """The objectives of (b, movable) candidate choices, `chunk` rows per block."""
 
-        terms = _slack_terms(self.network.i_dt_max, *measures, self.squared)
-        # The three per-bus terms go back to bus order (i_dt is per phase).
-        # take keeps them C-ordered, so they sum as unmerged terms would;
-        # fancy indexing returns an F-ordered copy that sums otherwise.
-        ci = self.col_inverse
-        return _score(s_dt, (t.take(ci, axis=-1) if k < 3 else t for k, t in enumerate(terms)))
+        choices = np.asarray(choices, dtype=np.int64)
+        objective = np.empty(len(choices))
+        for lo in range(0, len(choices), self.chunk):
+            objective[lo:lo + self.chunk] = self._score_block(choices[lo:lo + self.chunk])
+        return objective
 
 
 class _FixvKernel(_Kernel):
@@ -824,9 +820,7 @@ class _FixvKernel(_Kernel):
 
         return self.v0[None, :] * np.conj(i_all)
 
-    def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lo, vm, vneg = _voltage_measures(v)
-        return lo, vm, np.abs(vneg)
+    _measures = staticmethod(_voltage_measures)
 
     @staticmethod
     def _half(s_on: np.ndarray) -> np.ndarray:
@@ -844,11 +838,9 @@ class _FixvKernel(_Kernel):
         sum adds up s_dt bit for bit as `score` does."""
 
         sv1, sv2 = self.halves
-        s_dt = ((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3)
-        return _score(s_dt, ()).pi
+        return _spread(((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3))
 
-    def score(self, choices: np.ndarray) -> _BatchScore:
-        choices = np.asarray(choices, dtype=np.int64)
+    def _score_block(self, choices: np.ndarray) -> np.ndarray:
         k1 = (self.n_movable + 1) // 2
         idx1 = choices[:, :k1] @ _radix(k1)
         idx2 = choices[:, k1:] @ _radix(self.n_movable - k1)
@@ -859,8 +851,8 @@ class _FixvKernel(_Kernel):
         for e, chosen in zip(self.effects, choices.T):
             v += e[chosen]
         measures = self._measures(v)
-        del v  # a chunk's largest array, freed once measured
-        return self._score_columns(s_dt, *measures, np.abs(s_dt) / np.abs(self.v0))
+        del v  # a block's largest array, freed once measured
+        return _price(self.network, s_dt, *measures, self.squared, col_inverse=self.col_inverse).objective
 
 
 class _LbfmKernel(_FixvKernel):
@@ -876,25 +868,16 @@ class _LbfmKernel(_FixvKernel):
 
     def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         diag = _lbfm_squares(self.v0, v)
-        return diag, diag, np.abs(v @ (_NEG_ROW / 3.0))
+        return diag, diag, v @ (_NEG_ROW / 3.0)
 
 
 class _LinvKernel(_Kernel):
-    """Batch scorer for the linearized-inverse model, in chunks of `_linv_solve`."""
+    """Batch scorer for the linearized-inverse model, one `_linv_solve` per block."""
 
     method = "linv"
+    chunk = 128
 
-    def score(self, choices: np.ndarray) -> _BatchScore:
-        choices = np.asarray(choices, dtype=np.int64)
-        b = choices.shape[0]
-        obj, pi = np.empty(b), np.empty(b)
-        for lo in range(0, b, _LINV_CHUNK):
-            part = self._score_chunk(self.full_phases(choices[lo:lo + _LINV_CHUNK]))
-            hi = lo + len(part.objective)
-            obj[lo:hi], pi[lo:hi] = part.objective, part.pi
-        return _BatchScore(objective=obj, pi=pi)
-
-    def _score_chunk(self, phases: np.ndarray) -> _BatchScore:
-        v, i_dt = _linv_solve(self.network, self.s, phases)
-        s_dt, i_dt_mag, lo, hi, vneg = _phasor_measures(self.network, v, i_dt, linearized=True)
-        return self._score_columns(s_dt, lo, hi, np.abs(vneg), i_dt_mag)
+    def _score_block(self, choices: np.ndarray) -> np.ndarray:
+        v, i_dt = _linv_solve(self.network, self.s, self.full_phases(choices))
+        measures = _phasor_measures(self.network, v, i_dt, linearized=True)
+        return _price(self.network, *measures, col_inverse=self.col_inverse).objective

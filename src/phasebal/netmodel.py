@@ -229,6 +229,17 @@ def _column(
         raise
 
 
+def _unique(table: str, what: str, names: Sequence[str]) -> dict[str, int]:
+    """Each name's position in names, in order; a name an earlier record
+    took raises FeederFormatError naming the later record."""
+
+    first: dict[str, int] = {}
+    for k, name in enumerate(names):
+        if first.setdefault(name, k) != k:
+            raise FeederFormatError(f"{table} record {k + 1}: {what} {name} repeats")
+    return first
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -273,7 +284,8 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     current limit taken from Source.csv's dt_kva. The source voltage pu and
     dt_kva must be positive, line lengths and line-code impedances
     non-negative, and LoadShapes.csv's minutes column, when present, one
-    positive value in every record.
+    positive value in every record. No quantity, line-code name or load
+    name may repeat, which would let a later record override an earlier one.
     Raises FeederFormatError naming the offending record on any dangling
     reference or malformed table.
     """
@@ -281,7 +293,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     directory = Path(directory)
 
     source = _read_csv(directory / "Source.csv")
-    record_of = {q: k for k, q in enumerate(_column("Source.csv", source, "quantity"))}
+    record_of = _unique("Source.csv", "quantity", _column("Source.csv", source, "quantity"))
 
     def quantity(name: str, convert=_finite):
         if name not in record_of:
@@ -296,7 +308,7 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", _non_negative) for part in ("R1", "X1", "R0", "X0"))
     codes = {
         name: _sequence_to_phase_matrix(complex(a, b), complex(c, d))
-        for name, a, b, c, d in zip(col("Name"), r1, x1, r0, x0)
+        for name, a, b, c, d in zip(_unique("LineCodes.csv", "line code", col("Name")), r1, x1, r0, x0)
     }
 
     col = partial(_column, "Lines.csv", _read_csv(directory / "Lines.csv"))
@@ -314,13 +326,10 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
 
     # A load's shape is the LoadShapes.csv column of its name, so names must not repeat.
     customers: list[Customer] = []
-    seen: set[str] = set()
     col = partial(_column, "Loads.csv", _read_csv(directory / "Loads.csv"))
     names, kws, pfs = col("Name"), col("kW", _finite), col("PF", _finite)
+    _unique("Loads.csv", "load name", names)
     for idx, (name, bus, phase, pf) in enumerate(zip(names, col("Bus", int), col("Phase"), pfs), start=1):
-        if name in seen:
-            raise FeederFormatError(f"Loads.csv record {idx}: load name {name} repeats")
-        seen.add(name)
         if bus not in bus_set:
             raise FeederFormatError(f"Loads.csv: load {name} references unknown bus {bus}")
         if phase not in PHASE_INDEX:

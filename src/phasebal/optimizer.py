@@ -1,6 +1,6 @@
 """Assignment search over the formulation kernels.
 
-Strategies: chunked exhaustive enumeration (lexicographic tie-break), the
+Strategies: exhaustive enumeration (lexicographic tie-break), the
 same exact answer by a scan in ascending transformer spread pi, which bounds
 each objective from below and stops once no candidate left can beat its
 incumbent in (objective, index) order (branch-and-bound, separable models
@@ -66,7 +66,6 @@ __all__ = [
     "optimize_pv_q",
 ]
 
-_CHUNK = 6561  # candidates scored per exhaustive batch
 _BLOCK = 512  # candidates field-scored per bound-ordered batch
 _MAX_SWEEPS = 60  # best-improvement passes per local-search start
 _ENUMERATION_BUDGET = 3**12  # candidate cap for the exact searches
@@ -215,15 +214,8 @@ def _enumerated(mm: int) -> int:
 def _exhaustive_choices(kernel: _Kernel) -> tuple[np.ndarray, int, dict[str, float]]:
     mm = kernel.n_movable
     total = _enumerated(mm)
-    best_f = math.inf
-    best_idx = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total))
-        score = kernel.score(_decode(idx, mm))
-        i = int(np.argmin(score.objective))
-        if score.objective[i] < best_f:
-            best_f = float(score.objective[i])
-            best_idx = lo + i
+    # argmin takes the first least objective, the smallest flat index.
+    best_idx = int(np.argmin(kernel.score(_decode(np.arange(total), mm))))
     return _decode(np.array([best_idx]), mm)[0], total, {}
 
 
@@ -238,7 +230,7 @@ def _bnb_choices(kernel: _Kernel) -> tuple[np.ndarray, int, dict[str, float]]:
     pi = kernel.spreads()
     # The first incumbent is the smallest-index candidate of least pi.
     best_idx = int(np.argmin(pi))
-    best_f = float(kernel.score(_decode(np.array([best_idx]), mm)).objective[0])
+    best_f = float(kernel.score(_decode(np.array([best_idx]), mm))[0])
     scored = 1
     # The objective is pi plus a non-negative slack term, so only candidates
     # with pi <= best_f can still win; a stable sort lists them in
@@ -254,7 +246,7 @@ def _bnb_choices(kernel: _Kernel) -> tuple[np.ndarray, int, dict[str, float]]:
         head = int(block[0])
         if pi[head] > best_f or (pi[head] == best_f and head >= best_idx):
             break
-        objective = kernel.score(_decode(block, mm)).objective
+        objective = kernel.score(_decode(block, mm))
         scored += len(block)
         f = float(objective.min())
         i = int(block[objective == f].min())
@@ -274,7 +266,7 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
     evaluations = 0
     for start in starts:
         x = start.copy()
-        f = float(kernel.score(x[None, :]).objective[0])
+        f = float(kernel.score(x[None, :])[0])
         evaluations += 1
         for _ in range(_MAX_SWEEPS):
             if mm == 0:
@@ -286,11 +278,11 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
                     if p != x[j]:
                         neighbors[row, j] = p
                         row += 1
-            score = kernel.score(neighbors)
+            objective = kernel.score(neighbors)
             evaluations += len(neighbors)
-            i = int(np.argmin(score.objective))
-            if score.objective[i] < f:
-                f = float(score.objective[i])
+            i = int(np.argmin(objective))
+            if objective[i] < f:
+                f = float(objective[i])
                 x = neighbors[i].copy()
             else:
                 break

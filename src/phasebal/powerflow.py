@@ -107,9 +107,10 @@ _BAND_TOL = 1e-12  # how far a reactive adjustment may stray outside its band
 
 
 def _check_band(dq: np.ndarray, lo: np.ndarray | float, hi: np.ndarray | float) -> None:
-    """Raise unless the reactive adjustments dq lie in their bands [lo, hi]."""
+    """Raise unless the reactive adjustments dq lie in their bands [lo, hi];
+    a NaN lies in none."""
 
-    if (dq < lo - _BAND_TOL).any() or (dq > hi + _BAND_TOL).any():
+    if not np.all((lo - _BAND_TOL <= dq) & (dq <= hi + _BAND_TOL)):
         raise ValueError("q_adjust outside the snapshot's reactive bounds")
 
 

@@ -5,6 +5,7 @@ package through its module objects and reads fields off the results of the
 traced calls (`bench/tracer.py`). A name the package drops breaks the
 benchmark only when it runs; this guard parses `bench/` (it imports and
 changes nothing there) and names each reference that no longer resolves.
+The last test runs the harness itself, on copies of `bench/` and `src/`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import os
+import shutil
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -21,6 +26,7 @@ from phasebal.optimizer import OptimizationOutcome
 from phasebal.powerflow import PFSolution, PhaseAssignment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = BENCH.parent / "src"
 MODULES = ("cli", "formulations", "netmodel", "optimizer", "powerflow")
 
 
@@ -160,3 +166,18 @@ def test_the_model_table_calls_the_evaluators_the_tracer_wraps(monkeypatch):
         before = counts[name]
         run()
         assert counts[name] > before, f"run {k} made no {name} call"
+
+
+def test_the_harness_runs_every_workload(tmp_path):
+    # One sweep of each workload, untraced and traced, with every outcome
+    # check, the report regeneration and the tracer's targets; run.py writes
+    # its work and records beside its own copy, so the checkout stays as it is.
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_*")
+    shutil.copytree(BENCH, tmp_path / "bench", ignore=ignore)
+    shutil.copytree(SRC, tmp_path / "src", ignore=ignore)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seconds", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600, check=False,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]

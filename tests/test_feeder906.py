@@ -60,7 +60,7 @@ def test_batch_matches_scalar(snapshot, method, evaluate):
     choices = np.random.default_rng(906).integers(0, 3, size=(32, kernel.n_movable))
     batch = kernel.score(choices)
     tol = 1e-10 if method == "linv" else 1e-9
-    for row, full in zip(batch.objective, kernel.full_phases(choices)):
+    for row, full in zip(batch, kernel.full_phases(choices)):
         one = evaluate(snapshot, PhaseAssignment(tuple(int(p) for p in full)))
         assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 

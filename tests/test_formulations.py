@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from phasebal import formulations, powerflow
 from phasebal.formulations import (
     _FIT_HALFWIDTH,
-    _LINV_CHUNK,
     AffineFit,
     FormulationError,
     _decode,
@@ -24,8 +23,8 @@ from phasebal.formulations import (
     _price,
     _radix,
     _result,
-    _score,
     _slack_terms,
+    _spread,
     _voltage_measures,
     evaluate_exact,
     evaluate_fixv,
@@ -54,8 +53,8 @@ CHI = np.exp(-2j * np.pi / 3.0)
 class TestUnbalanceMeasures:
     def test_spread_picks_worst_axis(self):
         s = np.array([1.0 + 0.5j, 0.8 + 0.1j, 0.9 + 0.2j])
-        assert _score(s, ()).pi == pytest.approx(0.4)  # Q spread beats P spread
-        assert _score(np.full(3, 0.7 + 0.3j), ()).pi == 0.0
+        assert _spread(s) == pytest.approx(0.4)  # Q spread beats P spread
+        assert _spread(np.full(3, 0.7 + 0.3j)) == 0.0
 
     def test_negative_sequence_on_sequence_sets(self):
         positive = np.array([1.0, CHI, CHI**2])
@@ -156,7 +155,7 @@ class TestPhaseReduction:
         s_dt.real = with_nonfinite_rows(rng.normal(size=s_dt.shape))
         s_dt.imag = with_nonfinite_rows(rng.normal(size=s_dt.shape))[:, ::-1]
         with np.errstate(invalid="ignore"):  # inf - inf
-            pi = _score(s_dt, ()).pi
+            pi = _spread(s_dt)
             expect = np.maximum(np.ptp(s_dt.real, axis=-1), np.ptp(s_dt.imag, axis=-1))
         assert pi.tobytes() == expect.tobytes()
 
@@ -267,6 +266,20 @@ class TestFixedVoltageModel:
             evaluate_fixv(snap, asg, q_adjust=np.zeros(2))
         with pytest.raises(ValueError, match="reactive bounds"):
             evaluate_fixv(snap, asg, q_adjust=np.full(network.n_customers, 0.1))
+
+    def test_nan_reactive_adjustment_rejected(self, network, demands):
+        # A NaN lies in no band, so no model prices it as an adjustment.
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
+        asg = PhaseAssignment.initial(network)
+        c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
+        q = np.zeros(network.n_customers)
+        q[c] = np.nan
+        for solve in (evaluate_fixv, evaluate_linv, evaluate_lbfm, evaluate_exact, solve_utpf):
+            with pytest.raises(ValueError, match="reactive bounds"):
+                solve(snap, asg, q_adjust=q)
+        g = _MODELS["fixv"].line(snap, np.asarray(asg.phases), None)(np.zeros(len(q)), c)
+        with pytest.raises(ValueError, match="reactive bounds"):
+            g(np.array([np.nan]))
 
 
 class TestLinearizedInverseModel:
@@ -421,9 +434,7 @@ class TestBranchFlowIsFlatFixv:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14
         out = evaluate_lbfm(snap, asg, q_adjust=q)
-        ref = _result(
-            "lbfm", network.i_dt_max, *_lbfm_measures(network, *reference), None, squared=True
-        )
+        ref = _result("lbfm", network, *_lbfm_measures(*reference), None, squared=True)
         assert np.array_equal(out.s_dt, ref.s_dt)
         for name in ("vm", "vneg"):
             assert np.max(np.abs(getattr(out, name) - getattr(ref, name))) <= 1e-14, name
@@ -478,14 +489,22 @@ class TestLineScorer:
                     want = evaluate(trial).objective
                     assert abs(fk - want) <= tol * abs(want)
 
-    @pytest.mark.parametrize("period", [48, 73])
+    # No bundled state reaches the feeder's 2.0 pu transformer rating (1.21 pu
+    # at most at the initial assignment), so "73-rated" lowers it to 0.9 pu.
+    @pytest.mark.parametrize(
+        "period, i_dt_max", [(48, None), (73, None), (73, 0.9)], ids=["48", "73", "73-rated"]
+    )
     @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
-    def test_matches_scalar_on_bundled_periods(self, network, demands, method, period):
+    def test_matches_scalar_on_bundled_periods(self, network, demands, method, period, i_dt_max):
+        network = replace(network, i_dt_max=i_dt_max or network.i_dt_max)
         snap = build_snapshot(network, demands, period, pv_q_control=True)
         rng = np.random.default_rng(period)
         phases = np.array([c.initial_phase for c in network.customers])
         phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=len(snap.adjustable_idx))
         asg = PhaseAssignment(tuple(int(p) for p in phases))
+        if i_dt_max is not None:
+            # The rating binds, so each point prices the transformer current.
+            assert _MODELS[method].evaluate(snap, asg, None, None).slack["i_dt"] > 0.0
         self._assert_matches_scalar(snap, asg, method, seed=period)
         if method == "fixv":
             profile = solve_utpf(snap, asg).v
@@ -660,12 +679,12 @@ def unmerged_score(kernel, s_on, effects, no_load, choices):
     for local in range(kernel.n_movable):
         v = v + e[movable[local]][choices[:, local]]
 
-    lo, hi, neg = kernel._measures(v)
+    lo, hi, vneg = kernel._measures(v)
     k = 2 if kernel.squared else 1
     terms = (
         np.maximum(0.0, V_MIN**k - lo.min(axis=-1)),
         np.maximum(0.0, hi.max(axis=-1) - V_MAX**k),
-        np.maximum(0.0, neg**k - NEG_SEQ_MAX**k),
+        np.maximum(0.0, np.abs(vneg) ** k - NEG_SEQ_MAX**k),
         np.maximum(0.0, np.abs(s_dt) / np.abs(kernel.v0) - kernel.network.i_dt_max),
     )
     total = sum(term.sum(axis=-1) for term in terms)
@@ -736,9 +755,14 @@ class TestBatchKernels:
     def _random_choices(rng, kernel, count):
         return rng.integers(0, 3, size=(count, kernel.n_movable))
 
-    @pytest.mark.parametrize("period", [4, 40, 48])
+    # "73-rated" lowers the transformer rating to 0.9 pu, so that slack binds.
+    @pytest.mark.parametrize(
+        "period, i_dt_max", [(4, None), (40, None), (48, None), (73, 0.9)],
+        ids=["4", "40", "48", "73-rated"],
+    )
     @pytest.mark.parametrize("method", ["fixv", "lbfm", "linv"])
-    def test_batch_matches_scalar(self, network, demands, method, period):
+    def test_batch_matches_scalar(self, network, demands, method, period, i_dt_max):
+        network = replace(network, i_dt_max=i_dt_max or network.i_dt_max)
         snap = build_snapshot(network, demands, period)
         kernel = _MODELS[method].kernel(snap)
         rng = np.random.default_rng(20240817 + period)
@@ -748,9 +772,10 @@ class TestBatchKernels:
             method
         ]
         tol = 1e-10 if method == "linv" else 1e-9
-        for row, full in zip(batch.objective, kernel.full_phases(choices)):
+        for row, full in zip(batch, kernel.full_phases(choices)):
             one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)))
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
+            assert i_dt_max is None or one.slack["i_dt"] > 0.0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -770,7 +795,7 @@ class TestBatchKernels:
         choices = self._random_choices(rng, kernel, 12)
         batch = kernel.score(choices)
         tol = 1e-10 if method == "linv" else 1e-9
-        for row, full in zip(batch.objective, kernel.full_phases(choices)):
+        for row, full in zip(batch, kernel.full_phases(choices)):
             one = model.evaluate(snap, PhaseAssignment(tuple(int(p) for p in full)), None, profile)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
@@ -781,7 +806,7 @@ class TestBatchKernels:
         rng = np.random.default_rng(7)
         choices = self._random_choices(rng, kernel, 10)
         batch = kernel.score(choices)
-        for row, full in zip(batch.objective, kernel.full_phases(choices)):
+        for row, full in zip(batch, kernel.full_phases(choices)):
             one = evaluate_fixv(
                 snap, PhaseAssignment(tuple(int(p) for p in full)), profile=sol.v
             )
@@ -823,11 +848,11 @@ class TestBatchKernels:
         batch = kernel.score(choices)
         objective, pi, slack = unmerged_score(kernel, choices=choices, **tables)
         assert 0.0 < np.mean(slack > 0) < 1.0
-        assert batch.objective.tobytes() == objective.tobytes()
-        assert batch.pi.tobytes() == pi.tobytes()
+        assert batch.tobytes() == objective.tobytes()
+        assert kernel.spreads().tobytes() == pi.tobytes()
 
     def test_linv_merged_columns_score_as_unmerged(self):
-        # The kernel prices each chunk's states at the geometry's columns;
+        # The kernel prices each block's states at the geometry's columns;
         # the same `_linv_solve` states, put at every bus and priced there,
         # give the same bytes.
         network, snap = merged_column_case()
@@ -836,16 +861,16 @@ class TestBatchKernels:
         choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
         batch = kernel.score(choices)
         parts = []
-        for lo in range(0, len(choices), _LINV_CHUNK):
-            phases = kernel.full_phases(choices[lo:lo + _LINV_CHUNK])
+        assert len(choices) > kernel.chunk  # more than one block
+        for lo in range(0, len(choices), kernel.chunk):
+            phases = kernel.full_phases(choices[lo:lo + kernel.chunk])
             v, i_dt = _linv_solve(network, kernel.s, phases)
             at_buses = v.take(col_inverse, axis=1)
-            parts.append(_price(network.i_dt_max, *_phasor_measures(network, at_buses, i_dt, True)))
+            parts.append(_price(network, *_phasor_measures(network, at_buses, i_dt, True)))
         objective = np.concatenate([part.objective for part in parts])
         pi = np.concatenate([part.pi for part in parts])
         assert 0.0 < np.mean(objective > pi) < 1.0
-        assert batch.objective.tobytes() == objective.tobytes()
-        assert batch.pi.tobytes() == pi.tobytes()
+        assert batch.tobytes() == objective.tobytes()
 
     def test_unknown_method_rejected(self, network, demands):
         # A name outside the table is unknown; the exact power flow (utpf)

@@ -388,6 +388,21 @@ class TestImport:
             import_european_feeder(broken_dir)
         assert str(info.value) == "Loads.csv record 2: load name LOAD1 repeats"
 
+    @pytest.mark.parametrize(
+        "table, record, message",
+        [
+            ("LineCodes.csv", ["branch", "3.2", "0.24", "1.0", "0.8"], "record 4: line code branch"),
+            ("Source.csv", ["pu", "0.5"], "record 5: quantity pu"),
+        ],
+    )
+    def test_repeated_name_named(self, broken_dir, table, record, message):
+        # A later record would silently win: a second branch code would set
+        # the impedance of every branch line, a second pu the source voltage.
+        self._rewrite(broken_dir / table, lambda rows: rows + [record])
+        with pytest.raises(FeederFormatError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == f"{table} {message} repeats"
+
     def test_loads_are_read_per_record(self, network, demands):
         # Each customer's demand is its own record's kW and PF times its shape.
         with (bundled_feeder_dir() / "Loads.csv").open() as fh:

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phasebal import optimizer
+from phasebal import formulations, optimizer
 from phasebal.formulations import _FixvKernel, _decode, evaluate_fixv
 from phasebal.netmodel import SWITCH_CUSTOMERS, build_snapshot
 from phasebal.optimizer import (
     _BLOCK,
-    _CHUNK,
     _MODELS,
     _bnb_choices,
     _exhaustive_choices,
@@ -134,9 +133,12 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("period", [48, 73])
     @pytest.mark.parametrize("model", ["fixv-flat", "fixv-exact", "lbfm"])
-    def test_pi_ordered_blocks_score_as_index_chunks(self, network, demands, model, period):
+    def test_pi_ordered_blocks_score_as_index_chunks(
+        self, network, demands, model, period, monkeypatch
+    ):
         # The scan's bound and tie-break rely on a candidate pricing the same
-        # in any batch: ascending-pi blocks against the exhaustive chunks.
+        # in any batch: ascending-pi blocks against the exhaustive chunks,
+        # whose priced spreads are the bound's.
         snap = build_snapshot(network, demands, period)
         profile = None
         if model == "fixv-exact":
@@ -144,18 +146,25 @@ class TestBranchAndBound:
         kernel = _MODELS[model[:4]].kernel(snap, profile=profile)
         mm = kernel.n_movable
         total = 3**mm
-        chunks = [
-            kernel.score(_decode(np.arange(lo, min(lo + _CHUNK, total)), mm))
-            for lo in range(0, total, _CHUNK)
-        ]
+        assert total > kernel.chunk  # more than one chunk
+        priced, original = [], formulations._price
+
+        def price(*args, **kwargs):
+            out = original(*args, **kwargs)
+            priced.append(out.pi)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(formulations, "_price", price)
+            chunks = kernel.score(_decode(np.arange(total), mm))
         pi = kernel.spreads()
         order = np.argsort(pi, kind="stable")
         blocked = np.empty(total)
         for lo in range(0, total, _BLOCK):
             block = order[lo:lo + _BLOCK]
-            blocked[block] = kernel.score(_decode(block, mm)).objective
-        assert blocked.tobytes() == np.concatenate([c.objective for c in chunks]).tobytes()
-        assert pi.tobytes() == np.concatenate([c.pi for c in chunks]).tobytes()
+            blocked[block] = kernel.score(_decode(block, mm))
+        assert blocked.tobytes() == chunks.tobytes()
+        assert pi.tobytes() == np.concatenate(priced).tobytes()
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_scan_stops_at_the_spread_plateau(self, network, demands, method):
@@ -176,7 +185,7 @@ class TestBranchAndBound:
         kernel = _MODELS["fixv"].kernel(snap, profile=profile)
         pi = kernel.spreads()
         first = kernel.score(_decode(np.array([np.argmin(pi)]), kernel.n_movable))
-        assert first.objective[0] > pi.min()
+        assert first[0] > pi.min()
         best, _, stats = _bnb_choices(kernel)
         assert np.array_equal(best, _exhaustive_choices(kernel)[0])
         assert stats["scored"] > 1
@@ -240,7 +249,7 @@ class TestIteratedRefinement:
         # which the scalar check refuses for the initial assignment.
         def worst_choices(kernel):
             choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
-            worst = int(np.argmax(kernel.score(choices).objective))
+            worst = int(np.argmax(kernel.score(choices)))
             return choices[worst], len(choices), {}
 
         monkeypatch.setattr(optimizer, "_bnb_choices", worst_choices)
