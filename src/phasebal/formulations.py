@@ -24,24 +24,18 @@ customer effects add up. A separable kernel scores a candidate by adding its
 switch customers' effect tables onto a base state, and prices every
 candidate's transformer spread from two half-tables of transformer power.
 For PV reactive-power tuning, a line builder (`_fixv_line`, `_linv_line`,
-`_lbfm_line`) prices a batch of values of one customer's
-reactive adjustment, objectives only, through the same field equations the
-scalar evaluator runs (`_fixv_fields`, `_linv_solve`, `_lbfm_fields`),
-called once per coordinate: every model's fields are affine along it, in
-the customer's load for fixv and lbfm and in the customer's own current for
-linv. A line prices pi and the transformer-current slack at every point, but
-a voltage slack (v_lo, v_hi, neg_seq) only where it cannot prove it zero:
-along the line each voltage measure moves by at most the reach (the band's
-for fixv and lbfm, the batch's largest current move for linv) times that
-measure of the unit direction, and a term whose bound clears its limit by
-`_SCREEN_MARGIN` is +0.0 at every point, so leaving it out changes no bit
-(`_live_terms`). `_price` is the one pricer: for any batch of model states,
-a single state included, it takes the transformer power and the model's
-voltage measures, prices the transformer current as |s_dt| / |v0| under
-every model, and returns the spread pi, the per-term slack sums
-(`_slack_terms`) and the objective. The scalar evaluators, the kernels and
-the line builders all price through it. `optimizer._MODELS` is the one
-lookup from a model name to its evaluator, kernel class and line builder.
+`_lbfm_line`) prices a batch of values of one customer's reactive
+adjustment, objectives only, from the model's field equations
+(`_fixv_fields`, `_linv_solve`, `_lbfm_fields`) run once per coordinate:
+the fields are affine in the customer's load (fixv, lbfm) or own current
+(linv), and `_line` moves them along those directions. Per coordinate,
+`_live_terms` screens each voltage slack (v_lo, v_hi, neg_seq) with a bound
+over the customer's whole band, and a slack it proves +0.0 at every point
+is left out, which changes no bit. `_price` is the one pricer of any batch
+of model states: the spread pi, the transformer current as |s_dt| / |v0|
+under every model, the per-term slack sums (`_slack_terms`) and the
+objective. `optimizer._MODELS` is the one lookup from a model name to its
+evaluator, kernel class and line builder.
 """
 
 from __future__ import annotations
@@ -520,10 +514,42 @@ def evaluate_linv(
 # A line scorer: line(q, c) gives g, which maps a batch of values t of
 # customer c's reactive adjustment, every other customer held at q, to the
 # model's objectives there: the scalar evaluator's, to rounding. A t outside
-# c's band raises ValueError, as the scalar evaluators do. g leaves out the
-# voltage slacks `_live_terms` proves +0.0 at every point. A line builder
+# c's band raises ValueError, as the scalar evaluators do. A line builder
 # makes one from a snapshot, an assignment's phases and a profile.
 _Line = Callable[[np.ndarray, int], Callable[[np.ndarray], np.ndarray]]
+
+
+def _line(
+    network: Network, base: tuple[np.ndarray, ...], directions: list[tuple[np.ndarray, ...]],
+    coords: Callable[[np.ndarray], tuple[np.ndarray, ...]], reach: list[float],
+    measures: Callable[..., tuple[np.ndarray, ...]], band: tuple[float, float], squared: bool = False,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One coordinate's g: fields base + coords(t)[k] * directions[k], added in order of k.
+
+    base and each direction hold a model's field arrays, the transformer's
+    last, and measures maps fields to what `_price` reads. No point of the
+    band moves coordinate k by more than reach[k], so reach[k] times the
+    measures of direction k, summed over k, bounds how far the voltage
+    measures move, and `_live_terms` screens them here, once. An infinite
+    reach bounds nothing, and every term is priced. With no voltage term
+    live, g moves only the transformer field.
+    """
+
+    live = (True, True, True)
+    if max(reach) < np.inf:
+        rates = [measures(*d)[1:] for d in directions]
+        moves = tuple(sum(r * np.abs(m) for r, m in zip(reach, ms)) for ms in zip(*rates))
+        live = _live_terms(measures(*base)[1:], moves, squared)
+    kept = base if any(live) else (None,) * (len(base) - 1) + base[-1:]
+
+    def g(t: np.ndarray) -> np.ndarray:
+        _check_band(t, *band)
+        fields = kept
+        for step, direction in zip(coords(t), directions):
+            fields = [None if f is None else f + np.multiply.outer(step, u) for f, u in zip(fields, direction)]
+        return _price(network, *measures(*fields), squared, live).objective
+
+    return g
 
 
 def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray | None) -> _Line:
@@ -533,13 +559,13 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
     i_c, and so are its fixed point's bus voltages and transformer currents:
     base + Re(i_c) * U_re + Im(i_c) * U_im. Per coordinate, one `_linv_solve`
     of three rows, c's load at 0, delta and j * delta, gives the base and the
-    two directions. Each point t then solves i_c = conj(s_c + jt) g(V_c(i_c))
-    as one real 2x2 system, since V_c is affine in i_c too.
+    two directions. Each point t then solves i_c = w g(V_c(i_c)), with
+    w = conj(s_c + jt), as one real 2x2 system, since V_c is affine in i_c too.
 
-    The solved x + jy is not affine in t, so each call bounds how far the
-    voltage measures move by its own largest |x| and |y| times the measures
-    of U_re and U_im, and prices only the voltage terms that bound leaves
-    live (`_live_terms`); with none live, it moves no bus voltage.
+    As |i_c| <= |w g0| + |w| (|g_re| + |g_im|) |i_c|, both directions reach at
+    most |w g0| / (1 - |w| (|g_re| + |g_im|)), |w| taken at its larger band
+    end widened by _BAND_TOL; with that denominator not positive, the reach
+    is infinite and every term is priced.
     """
 
     network = snapshot.network
@@ -558,7 +584,6 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
         # with column k of m the (Re, Im) of row k + 1's i_c; inv(m) weighs
         # the differences into U_re and U_im.
         m_inv = np.linalg.inv(np.array([i_c.real, i_c.imag]))
-        base = (v[0], i_dt[0])
         units = [
             tuple(np.tensordot(weights, f[1:] - f[0], axes=1) for f in (v, i_dt))
             for weights in m_inv.T
@@ -566,12 +591,12 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
         # g(V_c) at the base and along each unit direction of i_c.
         g0 = fit.g(v[0, bus, p], p)
         g_re, g_im = (fit.ck[p] * u[0][bus, p].real + fit.ch[p] * u[0][bus, p].imag for u in units)
-        at = _phasor_measures(network, *base, True)[1:]
-        rates = [[np.abs(m) for m in _phasor_measures(network, *u, True)[1:]] for u in units]
         s_c, lo, hi = snapshot.s_pu[c], float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c])
+        w_max = max(abs(s_c + 1j * (lo - _BAND_TOL)), abs(s_c + 1j * (hi + _BAND_TOL)))
+        shrink = 1.0 - w_max * (abs(g_re) + abs(g_im))
+        reach = w_max * abs(g0) / shrink if shrink > 0.0 else np.inf
 
-        def g(t: np.ndarray) -> np.ndarray:
-            _check_band(t, lo, hi)
+        def coords(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             w = np.conj(s_c + 1j * t)  # as `_effective_loads` adds it
             a, b, e = w * g0, w * g_re, w * g_im
             # x + jy = a + x b + y e, as (1 - Re b) x - Re e y = Re a and
@@ -579,15 +604,10 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
             det = (1.0 - b.real) * (1.0 - e.imag) - e.real * b.imag
             x = (a.real * (1.0 - e.imag) + e.real * a.imag) / det
             y = ((1.0 - b.real) * a.imag + b.imag * a.real) / det
-            x_max, y_max = np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0)
-            live = _live_terms(at, tuple(x_max * r + y_max * i for r, i in zip(*rates)))
-            fields = (
-                f0 + np.multiply.outer(x, ur) + np.multiply.outer(y, ui) if moving else None
-                for f0, ur, ui, moving in zip(base, *units, (any(live), True))
-            )
-            return _price(network, *_phasor_measures(network, *fields, True), live=live).objective
+            return x, y
 
-        return g
+        measures = partial(_phasor_measures, network, linearized=True)
+        return _line(network, (v[0], i_dt[0]), units, coords, [reach] * 2, measures, (lo, hi))
 
     return line
 
@@ -629,9 +649,9 @@ def _lbfm_fields(
     the fixed-voltage state at the flat profile, and the (..., 3) transformer
     power, the exact per-phase sum of the loads; all affine in every load.
 
-    With BETA[phi, p] = v0[phi] / v0[p], the squares are
-    |v0[phi]|^2 - sum_j 2 Re(BETA[phi, p_j] s_j conj(Z_j[phi])), Z_j the
-    shared-path impedances of customer j, and the unbalance phasor is fixv's.
+    The squares are |v0[phi]|^2 - sum_j 2 Re(s_j conj(Z_j[phi]) v0[phi] / v0[p_j]),
+    Z_j the shared-path impedances of customer j, drawing on phase p_j, and
+    the unbalance phasor is fixv's.
     """
 
     v, _ = _fixv_fields(network, phases, s, _fixv_profile(network, None))
@@ -655,17 +675,9 @@ def _affine_line(
     fields maps (..., customers) loads to the model's field arrays, the
     transformer's last, and measures maps those to what `_price` reads. Per
     coordinate, the fields are built at q and one unit of reactive load
-    further on customer c; each point then moves the base fields along
-    that direction.
-
-    No point moves further than the band's reach from q[c], so the measures
-    of the unit direction, times that reach, bound how far the voltage
-    measures move (see `_live_terms`). Once per coordinate, that bound tells
-    which voltage terms the line prices; with none live, the bus-level
-    fields are not moved at all.
+    further on customer c, the `_line` direction; t moves along it by
+    t - q[c], at most the band's reach from q[c].
     """
-
-    network = snapshot.network
 
     def line(q: np.ndarray, c: int) -> Callable[[np.ndarray], np.ndarray]:
         q_c, lo, hi = float(q[c]), float(snapshot.q_lo_pu[c]), float(snapshot.q_hi_pu[c])
@@ -673,20 +685,7 @@ def _affine_line(
         rows[1, c] += 1j
         base, unit = zip(*((f[0], f[1] - f[0]) for f in fields(rows)))
         reach = max(q_c - lo, hi - q_c) + _BAND_TOL
-        moves = tuple(reach * np.abs(m) for m in measures(*unit)[1:])
-        live = _live_terms(measures(*base)[1:], moves, squared)
-        moving = (any(live),) * (len(base) - 1) + (True,)
-
-        def g(t: np.ndarray) -> np.ndarray:
-            _check_band(t, lo, hi)
-            step = t - q_c
-            moved = (
-                b + step.reshape((-1,) + (1,) * b.ndim) * u if keep else None
-                for b, u, keep in zip(base, unit, moving)
-            )
-            return _price(network, *measures(*moved), squared, live).objective
-
-        return g
+        return _line(snapshot.network, base, [unit], lambda t: (t - q_c,), [reach], measures, (lo, hi), squared)
 
     return line
 

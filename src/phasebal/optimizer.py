@@ -471,8 +471,8 @@ def _minimize_1d(
 
     g maps an array of points to their objectives, each row on its own, so
     a point's value does not depend on the batch it is priced in. A line
-    scorer's g leaves out a voltage slack only where it proves that slack
-    +0.0 at every point of the line or batch, which changes no value. The
+    scorer's g leaves out a voltage slack only where its per-coordinate
+    screen proves it +0.0 across the band, which changes no value. The
     coarse scan is one call and the first golden pair another. Each golden
     step depends on the last, so when a step's point is not yet priced, one
     call prices every point the next _AHEAD steps can reach (1 + 2 + 4 + 8);
@@ -531,9 +531,9 @@ def optimize_pv_q(
     which returns objectives only, in a few batched calls per coordinate
     (see `_minimize_1d`); the scalar evaluator prices only the start and
     the final state. A line prices pi and the transformer-current slack at
-    every point, and a voltage slack only when its screen cannot prove it
-    +0.0 across the customer's band (or, under linv, across the batch's
-    currents); a slack left out is zero at every point it would have
+    every point, and a voltage slack only when its screen, made once per
+    coordinate under every model, cannot prove it +0.0 across the
+    customer's band; a slack left out is zero at every point it would have
     priced, so each objective, and so each q, is what pricing all four
     slacks gives, bit for bit. Rounds stop once a full sweep improves by
     less than _SWEEP_TOL, or after _MAX_ROUNDS. Line objectives match the

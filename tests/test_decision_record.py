@@ -1,0 +1,67 @@
+"""The bundled day's decisions, swept again, match the committed record.
+
+`tests/data/bundled_day_decisions.csv` holds each (period, method) cell's
+assignment, fallback flag and model and verified objectives for the full
+bundled day with PV-Q off (`tools/decision_record.py` writes it). The
+decision runs at q = 0, so PV-Q-on sweeps choose the same assignments.
+A change that moves a decision on purpose rewrites the record and names the
+moved cells.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from phasebal.cli import SweepConfig, run_sweep
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "decision_record.py"
+_spec = importlib.util.spec_from_file_location("decision_record", SCRIPT)
+record = sys.modules["decision_record"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)  # registered first: its dataclass looks itself up there
+
+
+@pytest.fixture(scope="module")
+def day(tmp_path_factory):
+    out = tmp_path_factory.mktemp("day")
+    run_sweep(SweepConfig(periods=(0, 96), parallelism=2, out_dir=str(out)))
+    return out
+
+
+def test_the_bundled_day_decides_as_recorded(day):
+    want = record.read()
+    assert len(want) == 96 * 5
+    assert record.differences(want, record.decisions(day)) == []
+
+
+def test_every_edited_assignment_is_named(day):
+    want, got = record.read(), record.decisions(day)
+    for (period, method), d in want.items():
+        digit = str((int(d.assignment[-1]) + 1) % 3)
+        edited = {**want, (period, method): replace(d, assignment=d.assignment[:-1] + digit)}
+        assert record.differences(edited, got) == [f"period {period} {method}: assignment"]
+
+
+def test_an_edited_flag_or_objective_is_named(day):
+    want, got = record.read(), record.decisions(day)
+    d = want[73, "lbfm"]
+    edits = {
+        "fell_back": replace(d, fell_back=not d.fell_back),
+        "model_objective": replace(d, model_objective=d.model_objective * (1 + 2e-9)),
+        "verified_objective": replace(d, verified_objective=d.verified_objective * (1 - 2e-9)),
+    }
+    for name, edit in edits.items():
+        assert record.differences({**want, (73, "lbfm"): edit}, got) == [f"period 73 lbfm: {name}"]
+    # Objectives within the tolerance match.
+    near = replace(d, model_objective=d.model_objective * (1 + 0.5e-9))
+    assert record.differences({**want, (73, "lbfm"): near}, got) == []
+
+
+def test_the_record_round_trips(day, tmp_path):
+    path = tmp_path / "record.csv"
+    record.write(path, record.decisions(day))
+    assert record.read(path) == record.decisions(day)

@@ -32,7 +32,7 @@ from phasebal.formulations import (
     evaluate_linv,
     fit_inverse_voltage,
 )
-from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, build_snapshot
+from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, build_snapshot
 from phasebal.optimizer import (
     _COARSE,
     _MODELS,
@@ -574,7 +574,8 @@ class TestLineScreen:
             for c in free:
                 lo, hi = snap.q_lo_pu[c], snap.q_hi_pu[c]
                 # The coarse scan, the band edges, and random points, in one
-                # batch and one at a time (linv bounds each batch on its own).
+                # batch and one at a time: the screen is made once per
+                # coordinate, so no point's objective hangs on its batch.
                 t = np.concatenate([np.linspace(lo, hi, _COARSE), [lo, hi], rng.uniform(lo, hi, 4)])
                 batches = [t] + [t[k:k + 1] for k in range(_COARSE, len(t))]
                 g = line(q, c)
@@ -610,6 +611,64 @@ class TestLineScreen:
         if seed == 2:
             assert _MODELS[method].evaluate(snap, asg, None, None).slack["v_lo"] > 0.0
         self._assert_screen_changes_nothing(monkeypatch, snap, asg, method)
+
+    def test_linv_where_the_customer_pulls_v_lo_past_its_limit(self, monkeypatch):
+        # One customer draws 0.96 pu through a resistive 0.01 pu line from a
+        # 0.95 pu source: under linv its voltage ends 5e-5 pu below V_MIN,
+        # while v_hi and neg_seq stay clear. Only a reach too short clears
+        # v_lo here: one without its 1 - |w| (|g_re| + |g_im|) shrink, or
+        # one halved, would.
+        network = replace(two_bus_network(z_self=0.01, z_mutual=0.0), v0=make_v0(0.95))
+        band = np.array([0.0192])
+        snap = CaseSnapshot(
+            network=network, p_pu=np.array([0.96]), q_pu=np.zeros(1),
+            q_lo_pu=-band, q_hi_pu=band, adjustable_idx=(0,),
+        )
+        asg = PhaseAssignment.initial(network)
+        assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
+        self._assert_screen_changes_nothing(monkeypatch, snap, asg, "linv")
+
+    def test_linv_where_the_reach_is_unbounded(self, monkeypatch):
+        # 2 pu through a 0.2 + 0.2j pu line: |w| (|g_re| + |g_im|) passes 1,
+        # so the bound gives no finite reach, while linv's fixed point still
+        # converges. The screen is skipped and every term priced, with no
+        # inf * 0 on the way (the root's voltage never moves).
+        network = two_bus_network(z_self=0.2 + 0.2j, z_mutual=0.0)
+        band = np.array([0.04])
+        snap = CaseSnapshot(
+            network=network, p_pu=np.array([2.0]), q_pu=np.zeros(1),
+            q_lo_pu=-band, q_hi_pu=band, adjustable_idx=(0,),
+        )
+        asg = PhaseAssignment.initial(network)
+        assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
+        calls = []
+        live_terms = formulations._live_terms
+        monkeypatch.setattr(
+            formulations, "_live_terms", lambda *args: calls.append(args) or live_terms(*args)
+        )
+        with np.errstate(invalid="raise"):
+            TestLineScorer._assert_matches_scalar(snap, asg, "linv")
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["fixv", "linv", "lbfm"])
+    def test_each_coordinate_is_screened_once(self, network, demands, method, monkeypatch):
+        # line(q, c) screens its coordinate; g only prices points.
+        snap = build_snapshot(network, demands, 73, pv_q_control=True)
+        calls = []
+        live_terms = formulations._live_terms
+        monkeypatch.setattr(
+            formulations, "_live_terms", lambda *args: calls.append(args) or live_terms(*args)
+        )
+        line = _MODELS[method].line(snap, np.asarray(PhaseAssignment.initial(network).phases), None)
+        q = np.zeros(network.n_customers)
+        for c in np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[:3]:
+            calls.clear()
+            g = line(q, c)
+            assert len(calls) == 1
+            t = np.linspace(snap.q_lo_pu[c], snap.q_hi_pu[c], _COARSE)
+            g(t)
+            g(t[:1])
+            assert len(calls) == 1
 
     def test_a_clear_fixv_line_computes_no_bus_measure(self, network, demands, monkeypatch):
         # At period 73 every fixv line clears all three voltage terms, so g
