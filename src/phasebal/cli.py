@@ -50,7 +50,7 @@ from .optimizer import branch_and_bound, exhaustive, local_search  # noqa: F401
 from .powerflow import PhaseAssignment, PowerFlowError, power_balance_residual, solve_utpf
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
-OUTCOME_SCHEMA = "phasebal.outcome.v4"
+OUTCOME_SCHEMA = "phasebal.outcome.v5"
 SUMMARY_SCHEMA = "phasebal.summary.v1"
 CDF_POINTS = 256
 
@@ -161,16 +161,16 @@ def _cell_seed(period: int) -> int:
     return int(_CTX["seed"]) + 7919 * int(period)
 
 
-def _optimize_cell(snapshot, spec: CellSpec) -> OptimizationOutcome:
-    """The cell's decision; the initial cell keeps the initial assignment, whose
-    one exact solve stands for all four of its views."""
+def _optimize_cell(snapshot, spec: CellSpec, initial: EvaluationResult) -> OptimizationOutcome:
+    """The cell's decision, on the model alone. initial is the initial
+    assignment's exact state: the initial cell keeps that assignment with
+    this state as both model views, and fixv-mw searches at its voltages."""
 
     if spec.method == "initial":
-        initial = PhaseAssignment.initial(snapshot.network)
-        exact = evaluate_exact(snapshot, initial)
-        return OptimizationOutcome("utpf", "none", initial, exact, exact, exact, exact, 1)
+        assignment = PhaseAssignment.initial(snapshot.network)
+        return OptimizationOutcome("utpf", "none", assignment, initial, initial, 1)
     if spec.method in ("fixv-mc", "fixv-mw"):
-        return fixv_algorithm1(snapshot, warm=spec.method == "fixv-mw")
+        return fixv_algorithm1(snapshot, profile=initial.v if spec.method == "fixv-mw" else None)
     return _search_once(snapshot, spec.method, _cell_seed(spec.period))
 
 
@@ -201,20 +201,6 @@ def _verified_view(result: EvaluationResult) -> dict[str, object]:
     return view
 
 
-def _pv_refine(snapshot, outcome: OptimizationOutcome) -> tuple[np.ndarray, EvaluationResult, dict[str, object]]:
-    """Tune PV reactive power after the phase decision, under the same model."""
-
-    # Only fixv reads the profile: it freezes currents at the verified voltages.
-    q, final, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, outcome.verified.v)
-    block = {
-        "f_before": float(stats["f_start"]),
-        "f_after": float(final.objective),
-        "rounds": float(stats["rounds"]),
-        "evaluations": float(stats["evaluations"]),
-    }
-    return q, final, block
-
-
 def _run_cell(spec: CellSpec) -> dict[str, object]:
     """Run one (period, method) cell; failures become error records, not raises."""
 
@@ -235,15 +221,35 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         snapshot = build_snapshot(network, demands, spec.period, pv_control)
         initial = PhaseAssignment.initial(snapshot.network)
 
-        outcome = _optimize_cell(snapshot, spec)
+        # The cell's exact solves: the initial assignment, the chosen one
+        # (the same solve when the two coincide), then the PV-Q state.
+        initial_verified = evaluate_exact(snapshot, initial)
+        outcome = _optimize_cell(snapshot, spec, initial_verified)
+        verified = initial_verified
+        if outcome.assignment.phases != initial.phases:
+            verified = evaluate_exact(snapshot, outcome.assignment)
         q_adjust = None
         pv_block = None
         model = outcome.model
-        verified = outcome.verified
         tunable = pv_control and np.any(snapshot.q_hi_pu > snapshot.q_lo_pu)
         if tunable and spec.method != "initial":
-            q_adjust, model, pv_block = _pv_refine(snapshot, outcome)
-            verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q_adjust)
+            # Tune PV reactive power under the cell's model; only fixv reads
+            # the profile, freezing currents at the verified voltages.
+            q, tuned, stats = optimize_pv_q(snapshot, outcome.assignment, outcome.method, verified.v)
+            tuned_verified = evaluate_exact(snapshot, outcome.assignment, q_adjust=q)
+            # The tuned q stays only if it verifies no worse than q = 0; else
+            # the cell reports the chosen state untuned, as with PV-Q off.
+            kept = tuned_verified.objective <= verified.objective
+            pv_block = {
+                "f_before": float(stats["f_start"]),
+                "f_after": float(tuned.objective),
+                "rounds": float(stats["rounds"]),
+                "evaluations": float(stats["evaluations"]),
+                "q": [float(x) for x in q],
+                "kept": kept,
+            }
+            if kept:
+                q_adjust, model, verified = pv_block["q"], tuned, tuned_verified
         doc.update(
             strategy=outcome.strategy,
             candidates=int(outcome.candidates),
@@ -252,7 +258,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
             moves=int(
                 sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
             ),
-            q_adjust=None if q_adjust is None else [float(x) for x in q_adjust],
+            q_adjust=q_adjust,
             model=_eval_view(model),
             initial_model=_eval_view(outcome.initial_model),
             verified=_verified_view(verified),
@@ -261,7 +267,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
             vm_error=np.abs(
                 np.asarray(model.vm, dtype=float) - np.asarray(verified.vm, dtype=float)
             ).ravel().tolist(),
-            initial_verified=_verified_view(outcome.initial_verified),
+            initial_verified=_verified_view(initial_verified),
             trace=[
                 {
                     "outer": int(step.outer),

@@ -49,7 +49,6 @@ import numpy as np
 from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network
 from .powerflow import (
     _BAND_TOL,
-    PFSolution,
     PhaseAssignment,
     _bus_voltages,
     _check_band,
@@ -301,7 +300,6 @@ def evaluate_exact(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
     q_adjust: np.ndarray | None = None,
-    solution: PFSolution | None = None,
 ) -> EvaluationResult:
     """Objective under the exact power flow; the verification reference.
 
@@ -309,8 +307,7 @@ def evaluate_exact(
     residual, so a verified state needs no second solve to be reported.
     """
 
-    if solution is None:
-        solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
+    solution = solve_utpf(snapshot, assignment, q_adjust=q_adjust)
     lo, vm, vneg = _voltage_measures(solution.v)
     meta = {
         "iterations": solution.iterations,
@@ -321,15 +318,18 @@ def evaluate_exact(
 
 
 def _fixv_profile(network: Network, profile: np.ndarray | None) -> np.ndarray:
-    """The frozen voltage field: given (buses, 3), or flat at the root."""
+    """The frozen voltage field: given (buses, 3), or flat at the root. A
+    customer bus where the given field vanishes or is not finite (an
+    infinite voltage would draw no current) raises FormulationError."""
 
     if profile is None:
         return np.tile(network.v0, (network.n_buses, 1))
     profile = np.asarray(profile, dtype=complex)
     if profile.shape != (network.n_buses, 3):
         raise ValueError(f"profile must be (buses, 3), got {profile.shape}")
-    if np.any(np.abs(profile[feeder_geometry(network).cust_bus]) < 1e-6):
-        raise FormulationError("voltage profile vanishes at a customer bus")
+    at = np.abs(profile[feeder_geometry(network).cust_bus])
+    if not np.all(np.isfinite(at) & (at >= 1e-6)):
+        raise FormulationError("voltage profile vanishes or is not finite at a customer bus")
     return profile
 
 
@@ -398,7 +398,7 @@ class AffineFit:
 
     def __post_init__(self) -> None:
         for nameattr in ("cb", "ck", "ch"):
-            arr = np.asarray(getattr(self, nameattr), dtype=complex)
+            arr = np.array(getattr(self, nameattr), dtype=complex)
             if arr.shape != (3,):
                 raise ValueError(f"{nameattr} must hold one coefficient per phase")
             arr.setflags(write=False)

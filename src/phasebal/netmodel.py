@@ -64,7 +64,7 @@ class Line:
     z_pu: np.ndarray  # (3, 3) complex, symmetric
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z_pu, dtype=complex)
+        z = np.array(self.z_pu, dtype=complex)
         if z.shape != (3, 3):
             raise FeederFormatError(f"line {self.name}: impedance must be 3x3")
         if not np.all(np.isfinite(z)):
@@ -148,8 +148,8 @@ class DemandSeries:
     minutes_per_period: int
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p_w, dtype=float)
-        q = np.asarray(self.q_var, dtype=float)
+        p = np.array(self.p_w, dtype=float)
+        q = np.array(self.q_var, dtype=float)
         if p.shape != q.shape or p.ndim != 2:
             raise ValueError("demand arrays must be (periods, customers) and aligned")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -183,9 +183,11 @@ class CaseSnapshot:
     def __post_init__(self) -> None:
         n = self.network.n_customers
         for nameattr in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu"):
-            arr = np.asarray(getattr(self, nameattr), dtype=float)
+            arr = np.array(getattr(self, nameattr), dtype=float)
             if arr.shape != (n,):
                 raise ValueError(f"{nameattr} must have one entry per customer")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{nameattr} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, nameattr, arr)
         if np.any(self.q_lo_pu > 0) or np.any(self.q_hi_pu < 0):

@@ -9,7 +9,7 @@ the reference the scan is tested against; no sweep runs it. On top of those,
 the iterated fixed-voltage refinement (the paper's Algorithm 1) solves the
 discrete problem at a frozen voltage profile and refreshes the profile from
 its choice: two search passes from the flat profile (cold), or one at the
-exact profile of the initial assignment (warm). A cyclic coordinate descent
+voltage profile the caller gives (warm). A cyclic coordinate descent
 tunes continuous reactive adjustments after the discrete search. The descent
 prices each coordinate's points in batches through the model's line scorer,
 objectives only: the coarse scan in one call, the first golden pair in
@@ -22,10 +22,8 @@ batch kernel class and PV-Q line builder. The search follows from the
 kernel: the bound-ordered scan for a separable one (fixv, lbfm), within the
 enumeration budget of 3**12 candidates, local search for linv. Every search
 keeps a choice only if the scalar model ranks it no worse than the initial
-assignment, then verifies the outcome once: one exact power flow for the
-chosen and one for the initial assignment (shared when they coincide),
-carried in the outcome for reporting. The passes of the iterated
-refinement decide on the model alone; only its final choice is verified.
+assignment. The searches decide on the model alone and solve no exact power
+flow; the caller verifies their choice (`cli._run_cell` in a sweep).
 """
 
 from __future__ import annotations
@@ -54,7 +52,10 @@ from .formulations import (
     evaluate_linv,
 )
 from .netmodel import CaseSnapshot
-from .powerflow import PFSolution, PhaseAssignment, solve_utpf
+from .powerflow import PhaseAssignment
+
+# Bound here only so that the benchmark tracer (bench/run.py) finds it.
+from .powerflow import solve_utpf  # noqa: F401
 
 __all__ = [
     "Algorithm1Step",
@@ -85,15 +86,14 @@ class Algorithm1Step:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationOutcome:
-    """Chosen assignment with model-view and exact-verification results."""
+    """Chosen assignment with its and the initial assignment's model views;
+    the caller verifies it against the exact power flow."""
 
     method: str
     strategy: str
     assignment: PhaseAssignment
     model: EvaluationResult
     initial_model: EvaluationResult
-    verified: EvaluationResult
-    initial_verified: EvaluationResult
     candidates: int
     trace: tuple[Algorithm1Step, ...] = ()
     stats: Mapping[str, float] = field(default_factory=dict)
@@ -157,45 +157,22 @@ def _no_worse(
 
 
 def _finish(
-    snapshot: CaseSnapshot,
     method: str,
     strategy: str,
     kept: tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool],
     candidates: int,
     stats: Mapping[str, float],
     trace: tuple[Algorithm1Step, ...] = (),
-    initial_solution: PFSolution | None = None,
 ) -> OptimizationOutcome:
-    """Verify the kept and initial assignments of a `_no_worse` result.
+    """The outcome of a `_no_worse` result, kept; its flag, set when the
+    search fell back to the initial assignment, becomes
+    stats["fell_back_to_initial"]."""
 
-    kept is that result; its flag, set when the search fell back to the
-    initial assignment, becomes stats["fell_back_to_initial"].
-    initial_solution, when the caller already solved the initial assignment
-    exactly, stands in for that state's solve.
-    """
-
-    initial = PhaseAssignment.initial(snapshot.network)
     chosen, model, initial_model, fell_back = kept
     if fell_back:
         stats = dict(stats, fell_back_to_initial=1.0)
-
-    initial_verified = evaluate_exact(snapshot, initial, solution=initial_solution)
-    verified = (
-        initial_verified
-        if chosen.phases == initial.phases
-        else evaluate_exact(snapshot, chosen)
-    )
     return OptimizationOutcome(
-        method=method,
-        strategy=strategy,
-        assignment=chosen,
-        model=model,
-        initial_model=initial_model,
-        verified=verified,
-        initial_verified=initial_verified,
-        candidates=candidates,
-        trace=trace,
-        stats=dict(stats),
+        method, strategy, chosen, model, initial_model, candidates, trace, dict(stats)
     )
 
 
@@ -292,26 +269,27 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
     return best, evaluations, {"starts": float(len(starts))}
 
 
-def _verified_search(
+def _search(
     strategy: str,
     search: Callable[[_Kernel], tuple[np.ndarray, int, dict[str, float]]],
     snapshot: CaseSnapshot,
     method: str,
 ) -> OptimizationOutcome:
     """Run search, which maps a kernel to its best movable choices, the
-    candidates scored and strategy statistics, then verify its choice."""
+    candidates scored and strategy statistics, and keep its choice only if
+    the scalar model ranks it no worse than the initial assignment."""
 
     kernel = _model(method, "kernel").kernel(snapshot)
     best, candidates, stats = search(kernel)
     kept = _no_worse(snapshot, method, kernel.assignment(best), None)
-    return _finish(snapshot, method, strategy, kept, candidates, stats)
+    return _finish(method, strategy, kept, candidates, stats)
 
 
 def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
-    return _verified_search("exhaustive", _exhaustive_choices, snapshot, method)
+    return _search("exhaustive", _exhaustive_choices, snapshot, method)
 
 
 def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
@@ -329,7 +307,7 @@ def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> Optimizati
     stats["scored"] counts the field-scored candidates, the first
     incumbent included."""
 
-    return _verified_search("branch-and-bound", _bnb_choices, snapshot, method)
+    return _search("branch-and-bound", _bnb_choices, snapshot, method)
 
 
 def local_search(
@@ -342,12 +320,12 @@ def local_search(
     drawn from seed; each pass scores the whole one-move neighborhood and
     takes the best strict improvement."""
 
-    return _verified_search("local", partial(_local_choices, seed=seed), snapshot, method)
+    return _search("local", partial(_local_choices, seed=seed), snapshot, method)
 
 
 def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> OptimizationOutcome:
-    """One verified search under method's model: the bound-ordered scan
-    when its kernel is separable, local search from seed otherwise.
+    """One search under method's model: the bound-ordered scan when its
+    kernel is separable, local search from seed otherwise.
 
     The public search functions are looked up by name when this runs, so
     the benchmark's traced run (bench/run.py) still sees every search.
@@ -358,34 +336,30 @@ def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> Optimization
     return local_search(snapshot, method, seed=seed)
 
 
-def fixv_algorithm1(snapshot: CaseSnapshot, warm: bool = False) -> OptimizationOutcome:
+def fixv_algorithm1(snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
 
     A search pass solves the discrete assignment problem with customer
     currents frozen at the working voltage profile, keeps its choice only
     if the model at that profile ranks it no worse than the initial
     assignment, and refreshes the profile from the kept assignment's model
-    voltages. The cold run makes two passes: the first from the flat
-    root-voltage profile, the second at the first pass's refreshed profile.
-    The warm run makes one pass at the exact power flow of the initial
-    assignment, whose solve then also verifies the initial assignment. Only
-    the final choice is verified against the exact power flow. Each pass is
-    the bound-ordered scan, which raises ValueError beyond the enumeration
-    budget; the passes' "scored" counts are summed into stats, and
-    stats["fell_back_to_initial"] is set when any pass fell back.
+    voltages. Given no profile, the cold run makes two passes: the first
+    from the flat root-voltage profile, the second at the first pass's
+    refreshed profile. Given a (buses, 3) profile, the warm run makes one
+    pass at it; a sweep passes the exact power flow of the initial
+    assignment. Each pass is the bound-ordered scan, which raises
+    ValueError beyond the enumeration budget; the passes' "scored" counts
+    are summed into stats, and stats["fell_back_to_initial"] is set when
+    any pass fell back.
 
     The outcome's model view is evaluated at the profile the last pass
     searched, i.e. the estimate that actually selected the assignment; the
     trace records each pass's choice and how far it moved the profile, and
     stats["delta_v"] is the last pass's movement."""
 
-    network = snapshot.network
-    base = None
-    if warm:
-        base = solve_utpf(snapshot, PhaseAssignment.initial(network))
-        profile = np.asarray(base.v)
-    else:
-        profile = np.tile(network.v0, (network.n_buses, 1))
+    warm = profile is not None
+    if not warm:
+        profile = np.tile(snapshot.network.v0, (snapshot.network.n_buses, 1))
 
     candidates = 0
     trace: list[Algorithm1Step] = []
@@ -413,14 +387,12 @@ def fixv_algorithm1(snapshot: CaseSnapshot, warm: bool = False) -> OptimizationO
         )
 
     return _finish(
-        snapshot,
         "fixv",
         "algorithm1-warm" if warm else "algorithm1-cold",
         (current, model, initial_model, fell_back),
         candidates,
         {"outer": float(len(trace)), "delta_v": delta, **search_stats},
         trace=tuple(trace),
-        initial_solution=base,
     )
 
 

@@ -153,7 +153,7 @@ def test_the_model_table_calls_the_evaluators_the_tracer_wraps(monkeypatch):
     asg = PhaseAssignment.initial(network)
     runs = [
         (partial(optimizer.fixv_algorithm1, snap), "evaluate_fixv"),
-        (partial(optimizer.fixv_algorithm1, snap, warm=True), "evaluate_fixv"),
+        (partial(optimizer.fixv_algorithm1, snap, powerflow.solve_utpf(snap, asg).v), "evaluate_fixv"),
         (partial(optimizer._search_once, snap, "linv", 7), "evaluate_linv"),
         (partial(optimizer._search_once, snap, "lbfm", 7), "evaluate_lbfm"),
         (partial(optimizer._MODELS["utpf"].evaluate, snap, asg, None, None), "evaluate_exact"),

@@ -545,26 +545,58 @@ def test_evaluate_writes_the_model_view(method, evaluate, tmp_path, network, dem
     assert view["slack_total"] == sum(expect.slack.values())
 
 
+@pytest.fixture(scope="module")
+def pvq_cells(tmp_path_factory):
+    """Periods 43, 48 and 73 swept by every optimizing method through
+    `main`, with PV-Q on and off: each setting's outcomes by (period, method)."""
+
+    cells: dict[str, dict[tuple[int, str], dict]] = {"on": {}, "off": {}}
+    for setting, docs in cells.items():
+        for period in (43, 48, PERIOD):
+            out = tmp_path_factory.mktemp(f"pvq_{setting}")
+            assert main(
+                [
+                    "sweep", "--periods", f"{period}:{period + 1}", "--methods", "fixv-mc,fixv-mw,linv,lbfm",
+                    "--pv-control", setting, "--parallelism", "1", "--out-dir", str(out),
+                ]
+            ) == 0
+            docs.update({(d["period"], d["method"]): d for d in cli.load_outcomes(out)})
+    return cells
+
+
+def test_pv_q_never_verifies_worse_than_its_untuned_state(pvq_cells):
+    on, off = pvq_cells["on"], pvq_cells["off"]
+    assert len(on) == 12 and on.keys() == off.keys()
+    for cell, doc in on.items():
+        assert doc["assignment"] == off[cell]["assignment"]
+        assert doc["verified"]["objective"] <= off[cell]["verified"]["objective"], cell
+
+
 @pytest.mark.parametrize("method", ["fixv-mw", "linv", "lbfm"])
-def test_optimize_with_pv_q_reports_the_tuned_state(method, tmp_path, network, demands):
-    assert main(
-        [
-            "sweep", "--periods", f"{PERIOD}:{PERIOD + 1}", "--methods", method,
-            "--pv-control", "on", "--parallelism", "1", "--out-dir", str(tmp_path),
-        ]
-    ) == 0
-    doc = json.loads(cli.outcome_path(tmp_path, PERIOD, method).read_text())
+def test_optimize_with_pv_q_reports_the_tuned_state(method, pvq_cells, network, demands):
+    # The tuned q is kept only when the exact power flow ranks it no worse
+    # than q = 0. At this period linv keeps it, while fixv-mw and lbfm revert
+    # and report what their PV-Q-off cells report.
+    doc, off = pvq_cells["on"][PERIOD, method], pvq_cells["off"][PERIOD, method]
     pv = doc["pv"]
-    assert pv is not None
     assert pv["f_after"] <= pv["f_before"]
-    assert doc["model"]["objective"] == pv["f_after"]
 
     snap = build_snapshot(network, demands, PERIOD, pv_q_control=True)
-    q = np.asarray(doc["q_adjust"])
+    q = np.asarray(pv["q"])
     assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
     assert np.any(q != 0.0)
-    tuned = evaluate_exact(snap, PhaseAssignment(tuple(doc["assignment"])), q_adjust=q)
-    assert doc["verified"]["objective"] == tuned.objective
-    assert doc["verified"]["balance_residual"] == tuned.meta["balance_residual"]
+    chosen = PhaseAssignment(tuple(doc["assignment"]))
+    tuned = evaluate_exact(snap, chosen, q_adjust=q)
+    assert pv["kept"] == (tuned.objective <= evaluate_exact(snap, chosen).objective)
+    assert pv["kept"] == (method == "linv")
+    if pv["kept"]:
+        assert doc["q_adjust"] == pv["q"]
+        assert doc["model"]["objective"] == pv["f_after"]
+        assert doc["verified"]["objective"] == tuned.objective
+        assert doc["verified"]["balance_residual"] == tuned.meta["balance_residual"]
+    else:
+        assert doc["q_adjust"] is None
+        for key in ("model", "verified", "vm_error"):
+            assert doc[key] == off[key], key
     initial = evaluate_exact(snap, PhaseAssignment.initial(network))
     assert doc["initial_verified"]["objective"] == initial.objective

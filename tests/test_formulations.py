@@ -210,6 +210,11 @@ class TestInverseVoltageFit:
         with pytest.raises(ValueError, match="one coefficient per phase"):
             AffineFit(cb=np.zeros(2), ck=np.zeros(3), ch=np.zeros(3))
 
+    def test_coefficients_are_copied_before_freezing(self):
+        cb = np.zeros(3, dtype=complex)
+        fit = AffineFit(cb=cb, ck=np.ones(3, dtype=complex), ch=np.ones(3, dtype=complex))
+        assert cb.flags.writeable and not fit.cb.flags.writeable
+
 
 class TestFixedVoltageModel:
     def test_flat_profile_is_default(self, network, demands):
@@ -227,7 +232,7 @@ class TestFixedVoltageModel:
         snap = build_snapshot(network, demands, 40)
         asg = PhaseAssignment.initial(network)
         sol = solve_utpf(snap, asg)
-        exact = evaluate_exact(snap, asg, solution=sol)
+        exact = evaluate_exact(snap, asg)
         model = evaluate_fixv(snap, asg, profile=sol.v)
         assert np.max(np.abs(model.v - sol.v)) <= 1e-7
         assert np.max(np.abs(model.s_dt - exact.s_dt)) <= 1e-7
@@ -245,7 +250,7 @@ class TestFixedVoltageModel:
         )
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         sol = solve_utpf(snap, asg, q_adjust=q)
-        exact = evaluate_exact(snap, asg, q_adjust=q, solution=sol)
+        exact = evaluate_exact(snap, asg, q_adjust=q)
         model = evaluate_fixv(snap, asg, profile=sol.v, q_adjust=q)
         assert np.max(np.abs(model.v - exact.v)) <= 1e-7
         assert model.objective == pytest.approx(exact.objective, abs=1e-6)
@@ -258,6 +263,19 @@ class TestFixedVoltageModel:
                 PhaseAssignment.initial(network),
                 profile=np.zeros((network.n_buses, 3), dtype=complex),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profile_rejected(self, network, demands, bad):
+        # An infinite voltage would draw no current: the customer's load would
+        # vanish from the objective instead of the profile being refused.
+        snap = build_snapshot(network, demands, 73)
+        asg = PhaseAssignment.initial(network)
+        profile = np.tile(network.v0, (network.n_buses, 1))
+        profile[feeder_geometry(network).cust_bus[0], asg.phases[0]] = bad
+        with pytest.raises(FormulationError, match="not finite"):
+            evaluate_fixv(snap, asg, profile=profile)
+        with pytest.raises(FormulationError, match="not finite"):
+            _MODELS["fixv"].kernel(snap, profile=profile)
 
     def test_reactive_adjustment_validation(self, network, demands):
         snap = build_snapshot(network, demands, 40)

@@ -463,6 +463,23 @@ class TestDemandSeries:
         assert series.period_mid_hour(3) == pytest.approx(0.875)
 
 
+class TestRecordsOwnTheirArrays:
+    def test_the_callers_arrays_stay_writeable(self, network, demands):
+        # Each record freezes a copy, not the array its caller handed in.
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
+        line = Line(name="own", from_bus=0, to_bus=1, z_pu=z)
+        p, q = np.ones((4, 1)), np.zeros((4, 1))
+        series = DemandSeries(p_w=p, q_var=q, minutes_per_period=15)
+        snap = build_snapshot(network, demands, 40, pv_q_control=True)
+        given = {name: np.array(getattr(snap, name)) for name in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu")}
+        copy = replace(snap, **given)
+        pairs = [(z, line.z_pu), (p, series.p_w), (q, series.q_var)]
+        pairs += [(array, getattr(copy, name)) for name, array in given.items()]
+        for mine, kept in pairs:
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert np.array_equal(mine, kept)
+
+
 class TestPvShape:
     def test_zero_outside_daylight(self):
         assert pv_generation_w(7.0, 3.0) == 0.0
@@ -526,6 +543,17 @@ class TestSnapshot:
         others = [k for k in range(network.n_customers) if k not in hosts]
         assert np.all(on.q_lo_pu[others] == 0.0) and np.all(on.q_hi_pu[others] == 0.0)
         assert len(on.adjustable_idx) == 10
+
+    @pytest.mark.parametrize("name", ["p_pu", "q_pu", "q_lo_pu", "q_hi_pu"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_loads_and_bounds_rejected(self, network, demands, name, bad):
+        # A NaN load would make every evaluator return NaN, and a NaN or
+        # infinite bound on the right side of zero would pass the sign check.
+        snap = build_snapshot(network, demands, 40, pv_q_control=True)
+        values = np.array(getattr(snap, name))
+        values[0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(snap, **{name: values})
 
     def test_adjustable_positions_map_switch_ids(self, network, demands):
         snap = build_snapshot(network, demands, 0)

@@ -37,6 +37,13 @@ def with_switches(snapshot, cids):
     return replace(snapshot, adjustable_idx=tuple(k for k, c in enumerate(customers) if c.cid in cids))
 
 
+def warm_profile(snapshot, warm=True):
+    """fixv-mw's start profile, the initial assignment's exact voltages,
+    when warm; None, the cold start, otherwise."""
+
+    return solve_utpf(snapshot, PhaseAssignment.initial(snapshot.network)).v if warm else None
+
+
 def tiny_snapshot():
     network = two_bus_network(customers=(0, 0, 1, 2))
     return snapshot_for(
@@ -216,7 +223,7 @@ class TestLocalSearch:
 class TestIteratedRefinement:
     def test_single_outer_is_one_discrete_solve(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = fixv_algorithm1(snap, warm=True)
+        out = fixv_algorithm1(snap, warm_profile(snap))
         assert out.strategy == "algorithm1-warm"
         assert out.stats["outer"] == 1.0
         assert out.candidates == 3 ** len(snap.adjustable_idx)
@@ -255,7 +262,7 @@ class TestIteratedRefinement:
         monkeypatch.setattr(optimizer, "_bnb_choices", worst_choices)
         snap = tiny_snapshot()
         initial = PhaseAssignment.initial(snap.network).phases
-        out = fixv_algorithm1(snap, warm=warm)
+        out = fixv_algorithm1(snap, warm_profile(snap, warm))
         assert [step.phases for step in out.trace] == [initial] * (1 if warm else 2)
         assert out.assignment.phases == initial
         assert out.model.objective == out.initial_model.objective
@@ -285,7 +292,7 @@ class TestIteratedRefinement:
         assert len(snap.adjustable_idx) == 13
         monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
-            fixv_algorithm1(snap, warm=warm)
+            fixv_algorithm1(snap, warm_profile(snap, warm))
 
 
 class TestModelTable:
