@@ -103,8 +103,8 @@ class Network:
         if not (math.isfinite(self.i_dt_max) and self.i_dt_max > 0):
             raise FeederFormatError(f"i_dt_max must be finite and positive, got {self.i_dt_max!r}")
         v0 = np.array(self.v0, dtype=complex)
-        if v0.shape != (3,) or not np.all(np.isfinite(v0)):
-            raise FeederFormatError(f"v0 must be 3 finite phase voltages, got {self.v0!r}")
+        if v0.shape != (3,) or not np.all(np.isfinite(v0) & (v0 != 0)):
+            raise FeederFormatError(f"v0 must be 3 finite phase voltages, none zero, got {self.v0!r}")
         v0.setflags(write=False)
         object.__setattr__(self, "v0", v0)
         bus_set = set(self.buses)
@@ -195,6 +195,9 @@ class CaseSnapshot:
         bad = [i for i in self.adjustable_idx if not 0 <= i < n]
         if bad:
             raise ValueError(f"adjustable customer positions out of range: {bad}")
+        repeated = sorted({i for i in self.adjustable_idx if self.adjustable_idx.count(i) > 1})
+        if repeated:
+            raise ValueError(f"adjustable customer positions repeated: {repeated}")
 
     @property
     def s_pu(self) -> np.ndarray:

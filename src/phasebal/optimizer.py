@@ -20,16 +20,18 @@ the end; an end it ranks above the start is dropped for the start.
 `_MODELS` is the one lookup from a model name to its scalar evaluator,
 batch kernel class and PV-Q line builder. The search follows from the
 kernel: the bound-ordered scan for a separable one (fixv, lbfm), within the
-enumeration budget of 3**12 candidates, local search for linv. Every search
-keeps a choice only if the scalar model ranks it no worse than the initial
-assignment. The searches decide on the model alone and solve no exact power
-flow; the caller verifies their choice (`cli._run_cell` in a sweep).
+enumeration budget of 3**12 candidates, local search for linv. Each search,
+and each pass of Algorithm 1, is one `_search`: the kernel, the search, then
+the scalar guard, which keeps the choice only if the scalar model ranks it
+no worse than the initial assignment. The searches decide on the model
+alone and solve no exact power flow; the caller verifies their choice
+(`cli._run_cell` in a sweep).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping
 
@@ -40,6 +42,7 @@ from .formulations import (
     _decode,
     _FixvKernel,
     _fixv_line,
+    _fixv_profile,
     _Kernel,
     _LbfmKernel,
     _lbfm_line,
@@ -86,8 +89,9 @@ class Algorithm1Step:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationOutcome:
-    """Chosen assignment with its and the initial assignment's model views;
-    the caller verifies it against the exact power flow."""
+    """What one `_search` kept: the chosen assignment with its and the
+    initial assignment's model views; fixv_algorithm1 adds its passes'
+    trace. The caller verifies it against the exact power flow."""
 
     method: str
     strategy: str
@@ -133,47 +137,6 @@ def _model(method: str, part: str = "evaluate") -> _Model:
     if getattr(model, part) is None:
         raise ValueError(f"formulation {method!r} has no {part}; it only verifies")
     return model
-
-
-def _no_worse(
-    snapshot: CaseSnapshot,
-    method: str,
-    chosen: PhaseAssignment,
-    profile: np.ndarray | None,
-) -> tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool]:
-    """Never keep anything the scalar model ranks below the status quo.
-
-    Returns the kept assignment, its model view, the initial assignment's
-    model view and whether the choice fell back to the initial assignment.
-    """
-
-    evaluate = _model(method).evaluate
-    initial = PhaseAssignment.initial(snapshot.network)
-    model = evaluate(snapshot, chosen, None, profile)
-    initial_model = evaluate(snapshot, initial, None, profile)
-    if model.objective > initial_model.objective:
-        return initial, initial_model, initial_model, True
-    return chosen, model, initial_model, False
-
-
-def _finish(
-    method: str,
-    strategy: str,
-    kept: tuple[PhaseAssignment, EvaluationResult, EvaluationResult, bool],
-    candidates: int,
-    stats: Mapping[str, float],
-    trace: tuple[Algorithm1Step, ...] = (),
-) -> OptimizationOutcome:
-    """The outcome of a `_no_worse` result, kept; its flag, set when the
-    search fell back to the initial assignment, becomes
-    stats["fell_back_to_initial"]."""
-
-    chosen, model, initial_model, fell_back = kept
-    if fell_back:
-        stats = dict(stats, fell_back_to_initial=1.0)
-    return OptimizationOutcome(
-        method, strategy, chosen, model, initial_model, candidates, trace, dict(stats)
-    )
 
 
 def _enumerated(mm: int) -> int:
@@ -274,15 +237,27 @@ def _search(
     search: Callable[[_Kernel], tuple[np.ndarray, int, dict[str, float]]],
     snapshot: CaseSnapshot,
     method: str,
+    profile: np.ndarray | None = None,
 ) -> OptimizationOutcome:
-    """Run search, which maps a kernel to its best movable choices, the
-    candidates scored and strategy statistics, and keep its choice only if
-    the scalar model ranks it no worse than the initial assignment."""
+    """One search pass: build method's kernel at profile, run search, which
+    maps a kernel to its best movable choices, the candidates scored and
+    strategy statistics, then guard the choice with the scalar model at
+    profile. A choice it ranks worse than the initial assignment is dropped
+    for the initial assignment, and stats["fell_back_to_initial"] is 1.0."""
 
-    kernel = _model(method, "kernel").kernel(snapshot)
+    model = _model(method, "kernel")
+    kernel = model.kernel(snapshot, profile)
     best, candidates, stats = search(kernel)
-    kept = _no_worse(snapshot, method, kernel.assignment(best), None)
-    return _finish(method, strategy, kept, candidates, stats)
+    chosen = kernel.assignment(best)
+    initial = PhaseAssignment.initial(snapshot.network)
+    chosen_model = model.evaluate(snapshot, chosen, None, profile)
+    initial_model = model.evaluate(snapshot, initial, None, profile)
+    if chosen_model.objective > initial_model.objective:
+        chosen, chosen_model = initial, initial_model
+        stats = dict(stats, fell_back_to_initial=1.0)
+    return OptimizationOutcome(
+        method, strategy, chosen, chosen_model, initial_model, candidates, stats=stats
+    )
 
 
 def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
@@ -339,61 +314,41 @@ def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> Optimization
 def fixv_algorithm1(snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> OptimizationOutcome:
     """Iterated fixed-voltage refinement.
 
-    A search pass solves the discrete assignment problem with customer
-    currents frozen at the working voltage profile, keeps its choice only
-    if the model at that profile ranks it no worse than the initial
-    assignment, and refreshes the profile from the kept assignment's model
-    voltages. Given no profile, the cold run makes two passes: the first
+    Each pass is one `_search`: the bound-ordered scan with customer
+    currents frozen at the working voltage profile, then the scalar guard
+    at that profile; the kept assignment's model voltages become the next
+    profile. Given no profile, the cold run makes two passes: the first
     from the flat root-voltage profile, the second at the first pass's
     refreshed profile. Given a (buses, 3) profile, the warm run makes one
     pass at it; a sweep passes the exact power flow of the initial
-    assignment. Each pass is the bound-ordered scan, which raises
-    ValueError beyond the enumeration budget; the passes' "scored" counts
-    are summed into stats, and stats["fell_back_to_initial"] is set when
-    any pass fell back.
+    assignment. The scan raises ValueError beyond the enumeration budget.
+    The passes' candidates and "scored" counts are summed, and
+    stats["fell_back_to_initial"] is 1.0 when any pass fell back.
 
-    The outcome's model view is evaluated at the profile the last pass
-    searched, i.e. the estimate that actually selected the assignment; the
-    trace records each pass's choice and how far it moved the profile, and
-    stats["delta_v"] is the last pass's movement."""
+    The outcome is the last pass's, so its model view is evaluated at the
+    profile that pass searched, i.e. the estimate that actually selected
+    the assignment; the trace records each pass's choice and how far it
+    moved the profile, and stats["delta_v"] is the last pass's movement."""
 
     warm = profile is not None
+    strategy = "algorithm1-warm" if warm else "algorithm1-cold"
     if not warm:
-        profile = np.tile(snapshot.network.v0, (snapshot.network.n_buses, 1))
+        profile = _fixv_profile(snapshot.network, None)
 
     candidates = 0
     trace: list[Algorithm1Step] = []
-    search_stats: dict[str, float] = {}
-    fell_back = False
+    stats: dict[str, float] = {}
     for outer in range(1, 2 if warm else 3):
-        kernel = _FixvKernel(snapshot, profile=profile)
-        best, count, pass_stats = _bnb_choices(kernel)
-        candidates += count
-        for key, value in pass_stats.items():
-            search_stats[key] = search_stats.get(key, 0.0) + value
-        current, model, initial_model, pass_fell_back = _no_worse(
-            snapshot, "fixv", kernel.assignment(best), profile
-        )
-        fell_back = fell_back or pass_fell_back
-        decide_profile, profile = profile, np.asarray(model.v)
+        outcome = _search(strategy, _bnb_choices, snapshot, "fixv", profile)
+        candidates += outcome.candidates
+        for key, value in outcome.stats.items():
+            stats[key] = value if key == "fell_back_to_initial" else stats.get(key, 0.0) + value
+        decide_profile, profile = profile, np.asarray(outcome.model.v)
         delta = float(np.max(np.abs(profile - decide_profile)))
-        trace.append(
-            Algorithm1Step(
-                outer=outer,
-                phases=current.phases,
-                delta_v=delta,
-                model_objective=model.objective,
-            )
-        )
+        trace.append(Algorithm1Step(outer, outcome.assignment.phases, delta, outcome.model.objective))
 
-    return _finish(
-        "fixv",
-        "algorithm1-warm" if warm else "algorithm1-cold",
-        (current, model, initial_model, fell_back),
-        candidates,
-        {"outer": float(len(trace)), "delta_v": delta, **search_stats},
-        trace=tuple(trace),
-    )
+    stats = {"outer": float(len(trace)), "delta_v": delta, **stats}
+    return replace(outcome, candidates=candidates, trace=tuple(trace), stats=stats)
 
 
 _COARSE = 13  # evenly spaced points of a coordinate's coarse scan

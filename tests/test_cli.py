@@ -92,6 +92,12 @@ def test_iterated_outcomes_count_the_field_scored_candidates(counted_sweep, meth
     doc = json.loads(cli.outcome_path(out, PERIOD, method).read_text())
     assert doc["strategy"].startswith("algorithm1")
     assert 0 < doc["stats"]["scored"] <= doc["candidates"]
+    # One trace step per Algorithm 1 pass; the last pass's choice is the outcome's.
+    passes = {"fixv-mc": 2, "fixv-mw": 1}[method]
+    assert len(doc["trace"]) == doc["stats"]["outer"] == passes
+    assert [step["outer"] for step in doc["trace"]] == list(range(1, passes + 1))
+    assert doc["trace"][-1]["phases"] == doc["assignment"]
+    assert doc["trace"][-1]["delta_v"] == doc["stats"]["delta_v"]
 
 
 def test_verify_regenerates_reports_byte_identically(counted_sweep):

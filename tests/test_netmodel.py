@@ -34,7 +34,11 @@ from conftest import make_v0, symmetric_z, two_bus_network
 
 class TestSourceVoltage:
     def test_shape_and_finiteness_enforced(self):
-        for v0 in (np.ones(4, dtype=complex), np.ones((1, 3)), np.array([1.0, np.inf, 1.0]), [1.0, np.nan, 1.0]):
+        # Every model divides the transformer current by |v0|, so a zero phase is refused too.
+        for v0 in (
+            np.ones(4, dtype=complex), np.ones((1, 3)), np.array([1.0, np.inf, 1.0]), [1.0, np.nan, 1.0],
+            np.zeros(3), [1.0, 0.0, 1.0],
+        ):
             with pytest.raises(FeederFormatError, match="v0 must be 3 finite phase voltages"):
                 replace(two_bus_network(), v0=v0)
 
@@ -588,6 +592,16 @@ class TestSnapshot:
                 q_lo_pu=snap.q_lo_pu,
                 q_hi_pu=snap.q_hi_pu,
                 adjustable_idx=(999,),
+            )
+        # A repeated position would add that customer's effect twice in the separable kernels.
+        with pytest.raises(ValueError, match=r"positions repeated: \[1, 7\]"):
+            CaseSnapshot(
+                network=network,
+                p_pu=snap.p_pu,
+                q_pu=snap.q_pu,
+                q_lo_pu=snap.q_lo_pu,
+                q_hi_pu=snap.q_hi_pu,
+                adjustable_idx=(7, 1, 7, 22, 1),
             )
 
     def test_s_pu_combines_components(self, network, demands):

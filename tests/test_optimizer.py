@@ -250,23 +250,29 @@ class TestIteratedRefinement:
         assert out.candidates == 2 * 3 ** len(snap.adjustable_idx)
         assert set(out.stats) == {"outer", "delta_v", "scored"}
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_records_a_pass_that_fell_back(self, warm, monkeypatch):
-        # Every pass's search returns the candidate its kernel ranks worst,
-        # which the scalar check refuses for the initial assignment.
-        def worst_choices(kernel):
+    # False and True run fixv_algorithm1 cold and warm; lbfm runs
+    # branch_and_bound and linv local_search. Each search pass returns the
+    # candidate its kernel ranks worst, which `_search`'s scalar guard
+    # refuses for the initial assignment.
+    @pytest.mark.parametrize("case", [False, True, "lbfm", "linv"])
+    def test_records_a_pass_that_fell_back(self, case, monkeypatch):
+        def worst_choices(kernel, seed=None):
             choices = _decode(np.arange(3**kernel.n_movable), kernel.n_movable)
             worst = int(np.argmax(kernel.score(choices)))
             return choices[worst], len(choices), {}
 
-        monkeypatch.setattr(optimizer, "_bnb_choices", worst_choices)
+        monkeypatch.setattr(optimizer, "_local_choices" if case == "linv" else "_bnb_choices", worst_choices)
         snap = tiny_snapshot()
         initial = PhaseAssignment.initial(snap.network).phases
-        out = fixv_algorithm1(snap, warm_profile(snap, warm))
-        assert [step.phases for step in out.trace] == [initial] * (1 if warm else 2)
+        if case in ("lbfm", "linv"):
+            out = (branch_and_bound if case == "lbfm" else local_search)(snap, case)
+            assert out.stats == {"fell_back_to_initial": 1.0}
+        else:
+            out = fixv_algorithm1(snap, warm_profile(snap, case))
+            assert [step.phases for step in out.trace] == [initial] * (1 if case else 2)
+            assert out.stats["fell_back_to_initial"] == 1.0
         assert out.assignment.phases == initial
         assert out.model.objective == out.initial_model.objective
-        assert out.stats["fell_back_to_initial"] == 1.0
 
     def test_trace_converges_on_bundled_period(self, network, demands):
         snap = build_snapshot(network, demands, 40)
