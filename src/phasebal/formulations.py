@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network
+from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network, _freeze
 from .powerflow import (
     _BAND_TOL,
     PhaseAssignment,
@@ -243,17 +243,10 @@ class EvaluationResult:
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s_dt, dtype=complex)
-        s.setflags(write=False)
-        object.__setattr__(self, "s_dt", s)
-        for nameattr, kind in (("vm", float), ("vneg", complex)):
-            arr = np.asarray(getattr(self, nameattr), dtype=kind)
-            arr.setflags(write=False)
-            object.__setattr__(self, nameattr, arr)
+        for nameattr, kind in (("s_dt", complex), ("vm", float), ("vneg", complex)):
+            _freeze(self, nameattr, kind)
         if self.v is not None:
-            arr = np.asarray(self.v, dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, "v", arr)
+            _freeze(self, "v", complex)
 
 
 def _result(
@@ -398,11 +391,8 @@ class AffineFit:
 
     def __post_init__(self) -> None:
         for nameattr in ("cb", "ck", "ch"):
-            arr = np.array(getattr(self, nameattr), dtype=complex)
-            if arr.shape != (3,):
+            if _freeze(self, nameattr, complex).shape != (3,):
                 raise ValueError(f"{nameattr} must hold one coefficient per phase")
-            arr.setflags(write=False)
-            object.__setattr__(self, nameattr, arr)
 
     def g(self, v: np.ndarray, phase: np.ndarray | int) -> np.ndarray:
         varr = np.asarray(v, dtype=complex)

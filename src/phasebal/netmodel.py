@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,6 +57,14 @@ PV_CAPACITY_KW = 7.0
 PV_Q_FRACTION = 0.05
 
 
+def _freeze(record, name: str, dtype) -> np.ndarray:
+    """Put a read-only dtype copy of record's array field name in its place; return it."""
+    arr = np.array(getattr(record, name), dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Line:
     name: str
@@ -64,15 +73,13 @@ class Line:
     z_pu: np.ndarray  # (3, 3) complex, symmetric
 
     def __post_init__(self) -> None:
-        z = np.array(self.z_pu, dtype=complex)
+        z = _freeze(self, "z_pu", complex)
         if z.shape != (3, 3):
             raise FeederFormatError(f"line {self.name}: impedance must be 3x3")
         if not np.all(np.isfinite(z)):
             raise FeederFormatError(f"line {self.name}: impedance must be finite")
         if np.abs(z - z.T).max() > 1e-12:
             raise FeederFormatError(f"line {self.name}: impedance matrix is not symmetric")
-        z.setflags(write=False)
-        object.__setattr__(self, "z_pu", z)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,8 @@ class Network:
     """Radial feeder in per-unit: buses, lines, customers, the source voltage
     and the transformer's current rating.
 
-    `topology` is the radiality check's report, made once on construction.
+    `topology` is the radiality check's report, made once on construction,
+    with read-only maps. Bus ids and customer ids must not repeat.
     """
 
     buses: tuple[int, ...]
@@ -102,11 +110,13 @@ class Network:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.i_dt_max) and self.i_dt_max > 0):
             raise FeederFormatError(f"i_dt_max must be finite and positive, got {self.i_dt_max!r}")
-        v0 = np.array(self.v0, dtype=complex)
+        given = self.v0
+        v0 = _freeze(self, "v0", complex)
         if v0.shape != (3,) or not np.all(np.isfinite(v0) & (v0 != 0)):
-            raise FeederFormatError(f"v0 must be 3 finite phase voltages, none zero, got {self.v0!r}")
-        v0.setflags(write=False)
-        object.__setattr__(self, "v0", v0)
+            raise FeederFormatError(f"v0 must be 3 finite phase voltages, none zero, got {given!r}")
+        for what, ids in (("bus", self.buses), ("customer", [c.cid for c in self.customers])):
+            if repeated := sorted(i for i, count in Counter(ids).items() if count > 1):
+                raise FeederFormatError(f"{what} ids repeated: {repeated}")
         bus_set = set(self.buses)
         if self.root not in bus_set:
             raise FeederFormatError(f"root bus {self.root} is not in the bus list")
@@ -117,6 +127,8 @@ class Network:
         for cust in self.customers:
             if cust.bus not in bus_set:
                 raise FeederFormatError(f"customer {cust.name} references unknown bus {cust.bus}")
+            if cust.initial_phase not in (0, 1, 2):
+                raise FeederFormatError(f"customer {cust.name} has initial phase {cust.initial_phase!r}")
         object.__setattr__(self, "topology", validate_radial(self))
 
     @property
@@ -148,18 +160,13 @@ class DemandSeries:
     minutes_per_period: int
 
     def __post_init__(self) -> None:
-        p = np.array(self.p_w, dtype=float)
-        q = np.array(self.q_var, dtype=float)
+        p, q = _freeze(self, "p_w", float), _freeze(self, "q_var", float)
         if p.shape != q.shape or p.ndim != 2:
             raise ValueError("demand arrays must be (periods, customers) and aligned")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
             raise ValueError("demand samples must be finite")
         if self.minutes_per_period <= 0:
             raise ValueError("resolution must be positive")
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p_w", p)
-        object.__setattr__(self, "q_var", q)
 
     @property
     def n_periods(self) -> int:
@@ -183,13 +190,11 @@ class CaseSnapshot:
     def __post_init__(self) -> None:
         n = self.network.n_customers
         for nameattr in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu"):
-            arr = np.array(getattr(self, nameattr), dtype=float)
+            arr = _freeze(self, nameattr, float)
             if arr.shape != (n,):
                 raise ValueError(f"{nameattr} must have one entry per customer")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{nameattr} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, nameattr, arr)
         if np.any(self.q_lo_pu > 0) or np.any(self.q_hi_pu < 0):
             raise ValueError("reactive bounds must satisfy q_lo <= 0 <= q_hi")
         bad = [i for i in self.adjustable_idx if not 0 <= i < n]
@@ -422,7 +427,7 @@ def validate_radial(network: "Network") -> TopologyReport:
     if unreachable:
         raise RadialityError(f"buses not connected to the root: {unreachable}")
 
-    return TopologyReport(depth_order=tuple(order), parent=parent, parent_line=parent_line)
+    return TopologyReport(tuple(order), MappingProxyType(parent), MappingProxyType(parent_line))
 
 
 def pv_generation_w(capacity_kw: float, hour: float) -> float:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .netmodel import CaseSnapshot, Network
+from .netmodel import CaseSnapshot, Network, _freeze
 
 MISMATCH_TOL = 1e-8
 MAX_ITERATIONS = 100
@@ -117,9 +117,10 @@ def _check_band(dq: np.ndarray, lo: np.ndarray | float, hi: np.ndarray | float) 
 @dataclass(frozen=True, eq=False)
 class FeederGeometry:
     """Factorized radial topology in array form: the tables behind the
-    customer-space state that `solve_utpf` and the models compute.
+    customer-space state that `solve_utpf` and the models compute. Every
+    array is read-only: the cache hands the same tables to every caller.
 
-    columns is the read-only (3 * customers, 3 * k) coupling table:
+    columns is the (3 * customers, 3 * k) coupling table:
     columns[3j + p, 3c + phi] is the impedance that column c's and customer
     j's root paths share, seen on phase phi for a current drawn on phase p.
     A bus with no customer in its subtree meets every customer's path where
@@ -135,7 +136,7 @@ class FeederGeometry:
     """
 
     parent: np.ndarray  # parent bus index, -1 at root
-    columns: np.ndarray  # (3 * customers, 3 * k) complex, read-only
+    columns: np.ndarray  # (3 * customers, 3 * k) complex
     cust_bus: np.ndarray  # (customers,) bus index
     col_inverse: np.ndarray  # (n,) column of each bus
     line_child: np.ndarray  # (L,) bus index
@@ -189,15 +190,10 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     cols, col_inverse = np.unique(col_rep, return_inverse=True)
     columns = np.take(rows, 3 * lca[:, None, cols] + np.arange(3)[:, None], axis=0)
     columns = columns.reshape(3 * len(cust_bus), 3 * len(cols))
-    columns.setflags(write=False)
-    return FeederGeometry(
-        parent=parent,
-        columns=columns,
-        cust_bus=cust_bus,
-        col_inverse=col_inverse,
-        line_child=line_child,
-        below=on_path[:, line_child].T.astype(float),
-    )
+    below = on_path[:, line_child].T.astype(float)
+    for table in (parent, columns, cust_bus, col_inverse, line_child, below):
+        table.setflags(write=False)
+    return FeederGeometry(parent, columns, cust_bus, col_inverse, line_child, below)
 
 
 def _customer_meet(network: Network) -> np.ndarray:
@@ -254,12 +250,8 @@ class PFSolution:
 
     def __post_init__(self) -> None:
         for nameattr in ("v", "i_lines", "s_dt", "s_cust"):
-            arr = np.asarray(getattr(self, nameattr), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, nameattr, arr)
-        ph = np.asarray(self.cust_phase, dtype=int)
-        ph.setflags(write=False)
-        object.__setattr__(self, "cust_phase", ph)
+            _freeze(self, nameattr, complex)
+        _freeze(self, "cust_phase", int)
 
 
 def solve_utpf(

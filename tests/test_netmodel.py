@@ -7,7 +7,7 @@ import math
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,8 @@ from phasebal.netmodel import (
     pv_generation_w,
     validate_radial,
 )
+from phasebal.formulations import AffineFit, EvaluationResult
+from phasebal.powerflow import PFSolution, feeder_geometry
 
 from conftest import make_v0, symmetric_z, two_bus_network
 
@@ -110,6 +112,23 @@ class TestNetworkValidation:
                 v0=base.v0,
                 i_dt_max=base.i_dt_max,
             )
+
+    def test_repeated_ids_rejected(self):
+        # Repeated bus ids left the geometry reading unset table entries, and
+        # repeated customer ids made build_snapshot count one switch twice.
+        base = two_bus_network(customers=(0, 1, 2))
+        with pytest.raises(FeederFormatError, match=r"^bus ids repeated: \[1\]$"):
+            replace(base, buses=(0, 1, 1))
+        twins = (base.customers[0], replace(base.customers[1], cid=1), replace(base.customers[2], cid=1))
+        with pytest.raises(FeederFormatError, match=r"^customer ids repeated: \[1\]$"):
+            replace(base, customers=twins)
+
+    @pytest.mark.parametrize("phase", [-1, 3, 5])
+    def test_initial_phase_out_of_range_rejected(self, phase):
+        base = two_bus_network(customers=(0, 1))
+        customers = (base.customers[0], replace(base.customers[1], initial_phase=phase))
+        with pytest.raises(FeederFormatError, match=f"^customer c2 has initial phase {phase}$"):
+            replace(base, customers=customers)
 
     @pytest.mark.parametrize("rating", [0.0, -2.0, math.nan, math.inf])
     def test_transformer_rating_must_be_finite_and_positive(self, rating):
@@ -479,9 +498,34 @@ class TestRecordsOwnTheirArrays:
         copy = replace(snap, **given)
         pairs = [(z, line.z_pu), (p, series.p_w), (q, series.q_var)]
         pairs += [(array, getattr(copy, name)) for name, array in given.items()]
+        cb, ck, ch = (np.ones(3) + 0j for _ in range(3))
+        fit = AffineFit(cb=cb, ck=ck, ch=ch)
+        pairs += [(cb, fit.cb), (ck, fit.ck), (ch, fit.ch)]
+        # Result records too, given arrays of the dtypes they keep, which np.asarray would not copy.
+        v, s_dt, vneg, i_lines, s_cust = (np.ones(shape) + 0j for shape in ((2, 3), 3, 2, (1, 3), 1))
+        vm, phase = np.ones((2, 3)), np.zeros(1, dtype=int)
+        result = EvaluationResult("fixv", 0.0, {}, False, 0.0, s_dt=s_dt, vm=vm, vneg=vneg, v=v)
+        solution = PFSolution(v, i_lines, s_dt, s_cust, cust_phase=phase, iterations=1, mismatch=0.0)
+        pairs += [(s_dt, result.s_dt), (vm, result.vm), (vneg, result.vneg), (v, result.v)]
+        pairs += [(v, solution.v), (i_lines, solution.i_lines), (s_dt, solution.s_dt)]
+        pairs += [(s_cust, solution.s_cust), (phase, solution.cust_phase)]
         for mine, kept in pairs:
             assert mine.flags.writeable and not kept.flags.writeable
             assert np.array_equal(mine, kept)
+        assert EvaluationResult("fixv", 0.0, {}, False, 0.0, s_dt=s_dt, vm=vm, vneg=vneg).v is None
+
+    def test_the_shared_tables_refuse_writes(self, network):
+        # feeder_geometry's cache and the topology report hand the same
+        # tables to every solve, so a write would move every later result.
+        geometry = feeder_geometry(network)
+        for table in fields(geometry):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(geometry, table.name).flat[0] = 0
+        for name in ("parent", "parent_line"):
+            table = getattr(network.topology, name)
+            bus = next(iter(table))
+            with pytest.raises(TypeError):
+                table[bus] = network.root
 
 
 class TestPvShape:
