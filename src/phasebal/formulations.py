@@ -26,7 +26,7 @@ candidate's transformer spread from two half-tables of transformer power.
 For PV reactive-power tuning, a line builder (`_fixv_line`, `_linv_line`,
 `_lbfm_line`) prices a batch of values of one customer's reactive
 adjustment, objectives only, from the model's field equations
-(`_fixv_fields`, `_linv_solve`, `_lbfm_fields`) run once per coordinate:
+(`_fixv_fields`, `_linv_currents`, `_lbfm_fields`) run once per coordinate:
 the fields are affine in the customer's load (fixv, lbfm) or own current
 (linv), and `_line` moves them along those directions. Per coordinate,
 `_live_terms` screens each voltage slack (v_lo, v_hi, neg_seq) with a bound
@@ -55,6 +55,7 @@ from .powerflow import (
     _coupling,
     _customer_meet,
     _effective_loads,
+    _injections,
     check_assignment,
     feeder_geometry,
     power_balance_residual,
@@ -436,21 +437,24 @@ _LINV_TOL = 1e-12  # fixed-point step at which the voltages count as converged
 _LINV_MAX_ITER = 80
 
 
-def _linv_solve(
+def _linv_currents(
     network: Network, s: np.ndarray, phases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The linearized-inverse state of a batch of b (loads, phase choices) rows.
+    """The linearized-inverse customer currents of b (loads, phase choices) rows.
 
     Customer j draws conj(s_j) * g(V_j), affine in its own voltage V_j through
     the fitted surrogate, and V_j depends on the other customers' currents
     only through their shared-path impedances. So the fixed point runs over
     the customers' voltages alone (the fixed-point linearization of Bernstein
-    & Dall'Anese, 2017), on the same customer-space coupling and bus-voltage
-    product as the exact `solve_utpf`, with g in place of 1 / conj(V).
-    Returns the (b, k, 3) voltages at the geometry's k columns, which
-    take(col_inverse, axis=1) puts in bus order, and the (b, 3) transformer
-    currents; a batch whose fixed-point step does not contract below
-    _LINV_TOL within _LINV_MAX_ITER iterations raises FormulationError.
+    & Dall'Anese, 2017), on the same customer-space coupling as the exact
+    `solve_utpf`, with g in place of 1 / conj(V). It stops once its step,
+    taken over the whole batch, contracts below _LINV_TOL; a batch that does
+    not within _LINV_MAX_ITER iterations raises FormulationError.
+    Returns the (b, customers, 3) injections of the converged currents and
+    their sums, the (b, 3) transformer currents. The bus-voltage step,
+    `_bus_voltages` of the injections, is the caller's, so a caller may run
+    it on some rows only: the transformer currents, and so the spread pi,
+    need no bus voltage.
 
     s is one (customers,) load vector or a (b, customers) batch, phases a
     (b, customers) batch or one (customers,) row that every load row shares,
@@ -476,8 +480,8 @@ def _linv_solve(
     else:
         raise FormulationError(f"voltage fixed point did not contract below {_LINV_TOL:.1e}")
 
-    v_bus, injected = _bus_voltages(network, phases, i_cust)
-    return v_bus, injected.sum(axis=1)
+    injected = _injections(phases, i_cust)
+    return injected, injected.sum(axis=1)
 
 
 def evaluate_linv(
@@ -485,7 +489,8 @@ def evaluate_linv(
     assignment: PhaseAssignment,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
-    """Linearized-inverse model: `_linv_solve` for a batch of one.
+    """Linearized-inverse model: `_linv_currents` for a batch of one, then its
+    bus voltages.
 
     Customer currents are affine in their bus voltage via the surrogate
     fitted over the voltage band. A state the fixed point cannot
@@ -496,8 +501,8 @@ def evaluate_linv(
     check_assignment(snapshot, assignment)
     network = snapshot.network
     phases = np.asarray(assignment.phases, dtype=int)
-    v, i_dt = _linv_solve(network, _effective_loads(snapshot, q_adjust), phases[None, :])
-    v = v[0].take(feeder_geometry(network).col_inverse, axis=0)
+    injected, i_dt = _linv_currents(network, _effective_loads(snapshot, q_adjust), phases[None, :])
+    v = _bus_voltages(network, injected)[0].take(feeder_geometry(network).col_inverse, axis=0)
     return _result("linv", network, *_phasor_measures(network, v, i_dt[0], True), v)
 
 
@@ -547,10 +552,11 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 
     With every other customer's load held, the fixed-point map is affine in
     i_c, and so are its fixed point's bus voltages and transformer currents:
-    base + Re(i_c) * U_re + Im(i_c) * U_im. Per coordinate, one `_linv_solve`
-    of three rows, c's load at 0, delta and j * delta, gives the base and the
-    two directions. Each point t then solves i_c = w g(V_c(i_c)), with
-    w = conj(s_c + jt), as one real 2x2 system, since V_c is affine in i_c too.
+    base + Re(i_c) * U_re + Im(i_c) * U_im. Per coordinate, one `_linv_currents`
+    and `_bus_voltages` of three rows, c's load at 0, delta and j * delta,
+    give the base and the two directions. Each point t then solves
+    i_c = w g(V_c(i_c)), with w = conj(s_c + jt), as one real 2x2 system,
+    since V_c is affine in i_c too.
 
     As |i_c| <= |w g0| + |w| (|g_re| + |g_im|) |i_c|, both directions reach at
     most |w g0| / (1 - |w| (|g_re| + |g_im|)), |w| taken at its larger band
@@ -566,8 +572,8 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
         rows = np.repeat(_effective_loads(snapshot, q)[None, :], 3, axis=0)
         delta = max(abs(rows[0, c]), float(snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c]))
         rows[:, c] = (0.0, delta, 1j * delta)
-        v, i_dt = _linv_solve(network, rows, phases)
-        v = v.take(geometry.col_inverse, axis=1)
+        injected, i_dt = _linv_currents(network, rows, phases)
+        v = _bus_voltages(network, injected).take(geometry.col_inverse, axis=1)
         p, bus = phases[c], geometry.cust_bus[c]
         i_c = np.conj(rows[1:, c]) * fit.g(v[1:, bus, p], p)
         # Field difference k (row k + 1 less row 0) is m[0, k] U_re + m[1, k] U_im,
@@ -712,8 +718,11 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # by; a scored block adds its transformer power from the same tables, so
 # the bound and the score agree bit for bit.
 # The linearized-inverse model is not separable; its kernel hands each block
-# of candidates to `_linv_solve`, the same fixed point `evaluate_linv` runs
-# for one. `_Kernel.score`, the one scoring loop, scores a class's `chunk`
+# of candidates to `_linv_currents`, the same fixed point `evaluate_linv` runs
+# for one, reads every row's spread pi off the transformer currents, and
+# runs the bus-voltage step and the pricing only on the rows whose pi is
+# below the caller's bound (local search passes its incumbent).
+# `_Kernel.score`, the one scoring loop, scores a class's `chunk`
 # candidates per block and returns their objectives. Every kernel keeps its
 # states at the geometry's columns and prices them through `_price`, as the
 # scalar evaluators do, which copies each column's slacks to the buses that
@@ -768,13 +777,21 @@ class _Kernel:
     def assignment(self, choices: np.ndarray) -> PhaseAssignment:
         return PhaseAssignment(tuple(int(p) for p in self.full_phases(choices[None, :])[0]))
 
-    def score(self, choices: np.ndarray) -> np.ndarray:
-        """The objectives of (b, movable) candidate choices, `chunk` rows per block."""
+    def score(self, choices: np.ndarray, bound: float = np.inf) -> np.ndarray:
+        """The objectives of (b, movable) candidate choices, `chunk` rows per block.
+
+        An objective is pi plus a non-negative slack term, so a row whose
+        spread pi is at or above bound cannot score below it. The linv
+        kernel returns +inf for such a row instead of pricing it; the
+        separable kernels, whose scan already orders by pi, price every row.
+        A row priced holds its unbounded objective bit for bit; so does a
+        row whose pi is NaN.
+        """
 
         choices = np.asarray(choices, dtype=np.int64)
         objective = np.empty(len(choices))
         for lo in range(0, len(choices), self.chunk):
-            objective[lo:lo + self.chunk] = self._score_block(choices[lo:lo + self.chunk])
+            objective[lo:lo + self.chunk] = self._score_block(choices[lo:lo + self.chunk], bound)
         return objective
 
 
@@ -829,7 +846,7 @@ class _FixvKernel(_Kernel):
         sv1, sv2 = self.halves
         return _spread(((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3))
 
-    def _score_block(self, choices: np.ndarray) -> np.ndarray:
+    def _score_block(self, choices: np.ndarray, bound: float) -> np.ndarray:
         k1 = (self.n_movable + 1) // 2
         idx1 = choices[:, :k1] @ _radix(k1)
         idx2 = choices[:, k1:] @ _radix(self.n_movable - k1)
@@ -861,12 +878,27 @@ class _LbfmKernel(_FixvKernel):
 
 
 class _LinvKernel(_Kernel):
-    """Batch scorer for the linearized-inverse model, one `_linv_solve` per block."""
+    """Batch scorer for the linearized-inverse model, one `_linv_currents` per block."""
 
     method = "linv"
     chunk = 128
 
-    def _score_block(self, choices: np.ndarray) -> np.ndarray:
-        v, i_dt = _linv_solve(self.network, self.s, self.full_phases(choices))
-        measures = _phasor_measures(self.network, v, i_dt, linearized=True)
-        return _price(self.network, *measures, col_inverse=self.col_inverse).objective
+    def _score_block(self, choices: np.ndarray, bound: float) -> np.ndarray:
+        # The fixed point runs over the whole block, whose step decides when
+        # it stops; the bus voltages, measures and slacks only for the rows
+        # whose pi is below bound (or NaN).
+        injected, i_dt = _linv_currents(self.network, self.s, self.full_phases(choices))
+        s_dt = self.v0 * np.conj(i_dt)
+        live = ~(_spread(s_dt) >= bound)
+        objective = np.full(len(choices), np.inf)
+        rows = np.flatnonzero(live)
+        if len(rows) == 1 < len(choices):
+            # A product of one row takes another BLAS path than the block's;
+            # one more row, priced and dropped, keeps the live row's bits.
+            rows = np.array([0, rows[0]] if rows[0] else [0, 1])
+        if len(rows):
+            v = _bus_voltages(self.network, injected[rows])
+            measures = _voltage_measures(v, self.v0)
+            priced = _price(self.network, s_dt[rows], *measures, col_inverse=self.col_inverse)
+            objective[rows] = np.where(live[rows], priced.objective, np.inf)
+        return objective

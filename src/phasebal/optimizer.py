@@ -4,12 +4,14 @@ Strategies: exhaustive enumeration (lexicographic tie-break), the
 same exact answer by a scan in ascending transformer spread pi, which bounds
 each objective from below and stops once no candidate left can beat its
 incumbent in (objective, index) order (branch-and-bound, separable models
-only), and seeded best-improvement local search. Exhaustive enumeration is
-the reference the scan is tested against; no sweep runs it. On top of those,
-the iterated fixed-voltage refinement (the paper's Algorithm 1) solves the
-discrete problem at a frozen voltage profile and refreshes the profile from
-its choice: two search passes from the flat profile (cold), or one at the
-voltage profile the caller gives (warm). A cyclic coordinate descent
+only), and seeded best-improvement local search, whose linv kernel prices
+in full only the neighbours whose spread pi can beat the incumbent.
+Exhaustive enumeration is the reference the scan is tested against; no
+sweep runs it. On top of those, the iterated fixed-voltage refinement (the
+paper's Algorithm 1) solves the discrete problem at a frozen voltage
+profile and refreshes the profile from its choice: two search passes from
+the flat profile (cold), or one at the voltage profile the caller gives
+(warm). A cyclic coordinate descent
 tunes continuous reactive adjustments after the discrete search. The descent
 prices each coordinate's points in batches through the model's line scorer,
 objectives only: the coarse scan in one call, the first golden pair in
@@ -203,11 +205,12 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
 
     best_f = math.inf
     best = starts[0].copy()
-    evaluations = 0
+    evaluations = scored = 0
     for start in starts:
         x = start.copy()
         f = float(kernel.score(x[None, :])[0])
         evaluations += 1
+        scored += 1
         for _ in range(_MAX_SWEEPS):
             if mm == 0:
                 break
@@ -218,8 +221,11 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
                     if p != x[j]:
                         neighbors[row, j] = p
                         row += 1
-            objective = kernel.score(neighbors)
+            # Only a neighbour whose pi is below f can improve on it; the
+            # kernel may return +inf for the others instead of pricing them.
+            objective = kernel.score(neighbors, f)
             evaluations += len(neighbors)
+            scored += int(np.count_nonzero(objective != np.inf))
             i = int(np.argmin(objective))
             if objective[i] < f:
                 f = float(objective[i])
@@ -229,7 +235,7 @@ def _local_choices(kernel: _Kernel, seed: int) -> tuple[np.ndarray, int, dict[st
         if f < best_f:
             best_f = f
             best = x
-    return best, evaluations, {"starts": float(len(starts))}
+    return best, evaluations, {"starts": float(len(starts)), "scored": float(scored)}
 
 
 def _search(
@@ -293,7 +299,12 @@ def local_search(
 
     Starts from the initial assignment, then _RESTARTS random restarts
     drawn from seed; each pass scores the whole one-move neighborhood and
-    takes the best strict improvement."""
+    takes the best strict improvement. The incumbent objective bounds the
+    scoring (`_Kernel.score`): a neighbour whose spread pi is not below it
+    cannot improve, and the kernel may return +inf for it unpriced. The
+    others keep their objectives bit for bit, so the path and the choice
+    are those of pricing every neighbour. candidates counts every start and
+    neighbour; stats["scored"] those priced in full, the starts included."""
 
     return _search("local", partial(_local_choices, seed=seed), snapshot, method)
 

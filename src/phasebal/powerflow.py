@@ -216,20 +216,27 @@ def _coupling(network: Network, phases: np.ndarray) -> np.ndarray:
     return np.take(geometry.columns, width * rows[..., None, :] + cols[..., :, None])
 
 
-def _bus_voltages(
-    network: Network, phases: np.ndarray, i_cust: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., k, 3) column voltages for customer currents i_cust (..., customers)
-    drawn on phases, in one product with the geometry's table, and the (...,
-    customers, 3) injections; take(col_inverse, axis=-2) gives bus order."""
+def _injections(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
+    """The (..., customers, 3) injections of customer currents i_cust
+    (..., customers) drawn on phases: each current on its phase, zero on
+    the other two."""
 
-    lead = i_cust.shape[:-1]
     injected = np.zeros(i_cust.shape + (3,), dtype=complex)
     np.put_along_axis(
         injected, np.broadcast_to(phases, i_cust.shape)[..., None], i_cust[..., None], axis=-1
     )
+    return injected
+
+
+def _bus_voltages(network: Network, injected: np.ndarray) -> np.ndarray:
+    """The (..., k, 3) column voltages of (..., customers, 3) injections, in
+    one product with the geometry's table; take(col_inverse, axis=-2) gives
+    bus order. A product of one row takes another BLAS path than one of
+    several, so a row's voltages may differ in the last bits between the two."""
+
+    lead = injected.shape[:-2]
     drops = injected.reshape(lead + (-1,)) @ feeder_geometry(network).columns
-    return network.v0 - drops.reshape(lead + (-1, 3)), injected
+    return network.v0 - drops.reshape(lead + (-1, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +304,8 @@ def solve_utpf(
             if not polished:
                 polished = True
                 continue
-            v, injected = _bus_voltages(network, phases, i_cust)
+            injected = _injections(phases, i_cust)
+            v = _bus_voltages(network, injected)
             if np.any(np.abs(v) < COLLAPSE_GUARD):
                 raise VoltageCollapseError("converged state below the collapse guard")
             return PFSolution(

@@ -1,6 +1,11 @@
-"""Shared fixtures: the bundled feeder, small hand-built and random feeders."""
+"""Shared fixtures: the bundled feeder and its reactive-switch variant, small
+hand-built and random feeders."""
 
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,3 +121,18 @@ def network(feeder):
 def demands(feeder):
     return feeder[1]
 
+
+
+@pytest.fixture(scope="session")
+def reactive_switch_scenario(tmp_path_factory):
+    """The bundled tables with the switchable customers at power factor 0.95,
+    as `tools/gen_feeder.py --pf-movable 0.95` writes them: their phase
+    choice then moves the transformer's reactive spread too."""
+
+    out = tmp_path_factory.mktemp("pf095")
+    script = Path(__file__).resolve().parents[1] / "tools" / "gen_feeder.py"
+    subprocess.run(
+        [sys.executable, str(script), "--out", str(out), "--pf-movable", "0.95"],
+        check=True, capture_output=True,
+    )
+    return str(out)

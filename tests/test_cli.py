@@ -86,6 +86,15 @@ def test_reported_states_match_a_fresh_solve(counted_sweep, network, demands):
             assert view["balance_residual"] == exact.meta["balance_residual"]
 
 
+def test_linv_outcome_counts_the_neighbours_priced_in_full(counted_sweep):
+    # candidates counts every start and neighbour; scored only those whose
+    # spread could beat the incumbent, the starts included.
+    out, _ = counted_sweep
+    doc = json.loads(cli.outcome_path(out, PERIOD, "linv").read_text())
+    assert doc["strategy"] == "local"
+    assert 0 < doc["stats"]["scored"] < doc["candidates"]
+
+
 @pytest.mark.parametrize("method", ["fixv-mc", "fixv-mw"])
 def test_iterated_outcomes_count_the_field_scored_candidates(counted_sweep, method):
     out, _ = counted_sweep
@@ -280,6 +289,19 @@ def test_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
 
 def test_in_process_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
     _assert_blas_threads_change_no_outcome(tmp_path, parallelism="1")
+
+
+@pytest.mark.parametrize("period", [48, 73])
+def test_reactive_switch_day_sweeps_every_method(reactive_switch_scenario, tmp_path, period):
+    # The switchable customers draw reactive power, so their phase choice
+    # moves the reactive spread too and the max(P, Q) kink can bind.
+    config = SweepConfig(
+        scenario=reactive_switch_scenario, periods=(period, period + 1), out_dir=str(tmp_path),
+        parallelism=1,
+    )
+    report = run_sweep(config)
+    assert report.summary["failures"] == 0
+    assert sorted(r["method"] for r in report.rows) == sorted(config.methods)
 
 
 def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):

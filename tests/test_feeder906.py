@@ -17,9 +17,17 @@ import pytest
 from phasebal.cli import SweepConfig, load_scenario, run_sweep
 from phasebal.formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import build_snapshot, bundled_feeder_dir
+from phasebal.formulations import _decode
 from phasebal.optimizer import _MODELS, _bnb_choices, _exhaustive_choices
 from phasebal.powerflow import PhaseAssignment, power_balance_residual, solve_utpf
 
+from test_formulations import (
+    assert_bound_contract,
+    assert_bound_moves_no_choice,
+    contract_bounds,
+    linv_spreads,
+    recorded_linv_scores,
+)
 from test_powerflow import current_imbalance, ohm_gap
 
 PERIOD = 73
@@ -63,6 +71,22 @@ def test_batch_matches_scalar(snapshot, method, evaluate):
     for row, full in zip(batch, kernel.full_phases(choices)):
         one = evaluate(snapshot, PhaseAssignment(tuple(int(p) for p in full)))
         assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
+
+
+def test_linv_bound_keeps_the_priced_rows_bits(snapshot, monkeypatch):
+    # Random blocks and every neighbourhood local search scores: the rows
+    # whose pi is below the bound keep their bits, the others come back +inf.
+    kernel = _MODELS["linv"].kernel(snapshot)
+    mm = kernel.n_movable
+    rng = np.random.default_rng(906)
+    blocks = [_decode(rng.choice(3**mm, size=b, replace=False), mm) for b in (2, 40, kernel.chunk)]
+    for choices in blocks:
+        priced = assert_bound_contract(kernel, choices, contract_bounds(linv_spreads(kernel, choices)))
+        assert priced == [0, 1, len(choices)]
+    _, calls = recorded_linv_scores(snapshot, monkeypatch)
+    for kernel, choices, bound in calls:
+        assert_bound_contract(kernel, choices, [bound, *contract_bounds(linv_spreads(kernel, choices))])
+    assert_bound_moves_no_choice(snapshot, monkeypatch)
 
 
 def test_sweep_decides_every_method(scenario, tmp_path):

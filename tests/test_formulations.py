@@ -18,7 +18,7 @@ from phasebal.formulations import (
     _dt_current,
     _lbfm_fields,
     _lbfm_measures,
-    _linv_solve,
+    _linv_currents,
     _phasor_measures,
     _price,
     _radix,
@@ -32,17 +32,26 @@ from phasebal.formulations import (
     evaluate_linv,
     fit_inverse_voltage,
 )
+from phasebal.cli import load_scenario
 from phasebal.netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, build_snapshot
 from phasebal.optimizer import (
     _COARSE,
     _MODELS,
+    _Kernel,
+    _LinvKernel,
     _search_once,
     branch_and_bound,
     exhaustive,
     local_search,
     optimize_pv_q,
 )
-from phasebal.powerflow import PhaseAssignment, _customer_meet, feeder_geometry, solve_utpf
+from phasebal.powerflow import (
+    PhaseAssignment,
+    _bus_voltages,
+    _customer_meet,
+    feeder_geometry,
+    solve_utpf,
+)
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
 from test_powerflow import chain_lca_meet, on_customer_paths, snapshot_for
@@ -930,8 +939,8 @@ class TestBatchKernels:
 
     def test_linv_merged_columns_score_as_unmerged(self):
         # The kernel prices each block's states at the geometry's columns;
-        # the same `_linv_solve` states, put at every bus and priced there,
-        # give the same bytes.
+        # the same `_linv_currents` states, put at every bus and priced
+        # there, give the same bytes.
         network, snap = merged_column_case()
         kernel = _MODELS["linv"].kernel(snap)
         col_inverse = feeder_geometry(network).col_inverse
@@ -941,8 +950,8 @@ class TestBatchKernels:
         assert len(choices) > kernel.chunk  # more than one block
         for lo in range(0, len(choices), kernel.chunk):
             phases = kernel.full_phases(choices[lo:lo + kernel.chunk])
-            v, i_dt = _linv_solve(network, kernel.s, phases)
-            at_buses = v.take(col_inverse, axis=1)
+            injected, i_dt = _linv_currents(network, kernel.s, phases)
+            at_buses = _bus_voltages(network, injected).take(col_inverse, axis=1)
             parts.append(_price(network, *_phasor_measures(network, at_buses, i_dt, True)))
         objective = np.concatenate([part.objective for part in parts])
         pi = np.concatenate([part.pi for part in parts])
@@ -960,3 +969,115 @@ class TestBatchKernels:
                 search(snap, method="newton")
             with pytest.raises(ValueError, match="formulation 'utpf' has no kernel"):
                 search(snap, method="utpf")
+
+
+def linv_spreads(kernel, choices):
+    """Each row's spread pi as the linv kernel reads it when it scores
+    choices as one block (at most `chunk` rows): the fixed point's stop
+    depends on the whole block."""
+
+    assert len(choices) <= kernel.chunk
+    _, i_dt = _linv_currents(kernel.network, kernel.s, kernel.full_phases(choices))
+    return _spread(kernel.v0 * np.conj(i_dt))
+
+
+def assert_bound_contract(kernel, choices, bounds):
+    """score(choices, bound) against score(choices) for each of bounds: a
+    row whose pi is below bound keeps its objective bit for bit, any other
+    comes back +inf. Returns how many rows each bound left priced."""
+
+    full = kernel.score(choices)
+    pi = linv_spreads(kernel, choices)
+    priced = []
+    for bound in bounds:
+        bounded = kernel.score(choices, bound)
+        live = pi < bound
+        assert bounded[live].tobytes() == full[live].tobytes()
+        assert np.all(bounded[~live] == np.inf)
+        priced.append(int(live.sum()))
+    return priced
+
+
+def contract_bounds(pi):
+    """Bounds that leave no row, the rows of least pi (one row when that
+    minimum is unique) and every row priced."""
+
+    ordered = np.unique(pi)
+    return [ordered[0], ordered[min(1, len(ordered) - 1)], np.inf]
+
+
+def recorded_linv_scores(snapshot, monkeypatch):
+    """linv local search on snapshot, with every (kernel, choices, bound)
+    its kernel was asked to score."""
+
+    calls = []
+    score = _LinvKernel.score
+
+    def recording(self, choices, bound=np.inf):
+        calls.append((self, np.array(choices), bound))
+        return score(self, choices, bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_LinvKernel, "score", recording)
+        outcome = local_search(snapshot, "linv")
+    return outcome, calls
+
+
+def assert_bound_moves_no_choice(snapshot, monkeypatch):
+    """local_search under linv chooses, counts and scores as it does with
+    the bound patched out, and prices fewer rows in full."""
+
+    bounded = local_search(snapshot, "linv")
+    with monkeypatch.context() as patch:
+        patch.setattr(_LinvKernel, "score", lambda self, choices, bound=np.inf: _Kernel.score(self, choices))
+        unbounded = local_search(snapshot, "linv")
+    assert bounded.assignment.phases == unbounded.assignment.phases
+    assert bounded.candidates == unbounded.candidates
+    assert bounded.model.objective == unbounded.model.objective
+    assert unbounded.stats["scored"] == unbounded.candidates
+    assert 0 < bounded.stats["scored"] <= bounded.candidates
+
+
+# Bundled periods (PV-Q off and on), the reactive-switch variant's evening
+# periods and conftest's random radial feeders.
+LINV_CASES = [
+    *(f"bundled-{p}{pvq}" for p in (10, 48, 73) for pvq in ("", "-pvq")),
+    "pf095-48",
+    "pf095-73",
+    *(f"random-{seed}" for seed in range(3)),
+]
+
+
+@pytest.fixture(params=LINV_CASES)
+def linv_snapshot(request, network, demands):
+    feeder, period, *pvq = request.param.split("-")
+    if feeder == "random":
+        seed = int(period)
+        return loaded_snapshot(random_radial_network(seed), seed, switches=6)
+    if feeder == "pf095":
+        network, demands = load_scenario(request.getfixturevalue("reactive_switch_scenario"))
+    return build_snapshot(network, demands, int(period), pv_q_control=bool(pvq))
+
+
+class TestLinvBound:
+    def test_random_blocks_keep_their_bits(self, linv_snapshot):
+        kernel = _LinvKernel(linv_snapshot)
+        mm = kernel.n_movable
+        rng = np.random.default_rng(30)
+        priced = set()
+        for b in (2, 3, 40, kernel.chunk):
+            choices = _decode(rng.choice(3**mm, size=b, replace=False), mm)
+            pi = linv_spreads(kernel, choices)
+            bounds = [*contract_bounds(pi), float(np.median(pi))]
+            priced.update(n / b for n in assert_bound_contract(kernel, choices, bounds))
+        assert {0.0, 1.0, 1 / 40, 1 / kernel.chunk} <= priced  # none, one row, all
+
+    def test_local_search_neighbourhoods_keep_their_bits(self, linv_snapshot, monkeypatch):
+        _, calls = recorded_linv_scores(linv_snapshot, monkeypatch)
+        bounds = [bound for _, _, bound in calls]
+        assert any(np.isfinite(bounds))  # every pass after a start is bounded
+        for kernel, choices, bound in calls:
+            assert_bound_contract(kernel, choices, [bound, *contract_bounds(linv_spreads(kernel, choices))])
+
+    def test_the_bound_moves_no_choice(self, linv_snapshot, monkeypatch):
+        assert_bound_moves_no_choice(linv_snapshot, monkeypatch)

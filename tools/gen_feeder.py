@@ -5,7 +5,12 @@ knobs reproduces the committed files byte-for-byte; the knobs below are the
 tuning surface for the acceptance bands measured on this dataset (feeder
 voltage drop, movable-load sizes and depths, phase skew, PV/demand shapes).
 
-Usage: python3 tools/gen_feeder.py [--out src/phasebal/data/european_lv]
+Usage: python3 tools/gen_feeder.py [--out src/phasebal/data/european_lv] [--pf-movable 1.0]
+
+--pf-movable sets the switchable customers' power factor. The random stream
+does not draw it, so a variant differs from the bundled tables only in
+those ten customers' PF column of Loads.csv; at the default 1.0 the output
+is the bundled tables byte for byte.
 """
 
 from __future__ import annotations
@@ -98,9 +103,10 @@ PHASE_WEIGHTS = (0.40, 0.32, 0.28)
 # Power factor by connected phase (lo, hi): phase a carries most active
 # power at near-unity PF while phase c runs lighter but reactive-heavy, so
 # the reactive unbalance sets a floor the switchable customers cannot
-# remove. Switchable customers run at unity PF: their phase choice then
-# moves only the active-power grid, which keeps the discrete optimum
-# profile-stable instead of cycling across the max(P, Q) kink.
+# remove. Switchable customers run at unity PF by default: their phase
+# choice then moves only the active-power grid, which keeps the discrete
+# optimum profile-stable instead of cycling across the max(P, Q) kink.
+# --pf-movable writes a variant where their choice moves Q too.
 PF_RANGE = {"a": (0.95, 0.995), "b": (0.93, 0.97), "c": (0.90, 0.95)}
 PF_MOVABLE = 1.0
 PF_PV = (0.97, 0.99)
@@ -143,7 +149,7 @@ def build_topology():
     return lines, lat_bus
 
 
-def build_customers(rng, lat_bus):
+def build_customers(rng, lat_bus, pf_movable=PF_MOVABLE):
     """Return rows (name, bus, phase, kw, pf, category) indexed by cid-1."""
 
     rows: list[tuple | None] = [None] * N_CUSTOMERS
@@ -154,7 +160,7 @@ def build_customers(rng, lat_bus):
         used[bus] = used.get(bus, 0) + 1
 
     for cid, (trunk, pos, kw, phase) in MOVABLE.items():
-        place(cid, lat_bus[trunk][pos - 1], phase, kw, PF_MOVABLE, "flat")
+        place(cid, lat_bus[trunk][pos - 1], phase, kw, pf_movable, "flat")
     for cid, (trunk, pos, kw, phase) in PV_HOSTS.items():
         pf = round(float(rng.uniform(*PF_PV)), 2)
         place(cid, lat_bus[trunk][pos - 1], phase, kw, pf, "day")
@@ -194,10 +200,10 @@ def build_shapes(rng, rows):
     return np.round(shapes, 4)
 
 
-def write_dataset(out_dir: Path) -> None:
+def write_dataset(out_dir: Path, pf_movable: float = PF_MOVABLE) -> None:
     rng = np.random.default_rng(SEED)
     lines, lat_bus = build_topology()
-    rows = build_customers(rng, lat_bus)
+    rows = build_customers(rng, lat_bus, pf_movable)
     shapes = build_shapes(rng, rows)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,8 +245,14 @@ def main() -> int:
         "--out",
         default=str(Path(__file__).resolve().parents[1] / "src/phasebal/data/european_lv"),
     )
+    parser.add_argument(
+        "--pf-movable", type=float, default=PF_MOVABLE,
+        help="power factor of the switchable customers (0 < PF <= 1)",
+    )
     args = parser.parse_args()
-    write_dataset(Path(args.out))
+    if not 0.0 < args.pf_movable <= 1.0:
+        parser.error(f"--pf-movable must lie in (0, 1], got {args.pf_movable}")
+    write_dataset(Path(args.out), args.pf_movable)
     return 0
 
 
