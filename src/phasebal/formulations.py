@@ -34,8 +34,10 @@ over the customer's whole band, and a slack it proves +0.0 at every point
 is left out, which changes no bit. `_price` is the one pricer of any batch
 of model states: the spread pi, the transformer current as |s_dt| / |v0|
 under every model, the per-term slack sums (`_slack_terms`) and the
-objective. `optimizer._MODELS` is the one lookup from a model name to its
-evaluator, kernel class and line builder.
+objective. Every per-phase sum over customers, a kernel's base transformer
+power included, is `_injections(phases, x).sum(axis=-2)`, in customer order.
+`optimizer._MODELS` is the one lookup from a model name to its evaluator,
+kernel class and line builder.
 """
 
 from __future__ import annotations
@@ -282,14 +284,6 @@ def _result(
     )
 
 
-def _dt_current(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
-    """Per-phase sums (..., 3) of customer values (..., customers), in customer order."""
-
-    i_dt = np.zeros(i_cust.shape[:-1] + (3,), dtype=complex)
-    np.add.at(i_dt.T, phases, i_cust.T)
-    return i_dt
-
-
 def evaluate_exact(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
@@ -360,7 +354,7 @@ def _fixv_fields(
     # sel[j, c, phi]: shared-path impedance row Meet[c, bus_j][phi, p_j] at column c.
     sel = _customer_meet(network)[np.arange(len(phases)), phases]  # (customers, k, 3)
     v = network.v0 - np.einsum("jmf,...j->...mf", sel, i_cust)
-    return v.take(geometry.col_inverse, axis=-2), _dt_current(phases, i_cust)
+    return v.take(geometry.col_inverse, axis=-2), _injections(phases, i_cust).sum(axis=-2)
 
 
 def _phasor_measures(
@@ -464,17 +458,16 @@ def _linv_currents(
 
     fit = _default_fit(network)
     coupling = _coupling(network, phases)
-    cb, ck, ch = fit.cb[phases], fit.ck[phases], fit.ch[phases]
     sconj = np.conj(s)
     v0c = network.v0[phases]
 
     v = v0c
-    i_cust = sconj * (cb + ck * v.real + ch * v.imag)
+    i_cust = sconj * fit.g(v, phases)
     for _ in range(_LINV_MAX_ITER):
         v_new = v0c - (coupling @ i_cust[..., None])[..., 0]
         step = float(np.max(np.abs(v_new - v))) if v.size else 0.0
         v = v_new
-        i_cust = sconj * (cb + ck * v.real + ch * v.imag)
+        i_cust = sconj * fit.g(v, phases)
         if step <= _LINV_TOL:
             break
     else:
@@ -630,11 +623,13 @@ def evaluate_lbfm(
     return _result("lbfm", network, *_lbfm_measures(*fields), None, squared=True)
 
 
-def _lbfm_squares(v0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Squared magnitudes of voltages v near the root's v0, to first order in
-    the drop v0 - v: |v|^2 = 2 Re(conj(v0) v) - |v0|^2 + |v0 - v|^2."""
+def _lbfm_view(v0: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lbfm's reading of fixv voltages v (..., k, 3) near the root's v0: the
+    squared magnitudes to first order in the drop v0 - v, from
+    |v|^2 = 2 Re(conj(v0) v) - |v0|^2 + |v0 - v|^2, and the (..., k)
+    unbalance phasor, fixv's own."""
 
-    return 2.0 * np.real(np.conj(v0) * v) - np.abs(v0) ** 2
+    return 2.0 * np.real(np.conj(v0) * v) - np.abs(v0) ** 2, v @ (_NEG_ROW / 3.0)
 
 
 def _lbfm_fields(
@@ -651,7 +646,7 @@ def _lbfm_fields(
     """
 
     v, _ = _fixv_fields(network, phases, s, _fixv_profile(network, None))
-    return _lbfm_squares(network.v0, v), v @ (_NEG_ROW / 3.0), _dt_current(phases, s)
+    return *_lbfm_view(network.v0, v), _injections(phases, s).sum(axis=-2)
 
 
 def _lbfm_measures(diag: np.ndarray, vneg: np.ndarray, s_dt: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -712,7 +707,7 @@ def _lbfm_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 # base in customer order. The branch-flow kernel is the fixed-voltage kernel
 # at the flat profile; it differs only in the power each customer lands on
 # the transformer (its load, exactly) and in reading the voltages as squared
-# magnitudes. The outer sum of two
+# magnitudes with `_lbfm_view`, as `_lbfm_fields` does. The outer sum of two
 # half-assignment tables of transformer power (sv1, sv2) prices every
 # candidate's spread pi (`spreads`), which the bound-ordered search ranks
 # by; a scored block adds its transformer power from the same tables, so
@@ -810,8 +805,7 @@ class _FixvKernel(_Kernel):
         s_on = self._s_on(i_all)
         fixed = np.setdiff1d(np.arange(len(s_on)), self.movable)
         pf = self.initial[fixed]
-        self.s_base = np.zeros(3, dtype=complex)
-        np.add.at(self.s_base, pf, s_on[fixed, pf])
+        self.s_base = _injections(pf, s_on[fixed, pf]).sum(axis=-2)
         # Voltage effect at (column, phi) of customer j connected at p, built
         # only for the fixed customers at their phase and the movable at all.
         meet = _customer_meet(self.network)
@@ -873,8 +867,8 @@ class _LbfmKernel(_FixvKernel):
         return np.repeat(self.s[:, None], 3, axis=1)
 
     def _measures(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        diag = _lbfm_squares(self.v0, v)
-        return diag, diag, v @ (_NEG_ROW / 3.0)
+        diag, vneg = _lbfm_view(self.v0, v)
+        return diag, diag, vneg
 
 
 class _LinvKernel(_Kernel):

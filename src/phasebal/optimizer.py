@@ -20,13 +20,15 @@ point those steps can reach. The scalar evaluator runs only at the start and
 the end; an end it ranks above the start is dropped for the start.
 
 `_MODELS` is the one lookup from a model name to its scalar evaluator,
-batch kernel class and PV-Q line builder. The search follows from the
-kernel: the bound-ordered scan for a separable one (fixv, lbfm), within the
-enumeration budget of 3**12 candidates, local search for linv. Each search,
-and each pass of Algorithm 1, is one `_search`: the kernel, the search, then
-the scalar guard, which keeps the choice only if the scalar model ranks it
-no worse than the initial assignment. The searches decide on the model
-alone and solve no exact power flow; the caller verifies their choice
+batch kernel class and PV-Q line builder; its kernel's `separable` flag
+tells which searches a model admits: the bound-ordered scan needs a
+separable kernel (fixv, lbfm) and the enumeration budget of 3**12
+candidates, local search takes any. Which search a sweep's method runs is
+the caller's rule (`cli._optimize_cell`). Each search, and each pass of
+Algorithm 1, is one `_search`: the kernel, the search, then the scalar
+guard, which keeps the choice only if the scalar model ranks it no worse
+than the initial assignment. The searches decide on the model alone and
+solve no exact power flow; the caller verifies their choice
 (`cli._run_cell` in a sweep).
 """
 
@@ -76,7 +78,6 @@ _BLOCK = 512  # candidates field-scored per bound-ordered batch
 _MAX_SWEEPS = 60  # best-improvement passes per local-search start
 _ENUMERATION_BUDGET = 3**12  # candidate cap for the exact searches
 _RESTARTS = 3  # random local-search starts beyond the initial point
-_SEED = 7  # seed of those starts when the caller gives none
 
 
 @dataclass(frozen=True)
@@ -266,14 +267,14 @@ def _search(
     )
 
 
-def exhaustive(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
+def exhaustive(snapshot: CaseSnapshot, method: str) -> OptimizationOutcome:
     """Score every assignment of the adjustable customers; ties break toward
     the lexicographically smallest phase tuple."""
 
     return _search("exhaustive", _exhaustive_choices, snapshot, method)
 
 
-def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> OptimizationOutcome:
+def branch_and_bound(snapshot: CaseSnapshot, method: str) -> OptimizationOutcome:
     """Exact search that scores the fields only where the spread bound can win.
 
     Every candidate's transformer spread pi, a lower bound on its
@@ -291,11 +292,9 @@ def branch_and_bound(snapshot: CaseSnapshot, method: str = "fixv") -> Optimizati
     return _search("branch-and-bound", _bnb_choices, snapshot, method)
 
 
-def local_search(
-    snapshot: CaseSnapshot, method: str = "fixv", seed: int = _SEED
-) -> OptimizationOutcome:
-    """Best-improvement descent over single-customer moves; the sweep's
-    search for linv, whose kernel is not separable.
+def local_search(snapshot: CaseSnapshot, method: str, seed: int) -> OptimizationOutcome:
+    """Best-improvement descent over single-customer moves, under any
+    model's kernel; a sweep runs it for linv, whose kernel is not separable.
 
     Starts from the initial assignment, then _RESTARTS random restarts
     drawn from seed; each pass scores the whole one-move neighborhood and
@@ -307,19 +306,6 @@ def local_search(
     neighbour; stats["scored"] those priced in full, the starts included."""
 
     return _search("local", partial(_local_choices, seed=seed), snapshot, method)
-
-
-def _search_once(snapshot: CaseSnapshot, method: str, seed: int) -> OptimizationOutcome:
-    """One search under method's model: the bound-ordered scan when its
-    kernel is separable, local search from seed otherwise.
-
-    The public search functions are looked up by name when this runs, so
-    the benchmark's traced run (bench/run.py) still sees every search.
-    """
-
-    if _model(method, "kernel").kernel.separable:
-        return branch_and_bound(snapshot, method)
-    return local_search(snapshot, method, seed=seed)
 
 
 def fixv_algorithm1(snapshot: CaseSnapshot, profile: np.ndarray | None = None) -> OptimizationOutcome:
@@ -456,7 +442,7 @@ def _minimize_1d(
 def optimize_pv_q(
     snapshot: CaseSnapshot,
     assignment: PhaseAssignment,
-    method: str = "fixv",
+    method: str,
     profile: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EvaluationResult, Mapping[str, float]]:
     """Cyclic coordinate descent on the per-customer reactive adjustments.

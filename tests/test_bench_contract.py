@@ -154,8 +154,8 @@ def test_the_model_table_calls_the_evaluators_the_tracer_wraps(monkeypatch):
     runs = [
         (partial(optimizer.fixv_algorithm1, snap), "evaluate_fixv"),
         (partial(optimizer.fixv_algorithm1, snap, powerflow.solve_utpf(snap, asg).v), "evaluate_fixv"),
-        (partial(optimizer._search_once, snap, "linv", 7), "evaluate_linv"),
-        (partial(optimizer._search_once, snap, "lbfm", 7), "evaluate_lbfm"),
+        (partial(optimizer.local_search, snap, "linv", 7), "evaluate_linv"),
+        (partial(optimizer.branch_and_bound, snap, "lbfm"), "evaluate_lbfm"),
         (partial(optimizer._MODELS["utpf"].evaluate, snap, asg, None, None), "evaluate_exact"),
         *(
             (partial(optimizer.optimize_pv_q, snap, asg, method), f"evaluate_{method}")

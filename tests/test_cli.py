@@ -18,9 +18,11 @@ import pytest
 
 from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
-from phasebal.formulations import evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
-from phasebal.netmodel import PHASE_POWER_BASE_VA, build_snapshot, bundled_feeder_dir
+from phasebal.formulations import _FixvKernel, evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
+from phasebal.netmodel import PHASE_POWER_BASE_VA, SWITCH_CUSTOMERS, build_snapshot, bundled_feeder_dir
 from phasebal.powerflow import PhaseAssignment
+
+from test_optimizer import with_switches
 
 # Evening peak: every optimizing method moves customers, and lbfm's choice
 # verifies worse than the initial assignment.
@@ -184,6 +186,23 @@ def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
     assert doc["vm_error"] == [0.0] * 3 * network.n_buses
 
 
+def test_search_follows_the_kernel_beyond_the_budget(network, demands, monkeypatch):
+    # 3^13 candidates exceed the budget. lbfm's kernel is separable, so its
+    # cell runs the scan, which refuses before any candidate is scored;
+    # linv's is not, so its cell still runs local search from the initial
+    # assignment and three restarts.
+    snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
+    initial = evaluate_exact(snap, PhaseAssignment.initial(network))
+    monkeypatch.setattr(_FixvKernel, "score", None)
+    monkeypatch.setitem(cli._CTX, "seed", SweepConfig.seed)
+    with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
+        cli._optimize_cell(snap, cli.CellSpec(73, "lbfm"), initial)
+    out = cli._optimize_cell(snap, cli.CellSpec(73, "linv"), initial)
+    assert out.strategy == "local"
+    assert out.stats["starts"] == 4.0
+    assert out.model.objective <= out.initial_model.objective
+
+
 def _package_env(**extra: str) -> dict[str, str]:
     """The environment with this checkout's package first on PYTHONPATH."""
 
@@ -294,14 +313,24 @@ def test_in_process_sweep_outcomes_do_not_depend_on_the_blas_threads(tmp_path):
 @pytest.mark.parametrize("period", [48, 73])
 def test_reactive_switch_day_sweeps_every_method(reactive_switch_scenario, tmp_path, period):
     # The switchable customers draw reactive power, so their phase choice
-    # moves the reactive spread too and the max(P, Q) kink can bind.
-    config = SweepConfig(
-        scenario=reactive_switch_scenario, periods=(period, period + 1), out_dir=str(tmp_path),
-        parallelism=1,
-    )
-    report = run_sweep(config)
-    assert report.summary["failures"] == 0
-    assert sorted(r["method"] for r in report.rows) == sorted(config.methods)
+    # moves the reactive spread too and the max(P, Q) kink can bind. With
+    # PV-Q on, each cell keeps its assignment and verifies no worse than
+    # its untuned state.
+    docs = {}
+    for pv_control in (False, True):
+        config = SweepConfig(
+            scenario=reactive_switch_scenario, periods=(period, period + 1),
+            out_dir=str(tmp_path / str(pv_control)), parallelism=1, pv_control=pv_control,
+        )
+        report = run_sweep(config)
+        assert report.summary["failures"] == 0
+        assert sorted(r["method"] for r in report.rows) == sorted(config.methods)
+        docs[pv_control] = {d["method"]: d for d in cli.load_outcomes(config.out_dir)}
+    off, on = docs[False], docs[True]
+    assert any(doc["pv"] is not None and doc["pv"]["kept"] for doc in on.values())
+    for method, doc in on.items():
+        assert doc["assignment"] == off[method]["assignment"], method
+        assert doc["verified"]["objective"] <= off[method]["verified"]["objective"], method
 
 
 def test_sweep_workers_capped_by_cells(tmp_path, monkeypatch):

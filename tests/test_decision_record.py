@@ -1,16 +1,18 @@
-"""The bundled day's decisions, swept again, match the committed record.
+"""Two full days' decisions, swept again, match the committed records.
 
 `tests/data/bundled_day_decisions.csv` holds each (period, method) cell's
 assignment, fallback flag and model and verified objectives for the full
-bundled day with PV-Q off (`tools/decision_record.py` writes it). The
-decision runs at q = 0, so PV-Q-on sweeps choose the same assignments.
-A change that moves a decision on purpose rewrites the record and names the
-moved cells.
+bundled day with PV-Q off, and `tests/data/pf095_day_decisions.csv` the
+same for the reactive-switch variant's day, whose evening has no spread
+plateau (`tools/decision_record.py` writes both). The decision runs at
+q = 0, so PV-Q-on sweeps choose the same assignments. A change that moves a
+decision on purpose rewrites the record and names the moved cells.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,10 +34,38 @@ def day(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def pf095_day(tmp_path_factory, reactive_switch_scenario):
+    out = tmp_path_factory.mktemp("pf095_day")
+    config = SweepConfig(scenario=reactive_switch_scenario, periods=(0, 96), parallelism=2, out_dir=str(out))
+    run_sweep(config)
+    return out
+
+
 def test_the_bundled_day_decides_as_recorded(day):
     want = record.read()
     assert len(want) == 96 * 5
     assert record.differences(want, record.decisions(day)) == []
+
+
+def test_the_reactive_switch_day_decides_as_recorded(pf095_day):
+    want = record.read(record.RECORD.with_name("pf095_day_decisions.csv"))
+    assert len(want) == 96 * 5
+    assert record.differences(want, record.decisions(pf095_day)) == []
+
+
+def test_the_summary_counts_what_the_exact_flow_finds(day):
+    # Per method, the cells whose verified state breaks a limit and those
+    # verified worse than the initial assignment: the initial assignment
+    # breaks the unbalance limit at midday (periods 41-56), lbfm's evening
+    # picks break limits, and fixv-mw verifies worse at period 0.
+    summary = json.loads((day / "summary.json").read_text())
+    assert summary["schema"] == "phasebal.summary.v2"
+    counts = {
+        method: (stats["violation_cells"], stats["worse_than_initial_cells"])
+        for method, stats in summary["methods"].items()
+    }
+    assert counts == {"fixv-mc": (0, 0), "fixv-mw": (0, 1), "initial": (16, 0), "lbfm": (11, 10), "linv": (0, 0)}
 
 
 def test_every_edited_assignment_is_named(day):

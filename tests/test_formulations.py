@@ -15,7 +15,6 @@ from phasebal.formulations import (
     AffineFit,
     FormulationError,
     _decode,
-    _dt_current,
     _lbfm_fields,
     _lbfm_measures,
     _linv_currents,
@@ -39,7 +38,6 @@ from phasebal.optimizer import (
     _MODELS,
     _Kernel,
     _LinvKernel,
-    _search_once,
     branch_and_bound,
     exhaustive,
     local_search,
@@ -439,7 +437,8 @@ def nominal_rotation_fields(network, phases, s):
     i_nom = np.conj(s) / np.conj(v0[phases])
     vneg = vneg0 - np.einsum("...j,jm->...m", i_nom / 3.0, sel @ NEG_ROW)
     col_inverse = feeder_geometry(network).col_inverse
-    return diag.take(col_inverse, axis=-2), vneg.take(col_inverse, axis=-1), _dt_current(phases, s)
+    s_dt = powerflow._injections(phases, s).sum(axis=-2)
+    return diag.take(col_inverse, axis=-2), vneg.take(col_inverse, axis=-1), s_dt
 
 
 class TestBranchFlowIsFlatFixv:
@@ -841,13 +840,18 @@ class TestBatchKernels:
     def _random_choices(rng, kernel, count):
         return rng.integers(0, 3, size=(count, kernel.n_movable))
 
-    # "73-rated" lowers the transformer rating to 0.9 pu, so that slack binds.
+    # "73-rated" lowers the transformer rating to 0.9 pu, so that slack
+    # binds; "pf095" periods are the reactive-switch variant's.
     @pytest.mark.parametrize(
-        "period, i_dt_max", [(4, None), (40, None), (48, None), (73, 0.9)],
-        ids=["4", "40", "48", "73-rated"],
+        "scenario, period, i_dt_max",
+        [("bundled", 4, None), ("bundled", 40, None), ("bundled", 48, None), ("bundled", 73, 0.9),
+         ("pf095", 48, None), ("pf095", 73, None)],
+        ids=["4", "40", "48", "73-rated", "pf095-48", "pf095-73"],
     )
     @pytest.mark.parametrize("method", ["fixv", "lbfm", "linv"])
-    def test_batch_matches_scalar(self, network, demands, method, period, i_dt_max):
+    def test_batch_matches_scalar(self, request, network, demands, method, scenario, period, i_dt_max):
+        if scenario == "pf095":
+            network, demands = load_scenario(request.getfixturevalue("reactive_switch_scenario"))
         network = replace(network, i_dt_max=i_dt_max or network.i_dt_max)
         snap = build_snapshot(network, demands, period)
         kernel = _MODELS[method].kernel(snap)
@@ -964,7 +968,7 @@ class TestBatchKernels:
         # TestBranchAndBound checks that the scan refuses linv, whose kernel
         # is not separable.)
         snap = build_snapshot(network, demands, 40)
-        for search in (exhaustive, branch_and_bound, local_search, partial(_search_once, seed=7)):
+        for search in (exhaustive, branch_and_bound, partial(local_search, seed=7)):
             with pytest.raises(ValueError, match="unknown formulation 'newton'"):
                 search(snap, method="newton")
             with pytest.raises(ValueError, match="formulation 'utpf' has no kernel"):
@@ -1019,7 +1023,7 @@ def recorded_linv_scores(snapshot, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(_LinvKernel, "score", recording)
-        outcome = local_search(snapshot, "linv")
+        outcome = local_search(snapshot, "linv", 7)
     return outcome, calls
 
 
@@ -1027,10 +1031,10 @@ def assert_bound_moves_no_choice(snapshot, monkeypatch):
     """local_search under linv chooses, counts and scores as it does with
     the bound patched out, and prices fewer rows in full."""
 
-    bounded = local_search(snapshot, "linv")
+    bounded = local_search(snapshot, "linv", 7)
     with monkeypatch.context() as patch:
         patch.setattr(_LinvKernel, "score", lambda self, choices, bound=np.inf: _Kernel.score(self, choices))
-        unbounded = local_search(snapshot, "linv")
+        unbounded = local_search(snapshot, "linv", 7)
     assert bounded.assignment.phases == unbounded.assignment.phases
     assert bounded.candidates == unbounded.candidates
     assert bounded.model.objective == unbounded.model.objective

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phasebal import formulations, optimizer
+from phasebal.cli import load_scenario
 from phasebal.formulations import _FixvKernel, _decode, evaluate_fixv
 from phasebal.netmodel import SWITCH_CUSTOMERS, build_snapshot
 from phasebal.optimizer import (
@@ -16,7 +17,6 @@ from phasebal.optimizer import (
     _MODELS,
     _bnb_choices,
     _exhaustive_choices,
-    _search_once,
     branch_and_bound,
     exhaustive,
     fixv_algorithm1,
@@ -79,7 +79,7 @@ class TestExhaustive:
         snap = loaded_snapshot(network, seed=13, switches=13)
         monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError) as info:
-            search(snap)
+            search(snap, "fixv")
         assert str(info.value) == (
             "3^13 = 1594323 candidates exceed the enumeration budget of 531441: "
             "13 switch customers are too many to search exactly"
@@ -138,14 +138,19 @@ class TestBranchAndBound:
         assert pruned.model.objective == full.model.objective
         assert pruned.stats["scored"] < pruned.candidates == 3**12
 
-    @pytest.mark.parametrize("period", [48, 73])
+    # "pf095" periods are the reactive-switch variant's.
+    @pytest.mark.parametrize("period", [48, 73, "pf095-48", "pf095-73"])
     @pytest.mark.parametrize("model", ["fixv-flat", "fixv-exact", "lbfm"])
     def test_pi_ordered_blocks_score_as_index_chunks(
-        self, network, demands, model, period, monkeypatch
+        self, request, network, demands, model, period, monkeypatch
     ):
         # The scan's bound and tie-break rely on a candidate pricing the same
         # in any batch: ascending-pi blocks against the exhaustive chunks,
-        # whose priced spreads are the bound's.
+        # whose priced spreads are the bound's. The scan then chooses as
+        # exhaustive enumeration does.
+        if str(period).startswith("pf095"):
+            network, demands = load_scenario(request.getfixturevalue("reactive_switch_scenario"))
+            period = int(period.split("-")[1])
         snap = build_snapshot(network, demands, period)
         profile = None
         if model == "fixv-exact":
@@ -172,6 +177,7 @@ class TestBranchAndBound:
             blocked[block] = kernel.score(_decode(block, mm))
         assert blocked.tobytes() == chunks.tobytes()
         assert pi.tobytes() == np.concatenate(priced).tobytes()
+        assert np.array_equal(_bnb_choices(kernel)[0], _decode(np.array([np.argmin(chunks)]), mm)[0])
 
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_scan_stops_at_the_spread_plateau(self, network, demands, method):
@@ -207,7 +213,7 @@ class TestLocalSearch:
     def test_model_objective_never_above_initial(self, network, demands):
         for period in (4, 40, 48):
             snap = build_snapshot(network, demands, period)
-            out = local_search(snap, method="fixv")
+            out = local_search(snap, method="fixv", seed=7)
             assert out.strategy == "local"
             assert out.model.objective <= out.initial_model.objective + 1e-12
 
@@ -265,7 +271,7 @@ class TestIteratedRefinement:
         snap = tiny_snapshot()
         initial = PhaseAssignment.initial(snap.network).phases
         if case in ("lbfm", "linv"):
-            out = (branch_and_bound if case == "lbfm" else local_search)(snap, case)
+            out = branch_and_bound(snap, case) if case == "lbfm" else local_search(snap, case, 7)
             assert out.stats == {"fell_back_to_initial": 1.0}
         else:
             out = fixv_algorithm1(snap, warm_profile(snap, case))
@@ -301,28 +307,12 @@ class TestIteratedRefinement:
             fixv_algorithm1(snap, warm_profile(snap, warm))
 
 
-class TestModelTable:
-    def test_search_follows_the_kernel_beyond_the_budget(self, network, demands, monkeypatch):
-        # 3^13 candidates exceed the budget. lbfm's kernel is separable, so
-        # its scan refuses before any candidate is scored; linv's is not, so
-        # linv still runs local search from the initial assignment and three
-        # restarts.
-        snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
-        monkeypatch.setattr(_FixvKernel, "score", None)
-        with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
-            _search_once(snap, "lbfm", 7)
-        out = _search_once(snap, "linv", 7)
-        assert out.strategy == "local"
-        assert out.stats["starts"] == 4.0
-        assert out.model.objective <= out.initial_model.objective
-
-
 class TestReactiveDispatch:
     def test_degenerate_bounds_change_nothing(self, network, demands):
         snap = build_snapshot(network, demands, 48)  # pv_q_control off: zero bands
         asg = PhaseAssignment.initial(network)
         start = evaluate_fixv(snap, asg)
-        q, final, stats = optimize_pv_q(snap, asg)
+        q, final, stats = optimize_pv_q(snap, asg, "fixv")
         assert np.array_equal(q, np.zeros(network.n_customers))
         assert final.objective == start.objective
         assert stats == {"evaluations": 1.0, "rounds": 1.0, "f_start": start.objective}
@@ -332,7 +322,7 @@ class TestReactiveDispatch:
         snap = build_snapshot(network, demands, 48, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         start = evaluate_fixv(snap, asg)
-        q, final, stats = optimize_pv_q(snap, asg)
+        q, final, stats = optimize_pv_q(snap, asg, "fixv")
         assert final.objective <= start.objective
         assert np.all(q >= snap.q_lo_pu - 1e-12)
         assert np.all(q <= snap.q_hi_pu + 1e-12)
@@ -377,9 +367,9 @@ class TestReactiveDispatch:
         snap = build_snapshot(network, demands, 48, pv_q_control=True)
         asg = PhaseAssignment.initial(network)
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
-        _, one, _ = optimize_pv_q(snap, asg)
+        _, one, _ = optimize_pv_q(snap, asg, "fixv")
         monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 2)
-        _, two, _ = optimize_pv_q(snap, asg)
+        _, two, _ = optimize_pv_q(snap, asg, "fixv")
         assert two.objective <= one.objective + 1e-12
 
 

@@ -3,20 +3,26 @@
 For each (period, method) cell of a sweep with PV-Q off, the record holds
 the chosen assignment (one phase digit per customer), whether the search
 fell back to the initial assignment (`stats.fell_back_to_initial`), and the
-model and verified objectives, as one CSV row. The bundled day's record is
-`tests/data/bundled_day_decisions.csv`, which `tests/test_decision_record.py`
-compares with a fresh sweep: assignments and fallback flags exactly,
-objectives to RTOL relative.
+model and verified objectives, as one CSV row. `tests/test_decision_record.py`
+compares two records with fresh sweeps: assignments and fallback flags
+exactly, objectives to RTOL relative. They are
+`tests/data/bundled_day_decisions.csv`, the bundled day, and
+`tests/data/pf095_day_decisions.csv`, the day of the bundled tables with the
+switchable customers at power factor 0.95 (`tools/gen_feeder.py
+--pf-movable 0.95`).
 
-A change that moves decisions on purpose rewrites it with
+A change that moves decisions on purpose rewrites them with
 
     phasebal sweep --periods 0:96 --parallelism 2 --out-dir D
     python3 tools/decision_record.py D
+    python3 tools/gen_feeder.py --out F --pf-movable 0.95
+    phasebal sweep --scenario F --periods 0:96 --parallelism 2 --out-dir E
+    python3 tools/decision_record.py E tests/data/pf095_day_decisions.csv
 
-which exits 2, writing nothing, when D holds no outcome file, a failed
-cell or a PV-Q-on cell.
+The script exits 2, writing nothing, when its sweep directory holds no
+outcome file, a failed cell or a PV-Q-on cell.
 
-Usage: python3 tools/decision_record.py SWEEP_DIR
+Usage: python3 tools/decision_record.py SWEEP_DIR [RECORD]
 """
 
 from __future__ import annotations
@@ -108,6 +114,7 @@ def differences(want: Decisions, got: Decisions) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sweep_dir", type=Path)
+    parser.add_argument("record", type=Path, nargs="?", default=RECORD, help="the record to write (default: the bundled day's)")
     args = parser.parse_args(argv)
     try:
         got = decisions(args.sweep_dir)
@@ -117,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     if not got:
         print(f"{args.sweep_dir}: no outcome files", file=sys.stderr)
         return 2
-    write(RECORD, got)
+    write(args.record, got)
     return 0
 
 
