@@ -809,9 +809,12 @@ class _FixvKernel(_Kernel):
         # Voltage effect at (column, phi) of customer j connected at p, built
         # only for the fixed customers at their phase and the movable at all.
         meet = _customer_meet(self.network)
-        fixed_effects = -meet[fixed, pf] * i_all[fixed, pf][:, None, None]
+        # Each gathered table is scaled in place by -i, bit for bit -meet * i.
+        fixed_effects = meet[fixed, pf]
+        fixed_effects *= -i_all[fixed, pf][:, None, None]
         self.base = np.tile(self.v0, (meet.shape[2], 1)) + fixed_effects.sum(axis=0)
-        self.effects = -meet[self.movable] * i_all[self.movable][:, :, None, None]
+        self.effects = meet[self.movable]
+        self.effects *= -i_all[self.movable][:, :, None, None]
         k1 = (self.n_movable + 1) // 2
         self.halves = [self._half(s_on[self.movable[part]]) for part in (slice(0, k1), slice(k1, None))]
 
@@ -835,10 +838,17 @@ class _FixvKernel(_Kernel):
 
     def spreads(self) -> np.ndarray:
         """Every candidate's spread pi by flat index. The half-tables' outer
-        sum adds up s_dt bit for bit as `score` does."""
+        sum adds up s_dt bit for bit as `score` does; it is formed as six
+        real tables, P and Q per phase, reduced in `_spread`'s order."""
 
         sv1, sv2 = self.halves
-        return _spread(((self.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3))
+        half = self.s_base + sv1
+
+        def span(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+            x = [np.add.outer(x1[:, p], x2[:, p]) for p in range(3)]
+            return np.maximum(np.maximum(x[0], x[1]), x[2]) - np.minimum(np.minimum(x[0], x[1]), x[2])
+
+        return np.maximum(span(half.real, sv2.real), span(half.imag, sv2.imag)).reshape(-1)
 
     def _score_block(self, choices: np.ndarray, bound: float) -> np.ndarray:
         k1 = (self.n_movable + 1) // 2

@@ -10,6 +10,7 @@ transformer rating varies, per feeder.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from collections import Counter, deque
@@ -76,9 +77,11 @@ class Line:
         z = _freeze(self, "z_pu", complex)
         if z.shape != (3, 3):
             raise FeederFormatError(f"line {self.name}: impedance must be 3x3")
-        if not np.all(np.isfinite(z)):
+        # The nine entries as Python complexes: numpy calls on a 3x3 cost more than the checks.
+        e = z.ravel().tolist()
+        if not all(map(cmath.isfinite, e)):
             raise FeederFormatError(f"line {self.name}: impedance must be finite")
-        if np.abs(z - z.T).max() > 1e-12:
+        if max(abs(e[1] - e[3]), abs(e[2] - e[6]), abs(e[5] - e[7])) > 1e-12:
             raise FeederFormatError(f"line {self.name}: impedance matrix is not symmetric")
 
 
@@ -209,28 +212,37 @@ class CaseSnapshot:
         return self.p_pu + 1j * self.q_pu
 
 
-def _read_csv(path: Path) -> list[dict[str, str]]:
+def _read_csv(path: Path) -> dict[str, list[str | None]]:
+    """The table's columns by header name, one value per record (None where
+    a record stops short of the column); blank lines are no records."""
+
     if not path.exists():
         raise FeederFormatError(f"missing feeder table: {path.name}")
     with path.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     if not rows:
         raise FeederFormatError(f"{path.name}: no records")
-    return rows
+    width = len(header)
+    if any(len(row) != width for row in rows):
+        rows = [row[:width] + [None] * (width - len(row)) for row in rows]
+    # A repeated header name keeps its last column, as a dict per record would.
+    return dict(zip(header, map(list, zip(*rows))))
 
 
 def _column(
-    table: str, rows: Sequence[Mapping[str, str | None]], column: str, convert=str.strip, start: int = 1
+    table: str, columns: Mapping[str, list[str | None]], column: str, convert=str.strip, start: int = 1
 ) -> list:
-    """Every record's column value passed through convert, records counted
+    """Every value of the column passed through convert, records counted
     from start. A missing column or value, or one convert refuses, raises
     FeederFormatError naming the table, the first such record and the column."""
 
+    values = columns.get(column, [None])  # a missing column: a first record without the value
     try:
-        return [convert(row[column]) for row in rows]
-    except (KeyError, TypeError, ValueError):
-        for k, row in enumerate(rows, start=start):
-            text = row.get(column)
+        return list(map(convert, values))
+    except (TypeError, ValueError):
+        for k, text in enumerate(values, start=start):
             try:
                 convert(text)
             except (TypeError, ValueError):
@@ -309,29 +321,35 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
         if name not in record_of:
             raise FeederFormatError(f"Source.csv: missing quantity {name!r}")
         k = record_of[name]
-        return _column("Source.csv", source[k:k + 1], "value", convert, start=k + 1)[0]
+        record = {column: values[k:k + 1] for column, values in source.items()}
+        return _column("Source.csv", record, "value", convert, start=k + 1)[0]
 
     root, v0_pu, dt_kva = quantity("bus", int), quantity("pu", _positive), quantity("dt_kva", _positive)
     angle_deg = quantity("angle_deg") if "angle_deg" in record_of else 0.0
 
     col = partial(_column, "LineCodes.csv", _read_csv(directory / "LineCodes.csv"))
     r1, x1, r0, x0 = (col(f"{part}_ohm_per_km", _non_negative) for part in ("R1", "X1", "R0", "X0"))
-    codes = {
-        name: _sequence_to_phase_matrix(complex(a, b), complex(c, d))
-        for name, a, b, c, d in zip(_unique("LineCodes.csv", "line code", col("Name")), r1, x1, r0, x0)
-    }
+    phase_z = np.array(
+        [_sequence_to_phase_matrix(complex(a, b), complex(c, d)) for a, b, c, d in zip(r1, x1, r0, x0)]
+    )
+    code_of = _unique("LineCodes.csv", "line code", col("Name"))
 
     col = partial(_column, "Lines.csv", _read_csv(directory / "Lines.csv"))
-    lines: list[Line] = []
-    for name, code, length_m, bus1, bus2 in zip(
-        col("Name"), col("LineCode"), col("Length_m", _non_negative), col("Bus1", int), col("Bus2", int)
-    ):
-        if code not in codes:
+    line_names, line_codes = col("Name"), col("LineCode")
+    lengths_m, bus1, bus2 = col("Length_m", _non_negative), col("Bus1", int), col("Bus2", int)
+    for name, code in zip(line_names, line_codes):
+        if code not in code_of:
             raise FeederFormatError(f"Lines.csv: line {name} uses unknown line code {code}")
-        z_ohm = codes[code] * (length_m / 1000.0)
-        lines.append(Line(name=name, from_bus=bus1, to_bus=bus2, z_pu=z_ohm / IMPEDANCE_BASE_OHM))
+    # Every line's impedance in one product. Each element is the code's ohms
+    # per km times the length in km, divided by the base: the same two
+    # roundings as one line's own product, so the bits are that product's.
+    z_pu = phase_z[[code_of[code] for code in line_codes]]
+    z_pu = z_pu * (np.array(lengths_m) / 1000.0)[:, None, None] / IMPEDANCE_BASE_OHM
+    lines = [
+        Line(name=name, from_bus=a, to_bus=b, z_pu=z) for name, a, b, z in zip(line_names, bus1, bus2, z_pu)
+    ]
 
-    buses = sorted({root} | {l.from_bus for l in lines} | {l.to_bus for l in lines})
+    buses = sorted({root, *bus1, *bus2})
     bus_set = set(buses)
 
     # A load's shape is the LoadShapes.csv column of its name, so names must not repeat.
@@ -348,20 +366,20 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
             raise FeederFormatError(f"Loads.csv: load {name} has invalid power factor")
         customers.append(Customer(cid=idx, name=name, bus=bus, initial_phase=PHASE_INDEX[phase]))
 
-    shape_rows = _read_csv(directory / "LoadShapes.csv")
-    missing = [n for n in names if n not in shape_rows[0]]
+    shapes = _read_csv(directory / "LoadShapes.csv")
+    missing = [n for n in names if n not in shapes]
     if missing:
         raise FeederFormatError(f"LoadShapes.csv: missing shape columns for {missing}")
-    mult = np.column_stack([_column("LoadShapes.csv", shape_rows, n, float) for n in names])
+    mult = np.column_stack([_column("LoadShapes.csv", shapes, n, float) for n in names])
     # Only a column holding a non-finite sample is re-read through _finite, which names
     # the record: _finite on every sample made the bundled feeder's conversion 70% slower.
     for name in np.asarray(names)[~np.isfinite(mult).all(axis=0)]:
-        _column("LoadShapes.csv", shape_rows, name, _finite)
+        _column("LoadShapes.csv", shapes, name, _finite)
     p_w = mult * np.array(kws) * 1e3
     q_var = p_w * np.array([math.tan(math.acos(pf)) for pf in pfs])
     minutes = 15  # 15-minute periods when the table has no minutes column
-    if "minutes" in shape_rows[0]:
-        every = _column("LoadShapes.csv", shape_rows, "minutes", _positive_int)
+    if "minutes" in shapes:
+        every = _column("LoadShapes.csv", shapes, "minutes", _positive_int)
         minutes = every[0]
         for k, value in enumerate(every, start=1):
             if value != minutes:

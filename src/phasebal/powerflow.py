@@ -145,51 +145,70 @@ class FeederGeometry:
 
 @lru_cache(maxsize=8)
 def feeder_geometry(network: Network) -> FeederGeometry:
+    """The network's tables, built from the customers' root paths.
+
+    Only a bus with a customer below it has a column of its own; every
+    other bus takes its parent's, resolved in plain ints down the depth
+    order. The customers' paths are found by pointer doubling in a few
+    vectorized steps and summed from the root outward, each bus's impedance
+    its parent's plus its own line's: the chain of additions a walk over
+    every bus makes, so `columns` holds the same bits.
+    """
+
     report = network.topology
     bus_index = {b: i for i, b in enumerate(network.buses)}
-    n = network.n_buses
-
-    parent = np.full(n, -1, dtype=int)
-    line_child = np.empty(len(network.lines), dtype=int)
-    depth_order = np.array([bus_index[b] for b in report.depth_order], dtype=int)
+    n, m = network.n_buses, network.n_customers
+    parent = [-1] * n
+    line_child = [0] * len(network.lines)
+    z_child = [np.zeros((3, 3), dtype=complex)] * (n + 1)  # each bus's line to its parent
     for bus, li in report.parent_line.items():
-        parent[bus_index[bus]] = bus_index[report.parent[bus]]
-        line_child[li] = bus_index[bus]
-
-    z_child = np.zeros((n, 3, 3), dtype=complex)  # each bus's line to its parent
-    z_child[line_child] = np.stack([l.z_pu for l in network.lines])
-    zcum = np.zeros((n, 3, 3), dtype=complex)
-    for bi in depth_order[1:]:
-        zcum[bi] = zcum[parent[bi]] + z_child[bi]
-
-    # lca[j, m] is the deepest bus on both bus m's and customer j's root
-    # paths: bus m itself when it lies on customer j's path, else its
-    # parent's entry, which one pass down the depth order has already set.
-    # A bus on no customer's path copies its parent's whole column, so the
-    # table keeps the columns of the buses that are their own col_rep.
+        line_child[li] = child = bus_index[bus]
+        parent[child] = bus_index[report.parent[bus]]
+        z_child[child] = network.lines[li].z_pu
     cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
-    on_path = np.zeros((len(cust_bus), n), dtype=bool)
-    for j, bi in enumerate(cust_bus):
-        while bi >= 0:
-            on_path[j, bi] = True
-            bi = parent[bi]
-    lca = np.empty((len(cust_bus), n), dtype=int)
-    root_idx = bus_index[network.root]
-    lca[:, root_idx] = root_idx
-    customer_below = on_path.any(axis=0)
-    col_rep = np.arange(n)
-    for bi in depth_order[1:]:
-        lca[:, bi] = np.where(on_path[:, bi], bi, lca[:, parent[bi]])
-        if not customer_below[bi]:
-            col_rep[bi] = col_rep[parent[bi]]
 
-    # One gather straight into the table's layout from rows[3m + p] =
-    # zcum[m][:, p], taken along one axis: indexing two axes at once ran
-    # three times slower on a 906-bus feeder.
-    rows = zcum.transpose(0, 2, 1).reshape(3 * n, 3)
+    # up[s, j] is the bus s steps above customer j's, -1 above the root:
+    # while step takes each bus len(up) steps up, step[up] is the next len(up) rows.
+    up, step = cust_bus[None], np.array(parent + [-1])
+    while (up[-1] >= 0).any():
+        up, step = np.concatenate([up, step[up]]), step[step]
+    up = up[: (up >= 0).any(axis=1).sum()]
+    s, j = np.nonzero(up >= 0)
+    cust_depth = np.bincount(j, minlength=m) - 1
+    on = up[s, j]
+    on_path = np.zeros((m, n), dtype=bool)
+    on_path[j, on] = True
+    depth, holder = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    depth[on], holder[on] = cust_depth[j] - s, j  # a bus's depth and a customer below it
+
+    # A bus on no customer's path repeats its parent's column; the root keeps its own.
+    col_rep, own = list(range(n)), on_path.any(axis=0).tolist()
+    for bus in report.depth_order[1:]:
+        bi = bus_index[bus]
+        if not own[bi]:
+            col_rep[bi] = col_rep[parent[bi]]
     cols, col_inverse = np.unique(col_rep, return_inverse=True)
-    columns = np.take(rows, 3 * lca[:, None, cols] + np.arange(3)[:, None], axis=0)
-    columns = columns.reshape(3 * len(cust_bus), 3 * len(cols))
+
+    # zsum[len(up) - 1 - s, j] is the transposed impedance from the root to
+    # up[s, j]: one running sum per customer from the root outward, its
+    # padding above the root adding zeros as the root's own zero table does.
+    # (Gathered from a strided view, zsum would come out strided too.)
+    z_child = np.ascontiguousarray(np.array(z_child).transpose(0, 2, 1))
+    zsum = np.cumsum(z_child[up[::-1]], axis=0)
+
+    # Customer j meets column c's bus at the shallower of that bus and the
+    # deepest bus j's path shares with the path of a customer below the bus
+    # (a feeder without customers has no row to meet).
+    on_path_f = on_path.astype(float)
+    shared = (on_path_f @ on_path_f.T).astype(int) - 1  # depth of two customers' deepest common bus
+    meet = np.minimum(depth[cols], shared[:, holder[cols]]) if m else np.zeros((0, len(cols)), int)
+    row = len(up) - 1 - cust_depth[:, None] + meet
+    # One gather along one axis straight into the table's layout: indexing
+    # two axes at once ran three times slower on a 906-bus feeder.
+    flat = zsum.reshape(-1, 3)  # flat[3 * (t * m + j) + p] = zsum[t, j][p]
+    index = 3 * (row * m + np.arange(m)[:, None])[:, None, :] + np.arange(3)[:, None]
+    columns = np.take(flat, index, axis=0).reshape(3 * m, 3 * len(cols))
+    parent, line_child = np.array(parent), np.array(line_child)
     below = on_path[:, line_child].T.astype(float)
     for table in (parent, columns, cust_bus, col_inverse, line_child, below):
         table.setflags(write=False)

@@ -24,11 +24,14 @@ from phasebal.powerflow import PhaseAssignment, power_balance_residual, solve_ut
 from test_formulations import (
     assert_bound_contract,
     assert_bound_moves_no_choice,
+    assert_tables_as_complex_products,
     contract_bounds,
     linv_spreads,
     recorded_linv_scores,
+    separable_kernel,
 )
-from test_powerflow import current_imbalance, ohm_gap
+from test_netmodel import assert_impedances_per_line
+from test_powerflow import assert_geometry_as_per_bus, current_imbalance, ohm_gap
 
 PERIOD = 73
 
@@ -47,6 +50,19 @@ def snapshot(scenario):
     network, demands = load_scenario(scenario)
     assert network.n_buses == 906
     return build_snapshot(network, demands, PERIOD)
+
+
+def test_line_impedances_equal_the_per_line_product(scenario, snapshot):
+    assert_impedances_per_line(snapshot.network, scenario)
+
+
+def test_geometry_equals_the_per_bus_walk(snapshot):
+    assert_geometry_as_per_bus(snapshot.network)
+
+
+@pytest.mark.parametrize("model", ["fixv-flat", "fixv-exact", "lbfm"])
+def test_separable_tables_equal_the_complex_products(snapshot, model):
+    assert_tables_as_complex_products(*separable_kernel(snapshot, model))
 
 
 def test_exact_state(snapshot):

@@ -975,6 +975,49 @@ class TestBatchKernels:
                 search(snap, method="utpf")
 
 
+def separable_kernel(snapshot, model):
+    """("fixv-flat" | "fixv-exact" | "lbfm") -> the kernel and the profile it
+    was built at: none, or the initial assignment's exact state."""
+
+    profile = None
+    if model == "fixv-exact":
+        profile = solve_utpf(snapshot, PhaseAssignment.initial(snapshot.network)).v
+    return _MODELS[model[:4]].kernel(snapshot, profile=profile), profile
+
+
+def assert_tables_as_complex_products(kernel, profile):
+    """The kernel's pi table and effect tables equal the complex products
+    they are built to reproduce: the half-tables' complex outer sum read by
+    `_spread`, and each customer's negated meet table times its current."""
+
+    sv1, sv2 = kernel.halves
+    pi = _spread(((kernel.s_base + sv1)[:, None] + sv2[None, :]).reshape(-1, 3))
+    assert kernel.spreads().tobytes() == pi.tobytes()
+    network = kernel.network
+    profile = formulations._fixv_profile(network, profile)
+    i_all = np.conj(kernel.s)[:, None] / np.conj(profile[feeder_geometry(network).cust_bus])
+    meet = _customer_meet(network)
+    fixed = np.setdiff1d(np.arange(network.n_customers), kernel.movable)
+    pf = kernel.initial[fixed]
+    base = np.tile(kernel.v0, (meet.shape[2], 1)) + (-meet[fixed, pf] * i_all[fixed, pf][:, None, None]).sum(axis=0)
+    assert kernel.base.tobytes() == base.tobytes()
+    assert kernel.effects.tobytes() == (-meet[kernel.movable] * i_all[kernel.movable][:, :, None, None]).tobytes()
+
+
+class TestSeparableTables:
+    # Bundled periods (PV-Q off and on) and the reactive-switch variant's evening periods.
+    @pytest.mark.parametrize("model", ["fixv-flat", "fixv-exact", "lbfm"])
+    @pytest.mark.parametrize(
+        "case", [*(f"bundled-{p}{pvq}" for p in (10, 48, 73, 81) for pvq in ("", "-pvq")), "pf095-48", "pf095-73"]
+    )
+    def test_tables_equal_the_complex_products(self, request, network, demands, case, model):
+        feeder, period, *pvq = case.split("-")
+        if feeder == "pf095":
+            network, demands = load_scenario(request.getfixturevalue("reactive_switch_scenario"))
+        snapshot = build_snapshot(network, demands, int(period), pv_q_control=bool(pvq))
+        assert_tables_as_complex_products(*separable_kernel(snapshot, model))
+
+
 def linv_spreads(kernel, choices):
     """Each row's spread pi as the linv kernel reads it when it scores
     choices as one block (at most `chunk` rows): the fixed point's stop

@@ -81,7 +81,13 @@ class TestNetworkValidation:
                 with pytest.raises(FeederFormatError, match="line far: impedance matrix is not symmetric"):
                     Line(name="far", from_bus=0, to_bus=1, z_pu=skewed)
 
-    @pytest.mark.parametrize("entry", [math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            math.inf, math.nan, complex(0.0, math.inf), -math.inf,
+            complex(0.003, math.nan), complex(0.003, math.inf), complex(0.003, -math.inf),
+        ],
+    )
     def test_line_impedance_must_be_finite(self, entry):
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         for where in ((1, 1), (0, 2)):
@@ -200,6 +206,34 @@ def replace_line(line: Line, **kwargs) -> Line:
     return Line(**fields)
 
 
+def per_line_impedances(directory) -> list[np.ndarray]:
+    """Each Lines.csv record's per-unit impedance, one line at a time: its
+    code's phase matrix times the length in km, divided by the impedance base."""
+
+    def table(name):
+        with (Path(directory) / name).open(newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    codes = {
+        row["Name"]: netmodel._sequence_to_phase_matrix(
+            complex(float(row["R1_ohm_per_km"]), float(row["X1_ohm_per_km"])),
+            complex(float(row["R0_ohm_per_km"]), float(row["X0_ohm_per_km"])),
+        )
+        for row in table("LineCodes.csv")
+    }
+    return [
+        codes[row["LineCode"]] * (float(row["Length_m"]) / 1000.0) / netmodel.IMPEDANCE_BASE_OHM
+        for row in table("Lines.csv")
+    ]
+
+
+def assert_impedances_per_line(network, directory):
+    want = per_line_impedances(directory)
+    assert len(want) == len(network.lines)
+    for line, z in zip(network.lines, want):
+        assert line.z_pu.tobytes() == z.tobytes(), line.name
+
+
 class TestImport:
     def test_bundled_counts(self, network, demands):
         assert network.n_buses == 54
@@ -207,6 +241,9 @@ class TestImport:
         assert network.n_customers == 55
         assert demands.n_periods == 96
         assert demands.minutes_per_period == 15
+
+    def test_line_impedances_equal_the_per_line_product(self, network):
+        assert_impedances_per_line(network, bundled_feeder_dir())
 
     def test_source_anchors_root_voltage(self, network):
         assert np.allclose(np.abs(network.v0), 1.05)

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal import powerflow
-from phasebal.netmodel import build_snapshot
+from phasebal.netmodel import Customer, Line, Network, build_snapshot
 from phasebal.powerflow import (
+    FeederGeometry,
     NonConvergenceError,
     PhaseAssignment,
     VoltageCollapseError,
@@ -22,7 +23,7 @@ from phasebal.powerflow import (
     solve_utpf,
 )
 
-from conftest import loaded_snapshot, random_radial_network, two_bus_network
+from conftest import loaded_snapshot, make_v0, random_radial_network, symmetric_z, two_bus_network
 
 
 def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
@@ -276,6 +277,96 @@ def on_customer_paths(network):
     return on_paths
 
 
+def per_bus_geometry(network):
+    """`feeder_geometry`'s six tables, in field order, built by a walk over
+    every bus with one numpy step per bus: the reference the path walk
+    must equal byte for byte."""
+
+    report = network.topology
+    bus_index = {b: i for i, b in enumerate(network.buses)}
+    n = network.n_buses
+
+    parent = np.full(n, -1, dtype=int)
+    line_child = np.empty(len(network.lines), dtype=int)
+    depth_order = np.array([bus_index[b] for b in report.depth_order], dtype=int)
+    for bus, li in report.parent_line.items():
+        parent[bus_index[bus]] = bus_index[report.parent[bus]]
+        line_child[li] = bus_index[bus]
+
+    z_child = np.zeros((n, 3, 3), dtype=complex)  # each bus's line to its parent
+    z_child[line_child] = np.stack([l.z_pu for l in network.lines])
+    zcum = np.zeros((n, 3, 3), dtype=complex)
+    for bi in depth_order[1:]:
+        zcum[bi] = zcum[parent[bi]] + z_child[bi]
+
+    # lca[j, m] is the deepest bus on both bus m's and customer j's root
+    # paths: bus m itself when it lies on customer j's path, else its
+    # parent's entry, which one pass down the depth order has already set.
+    cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
+    on_path = np.zeros((len(cust_bus), n), dtype=bool)
+    for j, bi in enumerate(cust_bus):
+        while bi >= 0:
+            on_path[j, bi] = True
+            bi = parent[bi]
+    lca = np.empty((len(cust_bus), n), dtype=int)
+    root_idx = bus_index[network.root]
+    lca[:, root_idx] = root_idx
+    customer_below = on_path.any(axis=0)
+    col_rep = np.arange(n)
+    for bi in depth_order[1:]:
+        lca[:, bi] = np.where(on_path[:, bi], bi, lca[:, parent[bi]])
+        if not customer_below[bi]:
+            col_rep[bi] = col_rep[parent[bi]]
+
+    rows = zcum.transpose(0, 2, 1).reshape(3 * n, 3)
+    cols, col_inverse = np.unique(col_rep, return_inverse=True)
+    columns = np.take(rows, 3 * lca[:, None, cols] + np.arange(3)[:, None], axis=0)
+    columns = columns.reshape(3 * len(cust_bus), 3 * len(cols))
+    below = on_path[:, line_child].T.astype(float)
+    return parent, columns, cust_bus, col_inverse, line_child, below
+
+
+def assert_geometry_as_per_bus(network):
+    geometry = feeder_geometry(network)
+    for field, want in zip(fields(FeederGeometry), per_bus_geometry(network)):
+        got = getattr(geometry, field.name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), field.name
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+def branched_chain_network(seed, depth, customers_at):
+    """A chain of buses 0..depth from root 0 with a side branch of one to
+    four buses off every third chain bus, every other line stored child to
+    parent; customers sit at customers_at(all bus ids, chain bus ids). Each
+    impedance is skewed within the symmetry tolerance, so that a table
+    read the wrong way round differs in its bits."""
+
+    rng = np.random.default_rng(seed)
+    chain = list(range(depth + 1))
+    edges = list(zip(chain, chain[1:]))
+    for stem in chain[::3]:
+        for _ in range(int(rng.integers(1, 5))):
+            edges.append((stem, len(edges) + 1))  # a tree of e lines has buses 0..e
+            stem = len(edges)
+    buses = list(range(len(edges) + 1))
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1], skew[2, 1] = 4e-13, 3e-13j
+    lines = tuple(
+        Line(
+            name=f"l{k}",
+            from_bus=a if k % 2 else b,
+            to_bus=b if k % 2 else a,
+            z_pu=skew + symmetric_z(complex(*rng.uniform(0.001, 0.03, 2)), complex(*rng.uniform(0.0005, 0.01, 2))),
+        )
+        for k, (a, b) in enumerate(edges)
+    )
+    customers = tuple(
+        Customer(cid=j + 1, name=f"c{j + 1}", bus=bus, initial_phase=j % 3)
+        for j, bus in enumerate(customers_at(buses, chain))
+    )
+    return Network(buses=tuple(buses), root=0, lines=lines, customers=customers, v0=make_v0(), i_dt_max=2.0)
+
+
 class TestFeederGeometry:
     def test_customer_table_matches_the_chain_search_on_the_bundled_feeder(self, network):
         assert expanded_meet(network).tobytes() == chain_lca_meet(network).tobytes()
@@ -303,6 +394,37 @@ class TestFeederGeometry:
         assert own == on_paths
         assert np.array_equal(col_inverse[sorted(on_paths)], np.arange(len(on_paths)))
         assert geometry.columns.shape[1] == 3 * len(on_paths)
+
+    def test_tables_equal_the_per_bus_walk_on_the_bundled_feeder(self, network):
+        assert_geometry_as_per_bus(network)
+
+    @pytest.mark.parametrize("n_customers", [1, 24])
+    @pytest.mark.parametrize("n_buses", [2, 3, 7, 40, 150, 400])
+    def test_tables_equal_the_per_bus_walk_on_random_feeders(self, n_buses, n_customers):
+        for seed in range(3):
+            assert_geometry_as_per_bus(random_radial_network(seed * 1000 + n_buses, n_buses, n_customers))
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            pytest.param(lambda buses, chain: buses[-1:] + chain[-1:], id="tips"),
+            pytest.param(lambda buses, chain: buses[1::7] + chain[::-11], id="scattered"),
+            pytest.param(lambda buses, chain: [chain[-1]] * 3 + buses[::5], id="shared-buses"),
+        ],
+    )
+    def test_tables_equal_the_per_bus_walk_on_a_deep_branched_chain(self, where):
+        # Deeper than the 906-bus feeder's 197 levels.
+        network = branched_chain_network(seed=3, depth=260, customers_at=where)
+        assert_geometry_as_per_bus(network)
+
+    @pytest.mark.parametrize("customers_at", [lambda buses, chain: [0], lambda buses, chain: []], ids=["root", "none"])
+    def test_tables_equal_the_per_bus_walk_without_a_customer_below_the_root(self, customers_at):
+        # The one customer at the root meets every bus there; with no
+        # customer at all the table has no rows. Either way the root keeps
+        # the only column.
+        network = branched_chain_network(seed=4, depth=12, customers_at=customers_at)
+        assert_geometry_as_per_bus(network)
+        assert feeder_geometry(network).columns.shape == (3 * network.n_customers, 3)
 
     def test_customer_table_is_stored_customer_major(self, network):
         # One read-only array, rows by (customer, phase), one column triple per
