@@ -43,7 +43,7 @@ from .optimizer import (
     local_search,
     optimize_pv_q,
 )
-from .powerflow import PhaseAssignment, PowerFlowError, power_balance_residual, solve_utpf
+from .powerflow import PhaseAssignment, PowerFlowError, feeder_geometry, power_balance_residual, solve_utpf
 
 # Bound here only so that every name the benchmark tracer (bench/run.py) wraps
 # in this module resolves; nothing here calls them.
@@ -388,8 +388,8 @@ def _vm_error(doc: Mapping[str, Any]) -> np.ndarray:
     """|vm_model - vm_utpf| over a successful cell's buses and phases."""
 
     error = np.asarray(doc["vm_error"], dtype=float)
-    if error.ndim != 1:
-        raise ReportError(f"outcome {doc['period']}/{doc['method']}: vm_error is not a flat list")
+    if error.ndim != 1 or not error.size:
+        raise ReportError(f"outcome {doc['period']}/{doc['method']}: vm_error is not a flat, non-empty list")
     return error
 
 
@@ -579,11 +579,9 @@ def _cmd_pf(args: argparse.Namespace) -> int:
     # kW and kvar per bus and phase: the customers' loads, then the DT's supply.
     kw = np.zeros((network.n_buses + 1, 3))
     kvar = np.zeros((network.n_buses + 1, 3))
-    bus_index = {b: i for i, b in enumerate(network.buses)}
-    for k, customer in enumerate(network.customers):
-        i, p = bus_index[customer.bus], solution.cust_phase[k]
-        kw[i, p] += solution.s_cust[k].real * PHASE_POWER_BASE_VA / 1e3
-        kvar[i, p] += solution.s_cust[k].imag * PHASE_POWER_BASE_VA / 1e3
+    at = (feeder_geometry(network).cust_bus, solution.cust_phase)
+    np.add.at(kw, at, solution.s_cust.real * PHASE_POWER_BASE_VA / 1e3)
+    np.add.at(kvar, at, solution.s_cust.imag * PHASE_POWER_BASE_VA / 1e3)
     kw[-1] = solution.s_dt.real * PHASE_POWER_BASE_VA / 1e3
     kvar[-1] = solution.s_dt.imag * PHASE_POWER_BASE_VA / 1e3
     v = np.vstack([solution.v, network.v0])

@@ -2,12 +2,13 @@
 
 A fixed point over the constant-PQ customers' own voltages (Teng's direct
 load flow, restricted to the buses that carry load), used as the
-verification oracle for every formulation and optimization result. Also
-hosts the factorized tree geometry (each customer's shared-path impedances
-to every distinct bus column, the line-to-customer incidence) and the
-customer-space helpers built on it, which the linearized-inverse model's
-solver shares: the coupling between customers' own voltages and the product
-that turns customer currents into the voltages at those columns.
+verification oracle for every formulation and optimization result, and
+its power-balance check, both in customer space. Also hosts the factorized
+tree geometry (each customer's shared-path impedances to every distinct bus
+column) and the customer-space helpers built on it, which the
+linearized-inverse model's solver shares: the coupling between customers'
+own voltages and the product that turns customer currents into the voltages
+at those columns.
 """
 
 from __future__ import annotations
@@ -129,18 +130,11 @@ class FeederGeometry:
     the effect at (m, phi) of a current i that customer j draws on phase p
     is -columns[3j + p, 3 col_inverse[m] + phi] * i, and a state built column
     by column goes to bus order with one take(col_inverse), bit for bit.
-    line_child[l] is the bus at line l's end away from the root, whichever
-    way the line is stored, and below[l, j] is 1 when customer j's current
-    flows through line l, so below @ (customer injections) gives the line
-    currents oriented root-outward.
     """
 
-    parent: np.ndarray  # parent bus index, -1 at root
     columns: np.ndarray  # (3 * customers, 3 * k) complex
     cust_bus: np.ndarray  # (customers,) bus index
     col_inverse: np.ndarray  # (n,) column of each bus
-    line_child: np.ndarray  # (L,) bus index
-    below: np.ndarray  # (L, customers) 0.0 or 1.0
 
 
 @lru_cache(maxsize=8)
@@ -159,10 +153,9 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     bus_index = {b: i for i, b in enumerate(network.buses)}
     n, m = network.n_buses, network.n_customers
     parent = [-1] * n
-    line_child = [0] * len(network.lines)
     z_child = [np.zeros((3, 3), dtype=complex)] * (n + 1)  # each bus's line to its parent
     for bus, li in report.parent_line.items():
-        line_child[li] = child = bus_index[bus]
+        child = bus_index[bus]
         parent[child] = bus_index[report.parent[bus]]
         z_child[child] = network.lines[li].z_pu
     cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
@@ -208,11 +201,9 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     flat = zsum.reshape(-1, 3)  # flat[3 * (t * m + j) + p] = zsum[t, j][p]
     index = 3 * (row * m + np.arange(m)[:, None])[:, None, :] + np.arange(3)[:, None]
     columns = np.take(flat, index, axis=0).reshape(3 * m, 3 * len(cols))
-    parent, line_child = np.array(parent), np.array(line_child)
-    below = on_path[:, line_child].T.astype(float)
-    for table in (parent, columns, cust_bus, col_inverse, line_child, below):
+    for table in (columns, cust_bus, col_inverse):
         table.setflags(write=False)
-    return FeederGeometry(parent, columns, cust_bus, col_inverse, line_child, below)
+    return FeederGeometry(columns, cust_bus, col_inverse)
 
 
 def _customer_meet(network: Network) -> np.ndarray:
@@ -263,11 +254,13 @@ class PFSolution:
     """Converged power-flow state in per-unit.
 
     s_cust holds the effective complex loads the state serves, including
-    any reactive-power adjustments applied on top of the snapshot demands.
+    any reactive-power adjustments applied on top of the snapshot demands,
+    and i_cust the converged currents conj(s) / conj(V) that the customers
+    draw on their phases cust_phase, which give every voltage in v.
     """
 
     v: np.ndarray  # (n, 3) complex bus voltages
-    i_lines: np.ndarray  # (L, 3) complex line currents, oriented root-outward
+    i_cust: np.ndarray  # (customers,) complex customer currents
     s_dt: np.ndarray  # (3,) complex DT branch power per phase
     s_cust: np.ndarray  # (customers,) complex effective loads
     cust_phase: np.ndarray  # (customers,) connected phase index
@@ -275,7 +268,7 @@ class PFSolution:
     mismatch: float
 
     def __post_init__(self) -> None:
-        for nameattr in ("v", "i_lines", "s_dt", "s_cust"):
+        for nameattr in ("v", "i_cust", "s_dt", "s_cust"):
             _freeze(self, nameattr, complex)
         _freeze(self, "cust_phase", int)
 
@@ -291,13 +284,12 @@ def solve_utpf(
     every customer's own voltage V and moves those voltages by the coupling
     of the customers' shared paths, until the worst complex power mismatch
     is at or below MISMATCH_TOL. The converged currents then give every bus
-    voltage and line current. Raises VoltageCollapseError, or
-    NonConvergenceError after MAX_ITERATIONS passes.
+    voltage. Raises VoltageCollapseError, or NonConvergenceError after
+    MAX_ITERATIONS passes.
     """
 
     check_assignment(snapshot, assignment)
     network = snapshot.network
-    geometry = feeder_geometry(network)
     v0 = network.v0
 
     s = _effective_loads(snapshot, q_adjust)
@@ -328,9 +320,8 @@ def solve_utpf(
             if np.any(np.abs(v) < COLLAPSE_GUARD):
                 raise VoltageCollapseError("converged state below the collapse guard")
             return PFSolution(
-                v=v.take(geometry.col_inverse, axis=0),
-                # Two real products: numpy would cast the incidence to complex.
-                i_lines=geometry.below @ injected.real + 1j * (geometry.below @ injected.imag),
+                v=v.take(feeder_geometry(network).col_inverse, axis=0),
+                i_cust=i_cust,
                 s_dt=v0 * np.conj(injected.sum(axis=0)),
                 s_cust=s,
                 cust_phase=phases,
@@ -346,12 +337,15 @@ def power_balance_residual(solution: PFSolution, snapshot: CaseSnapshot) -> floa
 
     Loads are the effective customer powers carried by the solution, so the
     check remains exact when reactive adjustments were applied to the snapshot.
+    A line carries the currents of the customers below it, so the losses
+    sum(drop_l * conj(I_l)) over the lines telescope along each customer's
+    root path to sum_j (v0[p_j] - V_j) * conj(i_j): customer j drawing i_j
+    on phase p_j at its own voltage V_j.
     """
 
-    geometry = feeder_geometry(snapshot.network)
-    v, child = solution.v, geometry.line_child
-    drops = v[geometry.parent[child]] - v[child]  # parent to child, as i_lines flow
-    losses = np.einsum("lp,lp->", drops, np.conj(solution.i_lines))
+    phases = solution.cust_phase
+    v_own = solution.v[feeder_geometry(snapshot.network).cust_bus, phases]
+    losses = np.sum((snapshot.network.v0[phases] - v_own) * np.conj(solution.i_cust))
     total_load = solution.s_cust.sum()
     injected = solution.s_dt.sum()
     return float(abs(injected - losses - total_load))

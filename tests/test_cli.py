@@ -121,17 +121,20 @@ def test_verify_regenerates_reports_byte_identically(counted_sweep):
 
 
 def test_verify_refuses_an_older_outcome_schema(counted_sweep, tmp_path, capsys):
-    # And a damaged outcome file: cut short, or without a key the reports read.
+    # And a damaged outcome file: cut short, without a key the reports read,
+    # or with no vm_error to take quantiles of.
     out, _ = counted_sweep
     name = f"outcome_{PERIOD}_initial.json"
     text = (out / name).read_text()
     doc = json.loads(text)
+    no_vm_error = {**doc, "vm_error": []}
     del doc["method"]
     cases = {
         "older": (text.replace(cli.OUTCOME_SCHEMA, "phasebal.outcome.v2"),
                   "unexpected schema 'phasebal.outcome.v2'"),
         "truncated": (text[: len(text) // 2], "not JSON: "),
         "no-method": (json.dumps(doc), "missing key 'method'"),
+        "empty-vm-error": (json.dumps(no_vm_error), f"malformed outcome: outcome {PERIOD}/initial: vm_error is not"),
     }
     for case, (damaged, message) in cases.items():
         (tmp_path / case).mkdir()

@@ -31,7 +31,7 @@ from test_formulations import (
     separable_kernel,
 )
 from test_netmodel import assert_impedances_per_line
-from test_powerflow import assert_geometry_as_per_bus, current_imbalance, ohm_gap
+from test_powerflow import assert_geometry_as_per_bus, assert_residual_as_line_sum, current_imbalance, ohm_gap
 
 PERIOD = 73
 
@@ -72,6 +72,7 @@ def test_exact_state(snapshot):
     assert np.max(np.abs(current_imbalance(network, asg, sol, snapshot.s_pu))) <= 1e-9
     assert ohm_gap(network, sol) <= 1e-12
     assert power_balance_residual(sol, snapshot) <= 1e-8
+    assert_residual_as_line_sum(network, sol, snapshot)
     assert solve_utpf(snapshot, asg).iterations == sol.iterations
 
 

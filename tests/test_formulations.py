@@ -52,7 +52,7 @@ from phasebal.powerflow import (
 )
 
 from conftest import loaded_snapshot, make_v0, random_radial_network, two_bus_network
-from test_powerflow import chain_lca_meet, on_customer_paths, snapshot_for
+from test_powerflow import bus_parents, chain_lca_meet, on_customer_paths, snapshot_for
 
 CHI = np.exp(-2j * np.pi / 3.0)
 
@@ -805,14 +805,14 @@ class TestPerBusOutputs:
 
     def test_buses_without_customers_below_repeat_their_column(self):
         network, snap, asg = self._case()
-        geometry = feeder_geometry(network)
+        parent = bus_parents(network)
         # rep[m] is the deepest bus on m's root path that has a customer in
         # its subtree; random_radial_network numbers parents before children.
         on_paths = on_customer_paths(network)
         rep = np.arange(network.n_buses)
         for m in range(network.n_buses):
             if m not in on_paths:
-                rep[m] = rep[geometry.parent[m]]
+                rep[m] = rep[parent[m]]
         assert np.any(rep != np.arange(network.n_buses))
         for name, arr in self._outputs(snap, asg).items():
             assert arr.shape[0] == network.n_buses, name

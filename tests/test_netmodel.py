@@ -539,12 +539,12 @@ class TestRecordsOwnTheirArrays:
         fit = AffineFit(cb=cb, ck=ck, ch=ch)
         pairs += [(cb, fit.cb), (ck, fit.ck), (ch, fit.ch)]
         # Result records too, given arrays of the dtypes they keep, which np.asarray would not copy.
-        v, s_dt, vneg, i_lines, s_cust = (np.ones(shape) + 0j for shape in ((2, 3), 3, 2, (1, 3), 1))
+        v, s_dt, vneg, i_cust, s_cust = (np.ones(shape) + 0j for shape in ((2, 3), 3, 2, 1, 1))
         vm, phase = np.ones((2, 3)), np.zeros(1, dtype=int)
         result = EvaluationResult("fixv", 0.0, {}, False, 0.0, s_dt=s_dt, vm=vm, vneg=vneg, v=v)
-        solution = PFSolution(v, i_lines, s_dt, s_cust, cust_phase=phase, iterations=1, mismatch=0.0)
+        solution = PFSolution(v, i_cust, s_dt, s_cust, cust_phase=phase, iterations=1, mismatch=0.0)
         pairs += [(s_dt, result.s_dt), (vm, result.vm), (vneg, result.vneg), (v, result.v)]
-        pairs += [(v, solution.v), (i_lines, solution.i_lines), (s_dt, solution.s_dt)]
+        pairs += [(v, solution.v), (i_cust, solution.i_cust), (s_dt, solution.s_dt)]
         pairs += [(s_cust, solution.s_cust), (phase, solution.cust_phase)]
         for mine, kept in pairs:
             assert mine.flags.writeable and not kept.flags.writeable

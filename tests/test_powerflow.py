@@ -84,11 +84,12 @@ class TestScalarOracle:
         snap = snapshot_for(network, [s])
         monkeypatch.setattr(powerflow, "MISMATCH_TOL", 1e-14)
         sol = solve_utpf(snap, PhaseAssignment((0,)))
+        i_line = line_currents(network, sol)[0, 0]
         expect = (v0 + math.sqrt(v0 * v0 - 4 * r * s)) / 2.0
         assert abs(sol.v[1, 0] - expect) <= 1e-12
-        assert abs(sol.v[1, 0] * np.conj(sol.i_lines[0, 0]) - s) <= 1e-12
+        assert abs(sol.v[1, 0] * np.conj(i_line) - s) <= 1e-12
         # DT power covers the load plus the line's resistive loss.
-        loss = r * abs(sol.i_lines[0, 0]) ** 2
+        loss = r * abs(i_line) ** 2
         assert abs(sol.s_dt.sum() - s - loss) <= 1e-12
 
     def test_single_customer_first_iteration_current(self):
@@ -97,7 +98,7 @@ class TestScalarOracle:
         snap = snapshot_for(network, [0.01], [0.005])
         sol = solve_utpf(snap, PhaseAssignment((0,)))
         expect0 = (0.01 - 0.005j) / 1.05
-        assert abs(sol.i_lines[0, 0] - expect0) <= 2e-4  # near, then refined
+        assert abs(line_currents(network, sol)[0, 0] - expect0) <= 2e-4  # near, then refined
         assert sol.mismatch <= 1e-8
 
 
@@ -130,20 +131,67 @@ class TestBundledConvergence:
         sol = solve_utpf(snap, asg)
         assert np.max(np.abs(current_imbalance(network, asg, sol, snap.s_pu))) <= 1e-9
 
+    @pytest.mark.parametrize("adjusted", [False, True], ids=["no-q", "q-adjust"])
+    @pytest.mark.parametrize("period", [40, 73])
+    def test_residual_equals_the_line_sum(self, network, demands, period, adjusted):
+        snap = build_snapshot(network, demands, period, pv_q_control=True)
+        q_adjust = None
+        if adjusted:
+            q_adjust = np.random.default_rng(period).uniform(snap.q_lo_pu, snap.q_hi_pu)
+            assert np.any(q_adjust != 0)
+        sol = solve_utpf(snap, PhaseAssignment.initial(network), q_adjust=q_adjust)
+        assert_residual_as_line_sum(network, sol, snap)
+
+
+def line_currents(network, sol):
+    """The (lines, 3) currents of sol, each line's flowing from its
+    parent-side bus to its child-side bus: every customer's current
+    sol.i_cust[j], on its phase, added to each line of its root path, walked
+    up the topology report rather than the solver's cached geometry."""
+
+    report = network.topology
+    i_lines = np.zeros((len(network.lines), 3), dtype=complex)
+    for j, customer in enumerate(network.customers):
+        bus = customer.bus
+        while bus != network.root:
+            i_lines[report.parent_line[bus], sol.cust_phase[j]] += sol.i_cust[j]
+            bus = report.parent[bus]
+    return i_lines
+
+
+def line_balance_residual(network, sol):
+    """`power_balance_residual` in line space: |DT injection - customer
+    loads - line losses|, the losses summed as drop * conj(current) over the
+    lines, each drop from parent to child as `line_currents` flow."""
+
+    bus_index = {b: i for i, b in enumerate(network.buses)}
+    report = network.topology
+    parent, child = np.zeros((2, len(network.lines)), dtype=int)
+    for bus, li in report.parent_line.items():
+        parent[li], child[li] = bus_index[report.parent[bus]], bus_index[bus]
+    drops = sol.v[parent] - sol.v[child]
+    losses = np.einsum("lp,lp->", drops, np.conj(line_currents(network, sol)))
+    return float(abs(sol.s_dt.sum() - losses - sol.s_cust.sum()))
+
+
+def assert_residual_as_line_sum(network, sol, snap):
+    assert abs(power_balance_residual(sol, snap) - line_balance_residual(network, sol)) <= 1e-14
+
 
 def current_imbalance(network, asg, sol, s):
     """Independent KCL check for customer loads s: per bus and phase, line
     flows out of the bus plus local customer injections minus flows into it,
     zero at the root slack. Uses only the topology report, whose line to
-    each bus's parent carries i_lines from the parent to the bus, not the
-    solver's cached geometry."""
+    each bus's parent carries `line_currents` from the parent to the bus,
+    not the solver's cached geometry."""
 
     bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
+    i_lines = line_currents(network, sol)
     balance = np.zeros((network.n_buses, 3), dtype=complex)
     for bus, li in report.parent_line.items():
-        balance[bus_index[report.parent[bus]]] -= sol.i_lines[li]
-        balance[bus_index[bus]] += sol.i_lines[li]
+        balance[bus_index[report.parent[bus]]] -= i_lines[li]
+        balance[bus_index[bus]] += i_lines[li]
     for k, cust in enumerate(network.customers):
         vc = sol.v[bus_index[cust.bus], asg.phases[k]]
         balance[bus_index[cust.bus], asg.phases[k]] -= np.conj(s[k] / vc)
@@ -153,15 +201,17 @@ def current_imbalance(network, asg, sol, s):
 
 def ohm_gap(network, sol):
     """Largest |v[child] - (v[parent] - z_pu @ i_line)| over the Line records,
-    each oriented from parent to child by the topology report."""
+    each oriented from parent to child by the topology report and carrying
+    its `line_currents`."""
 
     bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
+    i_lines = line_currents(network, sol)
     return max(
         np.max(np.abs(
             sol.v[bus_index[bus]]
             - sol.v[bus_index[report.parent[bus]]]
-            + network.lines[li].z_pu @ sol.i_lines[li]
+            + network.lines[li].z_pu @ i_lines[li]
         ))
         for bus, li in report.parent_line.items()
     )
@@ -183,6 +233,7 @@ class TestRandomFeederConservation:
         assert np.max(np.abs(imbalance)) <= 1e-9
         assert ohm_gap(network, sol) <= 1e-12
         assert power_balance_residual(sol, snap) <= 1e-8
+        assert_residual_as_line_sum(network, sol, snap)
 
     def test_lines_stored_child_to_parent(self):
         # The radiality check accepts a line in either direction; the state
@@ -197,9 +248,11 @@ class TestRandomFeederConservation:
         snap = loaded_snapshot(flipped, 12, switches=0)
         sol_flipped = solve_utpf(snap, asg)
         assert np.array_equal(sol_flipped.v, sol.v)
+        assert np.array_equal(sol_flipped.i_cust, sol.i_cust)
         assert np.max(np.abs(current_imbalance(flipped, asg, sol_flipped, snap.s_pu))) <= 1e-9
         assert ohm_gap(flipped, sol_flipped) <= 1e-12
         assert power_balance_residual(sol_flipped, snap) <= 1e-8
+        assert_residual_as_line_sum(flipped, sol_flipped, snap)
 
 
 class TestReactiveAdjustment:
@@ -265,21 +318,33 @@ def expanded_meet(network):
     return _customer_meet(network)[:, :, feeder_geometry(network).col_inverse]
 
 
+def bus_parents(network):
+    """Each bus's parent index by the topology report, -1 at the root."""
+
+    bus_index = {b: i for i, b in enumerate(network.buses)}
+    report = network.topology
+    parent = np.full(network.n_buses, -1)
+    for bus in report.parent_line:
+        parent[bus_index[bus]] = bus_index[report.parent[bus]]
+    return parent
+
+
 def on_customer_paths(network):
     """Indices of the root and of every bus on some customer's root path."""
 
-    geometry = feeder_geometry(network)
+    parent = bus_parents(network)
     on_paths = {network.buses.index(network.root)}
-    for bi in geometry.cust_bus:
+    for customer in network.customers:
+        bi = network.buses.index(customer.bus)
         while bi >= 0:
             on_paths.add(int(bi))
-            bi = geometry.parent[bi]
+            bi = parent[bi]
     return on_paths
 
 
 def per_bus_geometry(network):
-    """`feeder_geometry`'s six tables, in field order, built by a walk over
-    every bus with one numpy step per bus: the reference the path walk
+    """`feeder_geometry`'s three tables, in field order, built by a walk
+    over every bus with one numpy step per bus: the reference the path walk
     must equal byte for byte."""
 
     report = network.topology
@@ -322,8 +387,7 @@ def per_bus_geometry(network):
     cols, col_inverse = np.unique(col_rep, return_inverse=True)
     columns = np.take(rows, 3 * lca[:, None, cols] + np.arange(3)[:, None], axis=0)
     columns = columns.reshape(3 * len(cust_bus), 3 * len(cols))
-    below = on_path[:, line_child].T.astype(float)
-    return parent, columns, cust_bus, col_inverse, line_child, below
+    return columns, cust_bus, col_inverse
 
 
 def assert_geometry_as_per_bus(network):
@@ -381,16 +445,13 @@ class TestFeederGeometry:
         if n_buses is not None:  # else the bundled feeder
             network = random_radial_network(seed=n_buses, n_buses=n_buses, n_customers=20)
         geometry = feeder_geometry(network)
-        col_inverse = geometry.col_inverse
+        col_inverse, parent = geometry.col_inverse, bus_parents(network)
         # A bus has a column of its own exactly when it is the root or lies
         # on a customer's root path, that is, has a customer in its subtree;
         # any other bus repeats its parent's column. The columns follow their
         # own buses' order.
         on_paths = on_customer_paths(network)
-        own = {
-            m for m in range(network.n_buses)
-            if geometry.parent[m] < 0 or col_inverse[m] != col_inverse[geometry.parent[m]]
-        }
+        own = {m for m in range(network.n_buses) if parent[m] < 0 or col_inverse[m] != col_inverse[parent[m]]}
         assert own == on_paths
         assert np.array_equal(col_inverse[sorted(on_paths)], np.arange(len(on_paths)))
         assert geometry.columns.shape[1] == 3 * len(on_paths)
