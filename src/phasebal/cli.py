@@ -4,7 +4,8 @@ The sweep writes one self-contained `outcome_<period>_<method>.json` per
 cell. The three report files are pure functions of those outcome files:
 `sweep.csv` (one row per cell), `summary.json` (per-method means, the cells
 whose exact state breaks a limit or verifies worse than the initial
-assignment, and the model-vs-exact |V| error percentiles) and
+assignment, the reduction in mean verified objective, the largest verified
+negative-sequence voltage, and the model-vs-exact |V| error percentiles) and
 `accuracy_cdf.csv` (the thinned CDF of that error), so `verify` can
 regenerate them byte-identically from a finished output directory.
 """
@@ -52,7 +53,7 @@ from .optimizer import exhaustive  # noqa: F401
 
 METHODS = ("initial", "fixv-mc", "fixv-mw", "linv", "lbfm")
 OUTCOME_SCHEMA = "phasebal.outcome.v5"
-SUMMARY_SCHEMA = "phasebal.summary.v2"
+SUMMARY_SCHEMA = "phasebal.summary.v3"
 CDF_POINTS = 256
 
 ROW_FIELDS = (
@@ -427,6 +428,12 @@ def _mean(values: Sequence[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
+def _reduction_pct(before: float | None, after: float | None) -> float | None:
+    """100 (1 - after / before), or None when before is missing or zero."""
+
+    return float(100.0 * (1.0 - after / before)) if before else None
+
+
 def _build_summary(
     rows: Sequence[Mapping[str, object]], accuracy: Mapping[str, object]
 ) -> dict[str, object]:
@@ -437,21 +444,24 @@ def _build_summary(
         ok = [r for r in mine if r["status"] == "ok"]
         before = _mean([r["pi_before"] for r in ok])
         after = _mean([r["pi_after"] for r in ok])
-        reduction = None
-        if before:
-            reduction = float(100.0 * (1.0 - after / before))
         methods[name] = {
             "rows": len(mine),
             "failures": len(mine) - len(ok),
             "mean_pi_before": before,
             "mean_pi_after": after,
-            "reduction_pct": reduction,
+            "reduction_pct": _reduction_pct(before, after),
             "mean_runtime_s": _mean([r["runtime_s"] for r in ok]),
             "mean_moves": _mean([float(r["moves"]) for r in ok]),
             # What the exact flow finds: cells whose verified state breaks a
-            # limit, and cells verified worse than the initial assignment.
+            # limit, cells verified worse than the initial assignment, the
+            # reduction in mean verified objective and the largest verified
+            # negative-sequence voltage.
             "violation_cells": sum(r["slack_total"] > 0.0 for r in ok),
             "worse_than_initial_cells": sum(r["f_verified"] > r["f_initial_verified"] for r in ok),
+            "verified_reduction_pct": _reduction_pct(
+                _mean([r["f_initial_verified"] for r in ok]), _mean([r["f_verified"] for r in ok])
+            ),
+            "max_verified_vneg": max((r["vneg_max"] for r in ok), default=None),
         }
     return {
         "schema": SUMMARY_SCHEMA,
@@ -619,16 +629,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shown(value: float | None, spec: str, unit: str = "") -> str:
+    return "n/a" if value is None else f"{value:{spec}}{unit}"
+
+
 def _print_summary(report: SweepReport) -> int:
     """Print the per-method lines; the exit status is 1 when a cell failed."""
 
     for name, stats in report.summary["methods"].items():  # type: ignore[union-attr]
-        reduction = stats["reduction_pct"]
-        shown = "n/a" if reduction is None else f"{reduction:.2f}%"
         print(
             f"  {name}: {stats['rows']} rows, {stats['failures']} failures, "
-            f"pi reduction {shown}, {stats['violation_cells']} violation cells, "
-            f"{stats['worse_than_initial_cells']} worse than initial"
+            f"pi reduction {_shown(stats['reduction_pct'], '.2f', '%')}, "
+            f"{stats['violation_cells']} violation cells, "
+            f"{stats['worse_than_initial_cells']} worse than initial, "
+            f"verified F reduction {_shown(stats['verified_reduction_pct'], '.2f', '%')}, "
+            f"max verified vneg {_shown(stats['max_verified_vneg'], '.5f')}"
         )
     for name, stats in report.summary["accuracy"].items():  # type: ignore[union-attr]
         print(

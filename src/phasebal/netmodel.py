@@ -3,14 +3,14 @@
 Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
 load shapes, source), converts everything to per-unit on the fixed bases
 and produces immutable per-period snapshots with net demands and optional
-PV reactive-power bounds. The operational limits, the penalty weight and
-the case study's PV and switch customers are module constants; only the
-transformer rating varies, per feeder.
+PV reactive-power bounds. A feeder's lines are one table of names, end bus
+ids and impedances. The operational limits, the penalty weight and the case
+study's PV and switch customers are module constants; only the transformer
+rating varies, per feeder.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from collections import Counter, deque
@@ -66,25 +66,6 @@ def _freeze(record, name: str, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Line:
-    name: str
-    from_bus: int
-    to_bus: int
-    z_pu: np.ndarray  # (3, 3) complex, symmetric
-
-    def __post_init__(self) -> None:
-        z = _freeze(self, "z_pu", complex)
-        if z.shape != (3, 3):
-            raise FeederFormatError(f"line {self.name}: impedance must be 3x3")
-        # The nine entries as Python complexes: numpy calls on a 3x3 cost more than the checks.
-        e = z.ravel().tolist()
-        if not all(map(cmath.isfinite, e)):
-            raise FeederFormatError(f"line {self.name}: impedance must be finite")
-        if max(abs(e[1] - e[3]), abs(e[2] - e[6]), abs(e[5] - e[7])) > 1e-12:
-            raise FeederFormatError(f"line {self.name}: impedance matrix is not symmetric")
-
-
 @dataclass(frozen=True)
 class Customer:
     cid: int
@@ -95,22 +76,38 @@ class Customer:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Radial feeder in per-unit: buses, lines, customers, the source voltage
-    and the transformer's current rating.
+    """Radial feeder in per-unit: buses, a line table, customers, the source
+    voltage and the transformer's current rating.
 
-    `topology` is the radiality check's report, made once on construction,
-    with read-only maps. Bus ids and customer ids must not repeat.
+    The line table is one row per line in three fields, its arrays read-only
+    copies, checked once for integer ends on known buses and finite
+    impedances symmetric to 1e-12, naming the first faulty line. `topology`
+    is the radiality check's report, made once on construction, with
+    read-only maps. Bus ids and customer ids must not repeat.
     """
 
     buses: tuple[int, ...]
     root: int
-    lines: tuple[Line, ...]
+    line_names: tuple[str, ...]
+    line_ends: np.ndarray  # (lines, 2) from and to bus ids
+    line_z_pu: np.ndarray  # (lines, 3, 3) complex, each symmetric
     customers: tuple[Customer, ...]
     v0: np.ndarray  # (3,) complex source voltage, phases a, b, c
     i_dt_max: float  # per-phase transformer current limit
     topology: TopologyReport = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        names = self.line_names
+        z, ends = _freeze(self, "line_z_pu", complex), _freeze(self, "line_ends", None)
+        if z.shape != (len(names), 3, 3) or ends.shape != (len(names), 2) or ends.dtype.kind not in "iu":
+            raise FeederFormatError(f"{len(names)} line names need (lines, 2) integer ends and (lines, 3, 3) impedances")
+        # Only rows before the first non-finite one are checked for symmetry.
+        finite = np.isfinite(z).all(axis=(1, 2))
+        k = len(z) if finite.all() else int(finite.argmin())
+        if (skewed := np.abs(z[:k] - z[:k].transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12).any():
+            raise FeederFormatError(f"line {names[skewed.argmax()]}: impedance matrix is not symmetric")
+        if k < len(z):
+            raise FeederFormatError(f"line {names[k]}: impedance must be finite")
         if not (math.isfinite(self.i_dt_max) and self.i_dt_max > 0):
             raise FeederFormatError(f"i_dt_max must be finite and positive, got {self.i_dt_max!r}")
         given = self.v0
@@ -123,10 +120,10 @@ class Network:
         bus_set = set(self.buses)
         if self.root not in bus_set:
             raise FeederFormatError(f"root bus {self.root} is not in the bus list")
-        for line in self.lines:
-            for end in (line.from_bus, line.to_bus):
-                if end not in bus_set:
-                    raise FeederFormatError(f"line {line.name} references unknown bus {end}")
+        known = np.isin(ends, self.buses).ravel()
+        if not known.all():
+            k, end = divmod(int(known.argmin()), 2)
+            raise FeederFormatError(f"line {names[k]} references unknown bus {ends[k, end]}")
         for cust in self.customers:
             if cust.bus not in bus_set:
                 raise FeederFormatError(f"customer {cust.name} references unknown bus {cust.bus}")
@@ -146,7 +143,7 @@ class Network:
 @dataclass(frozen=True)
 class TopologyReport:
     """Buses in breadth-first order from the root, each non-root bus's parent
-    bus, and the position in `Network.lines` of the line to that parent."""
+    bus, and the row in `Network`'s line table of the line to that parent."""
 
     depth_order: tuple[int, ...]
     parent: Mapping[int, int]
@@ -345,9 +342,6 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     # roundings as one line's own product, so the bits are that product's.
     z_pu = phase_z[[code_of[code] for code in line_codes]]
     z_pu = z_pu * (np.array(lengths_m) / 1000.0)[:, None, None] / IMPEDANCE_BASE_OHM
-    lines = [
-        Line(name=name, from_bus=a, to_bus=b, z_pu=z) for name, a, b, z in zip(line_names, bus1, bus2, z_pu)
-    ]
 
     buses = sorted({root, *bus1, *bus2})
     bus_set = set(buses)
@@ -391,7 +385,9 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     network = Network(
         buses=tuple(buses),
         root=root,
-        lines=tuple(lines),
+        line_names=tuple(line_names),
+        line_ends=np.column_stack((bus1, bus2)),
+        line_z_pu=z_pu,
         customers=tuple(customers),
         v0=v0_pu * np.exp(1j * angles),
         i_dt_max=dt_kva / (POWER_BASE_VA / 1e3),
@@ -412,15 +408,19 @@ def load_bundled_feeder() -> tuple[Network, DemandSeries]:
 def validate_radial(network: "Network") -> TopologyReport:
     """Check the feeder is a tree rooted at the source and order buses by depth.
 
-    Raises RadialityError naming the offending lines or buses on cycles,
-    parallel paths or disconnected buses.
+    Raises RadialityError naming the offending lines or buses on a line
+    from a bus to itself, cycles, parallel paths or disconnected buses.
     """
 
+    names = network.line_names
     adjacency: dict[int, list[tuple[int, int]]] = {b: [] for b in network.buses}
-    for li, line in enumerate(network.lines):
-        adjacency[line.from_bus].append((line.to_bus, li))
-        adjacency[line.to_bus].append((line.from_bus, li))
+    for li, (a, b) in enumerate(network.line_ends.tolist()):
+        if a == b:
+            raise RadialityError(f"line {names[li]} connects bus {a} to itself")
+        adjacency[a].append((b, li))
+        adjacency[b].append((a, li))
 
+    # Every line at the root is met from the root first, so nxt has a parent line.
     parent: dict[int, int] = {network.root: network.root}
     parent_line: dict[int, int] = {}
     order: list[int] = [network.root]
@@ -428,13 +428,12 @@ def validate_radial(network: "Network") -> TopologyReport:
     while queue:
         bus = queue.popleft()
         for nxt, li in adjacency[bus]:
-            if nxt == parent[bus] and parent_line.get(bus) == li:
+            if li == parent_line.get(bus):
                 continue
             if nxt in parent:
-                seen = network.lines[parent_line[nxt]].name if nxt in parent_line else "root"
                 raise RadialityError(
                     f"cycle or parallel path detected at bus {nxt} via lines "
-                    f"{seen} and {network.lines[li].name}"
+                    f"{names[parent_line[nxt]]} and {names[li]}"
                 )
             parent[nxt] = bus
             parent_line[nxt] = li

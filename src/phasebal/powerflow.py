@@ -145,19 +145,19 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     other bus takes its parent's, resolved in plain ints down the depth
     order. The customers' paths are found by pointer doubling in a few
     vectorized steps and summed from the root outward, each bus's impedance
-    its parent's plus its own line's: the chain of additions a walk over
-    every bus makes, so `columns` holds the same bits.
+    its parent's plus its own parent line's row of the line table: the chain
+    of additions a walk over every bus makes, so `columns` keeps its bits.
     """
 
     report = network.topology
     bus_index = {b: i for i, b in enumerate(network.buses)}
     n, m = network.n_buses, network.n_customers
     parent = [-1] * n
-    z_child = [np.zeros((3, 3), dtype=complex)] * (n + 1)  # each bus's line to its parent
-    for bus, li in report.parent_line.items():
-        child = bus_index[bus]
-        parent[child] = bus_index[report.parent[bus]]
-        z_child[child] = network.lines[li].z_pu
+    for bus in report.parent_line:
+        parent[bus_index[bus]] = bus_index[report.parent[bus]]
+    z_child = np.zeros((n + 1, 3, 3), dtype=complex)  # each bus's line to its parent
+    child = [bus_index[bus] for bus in report.parent_line]
+    z_child[child] = network.line_z_pu[list(report.parent_line.values())]
     cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
 
     # up[s, j] is the bus s steps above customer j's, -1 above the root:
@@ -186,7 +186,7 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     # up[s, j]: one running sum per customer from the root outward, its
     # padding above the root adding zeros as the root's own zero table does.
     # (Gathered from a strided view, zsum would come out strided too.)
-    z_child = np.ascontiguousarray(np.array(z_child).transpose(0, 2, 1))
+    z_child = np.ascontiguousarray(z_child.transpose(0, 2, 1))
     zsum = np.cumsum(z_child[up[::-1]], axis=0)
 
     # Customer j meets column c's bus at the shallower of that bus and the

@@ -13,7 +13,6 @@ import pytest
 from phasebal.netmodel import (
     CaseSnapshot,
     Customer,
-    Line,
     Network,
     load_bundled_feeder,
 )
@@ -29,6 +28,13 @@ def symmetric_z(z_self: complex, z_mutual: complex) -> np.ndarray:
     return np.full((3, 3), z_mutual, dtype=complex) + np.eye(3) * (z_self - z_mutual)
 
 
+def line_table(*lines) -> dict[str, object]:
+    """`Network`'s three line fields from (name, from_bus, to_bus, z_pu) rows."""
+
+    names, from_bus, to_bus, z = zip(*lines)
+    return {"line_names": names, "line_ends": np.column_stack((from_bus, to_bus)), "line_z_pu": np.array(z)}
+
+
 def two_bus_network(
     z_self: complex = 0.01 + 0.03j,
     z_mutual: complex = 0.003 + 0.01j,
@@ -39,7 +45,7 @@ def two_bus_network(
     return Network(
         buses=(0, 1),
         root=0,
-        lines=(Line(name="l1", from_bus=0, to_bus=1, z_pu=symmetric_z(z_self, z_mutual)),),
+        **line_table(("l1", 0, 1, symmetric_z(z_self, z_mutual))),
         customers=tuple(
             Customer(cid=i + 1, name=f"c{i + 1}", bus=1, initial_phase=ph)
             for i, ph in enumerate(customers)
@@ -56,17 +62,15 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
     """
 
     rng = np.random.default_rng(seed)
-    lines = tuple(
-        Line(
-            name=f"l{k}",
-            from_bus=int(rng.integers(0, k)),
-            to_bus=k,
-            z_pu=symmetric_z(
-                complex(*rng.uniform(0.01, 0.04, 2)), complex(*rng.uniform(0.002, 0.01, 2))
-            ),
+    lines = line_table(*(
+        (
+            f"l{k}",
+            int(rng.integers(0, k)),
+            k,
+            symmetric_z(complex(*rng.uniform(0.01, 0.04, 2)), complex(*rng.uniform(0.002, 0.01, 2))),
         )
         for k in range(1, n_buses)
-    )
+    ))
     customers = tuple(
         Customer(
             cid=j + 1,
@@ -79,7 +83,7 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
     return Network(
         buses=tuple(range(n_buses)),
         root=0,
-        lines=lines,
+        **lines,
         customers=customers,
         v0=make_v0(),
         i_dt_max=2.0,

@@ -556,6 +556,18 @@ def test_a_failed_solve_is_one_line_and_exit_1(argv, message, tmp_path, monkeypa
     assert not any(tmp_path.iterdir())
 
 
+def test_a_method_without_a_verified_cell_summarizes_as_n_a(tmp_path, capsys, broken_feeders):
+    # The exact flow collapses under 40 times the loads, so the one cell fails.
+    argv = ["sweep", "--scenario", str(broken_feeders["HEAVY-LOADS"]), "--methods", "initial"]
+    assert main([*argv, "--periods", "73:74", "--parallelism", "1", "--out-dir", str(tmp_path)]) == 1
+    stats = json.loads((tmp_path / "summary.json").read_text())["methods"]["initial"]
+    assert (stats["failures"], stats["verified_reduction_pct"], stats["max_verified_vneg"]) == (1, None, None)
+    assert (
+        "  initial: 1 rows, 1 failures, pi reduction n/a, 0 violation cells, 0 worse than initial, "
+        "verified F reduction n/a, max verified vneg n/a"
+    ) in capsys.readouterr().out.splitlines()
+
+
 def test_pf_writes_plain_numbers(tmp_path, network, demands):
     assert main(["pf", "--period", str(PERIOD), "--out-dir", str(tmp_path)]) == 0
     with (tmp_path / f"pf_{PERIOD}.csv").open(newline="") as fh:

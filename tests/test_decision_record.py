@@ -58,14 +58,27 @@ def test_the_summary_counts_what_the_exact_flow_finds(day):
     # Per method, the cells whose verified state breaks a limit and those
     # verified worse than the initial assignment: the initial assignment
     # breaks the unbalance limit at midday (periods 41-56), lbfm's evening
-    # picks break limits, and fixv-mw verifies worse at period 0.
+    # picks break limits, and fixv-mw verifies worse at period 0. Over the
+    # day lbfm's mean verified objective is more than twice the initial's,
+    # and its largest verified unbalance is above the 0.01 limit.
     summary = json.loads((day / "summary.json").read_text())
-    assert summary["schema"] == "phasebal.summary.v2"
+    assert summary["schema"] == "phasebal.summary.v3"
     counts = {
         method: (stats["violation_cells"], stats["worse_than_initial_cells"])
         for method, stats in summary["methods"].items()
     }
     assert counts == {"fixv-mc": (0, 0), "fixv-mw": (0, 1), "initial": (16, 0), "lbfm": (11, 10), "linv": (0, 0)}
+    verified = {
+        method: (round(stats["verified_reduction_pct"], 2), round(stats["max_verified_vneg"], 5))
+        for method, stats in summary["methods"].items()
+    }
+    assert verified == {
+        "fixv-mc": (66.84, 0.00977),
+        "fixv-mw": (67.41, 0.00989),
+        "initial": (0.0, 0.01083),
+        "lbfm": (-133.79, 0.01251),
+        "linv": (68.0, 0.00983),
+    }
 
 
 def test_every_edited_assignment_is_named(day):

@@ -19,7 +19,6 @@ from phasebal.netmodel import (
     Customer,
     DemandSeries,
     FeederFormatError,
-    Line,
     Network,
     RadialityError,
     build_snapshot,
@@ -31,7 +30,7 @@ from phasebal.netmodel import (
 from phasebal.formulations import AffineFit, EvaluationResult
 from phasebal.powerflow import PFSolution, feeder_geometry
 
-from conftest import make_v0, symmetric_z, two_bus_network
+from conftest import line_table, make_v0, symmetric_z, two_bus_network
 
 
 class TestSourceVoltage:
@@ -62,13 +61,20 @@ class TestPerUnitBases:
         assert netmodel.IMPEDANCE_BASE_OHM == pytest.approx(240.0**2 * 3.0 / 100_000.0)
 
 
+def with_line_z(network, *z, names=None):
+    """network with its impedance table replaced by the rows z, and its
+    line names too when names is given."""
+
+    return replace(network, line_names=names or network.line_names, line_z_pu=np.array(z))
+
+
 class TestNetworkValidation:
     def test_line_impedance_must_be_symmetric(self):
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
         z = z.copy()
         z[0, 1] += 1e-6
         with pytest.raises(FeederFormatError, match="not symmetric"):
-            Line(name="bad", from_bus=0, to_bus=1, z_pu=z)
+            with_line_z(two_bus_network(), z, names=("bad",))
 
     def test_symmetry_tolerance_boundary(self):
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
@@ -76,10 +82,10 @@ class TestNetworkValidation:
             skewed = z.copy()
             skewed[2, 0] += gap
             if accepted:
-                assert Line(name="near", from_bus=0, to_bus=1, z_pu=skewed).z_pu[2, 0] == z[2, 0] + gap
+                assert with_line_z(two_bus_network(), skewed).line_z_pu[0, 2, 0] == z[2, 0] + gap
             else:
                 with pytest.raises(FeederFormatError, match="line far: impedance matrix is not symmetric"):
-                    Line(name="far", from_bus=0, to_bus=1, z_pu=skewed)
+                    with_line_z(two_bus_network(), skewed, names=("far",))
 
     @pytest.mark.parametrize(
         "entry",
@@ -94,30 +100,73 @@ class TestNetworkValidation:
             bad = z.copy()
             bad[where] = entry
             with pytest.raises(FeederFormatError, match="line bad: impedance must be finite"):
-                Line(name="bad", from_bus=0, to_bus=1, z_pu=bad)
+                with_line_z(two_bus_network(), bad, names=("bad",))
         with pytest.raises(FeederFormatError, match="finite"):
-            Line(name="bad", from_bus=0, to_bus=1, z_pu=np.full((3, 3), math.inf))
+            with_line_z(two_bus_network(), np.full((3, 3), math.inf), names=("bad",))
+
+    def test_line_impedance_must_be_3x3(self):
+        base = two_bus_network()
+        for z in (np.eye(2, dtype=complex)[None], np.eye(3, dtype=complex), np.eye(4, dtype=complex)[None]):
+            with pytest.raises(FeederFormatError) as info:
+                replace(base, line_z_pu=z)
+            assert str(info.value) == "1 line names need (lines, 2) integer ends and (lines, 3, 3) impedances"
+
+    def test_the_first_faulty_line_is_named(self):
+        # A skewed line ahead of a non-finite one is named, and the other way round.
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
+        skewed, infinite = z.copy(), z.copy()
+        skewed[0, 1] += 1e-6
+        infinite[1, 1] = math.inf
+        names = ("l0", "l1", "l2")
+        for rows, message in (
+            ((z, skewed, infinite), "line l1: impedance matrix is not symmetric"),
+            ((z, infinite, skewed), "line l1: impedance must be finite"),
+            ((skewed, z, skewed), "line l0: impedance matrix is not symmetric"),
+            ((z, infinite, infinite), "line l1: impedance must be finite"),
+        ):
+            with pytest.raises(FeederFormatError) as info:
+                Network(
+                    buses=(0, 1, 2, 3), root=0, line_names=names, line_ends=[(0, 1), (1, 2), (2, 3)],
+                    line_z_pu=np.array(rows), customers=(), v0=make_v0(), i_dt_max=2.0,
+                )
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("ends", [[(0, 1.5)], [(0.0, 1.0)], [("0", "1")]])
+    def test_line_ends_must_be_integer_ids(self, ends):
+        # An int cast would turn 1.5 into bus 1 and load the wrong bus.
+        with pytest.raises(FeederFormatError, match=r"^1 line names need \(lines, 2\) integer ends and"):
+            replace(two_bus_network(), line_ends=np.array(ends))
+
+    @pytest.mark.parametrize("field", ["line_names", "line_ends", "line_z_pu"])
+    def test_line_tables_must_have_one_length(self, field):
+        base = two_bus_network()
+        tables = {
+            "line_names": ("l1", "l2"),
+            "line_ends": np.array([(0, 1), (1, 0)]),
+            "line_z_pu": np.array([base.line_z_pu[0]] * 2),
+        }
+        with pytest.raises(FeederFormatError, match="line names need"):
+            replace(base, **{field: tables[field]})
+
+    def test_a_feeder_without_lines_is_valid(self):
+        # One bus, its customer at the root: every table empty.
+        network = Network(
+            buses=(0,), root=0, line_names=(), line_ends=np.empty((0, 2), dtype=int),
+            line_z_pu=np.empty((0, 3, 3), dtype=complex),
+            customers=(Customer(cid=1, name="c1", bus=0, initial_phase=1),), v0=make_v0(), i_dt_max=2.0,
+        )
+        assert network.topology.depth_order == (0,)
+        assert network.line_ends.shape == (0, 2) and network.line_z_pu.shape == (0, 3, 3)
+        assert not feeder_geometry(network).columns.any()
 
     def test_dangling_references_rejected(self):
         base = two_bus_network()
-        with pytest.raises(FeederFormatError, match="unknown bus"):
-            Network(
-                buses=base.buses,
-                root=base.root,
-                lines=(replace_line(base.lines[0], to_bus=9),),
-                customers=base.customers,
-                v0=base.v0,
-                i_dt_max=base.i_dt_max,
-            )
+        for ends, bus in (([(0, 9)], 9), ([(7, 9)], 7)):
+            with pytest.raises(FeederFormatError) as info:
+                replace(base, line_ends=ends)
+            assert str(info.value) == f"line l1 references unknown bus {bus}"
         with pytest.raises(FeederFormatError, match="customer"):
-            Network(
-                buses=base.buses,
-                root=base.root,
-                lines=base.lines,
-                customers=(Customer(cid=1, name="c1", bus=9, initial_phase=0),),
-                v0=base.v0,
-                i_dt_max=base.i_dt_max,
-            )
+            replace(base, customers=(Customer(cid=1, name="c1", bus=9, initial_phase=0),))
 
     def test_repeated_ids_rejected(self):
         # Repeated bus ids left the geometry reading unset table entries, and
@@ -148,15 +197,22 @@ class TestNetworkValidation:
             Network(
                 buses=(0, 1, 2),
                 root=0,
-                lines=(
-                    Line(name="l1", from_bus=0, to_bus=1, z_pu=z),
-                    Line(name="l2", from_bus=1, to_bus=2, z_pu=z),
-                    Line(name="l3", from_bus=2, to_bus=0, z_pu=z),
-                ),
+                **line_table(("l1", 0, 1, z), ("l2", 1, 2, z), ("l3", 2, 0, z)),
                 customers=(),
                 v0=make_v0(),
                 i_dt_max=2.0,
             )
+
+    @pytest.mark.parametrize("bus", [0, 1])
+    def test_a_line_from_a_bus_to_itself_is_named(self, bus):
+        # Not a cycle through l0, nor through a line called root.
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
+        with pytest.raises(RadialityError) as info:
+            Network(
+                buses=(0, 1), root=0, **line_table(("l0", 0, 1, z), ("l1", bus, bus, z)),
+                customers=(), v0=make_v0(), i_dt_max=2.0,
+            )
+        assert str(info.value) == f"line l1 connects bus {bus} to itself"
 
     def test_disconnected_bus_detected(self):
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
@@ -164,10 +220,7 @@ class TestNetworkValidation:
             Network(
                 buses=(0, 1, 2, 3),
                 root=0,
-                lines=(
-                    Line(name="l1", from_bus=0, to_bus=1, z_pu=z),
-                    Line(name="l2", from_bus=2, to_bus=3, z_pu=z),
-                ),
+                **line_table(("l1", 0, 1, z), ("l2", 2, 3, z)),
                 customers=(),
                 v0=make_v0(),
                 i_dt_max=2.0,
@@ -179,11 +232,7 @@ class TestNetworkValidation:
         network = Network(
             buses=(0, 1, 2, 3),
             root=0,
-            lines=(
-                Line(name="trunk", from_bus=0, to_bus=1, z_pu=z),
-                Line(name="left", from_bus=2, to_bus=1, z_pu=z),
-                Line(name="right", from_bus=1, to_bus=3, z_pu=z),
-            ),
+            **line_table(("trunk", 0, 1, z), ("left", 2, 1, z), ("right", 1, 3, z)),
             customers=(
                 Customer(cid=1, name="c1", bus=2, initial_phase=0),
                 Customer(cid=2, name="c2", bus=3, initial_phase=1),
@@ -195,15 +244,9 @@ class TestNetworkValidation:
         report = network.topology
         assert report.depth_order == (0, 1, 2, 3)
         assert report.parent == {0: 0, 1: 0, 2: 1, 3: 1}
-        names = {bus: network.lines[li].name for bus, li in report.parent_line.items()}
+        names = {bus: network.line_names[li] for bus, li in report.parent_line.items()}
         assert names == {1: "trunk", 2: "left", 3: "right"}
         assert validate_radial(network) == report
-
-
-def replace_line(line: Line, **kwargs) -> Line:
-    fields = {"name": line.name, "from_bus": line.from_bus, "to_bus": line.to_bus, "z_pu": line.z_pu}
-    fields.update(kwargs)
-    return Line(**fields)
 
 
 def per_line_impedances(directory) -> list[np.ndarray]:
@@ -229,15 +272,15 @@ def per_line_impedances(directory) -> list[np.ndarray]:
 
 def assert_impedances_per_line(network, directory):
     want = per_line_impedances(directory)
-    assert len(want) == len(network.lines)
-    for line, z in zip(network.lines, want):
-        assert line.z_pu.tobytes() == z.tobytes(), line.name
+    assert network.line_z_pu.shape == (len(want), 3, 3)
+    for name, got, z in zip(network.line_names, network.line_z_pu, want):
+        assert got.tobytes() == z.tobytes(), name
 
 
 class TestImport:
     def test_bundled_counts(self, network, demands):
         assert network.n_buses == 54
-        assert len(network.lines) == 53
+        assert len(network.line_names) == len(network.line_ends) == len(network.line_z_pu) == 53
         assert network.n_customers == 55
         assert demands.n_periods == 96
         assert demands.minutes_per_period == 15
@@ -428,6 +471,16 @@ class TestImport:
             import_european_feeder(broken_dir)
         assert str(info.value) == f"{table} record {record}: invalid {column} {text!r}"
 
+    def test_line_from_a_bus_to_itself_named(self, broken_dir):
+        def transform(rows):
+            rows[3][rows[0].index("Bus2")] = rows[3][rows[0].index("Bus1")]
+            return rows
+
+        self._rewrite(broken_dir / "Lines.csv", transform)
+        with pytest.raises(RadialityError) as info:
+            import_european_feeder(broken_dir)
+        assert str(info.value) == "line T3 connects bus 3 to itself"
+
     def test_zero_line_quantity_accepted(self, broken_dir):
         def transform(rows):
             rows[4][rows[0].index("Length_m")] = "0"
@@ -435,7 +488,7 @@ class TestImport:
 
         self._rewrite(broken_dir / "Lines.csv", transform)
         network, _ = import_european_feeder(broken_dir)
-        assert not next(line.z_pu for line in network.lines if line.name == "T4").any()
+        assert not network.line_z_pu[network.line_names.index("T4")].any()
 
     def test_repeated_load_name_named(self, broken_dir):
         # Two records named LOAD1 would share one shape column and one kW and PF.
@@ -526,14 +579,15 @@ class TestDemandSeries:
 class TestRecordsOwnTheirArrays:
     def test_the_callers_arrays_stay_writeable(self, network, demands):
         # Each record freezes a copy, not the array its caller handed in.
-        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)
-        line = Line(name="own", from_bus=0, to_bus=1, z_pu=z)
+        z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)[None]
+        ends = np.array([(0, 1)])
+        two_bus = replace(two_bus_network(), line_ends=ends, line_z_pu=z)
         p, q = np.ones((4, 1)), np.zeros((4, 1))
         series = DemandSeries(p_w=p, q_var=q, minutes_per_period=15)
         snap = build_snapshot(network, demands, 40, pv_q_control=True)
         given = {name: np.array(getattr(snap, name)) for name in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu")}
         copy = replace(snap, **given)
-        pairs = [(z, line.z_pu), (p, series.p_w), (q, series.q_var)]
+        pairs = [(z, two_bus.line_z_pu), (ends, two_bus.line_ends), (p, series.p_w), (q, series.q_var)]
         pairs += [(array, getattr(copy, name)) for name, array in given.items()]
         cb, ck, ch = (np.ones(3) + 0j for _ in range(3))
         fit = AffineFit(cb=cb, ck=ck, ch=ch)

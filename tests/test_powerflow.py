@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal import powerflow
-from phasebal.netmodel import Customer, Line, Network, build_snapshot
+from phasebal.netmodel import Customer, Network, build_snapshot
 from phasebal.powerflow import (
     FeederGeometry,
     NonConvergenceError,
@@ -23,7 +23,7 @@ from phasebal.powerflow import (
     solve_utpf,
 )
 
-from conftest import loaded_snapshot, make_v0, random_radial_network, symmetric_z, two_bus_network
+from conftest import line_table, loaded_snapshot, make_v0, random_radial_network, symmetric_z, two_bus_network
 
 
 def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
@@ -150,7 +150,7 @@ def line_currents(network, sol):
     up the topology report rather than the solver's cached geometry."""
 
     report = network.topology
-    i_lines = np.zeros((len(network.lines), 3), dtype=complex)
+    i_lines = np.zeros((len(network.line_names), 3), dtype=complex)
     for j, customer in enumerate(network.customers):
         bus = customer.bus
         while bus != network.root:
@@ -166,7 +166,7 @@ def line_balance_residual(network, sol):
 
     bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
-    parent, child = np.zeros((2, len(network.lines)), dtype=int)
+    parent, child = np.zeros((2, len(network.line_names)), dtype=int)
     for bus, li in report.parent_line.items():
         parent[li], child[li] = bus_index[report.parent[bus]], bus_index[bus]
     drops = sol.v[parent] - sol.v[child]
@@ -200,9 +200,9 @@ def current_imbalance(network, asg, sol, s):
 
 
 def ohm_gap(network, sol):
-    """Largest |v[child] - (v[parent] - z_pu @ i_line)| over the Line records,
-    each oriented from parent to child by the topology report and carrying
-    its `line_currents`."""
+    """Largest |v[child] - (v[parent] - z_pu @ i_line)| over the line table's
+    rows, each oriented from parent to child by the topology report and
+    carrying its `line_currents`."""
 
     bus_index = {b: i for i, b in enumerate(network.buses)}
     report = network.topology
@@ -211,7 +211,7 @@ def ohm_gap(network, sol):
         np.max(np.abs(
             sol.v[bus_index[bus]]
             - sol.v[bus_index[report.parent[bus]]]
-            + network.lines[li].z_pu @ i_lines[li]
+            + network.line_z_pu[li] @ i_lines[li]
         ))
         for bus, li in report.parent_line.items()
     )
@@ -239,10 +239,9 @@ class TestRandomFeederConservation:
         # The radiality check accepts a line in either direction; the state
         # and its balance must not depend on it.
         network = random_radial_network(seed=12, n_buses=12, n_customers=8)
-        flipped = replace(network, lines=tuple(
-            replace(line, from_bus=line.to_bus, to_bus=line.from_bus) if k % 2 else line
-            for k, line in enumerate(network.lines)
-        ))
+        ends = np.array(network.line_ends)
+        ends[1::2] = ends[1::2, ::-1]
+        flipped = replace(network, line_ends=ends)
         asg = PhaseAssignment.initial(network)
         sol = solve_utpf(loaded_snapshot(network, 12, switches=0), asg)
         snap = loaded_snapshot(flipped, 12, switches=0)
@@ -307,7 +306,7 @@ def chain_lca_meet(network):
             for x in chains[bus][1:]:
                 if x not in on_b:
                     break
-                z = z + network.lines[topology.parent_line[x]].z_pu
+                z = z + network.line_z_pu[topology.parent_line[x]]
             out[j, :, m] = z.T
     return out
 
@@ -352,14 +351,14 @@ def per_bus_geometry(network):
     n = network.n_buses
 
     parent = np.full(n, -1, dtype=int)
-    line_child = np.empty(len(network.lines), dtype=int)
+    line_child = np.empty(len(network.line_names), dtype=int)
     depth_order = np.array([bus_index[b] for b in report.depth_order], dtype=int)
     for bus, li in report.parent_line.items():
         parent[bus_index[bus]] = bus_index[report.parent[bus]]
         line_child[li] = bus_index[bus]
 
     z_child = np.zeros((n, 3, 3), dtype=complex)  # each bus's line to its parent
-    z_child[line_child] = np.stack([l.z_pu for l in network.lines])
+    z_child[line_child] = network.line_z_pu
     zcum = np.zeros((n, 3, 3), dtype=complex)
     for bi in depth_order[1:]:
         zcum[bi] = zcum[parent[bi]] + z_child[bi]
@@ -415,20 +414,20 @@ def branched_chain_network(seed, depth, customers_at):
     buses = list(range(len(edges) + 1))
     skew = np.zeros((3, 3), dtype=complex)
     skew[0, 1], skew[2, 1] = 4e-13, 3e-13j
-    lines = tuple(
-        Line(
-            name=f"l{k}",
-            from_bus=a if k % 2 else b,
-            to_bus=b if k % 2 else a,
-            z_pu=skew + symmetric_z(complex(*rng.uniform(0.001, 0.03, 2)), complex(*rng.uniform(0.0005, 0.01, 2))),
+    lines = line_table(*(
+        (
+            f"l{k}",
+            a if k % 2 else b,
+            b if k % 2 else a,
+            skew + symmetric_z(complex(*rng.uniform(0.001, 0.03, 2)), complex(*rng.uniform(0.0005, 0.01, 2))),
         )
         for k, (a, b) in enumerate(edges)
-    )
+    ))
     customers = tuple(
         Customer(cid=j + 1, name=f"c{j + 1}", bus=bus, initial_phase=j % 3)
         for j, bus in enumerate(customers_at(buses, chain))
     )
-    return Network(buses=tuple(buses), root=0, lines=lines, customers=customers, v0=make_v0(), i_dt_max=2.0)
+    return Network(buses=tuple(buses), root=0, **lines, customers=customers, v0=make_v0(), i_dt_max=2.0)
 
 
 class TestFeederGeometry:
