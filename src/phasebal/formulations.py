@@ -755,8 +755,8 @@ class _Kernel:
         self.network = snapshot.network
         self.v0 = self.network.v0
         self.s = _effective_loads(snapshot, None)
-        self.movable = np.asarray(sorted(snapshot.adjustable_idx), dtype=int)
-        self.initial = np.array([c.initial_phase for c in self.network.customers], dtype=int)
+        self.movable = np.flatnonzero(snapshot.switchable)
+        self.initial = self.network.initial_phases.astype(int)
         self.col_inverse = feeder_geometry(self.network).col_inverse
 
     @property

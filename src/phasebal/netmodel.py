@@ -4,9 +4,11 @@ Loads a low-voltage feeder from its CSV tables (lines, line codes, loads,
 load shapes, source), converts everything to per-unit on the fixed bases
 and produces immutable per-period snapshots with net demands and optional
 PV reactive-power bounds. A feeder's lines are one table of names, end bus
-ids and impedances. The operational limits, the penalty weight and the case
-study's PV and switch customers are module constants; only the transformer
-rating varies, per feeder.
+ids and impedances, its customers one of names, bus ids and initial phases,
+and a period's switch set is one bool column over the customers. The
+operational limits, the penalty weight and the case study's PV and switch
+customers are module constants; only the transformer rating varies, per
+feeder.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ V_MAX = 1.10
 NEG_SEQ_MAX = 0.01
 MB = 500.0
 
-# The case study: customer ids (Loads.csv record numbers) that host PV or
-# a phase-switching device, each PV unit's capacity, and its reactive band
-# as a fraction of that capacity when PV-Q control is on.
+# The case study: customer ids that host PV or a phase-switching device,
+# each PV unit's capacity, and its reactive band as a fraction of that
+# capacity when PV-Q control is on. A customer's id is its Loads.csv record
+# number: its position in the network's customer table plus 1.
 PV_CUSTOMERS = (5, 9, 15, 18, 20, 26, 30, 37, 45, 50)
 SWITCH_CUSTOMERS = (2, 8, 23, 24, 29, 32, 33, 35, 38, 53)
 PV_CAPACITY_KW = 7.0
@@ -66,24 +69,19 @@ def _freeze(record, name: str, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Customer:
-    cid: int
-    name: str
-    bus: int
-    initial_phase: int  # 0, 1, 2 for a, b, c
-
-
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Radial feeder in per-unit: buses, a line table, customers, the source
-    voltage and the transformer's current rating.
+    """Radial feeder in per-unit: buses, a line table, a customer table, the
+    source voltage and the transformer's current rating.
 
     The line table is one row per line in three fields, its arrays read-only
     copies, checked once for integer ends on known buses and finite
-    impedances symmetric to 1e-12, naming the first faulty line. `topology`
+    impedances symmetric to 1e-12, naming the first faulty line. The
+    customer table is one entry per customer in three fields, its arrays
+    read-only copies, checked once for integer buses on known buses and
+    initial phases 0, 1 or 2, naming the first faulty customer. `topology`
     is the radiality check's report, made once on construction, with
-    read-only maps. Bus ids and customer ids must not repeat.
+    read-only maps. Bus ids must not repeat.
     """
 
     buses: tuple[int, ...]
@@ -91,7 +89,9 @@ class Network:
     line_names: tuple[str, ...]
     line_ends: np.ndarray  # (lines, 2) from and to bus ids
     line_z_pu: np.ndarray  # (lines, 3, 3) complex, each symmetric
-    customers: tuple[Customer, ...]
+    customer_names: tuple[str, ...]
+    customer_buses: np.ndarray  # (customers,) bus ids
+    initial_phases: np.ndarray  # (customers,) 0, 1, 2 for a, b, c
     v0: np.ndarray  # (3,) complex source voltage, phases a, b, c
     i_dt_max: float  # per-phase transformer current limit
     topology: TopologyReport = field(init=False, repr=False)
@@ -114,21 +114,24 @@ class Network:
         v0 = _freeze(self, "v0", complex)
         if v0.shape != (3,) or not np.all(np.isfinite(v0) & (v0 != 0)):
             raise FeederFormatError(f"v0 must be 3 finite phase voltages, none zero, got {given!r}")
-        for what, ids in (("bus", self.buses), ("customer", [c.cid for c in self.customers])):
-            if repeated := sorted(i for i, count in Counter(ids).items() if count > 1):
-                raise FeederFormatError(f"{what} ids repeated: {repeated}")
-        bus_set = set(self.buses)
-        if self.root not in bus_set:
+        if repeated := sorted(i for i, count in Counter(self.buses).items() if count > 1):
+            raise FeederFormatError(f"bus ids repeated: {repeated}")
+        if self.root not in self.buses:
             raise FeederFormatError(f"root bus {self.root} is not in the bus list")
         known = np.isin(ends, self.buses).ravel()
         if not known.all():
             k, end = divmod(int(known.argmin()), 2)
             raise FeederFormatError(f"line {names[k]} references unknown bus {ends[k, end]}")
-        for cust in self.customers:
-            if cust.bus not in bus_set:
-                raise FeederFormatError(f"customer {cust.name} references unknown bus {cust.bus}")
-            if cust.initial_phase not in (0, 1, 2):
-                raise FeederFormatError(f"customer {cust.name} has initial phase {cust.initial_phase!r}")
+        names = self.customer_names
+        bus, phase = _freeze(self, "customer_buses", None), _freeze(self, "initial_phases", None)
+        if not (bus.shape == phase.shape == (len(names),) and {bus.dtype.kind, phase.dtype.kind} <= set("iu")):
+            raise FeederFormatError(f"{len(names)} customer names need (customers,) integer buses and initial phases")
+        unknown = ~np.isin(bus, self.buses)
+        if (bad := unknown | (phase < 0) | (phase > 2)).any():
+            k = int(bad.argmax())
+            if unknown[k]:
+                raise FeederFormatError(f"customer {names[k]} references unknown bus {bus[k]}")
+            raise FeederFormatError(f"customer {names[k]} has initial phase {phase[k].item()!r}")
         object.__setattr__(self, "topology", validate_radial(self))
 
     @property
@@ -137,7 +140,7 @@ class Network:
 
     @property
     def n_customers(self) -> int:
-        return len(self.customers)
+        return len(self.customer_names)
 
 
 @dataclass(frozen=True)
@@ -178,14 +181,15 @@ class DemandSeries:
 
 @dataclass(frozen=True, eq=False)
 class CaseSnapshot:
-    """Net per-unit demands for one period plus PV reactive bounds."""
+    """Net per-unit demands for one period plus PV reactive bounds and the
+    customers whose phase may switch."""
 
     network: Network
     p_pu: np.ndarray  # (customers,) net active demand, negative when exporting
     q_pu: np.ndarray
     q_lo_pu: np.ndarray  # per-customer reactive adjustment bounds, q_lo <= 0 <= q_hi
     q_hi_pu: np.ndarray
-    adjustable_idx: tuple[int, ...]  # positions into network.customers
+    switchable: np.ndarray  # (customers,) bool, True where a phase-switching device sits
 
     def __post_init__(self) -> None:
         n = self.network.n_customers
@@ -197,12 +201,9 @@ class CaseSnapshot:
                 raise ValueError(f"{nameattr} must be finite")
         if np.any(self.q_lo_pu > 0) or np.any(self.q_hi_pu < 0):
             raise ValueError("reactive bounds must satisfy q_lo <= 0 <= q_hi")
-        bad = [i for i in self.adjustable_idx if not 0 <= i < n]
-        if bad:
-            raise ValueError(f"adjustable customer positions out of range: {bad}")
-        repeated = sorted({i for i in self.adjustable_idx if self.adjustable_idx.count(i) > 1})
-        if repeated:
-            raise ValueError(f"adjustable customer positions repeated: {repeated}")
+        switchable = _freeze(self, "switchable", None)
+        if switchable.shape != (n,) or switchable.dtype != bool:
+            raise ValueError("switchable must be one bool per customer")
 
     @property
     def s_pu(self) -> np.ndarray:
@@ -347,18 +348,17 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
     bus_set = set(buses)
 
     # A load's shape is the LoadShapes.csv column of its name, so names must not repeat.
-    customers: list[Customer] = []
     col = partial(_column, "Loads.csv", _read_csv(directory / "Loads.csv"))
     names, kws, pfs = col("Name"), col("kW", _finite), col("PF", _finite)
+    load_buses, phases = col("Bus", int), col("Phase")
     _unique("Loads.csv", "load name", names)
-    for idx, (name, bus, phase, pf) in enumerate(zip(names, col("Bus", int), col("Phase"), pfs), start=1):
+    for name, bus, phase, pf in zip(names, load_buses, phases, pfs):
         if bus not in bus_set:
             raise FeederFormatError(f"Loads.csv: load {name} references unknown bus {bus}")
         if phase not in PHASE_INDEX:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid phase {phase!r}")
         if not 0.0 < pf <= 1.0:
             raise FeederFormatError(f"Loads.csv: load {name} has invalid power factor")
-        customers.append(Customer(cid=idx, name=name, bus=bus, initial_phase=PHASE_INDEX[phase]))
 
     shapes = _read_csv(directory / "LoadShapes.csv")
     missing = [n for n in names if n not in shapes]
@@ -388,7 +388,9 @@ def import_european_feeder(directory: str | Path) -> tuple[Network, DemandSeries
         line_names=tuple(line_names),
         line_ends=np.column_stack((bus1, bus2)),
         line_z_pu=z_pu,
-        customers=tuple(customers),
+        customer_names=tuple(names),
+        customer_buses=np.array(load_buses),
+        initial_phases=np.array([PHASE_INDEX[phase] for phase in phases]),
         v0=v0_pu * np.exp(1j * angles),
         i_dt_max=dt_kva / (POWER_BASE_VA / 1e3),
     )
@@ -468,28 +470,24 @@ def build_snapshot(
         )
     if not 0 <= period < demands.n_periods:
         raise ValueError(f"period {period} outside series of {demands.n_periods}")
-    known = {c.cid for c in network.customers}
     for cid in PV_CUSTOMERS + SWITCH_CUSTOMERS:
-        if cid not in known:
+        if cid > n:
             raise ValueError(f"the feeder has no customer {cid}, a case-study PV or switch customer")
 
     phase_base = PHASE_POWER_BASE_VA
     p_w = demands.p_w[period].copy()
     q_var = demands.q_var[period]
 
-    hour = demands.period_mid_hour(period)
-    gen_w = pv_generation_w(PV_CAPACITY_KW, hour)
-    q_lo = np.zeros(n)
-    q_hi = np.zeros(n)
-    for k, cust in enumerate(network.customers):
-        if cust.cid in PV_CUSTOMERS:
-            p_w[k] -= gen_w
-            if pv_q_control:
-                band = PV_Q_FRACTION * PV_CAPACITY_KW * 1e3
-                q_lo[k] = -band / phase_base
-                q_hi[k] = band / phase_base
-
-    adjustable = tuple(k for k, c in enumerate(network.customers) if c.cid in SWITCH_CUSTOMERS)
+    # A customer's position in the table is its id - 1.
+    pv = np.subtract(PV_CUSTOMERS, 1)
+    switchable = np.zeros(n, dtype=bool)
+    switchable[np.subtract(SWITCH_CUSTOMERS, 1)] = True
+    p_w[pv] -= pv_generation_w(PV_CAPACITY_KW, demands.period_mid_hour(period))
+    # Bands set on zero arrays: negating a zero band would give -0.0.
+    q_lo, q_hi = np.zeros(n), np.zeros(n)
+    if pv_q_control:
+        band = PV_Q_FRACTION * PV_CAPACITY_KW * 1e3
+        q_lo[pv], q_hi[pv] = -band / phase_base, band / phase_base
 
     return CaseSnapshot(
         network=network,
@@ -497,5 +495,5 @@ def build_snapshot(
         q_pu=q_var / phase_base,
         q_lo_pu=q_lo,
         q_hi_pu=q_hi,
-        adjustable_idx=adjustable,
+        switchable=switchable,
     )

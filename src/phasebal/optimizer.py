@@ -471,11 +471,7 @@ def optimize_pv_q(
 
     model = _model(method, "line")
     q = np.zeros(snapshot.network.n_customers)
-    free = [
-        int(c)
-        for c in range(snapshot.network.n_customers)
-        if snapshot.q_hi_pu[c] - snapshot.q_lo_pu[c] > 0.0
-    ]
+    free = np.flatnonzero(snapshot.q_hi_pu > snapshot.q_lo_pu)
     start_q = q.copy()
     start = model.evaluate(snapshot, assignment, q, profile)
     line = model.line(snapshot, np.asarray(assignment.phases, dtype=int), profile)

@@ -68,7 +68,7 @@ class PhaseAssignment:
 
     @classmethod
     def initial(cls, network: Network) -> "PhaseAssignment":
-        return cls(tuple(c.initial_phase for c in network.customers))
+        return cls(tuple(network.initial_phases.tolist()))
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -82,13 +82,14 @@ def check_assignment(snapshot: CaseSnapshot, assignment: PhaseAssignment) -> Non
         raise ValueError(
             f"assignment covers {len(assignment)} customers, network has {network.n_customers}"
         )
-    movable = set(snapshot.adjustable_idx)
-    for k, cust in enumerate(network.customers):
-        if k not in movable and assignment.phases[k] != cust.initial_phase:
-            raise ValueError(
-                f"customer {cust.name} has no switch but is moved from phase "
-                f"{cust.initial_phase} to {assignment.phases[k]}"
-            )
+    initial = network.initial_phases
+    moved = ~snapshot.switchable & (np.array(assignment.phases) != initial)
+    if moved.any():
+        k = int(moved.argmax())
+        raise ValueError(
+            f"customer {network.customer_names[k]} has no switch but is moved from phase "
+            f"{initial[k]} to {assignment.phases[k]}"
+        )
 
 
 def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.ndarray:
@@ -158,7 +159,7 @@ def feeder_geometry(network: Network) -> FeederGeometry:
     z_child = np.zeros((n + 1, 3, 3), dtype=complex)  # each bus's line to its parent
     child = [bus_index[bus] for bus in report.parent_line]
     z_child[child] = network.line_z_pu[list(report.parent_line.values())]
-    cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
+    cust_bus = np.array([bus_index[b] for b in network.customer_buses.tolist()], dtype=int)
 
     # up[s, j] is the bus s steps above customer j's, -1 above the root:
     # while step takes each bus len(up) steps up, step[up] is the next len(up) rows.

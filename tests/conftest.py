@@ -10,12 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasebal.netmodel import (
-    CaseSnapshot,
-    Customer,
-    Network,
-    load_bundled_feeder,
-)
+from phasebal.netmodel import CaseSnapshot, Network, load_bundled_feeder
 
 V0_ANGLES = np.array([0.0, -2.0 * np.pi / 3.0, 2.0 * np.pi / 3.0])
 
@@ -35,6 +30,17 @@ def line_table(*lines) -> dict[str, object]:
     return {"line_names": names, "line_ends": np.column_stack((from_bus, to_bus)), "line_z_pu": np.array(z)}
 
 
+def customer_table(*customers) -> dict[str, object]:
+    """`Network`'s three customer fields from (name, bus, initial_phase) rows."""
+
+    names, buses, phases = zip(*customers) if customers else ((), (), ())
+    return {
+        "customer_names": names,
+        "customer_buses": np.array(buses, dtype=int),
+        "initial_phases": np.array(phases, dtype=int),
+    }
+
+
 def two_bus_network(
     z_self: complex = 0.01 + 0.03j,
     z_mutual: complex = 0.003 + 0.01j,
@@ -46,10 +52,7 @@ def two_bus_network(
         buses=(0, 1),
         root=0,
         **line_table(("l1", 0, 1, symmetric_z(z_self, z_mutual))),
-        customers=tuple(
-            Customer(cid=i + 1, name=f"c{i + 1}", bus=1, initial_phase=ph)
-            for i, ph in enumerate(customers)
-        ),
+        **customer_table(*((f"c{i + 1}", 1, ph) for i, ph in enumerate(customers))),
         v0=make_v0(),
         i_dt_max=2.0,
     )
@@ -71,20 +74,14 @@ def random_radial_network(seed: int, n_buses: int = 30, n_customers: int = 24) -
         )
         for k in range(1, n_buses)
     ))
-    customers = tuple(
-        Customer(
-            cid=j + 1,
-            name=f"c{j + 1}",
-            bus=int(rng.integers(1, n_buses)),
-            initial_phase=int(rng.integers(0, 3)),
-        )
-        for j in range(n_customers)
-    )
+    customers = customer_table(*(
+        (f"c{j + 1}", int(rng.integers(1, n_buses)), int(rng.integers(0, 3))) for j in range(n_customers)
+    ))
     return Network(
         buses=tuple(range(n_buses)),
         root=0,
         **lines,
-        customers=customers,
+        **customers,
         v0=make_v0(),
         i_dt_max=2.0,
     )
@@ -107,7 +104,7 @@ def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
         q_pu=q,
         q_lo_pu=-band,
         q_hi_pu=band,
-        adjustable_idx=tuple(range(switches)),
+        switchable=np.arange(n) < switches,
     )
 
 

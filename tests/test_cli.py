@@ -561,10 +561,11 @@ def test_a_method_without_a_verified_cell_summarizes_as_n_a(tmp_path, capsys, br
     argv = ["sweep", "--scenario", str(broken_feeders["HEAVY-LOADS"]), "--methods", "initial"]
     assert main([*argv, "--periods", "73:74", "--parallelism", "1", "--out-dir", str(tmp_path)]) == 1
     stats = json.loads((tmp_path / "summary.json").read_text())["methods"]["initial"]
-    assert (stats["failures"], stats["verified_reduction_pct"], stats["max_verified_vneg"]) == (1, None, None)
+    verified = ("verified_reduction_pct", "max_verified_vneg", "mean_model_gap")
+    assert (stats["failures"], *(stats[key] for key in verified)) == (1, None, None, None)
     assert (
         "  initial: 1 rows, 1 failures, pi reduction n/a, 0 violation cells, 0 worse than initial, "
-        "verified F reduction n/a, max verified vneg n/a"
+        "verified F reduction n/a, max verified vneg n/a, mean model gap n/a"
     ) in capsys.readouterr().out.splitlines()
 
 

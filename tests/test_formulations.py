@@ -337,8 +337,8 @@ class TestLinearizedInverseModel:
     def test_solves_the_model_equation(self, network, demands, period):
         snap = build_snapshot(network, demands, period)
         rng = np.random.default_rng(period)
-        phases = np.array([c.initial_phase for c in network.customers])
-        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=len(snap.adjustable_idx))
+        phases = network.initial_phases.copy()
+        phases[snap.switchable] = rng.integers(0, 3, size=snap.switchable.sum())
         asg = PhaseAssignment(tuple(int(p) for p in phases))
         out = evaluate_linv(snap, asg)
         assert self._equation_residual(snap, asg, out) <= 1e-12
@@ -359,7 +359,7 @@ class TestLinearizedInverseModel:
         snap = snapshot_for(
             network, rng.uniform(0.005, 0.03, n), rng.uniform(0.0, 0.01, n), adjustable=range(6)
         )
-        phases = [c.initial_phase for c in network.customers]
+        phases = network.initial_phases.tolist()
         phases[:6] = rng.integers(0, 3, size=6).tolist()
         asg = PhaseAssignment(tuple(phases))
         out = evaluate_linv(snap, asg)
@@ -449,8 +449,8 @@ class TestBranchFlowIsFlatFixv:
     @staticmethod
     def _assert_matches_nominal_rotation(snap, rng):
         network = snap.network
-        phases = np.array([c.initial_phase for c in network.customers])
-        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, len(snap.adjustable_idx))
+        phases = network.initial_phases.copy()
+        phases[snap.switchable] = rng.integers(0, 3, snap.switchable.sum())
         asg = PhaseAssignment(tuple(int(p) for p in phases))
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         assert np.any(q != 0.0)
@@ -525,8 +525,8 @@ class TestLineScorer:
         network = replace(network, i_dt_max=i_dt_max or network.i_dt_max)
         snap = build_snapshot(network, demands, period, pv_q_control=True)
         rng = np.random.default_rng(period)
-        phases = np.array([c.initial_phase for c in network.customers])
-        phases[list(snap.adjustable_idx)] = rng.integers(0, 3, size=len(snap.adjustable_idx))
+        phases = network.initial_phases.copy()
+        phases[snap.switchable] = rng.integers(0, 3, size=snap.switchable.sum())
         asg = PhaseAssignment(tuple(int(p) for p in phases))
         if i_dt_max is not None:
             # The rating binds, so each point prices the transformer current.
@@ -648,7 +648,7 @@ class TestLineScreen:
         band = np.array([0.0192])
         snap = CaseSnapshot(
             network=network, p_pu=np.array([0.96]), q_pu=np.zeros(1),
-            q_lo_pu=-band, q_hi_pu=band, adjustable_idx=(0,),
+            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]),
         )
         asg = PhaseAssignment.initial(network)
         assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
@@ -663,7 +663,7 @@ class TestLineScreen:
         band = np.array([0.04])
         snap = CaseSnapshot(
             network=network, p_pu=np.array([2.0]), q_pu=np.zeros(1),
-            q_lo_pu=-band, q_hi_pu=band, adjustable_idx=(0,),
+            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]),
         )
         asg = PhaseAssignment.initial(network)
         assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
@@ -799,7 +799,7 @@ class TestPerBusOutputs:
     @staticmethod
     def _case():
         network, snap = merged_column_case()
-        phases = [c.initial_phase for c in network.customers]
+        phases = network.initial_phases.tolist()
         phases[:6] = [2, 0, 1, 1, 2, 0]
         return network, snap, PhaseAssignment(tuple(phases))
 
@@ -905,7 +905,7 @@ class TestBatchKernels:
     def test_full_phases_only_moves_switch_customers(self, network, demands):
         snap = build_snapshot(network, demands, 40)
         kernel = _MODELS["lbfm"].kernel(snap)
-        initial = np.array([c.initial_phase for c in network.customers])
+        initial = network.initial_phases
         full = kernel.full_phases(np.zeros((1, kernel.n_movable), dtype=int))[0]
         fixed = np.setdiff1d(np.arange(network.n_customers), kernel.movable)
         assert np.array_equal(full[fixed], initial[fixed])

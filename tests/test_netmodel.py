@@ -16,7 +16,6 @@ import pytest
 from phasebal import netmodel
 from phasebal.netmodel import (
     CaseSnapshot,
-    Customer,
     DemandSeries,
     FeederFormatError,
     Network,
@@ -30,7 +29,7 @@ from phasebal.netmodel import (
 from phasebal.formulations import AffineFit, EvaluationResult
 from phasebal.powerflow import PFSolution, feeder_geometry
 
-from conftest import line_table, make_v0, symmetric_z, two_bus_network
+from conftest import customer_table, line_table, make_v0, symmetric_z, two_bus_network
 
 
 class TestSourceVoltage:
@@ -127,7 +126,7 @@ class TestNetworkValidation:
             with pytest.raises(FeederFormatError) as info:
                 Network(
                     buses=(0, 1, 2, 3), root=0, line_names=names, line_ends=[(0, 1), (1, 2), (2, 3)],
-                    line_z_pu=np.array(rows), customers=(), v0=make_v0(), i_dt_max=2.0,
+                    line_z_pu=np.array(rows), **customer_table(), v0=make_v0(), i_dt_max=2.0,
                 )
             assert str(info.value) == message
 
@@ -153,7 +152,7 @@ class TestNetworkValidation:
         network = Network(
             buses=(0,), root=0, line_names=(), line_ends=np.empty((0, 2), dtype=int),
             line_z_pu=np.empty((0, 3, 3), dtype=complex),
-            customers=(Customer(cid=1, name="c1", bus=0, initial_phase=1),), v0=make_v0(), i_dt_max=2.0,
+            **customer_table(("c1", 0, 1)), v0=make_v0(), i_dt_max=2.0,
         )
         assert network.topology.depth_order == (0,)
         assert network.line_ends.shape == (0, 2) and network.line_z_pu.shape == (0, 3, 3)
@@ -165,25 +164,57 @@ class TestNetworkValidation:
             with pytest.raises(FeederFormatError) as info:
                 replace(base, line_ends=ends)
             assert str(info.value) == f"line l1 references unknown bus {bus}"
-        with pytest.raises(FeederFormatError, match="customer"):
-            replace(base, customers=(Customer(cid=1, name="c1", bus=9, initial_phase=0),))
+        with pytest.raises(FeederFormatError) as info:
+            replace(base, customer_buses=np.array([9]))
+        assert str(info.value) == "customer c1 references unknown bus 9"
 
     def test_repeated_ids_rejected(self):
-        # Repeated bus ids left the geometry reading unset table entries, and
-        # repeated customer ids made build_snapshot count one switch twice.
+        # Repeated bus ids left the geometry reading unset table entries.
         base = two_bus_network(customers=(0, 1, 2))
         with pytest.raises(FeederFormatError, match=r"^bus ids repeated: \[1\]$"):
             replace(base, buses=(0, 1, 1))
-        twins = (base.customers[0], replace(base.customers[1], cid=1), replace(base.customers[2], cid=1))
-        with pytest.raises(FeederFormatError, match=r"^customer ids repeated: \[1\]$"):
-            replace(base, customers=twins)
 
     @pytest.mark.parametrize("phase", [-1, 3, 5])
     def test_initial_phase_out_of_range_rejected(self, phase):
         base = two_bus_network(customers=(0, 1))
-        customers = (base.customers[0], replace(base.customers[1], initial_phase=phase))
         with pytest.raises(FeederFormatError, match=f"^customer c2 has initial phase {phase}$"):
-            replace(base, customers=customers)
+            replace(base, initial_phases=np.array([0, phase]))
+
+    @pytest.mark.parametrize("field", ["customer_names", "customer_buses", "initial_phases"])
+    def test_customer_tables_must_have_one_length(self, field):
+        base = two_bus_network()
+        tables = {
+            "customer_names": ("c1", "c2"),
+            "customer_buses": np.array([1, 1]),
+            "initial_phases": np.array([0, 1]),
+        }
+        with pytest.raises(FeederFormatError) as info:
+            replace(base, **{field: tables[field]})
+        n = 2 if field == "customer_names" else 1
+        assert str(info.value) == f"{n} customer names need (customers,) integer buses and initial phases"
+
+    @pytest.mark.parametrize("field", ["customer_buses", "initial_phases"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1"])
+    def test_customer_buses_and_phases_must_be_integer(self, field, value):
+        # An int cast would turn 1.5 into bus or phase 1 and load the wrong one.
+        with pytest.raises(FeederFormatError) as info:
+            replace(two_bus_network(), **{field: np.array([value])})
+        assert str(info.value) == "1 customer names need (customers,) integer buses and initial phases"
+
+    def test_the_first_faulty_customer_is_named(self):
+        # A customer's unknown bus is named before its phase, and an earlier
+        # faulty customer before a later one, whatever its fault.
+        base = two_bus_network(customers=(0, 1, 2))
+        for buses, phases, message in (
+            ([1, 9, 1], [0, 1, 5], "customer c2 references unknown bus 9"),
+            ([1, 1, 9], [0, 5, 1], "customer c2 has initial phase 5"),
+            ([1, 9, 1], [0, 3, 0], "customer c2 references unknown bus 9"),
+            ([7, 1, 1], [0, 0, -1], "customer c1 references unknown bus 7"),
+            ([1, 1, 1], [0, -1, 3], "customer c2 has initial phase -1"),
+        ):
+            with pytest.raises(FeederFormatError) as info:
+                replace(base, customer_buses=np.array(buses), initial_phases=np.array(phases))
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("rating", [0.0, -2.0, math.nan, math.inf])
     def test_transformer_rating_must_be_finite_and_positive(self, rating):
@@ -198,7 +229,7 @@ class TestNetworkValidation:
                 buses=(0, 1, 2),
                 root=0,
                 **line_table(("l1", 0, 1, z), ("l2", 1, 2, z), ("l3", 2, 0, z)),
-                customers=(),
+                **customer_table(),
                 v0=make_v0(),
                 i_dt_max=2.0,
             )
@@ -210,7 +241,7 @@ class TestNetworkValidation:
         with pytest.raises(RadialityError) as info:
             Network(
                 buses=(0, 1), root=0, **line_table(("l0", 0, 1, z), ("l1", bus, bus, z)),
-                customers=(), v0=make_v0(), i_dt_max=2.0,
+                **customer_table(), v0=make_v0(), i_dt_max=2.0,
             )
         assert str(info.value) == f"line l1 connects bus {bus} to itself"
 
@@ -221,7 +252,7 @@ class TestNetworkValidation:
                 buses=(0, 1, 2, 3),
                 root=0,
                 **line_table(("l1", 0, 1, z), ("l2", 2, 3, z)),
-                customers=(),
+                **customer_table(),
                 v0=make_v0(),
                 i_dt_max=2.0,
             )
@@ -233,11 +264,7 @@ class TestNetworkValidation:
             buses=(0, 1, 2, 3),
             root=0,
             **line_table(("trunk", 0, 1, z), ("left", 2, 1, z), ("right", 1, 3, z)),
-            customers=(
-                Customer(cid=1, name="c1", bus=2, initial_phase=0),
-                Customer(cid=2, name="c2", bus=3, initial_phase=1),
-                Customer(cid=3, name="c3", bus=1, initial_phase=2),
-            ),
+            **customer_table(("c1", 2, 0), ("c2", 3, 1), ("c3", 1, 2)),
             v0=make_v0(),
             i_dt_max=2.0,
         )
@@ -303,8 +330,8 @@ class TestImport:
                 row["Name"]: (float(row["kW"]), float(row["PF"]))
                 for row in csv.DictReader(fh)
             }
-        for k, cust in enumerate(network.customers):
-            kw, pf = loads[cust.name]
+        for k, name in enumerate(network.customer_names):
+            kw, pf = loads[name]
             expect = demands.p_w[:, k] * math.tan(math.acos(pf))
             assert np.allclose(demands.q_var[:, k], expect)
 
@@ -522,7 +549,7 @@ class TestImport:
             loads = list(csv.DictReader(fh))
         with (bundled_feeder_dir() / "LoadShapes.csv").open() as fh:
             shapes = list(csv.DictReader(fh))
-        assert [c.name for c in network.customers] == [row["Name"] for row in loads]
+        assert list(network.customer_names) == [row["Name"] for row in loads]
         for k, row in enumerate(loads):
             mult = np.array([float(shape[row["Name"]]) for shape in shapes])
             p_w = mult * float(row["kW"]) * 1e3
@@ -580,14 +607,15 @@ class TestRecordsOwnTheirArrays:
     def test_the_callers_arrays_stay_writeable(self, network, demands):
         # Each record freezes a copy, not the array its caller handed in.
         z = symmetric_z(0.01 + 0.03j, 0.003 + 0.01j)[None]
-        ends = np.array([(0, 1)])
-        two_bus = replace(two_bus_network(), line_ends=ends, line_z_pu=z)
+        ends, at, phases = np.array([(0, 1)]), np.array([1]), np.array([2])
+        two_bus = replace(two_bus_network(), line_ends=ends, line_z_pu=z, customer_buses=at, initial_phases=phases)
         p, q = np.ones((4, 1)), np.zeros((4, 1))
         series = DemandSeries(p_w=p, q_var=q, minutes_per_period=15)
         snap = build_snapshot(network, demands, 40, pv_q_control=True)
-        given = {name: np.array(getattr(snap, name)) for name in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu")}
+        given = {name: np.array(getattr(snap, name)) for name in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu", "switchable")}
         copy = replace(snap, **given)
-        pairs = [(z, two_bus.line_z_pu), (ends, two_bus.line_ends), (p, series.p_w), (q, series.q_var)]
+        pairs = [(z, two_bus.line_z_pu), (ends, two_bus.line_ends), (at, two_bus.customer_buses)]
+        pairs += [(phases, two_bus.initial_phases), (p, series.p_w), (q, series.q_var)]
         pairs += [(array, getattr(copy, name)) for name, array in given.items()]
         cb, ck, ch = (np.ones(3) + 0j for _ in range(3))
         fit = AffineFit(cb=cb, ck=ck, ch=ch)
@@ -646,7 +674,8 @@ class TestSnapshot:
 
     def test_unknown_scenario_customer(self, network, demands):
         # Switch customer 53 is beyond a feeder cut to its first 51 loads.
-        cut = replace(network, customers=network.customers[:51])
+        fields = ("customer_names", "customer_buses", "initial_phases")
+        cut = replace(network, **{name: getattr(network, name)[:51] for name in fields})
         short = DemandSeries(
             p_w=demands.p_w[:, :51], q_var=demands.q_var[:, :51], minutes_per_period=15
         )
@@ -657,7 +686,7 @@ class TestSnapshot:
     def test_pv_subtracts_at_noon_only(self, network, demands):
         noon = 48  # 12:00-12:15
         night = 4
-        hosts = [k for k, c in enumerate(network.customers) if c.cid in netmodel.PV_CUSTOMERS]
+        hosts = [k for k in range(network.n_customers) if k + 1 in netmodel.PV_CUSTOMERS]
         others = [k for k in range(network.n_customers) if k not in hosts]
         assert len(hosts) == 10
         for period, changed in ((noon, True), (night, False)):
@@ -676,12 +705,12 @@ class TestSnapshot:
         on = build_snapshot(network, demands, 48, pv_q_control=True)
         assert np.all(off.q_lo_pu == 0.0) and np.all(off.q_hi_pu == 0.0)
         band = 0.05 * 7e3 / netmodel.PHASE_POWER_BASE_VA
-        hosts = [k for k, c in enumerate(network.customers) if c.cid in netmodel.PV_CUSTOMERS]
+        hosts = [k for k in range(network.n_customers) if k + 1 in netmodel.PV_CUSTOMERS]
         assert np.allclose(on.q_hi_pu[hosts], band)
         assert np.allclose(on.q_lo_pu[hosts], -band)
         others = [k for k in range(network.n_customers) if k not in hosts]
         assert np.all(on.q_lo_pu[others] == 0.0) and np.all(on.q_hi_pu[others] == 0.0)
-        assert len(on.adjustable_idx) == 10
+        assert on.switchable.sum() == off.switchable.sum() == 10
 
     @pytest.mark.parametrize("name", ["p_pu", "q_pu", "q_lo_pu", "q_hi_pu"])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
@@ -696,8 +725,9 @@ class TestSnapshot:
 
     def test_adjustable_positions_map_switch_ids(self, network, demands):
         snap = build_snapshot(network, demands, 0)
-        cids = {network.customers[k].cid for k in snap.adjustable_idx}
-        assert cids == set(netmodel.SWITCH_CUSTOMERS)
+        # A customer's id is its Loads.csv record number, its position + 1.
+        cids = np.flatnonzero(snap.switchable) + 1
+        assert cids.tolist() == sorted(netmodel.SWITCH_CUSTOMERS)
 
     def test_snapshot_validation(self, network, demands):
         snap = build_snapshot(network, demands, 0)
@@ -708,7 +738,7 @@ class TestSnapshot:
                 q_pu=snap.q_pu,
                 q_lo_pu=snap.q_lo_pu,
                 q_hi_pu=snap.q_hi_pu,
-                adjustable_idx=snap.adjustable_idx,
+                switchable=snap.switchable,
             )
         with pytest.raises(ValueError, match="q_lo <= 0 <= q_hi"):
             CaseSnapshot(
@@ -717,27 +747,17 @@ class TestSnapshot:
                 q_pu=snap.q_pu,
                 q_lo_pu=np.full(network.n_customers, 0.1),
                 q_hi_pu=snap.q_hi_pu,
-                adjustable_idx=snap.adjustable_idx,
+                switchable=snap.switchable,
             )
-        with pytest.raises(ValueError, match="out of range"):
-            CaseSnapshot(
-                network=network,
-                p_pu=snap.p_pu,
-                q_pu=snap.q_pu,
-                q_lo_pu=snap.q_lo_pu,
-                q_hi_pu=snap.q_hi_pu,
-                adjustable_idx=(999,),
-            )
-        # A repeated position would add that customer's effect twice in the separable kernels.
-        with pytest.raises(ValueError, match=r"positions repeated: \[1, 7\]"):
-            CaseSnapshot(
-                network=network,
-                p_pu=snap.p_pu,
-                q_pu=snap.q_pu,
-                q_lo_pu=snap.q_lo_pu,
-                q_hi_pu=snap.q_hi_pu,
-                adjustable_idx=(7, 1, 7, 22, 1),
-            )
+
+    def test_switchable_must_be_one_bool_per_customer(self, network, demands):
+        # Positions such as (2, 8) or a 0/1 int column are not taken as a mask.
+        snap = build_snapshot(network, demands, 0)
+        mask = snap.switchable
+        for bad in ((2, 8), np.array([2, 8]), mask.astype(int), mask[:-1], np.append(mask, True), mask[None]):
+            with pytest.raises(ValueError) as info:
+                replace(snap, switchable=bad)
+            assert str(info.value) == "switchable must be one bool per customer"
 
     def test_s_pu_combines_components(self, network, demands):
         snap = build_snapshot(network, demands, 40)

@@ -31,10 +31,9 @@ from dataclasses import replace
 
 
 def with_switches(snapshot, cids):
-    """snapshot with the customers of the given ids as its switch set."""
+    """snapshot with the customers of the given ids (positions + 1) as its switch set."""
 
-    customers = snapshot.network.customers
-    return replace(snapshot, adjustable_idx=tuple(k for k, c in enumerate(customers) if c.cid in cids))
+    return replace(snapshot, switchable=np.isin(np.arange(1, snapshot.network.n_customers + 1), cids))
 
 
 def warm_profile(snapshot, warm=True):
@@ -90,7 +89,7 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("method", ["fixv", "lbfm"])
     def test_equals_exhaustive_on_randomized_instances(self, network, demands, method):
         rng = np.random.default_rng(20240817)
-        cids = [c.cid for c in network.customers]
+        cids = list(range(1, network.n_customers + 1))
         scored = candidates = 0
         for trial in range(4):
             period = int(rng.integers(0, demands.p_w.shape[0]))
@@ -232,7 +231,7 @@ class TestIteratedRefinement:
         out = fixv_algorithm1(snap, warm_profile(snap))
         assert out.strategy == "algorithm1-warm"
         assert out.stats["outer"] == 1.0
-        assert out.candidates == 3 ** len(snap.adjustable_idx)
+        assert out.candidates == 3 ** snap.switchable.sum()
         assert len(out.trace) == 1
 
     def test_cold_start_scores_on_flat_profile_first(self, network, demands):
@@ -253,7 +252,7 @@ class TestIteratedRefinement:
         assert out.stats["outer"] == 2.0
         assert [step.outer for step in out.trace] == [1, 2]
         assert out.trace[1].phases == out.assignment.phases
-        assert out.candidates == 2 * 3 ** len(snap.adjustable_idx)
+        assert out.candidates == 2 * 3 ** snap.switchable.sum()
         assert set(out.stats) == {"outer", "delta_v", "scored"}
 
     # False and True run fixv_algorithm1 cold and warm; lbfm runs
@@ -301,7 +300,7 @@ class TestIteratedRefinement:
         # 3^13 candidates exceed the budget, so Algorithm 1's scan refuses
         # before any candidate is scored.
         snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
-        assert len(snap.adjustable_idx) == 13
+        assert snap.switchable.sum() == 13
         monkeypatch.setattr(_FixvKernel, "score", None)
         with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
             fixv_algorithm1(snap, warm_profile(snap, warm))

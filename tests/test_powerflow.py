@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phasebal import powerflow
-from phasebal.netmodel import Customer, Network, build_snapshot
+from phasebal.netmodel import Network, build_snapshot
 from phasebal.powerflow import (
     FeederGeometry,
     NonConvergenceError,
@@ -23,7 +23,9 @@ from phasebal.powerflow import (
     solve_utpf,
 )
 
-from conftest import line_table, loaded_snapshot, make_v0, random_radial_network, symmetric_z, two_bus_network
+from conftest import (
+    customer_table, line_table, loaded_snapshot, make_v0, random_radial_network, symmetric_z, two_bus_network,
+)
 
 
 def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
@@ -37,7 +39,7 @@ def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
         q_pu=q,
         q_lo_pu=np.zeros(n),
         q_hi_pu=np.zeros(n),
-        adjustable_idx=tuple(adjustable),
+        switchable=np.isin(np.arange(n), tuple(adjustable)),
     )
 
 
@@ -49,7 +51,7 @@ class TestPhaseAssignment:
     def test_initial_reads_customer_phases(self, network):
         asg = PhaseAssignment.initial(network)
         assert len(asg) == network.n_customers
-        assert asg.phases == tuple(c.initial_phase for c in network.customers)
+        assert asg.phases == tuple(network.initial_phases.tolist())
 
     def test_check_assignment_guards_switchless_moves(self, network, demands):
         snap = build_snapshot(network, demands, 0)
@@ -58,12 +60,18 @@ class TestPhaseAssignment:
         def moved(k):
             return PhaseAssignment(initial[:k] + ((initial[k] + 1) % 3,) + initial[k + 1:])
 
-        fixed = next(
-            k for k in range(network.n_customers) if k not in snap.adjustable_idx
-        )
+        fixed = int(np.flatnonzero(~snap.switchable)[0])
         with pytest.raises(ValueError, match="no switch"):
             check_assignment(snap, moved(fixed))
-        check_assignment(snap, moved(snap.adjustable_idx[0]))
+        check_assignment(snap, moved(int(np.flatnonzero(snap.switchable)[0])))
+        # With two switchless customers moved, the first is named.
+        first, second = np.flatnonzero(~snap.switchable)[[0, -1]].tolist()
+        both = list(initial)
+        both[first], both[second] = (initial[first] + 1) % 3, (initial[second] + 2) % 3
+        with pytest.raises(ValueError) as info:
+            check_assignment(snap, PhaseAssignment(tuple(both)))
+        name, before, after = network.customer_names[first], initial[first], both[first]
+        assert str(info.value) == f"customer {name} has no switch but is moved from phase {before} to {after}"
 
     def test_check_assignment_length(self, network, demands):
         snap = build_snapshot(network, demands, 0)
@@ -151,8 +159,7 @@ def line_currents(network, sol):
 
     report = network.topology
     i_lines = np.zeros((len(network.line_names), 3), dtype=complex)
-    for j, customer in enumerate(network.customers):
-        bus = customer.bus
+    for j, bus in enumerate(network.customer_buses.tolist()):
         while bus != network.root:
             i_lines[report.parent_line[bus], sol.cust_phase[j]] += sol.i_cust[j]
             bus = report.parent[bus]
@@ -192,9 +199,9 @@ def current_imbalance(network, asg, sol, s):
     for bus, li in report.parent_line.items():
         balance[bus_index[report.parent[bus]]] -= i_lines[li]
         balance[bus_index[bus]] += i_lines[li]
-    for k, cust in enumerate(network.customers):
-        vc = sol.v[bus_index[cust.bus], asg.phases[k]]
-        balance[bus_index[cust.bus], asg.phases[k]] -= np.conj(s[k] / vc)
+    for k, bus in enumerate(network.customer_buses.tolist()):
+        vc = sol.v[bus_index[bus], asg.phases[k]]
+        balance[bus_index[bus], asg.phases[k]] -= np.conj(s[k] / vc)
     balance[bus_index[network.root]] = 0.0  # root slack supplies the feeder
     return balance
 
@@ -299,8 +306,8 @@ def chain_lca_meet(network):
     for bus in topology.depth_order[1:]:
         chains[bus] = chains[topology.parent[bus]] + [bus]
     out = np.zeros((network.n_customers, 3, network.n_buses, 3), dtype=complex)
-    for j, customer in enumerate(network.customers):
-        on_b = set(chains[customer.bus])
+    for j, bus in enumerate(network.customer_buses.tolist()):
+        on_b = set(chains[bus])
         for m, bus in enumerate(network.buses):
             z = np.zeros((3, 3), dtype=complex)
             for x in chains[bus][1:]:
@@ -333,8 +340,8 @@ def on_customer_paths(network):
 
     parent = bus_parents(network)
     on_paths = {network.buses.index(network.root)}
-    for customer in network.customers:
-        bi = network.buses.index(customer.bus)
+    for bus in network.customer_buses.tolist():
+        bi = network.buses.index(bus)
         while bi >= 0:
             on_paths.add(int(bi))
             bi = parent[bi]
@@ -366,7 +373,7 @@ def per_bus_geometry(network):
     # lca[j, m] is the deepest bus on both bus m's and customer j's root
     # paths: bus m itself when it lies on customer j's path, else its
     # parent's entry, which one pass down the depth order has already set.
-    cust_bus = np.array([bus_index[c.bus] for c in network.customers], dtype=int)
+    cust_bus = np.array([bus_index[b] for b in network.customer_buses.tolist()], dtype=int)
     on_path = np.zeros((len(cust_bus), n), dtype=bool)
     for j, bi in enumerate(cust_bus):
         while bi >= 0:
@@ -423,11 +430,8 @@ def branched_chain_network(seed, depth, customers_at):
         )
         for k, (a, b) in enumerate(edges)
     ))
-    customers = tuple(
-        Customer(cid=j + 1, name=f"c{j + 1}", bus=bus, initial_phase=j % 3)
-        for j, bus in enumerate(customers_at(buses, chain))
-    )
-    return Network(buses=tuple(buses), root=0, **lines, customers=customers, v0=make_v0(), i_dt_max=2.0)
+    customers = customer_table(*((f"c{j + 1}", bus, j % 3) for j, bus in enumerate(customers_at(buses, chain))))
+    return Network(buses=tuple(buses), root=0, **lines, **customers, v0=make_v0(), i_dt_max=2.0)
 
 
 class TestFeederGeometry:
