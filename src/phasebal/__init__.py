@@ -20,7 +20,7 @@ from .netmodel import (
     load_bundled_feeder,
     validate_radial,
 )
-from .powerflow import PFSolution, PhaseAssignment, power_balance_residual, solve_utpf
+from .powerflow import PFSolution, power_balance_residual, solve_utpf
 from .formulations import (
     AffineFit,
     EvaluationResult,
@@ -48,7 +48,6 @@ __all__ = [
     "Network",
     "OptimizationOutcome",
     "PFSolution",
-    "PhaseAssignment",
     "SweepConfig",
     "SweepReport",
     "branch_and_bound",

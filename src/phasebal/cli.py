@@ -44,7 +44,7 @@ from .optimizer import (
     local_search,
     optimize_pv_q,
 )
-from .powerflow import PhaseAssignment, PowerFlowError, feeder_geometry, power_balance_residual, solve_utpf
+from .powerflow import PowerFlowError, feeder_geometry, power_balance_residual, solve_utpf
 
 # Bound here only so that every name the benchmark tracer (bench/run.py) wraps
 # in this module resolves; nothing here calls them.
@@ -175,8 +175,7 @@ def _optimize_cell(snapshot, spec: CellSpec, initial: EvaluationResult) -> Optim
     the benchmark's traced run wraps."""
 
     if spec.method == "initial":
-        assignment = PhaseAssignment.initial(snapshot.network)
-        return OptimizationOutcome("utpf", "none", assignment, initial, initial, 1)
+        return OptimizationOutcome("utpf", "none", snapshot.phases, initial, initial, 1)
     if spec.method in ("fixv-mc", "fixv-mw"):
         return fixv_algorithm1(snapshot, profile=initial.v if spec.method == "fixv-mw" else None)
     if _MODELS[spec.method].kernel.separable:
@@ -229,14 +228,15 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         network = _CTX["network"]
         demands = _CTX["demands"]
         snapshot = build_snapshot(network, demands, spec.period, pv_control)
-        initial = PhaseAssignment.initial(snapshot.network)
+        initial = snapshot.phases
 
         # The cell's exact solves: the initial assignment, the chosen one
         # (the same solve when the two coincide), then the PV-Q state.
         initial_verified = evaluate_exact(snapshot, initial)
         outcome = _optimize_cell(snapshot, spec, initial_verified)
         verified = initial_verified
-        if outcome.assignment.phases != initial.phases:
+        moves = int(np.count_nonzero(outcome.assignment != initial))
+        if moves:
             verified = evaluate_exact(snapshot, outcome.assignment)
         q_adjust = None
         pv_block = None
@@ -263,11 +263,9 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
         doc.update(
             strategy=outcome.strategy,
             candidates=int(outcome.candidates),
-            assignment=[int(p) for p in outcome.assignment.phases],
-            initial_assignment=[int(p) for p in initial.phases],
-            moves=int(
-                sum(a != b for a, b in zip(outcome.assignment.phases, initial.phases))
-            ),
+            assignment=outcome.assignment.tolist(),
+            initial_assignment=initial.tolist(),
+            moves=moves,
             q_adjust=q_adjust,
             model=_eval_view(model),
             initial_model=_eval_view(outcome.initial_model),
@@ -281,7 +279,7 @@ def _run_cell(spec: CellSpec) -> dict[str, object]:
             trace=[
                 {
                     "outer": int(step.outer),
-                    "phases": [int(p) for p in step.phases],
+                    "phases": step.phases.tolist(),
                     "delta_v": float(step.delta_v),
                     "model_objective": float(step.model_objective),
                 }
@@ -585,7 +583,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     snapshot = _load_period(args)
     network = snapshot.network
-    solution = solve_utpf(snapshot, PhaseAssignment.initial(network))
+    solution = solve_utpf(snapshot, snapshot.phases)
     residual = power_balance_residual(solution, snapshot)
 
     # kW and kvar per bus and phase: the customers' loads, then the DT's supply.
@@ -617,8 +615,7 @@ def _cmd_pf(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     snapshot = _load_period(args)
-    initial = PhaseAssignment.initial(snapshot.network)
-    result = _MODELS[args.method].evaluate(snapshot, initial, None, None)
+    result = _MODELS[args.method].evaluate(snapshot, snapshot.phases, None, None)
     view = {**_eval_view(result), "vm": np.asarray(result.vm, dtype=float).tolist()}
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"evaluation_{args.period}_{args.method}.json"

@@ -51,7 +51,6 @@ import numpy as np
 from .netmodel import MB, NEG_SEQ_MAX, V_MAX, V_MIN, CaseSnapshot, Network, _freeze
 from .powerflow import (
     _BAND_TOL,
-    PhaseAssignment,
     _bus_voltages,
     _check_band,
     _coupling,
@@ -286,7 +285,7 @@ def _result(
 
 def evaluate_exact(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
     """Objective under the exact power flow; the verification reference.
@@ -323,7 +322,7 @@ def _fixv_profile(network: Network, profile: np.ndarray | None) -> np.ndarray:
 
 def evaluate_fixv(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     profile: np.ndarray | None = None,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
@@ -334,10 +333,9 @@ def evaluate_fixv(
     are the natural next profile for iterated refinement.
     """
 
-    check_assignment(snapshot, assignment)
+    phases = check_assignment(snapshot, assignment)
     network = snapshot.network
     profile = _fixv_profile(network, profile)
-    phases = np.asarray(assignment.phases, dtype=int)
     v, i_dt = _fixv_fields(network, phases, _effective_loads(snapshot, q_adjust), profile)
     return _result("fixv", network, *_phasor_measures(network, v, i_dt), v)
 
@@ -479,7 +477,7 @@ def _linv_currents(
 
 def evaluate_linv(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
     """Linearized-inverse model: `_linv_currents` for a batch of one, then its
@@ -491,9 +489,8 @@ def evaluate_linv(
     bound.
     """
 
-    check_assignment(snapshot, assignment)
+    phases = check_assignment(snapshot, assignment)
     network = snapshot.network
-    phases = np.asarray(assignment.phases, dtype=int)
     injected, i_dt = _linv_currents(network, _effective_loads(snapshot, q_adjust), phases[None, :])
     v = _bus_voltages(network, injected)[0].take(feeder_geometry(network).col_inverse, axis=0)
     return _result("linv", network, *_phasor_measures(network, v, i_dt[0], True), v)
@@ -603,7 +600,7 @@ def _linv_line(snapshot: CaseSnapshot, phases: np.ndarray, profile: np.ndarray |
 
 def evaluate_lbfm(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     q_adjust: np.ndarray | None = None,
 ) -> EvaluationResult:
     """Lossless branch-flow model over squared voltage magnitudes.
@@ -616,9 +613,8 @@ def evaluate_lbfm(
     per-unit; the transformer current surrogate is |S_phase| / |V0_phase|.
     """
 
-    check_assignment(snapshot, assignment)
+    phases = check_assignment(snapshot, assignment)
     network = snapshot.network
-    phases = np.asarray(assignment.phases, dtype=int)
     fields = _lbfm_fields(network, phases, _effective_loads(snapshot, q_adjust))
     return _result("lbfm", network, *_lbfm_measures(*fields), None, squared=True)
 
@@ -742,7 +738,7 @@ def _radix(k: int) -> np.ndarray:
 
 
 class _Kernel:
-    """What every kernel shares: loads, movable positions, initial phases, the scoring loop.
+    """What every kernel shares: loads, movable positions, start phases, the scoring loop.
 
     Only the fixed-voltage kernel reads profile, its frozen voltage field.
     """
@@ -756,7 +752,7 @@ class _Kernel:
         self.v0 = self.network.v0
         self.s = _effective_loads(snapshot, None)
         self.movable = np.flatnonzero(snapshot.switchable)
-        self.initial = self.network.initial_phases.astype(int)
+        self.initial = snapshot.phases
         self.col_inverse = feeder_geometry(self.network).col_inverse
 
     @property
@@ -768,9 +764,6 @@ class _Kernel:
         full = np.tile(self.initial, (choices.shape[0], 1))
         full[:, self.movable] = choices
         return full
-
-    def assignment(self, choices: np.ndarray) -> PhaseAssignment:
-        return PhaseAssignment(tuple(int(p) for p in self.full_phases(choices[None, :])[0]))
 
     def score(self, choices: np.ndarray, bound: float = np.inf) -> np.ndarray:
         """The objectives of (b, movable) candidate choices, `chunk` rows per block.

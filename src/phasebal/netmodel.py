@@ -5,10 +5,10 @@ load shapes, source), converts everything to per-unit on the fixed bases
 and produces immutable per-period snapshots with net demands and optional
 PV reactive-power bounds. A feeder's lines are one table of names, end bus
 ids and impedances, its customers one of names, bus ids and initial phases,
-and a period's switch set is one bool column over the customers. The
-operational limits, the penalty weight and the case study's PV and switch
-customers are module constants; only the transformer rating varies, per
-feeder.
+and a period's switch set and start phases are two columns over the
+customers. The operational limits, the penalty weight and the case study's
+PV and switch customers are module constants; only the transformer rating
+varies, per feeder.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class DemandSeries:
 
 @dataclass(frozen=True, eq=False)
 class CaseSnapshot:
-    """Net per-unit demands for one period plus PV reactive bounds and the
-    customers whose phase may switch."""
+    """Net per-unit demands for one period plus PV reactive bounds, the
+    customers whose phase may switch and the phase each starts the period on."""
 
     network: Network
     p_pu: np.ndarray  # (customers,) net active demand, negative when exporting
@@ -190,6 +190,7 @@ class CaseSnapshot:
     q_lo_pu: np.ndarray  # per-customer reactive adjustment bounds, q_lo <= 0 <= q_hi
     q_hi_pu: np.ndarray
     switchable: np.ndarray  # (customers,) bool, True where a phase-switching device sits
+    phases: np.ndarray  # (customers,) 0, 1, 2: each customer's phase at the period's start
 
     def __post_init__(self) -> None:
         n = self.network.n_customers
@@ -204,6 +205,12 @@ class CaseSnapshot:
         switchable = _freeze(self, "switchable", None)
         if switchable.shape != (n,) or switchable.dtype != bool:
             raise ValueError("switchable must be one bool per customer")
+        phases = _freeze(self, "phases", None)
+        if phases.shape != (n,) or phases.dtype.kind not in "iu":
+            raise ValueError("phases must be one integer per customer")
+        if (bad := (phases < 0) | (phases > 2)).any():
+            k = bad.argmax()
+            raise ValueError(f"customer {self.network.customer_names[k]} starts on phase {phases[k]}")
 
     @property
     def s_pu(self) -> np.ndarray:
@@ -461,7 +468,8 @@ def build_snapshot(
     network: Network, demands: DemandSeries, period: int, pv_q_control: bool = False
 ) -> CaseSnapshot:
     """Produce the immutable per-unit case for one period of the case study,
-    with PV reactive bands when pv_q_control is set."""
+    starting from the feeder's initial phases, with PV reactive bands when
+    pv_q_control is set."""
 
     n = network.n_customers
     if demands.p_w.shape[1] != n:
@@ -496,4 +504,5 @@ def build_snapshot(
         q_lo_pu=q_lo,
         q_hi_pu=q_hi,
         switchable=switchable,
+        phases=network.initial_phases,
     )

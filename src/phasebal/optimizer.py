@@ -58,8 +58,8 @@ from .formulations import (
     evaluate_lbfm,
     evaluate_linv,
 )
-from .netmodel import CaseSnapshot
-from .powerflow import PhaseAssignment
+from .netmodel import CaseSnapshot, _freeze
+from .powerflow import check_assignment
 
 # Bound here only so that the benchmark tracer (bench/run.py) finds it.
 from .powerflow import solve_utpf  # noqa: F401
@@ -80,14 +80,17 @@ _ENUMERATION_BUDGET = 3**12  # candidate cap for the exact searches
 _RESTARTS = 3  # random local-search starts beyond the initial point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algorithm1Step:
     """One search pass: assignment chosen and profile movement."""
 
     outer: int
-    phases: tuple[int, ...]
+    phases: np.ndarray  # (customers,) the pass's chosen phases, read-only
     delta_v: float
     model_objective: float
+
+    def __post_init__(self) -> None:
+        _freeze(self, "phases", int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +101,15 @@ class OptimizationOutcome:
 
     method: str
     strategy: str
-    assignment: PhaseAssignment
+    assignment: np.ndarray  # (customers,) the chosen phases, read-only
     model: EvaluationResult
     initial_model: EvaluationResult
     candidates: int
     trace: tuple[Algorithm1Step, ...] = ()
     stats: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _freeze(self, "assignment", int)
 
 
 @dataclass(frozen=True)
@@ -255,8 +261,8 @@ def _search(
     model = _model(method, "kernel")
     kernel = model.kernel(snapshot, profile)
     best, candidates, stats = search(kernel)
-    chosen = kernel.assignment(best)
-    initial = PhaseAssignment.initial(snapshot.network)
+    chosen = kernel.full_phases(best[None, :])[0]
+    initial = snapshot.phases
     chosen_model = model.evaluate(snapshot, chosen, None, profile)
     initial_model = model.evaluate(snapshot, initial, None, profile)
     if chosen_model.objective > initial_model.objective:
@@ -342,7 +348,7 @@ def fixv_algorithm1(snapshot: CaseSnapshot, profile: np.ndarray | None = None) -
             stats[key] = value if key == "fell_back_to_initial" else stats.get(key, 0.0) + value
         decide_profile, profile = profile, np.asarray(outcome.model.v)
         delta = float(np.max(np.abs(profile - decide_profile)))
-        trace.append(Algorithm1Step(outer, outcome.assignment.phases, delta, outcome.model.objective))
+        trace.append(Algorithm1Step(outer, outcome.assignment, delta, outcome.model.objective))
 
     stats = {"outer": float(len(trace)), "delta_v": delta, **stats}
     return replace(outcome, candidates=candidates, trace=tuple(trace), stats=stats)
@@ -441,16 +447,17 @@ def _minimize_1d(
 
 def optimize_pv_q(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     method: str,
     profile: np.ndarray | None = None,
 ) -> tuple[np.ndarray, EvaluationResult, Mapping[str, float]]:
     """Cyclic coordinate descent on the per-customer reactive adjustments.
 
-    The descent starts from zero adjustments. Customers with a
-    non-degenerate reactive band are visited in ascending position; each
-    coordinate is minimized over its band by a coarse scan plus
-    golden-section refinement under the chosen model. The points of a
+    assignment is checked once, by `check_assignment`. The descent starts
+    from zero adjustments. Customers with a non-degenerate reactive band
+    are visited in ascending position; each coordinate is minimized over
+    its band by a coarse scan plus golden-section refinement under the
+    chosen model. The points of a
     coordinate are priced by the model's line scorer (its `_MODELS` line),
     which returns objectives only, in a few batched calls per coordinate
     (see `_minimize_1d`); the scalar evaluator prices only the start and
@@ -470,11 +477,12 @@ def optimize_pv_q(
     reached."""
 
     model = _model(method, "line")
+    phases = check_assignment(snapshot, assignment)
     q = np.zeros(snapshot.network.n_customers)
     free = np.flatnonzero(snapshot.q_hi_pu > snapshot.q_lo_pu)
     start_q = q.copy()
-    start = model.evaluate(snapshot, assignment, q, profile)
-    line = model.line(snapshot, np.asarray(assignment.phases, dtype=int), profile)
+    start = model.evaluate(snapshot, phases, q, profile)
+    line = model.line(snapshot, phases, profile)
     f_cur = start.objective
     total_evals = 1
     rounds = 0
@@ -492,7 +500,7 @@ def optimize_pv_q(
                 f_cur = f_best
         if f_round - f_cur < _SWEEP_TOL:
             break
-    final = model.evaluate(snapshot, assignment, q, profile)
+    final = model.evaluate(snapshot, phases, q, profile)
     if final.objective > start.objective:
         q, final = start_q, start
     stats = {"evaluations": float(total_evals), "rounds": float(rounds), "f_start": start.objective}

@@ -26,7 +26,6 @@ COLLAPSE_GUARD = 0.5
 
 __all__ = [
     "PFSolution",
-    "PhaseAssignment",
     "PowerFlowError",
     "VoltageCollapseError",
     "NonConvergenceError",
@@ -55,41 +54,30 @@ class NonConvergenceError(PowerFlowError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseAssignment:
-    """Per-customer one-hot phase choice, stored as phase indices 0, 1, 2."""
-
-    phases: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bad = [p for p in self.phases if p not in (0, 1, 2)]
-        if bad:
-            raise ValueError(f"phase indices must be 0, 1 or 2, got {bad}")
-
-    @classmethod
-    def initial(cls, network: Network) -> "PhaseAssignment":
-        return cls(tuple(network.initial_phases.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-
-def check_assignment(snapshot: CaseSnapshot, assignment: PhaseAssignment) -> None:
-    """Reject assignments that move customers without switches."""
+def check_assignment(snapshot: CaseSnapshot, assignment: np.ndarray) -> np.ndarray:
+    """A (customers,) int copy of assignment, one phase 0, 1 or 2 per
+    customer (an array, or a sequence numpy reads as one). Raises ValueError
+    for another shape, a dtype that is not integer (bool and float are
+    refused, never cast), a phase outside 0-2, or a move from the snapshot's
+    start phase at a customer without a switch, naming the first such
+    customer."""
 
     network = snapshot.network
-    if len(assignment) != network.n_customers:
-        raise ValueError(
-            f"assignment covers {len(assignment)} customers, network has {network.n_customers}"
-        )
-    initial = network.initial_phases
-    moved = ~snapshot.switchable & (np.array(assignment.phases) != initial)
+    phases = np.asarray(assignment)
+    if phases.shape != (network.n_customers,):
+        raise ValueError(f"assignment must be one phase per customer of {network.n_customers}, got {phases.shape}")
+    if phases.dtype.kind not in "iu":
+        raise ValueError(f"assignment must hold integer phases, got dtype {phases.dtype}")
+    start = snapshot.phases
+    outside = (phases < 0) | (phases > 2)
+    moved = outside | (~snapshot.switchable & (phases != start))
     if moved.any():
-        k = int(moved.argmax())
-        raise ValueError(
-            f"customer {network.customer_names[k]} has no switch but is moved from phase "
-            f"{initial[k]} to {assignment.phases[k]}"
-        )
+        k = moved.argmax()
+        name = network.customer_names[k]
+        if outside[k]:
+            raise ValueError(f"customer {name} is assigned phase {phases[k]}; phases must be 0, 1 or 2")
+        raise ValueError(f"customer {name} has no switch but is moved from phase {start[k]} to {phases[k]}")
+    return phases.astype(int)
 
 
 def _effective_loads(snapshot: CaseSnapshot, q_adjust: np.ndarray | None) -> np.ndarray:
@@ -233,9 +221,8 @@ def _injections(phases: np.ndarray, i_cust: np.ndarray) -> np.ndarray:
     the other two."""
 
     injected = np.zeros(i_cust.shape + (3,), dtype=complex)
-    np.put_along_axis(
-        injected, np.broadcast_to(phases, i_cust.shape)[..., None], i_cust[..., None], axis=-1
-    )
+    # Current k of the flattened batch lands at flat position 3k + its phase.
+    injected.reshape(-1)[np.arange(0, 3 * i_cust.size, 3).reshape(i_cust.shape) + phases] = i_cust
     return injected
 
 
@@ -276,10 +263,11 @@ class PFSolution:
 
 def solve_utpf(
     snapshot: CaseSnapshot,
-    assignment: PhaseAssignment,
+    assignment: np.ndarray,
     q_adjust: np.ndarray | None = None,
 ) -> PFSolution:
-    """Exact fixed-point power flow for one period under a phase assignment.
+    """Exact fixed-point power flow for one period under a phase assignment,
+    one phase per customer as `check_assignment` takes it.
 
     Flat start at the root voltage. Each pass draws conj(s) / conj(V) at
     every customer's own voltage V and moves those voltages by the coupling
@@ -289,12 +277,11 @@ def solve_utpf(
     MAX_ITERATIONS passes.
     """
 
-    check_assignment(snapshot, assignment)
+    phases = check_assignment(snapshot, assignment)
     network = snapshot.network
     v0 = network.v0
 
     s = _effective_loads(snapshot, q_adjust)
-    phases = np.asarray(assignment.phases, dtype=int)
     coupling = _coupling(network, phases)
     v0c = v0[phases]
     vc = v0c

@@ -105,6 +105,7 @@ def loaded_snapshot(network, seed, switches, q_band=0.0, idle=0):
         q_lo_pu=-band,
         q_hi_pu=band,
         switchable=np.arange(n) < switches,
+        phases=network.initial_phases,
     )
 
 

@@ -137,3 +137,40 @@ def test_the_default_scan_sees_defaulted_fields():
     fields = defaulted_fields(_trees())
     assert ("cli.py:SweepConfig", "seed") in fields
     assert ("netmodel.py:Network", "topology") not in fields  # field(init=False)
+
+
+def attribute_loads(trees: dict[str, ast.Module], attr: str) -> list[str]:
+    """`module:function` of the innermost function around each load of
+    `x.attr`, `module:<module>` for a load outside any function."""
+
+    found = []
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = getattr(child, "name", "<lambda>")
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr == attr:
+                found.append(f"{module}:{where}")
+            visit(child, module, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module, "<module>")
+    return found
+
+
+def test_only_build_snapshot_reads_the_feeders_initial_phases():
+    # A period starts from its snapshot's phases; the feeder's initial
+    # phases are only where the snapshot of a lone period takes them from.
+    readers = attribute_loads(_trees(), "initial_phases")
+    assert readers == ["netmodel.py:build_snapshot"], f"functions reading initial_phases: {readers}"
+
+
+def test_the_initial_phases_scan_sees_nested_loads():
+    tree = ast.parse("def f(n):\n    return [g(lambda: n.initial_phases) for g in ()]\nx = y.initial_phases\n")
+    assert attribute_loads({"m.py": tree}, "initial_phases") == ["m.py:<lambda>", "m.py:<module>"]
+
+
+def test_an_assignment_is_an_array_not_a_class():
+    assert "PhaseAssignment" not in phasebal.__all__
+    assert not hasattr(phasebal, "PhaseAssignment")

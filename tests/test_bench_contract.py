@@ -23,7 +23,7 @@ from pathlib import Path
 from phasebal import cli, optimizer, powerflow
 from phasebal.netmodel import DemandSeries, Network, build_snapshot
 from phasebal.optimizer import OptimizationOutcome
-from phasebal.powerflow import PFSolution, PhaseAssignment
+from phasebal.powerflow import PFSolution
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = BENCH.parent / "src"
@@ -150,7 +150,7 @@ def test_the_model_table_calls_the_evaluators_the_tracer_wraps(monkeypatch):
 
     network, demands = cli.load_scenario("bundled")
     snap = build_snapshot(network, demands, 73, pv_q_control=True)
-    asg = PhaseAssignment.initial(network)
+    asg = snap.phases
     runs = [
         (partial(optimizer.fixv_algorithm1, snap), "evaluate_fixv"),
         (partial(optimizer.fixv_algorithm1, snap, powerflow.solve_utpf(snap, asg).v), "evaluate_fixv"),

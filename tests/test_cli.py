@@ -20,7 +20,6 @@ from phasebal import cli, formulations, optimizer
 from phasebal.cli import SweepConfig, main, run_sweep
 from phasebal.formulations import _FixvKernel, evaluate_exact, evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import PHASE_POWER_BASE_VA, SWITCH_CUSTOMERS, build_snapshot, bundled_feeder_dir
-from phasebal.powerflow import PhaseAssignment
 
 from test_optimizer import with_switches
 
@@ -74,11 +73,11 @@ def test_exact_solves_once_per_reported_state(counted_sweep):
 def test_reported_states_match_a_fresh_solve(counted_sweep, network, demands):
     out, _ = counted_sweep
     snap = build_snapshot(network, demands, PERIOD)
-    initial = evaluate_exact(snap, PhaseAssignment.initial(network))
+    initial = evaluate_exact(snap, snap.phases)
     for path in sorted(out.glob("outcome_*.json")):
         doc = json.loads(path.read_text())
         assert doc["status"] == "ok", doc["error"]
-        chosen = evaluate_exact(snap, PhaseAssignment(tuple(doc["assignment"])))
+        chosen = evaluate_exact(snap, doc["assignment"])
         for key, exact in (("verified", chosen), ("initial_verified", initial)):
             view = doc[key]
             assert view["objective"] == exact.objective
@@ -181,7 +180,7 @@ def test_initial_cell_reports_its_one_exact_solve(tmp_path, network, demands):
     assert doc["pv"] is None and doc["q_adjust"] is None
     assert doc["trace"] == [] and doc["stats"] == {}
     snap = build_snapshot(network, demands, PERIOD, pv_q_control=True)
-    exact = evaluate_exact(snap, PhaseAssignment.initial(network))
+    exact = evaluate_exact(snap, snap.phases)
     for key in ("model", "initial_model", "verified", "initial_verified"):
         assert doc[key]["objective"] == exact.objective
         # Only the verified views carry the solve's diagnostics.
@@ -195,7 +194,7 @@ def test_search_follows_the_kernel_beyond_the_budget(network, demands, monkeypat
     # linv's is not, so its cell still runs local search from the initial
     # assignment and three restarts.
     snap = with_switches(build_snapshot(network, demands, 73), SWITCH_CUSTOMERS + (11, 14, 41))
-    initial = evaluate_exact(snap, PhaseAssignment.initial(network))
+    initial = evaluate_exact(snap, snap.phases)
     monkeypatch.setattr(_FixvKernel, "score", None)
     monkeypatch.setitem(cli._CTX, "seed", SweepConfig.seed)
     with pytest.raises(ValueError, match="3\\^13 = 1594323 candidates exceed the enumeration budget"):
@@ -611,7 +610,8 @@ def test_evaluate_writes_the_model_view(method, evaluate, tmp_path, network, dem
         ["evaluate", "--period", "40", "--method", method, "--out-dir", str(tmp_path)]
     ) == 0
     view = json.loads((tmp_path / f"evaluation_40_{method}.json").read_text())
-    expect = evaluate(build_snapshot(network, demands, 40), PhaseAssignment.initial(network))
+    snap = build_snapshot(network, demands, 40)
+    expect = evaluate(snap, snap.phases)
     assert view["method"] == method
     assert view["objective"] == expect.objective
     assert view["pi"] == expect.pi
@@ -658,7 +658,7 @@ def test_optimize_with_pv_q_reports_the_tuned_state(method, pvq_cells, network, 
     q = np.asarray(pv["q"])
     assert np.all(q >= snap.q_lo_pu - 1e-12) and np.all(q <= snap.q_hi_pu + 1e-12)
     assert np.any(q != 0.0)
-    chosen = PhaseAssignment(tuple(doc["assignment"]))
+    chosen = doc["assignment"]
     tuned = evaluate_exact(snap, chosen, q_adjust=q)
     assert pv["kept"] == (tuned.objective <= evaluate_exact(snap, chosen).objective)
     assert pv["kept"] == (method == "linv")
@@ -671,5 +671,5 @@ def test_optimize_with_pv_q_reports_the_tuned_state(method, pvq_cells, network, 
         assert doc["q_adjust"] is None
         for key in ("model", "verified", "vm_error"):
             assert doc[key] == off[key], key
-    initial = evaluate_exact(snap, PhaseAssignment.initial(network))
+    initial = evaluate_exact(snap, snap.phases)
     assert doc["initial_verified"]["objective"] == initial.objective

@@ -19,7 +19,7 @@ from phasebal.formulations import evaluate_fixv, evaluate_lbfm, evaluate_linv
 from phasebal.netmodel import build_snapshot, bundled_feeder_dir
 from phasebal.formulations import _decode
 from phasebal.optimizer import _MODELS, _bnb_choices, _exhaustive_choices
-from phasebal.powerflow import PhaseAssignment, power_balance_residual, solve_utpf
+from phasebal.powerflow import power_balance_residual, solve_utpf
 
 from test_formulations import (
     assert_bound_contract,
@@ -67,7 +67,7 @@ def test_separable_tables_equal_the_complex_products(snapshot, model):
 
 def test_exact_state(snapshot):
     network = snapshot.network
-    asg = PhaseAssignment.initial(network)
+    asg = snapshot.phases
     sol = solve_utpf(snapshot, asg)
     assert np.max(np.abs(current_imbalance(network, asg, sol, snapshot.s_pu))) <= 1e-9
     assert ohm_gap(network, sol) <= 1e-12
@@ -86,7 +86,7 @@ def test_batch_matches_scalar(snapshot, method, evaluate):
     batch = kernel.score(choices)
     tol = 1e-10 if method == "linv" else 1e-9
     for row, full in zip(batch, kernel.full_phases(choices)):
-        one = evaluate(snapshot, PhaseAssignment(tuple(int(p) for p in full)))
+        one = evaluate(snapshot, full)
         assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
 

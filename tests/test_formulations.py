@@ -44,7 +44,6 @@ from phasebal.optimizer import (
     optimize_pv_q,
 )
 from phasebal.powerflow import (
-    PhaseAssignment,
     _bus_voltages,
     _customer_meet,
     feeder_geometry,
@@ -114,7 +113,7 @@ class TestSlacks:
         # Most of these states carry slack at periods 41 and 48; each
         # objective is its spread plus MB times its reported slack, bit for bit.
         snap = build_snapshot(network, demands, period)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         exact = evaluate_exact(snap, asg)
         results = [
             exact,
@@ -226,7 +225,7 @@ class TestInverseVoltageFit:
 class TestFixedVoltageModel:
     def test_flat_profile_is_default(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         out = evaluate_fixv(snap, asg)
         flat = np.tile(network.v0, (network.n_buses, 1))
         assert out.method == "fixv"
@@ -237,7 +236,7 @@ class TestFixedVoltageModel:
         # Replaying the model at the converged exact voltages reproduces the
         # exact solution: same currents, same voltages, same objective.
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         sol = solve_utpf(snap, asg)
         exact = evaluate_exact(snap, asg)
         model = evaluate_fixv(snap, asg, profile=sol.v)
@@ -252,9 +251,7 @@ class TestFixedVoltageModel:
         network = random_radial_network(seed, n_buses=25, n_customers=12)
         snap = loaded_snapshot(network, seed, switches=4, q_band=q_band)
         rng = np.random.default_rng(seed)
-        asg = PhaseAssignment(
-            tuple(rng.integers(0, 3, 4).tolist()) + PhaseAssignment.initial(network).phases[4:]
-        )
+        asg = np.concatenate([rng.integers(0, 3, 4), snap.phases[4:]])
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         sol = solve_utpf(snap, asg, q_adjust=q)
         exact = evaluate_exact(snap, asg, q_adjust=q)
@@ -267,7 +264,7 @@ class TestFixedVoltageModel:
         with pytest.raises(FormulationError, match="vanishes"):
             evaluate_fixv(
                 snap,
-                PhaseAssignment.initial(network),
+                snap.phases,
                 profile=np.zeros((network.n_buses, 3), dtype=complex),
             )
 
@@ -276,9 +273,9 @@ class TestFixedVoltageModel:
         # An infinite voltage would draw no current: the customer's load would
         # vanish from the objective instead of the profile being refused.
         snap = build_snapshot(network, demands, 73)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         profile = np.tile(network.v0, (network.n_buses, 1))
-        profile[feeder_geometry(network).cust_bus[0], asg.phases[0]] = bad
+        profile[feeder_geometry(network).cust_bus[0], asg[0]] = bad
         with pytest.raises(FormulationError, match="not finite"):
             evaluate_fixv(snap, asg, profile=profile)
         with pytest.raises(FormulationError, match="not finite"):
@@ -286,7 +283,7 @@ class TestFixedVoltageModel:
 
     def test_reactive_adjustment_validation(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         with pytest.raises(ValueError, match="one entry per customer"):
             evaluate_fixv(snap, asg, q_adjust=np.zeros(2))
         with pytest.raises(ValueError, match="reactive bounds"):
@@ -295,14 +292,14 @@ class TestFixedVoltageModel:
     def test_nan_reactive_adjustment_rejected(self, network, demands):
         # A NaN lies in no band, so no model prices it as an adjustment.
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
         q = np.zeros(network.n_customers)
         q[c] = np.nan
         for solve in (evaluate_fixv, evaluate_linv, evaluate_lbfm, evaluate_exact, solve_utpf):
             with pytest.raises(ValueError, match="reactive bounds"):
                 solve(snap, asg, q_adjust=q)
-        g = _MODELS["fixv"].line(snap, np.asarray(asg.phases), None)(np.zeros(len(q)), c)
+        g = _MODELS["fixv"].line(snap, asg, None)(np.zeros(len(q)), c)
         with pytest.raises(ValueError, match="reactive bounds"):
             g(np.array([np.nan]))
 
@@ -310,7 +307,7 @@ class TestFixedVoltageModel:
 class TestLinearizedInverseModel:
     def test_tracks_exact_closely(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         lin = evaluate_linv(snap, asg)
         exact = evaluate_exact(snap, asg)
         assert lin.method == "linv"
@@ -329,7 +326,7 @@ class TestLinearizedInverseModel:
         s = snap.s_pu + 1j * (0.0 if q_adjust is None else q_adjust)
         v = out.v
         replay = np.tile(network.v0, (network.n_buses, 1))
-        for j, (bus, p) in enumerate(zip(geometry.cust_bus, asg.phases)):
+        for j, (bus, p) in enumerate(zip(geometry.cust_bus, asg)):
             replay -= meet[j, p] * np.conj(s[j]) * fit.g(v[bus, p], p)
         return float(np.max(np.abs(replay - v)))
 
@@ -339,13 +336,13 @@ class TestLinearizedInverseModel:
         rng = np.random.default_rng(period)
         phases = network.initial_phases.copy()
         phases[snap.switchable] = rng.integers(0, 3, size=snap.switchable.sum())
-        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        asg = phases
         out = evaluate_linv(snap, asg)
         assert self._equation_residual(snap, asg, out) <= 1e-12
 
     def test_solves_the_model_equation_with_reactive_adjustment(self, network, demands):
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         dq = np.where(snap.q_hi_pu > 0, snap.q_hi_pu, 0.0)
         assert np.any(dq != 0.0)
         out = evaluate_linv(snap, asg, q_adjust=dq)
@@ -361,7 +358,7 @@ class TestLinearizedInverseModel:
         )
         phases = network.initial_phases.tolist()
         phases[:6] = rng.integers(0, 3, size=6).tolist()
-        asg = PhaseAssignment(tuple(phases))
+        asg = phases
         out = evaluate_linv(snap, asg)
         assert self._equation_residual(snap, asg, out) <= 1e-12
 
@@ -369,23 +366,23 @@ class TestLinearizedInverseModel:
         network = two_bus_network(z_self=0.5 + 1.5j, z_mutual=0.0)
         snap = snapshot_for(network, [2.0])
         with pytest.raises(FormulationError, match="did not contract"):
-            evaluate_linv(snap, PhaseAssignment((0,)))
+            evaluate_linv(snap, (0,))
 
 
 class TestBranchFlowModel:
     def test_squared_units_flagged(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        out = evaluate_lbfm(snap, PhaseAssignment.initial(network))
+        out = evaluate_lbfm(snap, snap.phases)
         assert out.method == "lbfm"
         assert out.squared_voltage_units
         assert out.v is None
 
     def test_aggregates_power_without_losses(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         out = evaluate_lbfm(snap, asg)
         expect = np.zeros(3, dtype=complex)
-        np.add.at(expect, list(asg.phases), snap.s_pu)
+        np.add.at(expect, asg, snap.s_pu)
         assert np.allclose(out.s_dt, expect, atol=1e-15)
 
     def test_matches_exact_when_impedance_vanishes(self):
@@ -393,7 +390,7 @@ class TestBranchFlowModel:
             z_self=1e-7 + 3e-7j, z_mutual=0.0, customers=(0, 1)
         )
         snap = snapshot_for(network, [0.3, 0.1], [0.1, 0.05])
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         lossless = evaluate_lbfm(snap, asg)
         exact = evaluate_exact(snap, asg)
         assert abs(lossless.pi - exact.pi) <= 1e-5
@@ -412,7 +409,7 @@ class TestBranchFlowModel:
 
     def test_no_load_is_nominal(self, network):
         snap = snapshot_for(network, np.zeros(network.n_customers))
-        out = evaluate_lbfm(snap, PhaseAssignment.initial(network))
+        out = evaluate_lbfm(snap, snap.phases)
         assert out.pi == 0.0
         assert sum(out.slack.values()) == 0.0
         assert np.allclose(out.vm, np.abs(network.v0)[None, :])
@@ -451,7 +448,7 @@ class TestBranchFlowIsFlatFixv:
         network = snap.network
         phases = network.initial_phases.copy()
         phases[snap.switchable] = rng.integers(0, 3, snap.switchable.sum())
-        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        asg = phases
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         assert np.any(q != 0.0)
         s = powerflow._effective_loads(snap, q)
@@ -500,7 +497,7 @@ class TestLineScorer:
         tol = 1e-12
         rng = np.random.default_rng(seed)
         q = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
-        line = _MODELS[method].line(snap, np.asarray(asg.phases), profile)
+        line = _MODELS[method].line(snap, asg, profile)
         free = np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)
         assert len(free) > 0
         for c in free:
@@ -527,7 +524,7 @@ class TestLineScorer:
         rng = np.random.default_rng(period)
         phases = network.initial_phases.copy()
         phases[snap.switchable] = rng.integers(0, 3, size=snap.switchable.sum())
-        asg = PhaseAssignment(tuple(int(p) for p in phases))
+        asg = phases
         if i_dt_max is not None:
             # The rating binds, so each point prices the transformer current.
             assert _MODELS[method].evaluate(snap, asg, None, None).slack["i_dt"] > 0.0
@@ -541,7 +538,7 @@ class TestLineScorer:
     def test_matches_scalar_on_random_feeders(self, method, seed):
         network = random_radial_network(seed)
         snap = loaded_snapshot(network, seed, switches=4, q_band=0.02)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         self._assert_matches_scalar(snap, asg, method, seed=seed)
         if method == "fixv":
             profile = solve_utpf(snap, asg).v
@@ -551,7 +548,7 @@ class TestLineScorer:
     def test_point_outside_the_band_rejected(self, network, demands, method):
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
         c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
-        phases = np.asarray(PhaseAssignment.initial(network).phases)
+        phases = snap.phases
         g = _MODELS[method].line(snap, phases, None)(np.zeros(network.n_customers), c)
         for t in (snap.q_lo_pu[c] - 1e-9, snap.q_hi_pu[c] + 1e-9):
             with pytest.raises(ValueError, match="reactive bounds"):
@@ -561,7 +558,7 @@ class TestLineScorer:
         # A name outside the table is unknown; the exact power flow (utpf)
         # verifies but has no line.
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         with pytest.raises(ValueError, match="unknown formulation 'newton'"):
             optimize_pv_q(snap, asg, "newton")
         with pytest.raises(ValueError, match="formulation 'utpf' has no line"):
@@ -594,7 +591,7 @@ class TestLineScreen:
 
         monkeypatch.setattr(formulations, "_live_terms", spy)
         rng = np.random.default_rng(0)
-        line = _MODELS[method].line(snap, np.asarray(asg.phases), profile)
+        line = _MODELS[method].line(snap, asg, profile)
         free = np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)
         for q in (np.zeros(snap.network.n_customers), rng.uniform(snap.q_lo_pu, snap.q_hi_pu)):
             for c in free:
@@ -624,7 +621,7 @@ class TestLineScreen:
     def test_bundled_periods(self, network, demands, method, period, monkeypatch):
         # At period 48 the initial assignment breaks the unbalance limit.
         snap = build_snapshot(network, demands, period, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         profile = solve_utpf(snap, asg).v if method == "fixv-exact" else None
         self._assert_screen_changes_nothing(monkeypatch, snap, asg, method[:4], profile)
 
@@ -633,7 +630,7 @@ class TestLineScreen:
     def test_random_feeders_where_v_lo_binds(self, method, seed, monkeypatch):
         network = random_radial_network(seed)
         snap = doubled(loaded_snapshot(network, seed, switches=4, q_band=0.02))
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         if seed == 2:
             assert _MODELS[method].evaluate(snap, asg, None, None).slack["v_lo"] > 0.0
         self._assert_screen_changes_nothing(monkeypatch, snap, asg, method)
@@ -648,9 +645,9 @@ class TestLineScreen:
         band = np.array([0.0192])
         snap = CaseSnapshot(
             network=network, p_pu=np.array([0.96]), q_pu=np.zeros(1),
-            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]),
+            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]), phases=network.initial_phases,
         )
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
         self._assert_screen_changes_nothing(monkeypatch, snap, asg, "linv")
 
@@ -663,9 +660,9 @@ class TestLineScreen:
         band = np.array([0.04])
         snap = CaseSnapshot(
             network=network, p_pu=np.array([2.0]), q_pu=np.zeros(1),
-            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]),
+            q_lo_pu=-band, q_hi_pu=band, switchable=np.array([True]), phases=network.initial_phases,
         )
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         assert evaluate_linv(snap, asg).slack["v_lo"] > 0.0
         calls = []
         live_terms = formulations._live_terms
@@ -685,7 +682,7 @@ class TestLineScreen:
         monkeypatch.setattr(
             formulations, "_live_terms", lambda *args: calls.append(args) or live_terms(*args)
         )
-        line = _MODELS[method].line(snap, np.asarray(PhaseAssignment.initial(network).phases), None)
+        line = _MODELS[method].line(snap, snap.phases, None)
         q = np.zeros(network.n_customers)
         for c in np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[:3]:
             calls.clear()
@@ -700,8 +697,8 @@ class TestLineScreen:
         # At period 73 every fixv line clears all three voltage terms, so g
         # prices pi and the transformer current alone.
         snap = build_snapshot(network, demands, 73, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
-        line = _MODELS["fixv"].line(snap, np.asarray(asg.phases), solve_utpf(snap, asg).v)
+        asg = snap.phases
+        line = _MODELS["fixv"].line(snap, asg, solve_utpf(snap, asg).v)
         c = int(np.flatnonzero(snap.q_hi_pu > snap.q_lo_pu)[0])
         t = np.linspace(snap.q_lo_pu[c], snap.q_hi_pu[c], _COARSE)
         calls = []
@@ -801,7 +798,7 @@ class TestPerBusOutputs:
         network, snap = merged_column_case()
         phases = network.initial_phases.tolist()
         phases[:6] = [2, 0, 1, 1, 2, 0]
-        return network, snap, PhaseAssignment(tuple(phases))
+        return network, snap, phases
 
     def test_buses_without_customers_below_repeat_their_column(self):
         network, snap, asg = self._case()
@@ -863,7 +860,7 @@ class TestBatchKernels:
         ]
         tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch, kernel.full_phases(choices)):
-            one = scalar(snap, PhaseAssignment(tuple(int(p) for p in full)))
+            one = scalar(snap, full)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
             assert i_dt_max is None or one.slack["i_dt"] > 0.0
 
@@ -879,33 +876,31 @@ class TestBatchKernels:
         rng = np.random.default_rng(seed)
         profile = None
         if method == "fixv" and exact_profile:
-            profile = solve_utpf(snap, PhaseAssignment.initial(network)).v
+            profile = solve_utpf(snap, snap.phases).v
         model = _MODELS[method]
         kernel = model.kernel(snap, profile=profile)
         choices = self._random_choices(rng, kernel, 12)
         batch = kernel.score(choices)
         tol = 1e-10 if method == "linv" else 1e-9
         for row, full in zip(batch, kernel.full_phases(choices)):
-            one = model.evaluate(snap, PhaseAssignment(tuple(int(p) for p in full)), None, profile)
+            one = model.evaluate(snap, full, None, profile)
             assert abs(row - one.objective) <= tol * (1 + abs(one.objective))
 
     def test_fixv_kernel_accepts_profile(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        sol = solve_utpf(snap, PhaseAssignment.initial(network))
+        sol = solve_utpf(snap, snap.phases)
         kernel = _MODELS["fixv"].kernel(snap, profile=sol.v)
         rng = np.random.default_rng(7)
         choices = self._random_choices(rng, kernel, 10)
         batch = kernel.score(choices)
         for row, full in zip(batch, kernel.full_phases(choices)):
-            one = evaluate_fixv(
-                snap, PhaseAssignment(tuple(int(p) for p in full)), profile=sol.v
-            )
+            one = evaluate_fixv(snap, full, profile=sol.v)
             assert abs(row - one.objective) <= 1e-9 * (1 + abs(one.objective))
 
     def test_full_phases_only_moves_switch_customers(self, network, demands):
         snap = build_snapshot(network, demands, 40)
         kernel = _MODELS["lbfm"].kernel(snap)
-        initial = network.initial_phases
+        initial = snap.phases
         full = kernel.full_phases(np.zeros((1, kernel.n_movable), dtype=int))[0]
         fixed = np.setdiff1d(np.arange(network.n_customers), kernel.movable)
         assert np.array_equal(full[fixed], initial[fixed])
@@ -981,7 +976,7 @@ def separable_kernel(snapshot, model):
 
     profile = None
     if model == "fixv-exact":
-        profile = solve_utpf(snapshot, PhaseAssignment.initial(snapshot.network)).v
+        profile = solve_utpf(snapshot, snapshot.phases).v
     return _MODELS[model[:4]].kernel(snapshot, profile=profile), profile
 
 
@@ -1078,7 +1073,7 @@ def assert_bound_moves_no_choice(snapshot, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(_LinvKernel, "score", lambda self, choices, bound=np.inf: _Kernel.score(self, choices))
         unbounded = local_search(snapshot, "linv", 7)
-    assert bounded.assignment.phases == unbounded.assignment.phases
+    assert np.array_equal(bounded.assignment, unbounded.assignment)
     assert bounded.candidates == unbounded.candidates
     assert bounded.model.objective == unbounded.model.objective
     assert unbounded.stats["scored"] == unbounded.candidates
@@ -1128,3 +1123,74 @@ class TestLinvBound:
 
     def test_the_bound_moves_no_choice(self, linv_snapshot, monkeypatch):
         assert_bound_moves_no_choice(linv_snapshot, monkeypatch)
+
+
+def bits(x):
+    """x with every float as its hex and every array as its bytes, so that
+    == compares results bit for bit (-0.0 and NaN included)."""
+
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if hasattr(x, "__dataclass_fields__"):
+        return type(x).__name__, bits(vars(x))
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in x.items())
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x.hex() if isinstance(x, float) else x
+
+
+# Every public entry point that takes an assignment, as call(snapshot, assignment).
+ENTRY_POINTS = {
+    "evaluate_exact": evaluate_exact,
+    "evaluate_fixv": evaluate_fixv,
+    "evaluate_linv": evaluate_linv,
+    "evaluate_lbfm": evaluate_lbfm,
+    "solve_utpf": solve_utpf,
+    **{f"optimize_pv_q-{m}": partial(optimize_pv_q, method=m) for m in ("fixv", "linv", "lbfm")},
+}
+
+
+def entry_case():
+    """A random feeder whose three switch customers move off their start
+    phases, with reactive bands for the PV-Q descent."""
+
+    network = random_radial_network(4, n_buses=16, n_customers=8)
+    snap = loaded_snapshot(network, 4, switches=3, q_band=0.02)
+    phases = np.array(snap.phases)
+    phases[:3] = (phases[:3] + 1) % 3
+    return snap, phases
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_bad_assignments_are_refused_before_any_solve(self, name, monkeypatch):
+        snap, phases = entry_case()
+        call = ENTRY_POINTS[name]
+        out_of_range = np.array(phases)
+        out_of_range[1] = 3  # a switch customer, so only the range is at fault
+        bad = {
+            "integer phases": [phases.astype(float), phases.astype(bool), [float(p) for p in phases]],
+            "one phase per customer": [phases[:-1], np.append(phases, 0), phases.tolist()[1:]],
+            "0, 1 or 2": [out_of_range, tuple(out_of_range.tolist())],
+        }
+
+        def no_solve(_network):
+            raise AssertionError("solved before the assignment was checked")
+
+        for module in (powerflow, formulations):
+            monkeypatch.setattr(module, "feeder_geometry", no_solve)
+        with pytest.raises(AssertionError):  # a valid assignment does reach a solve
+            call(snap, phases)
+        for message, assignments in bad.items():
+            for assignment in assignments:
+                with pytest.raises(ValueError, match=message):
+                    call(snap, assignment)
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_lists_tuples_and_arrays_give_the_same_bits(self, name):
+        snap, phases = entry_case()
+        call = ENTRY_POINTS[name]
+        forms = (phases, phases.tolist(), tuple(phases.tolist()), phases.astype(np.int32))
+        results = [bits(call(snap, form)) for form in forms]
+        assert all(result == results[0] for result in results[1:])

@@ -27,6 +27,7 @@ from phasebal.netmodel import (
     validate_radial,
 )
 from phasebal.formulations import AffineFit, EvaluationResult
+from phasebal.optimizer import Algorithm1Step, OptimizationOutcome
 from phasebal.powerflow import PFSolution, feeder_geometry
 
 from conftest import customer_table, line_table, make_v0, symmetric_z, two_bus_network
@@ -612,7 +613,8 @@ class TestRecordsOwnTheirArrays:
         p, q = np.ones((4, 1)), np.zeros((4, 1))
         series = DemandSeries(p_w=p, q_var=q, minutes_per_period=15)
         snap = build_snapshot(network, demands, 40, pv_q_control=True)
-        given = {name: np.array(getattr(snap, name)) for name in ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu", "switchable")}
+        names = ("p_pu", "q_pu", "q_lo_pu", "q_hi_pu", "switchable", "phases")
+        given = {name: np.array(getattr(snap, name)) for name in names}
         copy = replace(snap, **given)
         pairs = [(z, two_bus.line_z_pu), (ends, two_bus.line_ends), (at, two_bus.customer_buses)]
         pairs += [(phases, two_bus.initial_phases), (p, series.p_w), (q, series.q_var)]
@@ -628,6 +630,10 @@ class TestRecordsOwnTheirArrays:
         pairs += [(s_dt, result.s_dt), (vm, result.vm), (vneg, result.vneg), (v, result.v)]
         pairs += [(v, solution.v), (i_cust, solution.i_cust), (s_dt, solution.s_dt)]
         pairs += [(s_cust, solution.s_cust), (phase, solution.cust_phase)]
+        chosen = np.array(snap.phases)
+        step = Algorithm1Step(1, chosen, 0.0, 0.0)
+        outcome = OptimizationOutcome("fixv", "none", chosen, result, result, 1, trace=(step,))
+        pairs += [(chosen, step.phases), (chosen, outcome.assignment)]
         for mine, kept in pairs:
             assert mine.flags.writeable and not kept.flags.writeable
             assert np.array_equal(mine, kept)
@@ -739,6 +745,7 @@ class TestSnapshot:
                 q_lo_pu=snap.q_lo_pu,
                 q_hi_pu=snap.q_hi_pu,
                 switchable=snap.switchable,
+                phases=snap.phases,
             )
         with pytest.raises(ValueError, match="q_lo <= 0 <= q_hi"):
             CaseSnapshot(
@@ -748,6 +755,7 @@ class TestSnapshot:
                 q_lo_pu=np.full(network.n_customers, 0.1),
                 q_hi_pu=snap.q_hi_pu,
                 switchable=snap.switchable,
+                phases=snap.phases,
             )
 
     def test_switchable_must_be_one_bool_per_customer(self, network, demands):
@@ -758,6 +766,33 @@ class TestSnapshot:
             with pytest.raises(ValueError) as info:
                 replace(snap, switchable=bad)
             assert str(info.value) == "switchable must be one bool per customer"
+
+    def test_phases_start_from_the_feeder(self, network, demands):
+        for period in (0, 73):
+            snap = build_snapshot(network, demands, period)
+            assert np.array_equal(snap.phases, network.initial_phases)
+            assert snap.phases.dtype.kind == "i"
+
+    def test_phases_must_be_one_integer_per_customer(self, network, demands):
+        # A bool or float column is refused, never cast.
+        snap = build_snapshot(network, demands, 0)
+        phases = snap.phases
+        for bad in (
+            phases[:-1], np.append(phases, 0), phases[None], tuple(phases[:2]),
+            phases.astype(bool), phases.astype(float), np.array(phases, dtype=object),
+        ):
+            with pytest.raises(ValueError) as info:
+                replace(snap, phases=bad)
+            assert str(info.value) == "phases must be one integer per customer"
+
+    @pytest.mark.parametrize("bad", [3, -1, 7])
+    def test_phases_outside_0_to_2_name_the_first_faulty_customer(self, network, demands, bad):
+        snap = build_snapshot(network, demands, 0)
+        phases = np.array(snap.phases)
+        phases[[4, 9]] = bad, 5
+        with pytest.raises(ValueError) as info:
+            replace(snap, phases=phases)
+        assert str(info.value) == f"customer {network.customer_names[4]} starts on phase {bad}"
 
     def test_s_pu_combines_components(self, network, demands):
         snap = build_snapshot(network, demands, 40)

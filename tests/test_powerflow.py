@@ -14,7 +14,6 @@ from phasebal.netmodel import Network, build_snapshot
 from phasebal.powerflow import (
     FeederGeometry,
     NonConvergenceError,
-    PhaseAssignment,
     VoltageCollapseError,
     _customer_meet,
     check_assignment,
@@ -40,25 +39,39 @@ def snapshot_for(network, p_pu, q_pu=None, adjustable=()):
         q_lo_pu=np.zeros(n),
         q_hi_pu=np.zeros(n),
         switchable=np.isin(np.arange(n), tuple(adjustable)),
+        phases=network.initial_phases,
     )
 
 
-class TestPhaseAssignment:
+class TestCheckAssignment:
     def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError, match="0, 1 or 2"):
-            PhaseAssignment((0, 3))
+        snap = snapshot_for(two_bus_network(customers=(0, 1)), [0.01, 0.02], adjustable=(0, 1))
+        for bad in ((0, 3), (-1, 0), np.array([1, 7])):
+            with pytest.raises(ValueError, match="0, 1 or 2"):
+                check_assignment(snap, bad)
 
-    def test_initial_reads_customer_phases(self, network):
-        asg = PhaseAssignment.initial(network)
-        assert len(asg) == network.n_customers
-        assert asg.phases == tuple(network.initial_phases.tolist())
+    def test_returns_an_int_copy(self, network, demands):
+        snap = build_snapshot(network, demands, 0)
+        given = np.array(snap.phases, dtype=np.int32)
+        checked = check_assignment(snap, given)
+        assert checked.dtype == int and checked.flags.writeable
+        assert np.array_equal(checked, network.initial_phases)
+        checked[0] = (checked[0] + 1) % 3
+        assert np.array_equal(given, network.initial_phases)
+
+    def test_refuses_phases_that_are_not_integers(self, network, demands):
+        # A bool or float assignment is refused, never cast.
+        snap = build_snapshot(network, demands, 0)
+        for bad in (snap.phases.astype(float), snap.phases.astype(bool), [float(p) for p in snap.phases]):
+            with pytest.raises(ValueError, match="integer phases"):
+                check_assignment(snap, bad)
 
     def test_check_assignment_guards_switchless_moves(self, network, demands):
         snap = build_snapshot(network, demands, 0)
-        initial = PhaseAssignment.initial(network).phases
+        initial = tuple(snap.phases.tolist())
 
         def moved(k):
-            return PhaseAssignment(initial[:k] + ((initial[k] + 1) % 3,) + initial[k + 1:])
+            return initial[:k] + ((initial[k] + 1) % 3,) + initial[k + 1:]
 
         fixed = int(np.flatnonzero(~snap.switchable)[0])
         with pytest.raises(ValueError, match="no switch"):
@@ -69,14 +82,38 @@ class TestPhaseAssignment:
         both = list(initial)
         both[first], both[second] = (initial[first] + 1) % 3, (initial[second] + 2) % 3
         with pytest.raises(ValueError) as info:
-            check_assignment(snap, PhaseAssignment(tuple(both)))
+            check_assignment(snap, tuple(both))
         name, before, after = network.customer_names[first], initial[first], both[first]
         assert str(info.value) == f"customer {name} has no switch but is moved from phase {before} to {after}"
 
+    def test_moves_are_judged_from_the_snapshots_start(self, network, demands):
+        # Another start, as a period after a switching one would have: the
+        # check reads the snapshot's phases, not the feeder's initial ones.
+        snap = build_snapshot(network, demands, 0)
+        fixed = int(np.flatnonzero(~snap.switchable)[0])
+        switch = int(np.flatnonzero(snap.switchable)[0])
+        start = np.array(snap.phases)
+        start[[fixed, switch]] = (start[[fixed, switch]] + 1) % 3
+        later = replace(snap, phases=start)
+        check_assignment(later, start)
+        with pytest.raises(ValueError, match="no switch"):
+            check_assignment(snap, start)
+        for k, allowed in ((fixed, False), (switch, True)):
+            moved = np.array(start)
+            moved[k] = (start[k] + 1) % 3
+            if allowed:
+                assert np.array_equal(check_assignment(later, moved), moved)
+                continue
+            with pytest.raises(ValueError) as info:
+                check_assignment(later, moved)
+            name = network.customer_names[k]
+            assert str(info.value) == f"customer {name} has no switch but is moved from phase {start[k]} to {moved[k]}"
+
     def test_check_assignment_length(self, network, demands):
         snap = build_snapshot(network, demands, 0)
-        with pytest.raises(ValueError, match="covers"):
-            check_assignment(snap, PhaseAssignment((0, 1)))
+        for bad in ((0, 1), np.tile(snap.phases, (2, 1)), 0):
+            with pytest.raises(ValueError, match="one phase per customer"):
+                check_assignment(snap, bad)
 
 
 class TestScalarOracle:
@@ -91,7 +128,7 @@ class TestScalarOracle:
         )
         snap = snapshot_for(network, [s])
         monkeypatch.setattr(powerflow, "MISMATCH_TOL", 1e-14)
-        sol = solve_utpf(snap, PhaseAssignment((0,)))
+        sol = solve_utpf(snap, (0,))
         i_line = line_currents(network, sol)[0, 0]
         expect = (v0 + math.sqrt(v0 * v0 - 4 * r * s)) / 2.0
         assert abs(sol.v[1, 0] - expect) <= 1e-12
@@ -104,7 +141,7 @@ class TestScalarOracle:
         # Flat-start current conj(s)/conj(v0) is the first ladder injection.
         network = two_bus_network()
         snap = snapshot_for(network, [0.01], [0.005])
-        sol = solve_utpf(snap, PhaseAssignment((0,)))
+        sol = solve_utpf(snap, (0,))
         expect0 = (0.01 - 0.005j) / 1.05
         assert abs(line_currents(network, sol)[0, 0] - expect0) <= 2e-4  # near, then refined
         assert sol.mismatch <= 1e-8
@@ -118,7 +155,7 @@ class TestZeroLoad:
             p_pu=np.zeros(network.n_customers),
             q_pu=np.zeros(network.n_customers),
         )
-        sol = solve_utpf(empty, PhaseAssignment.initial(network))
+        sol = solve_utpf(empty, empty.phases)
         assert sol.mismatch == 0.0
         assert np.array_equal(sol.v, np.tile(network.v0, (network.n_buses, 1)))
         assert np.array_equal(sol.s_dt, np.zeros(3, dtype=complex))
@@ -127,7 +164,7 @@ class TestZeroLoad:
 class TestBundledConvergence:
     def test_period_40_state(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        sol = solve_utpf(snap, PhaseAssignment.initial(network))
+        sol = solve_utpf(snap, snap.phases)
         assert sol.mismatch <= 1e-8
         assert sol.iterations < 60
         assert power_balance_residual(sol, snap) <= 1e-8
@@ -135,7 +172,7 @@ class TestBundledConvergence:
 
     def test_kirchhoff_from_raw_line_list(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         sol = solve_utpf(snap, asg)
         assert np.max(np.abs(current_imbalance(network, asg, sol, snap.s_pu))) <= 1e-9
 
@@ -147,7 +184,7 @@ class TestBundledConvergence:
         if adjusted:
             q_adjust = np.random.default_rng(period).uniform(snap.q_lo_pu, snap.q_hi_pu)
             assert np.any(q_adjust != 0)
-        sol = solve_utpf(snap, PhaseAssignment.initial(network), q_adjust=q_adjust)
+        sol = solve_utpf(snap, snap.phases, q_adjust=q_adjust)
         assert_residual_as_line_sum(network, sol, snap)
 
 
@@ -200,8 +237,8 @@ def current_imbalance(network, asg, sol, s):
         balance[bus_index[report.parent[bus]]] -= i_lines[li]
         balance[bus_index[bus]] += i_lines[li]
     for k, bus in enumerate(network.customer_buses.tolist()):
-        vc = sol.v[bus_index[bus], asg.phases[k]]
-        balance[bus_index[bus], asg.phases[k]] -= np.conj(s[k] / vc)
+        vc = sol.v[bus_index[bus], asg[k]]
+        balance[bus_index[bus], asg[k]] -= np.conj(s[k] / vc)
     balance[bus_index[network.root]] = 0.0  # root slack supplies the feeder
     return balance
 
@@ -233,7 +270,7 @@ class TestRandomFeederConservation:
         network = random_radial_network(seed, n_buses=n_buses, n_customers=16)
         snap = loaded_snapshot(network, seed, switches=16, q_band=q_band)
         rng = np.random.default_rng(seed)
-        asg = PhaseAssignment(tuple(int(p) for p in rng.integers(0, 3, 16)))
+        asg = rng.integers(0, 3, 16)
         q_adjust = rng.uniform(snap.q_lo_pu, snap.q_hi_pu)
         sol = solve_utpf(snap, asg, q_adjust=q_adjust)
         imbalance = current_imbalance(network, asg, sol, snap.s_pu + 1j * q_adjust)
@@ -249,7 +286,7 @@ class TestRandomFeederConservation:
         ends = np.array(network.line_ends)
         ends[1::2] = ends[1::2, ::-1]
         flipped = replace(network, line_ends=ends)
-        asg = PhaseAssignment.initial(network)
+        asg = network.initial_phases
         sol = solve_utpf(loaded_snapshot(network, 12, switches=0), asg)
         snap = loaded_snapshot(flipped, 12, switches=0)
         sol_flipped = solve_utpf(snap, asg)
@@ -264,7 +301,7 @@ class TestRandomFeederConservation:
 class TestReactiveAdjustment:
     def test_bounds_enforced(self, network, demands):
         snap = build_snapshot(network, demands, 40)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         with pytest.raises(ValueError, match="one entry per customer"):
             solve_utpf(snap, asg, q_adjust=np.zeros(3))
         with pytest.raises(ValueError, match="reactive bounds"):
@@ -272,7 +309,7 @@ class TestReactiveAdjustment:
 
     def test_adjustment_shifts_served_power(self, network, demands):
         snap = build_snapshot(network, demands, 48, pv_q_control=True)
-        asg = PhaseAssignment.initial(network)
+        asg = snap.phases
         dq = np.where(snap.q_hi_pu > 0, snap.q_hi_pu, 0.0)
         sol = solve_utpf(snap, asg, q_adjust=dq)
         assert np.allclose(sol.s_cust, snap.s_pu + 1j * dq)
@@ -284,13 +321,13 @@ class TestFailureReporting:
         network = two_bus_network(z_self=0.5 + 1.5j, z_mutual=0.0)
         snap = snapshot_for(network, [2.0])
         with pytest.raises(VoltageCollapseError):
-            solve_utpf(snap, PhaseAssignment((0,)))
+            solve_utpf(snap, (0,))
 
     def test_nonconvergence_carries_state(self, network, demands, monkeypatch):
         snap = build_snapshot(network, demands, 40)
         monkeypatch.setattr(powerflow, "MAX_ITERATIONS", 1)
         with pytest.raises(NonConvergenceError) as info:
-            solve_utpf(snap, PhaseAssignment.initial(network))
+            solve_utpf(snap, snap.phases)
         assert info.value.iterations == 1
         assert info.value.mismatch > 1e-8
 
